@@ -65,7 +65,7 @@ pub use kernels::{
 };
 pub use modes::{ModeClassification, TensorOp};
 pub use multi::{spmttkrp_multi_gpu, MultiGpuStats};
-pub use pack::{packed_bytes, touched_rows, unpack_rows, unpack_time_hi_us};
+pub use pack::{compact_tensor, touched_rows};
 pub use serialize::{read_fcoo, write_fcoo, DecodeError};
 pub use tune::{
     tune, tune_format_with_filter, tune_with_filter, TunePoint, TuneResult, BLOCK_SIZES, THREADLENS,

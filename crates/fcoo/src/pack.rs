@@ -1,29 +1,21 @@
-//! Packed factor uploads: move only the factor rows a kernel reads.
+//! Compact product-mode coordinates: formats whose factors hold only the
+//! rows a kernel reads.
 //!
 //! A unified kernel reads factor row `i` of product mode `m` only when some
 //! non-zero has coordinate `i` in mode `m`. On hypersparse tensors those
-//! *touched rows* are a small fraction of the factor, yet a plain upload
-//! copies every row across PCIe. A packed upload gathers the touched rows
-//! on the host ([`pack_rows`]), copies them together with their `u32` row
-//! map, and scatters them on the device with a small unpack kernel into a
-//! zeroed full-size factor buffer. The planned kernel then runs on the same
-//! format and reads the same factor bits as after a plain upload; rows no
-//! kernel reads stay zero.
+//! *touched rows* are a small fraction of the factor. [`compact_tensor`]
+//! renumbers each product mode of an operation to the coordinate's rank
+//! among the mode's touched rows ([`touched_rows`]), so a format built from
+//! it indexes a `touched × R` factor gathered on the host: nothing else
+//! crosses PCIe or occupies the device.
 //!
-//! [`unpack_time_hi_us`] bounds the unpack launch from the cost model's
-//! constants alone, so a caller can decide between the two uploads before
-//! allocating anything.
+//! The renumbering keeps the coordinate order, so the sort order, the
+//! `bf`/`sf` flags, the segments and BF-COO's buckets of the compact format
+//! equal those of the original, and every output coordinate (the index
+//! modes) is unchanged. A fully touched mode renumbers to itself.
 
-use crate::device::DeviceMatrix;
-use gpu_sim::{DeviceBuffer, DeviceConfig, GpuDevice, KernelStats, OutOfMemory};
-use tensor_core::{DenseMatrix, Idx};
-
-/// Threads per block of the unpack kernel (one warp per packed row).
-const UNPACK_BLOCK_THREADS: usize = 256;
-
-/// Warp instructions the unpack kernel charges per 32-column step of a row
-/// (row-map indexing and the address arithmetic of the copy).
-const UNPACK_STEP_INSTRUCTIONS: u64 = 4;
+use crate::modes::{ModeClassification, TensorOp};
+use tensor_core::{Idx, SparseTensorCoo};
 
 /// The sorted distinct coordinates of one mode: the rows of that mode's
 /// factor any kernel over the tensor can read.
@@ -34,153 +26,28 @@ pub fn touched_rows(coords: &[Idx]) -> Vec<u32> {
     rows
 }
 
-/// Bytes a packed upload of `rows` rows of `cols` columns moves: the `f32`
-/// rows plus their `u32` row map.
-pub fn packed_bytes(rows: usize, cols: usize) -> usize {
-    rows * (cols + 1) * 4
-}
-
-/// Gathers `rows` of `host`, in order, into one row-major buffer.
-fn pack_rows(host: &DenseMatrix, rows: &[u32]) -> Vec<f32> {
-    let mut packed = Vec::with_capacity(rows.len() * host.cols());
-    for &row in rows {
-        packed.extend_from_slice(host.row(row as usize));
-    }
-    packed
-}
-
-/// Upper bound on the simulated time of the unpack launch for `rows`
-/// packed rows of `cols` columns, from the cost model's constants alone.
-///
-/// Every warp issues one broadcast read of its row-map entry, then streams
-/// one `cols × 4`-byte row in and one out; a contiguous range of `b` bytes
-/// touches at most `⌈b / sector⌉ + 1` sectors whatever its alignment. The
-/// bound charges every warp that worst case and folds blocks into waves
-/// exactly as the timing model does, so the launch never takes longer.
-pub fn unpack_time_hi_us(config: &DeviceConfig, rows: usize, cols: usize) -> f64 {
-    let warps_per_block = (UNPACK_BLOCK_THREADS / config.warp_size.max(1)).max(1);
-    let sector = config.transaction_bytes.max(1);
-    let range_hi = if cols == 0 {
-        0
-    } else {
-        (cols * 4).div_ceil(sector) as u64 + 1
-    };
-    let transactions = 1 + 2 * range_hi;
-    let warp_cycles = transactions * config.mem_issue_cycles
-        + UNPACK_STEP_INSTRUCTIONS * cols.div_ceil(config.warp_size.max(1)) as u64;
-    let block_cycles = (warp_cycles as f64)
-        .max((warps_per_block as u64 * warp_cycles) as f64 / config.warp_schedulers.max(1) as f64);
-    let compute_us = block_cycles / config.cycles_per_us();
-    let block_bytes = warps_per_block as u64 * transactions * sector as u64;
-    let concurrent = config.concurrent_blocks(UNPACK_BLOCK_THREADS).max(1);
-    let mut time_us = config.launch_overhead_us;
-    let mut blocks = rows.div_ceil(warps_per_block);
-    while blocks > 0 {
-        let wave = blocks.min(concurrent);
-        let memory_us = (wave as u64 * block_bytes) as f64 / (config.mem_bandwidth_gbs * 1e3);
-        time_us += compute_us.max(memory_us);
-        blocks -= wave;
-    }
-    time_us
-}
-
-/// Scatters packed row `k` of `packed` into row `map[k]` of `out`: one
-/// warp per row.
-///
-/// The map entries must be distinct (each target row has one writer);
-/// [`unpack_rows`] checks that before launching.
-fn unpack(
-    device: &GpuDevice,
-    packed: &DeviceBuffer<f32>,
-    map: &DeviceBuffer<u32>,
-    out: &DeviceMatrix,
-) -> KernelStats {
-    let cols = out.cols();
-    let rows = map.len();
-    let warp = device.config().warp_size;
-    let warps_per_block = UNPACK_BLOCK_THREADS / warp;
-    let steps = cols.div_ceil(warp) as u64;
-    device.launch(
-        (rows.div_ceil(warps_per_block), 1),
-        UNPACK_BLOCK_THREADS,
-        |ctx| {
-            for w in 0..ctx.warps_per_block() {
-                let row = ctx.block_x() * warps_per_block + w;
-                if row >= rows {
-                    break;
-                }
-                ctx.begin_warp();
-                // Every lane needs the same map entry: one broadcast load.
-                ctx.read_global(&[map.addr(row)]);
-                let target = map.get(row) as usize;
-                ctx.read_global_range(packed.addr(row * cols), cols * 4);
-                ctx.write_global_range(out.addr(target, 0), cols * 4);
-                ctx.compute(UNPACK_STEP_INSTRUCTIONS * steps);
-                for col in 0..cols {
-                    let value = packed.get(row * cols + col);
-                    // SAFETY: map entries are distinct (checked by
-                    // `unpack_rows`), so this warp is the only writer of
-                    // row `target`.
-                    unsafe { out.buffer().write(target * cols + col, value) };
-                }
-            }
-        },
-    )
-}
-
-/// Fills `target` from `host` while moving only `rows` across the bus:
-/// copies the packed rows and their row map to staging buffers, runs the
-/// unpack kernel, and frees the staging before returning. Rows listed in
-/// `rows` become bit-identical to `host`; every other row of `target` keeps
-/// its contents. Returns the unpack launch's statistics.
-///
-/// Callers that allocate every factor before unpacking any of them keep the
-/// factors laid out back to back, as plain uploads would place them.
+/// `tensor` with every product mode of `op` renumbered over its touched
+/// rows; `touched[m]` holds mode `m`'s sorted distinct coordinates.
 ///
 /// # Panics
-/// If `rows` is not strictly increasing or names a row past the end of
-/// `host`, or if `target`'s shape differs from `host`'s.
-pub fn unpack_rows(
-    device: &GpuDevice,
-    host: &DenseMatrix,
-    rows: &[u32],
-    target: &DeviceMatrix,
-) -> Result<KernelStats, OutOfMemory> {
-    assert!(
-        rows.windows(2).all(|pair| pair[0] < pair[1]),
-        "packed rows must be strictly increasing"
-    );
-    assert!(
-        rows.last().is_none_or(|&row| (row as usize) < host.rows()),
-        "packed row past the end of a {}-row factor",
-        host.rows()
-    );
-    assert_eq!(
-        (target.rows(), target.cols()),
-        (host.rows(), host.cols()),
-        "unpack target shape mismatch"
-    );
-    let memory = device.memory();
-    let packed = memory.alloc_from_slice(&pack_rows(host, rows))?;
-    let map = memory.alloc_from_slice(rows)?;
-    Ok(unpack(device, &packed, &map, target))
+/// If `touched` does not list every coordinate of a product mode.
+pub fn compact_tensor(
+    tensor: &SparseTensorCoo,
+    op: TensorOp,
+    touched: &[Vec<u32>],
+) -> SparseTensorCoo {
+    let mut compact = tensor.clone();
+    for &mode in &ModeClassification::classify(op, tensor.order()).product_modes {
+        compact.compact_mode(mode, &touched[mode]);
+    }
+    compact
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fcoo;
     use tensor_core::datasets::{self, DatasetKind};
-
-    /// A packed upload into a fresh zeroed full-size matrix.
-    fn upload_packed(
-        device: &GpuDevice,
-        host: &DenseMatrix,
-        rows: &[u32],
-    ) -> Result<(DeviceMatrix, KernelStats), OutOfMemory> {
-        let full = DeviceMatrix::zeros(device.memory(), host.rows(), host.cols())?;
-        let stats = unpack_rows(device, host, rows, &full)?;
-        Ok((full, stats))
-    }
 
     #[test]
     fn touched_rows_are_sorted_and_distinct() {
@@ -189,72 +56,34 @@ mod tests {
     }
 
     #[test]
-    fn touched_rows_match_the_host_bit_for_bit() {
-        let device = GpuDevice::titan_x();
+    fn compact_formats_keep_flags_segments_and_output_coordinates() {
         let (tensor, _) = datasets::generate(DatasetKind::Nell1, 1_500, 3);
-        for mode in 0..tensor.order() {
-            let host = DenseMatrix::random(tensor.shape()[mode], 16, 40 + mode as u64);
-            let rows = touched_rows(tensor.mode_indices(mode));
-            assert!(rows.len() < host.rows(), "mode {mode} is hypersparse");
-            let (full, stats) = upload_packed(&device, &host, &rows).expect("fits");
-            let back = full.download();
-            let mut touched = vec![false; host.rows()];
-            for &row in &rows {
-                touched[row as usize] = true;
-            }
-            for (row, &is_touched) in touched.iter().enumerate() {
-                let want: Vec<u32> = if is_touched {
-                    host.row(row).iter().map(|v| v.to_bits()).collect()
-                } else {
-                    vec![0; host.cols()]
-                };
-                let got: Vec<u32> = back.row(row).iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "mode {mode} row {row}");
-            }
-            assert!(stats.time_us <= unpack_time_hi_us(device.config(), rows.len(), 16));
-        }
-    }
-
-    #[test]
-    fn unpack_costs_at_least_a_launch_and_at_most_its_bound() {
-        let device = GpuDevice::titan_x();
-        let config = device.config().clone();
-        for (rows, cols) in [
-            (0usize, 16usize),
-            (1, 1),
-            (37, 16),
-            (1_285, 16),
-            (5_000, 40),
+        let touched: Vec<Vec<u32>> = (0..tensor.order())
+            .map(|m| touched_rows(tensor.mode_indices(m)))
+            .collect();
+        for op in [
+            TensorOp::SpTtm { mode: 0 },
+            TensorOp::SpMttkrp { mode: 1 },
+            TensorOp::SpTtmc { mode: 2 },
         ] {
-            let host = DenseMatrix::random(rows * 3 + 1, cols, rows as u64);
-            let picked: Vec<u32> = (0..rows as u32).map(|r| r * 3).collect();
-            let (_, stats) = upload_packed(&device, &host, &picked).expect("fits");
-            assert!(stats.time_us >= config.launch_overhead_us, "{rows}x{cols}");
-            let bound = unpack_time_hi_us(&config, rows, cols);
-            assert!(
-                stats.time_us <= bound,
-                "{rows}x{cols}: {} > {bound}",
-                stats.time_us
-            );
+            let full = Fcoo::from_coo(&tensor, op, 8);
+            let compact = Fcoo::from_coo(&compact_tensor(&tensor, op, &touched), op, 8);
+            assert_eq!(compact.values, full.values, "{op:?}");
+            assert_eq!(compact.bf.bytes(), full.bf.bytes(), "{op:?}");
+            assert_eq!(compact.sf.bytes(), full.sf.bytes(), "{op:?}");
+            assert_eq!(compact.segment_coords, full.segment_coords, "{op:?}");
+            let products = &full.classification.product_modes;
+            for (slot, &mode) in products.iter().enumerate() {
+                assert_eq!(compact.shape[mode], touched[mode].len());
+                let back: Vec<u32> = compact.product_indices[slot]
+                    .iter()
+                    .map(|&rank| touched[mode][rank as usize])
+                    .collect();
+                assert_eq!(back, full.product_indices[slot], "{op:?} mode {mode}");
+            }
+            for &mode in &full.classification.index_modes {
+                assert_eq!(compact.shape[mode], full.shape[mode], "{op:?} mode {mode}");
+            }
         }
-    }
-
-    #[test]
-    fn staging_is_freed_on_return() {
-        let device = GpuDevice::titan_x();
-        let host = DenseMatrix::random(1_000, 8, 5);
-        let before = device.memory().live_bytes();
-        let (full, _) = upload_packed(&device, &host, &[1, 10, 999]).expect("fits");
-        assert_eq!(device.memory().live_bytes() - before, 1_000 * 8 * 4);
-        drop(full);
-        assert_eq!(device.memory().live_bytes(), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn repeated_rows_are_refused() {
-        let device = GpuDevice::titan_x();
-        let host = DenseMatrix::random(10, 4, 1);
-        let _ = upload_packed(&device, &host, &[3, 3]);
     }
 }

@@ -297,44 +297,3 @@ fn unnarrated_traffic_fails_the_audit() {
         "{report}"
     );
 }
-
-/// The packed-upload unpack kernel scatters each packed row into its target
-/// row from exactly one warp: racecheck, the OOB shadow map and the
-/// narration audit all come out clean, and every element of every touched
-/// row is written exactly once (untouched rows never).
-#[test]
-fn unpack_kernel_writes_each_row_once_and_races_nothing() {
-    let device = GpuDevice::titan_x();
-    let host = DenseMatrix::random(700, 16, 3);
-    let rows: Vec<u32> = (0..700u32).filter(|r| r % 7 == 2).collect();
-    let target = DeviceMatrix::zeros(device.memory(), 700, 16).expect("target fits");
-    device.start_recording();
-    fcoo::unpack_rows(&device, &host, &rows, &target).expect("staging fits");
-    let log = device.stop_recording();
-    let mut writes = std::collections::BTreeMap::new();
-    for launch in &log.launches {
-        for block in &launch.blocks {
-            for event in &block.events {
-                if event.kind == gpu_sim::AccessKind::FunctionalWrite {
-                    *writes.entry(event.addr).or_insert(0usize) += 1;
-                }
-            }
-        }
-    }
-    assert_eq!(
-        writes.len(),
-        rows.len() * 16,
-        "one write per touched element"
-    );
-    assert!(
-        writes.values().all(|&n| n == 1),
-        "an element was written twice"
-    );
-    for &row in &rows {
-        for col in 0..16 {
-            assert_eq!(writes.get(&target.addr(row as usize, col)), Some(&1));
-        }
-    }
-    let report = sanitizer::analyze(&log);
-    assert!(report.is_clean(), "unpack kernel flagged:\n{report}");
-}

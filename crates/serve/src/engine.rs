@@ -17,7 +17,7 @@ use crate::plan::{Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource};
 use crate::pool::{AdmitError, Admitted, DevicePool, PoolStats, ReservationId};
 use crate::profile::{RequestProfile, ServeProfile};
 use crate::scheduler::{Placement, Scheduler};
-use crate::upload::{self, DeviceFactors, FactorPlan, FactorTransfer};
+use crate::upload::{self, DeviceFactors, FactorPlan};
 use crate::workload::{Request, ServeOp, Workload};
 use decomp::cp::{cp_als, CpOptions, MttkrpEngine, MttkrpError};
 use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
@@ -322,19 +322,16 @@ impl OverloadStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PcieStats {
     /// Bytes copied host→device: formats and out-of-core chunks uploaded,
-    /// plus factors (packed rows and row maps where the factor plan packs).
+    /// plus the compact factors' touched rows.
     pub h2d_bytes: u64,
     /// Bytes copied device→host: results, batched replays included.
     pub d2h_bytes: u64,
-    /// Executed requests that uploaded at least one factor packed.
-    pub packed_requests: u64,
 }
 
 impl PcieStats {
-    fn record(&mut self, h2d_bytes: usize, d2h_bytes: usize, packed: bool) {
+    fn record(&mut self, h2d_bytes: usize, d2h_bytes: usize) {
         self.h2d_bytes += h2d_bytes as u64;
         self.d2h_bytes += d2h_bytes as u64;
-        self.packed_requests += u64::from(packed);
     }
 }
 
@@ -434,9 +431,8 @@ impl ServeReport {
         ));
         let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
         out.push_str(&format!(
-            "  pcie:           {:.2} MB h2d ({} requests packed), {:.2} MB d2h\n",
+            "  pcie:           {:.2} MB h2d, {:.2} MB d2h\n",
             mb(self.pcie.h2d_bytes),
-            self.pcie.packed_requests,
             mb(self.pcie.d2h_bytes)
         ));
         for (d, stats) in self.pool_stats.iter().enumerate() {
@@ -501,7 +497,7 @@ struct Registered {
     tensor: SparseTensorCoo,
     fingerprint: u64,
     /// Per mode, the sorted distinct coordinates: the factor rows any
-    /// kernel over this tensor can read (what a packed upload moves).
+    /// kernel over this tensor can read, and what plans compact over.
     touched: Vec<Vec<u32>>,
 }
 
@@ -519,7 +515,7 @@ struct CpExecution {
     iterations: usize,
     factor_seed: u64,
     threadlens: Vec<usize>,
-    block_size: usize,
+    block_sizes: Vec<usize>,
     tier: ExecTier,
     output: JobOutput,
 }
@@ -628,7 +624,6 @@ impl<'r> Lifecycle<'r> {
             kernel_us: 0.0,
             d2h_us: 0.0,
             h2d_bytes: 0,
-            packed: false,
             lower_bound_us: self.lower_bound_us,
             plan_source: self.plan_source,
             block_size: self.plan.block_size,
@@ -640,7 +635,6 @@ impl<'r> Lifecycle<'r> {
             tier,
             faults_seen: self.faults_seen,
             launches: Vec::new(),
-            unpack_launches: Vec::new(),
             chunks: Vec::new(),
             chunk_streams: [0, 0, 0],
         }
@@ -913,8 +907,8 @@ impl ServeEngine {
         upload::transfer_us(bytes, self.config.pcie_gbs)
     }
 
-    /// How a tensor-op request's factors will cross PCIe (the byte-count
-    /// rule of [`crate::upload`], decided before admission).
+    /// How a tensor-op request's factors will cross PCIe (their touched
+    /// rows, sized before admission; see [`crate::upload`]).
     fn factor_plan(
         &self,
         tensor_id: &str,
@@ -927,8 +921,6 @@ impl ServeEngine {
             registered.tensor.shape(),
             &registered.touched,
             rank,
-            &self.config.device_config,
-            self.config.pcie_gbs,
         ))
     }
 
@@ -1281,9 +1273,10 @@ impl ServeEngine {
         let device = self.route_device(key.digest(), scheduler);
         // Plan builds are host-side preprocessing, off the device timeline
         // like the paper's host-side sort.
+        let registered = &self.tensors[&request.tensor_id];
         let (plan, plan_source) =
             self.plans
-                .get_or_build(key, &self.tensors[&request.tensor_id].tensor, &self.scratch);
+                .get_or_build(key, &registered.tensor, &registered.touched, &self.scratch);
         let mut lc = Lifecycle::new(index, request, device, key, plan, plan_source);
         self.pools[device].retire(lc.ready);
         if let Some(cached) = self.results.get(&(key, request.factor_seed)) {
@@ -1298,8 +1291,8 @@ impl ServeEngine {
             return self.serve_chunked(lc, op, scheduler, &factor_plan, transient_bytes);
         };
         self.reserve(&mut lc, key, transient_bytes);
-        // The bus moves the factor bytes (packed where the factor plan
-        // packs), and the kernel runs at least the plan certificate's floor.
+        // The bus moves the compact factor bytes, and the kernel runs at
+        // least the plan certificate's floor.
         let floor = [
             self.transfer_us(factor_plan.h2d_bytes()),
             plan.certificate.time_lo_us,
@@ -1324,9 +1317,9 @@ impl ServeEngine {
             },
             Some(in_core_output),
         )?;
-        let (((output, kernel_us, transfer), launches), tier) =
+        let (((output, kernel_us, factor_bytes), launches), tier) =
             attempts.accepted.expect("the host tier always accepts");
-        let h2d_bytes = transfer.bytes
+        let h2d_bytes = factor_bytes
             + if admitted.uploaded {
                 plan.format_bytes()
             } else {
@@ -1339,8 +1332,7 @@ impl ServeEngine {
             output.bytes()
         };
         let d2h_us = self.transfer_us(d2h_bytes);
-        // Unpack launches finish the packed factors' upload: H2D time.
-        let h2d_us = self.transfer_us(h2d_bytes) + transfer.unpack_us;
+        let h2d_us = self.transfer_us(h2d_bytes);
         let exec_us = h2d_us + kernel_us + d2h_us;
         let placement = lc.place(scheduler, lc.recovery_us, exec_us);
         let profile = RequestProfile {
@@ -1348,9 +1340,7 @@ impl ServeEngine {
             kernel_us,
             d2h_us,
             h2d_bytes,
-            packed: transfer.packed,
             launches,
-            unpack_launches: transfer.unpack_launches,
             ..lc.profile(&placement, tier)
         };
         Ok(Some(self.complete(
@@ -1546,14 +1536,9 @@ impl ServeEngine {
                 scheduler.stall_stream(device, resources[1], builder.stage_free_us(1), chunk_dead);
                 builder.stall_stage(1, chunk_dead);
             }
-            // The first chunk's upload carries the factors (and their unpack
-            // launches, when packed).
-            let (factor_bytes, unpack_us) = if desc.index == 0 {
-                (uploaded.transfer.bytes, uploaded.transfer.unpack_us)
-            } else {
-                (0, 0.0)
-            };
-            let h2d_us = self.transfer_us(chunk_bytes + factor_bytes) + unpack_us;
+            // The first chunk's upload carries the factors.
+            let factor_bytes = if desc.index == 0 { uploaded.bytes() } else { 0 };
+            let h2d_us = self.transfer_us(chunk_bytes + factor_bytes);
             h2d_bytes_total += chunk_bytes + factor_bytes;
             let d2h_us = self.transfer_us(acc.d2h_bytes(desc));
             let span = builder.push(ooc::StageTimes {
@@ -1574,7 +1559,6 @@ impl ServeEngine {
             chunk_schedules.push(span);
         }
         drop(refs);
-        let transfer = uploaded.transfer;
         let timing = builder.finish();
         let placement = Placement {
             device,
@@ -1588,7 +1572,8 @@ impl ServeEngine {
                 // Assemble the semi-sparse result exactly like the in-core
                 // SpTTM wrapper: one fiber per segment, values from the
                 // accumulated buffer.
-                let mut result = SemiSparseTensor::new(plan.fcoo().shape.clone(), mode, cols);
+                let shape = self.registered(&request.tensor_id)?.tensor.shape().to_vec();
+                let mut result = SemiSparseTensor::new(shape, mode, cols);
                 let values = acc.values();
                 for seg in 0..rows {
                     let coord: Vec<u32> = plan
@@ -1608,9 +1593,7 @@ impl ServeEngine {
             kernel_us: kernel_us_total,
             d2h_us: d2h_us_total,
             h2d_bytes: h2d_bytes_total,
-            packed: transfer.packed,
             launches: launches_all,
-            unpack_launches: transfer.unpack_launches,
             chunks: chunk_schedules,
             chunk_streams: resources,
             ..lc.profile(&placement, ExecTier::Unified)
@@ -1673,18 +1656,27 @@ impl ServeEngine {
         if iterations == 0 {
             return Err("cp requests need at least one iteration".to_string());
         }
+        let rank = request.rank;
         let registered = self.registered(&request.tensor_id)?;
         let fingerprint = registered.fingerprint;
         let shape = registered.tensor.shape().to_vec();
-        let rank = request.rank;
+        // The initial upload moves the compact factors.
+        let factor_bytes: usize = registered
+            .touched
+            .iter()
+            .map(|rows| rows.len() * rank * 4)
+            .sum();
         let keys: Vec<PlanKey> = (0..shape.len())
             .map(|mode| PlanKey::new(fingerprint, TensorOp::SpMttkrp { mode }, rank))
             .collect();
         let device = self.route_device(keys[0].digest(), scheduler);
-        let tensor = &self.tensors[&request.tensor_id].tensor;
+        let registered = &self.tensors[&request.tensor_id];
         let (plans, sources): (Vec<Arc<Plan>>, Vec<PlanSource>) = keys
             .iter()
-            .map(|&key| self.plans.get_or_build(key, tensor, &self.scratch))
+            .map(|&key| {
+                self.plans
+                    .get_or_build(key, &registered.tensor, &registered.touched, &self.scratch)
+            })
             .unzip();
         // Faults of any ALS sweep are attributed to the first mode's plan.
         let plan = Arc::clone(&plans[0]);
@@ -1697,9 +1689,10 @@ impl ServeEngine {
             worst_source(&sources),
         );
         self.pools[device].retire(lc.ready);
-        // All per-mode factors and the largest MTTKRP output live on device
-        // for the whole decomposition. The transient budget rides on the
-        // first mode's admission; the other modes only need their formats.
+        // An upper bound on the device bytes of the decomposition: all
+        // per-mode factors at full size plus the largest MTTKRP output. The
+        // transient budget rides on the first mode's admission; the other
+        // modes only need their formats.
         let transient_bytes =
             2 * shape.iter().map(|&s| s * rank * 4).sum::<usize>() + 1024 * shape.len();
         let transient = |mode: usize| if mode == 0 { transient_bytes } else { 0 };
@@ -1719,7 +1712,6 @@ impl ServeEngine {
         }
         // A decomposition uploads its initial factors and runs at least one
         // ALS sweep at each mode's certified kernel floor.
-        let factor_bytes: usize = shape.iter().map(|&s| s * rank * 4).sum();
         let sweep_lo: f64 = plans.iter().map(|p| p.certificate.time_lo_us).sum();
         if self.shed_if_late(
             &mut lc,
@@ -1729,7 +1721,7 @@ impl ServeEngine {
             return Ok(None);
         }
 
-        let block_size = plans[0].block_size;
+        let block_sizes: Vec<usize> = plans.iter().map(|p| p.block_size).collect();
         let format_refs: Vec<&AnyFormatDevice> = formats.iter().map(Arc::as_ref).collect();
         let opts = CpOptions {
             rank,
@@ -1744,14 +1736,15 @@ impl ServeEngine {
             &[ExecTier::Unified, ExecTier::Cpu],
             true,
             |engine, tier| {
-                let tensor = &engine.tensors[&request.tensor_id].tensor;
+                let registered = &engine.tensors[&request.tensor_id];
                 let ran = match tier {
-                    ExecTier::Cpu => Ok(run_host_cp(tensor, &opts)),
+                    ExecTier::Cpu => Ok(run_host_cp(&registered.tensor, &opts)),
                     _ => run_planned_cp(
                         &engine.devices[device],
                         &format_refs,
-                        block_size,
-                        tensor,
+                        &block_sizes,
+                        &registered.touched,
+                        &registered.tensor,
                         &opts,
                     ),
                 };
@@ -1787,7 +1780,7 @@ impl ServeEngine {
             iterations,
             factor_seed: request.factor_seed,
             threadlens: plans.iter().map(|p| p.threadlen()).collect(),
-            block_size,
+            block_sizes,
             tier,
             output,
         };
@@ -2155,8 +2148,7 @@ impl ServeEngine {
             request: lc.index as u64,
             device: lc.device,
         });
-        self.pcie
-            .record(profile.h2d_bytes, d2h_bytes, profile.packed);
+        self.pcie.record(profile.h2d_bytes, d2h_bytes);
         let result_key = (lc.key, lc.request.factor_seed);
         let checksum = match keep {
             Keep::Cached => self.results[&result_key].output.checksum(),
@@ -2183,9 +2175,9 @@ impl ServeEngine {
         metrics
     }
 
-    /// Uploads a tensor-op request's factors to `device` as its factor plan
-    /// says: the one factor-upload path of the unified and two-step tiers
-    /// and of the out-of-core pipeline.
+    /// Uploads a tensor-op request's compact factors to `device`: the one
+    /// factor-upload path of the unified and two-step tiers and of the
+    /// out-of-core pipeline.
     fn upload_factors(
         &self,
         device: usize,
@@ -2230,9 +2222,14 @@ impl ServeEngine {
         let cfg = LaunchConfig::with_block_size(block_size);
         let gpu = &self.devices[device];
         let (output, stats) = match op {
-            TensorOp::SpTtm { .. } => format
-                .spttm(gpu, refs[0], &cfg)
-                .map(|(result, stats)| (JobOutput::Semi(result), stats)),
+            // The compact format's dense mode spans the touched rows; the
+            // result reports the registered tensor's extent.
+            TensorOp::SpTtm { mode } => {
+                let extent = self.registered(&request.tensor_id)?.tensor.shape()[mode];
+                format.spttm(gpu, refs[0], &cfg).map(|(result, stats)| {
+                    (JobOutput::Semi(result.with_dense_extent(extent)), stats)
+                })
+            }
             TensorOp::SpMttkrp { .. } => format
                 .spmttkrp(gpu, &refs, &cfg)
                 .map(|(result, stats)| (JobOutput::Dense(result), stats)),
@@ -2241,12 +2238,13 @@ impl ServeEngine {
                 .map(|(result, stats)| (JobOutput::Dense(result), stats)),
         }
         .map_err(|e| format!("transient allocation failed: {e}"))?;
-        Ok((output, stats.time_us, factors.transfer))
+        Ok((output, stats.time_us, factors.bytes()))
     }
 
     /// The two-step fallback (Fig. 3a): SpTTM then a second unified launch,
     /// on the same (faulted) device — still covered by the integrity barrier.
-    /// SpMTTKRP on 3-order tensors only.
+    /// It runs over the plan's compact coordinates, so it reads the same
+    /// compact factors. SpMTTKRP on 3-order tensors only.
     fn execute_two_step(
         &self,
         device: usize,
@@ -2257,15 +2255,16 @@ impl ServeEngine {
         let TensorOp::SpMttkrp { mode } = op else {
             return Err("two-step fallback only covers SpMTTKRP".to_string());
         };
-        let tensor = &self.registered(&request.tensor_id)?.tensor;
-        if tensor.order() != 3 {
+        let registered = self.registered(&request.tensor_id)?;
+        if registered.tensor.order() != 3 {
             return Err("two-step fallback is 3-order only".to_string());
         }
+        let compact = fcoo::compact_tensor(&registered.tensor, op, &registered.touched);
         let factors = self.upload_factors(device, request, op)?;
         let cfg = LaunchConfig::with_block_size(plan.block_size);
         let outcome = fcoo::spmttkrp_two_step_device(
             &self.devices[device],
-            tensor,
+            &compact,
             mode,
             &factors.refs(),
             plan.threadlen(),
@@ -2275,7 +2274,7 @@ impl ServeEngine {
         Ok((
             JobOutput::Dense(outcome.result),
             outcome.stats.time_us,
-            factors.transfer,
+            factors.bytes(),
         ))
     }
 
@@ -2285,7 +2284,7 @@ impl ServeEngine {
         let tensor = &self.registered(&request.tensor_id)?.tensor;
         let output = host_reference_output(tensor, op, request.rank, request.factor_seed);
         let kernel_us = cpu_reference_us(tensor.nnz(), request.rank, tensor.order());
-        Ok((output, kernel_us, FactorTransfer::default()))
+        Ok((output, kernel_us, 0))
     }
 
     /// Re-runs every cached unique result (single ops and CP-ALS jobs)
@@ -2349,7 +2348,7 @@ impl ServeEngine {
                     exec.iterations,
                     exec.factor_seed,
                     &exec.threadlens,
-                    exec.block_size,
+                    &exec.block_sizes,
                 ),
             };
             checked += 1;
@@ -2363,8 +2362,8 @@ impl ServeEngine {
 }
 
 /// One attempt's result: the output, the planned kernel's simulated time
-/// (µs), and what the factor upload moved.
-type Attempt = (JobOutput, f64, FactorTransfer);
+/// (µs), and the factor bytes it moved host→device.
+type Attempt = (JobOutput, f64, usize);
 
 /// Device bytes a request holds beyond its cached format (see
 /// [`FactorPlan::transient_bytes`]).
@@ -2381,11 +2380,14 @@ fn transient_bytes_for(fcoo: &Fcoo, factors: &FactorPlan) -> usize {
 }
 
 /// CP-ALS MTTKRP engine over pre-admitted per-mode formats: one unified
-/// kernel per mode per iteration, dense updates on a second stream (§V-E).
+/// kernel per mode per iteration, each at its own plan's block size, dense
+/// updates on a second stream (§V-E).
 struct PlannedCpEngine<'a> {
     device: &'a GpuDevice,
     formats: &'a [&'a AnyFormatDevice],
-    cfg: LaunchConfig,
+    block_sizes: &'a [usize],
+    /// Per mode, the factor rows the formats' product coordinates index.
+    rows: &'a [Vec<u32>],
     timeline: Timeline,
     last_mttkrp_finish: f64,
 }
@@ -2403,14 +2405,20 @@ impl MttkrpEngine for PlannedCpEngine<'_> {
         // from genuine exhaustion (reject).
         let oom =
             |e: gpu_sim::OutOfMemory| MttkrpError(format!("transient allocation failed: {e}"));
-        let uploaded = factors
-            .iter()
-            .map(|f| DeviceMatrix::upload(self.device.memory(), f))
+        // Only the product-mode factors go up, each as the rows its
+        // coordinates index; the ignored mode-`mode` slot aliases one.
+        let uploaded = (0..factors.len())
+            .filter(|&m| m != mode)
+            .map(|m| {
+                let compact = upload::gather_rows(&factors[m], &self.rows[m]);
+                DeviceMatrix::upload(self.device.memory(), &compact)
+            })
             .collect::<Result<Vec<_>, _>>()
             .map_err(oom)?;
-        let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
+        let refs = upload::mttkrp_refs(&uploaded, mode, factors.len());
+        let cfg = LaunchConfig::with_block_size(self.block_sizes[mode]);
         let (result, stats) = self.formats[mode]
-            .spmttkrp(self.device, &refs, &self.cfg)
+            .spmttkrp(self.device, &refs, &cfg)
             .map_err(oom)?;
         self.last_mttkrp_finish = self.timeline.push(0, stats.time_us);
         Ok((result, stats.time_us))
@@ -2440,20 +2448,23 @@ impl MttkrpEngine for PlannedCpEngine<'_> {
     }
 }
 
-/// Runs CP-ALS over pre-resolved per-mode formats; returns the factor model
-/// and the two-stream GPU makespan in microseconds, or why an MTTKRP could
-/// not run.
+/// Runs CP-ALS over pre-resolved per-mode formats launched at their
+/// per-mode block sizes; `rows[m]` lists the factor rows mode `m`'s format
+/// coordinates index. Returns the factor model and the two-stream GPU
+/// makespan in microseconds, or why an MTTKRP could not run.
 fn run_planned_cp(
     device: &GpuDevice,
     formats: &[&AnyFormatDevice],
-    block_size: usize,
+    block_sizes: &[usize],
+    rows: &[Vec<u32>],
     tensor: &SparseTensorCoo,
     opts: &CpOptions,
 ) -> Result<(JobOutput, f64), String> {
     let mut engine = PlannedCpEngine {
         device,
         formats,
-        cfg: LaunchConfig::with_block_size(block_size),
+        block_sizes,
+        rows,
         timeline: Timeline::new(2),
         last_mttkrp_finish: 0.0,
     };
@@ -2626,8 +2637,9 @@ pub fn one_shot_reference(
 }
 
 /// CP-ALS through the one-shot API: fresh device, per-mode F-COO rebuilt
-/// from the raw tensor with the same threadlens and block size the serving
-/// plans used, identical ALS options. Must match the served job bit for bit.
+/// from the raw tensor (full coordinates, full factors) with the same
+/// threadlens and block sizes the serving plans used, identical ALS
+/// options. Must match the served job bit for bit.
 pub fn one_shot_cp_reference(
     device_config: &DeviceConfig,
     tensor: &SparseTensorCoo,
@@ -2635,7 +2647,7 @@ pub fn one_shot_cp_reference(
     iterations: usize,
     factor_seed: u64,
     threadlens: &[usize],
-    block_size: usize,
+    block_sizes: &[usize],
 ) -> Option<JobOutput> {
     let device = GpuDevice::new(device_config.clone());
     let fcoos: Vec<Fcoo> = (0..tensor.order())
@@ -2653,7 +2665,13 @@ pub fn one_shot_cp_reference(
         tol: 1e-5,
         seed: factor_seed,
     };
-    let (output, _) = run_planned_cp(&device, &format_refs, block_size, tensor, &opts).ok()?;
+    let all_rows: Vec<Vec<u32>> = tensor
+        .shape()
+        .iter()
+        .map(|&s| (0..s as u32).collect())
+        .collect();
+    let (output, _) =
+        run_planned_cp(&device, &format_refs, block_sizes, &all_rows, tensor, &opts).ok()?;
     Some(output)
 }
 
@@ -2785,5 +2803,32 @@ mod tests {
         let zero = Workload::parse("tensor t nell2 900 3\nrequest t cp 0 4 0.0 1\n").unwrap();
         let report = engine.run(&zero);
         assert_eq!(report.rejections.len(), 1);
+    }
+
+    #[test]
+    fn cp_launches_each_mode_at_its_own_plan_shape() {
+        let text = "tensor t nell1 2000 5\nrequest t cp 2 8 0.0 9\n";
+        let mut engine = ServeEngine::new(ServeConfig {
+            profile: true,
+            verify: true,
+            ..ServeConfig::default()
+        });
+        let report = engine.run(&Workload::parse(text).unwrap());
+        assert_eq!(report.verify_failures, 0);
+        let fingerprint = engine.tensors["t"].fingerprint;
+        let block_sizes: Vec<usize> = (0..3)
+            .map(|mode| {
+                let key = PlanKey::new(fingerprint, TensorOp::SpMttkrp { mode }, 8);
+                engine.plans.peek(key).expect("planned").block_size
+            })
+            .collect();
+        assert!(
+            block_sizes.iter().any(|&b| b != block_sizes[0]),
+            "the modes' plans must differ for this check to bite: {block_sizes:?}"
+        );
+        // Two sweeps of three MTTKRPs, and no other launch.
+        let launches = &report.profile.expect("profiling enabled").requests[0].launches;
+        let ran: Vec<usize> = launches.iter().map(|l| l.block_threads).collect();
+        assert_eq!(ran, [block_sizes.clone(), block_sizes].concat());
     }
 }

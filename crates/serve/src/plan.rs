@@ -6,7 +6,9 @@
 //! Building one costs a full sort of the non-zeros and a cross-format
 //! certification sweep; serving amortizes that cost the same way CP-ALS
 //! amortizes it across iterations — build once, reuse for every subsequent
-//! request.
+//! request. Selection runs on the registered tensor; the chosen format is
+//! built over *compact* product-mode coordinates, so the factors its kernel
+//! reads hold only the rows the non-zeros touch ([`crate::upload`]).
 //!
 //! The cache persists plans through [`fcoo::write_fcoo`] under a small
 //! versioned header carrying the tuned block size and the chosen
@@ -232,7 +234,8 @@ pub struct PlanCacheStats {
     /// lives only in `baselines::timing` and the `decomp` benchmarks).
     pub build_ms: f64,
     /// Persisted plans refused at load time because the static analyzer
-    /// refuted their tuned configuration (each such lookup rebuilds).
+    /// refuted their tuned configuration, or because their format is not
+    /// over compact product-mode coordinates (each such lookup rebuilds).
     pub refuted_loads: u64,
     /// Persisted plans refused at load time because the stored cost
     /// certificate did not match the one re-derived from the decoded bytes
@@ -351,18 +354,26 @@ impl PlanCache {
     }
 
     /// Returns the plan for `key`, preprocessing `tensor` on `device` only
-    /// when neither memory nor disk has it.
+    /// when neither memory nor disk has it. `touched[m]` holds mode `m`'s
+    /// sorted distinct coordinates.
+    ///
+    /// A build selects the `(format, BLOCK_SIZE, threadlen)` triple on
+    /// `tensor` itself, then builds the chosen format over compact
+    /// product-mode coordinates ([`fcoo::compact_tensor`]): its factors
+    /// hold only their touched rows. The certificate is derived from the
+    /// compact format, the one that launches.
     pub fn get_or_build(
         &mut self,
         key: PlanKey,
         tensor: &SparseTensorCoo,
+        touched: &[Vec<u32>],
         device: &GpuDevice,
     ) -> (Arc<Plan>, PlanSource) {
         if let Some(plan) = self.plans.get(&key) {
             self.stats.memory_hits += 1;
             return (Arc::clone(plan), PlanSource::Memory);
         }
-        if let Some(plan) = self.load(key, device) {
+        if let Some(plan) = self.load(key, touched, device) {
             self.stats.disk_hits += 1;
             let plan = Arc::new(plan);
             self.plans.insert(key, Arc::clone(&plan));
@@ -370,7 +381,8 @@ impl PlanCache {
         }
         let choice = self.select(key, tensor, device);
         let chosen = &choice.chosen;
-        let format = AnyFormat::build(chosen.kind, tensor, key.op(), chosen.threadlen);
+        let compact = fcoo::compact_tensor(tensor, key.op(), touched);
+        let format = AnyFormat::build(chosen.kind, &compact, key.op(), chosen.threadlen);
         let certificate = PlanCertificate::derive(
             device.config(),
             &format,
@@ -458,12 +470,18 @@ impl PlanCache {
     /// size or a flipped-but-valid format tag (counted in
     /// [`PlanCacheStats::certificate_mismatches`]).
     ///
+    /// A plan written before formats were built over compact coordinates
+    /// decodes and certifies fine, but its kernel would index full-size
+    /// factors: any product mode whose extent differs from its number of
+    /// distinct coordinates (`touched`) is refused as refuted. A fully
+    /// touched mode is the same either way, so such plans still load.
+    ///
     /// Version-2 files predate the format tag; they are decoded as legacy
     /// F-COO plans (counted in [`PlanCacheStats::legacy_plan_loads`])
     /// rather than rebuilt — their certificates re-derive identically
     /// because F-COO certification is unchanged. An unknown tag byte in a
     /// version-3 file is corruption and falls back to a rebuild.
-    fn load(&mut self, key: PlanKey, device: &GpuDevice) -> Option<Plan> {
+    fn load(&mut self, key: PlanKey, touched: &[Vec<u32>], device: &GpuDevice) -> Option<Plan> {
         let dir = self.dir.as_ref()?;
         let file = std::fs::File::open(dir.join(key.file_name())).ok()?;
         let mut r = std::io::BufReader::new(file);
@@ -502,6 +520,15 @@ impl PlanCache {
         if rank != key.rank || fcoo.op != key.op() {
             return None;
         }
+        let uncompacted = fcoo.classification.product_modes.iter().any(|&m| {
+            touched
+                .get(m)
+                .is_none_or(|rows| fcoo.shape[m] != rows.len())
+        });
+        if uncompacted {
+            self.stats.refuted_loads += 1;
+            return None;
+        }
         let format = AnyFormat::from_fcoo(kind, Arc::new(fcoo));
         if !analyzer::plan_safe_format(device.config(), &format, block_size) {
             self.stats.refuted_loads += 1;
@@ -531,6 +558,12 @@ mod tests {
 
     fn sample() -> SparseTensorCoo {
         datasets::generate(DatasetKind::Nell2, 1500, 11).0
+    }
+
+    fn touched(tensor: &SparseTensorCoo) -> Vec<Vec<u32>> {
+        (0..tensor.order())
+            .map(|m| fcoo::touched_rows(tensor.mode_indices(m)))
+            .collect()
     }
 
     fn key_for(tensor: &SparseTensorCoo) -> PlanKey {
@@ -581,9 +614,9 @@ mod tests {
         let tensor = sample();
         let key = key_for(&tensor);
         let mut cache = PlanCache::new(None).with_grids(&[64], &[8]);
-        let (_, first) = cache.get_or_build(key, &tensor, &device);
+        let (_, first) = cache.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(first, PlanSource::Built);
-        let (plan, second) = cache.get_or_build(key, &tensor, &device);
+        let (plan, second) = cache.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(second, PlanSource::Memory);
         assert_eq!(plan.threadlen(), 8);
         assert_eq!(plan.block_size, 64);
@@ -600,11 +633,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("serve_plan_test_{:x}", key.fingerprint));
         std::fs::remove_dir_all(&dir).ok();
         let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[8, 16]);
-        let (built, source) = cold.get_or_build(key, &tensor, &device);
+        let (built, source) = cold.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         // A fresh cache (server restart) finds the persisted plan.
         let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[8, 16]);
-        let (loaded, source) = warm.get_or_build(key, &tensor, &device);
+        let (loaded, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Disk);
         assert_eq!(loaded.block_size, built.block_size);
         assert_eq!(loaded.threadlen(), built.threadlen());
@@ -625,7 +658,7 @@ mod tests {
         // Truncated garbage under the expected name must not panic.
         std::fs::write(dir.join(key.file_name()), b"SPLN\x01\x00\x00\x00garbage").unwrap();
         let mut cache = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[8]);
-        let (_, source) = cache.get_or_build(key, &tensor, &device);
+        let (_, source) = cache.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -638,7 +671,7 @@ mod tests {
         let dir = std::env::temp_dir().join("serve_plan_test_refuted");
         std::fs::remove_dir_all(&dir).ok();
         let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[8]);
-        let (_, source) = cold.get_or_build(key, &tensor, &device);
+        let (_, source) = cold.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         // Patch the persisted header's block size to 2048 — the bytes decode
         // fine, but the configuration exceeds the device thread limit. The
@@ -648,11 +681,54 @@ mod tests {
         bytes[8..12].copy_from_slice(&2048u32.to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
         let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[8]);
-        let (plan, source) = warm.get_or_build(key, &tensor, &device);
+        let (plan, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         assert_eq!(plan.block_size, 64);
         assert_eq!(warm.stats().refuted_loads, 1);
         assert_eq!(warm.stats().disk_hits, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn uncompacted_plans_are_refused_and_rebuilt_before_serving() {
+        let device = GpuDevice::titan_x();
+        let text = "tensor t nell1 1500 3\nrequest t spttm 0 16 0.0 1\n";
+        let workload = crate::Workload::parse(text).expect("valid workload");
+        let spec = &workload.tensors[0];
+        let tensor = datasets::generate(spec.kind, spec.nnz, spec.seed).0;
+        let touched = touched(&tensor);
+        assert!(
+            touched[0].len() < tensor.shape()[0],
+            "mode 0 is partially touched"
+        );
+        let op = TensorOp::SpTtm { mode: 0 };
+        let key = PlanKey::new(crate::fingerprint::tensor_fingerprint(&tensor), op, 16);
+        let dir = std::env::temp_dir().join("serve_plan_test_uncompacted");
+        std::fs::remove_dir_all(&dir).ok();
+        // Persist the plan as it was built before compact coordinates: the
+        // same selection, its format over the full coordinates, and a
+        // certificate that matches those bytes.
+        let cache = PlanCache::new(Some(dir.clone()));
+        let chosen = cache.select(key, &tensor, &device).chosen;
+        let format = AnyFormat::build(chosen.kind, &tensor, op, chosen.threadlen);
+        let certificate = PlanCertificate::derive(device.config(), &format, 16, chosen.block_size);
+        cache.persist(&Plan {
+            key,
+            format,
+            block_size: chosen.block_size,
+            certificate,
+        });
+        let mut engine = crate::ServeEngine::new(crate::ServeConfig {
+            plan_dir: Some(dir.clone()),
+            verify: true,
+            ..crate::ServeConfig::default()
+        });
+        let report = engine.run(&workload);
+        assert_eq!(report.requests.len(), 1, "{:?}", report.rejections);
+        assert_eq!(report.verify_failures, 0);
+        assert_eq!(report.plan_stats.refuted_loads, 1);
+        assert_eq!(report.plan_stats.builds, 1);
+        assert_eq!(report.plan_stats.disk_hits, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -664,7 +740,7 @@ mod tests {
         let dir = std::env::temp_dir().join("serve_plan_test_certificate");
         std::fs::remove_dir_all(&dir).ok();
         let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[8]);
-        let (built, source) = cold.get_or_build(key, &tensor, &device);
+        let (built, source) = cold.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         assert_eq!(built.block_size, 64);
         // Rewrite the header's block size to 256 — individually a perfectly
@@ -677,7 +753,7 @@ mod tests {
         bytes[8..12].copy_from_slice(&256u32.to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
         let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[8]);
-        let (plan, source) = warm.get_or_build(key, &tensor, &device);
+        let (plan, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         assert_eq!(plan.block_size, 64);
         assert_eq!(warm.stats().certificate_mismatches, 1);
@@ -694,9 +770,9 @@ mod tests {
         let dir = std::env::temp_dir().join("serve_plan_test_cert_roundtrip");
         std::fs::remove_dir_all(&dir).ok();
         let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[8, 16]);
-        let (built, _) = cold.get_or_build(key, &tensor, &device);
+        let (built, _) = cold.get_or_build(key, &tensor, &touched(&tensor), &device);
         let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[8, 16]);
-        let (loaded, source) = warm.get_or_build(key, &tensor, &device);
+        let (loaded, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Disk);
         assert!(loaded.certificate.matches(&built.certificate));
         assert!(loaded.certificate.time_lo_us <= loaded.certificate.time_hi_us);
@@ -713,7 +789,7 @@ mod tests {
         let dir = std::env::temp_dir().join("serve_plan_test_invalidate");
         std::fs::remove_dir_all(&dir).ok();
         let mut cache = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[8]);
-        let (_, source) = cache.get_or_build(key, &tensor, &device);
+        let (_, source) = cache.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         assert!(dir.join(key.file_name()).exists());
         // Invalidation removes the memory copy and the persisted file, so
@@ -721,7 +797,7 @@ mod tests {
         assert!(cache.invalidate(key));
         assert!(!dir.join(key.file_name()).exists());
         assert!(cache.peek(key).is_none());
-        let (_, source) = cache.get_or_build(key, &tensor, &device);
+        let (_, source) = cache.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         assert_eq!(cache.stats().builds, 2);
         // Invalidating an absent key reports false and stays harmless.
@@ -736,7 +812,7 @@ mod tests {
         let tensor = sample();
         let key = key_for(&tensor);
         let mut cache = PlanCache::new(None).with_grids(&[64], &[8]);
-        let (plan, _) = cache.get_or_build(key, &tensor, &device);
+        let (plan, _) = cache.get_or_build(key, &tensor, &touched(&tensor), &device);
         let small = cache.chunk_plan(key, plan.fcoo(), 2048);
         let again = cache.chunk_plan(key, plan.fcoo(), 2048);
         assert_eq!(small.chunks, again.chunks);
@@ -758,7 +834,7 @@ mod tests {
         let dir = std::env::temp_dir().join("serve_plan_test_bfcoo_select");
         std::fs::remove_dir_all(&dir).ok();
         let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[16, 32]);
-        let (built, source) = cold.get_or_build(key, &tensor, &device);
+        let (built, source) = cold.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         assert_eq!(built.kind(), FormatKind::BfCoo);
         // The choice is a certificate: BF-COO's upper bound strictly beats
@@ -778,7 +854,7 @@ mod tests {
         );
         // A warm restart rehydrates the bucket metadata from the tag.
         let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[16, 32]);
-        let (loaded, source) = warm.get_or_build(key, &tensor, &device);
+        let (loaded, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Disk);
         assert_eq!(loaded.kind(), FormatKind::BfCoo);
         assert!(loaded.certificate.matches(&built.certificate));
@@ -792,7 +868,7 @@ mod tests {
         let tensor = uniform_tensor();
         let key = key_for(&tensor);
         let mut cache = PlanCache::new(None).with_grids(&[64, 128], &[16, 32]);
-        let (plan, source) = cache.get_or_build(key, &tensor, &device);
+        let (plan, source) = cache.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         assert_eq!(plan.kind(), FormatKind::Fcoo);
     }
@@ -805,7 +881,7 @@ mod tests {
         let dir = std::env::temp_dir().join("serve_plan_test_legacy_v2");
         std::fs::remove_dir_all(&dir).ok();
         let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[16]);
-        let (built, _) = cold.get_or_build(key, &tensor, &device);
+        let (built, _) = cold.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(built.kind(), FormatKind::Fcoo);
         // Rewrite the file into its version-2 shape: version word 2, no
         // format-tag byte (the tag sits at offset 32, after the header).
@@ -815,7 +891,7 @@ mod tests {
         bytes.remove(32);
         std::fs::write(&path, bytes).unwrap();
         let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[16]);
-        let (loaded, source) = warm.get_or_build(key, &tensor, &device);
+        let (loaded, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Disk, "legacy plans must not rebuild");
         assert_eq!(loaded.kind(), FormatKind::Fcoo);
         assert!(loaded.certificate.matches(&built.certificate));
@@ -832,13 +908,13 @@ mod tests {
         let dir = std::env::temp_dir().join("serve_plan_test_unknown_tag");
         std::fs::remove_dir_all(&dir).ok();
         let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[8]);
-        cold.get_or_build(key, &tensor, &device);
+        cold.get_or_build(key, &tensor, &touched(&tensor), &device);
         let path = dir.join(key.file_name());
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[32] = 0xff;
         std::fs::write(&path, bytes).unwrap();
         let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[8]);
-        let (_, source) = warm.get_or_build(key, &tensor, &device);
+        let (_, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         assert_eq!(warm.stats().disk_hits, 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -852,7 +928,7 @@ mod tests {
         let dir = std::env::temp_dir().join("serve_plan_test_flipped_tag");
         std::fs::remove_dir_all(&dir).ok();
         let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[16, 32]);
-        let (built, _) = cold.get_or_build(key, &tensor, &device);
+        let (built, _) = cold.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(built.kind(), FormatKind::BfCoo);
         // Flip the tag to F-COO — individually a valid format over the same
         // payload, so the boolean plan gate accepts it. Only the stored
@@ -864,7 +940,7 @@ mod tests {
         bytes[32] = FormatKind::Fcoo.tag();
         std::fs::write(&path, bytes).unwrap();
         let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[16, 32]);
-        let (plan, source) = warm.get_or_build(key, &tensor, &device);
+        let (plan, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
         assert_eq!(plan.kind(), FormatKind::BfCoo);
         assert_eq!(warm.stats().certificate_mismatches, 1);

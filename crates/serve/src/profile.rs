@@ -66,9 +66,6 @@ pub struct RequestProfile {
     /// admission uploaded it) or its chunks, plus the factors as the factor
     /// plan moved them.
     pub h2d_bytes: usize,
-    /// True when at least one factor went packed; `h2d_us` then includes
-    /// the unpack launches.
-    pub packed: bool,
     /// Certified completion-time lower bound deadline-aware admission
     /// computed for the request (absolute simulated µs); `None` for
     /// requests without a deadline.
@@ -94,9 +91,6 @@ pub struct RequestProfile {
     /// Launch traces of the accepted attempt's planned kernel, in issue
     /// order (empty for batched and host-tier requests).
     pub launches: Vec<LaunchTrace>,
-    /// Traces of the accepted attempt's unpack launches (packed factor
-    /// uploads), part of its H2D time.
-    pub unpack_launches: Vec<LaunchTrace>,
     /// Placed pipeline intervals of an out-of-core request's chunks, in
     /// stream order with absolute simulated timestamps (empty for in-core
     /// requests). For these, `h2d_us`/`kernel_us`/`d2h_us` are per-stage
@@ -475,8 +469,6 @@ impl ServeProfile {
                     stream,
                     vec![("tier".to_string(), request.tier.label().to_string())],
                 );
-                let h2d_end = request.start_us + request.recovery_us + request.h2d_us;
-                Self::unpack_spans(&mut trace, request, h2d_end, pid, stream);
                 self.launch_spans(&mut trace, request, pid, stream);
             } else {
                 // Out-of-core: each chunk's stages already carry absolute
@@ -517,54 +509,10 @@ impl ServeProfile {
                         );
                     }
                 }
-                // The factors ride on the first chunk's upload.
-                let h2d_end = request.chunks[0].h2d.1;
-                let stream = request.chunk_streams[0] as u64;
-                Self::unpack_spans(&mut trace, request, h2d_end, pid, stream);
                 trace.end("request", request.finish_us, 0, tid);
             }
         }
         trace
-    }
-
-    /// `unpack` spans for a request's unpack launches, laid back to back so
-    /// the last ends with the H2D window at `h2d_end` — on the request track
-    /// and on the device stream that ran them.
-    fn unpack_spans(
-        trace: &mut ChromeTrace,
-        request: &RequestProfile,
-        h2d_end: f64,
-        pid: u64,
-        stream: u64,
-    ) {
-        let total: f64 = request.unpack_launches.iter().map(|l| l.time_us).sum();
-        let mut cursor = h2d_end - total;
-        for launch in &request.unpack_launches {
-            let args = vec![
-                ("blocks".to_string(), launch.counters().blocks.to_string()),
-                ("h2d_bytes".to_string(), request.h2d_bytes.to_string()),
-            ];
-            let tid = request.index as u64;
-            trace.complete(
-                "unpack",
-                "launch",
-                cursor,
-                launch.time_us,
-                0,
-                tid,
-                args.clone(),
-            );
-            trace.complete(
-                "unpack",
-                "launch",
-                cursor,
-                launch.time_us,
-                pid,
-                stream,
-                args,
-            );
-            cursor += launch.time_us;
-        }
     }
 
     /// Nested launch/wave spans for one request, laid out inside its kernel

@@ -1,27 +1,19 @@
-//! What crosses PCIe before a tensor-op kernel runs: the request's factor
-//! matrices.
+//! What crosses PCIe before a tensor-op kernel runs: the touched rows of
+//! the request's factor matrices.
 //!
 //! A request moves only its *product-mode* factors — the ones its kernel
 //! reads. SpTTM moves `U_n`; SpMTTKRP and SpTTMc move every factor but the
 //! operating mode's (SpMTTKRP's kernel ignores its mode-`n` slot, which
-//! here aliases a product factor instead of costing an upload). For each
-//! moved factor one byte-count rule picks the branch:
-//!
-//! * **plain** — copy the whole `rows × R` factor;
-//! * **packed** — copy only the rows the tensor's non-zeros touch, plus
-//!   their `u32` row map, and scatter them on the device with the unpack
-//!   kernel ([`fcoo::pack`]).
-//!
-//! A factor is packed exactly when `transfer(full) > transfer(packed + map)
-//! + unpack_hi`, where `unpack_hi` bounds the unpack launch from the device
-//! model ([`fcoo::unpack_time_hi_us`]); a packed upload therefore never
-//! takes longer than the plain one it replaces. The rule depends only on
-//! the tensor, the rank and the hardware model, so [`FactorPlan`] decides
-//! it before admission — sizing the request's device bytes and the shed
-//! rule's transfer term — and [`upload`] carries it out.
+//! here aliases a product factor instead of costing an upload). Every
+//! serving plan's format is built over compact product-mode coordinates
+//! ([`fcoo::compact_tensor`]), so each factor goes up as exactly its
+//! touched rows: one `touched × R` matrix gathered on the host. The byte
+//! count depends only on the tensor and the rank, so [`FactorPlan`] sizes
+//! the request's device bytes and the shed rule's transfer term before
+//! admission, and [`upload`] carries it out.
 
 use fcoo::{DeviceMatrix, TensorOp};
-use gpu_sim::{DeviceConfig, GpuDevice, LaunchTrace, OutOfMemory};
+use gpu_sim::{GpuDevice, OutOfMemory};
 use std::cmp::Ordering;
 use tensor_core::DenseMatrix;
 
@@ -49,17 +41,26 @@ fn product_modes(op: TensorOp, order: usize) -> Vec<usize> {
     }
 }
 
+/// Rows `rows` of `host`, in order: the compact factor a format over
+/// compact coordinates indexes.
+pub(crate) fn gather_rows(host: &DenseMatrix, rows: &[u32]) -> DenseMatrix {
+    let mut data = Vec::with_capacity(rows.len() * host.cols());
+    for &row in rows {
+        data.extend_from_slice(host.row(row as usize));
+    }
+    DenseMatrix::from_vec(rows.len(), host.cols(), data)
+}
+
 /// How one factor crosses PCIe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FactorMove {
     /// Tensor mode the factor belongs to.
     pub mode: usize,
-    /// Rows of the full factor (the mode's size).
+    /// Rows of the full host factor (the mode's size).
     pub rows: usize,
-    /// Rows the tensor's non-zeros touch (the mode's distinct coordinates).
+    /// Rows the tensor's non-zeros touch (the mode's distinct coordinates):
+    /// the rows that go up.
     pub touched: usize,
-    /// True when the byte-count rule packs this factor.
-    pub packed: bool,
 }
 
 /// The factor uploads of one tensor-op request, decided before anything is
@@ -75,29 +76,15 @@ pub struct FactorPlan {
 }
 
 impl FactorPlan {
-    /// Applies the byte-count rule to every product-mode factor of `op`.
+    /// The compact uploads of every product-mode factor of `op`.
     /// `touched[m]` holds mode `m`'s sorted distinct coordinates.
-    pub fn new(
-        op: TensorOp,
-        shape: &[usize],
-        touched: &[Vec<u32>],
-        rank: usize,
-        device: &DeviceConfig,
-        pcie_gbs: f64,
-    ) -> FactorPlan {
+    pub fn new(op: TensorOp, shape: &[usize], touched: &[Vec<u32>], rank: usize) -> FactorPlan {
         let moves = product_modes(op, shape.len())
             .into_iter()
-            .map(|mode| {
-                let (rows, touched) = (shape[mode], touched[mode].len());
-                let full_us = transfer_us(rows * rank * 4, pcie_gbs);
-                let packed_us = transfer_us(fcoo::packed_bytes(touched, rank), pcie_gbs)
-                    + fcoo::unpack_time_hi_us(device, touched, rank);
-                FactorMove {
-                    mode,
-                    rows,
-                    touched,
-                    packed: full_us > packed_us,
-                }
+            .map(|mode| FactorMove {
+                mode,
+                rows: shape[mode],
+                touched: touched[mode].len(),
             })
             .collect();
         FactorPlan { op, rank, moves }
@@ -105,70 +92,28 @@ impl FactorPlan {
 
     /// Bytes the uploads move host→device.
     pub fn h2d_bytes(&self) -> usize {
-        self.moves
-            .iter()
-            .map(|m| {
-                if m.packed {
-                    fcoo::packed_bytes(m.touched, self.rank)
-                } else {
-                    m.rows * self.rank * 4
-                }
-            })
-            .sum()
+        self.device_bytes()
     }
 
-    /// Device bytes of the full-size factor buffers the kernel reads.
+    /// Device bytes of the compact factors the kernel reads.
     pub fn device_bytes(&self) -> usize {
-        self.moves.iter().map(|m| m.rows * self.rank * 4).sum()
-    }
-
-    /// Largest staging footprint of one packed upload (packed rows plus row
-    /// map), held beside the factors until its unpack finishes; zero when
-    /// nothing is packed.
-    pub fn staging_bytes(&self) -> usize {
-        self.moves
-            .iter()
-            .filter(|m| m.packed)
-            .map(|m| fcoo::packed_bytes(m.touched, self.rank))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// True when at least one factor goes packed.
-    pub fn packed(&self) -> bool {
-        self.moves.iter().any(|m| m.packed)
+        self.moves.iter().map(|m| m.touched * self.rank * 4).sum()
     }
 
     /// Device bytes the request holds beyond its cached format, given its
-    /// kernel's output buffer size: the full-size factors, plus the larger
-    /// of the packed staging (freed once unpacked) and the output buffer
-    /// (allocated after the staging is gone), plus allocator slack.
+    /// kernel's output buffer size: the compact factors, the output buffer
+    /// and allocator slack.
     pub fn transient_bytes(&self, output_bytes: usize) -> usize {
-        self.device_bytes() + output_bytes.max(self.staging_bytes()) + 1024
+        self.device_bytes() + output_bytes + 1024
     }
 }
 
-/// What one attempt's factor upload moved and cost.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FactorTransfer {
-    /// Bytes moved host→device.
-    pub(crate) bytes: usize,
-    /// Simulated time of the unpack launches (µs), counted as H2D time.
-    pub(crate) unpack_us: f64,
-    /// True when at least one factor went packed.
-    pub(crate) packed: bool,
-    /// Traces of the unpack launches (empty unless the device traces).
-    pub(crate) unpack_launches: Vec<LaunchTrace>,
-}
-
-/// A request's factors resident on the device.
+/// A request's compact factors resident on the device.
 pub(crate) struct DeviceFactors {
     op: TensorOp,
     order: usize,
     /// One matrix per product mode, ascending.
     matrices: Vec<DeviceMatrix>,
-    /// What the upload moved and cost.
-    pub(crate) transfer: FactorTransfer,
 }
 
 impl DeviceFactors {
@@ -178,13 +123,7 @@ impl DeviceFactors {
     /// product mode for SpTTMc.
     pub(crate) fn refs(&self) -> Vec<&DeviceMatrix> {
         match self.op {
-            TensorOp::SpMttkrp { mode } => (0..self.order)
-                .map(|m| match m.cmp(&mode) {
-                    Ordering::Less => &self.matrices[m],
-                    Ordering::Equal => &self.matrices[0],
-                    Ordering::Greater => &self.matrices[m - 1],
-                })
-                .collect(),
+            TensorOp::SpMttkrp { mode } => mttkrp_refs(&self.matrices, mode, self.order),
             TensorOp::SpTtm { .. } | TensorOp::SpTtmc { .. } => self.matrices.iter().collect(),
         }
     }
@@ -196,59 +135,50 @@ impl DeviceFactors {
             TensorOp::SpTtm { .. } | TensorOp::SpMttkrp { .. } => self.matrices[0].cols(),
         }
     }
+
+    /// Bytes the upload moved host→device.
+    pub(crate) fn bytes(&self) -> usize {
+        self.matrices.iter().map(|m| m.rows() * m.cols() * 4).sum()
+    }
 }
 
-/// Builds the request's host factors (seeded per mode) and uploads them as
-/// `plan` says. Every full-size buffer is allocated before any unpack runs,
-/// so the factors sit back to back as plain uploads would place them; each
-/// packed factor's staging is freed before the next one and before the
-/// kernel allocates its output.
+/// SpMTTKRP's factor arguments from its `order - 1` product-mode factors,
+/// ascending: one per tensor mode, the ignored mode-`mode` slot aliasing
+/// the first product factor.
+pub(crate) fn mttkrp_refs(
+    products: &[DeviceMatrix],
+    mode: usize,
+    order: usize,
+) -> Vec<&DeviceMatrix> {
+    (0..order)
+        .map(|m| match m.cmp(&mode) {
+            Ordering::Less => &products[m],
+            Ordering::Equal => &products[0],
+            Ordering::Greater => &products[m - 1],
+        })
+        .collect()
+}
+
+/// Builds the request's host factors (seeded per mode) and uploads each
+/// product-mode factor's touched rows as `plan` says.
 pub(crate) fn upload(
     device: &GpuDevice,
     plan: &FactorPlan,
     touched: &[Vec<u32>],
     factor_seed: u64,
 ) -> Result<DeviceFactors, OutOfMemory> {
-    let hosts: Vec<DenseMatrix> = plan
-        .moves
-        .iter()
-        .map(|m| DenseMatrix::random(m.rows, plan.rank, factor_seed_for_mode(factor_seed, m.mode)))
-        .collect();
-    let memory = device.memory();
     let matrices = plan
         .moves
         .iter()
-        .zip(&hosts)
-        .map(|(m, host)| {
-            if m.packed {
-                DeviceMatrix::zeros(memory, m.rows, plan.rank)
-            } else {
-                DeviceMatrix::upload(memory, host)
-            }
+        .map(|m| {
+            let host =
+                DenseMatrix::random(m.rows, plan.rank, factor_seed_for_mode(factor_seed, m.mode));
+            DeviceMatrix::upload(device.memory(), &gather_rows(&host, &touched[m.mode]))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let mut unpack_us = 0.0;
-    for ((m, host), target) in plan.moves.iter().zip(&hosts).zip(&matrices) {
-        if m.packed {
-            unpack_us += fcoo::unpack_rows(device, host, &touched[m.mode], target)?.time_us;
-        }
-    }
-    let order = touched.len();
     Ok(DeviceFactors {
         op: plan.op,
-        order,
+        order: touched.len(),
         matrices,
-        transfer: FactorTransfer {
-            bytes: plan.h2d_bytes(),
-            unpack_us,
-            packed: plan.packed(),
-            // The unpack launches are the only ones issued so far in this
-            // attempt; take them now so the kernel's trace stays its own.
-            unpack_launches: if plan.packed() {
-                device.drain_trace()
-            } else {
-                Vec::new()
-            },
-        },
     })
 }

@@ -48,15 +48,8 @@ fn transient_bytes(nnz: usize, seed: u64) -> usize {
     let touched: Vec<Vec<u32>> = (0..tensor.order())
         .map(|m| fcoo::touched_rows(tensor.mode_indices(m)))
         .collect();
-    FactorPlan::new(
-        TensorOp::SpMttkrp { mode: 0 },
-        tensor.shape(),
-        &touched,
-        8,
-        &DeviceConfig::titan_x(),
-        ServeConfig::default().pcie_gbs,
-    )
-    .transient_bytes(tensor.shape()[0] * 8 * 4)
+    FactorPlan::new(TensorOp::SpMttkrp { mode: 0 }, tensor.shape(), &touched, 8)
+        .transient_bytes(tensor.shape()[0] * 8 * 4)
 }
 
 fn with_capacity(capacity: usize) -> DeviceConfig {

@@ -36,8 +36,6 @@ fn transient_bytes() -> usize {
         tensor.shape(),
         &touched,
         RANK,
-        &DeviceConfig::titan_x(),
-        ServeConfig::default().pcie_gbs,
     )
     .transient_bytes(tensor.shape()[0] * RANK * 4)
 }

@@ -289,12 +289,12 @@ fn hypersparse_workload(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Shed soundness with packed uploads: the completion-time lower bound
-    /// deadline-aware admission computes never exceeds the finish time an
-    /// executed request realizes. The bound's transfer term is the bytes
-    /// the request actually moves — packed rows plus row maps, and no
-    /// mode-n factor for SpMTTKRP — so a shed request provably could not
-    /// have met its deadline.
+    /// Shed soundness with compact factors: the completion-time lower
+    /// bound deadline-aware admission computes never exceeds the finish
+    /// time an executed request realizes. The bound's transfer term is the
+    /// bytes the request actually moves — the touched rows, and no mode-n
+    /// factor for SpMTTKRP — so a shed request provably could not have met
+    /// its deadline.
     #[test]
     fn shed_lower_bound_never_exceeds_a_realized_finish(
         requests in 6usize..16,

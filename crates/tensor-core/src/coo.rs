@@ -154,6 +154,28 @@ impl SparseTensorCoo {
         self.apply_permutation(&perm);
     }
 
+    /// Renumbers `mode` to each coordinate's rank among `coords`, the mode's
+    /// sorted distinct coordinates, and shrinks the mode to `coords.len()`.
+    /// The renumbering keeps the coordinate order, so every sort order of
+    /// the tensor is unchanged.
+    ///
+    /// # Panics
+    /// If `coords` is not strictly increasing or misses a coordinate the
+    /// mode holds.
+    pub fn compact_mode(&mut self, mode: usize, coords: &[Idx]) {
+        assert!(
+            coords.windows(2).all(|pair| pair[0] < pair[1]),
+            "compact coordinates must be strictly increasing"
+        );
+        for index in &mut self.indices[mode] {
+            let rank = coords
+                .binary_search(index)
+                .unwrap_or_else(|_| panic!("mode {mode} coordinate {index} is not listed"));
+            *index = rank as Idx;
+        }
+        self.shape[mode] = coords.len();
+    }
+
     /// True if the non-zeros are lexicographically sorted by `mode_order`.
     pub fn is_sorted_by(&self, mode_order: &[usize]) -> bool {
         self.check_mode_order(mode_order);
@@ -307,6 +329,27 @@ mod tests {
         // First entries have k = 0.
         assert_eq!(t.mode_indices(2)[0], 0);
         assert_eq!(t.mode_indices(2)[5], 2);
+    }
+
+    #[test]
+    fn compact_mode_renumbers_by_rank_and_keeps_the_order() {
+        let mut t = SparseTensorCoo::from_entries(
+            vec![2, 9],
+            &[(vec![1, 7], 1.0), (vec![0, 2], 2.0), (vec![1, 2], 3.0)],
+        );
+        t.compact_mode(1, &[2, 7]);
+        assert_eq!(t.shape(), &[2, 2]);
+        assert_eq!(t.mode_indices(1), &[1, 0, 0]);
+        assert_eq!(t.mode_indices(0), &[1, 0, 1]);
+        t.sort_by_mode_order(&[1, 0]);
+        assert_eq!(t.values(), &[2.0, 3.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not listed")]
+    fn compact_mode_refuses_an_unlisted_coordinate() {
+        let mut t = sample();
+        t.compact_mode(2, &[0, 2]);
     }
 
     #[test]

@@ -65,6 +65,14 @@ impl SemiSparseTensor {
         self.values.extend_from_slice(fiber);
     }
 
+    /// The same fibers over an originating tensor whose dense mode has
+    /// `extent` rows. No fiber indexes the dense mode, so only the recorded
+    /// shape changes.
+    pub fn with_dense_extent(mut self, extent: usize) -> Self {
+        self.shape[self.dense_mode] = extent;
+        self
+    }
+
     /// Sizes of the index modes, in ascending mode order.
     pub fn index_mode_sizes(&self) -> Vec<usize> {
         self.shape

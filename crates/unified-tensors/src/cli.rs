@@ -989,8 +989,6 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         tensor.shape(),
         &touched,
         rank,
-        &DeviceConfig::titan_x(),
-        ServeConfig::default().pcie_gbs,
     )
     .transient_bytes(tensor.shape()[0] * rank * 4);
     let min_format_bytes = crate::serve::plan::SERVE_THREADLENS
