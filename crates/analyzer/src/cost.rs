@@ -37,7 +37,8 @@
 
 use fcoo::chunk::ChunkPlan;
 use fcoo::{
-    AnyFormat, BfCoo, Fcoo, FormatKind, LaunchConfig, TensorOp, BUCKET_RUN, BUCKET_SHUFFLE_OPS,
+    AnyFormat, BfCoo, ColumnTiling, Fcoo, FormatKind, LaunchConfig, TensorOp, BUCKET_RUN,
+    BUCKET_SHUFFLE_OPS,
 };
 use gpu_sim::{scan, BlockStats, DeviceConfig, KernelCounters, KernelStats};
 use tensor_core::SparseTensorCoo;
@@ -293,13 +294,15 @@ impl CounterEnvelope {
 /// The kernel-shape constants `run_unified` derives from the operation —
 /// everything the interpreter needs beyond the format header.
 struct KernelShape {
-    /// Grid y-extent / output row stride (dense output columns).
-    columns: usize,
+    /// Output columns and their split over `bIdy`.
+    tiling: ColumnTiling,
+    /// Factor rank of every product mode.
+    rank: usize,
     /// Factor matrices gathered per non-zero.
     n_factors: usize,
     /// Total bytes of the gathered factor matrices (L2 working-set test).
     factor_ws: usize,
-    /// FLOP cycles charged per gather call.
+    /// FLOP cycles charged per gather call and tile column.
     compute_per_element: u64,
     /// Whether finalization reads the segment-coordinate array
     /// (SpMTTKRP/SpTTMc look up output rows; SpTTM's rows are the segment
@@ -310,30 +313,60 @@ struct KernelShape {
 impl KernelShape {
     fn for_op(fcoo: &Fcoo, rank: usize) -> KernelShape {
         let pm = &fcoo.classification.product_modes;
-        let factor_ws: usize = pm.iter().map(|&m| fcoo.shape[m] * rank * 4).sum();
-        match fcoo.op {
-            TensorOp::SpTtm { .. } => KernelShape {
-                columns: rank,
-                n_factors: 1,
-                factor_ws,
-                compute_per_element: 2,
-                has_coords: false,
-            },
-            TensorOp::SpMttkrp { .. } => KernelShape {
-                columns: rank,
-                n_factors: pm.len(),
-                factor_ws,
-                compute_per_element: 1 + pm.len() as u64,
-                has_coords: true,
-            },
-            TensorOp::SpTtmc { .. } => KernelShape {
-                columns: rank.pow(pm.len() as u32),
-                n_factors: pm.len(),
-                factor_ws,
-                compute_per_element: 1 + pm.len() as u64,
-                has_coords: true,
-            },
+        KernelShape {
+            tiling: ColumnTiling::for_op(fcoo.op, &vec![rank; pm.len()]),
+            rank,
+            n_factors: pm.len(),
+            factor_ws: pm.iter().map(|&m| fcoo.shape[m] * rank * 4).sum(),
+            compute_per_element: 1 + pm.len() as u64,
+            has_coords: !matches!(fcoo.op, TensorOp::SpTtm { .. }),
         }
+    }
+
+    /// Column stride of product factor `p` within the output column: the
+    /// last SpTTMc factor varies fastest; the other kernels read column `c`
+    /// of every factor.
+    fn stride(&self, fcoo: &Fcoo, p: usize) -> usize {
+        match fcoo.op {
+            TensorOp::SpTtmc { .. } => self.rank.pow((self.n_factors - 1 - p) as u32),
+            _ => 1,
+        }
+    }
+
+    /// Bounds on the distinct `line`-byte lines product factor `p`'s wide
+    /// load touches for one non-zero of column tile `ty`, over every row:
+    /// a row of `rank` floats starts at any multiple of `gcd(rank, line/4)`
+    /// floats past a line boundary (buffer bases are line-aligned).
+    fn tile_lines(&self, fcoo: &Fcoo, p: usize, ty: usize, line: usize) -> (u64, u64) {
+        let tile = self.tiling.tile;
+        if tile == 1 {
+            // One column: one element, one line.
+            return (1, 1);
+        }
+        let floats = (line / 4).max(1);
+        let stride = self.stride(fcoo, p);
+        let mut digits: Vec<usize> = (ty * tile..(ty + 1) * tile)
+            .map(|c| (c / stride) % self.rank)
+            .collect();
+        digits.sort_unstable();
+        digits.dedup();
+        let step = gcd(self.rank, floats);
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        for offset in (0..floats).step_by(step) {
+            let mut lines: Vec<usize> = digits.iter().map(|d| (offset + d) / floats).collect();
+            lines.dedup();
+            lo = lo.min(lines.len() as u64);
+            hi = hi.max(lines.len() as u64);
+        }
+        (lo, hi)
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a.max(1)
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -406,12 +439,36 @@ struct WarpPlan {
     stream_max: u64,
     /// The warp's factor-gather schedule.
     gather: GatherPlan,
-    /// Segment ordinals finalized by this warp, in program order
+    /// Output rows of the segments finalized by this warp, in program order
     /// (segmented-scan mode).
-    finals: Vec<usize>,
+    final_rows: Vec<usize>,
+    /// Sector counts of the finalized segments' coordinate reads: the same
+    /// for every column tile.
+    coord_reads: Batches,
     /// Output rows of the COO-style atomic events, in program order
     /// (atomic-ablation mode).
     atomic_rows: Vec<usize>,
+}
+
+/// Summed exact charges of a warp's batches of one narrated access.
+#[derive(Debug, Clone, Copy, Default)]
+struct Batches {
+    /// Sectors over all batches.
+    transactions: u64,
+    /// Coalesced baseline over all batches (capped per batch by its
+    /// sectors).
+    ideal: u64,
+    /// The largest batch's sectors.
+    max: u64,
+}
+
+impl Batches {
+    fn add(&mut self, indices: &[usize], config: &DeviceConfig) {
+        let t = batch_transactions(indices, config);
+        self.transactions += t;
+        self.ideal += ideal_lane_transactions(indices.len(), config).min(t);
+        self.max = self.max.max(t);
+    }
 }
 
 /// Mirror of `fcoo::kernels::GatherLayout` at the envelope level: what the
@@ -506,7 +563,7 @@ fn certify_impl(
         "shared allocation exceeds per-SM capacity"
     );
     let grid_x = partitions.div_ceil(bt);
-    let columns = shape.columns;
+    let ColumnTiling { columns, tile, .. } = shape.tiling;
     let warp = 32usize;
     let warps_per_block = bt / config.warp_size;
 
@@ -623,11 +680,18 @@ fn certify_impl(
                     finals.push(heads - 1);
                 }
             }
+            let mut coord_reads = Batches::default();
+            if shape.has_coords {
+                for chunk in finals.chunks(warp) {
+                    coord_reads.add(chunk, config);
+                }
+            }
             warps.push(WarpPlan {
                 stream_transactions: stream_transactions_total,
                 stream_max,
                 gather,
-                finals,
+                final_rows: finals.iter().map(|&seg| row_of_seg(seg)).collect(),
+                coord_reads,
                 atomic_rows,
             });
         }
@@ -641,21 +705,33 @@ fn certify_impl(
         config.rocache_miss_cycles
     };
     let rocache_sharers = if cfg.use_rocache {
-        columns.min(8) as u64
+        shape.tiling.factor_sharers
     } else {
         1
     };
     let line = config.readonly_line_bytes as u64;
     let dram_per_miss = (line / rocache_sharers.max(1)).max(4);
-    let write_sharers = columns.min(8) as u64;
+    let write_sharers = shape.tiling.write_sharers;
     let n_factors = shape.n_factors as u64;
+    let tile_cycles = tile as u64;
+    let grid_y = shape.tiling.grid_y();
 
-    // Pass 2: per-(block_x, block_y) envelopes, emitted in x-major launch
-    // order (bIdx varies fastest) for the wave fold.
-    let mut blocks: Vec<BlockEnvelope> = Vec::with_capacity(grid_x * columns);
-    for col in 0..columns {
+    // Pass 2: per-(block_x, column tile) envelopes, emitted in x-major
+    // launch order (bIdx varies fastest) for the wave fold.
+    let mut blocks: Vec<BlockEnvelope> = Vec::with_capacity(grid_x * grid_y);
+    // Output indices of one warp's finalizations or atomics (reused).
+    let mut indices: Vec<usize> = Vec::new();
+    for ty in 0..grid_y {
+        let col0 = ty * tile;
+        // Each factor's wide-load line count per non-zero for this tile,
+        // and their sums over the factors.
+        let lines: Vec<(u64, u64)> = (0..shape.n_factors)
+            .map(|p| shape.tile_lines(fcoo, p, ty, line as usize))
+            .collect();
+        let lines_lo: u64 = lines.iter().map(|l| l.0).sum();
+        let lines_hi: u64 = lines.iter().map(|l| l.1).sum();
         for plan in &plans {
-            let l2_hot = col > 0;
+            let l2_hot = ty > 0;
             let mut env = BlockEnvelope {
                 max_warp_cycles: Interval::ZERO,
                 total_warp_cycles: Interval::ZERO,
@@ -693,7 +769,8 @@ fn certify_impl(
                     GatherPlan::Strided(lives) => {
                         for &live in lives {
                             any_gather = true;
-                            let per_call = Interval::new(n_factors, (live as u64) * n_factors);
+                            let live = live as u64;
+                            let per_call = Interval::new(lines_lo, live * lines_hi);
                             probes.add(per_call);
                             if cfg.use_rocache {
                                 // Per probe: 1 hit cycle … one miss fill.
@@ -708,14 +785,16 @@ fn certify_impl(
                                         .add(per_call.scale(config.transaction_bytes as u64));
                                 }
                                 env.transactions.add(per_call);
-                                let ideal = ideal_lane_transactions(live * shape.n_factors, config);
+                                let ideal = |lanes: u64| {
+                                    ideal_lane_transactions((live * lanes) as usize, config)
+                                };
                                 env.ideal_transactions.add(Interval::new(
-                                    ideal.min(per_call.lo),
-                                    ideal.min(per_call.hi),
+                                    ideal(lines_lo).min(per_call.lo),
+                                    ideal(lines_hi).min(per_call.hi),
                                 ));
                             }
                             env.max_access_transactions.max_with(per_call);
-                            cycles.add_exact(shape.compute_per_element);
+                            cycles.add_exact(shape.compute_per_element * tile_cycles);
                         }
                     }
                     GatherPlan::Bucketed(runs) => {
@@ -726,8 +805,17 @@ fn certify_impl(
                         // upper bound beats F-COO's.
                         for (run_len, ds) in runs {
                             any_gather = true;
-                            for &d in ds {
-                                let per_call = Interval::new(1, d);
+                            for (&d, &(lo, hi)) in ds.iter().zip(&lines) {
+                                // At most `hi` lines per distinct row; past
+                                // the read-only cache's 32-tag in-call dedup
+                                // window every address may probe.
+                                let distinct = d * hi;
+                                let probes_hi = if distinct <= 32 {
+                                    distinct
+                                } else {
+                                    *run_len as u64 * hi
+                                };
+                                let per_call = Interval::new(lo, probes_hi);
                                 if cfg.use_rocache {
                                     probes.add(per_call);
                                     cycles
@@ -741,7 +829,8 @@ fn certify_impl(
                                             .add(per_call.scale(config.transaction_bytes as u64));
                                     }
                                     env.transactions.add(per_call);
-                                    let ideal = ideal_lane_transactions(*run_len, config);
+                                    let ideal =
+                                        ideal_lane_transactions(*run_len * hi as usize, config);
                                     env.ideal_transactions
                                         .add(Interval::new(1, ideal.min(per_call.hi)));
                                 }
@@ -750,32 +839,28 @@ fn certify_impl(
                             // Demux shuffles and the product FLOPs, exactly
                             // as narrated: once per run.
                             cycles.add_exact(BUCKET_SHUFFLE_OPS * config.shuffle_cycles);
-                            cycles.add_exact(shape.compute_per_element);
+                            cycles.add_exact(shape.compute_per_element * tile_cycles);
                         }
                     }
                 }
 
                 // Segmented-scan stages and batched output traffic.
                 if cfg.use_segscan {
-                    cycles.add_exact(scan::warp_segscan_cycles(config));
-                    if shape.has_coords {
-                        for chunk in wp.finals.chunks(warp) {
-                            let t = batch_transactions(chunk, config);
-                            env.transactions.add_exact(t);
-                            env.dram_bytes
-                                .add_exact(t * config.transaction_bytes as u64);
-                            cycles.add_exact(t * config.mem_issue_cycles);
-                            let ideal = ideal_lane_transactions(chunk.len(), config).min(t);
-                            env.ideal_transactions.add_exact(ideal);
-                            env.max_access_transactions.max_with(Interval::exact(t));
-                        }
+                    cycles.add_exact(scan::warp_segscan_cycles(config) * tile_cycles);
+                    let coords = wp.coord_reads;
+                    env.transactions.add_exact(coords.transactions);
+                    env.dram_bytes
+                        .add_exact(coords.transactions * config.transaction_bytes as u64);
+                    cycles.add_exact(coords.transactions * config.mem_issue_cycles);
+                    env.ideal_transactions.add_exact(coords.ideal);
+                    env.max_access_transactions
+                        .max_with(Interval::exact(coords.max));
+                    indices.clear();
+                    for &row in &wp.final_rows {
+                        let base = row * columns + col0;
+                        indices.extend(base..base + tile);
                     }
-                    let write_indices: Vec<usize> = wp
-                        .finals
-                        .iter()
-                        .map(|&seg| row_of_seg(seg) * shape.columns + col)
-                        .collect();
-                    for chunk in write_indices.chunks(warp) {
+                    for chunk in indices.chunks(warp) {
                         let t = batch_transactions(chunk, config);
                         env.transactions.add_exact(t);
                         env.dram_bytes.add_exact(
@@ -789,12 +874,13 @@ fn certify_impl(
                 }
 
                 // COO-style frontier atomics (exact: indices are known).
-                let atomic_indices: Vec<usize> = wp
-                    .atomic_rows
-                    .iter()
-                    .map(|&row| row * shape.columns + col)
-                    .collect();
-                for chunk in atomic_indices.chunks(warp) {
+                // Issued one tile column after another, each in the
+                // untiled kernel's order.
+                indices.clear();
+                for col in col0..col0 + tile {
+                    indices.extend(wp.atomic_rows.iter().map(|&row| row * columns + col));
+                }
+                for chunk in indices.chunks(warp) {
                     env.atomics += chunk.len() as u64;
                     let mut max_multiplicity = 0u64;
                     let mut seen: Vec<(usize, u64)> = Vec::with_capacity(chunk.len());
@@ -824,7 +910,7 @@ fn certify_impl(
                 // Block tail (scan combine, barriers, fusion domino) accrues
                 // to the last live warp.
                 if cfg.use_segscan && w + 1 == plan.warps.len() {
-                    cycles.add_exact(scan::block_segscan_cycles(bt, config));
+                    cycles.add_exact(scan::block_segscan_cycles(bt, config) * tile_cycles);
                     cycles.add_exact(2 * config.syncthreads_cycles);
                     if cfg.use_fusion {
                         cycles.add_exact(config.adjacent_sync_cycles);
@@ -865,7 +951,7 @@ fn certify_impl(
     if let Some(per_sm) = config.shared_mem_per_sm.checked_div(shared_bytes) {
         concurrent = concurrent.min(per_sm.max(1) * config.num_sms);
     }
-    let mut envelope = fold_launch(&blocks, concurrent, bt, grid_x * columns, config);
+    let mut envelope = fold_launch(&blocks, concurrent, bt, grid_x * grid_y, config);
 
     // Unfused variant: the follow-up carry-resolution kernel is charged to
     // `KernelStats` but never traced; keep its exact time separately.
@@ -1215,10 +1301,12 @@ pub fn certify_chunked_format(
 
 /// Launch-wide bounds on the factor-gather traffic of one configuration —
 /// the statically-decidable summary behind the coalescing verdict: per
-/// gather call a warp issues between `n_factors` and `live · n_factors`
-/// transactions (the in-call line dedup of the read-only path and the
-/// 256-byte buffer alignment bound both ends), so every access stays within
-/// a factor `transaction_bytes / 4` of the coalesced ideal.
+/// gather call a warp issues between one and `live` wide loads per factor,
+/// each touching the lines its column tile spans (one per factor unless
+/// SpTTMc's tile straddles a line) — the in-call line dedup of the
+/// read-only path and the 256-byte buffer alignment bound both ends — so
+/// every access stays within a factor `transaction_bytes / 4` of the
+/// coalesced ideal.
 #[derive(Debug, Clone, Copy)]
 pub struct GatherBounds {
     /// Total gather calls across the launch.
@@ -1245,10 +1333,9 @@ pub fn gather_bounds(
     let partitions = fcoo.partitions();
     let grid_x = partitions.div_ceil(block_size.max(1));
     let warp = 32usize;
-    let n_factors = shape.n_factors as u64;
     let mut calls = 0u64;
     let mut lanes = 0u64;
-    let mut worst = 0u64;
+    let mut worst_live = 0u64;
     for bx in 0..grid_x {
         for w in 0..block_size / warp {
             let wft = bx * block_size + w * warp;
@@ -1264,15 +1351,28 @@ pub fn gather_bounds(
                 }
                 calls += 1;
                 lanes += live;
-                worst = worst.max(live * n_factors);
+                worst_live = worst_live.max(live);
             }
         }
     }
-    let columns = shape.columns as u64;
+    // Summed over the column tiles: each call issues between the tile's
+    // all-same-row and its per-lane line counts.
+    let (mut lines_lo, mut lines_hi, mut tile_hi) = (0u64, 0u64, 0u64);
+    for ty in 0..shape.tiling.grid_y() {
+        let (mut lo, mut hi) = (0, 0);
+        for p in 0..shape.n_factors {
+            let l = shape.tile_lines(fcoo, p, ty, config.readonly_line_bytes);
+            lo += l.0;
+            hi += l.1;
+        }
+        lines_lo += lo;
+        lines_hi += hi;
+        tile_hi = tile_hi.max(hi);
+    }
     GatherBounds {
-        calls: calls * columns,
-        transactions: Interval::new(calls * n_factors * columns, lanes * n_factors * columns),
-        worst_call: worst,
+        calls: calls * shape.tiling.grid_y() as u64,
+        transactions: Interval::new(calls * lines_lo, lanes * lines_hi),
+        worst_call: worst_live * tile_hi,
         bound_factor: (config.transaction_bytes as u64 / 4).max(1),
     }
 }
@@ -1322,6 +1422,63 @@ mod tests {
         }
         let log = device.stop_tracing();
         log.counters()
+    }
+
+    #[test]
+    fn envelope_contains_tiles_whose_lines_depend_on_the_row() {
+        // Rank 6 tiles SpTTMc by 4 and rank 12 by 8; neither row width is a
+        // multiple of the 8-float line, so a tile's wide load touches one or
+        // two lines per factor depending on where the row starts.
+        let (tensor, _) = datasets::generate(DatasetKind::Nell2, 1500, 2017);
+        let config = DeviceConfig::titan_x();
+        let op = TensorOp::SpTtmc { mode: 1 };
+        for (rank, tile) in [(6, 4), (12, 8)] {
+            assert_eq!(ColumnTiling::for_op(op, &[rank, rank]).tile, tile);
+            for cfg in [
+                LaunchConfig::with_block_size(64),
+                LaunchConfig {
+                    use_rocache: false,
+                    ..LaunchConfig::with_block_size(128)
+                },
+                LaunchConfig {
+                    use_segscan: false,
+                    ..LaunchConfig::with_block_size(64)
+                },
+            ] {
+                for kind in [FormatKind::Fcoo, FormatKind::BfCoo] {
+                    let format = AnyFormat::build(kind, &tensor, op, 8);
+                    let envelope = certify_format(&config, &format, rank, &cfg);
+                    let measured = traced_spttmc_counters(&tensor, &format, &cfg, rank);
+                    assert_eq!(
+                        envelope.violations(&measured),
+                        Vec::<String>::new(),
+                        "{kind:?} rank {rank} {cfg:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn traced_spttmc_counters(
+        tensor: &SparseTensorCoo,
+        format: &AnyFormat,
+        cfg: &LaunchConfig,
+        rank: usize,
+    ) -> KernelCounters {
+        let device = GpuDevice::titan_x();
+        let on_device = format.upload(device.memory()).unwrap();
+        let pm = &format.base().classification.product_modes;
+        let factors: Vec<DeviceMatrix> = pm
+            .iter()
+            .map(|&m| {
+                let host = DenseMatrix::random(tensor.shape()[m], rank, 1 + m as u64);
+                DeviceMatrix::upload(device.memory(), &host).unwrap()
+            })
+            .collect();
+        let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+        device.start_tracing();
+        on_device.spttmc_norder(&device, &refs, cfg).unwrap();
+        device.stop_tracing().counters()
     }
 
     #[test]

@@ -410,8 +410,10 @@ fn analyze_point(
         columns,
         shared_bytes,
     );
+    let ranks = vec![rank; fcoo.classification.product_modes.len()];
+    let grid_y = fcoo::ColumnTiling::for_op(fcoo.op, &ranks).grid_y();
     let properties = vec![
-        launch_shape_verdict(config, &geometry),
+        launch_shape_verdict(config, &geometry, grid_y),
         barrier_verdict(kernel),
         segment_flags_verdict(fcoo, flags),
         atomic_verdict(kernel, fcoo, &geometry, rank),
@@ -427,14 +429,20 @@ fn analyze_point(
     }
 }
 
-fn launch_shape_verdict(config: &DeviceConfig, geometry: &LaunchGeometry) -> PropertyVerdict {
+/// `grid_y` is the launch's column-tile count (`geometry.columns` divided
+/// by the op's column tile).
+fn launch_shape_verdict(
+    config: &DeviceConfig,
+    geometry: &LaunchGeometry,
+    grid_y: usize,
+) -> PropertyVerdict {
     match launch_shape_violation(geometry, config) {
         None => PropertyVerdict {
             property: Property::LaunchShape,
             verdict: Verdict::Proved,
             detail: format!(
                 "grid ({}, {}) of {}-thread blocks, {} B shared/block within device limits",
-                geometry.grid_x, geometry.columns, geometry.block_size, geometry.shared_bytes
+                geometry.grid_x, grid_y, geometry.block_size, geometry.shared_bytes
             ),
             counterexample: None,
         },

@@ -27,7 +27,8 @@ pub struct LaunchGeometry {
     pub partitions: usize,
     /// Grid x-extent: `⌈partitions / block_size⌉`.
     pub grid_x: usize,
-    /// Grid y-extent (dense output columns handled by sibling blocks).
+    /// Dense output columns, handled by sibling blocks along the grid's y
+    /// dimension (one column tile per block, see `fcoo::ColumnTiling`).
     pub columns: usize,
     /// Dynamic shared memory per block in bytes.
     pub shared_bytes: usize,

@@ -11,16 +11,23 @@
 //!   true winner is neither structurally pruned nor envelope-eliminated,
 //!   and its measured time lies inside its certificate.
 //!
+//! Column-tiled SpTTMc gets its own property over order-3 and order-4
+//! tensors, ranks with and without tiling, both formats and the launch
+//! grid: the output matches the sequential reference, BF-COO matches F-COO
+//! and each format's certificate contains its traced counters.
+//!
 //! A deterministic case pins the headline acceptance number: on the
 //! nell2 stand-in the MTTKRP winner is certified with at least half of
 //! the full tuning grid ruled out with zero trial launches.
 
 use analyzer::cost;
-use fcoo::{spmttkrp, spttm, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
-use gpu_sim::GpuDevice;
+use fcoo::{
+    spmttkrp, spttm, AnyFormat, DeviceMatrix, Fcoo, FcooDevice, FormatKind, LaunchConfig, TensorOp,
+};
+use gpu_sim::{DeviceConfig, GpuDevice};
 use proptest::prelude::*;
 use tensor_core::datasets::{self, DatasetKind};
-use tensor_core::{DenseMatrix, SparseTensorCoo};
+use tensor_core::{ops, DenseMatrix, SparseTensorCoo};
 
 const RANK: usize = 8;
 
@@ -84,8 +91,87 @@ fn certify_and_trace(
     (envelope, violations)
 }
 
+/// Launches SpTTMc over `tensor` in `kind`'s format at rank `rank` on a
+/// fresh device, traced, and returns the output with the envelope
+/// violations of the format's certificate.
+fn traced_spttmc(
+    tensor: &SparseTensorCoo,
+    kind: FormatKind,
+    mode: usize,
+    hosts: &[DenseMatrix],
+    threadlen: usize,
+    cfg: &LaunchConfig,
+) -> (DenseMatrix, Vec<String>) {
+    let op = TensorOp::SpTtmc { mode };
+    let format = AnyFormat::build(kind, tensor, op, threadlen);
+    let rank = hosts[0].cols();
+    let envelope = cost::certify_format(&DeviceConfig::titan_x(), &format, rank, cfg);
+    let device = GpuDevice::titan_x();
+    let on_device = format.upload(device.memory()).expect("format upload");
+    let factors: Vec<DeviceMatrix> = hosts
+        .iter()
+        .map(|h| DeviceMatrix::upload(device.memory(), h).expect("factor upload"))
+        .collect();
+    let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+    device.start_tracing();
+    let (out, _) = on_device
+        .spttmc_norder(&device, &refs, cfg)
+        .expect("traced spttmc");
+    let counters = device.stop_tracing().counters();
+    (out, envelope.violations(&counters))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Tiled SpTTMc: exact against the reference, format-invariant and
+    /// certified, at tiles 1 (ranks 1, 2, 3, 5), 2 (rank 4), 8 (rank 8 and
+    /// 16 on order 3) and 64 (rank 8 and 16 on order 4).
+    #[test]
+    fn tiled_spttmc_matches_the_reference_across_formats_inside_its_envelope(
+        order4 in proptest::bool::ANY,
+        nnz in 60usize..400,
+        dataset_seed in 0u64..1000,
+        kind_selector in 0u8..3,
+        mode in 0usize..4,
+        rank_index in 0usize..7,
+        threadlen in 1usize..24,
+        block_index in 0usize..3,
+        factor_seed in 0u64..1000,
+    ) {
+        let tensor = if order4 {
+            datasets::generate_norder(&[12, 9, 14, 7], nnz, 0.6, dataset_seed)
+        } else {
+            datasets::generate(kind_from(kind_selector), nnz, dataset_seed).0
+        };
+        prop_assume!(mode < tensor.order());
+        let rank = [1usize, 2, 3, 4, 5, 8, 16][rank_index];
+        let cfg = LaunchConfig::with_block_size([32usize, 64, 128][block_index]);
+        let hosts: Vec<DenseMatrix> = (0..tensor.order())
+            .filter(|&m| m != mode)
+            .map(|m| DenseMatrix::random(tensor.shape()[m], rank, factor_seed + m as u64))
+            .collect();
+        let host_refs: Vec<&DenseMatrix> = hosts.iter().collect();
+        let reference = ops::spttmc_norder(&tensor, mode, &host_refs);
+        let scale = 1.0 + reference.data().iter().fold(0.0f64, |m, v| m.max(f64::from(v.abs())));
+        let mut outputs = Vec::new();
+        for kind in FormatKind::ALL {
+            let (out, violations) = traced_spttmc(&tensor, kind, mode, &hosts, threadlen, &cfg);
+            let label = format!("{kind:?} order {} rank {rank} B{} T{threadlen}", tensor.order(), cfg.block_size);
+            prop_assert!(violations.is_empty(), "{label}: {violations:?}");
+            let diff = out.max_abs_diff(&reference);
+            prop_assert!(diff < 1e-3 * scale, "{label}: diff {diff} against the reference");
+            outputs.push(out);
+        }
+        // Boundary segments meet through float atomics, applied in block
+        // order only at one pool worker.
+        if cpu_par::global_pool().num_threads() == 1 {
+            let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&outputs[0]), bits(&outputs[1]));
+        } else {
+            prop_assert!(outputs[0].max_abs_diff(&outputs[1]) < 1e-3 * scale);
+        }
+    }
 
     /// Soundness: for any power-law tensor, kernel, mode and grid point,
     /// every counter of a real traced launch lies within the envelope

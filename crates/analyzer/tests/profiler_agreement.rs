@@ -3,13 +3,15 @@
 //! counters must fall inside the proved bound — occupancy exactly 1.0 when
 //! effective-warps is proved (and strictly below when refuted), functional
 //! atomic lanes within the confinement bound, and per-access transaction
-//! counts within one of ideal where coalescing is proved.
+//! counts within one of ideal where coalescing is proved. The traced grid
+//! is the one the launch-shape verdict proves: SpTTMc's column tiles
+//! included.
 
 use analyzer::model::LaunchGeometry;
 use analyzer::{analyze_tensor, KernelKind, Property, Verdict};
 use fcoo::{
-    spmttkrp, spmttkrp_two_step_unified, spttm, spttmc_norder, DeviceMatrix, Fcoo, FcooDevice,
-    LaunchConfig, TensorOp,
+    spmttkrp, spmttkrp_two_step_unified, spttm, spttmc_norder, ColumnTiling, DeviceMatrix, Fcoo,
+    FcooDevice, LaunchConfig, TensorOp,
 };
 use gpu_sim::{GpuDevice, LaunchTrace, MemoryEventKind};
 use tensor_core::datasets::{self, DatasetKind};
@@ -135,6 +137,34 @@ fn proved_verdicts_agree_with_traced_counters() {
                     "{:?} B{} T{} on {:?}",
                     kind, config.block_size, config.threadlen, kind_name
                 );
+
+                // Launch shape: the proved grid is the traced one, with
+                // SpTTMc's rank-8 Kronecker columns in tiles of 8.
+                if verdict_of(Property::LaunchShape) == Some(Verdict::Proved) {
+                    proved_checked += 1;
+                    let fcoo =
+                        Fcoo::from_coo(&tensor, kind.op(MODE, tensor.order()), config.threadlen);
+                    let ranks = vec![RANK; fcoo.classification.product_modes.len()];
+                    let tiling = ColumnTiling::for_op(fcoo.op, &ranks);
+                    let grid = (
+                        fcoo.partitions().div_ceil(config.block_size),
+                        tiling.grid_y(),
+                    );
+                    assert_eq!(launches[0].grid, grid, "{label}: traced grid");
+                    let detail = &config
+                        .properties
+                        .iter()
+                        .find(|v| v.property == Property::LaunchShape)
+                        .expect("launch shape decided")
+                        .detail;
+                    assert!(
+                        detail.starts_with(&format!("grid ({}, {})", grid.0, grid.1)),
+                        "{label}: verdict `{detail}` names another grid"
+                    );
+                    if kind == KernelKind::SpTtmc {
+                        assert_eq!(tiling.tile, 8, "{label}: rank-8 SpTTMc tile");
+                    }
+                }
 
                 // Effective warps: the analyzer models the primary launch
                 // (step 1 for the two-step baseline). Proved means every

@@ -7,9 +7,16 @@
 //! the borrow provably outlives the region.
 
 use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+
+thread_local! {
+    /// The `Shared` state of the pool whose worker this thread is (null on
+    /// threads no pool owns): how [`Pool::run`] recognizes a nested call.
+    static WORKER_OF: Cell<*const Shared> = const { Cell::new(std::ptr::null()) };
+}
 
 /// A task body: called with `(task_index, worker_index)`.
 type Task<'a> = dyn Fn(usize, usize) + Sync + 'a;
@@ -97,10 +104,19 @@ impl Pool {
     /// Blocks until every task has completed. Panics (after the region has
     /// fully drained) if any task panicked. Concurrent callers on one pool
     /// run their regions one after another.
+    ///
+    /// # Panics
+    /// If called from a task of this same pool: the region would wait for
+    /// the worker that is waiting on it, so the call panics instead of
+    /// deadlocking (the outer region then reports the panicked task).
     pub fn run<'a>(&self, num_tasks: usize, task: &(dyn Fn(usize, usize) + Sync + 'a)) {
         if num_tasks == 0 {
             return;
         }
+        assert!(
+            WORKER_OF.get() != Arc::as_ptr(&self.shared),
+            "cpu-par: Pool::run nested inside a task of the same pool would deadlock"
+        );
         let _region = self.run_lock.lock();
         // Erase the closure lifetime; see `TaskPtr` for the soundness argument.
         // SAFETY: only the lifetime is transmuted; `run` does not return
@@ -146,6 +162,7 @@ impl Drop for Pool {
 }
 
 fn worker_loop(shared: &Shared, worker: usize) {
+    WORKER_OF.set(shared);
     let mut seen_seq = 0u64;
     loop {
         let region = {
@@ -311,6 +328,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn nested_run_on_the_same_pool_panics_instead_of_deadlocking() {
+        // Waited on through a channel with a timeout, so a regression fails
+        // the test instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let pool = Pool::new(2);
+            let inner = Mutex::new(None);
+            let outer = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(2, &|_, _| {
+                    let nested = catch_unwind(AssertUnwindSafe(|| pool.run(1, &|_, _| {})));
+                    if let Err(payload) = nested {
+                        *inner.lock() = payload.downcast_ref::<&str>().map(|s| s.to_string());
+                        std::panic::resume_unwind(payload);
+                    }
+                });
+            }));
+            let inner = inner.lock().take();
+            // Another pool's tasks may still run regions of this one.
+            let other = Pool::new(1);
+            let total = AtomicUsize::new(0);
+            other.run(1, &|_, _| {
+                pool.run(3, &|i, _| {
+                    total.fetch_add(i, Ordering::Relaxed);
+                });
+            });
+            let _ = done.send((outer.is_err(), inner, total.load(Ordering::Relaxed)));
+        });
+        let (outer_panicked, inner, total) = finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a nested Pool::run deadlocked");
+        runner.join().expect("the runner thread finished cleanly");
+        assert!(
+            outer_panicked,
+            "the nested call's panic must reach the caller"
+        );
+        let inner = inner.expect("the nested call panicked with a message");
+        assert!(inner.contains("nested"), "panic message: {inner}");
+        assert_eq!(total, 3);
     }
 
     #[test]

@@ -49,8 +49,8 @@ impl MttkrpEngine for ReferenceEngine<'_> {
 /// iteration" (§IV-D).
 pub struct UnifiedGpuEngine {
     device: GpuDevice,
-    per_mode: Vec<FcooDevice>,
-    cfg: LaunchConfig,
+    /// Each mode's resident F-COO and the launch configuration it runs at.
+    per_mode: Vec<(FcooDevice, LaunchConfig)>,
     /// Two-stream timeline (§V-E): stream 0 runs the MTTKRP kernels, stream
     /// 1 the CUBLAS-style dense operations; Gram products of the *other*
     /// factors overlap the MTTKRP, only the solve waits for its result.
@@ -69,13 +69,12 @@ impl UnifiedGpuEngine {
         let per_mode = (0..tensor.order())
             .map(|mode| {
                 let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, threadlen);
-                FcooDevice::upload(device.memory(), &fcoo)
+                Ok((FcooDevice::upload(device.memory(), &fcoo)?, cfg.clone()))
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, OutOfMemory>>()?;
         Ok(UnifiedGpuEngine {
             device,
             per_mode,
-            cfg,
             timeline: Timeline::new(2),
             last_mttkrp_finish: 0.0,
         })
@@ -83,14 +82,14 @@ impl UnifiedGpuEngine {
 
     /// Preprocesses with per-mode tuned `(BLOCK_SIZE, threadlen)` parameters
     /// (the paper runs its experiments with Table V's tuned configurations).
-    /// Sweeps a reduced grid per mode, then uploads the winning F-COO.
+    /// Sweeps a reduced grid per mode, then uploads the winning F-COO; each
+    /// mode launches at its own winning block size.
     pub fn new_tuned(
         device: GpuDevice,
         tensor: &SparseTensorCoo,
         rank: usize,
     ) -> Result<Self, OutOfMemory> {
         let mut per_mode = Vec::with_capacity(tensor.order());
-        let mut cfg = LaunchConfig::default();
         for mode in 0..tensor.order() {
             let result = fcoo::tune(
                 &device,
@@ -101,17 +100,15 @@ impl UnifiedGpuEngine {
                 Some(&[8, 32]),
             );
             let (block_size, threadlen) = result.best_pair();
-            // One launch config per engine; the block size of the slowest
-            // mode's winner is a good shared choice, and threadlen is baked
-            // into each mode's F-COO.
-            cfg.block_size = block_size;
             let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, threadlen);
-            per_mode.push(FcooDevice::upload(device.memory(), &fcoo)?);
+            per_mode.push((
+                FcooDevice::upload(device.memory(), &fcoo)?,
+                LaunchConfig::with_block_size(block_size),
+            ));
         }
         Ok(UnifiedGpuEngine {
             device,
             per_mode,
-            cfg,
             timeline: Timeline::new(2),
             last_mttkrp_finish: 0.0,
         })
@@ -136,8 +133,8 @@ impl MttkrpEngine for UnifiedGpuEngine {
             .collect::<Result<_, _>>()
             .map_err(oom)?;
         let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-        let (result, stats) =
-            fcoo::spmttkrp(&self.device, &self.per_mode[mode], &refs, &self.cfg).map_err(oom)?;
+        let (fcoo, cfg) = &self.per_mode[mode];
+        let (result, stats) = fcoo::spmttkrp(&self.device, fcoo, &refs, cfg).map_err(oom)?;
         self.last_mttkrp_finish = self.timeline.push(0, stats.time_us);
         Ok((result, stats.time_us))
     }
@@ -257,6 +254,42 @@ mod tests {
         let max = run.mode_us.iter().copied().fold(0.0f64, f64::max);
         let min = run.mode_us.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(max / min < 3.0, "mode times unbalanced: {:?}", run.mode_us);
+    }
+
+    #[test]
+    fn tuned_engine_launches_each_mode_at_its_own_block_size() {
+        let (tensor, _) = datasets::generate(DatasetKind::Brainq, 4000, 77);
+        let opts = options();
+        let tuned_block = |mode| {
+            fcoo::tune(
+                &GpuDevice::titan_x(),
+                &tensor,
+                TensorOp::SpMttkrp { mode },
+                opts.rank,
+                Some(&[64, 128, 512]),
+                Some(&[8, 32]),
+            )
+            .best_pair()
+            .0
+        };
+        let expected: Vec<usize> = (0..tensor.order()).map(tuned_block).collect();
+        assert!(
+            expected.iter().any(|&b| b != expected[0]),
+            "the modes must tune to different block sizes: {expected:?}"
+        );
+        let mut tuned =
+            UnifiedGpuEngine::new_tuned(GpuDevice::titan_x(), &tensor, opts.rank).unwrap();
+        tuned.device().start_tracing();
+        cp_als(&tensor, &mut tuned, &opts).expect("engine computes every MTTKRP");
+        let launches = tuned.device().stop_tracing().launches;
+        assert_eq!(launches.len(), opts.max_iters * tensor.order());
+        for (i, launch) in launches.iter().enumerate() {
+            let mode = i % tensor.order();
+            assert_eq!(
+                launch.block_threads, expected[mode],
+                "launch {i} (mode {mode})"
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,12 @@
 //! unified method:
 //!
 //! * the grid is two-dimensional with **one-dimensional blocks** (Fig. 4):
-//!   `bIdx` walks partitions of non-zeros, `bIdy` walks columns of the dense
-//!   factor matrices, so the block shape never depends on the rank;
+//!   `bIdx` walks partitions of non-zeros, `bIdy` walks **tiles of
+//!   consecutive output columns** ([`ColumnTiling`]), so the block shape
+//!   never depends on the rank. A tile is one column except where more
+//!   output columns read the same factor lines than can share one line fill
+//!   — SpTTMc's Kronecker columns — and there a block computes as many
+//!   columns as keep the readers of each line within the sharing limit;
 //! * each thread owns `threadlen` consecutive non-zeros, computes the
 //!   per-non-zero product (`val × U(k,:)` for SpTTM, `val × B(j,:) ∗ C(k,:)`
 //!   for SpMTTKRP, `val × (U₂(j,:) ⊗ U₃(k,:))` for SpTTMc) and reduces along
@@ -36,6 +40,105 @@ use tensor_core::{DenseMatrix, SemiSparseTensor};
 /// bucketed lanes back onto their owning threads (arXiv:1904.03329 §4: one
 /// ballot, two index shuffles, two value shuffles per 32-non-zero run).
 pub const BUCKET_SHUFFLE_OPS: u64 = 5;
+
+/// Co-resident column-sibling blocks that can share one read-only line fill
+/// or co-write one output line: a 32-byte line holds 8 floats.
+const LINE_SHARERS: usize = 8;
+
+/// How a unified-kernel launch splits its output columns over `bIdy`.
+///
+/// `S` output columns gather one identical set of 32-byte factor lines per
+/// non-zero: `min(R, 8)` for SpTTM and SpMTTKRP (adjacent columns of one
+/// row), `Π min(R_p, 8)` for SpTTMc (every Kronecker column whose digits
+/// fall in the same lines). Only 8 sibling blocks can share a line fill, so
+/// one block computes a **tile** of consecutive columns: the largest power
+/// of two `≤ max(1, S / 8)` dividing the column count. SpTTM and SpMTTKRP
+/// always get `tile = 1`; SpTTMc at rank 8 gets 8, at rank 4 gets 2.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnTiling {
+    /// Dense output columns (`R`, or `Π R_p` for SpTTMc).
+    pub columns: usize,
+    /// Consecutive output columns one block computes.
+    pub tile: usize,
+    /// Blocks that read one factor line set between them (each is charged
+    /// its share of every read-only miss fill).
+    pub factor_sharers: u64,
+    /// Blocks that co-write one output line (the write-back L2 merges
+    /// their partial lines).
+    pub write_sharers: u64,
+}
+
+impl ColumnTiling {
+    /// The tiling of `op` with per-product-mode factor ranks `ranks`.
+    pub fn for_op(op: TensorOp, ranks: &[usize]) -> ColumnTiling {
+        let (columns, shared) = match op {
+            TensorOp::SpTtmc { .. } => (
+                ranks.iter().product(),
+                ranks.iter().map(|&r| r.min(LINE_SHARERS)).product(),
+            ),
+            _ => (ranks[0], ranks[0].min(LINE_SHARERS)),
+        };
+        let limit = (shared / LINE_SHARERS).max(1);
+        let mut tile = 1;
+        while tile * 2 <= limit && columns % (tile * 2) == 0 {
+            tile *= 2;
+        }
+        ColumnTiling {
+            columns,
+            tile,
+            factor_sharers: (shared / tile).min(LINE_SHARERS) as u64,
+            write_sharers: (LINE_SHARERS / tile).min(columns / tile).max(1) as u64,
+        }
+    }
+
+    /// Grid y-extent: column tiles per partition range.
+    pub fn grid_y(&self) -> usize {
+        self.columns / self.tile
+    }
+}
+
+/// One factor matrix the unified kernel gathers per non-zero: output column
+/// `c` reads entry `(indices[nz], (c / stride) % cols)`.
+struct FactorRead<'a> {
+    matrix: &'a DeviceMatrix,
+    indices: &'a DeviceBuffer<u32>,
+    stride: usize,
+}
+
+/// One factor read of one output column: the matrix, its row indices and
+/// the column's digit in it.
+type ColumnRead<'a> = (&'a DeviceMatrix, &'a DeviceBuffer<u32>, usize);
+
+impl FactorRead<'_> {
+    fn digit(&self, col: usize) -> usize {
+        (col / self.stride) % self.matrix.cols()
+    }
+
+    /// The wide load: one address per distinct `1 << line_shift`-byte line
+    /// of the columns `first` and `rest` (ascending) of non-zero `nz`'s row.
+    /// Always inlined: it runs once per non-zero and factor in every gather.
+    #[inline(always)]
+    fn wide_load(
+        &self,
+        nz: usize,
+        first: usize,
+        rest: &[usize],
+        line_shift: u32,
+        addrs: &mut Vec<u64>,
+    ) {
+        let row = self.indices.get(nz) as usize;
+        let addr = self.matrix.addr(row, first);
+        addrs.push(addr);
+        let mut last_line = addr >> line_shift;
+        for &d in rest {
+            let addr = self.matrix.addr(row, d);
+            if addr >> line_shift != last_line {
+                last_line = addr >> line_shift;
+                addrs.push(addr);
+            }
+        }
+    }
+}
 
 /// How the unified skeleton batches its scattered factor-matrix reads.
 ///
@@ -192,22 +295,19 @@ pub(crate) fn spttm_into_with_layout(
         fcoo.segments() * r,
         "output buffer size mismatch"
     );
-    let k_indices = &fcoo.product_indices[0];
-    let factor_ws = u.rows() * u.cols() * 4;
     run_unified(
         device,
         fcoo,
         cfg,
         layout,
-        r,
+        &[FactorRead {
+            matrix: u,
+            indices: &fcoo.product_indices[0],
+            stride: 1,
+        }],
         out,
-        r,
-        factor_ws,
         |seg| seg,
         None,
-        2,
-        |nz, col| fcoo.values.get(nz) * u.get(k_indices.get(nz) as usize, col),
-        |nz, col, addrs| addrs.push(u.addr(k_indices.get(nz) as usize, col)),
     )
 }
 
@@ -302,35 +402,24 @@ pub(crate) fn spmttkrp_into_with_layout(
     let rows = fcoo.shape[mode];
     assert_eq!(out.len(), rows * r, "output buffer size mismatch");
     let slice_of_seg = &fcoo.segment_coords_host[0];
-    let product_factors: Vec<&DeviceMatrix> = product_modes.iter().map(|&m| factors[m]).collect();
-    let factor_ws: usize = product_factors
+    let reads: Vec<FactorRead<'_>> = product_modes
         .iter()
-        .map(|f| f.rows() * f.cols() * 4)
-        .sum();
+        .zip(&fcoo.product_indices)
+        .map(|(&m, indices)| FactorRead {
+            matrix: factors[m],
+            indices,
+            stride: 1,
+        })
+        .collect();
     run_unified(
         device,
         fcoo,
         cfg,
         layout,
-        r,
+        &reads,
         out,
-        r,
-        factor_ws,
         |seg| slice_of_seg[seg] as usize,
         Some(&fcoo.segment_coords[0]),
-        1 + product_modes.len() as u64,
-        |nz, col| {
-            let mut product = fcoo.values.get(nz);
-            for (factor, indices) in product_factors.iter().zip(&fcoo.product_indices) {
-                product *= factor.get(indices.get(nz) as usize, col);
-            }
-            product
-        },
-        |nz, col, addrs| {
-            for (factor, indices) in product_factors.iter().zip(&fcoo.product_indices) {
-                addrs.push(factor.addr(indices.get(nz) as usize, col));
-            }
-        },
     )
 }
 
@@ -468,96 +557,116 @@ pub(crate) fn spttmc_norder_into_with_layout(
     let rows = fcoo.shape[mode];
     assert_eq!(out.len(), rows * columns, "output buffer size mismatch");
     let slice_of_seg = &fcoo.segment_coords_host[0];
-    let factor_ws: usize = product_factors
+    let reads: Vec<FactorRead<'_>> = product_factors
         .iter()
-        .map(|f| f.rows() * f.cols() * 4)
-        .sum();
-    let digit = |col: usize, p: usize| (col / strides[p]) % product_factors[p].cols();
+        .zip(&fcoo.product_indices)
+        .zip(strides)
+        .map(|((&matrix, indices), stride)| FactorRead {
+            matrix,
+            indices,
+            stride,
+        })
+        .collect();
     run_unified(
         device,
         fcoo,
         cfg,
         layout,
-        columns,
+        &reads,
         out,
-        columns,
-        factor_ws,
         |seg| slice_of_seg[seg] as usize,
         Some(&fcoo.segment_coords[0]),
-        1 + product_factors.len() as u64,
-        |nz, col| {
-            let mut product = fcoo.values.get(nz);
-            for (p, (factor, indices)) in product_factors
-                .iter()
-                .zip(&fcoo.product_indices)
-                .enumerate()
-            {
-                product *= factor.get(indices.get(nz) as usize, digit(col, p));
-            }
-            product
-        },
-        |nz, col, addrs| {
-            for (p, (factor, indices)) in product_factors
-                .iter()
-                .zip(&fcoo.product_indices)
-                .enumerate()
-            {
-                addrs.push(factor.addr(indices.get(nz) as usize, digit(col, p)));
-            }
-        },
     )
 }
 
 /// The shared unified kernel skeleton.
 ///
+/// Every output column `c` accumulates `value · Π_p factor_p(row_p, digit_p(c))`
+/// over the non-zeros of each segment ([`FactorRead`]); block `(bIdx, bIdy)`
+/// computes the [`ColumnTiling`] tile `bIdy` for its partition range.
 /// `row_of_seg` maps a segment ordinal to its output row; `coord_buffer`, if
 /// given, is the device array those lookups read (charged on finalization).
-/// `product` computes one non-zero's full contribution for one column;
-/// `factor_addrs` lists the factor-matrix addresses that contribution reads;
-/// `factor_ws` is the total bytes of those (reused) factor matrices, which
-/// bounds whether misses stay in the device L2.
 #[allow(clippy::too_many_arguments)]
-fn run_unified<RowOf, Product, Addrs>(
+fn run_unified<RowOf>(
     device: &GpuDevice,
     fcoo: &FcooDevice,
     cfg: &LaunchConfig,
     layout: GatherLayout<'_>,
-    columns: usize,
+    factors: &[FactorRead<'_>],
     out: &DeviceBuffer<f32>,
-    out_stride: usize,
-    factor_ws: usize,
     row_of_seg: RowOf,
     coord_buffer: Option<&DeviceBuffer<u32>>,
-    compute_per_element: u64,
-    product: Product,
-    factor_addrs: Addrs,
 ) -> KernelStats
 where
     RowOf: Fn(usize) -> usize + Sync,
-    Product: Fn(usize, usize) -> f32 + Sync,
-    Addrs: Fn(usize, usize, &mut Vec<u64>) + Sync,
 {
+    let ranks: Vec<usize> = factors.iter().map(|f| f.matrix.cols()).collect();
+    let tiling = ColumnTiling::for_op(fcoo.op, &ranks);
+    let (columns, tile) = (tiling.columns, tiling.tile);
+    // Total bytes of the (reused) factor matrices: bounds whether read-only
+    // misses stay in the device L2.
+    let factor_ws: usize = factors
+        .iter()
+        .map(|f| f.matrix.rows() * f.matrix.cols() * 4)
+        .sum();
+    // One multiply per factor plus the accumulate, per output column.
+    let compute_per_element = 1 + factors.len() as u64;
+    // Read-only cache lines are a power of two bytes long.
+    let line_shift = device.config().readonly_line_bytes.trailing_zeros();
     let threadlen = fcoo.threadlen;
     let nnz = fcoo.nnz;
     let partitions = fcoo.partitions();
     let grid_x = partitions.div_ceil(cfg.block_size);
     let warp = 32usize;
     // Shared memory: one carry (value + open-flag word) per warp for the
-    // block-level segmented-scan combine.
+    // block-level segmented-scan combine, reused once per tile column.
     let shared_bytes = (cfg.block_size / 32) * 8;
-    let mut stats =
-        device.launch_with_shared((grid_x, columns), cfg.block_size, shared_bytes, |ctx| {
-            let col = ctx.block_y();
-            // Column-sibling blocks resident on the same SM read adjacent
-            // columns of the same factor rows: one read-only cache line (8
-            // floats) serves up to 8 of them, so each block is charged its
-            // share of the fill (the "data reuse" of §IV-D).
+    let mut stats = device.launch_with_shared(
+        (grid_x, tiling.grid_y()),
+        cfg.block_size,
+        shared_bytes,
+        |ctx| {
+            let col0 = ctx.block_y() * tile;
+            // Column-sibling blocks resident on the same SM read the same
+            // factor lines: one read-only cache line (8 floats) serves up to
+            // 8 of them, so each block is charged its share of the fill (the
+            // "data reuse" of §IV-D).
             if cfg.use_rocache {
-                ctx.set_rocache_sharers(columns.min(8) as u64);
+                ctx.set_rocache_sharers(tiling.factor_sharers);
             }
+            // What each tile column reads per factor: the matrix, its row
+            // indices and the column's digit.
+            let column_reads: Vec<Vec<ColumnRead<'_>>> = (col0..col0 + tile)
+                .map(|c| {
+                    factors
+                        .iter()
+                        .map(|f| (f.matrix, f.indices, f.digit(c)))
+                        .collect()
+                })
+                .collect();
+            // Each factor's distinct tile digits in ascending order, so a
+            // row's lines come out sorted and adjacent dedup finds every
+            // distinct line: the first digit, then the rest (none for a
+            // one-column tile).
+            let tile_digits: Vec<(&FactorRead<'_>, usize, Vec<usize>)> = factors
+                .iter()
+                .map(|f| {
+                    let mut d: Vec<usize> = (col0..col0 + tile).map(|c| f.digit(c)).collect();
+                    d.sort_unstable();
+                    d.dedup();
+                    (f, d[0], d[1..].to_vec())
+                })
+                .collect();
+            // Non-zero `nz`'s contribution to the column that makes `reads`.
+            let product = |nz: usize, reads: &[ColumnRead<'_>]| {
+                let mut product = fcoo.values.get(nz);
+                for &(matrix, indices, d) in reads {
+                    product *= matrix.get(indices.get(nz) as usize, d);
+                }
+                product
+            };
             let mut ro_addrs: Vec<u64> = Vec::with_capacity(2 * warp);
-            let mut factor_batch: Vec<u64> = Vec::with_capacity(warp);
-            let mut write_rows: Vec<u64> = Vec::with_capacity(warp);
+            let mut write_rows: Vec<u64> = Vec::with_capacity(warp * tile);
             let mut coord_reads: Vec<u64> = Vec::with_capacity(warp);
             let mut atomic_events: Vec<(usize, f32)> = Vec::new();
             let mut any_warp_ran = false;
@@ -618,12 +727,20 @@ where
                 }
 
                 // Factor-matrix reads (scattered by product-mode indices →
-                // read-only cache territory) and the product FLOPs. The
-                // strided schedule batches lane-strided addresses per
-                // threadlen iteration; the bucketed schedule batches each
-                // aligned 32-non-zero run per factor, so consecutive
-                // non-zeros sharing a segment row collapse onto the same
-                // cache lines (the load balancing of arXiv:1904.03329).
+                // read-only cache territory) and the product FLOPs for the
+                // tile's columns. The strided schedule batches lane-strided
+                // addresses per threadlen iteration; the bucketed schedule
+                // batches each aligned 32-non-zero run per factor, so
+                // consecutive non-zeros sharing a segment row collapse onto
+                // the same cache lines (the load balancing of
+                // arXiv:1904.03329).
+                let read = |ctx: &mut gpu_sim::BlockCtx<'_>, addrs: &[u64]| {
+                    if cfg.use_rocache {
+                        ctx.read_readonly_ws(addrs, factor_ws);
+                    } else {
+                        ctx.read_global_ws(addrs, factor_ws);
+                    }
+                };
                 match layout {
                     GatherLayout::Strided => {
                         for i in 0..threadlen {
@@ -631,145 +748,149 @@ where
                             for lane in 0..warp {
                                 let nz = (warp_first_thread + lane) * threadlen + i;
                                 if nz < nnz {
-                                    factor_addrs(nz, col, &mut ro_addrs);
+                                    for &(factor, first, ref rest) in &tile_digits {
+                                        factor.wide_load(
+                                            nz,
+                                            first,
+                                            rest,
+                                            line_shift,
+                                            &mut ro_addrs,
+                                        );
+                                    }
                                 }
                             }
                             if ro_addrs.is_empty() {
                                 break;
                             }
-                            if cfg.use_rocache {
-                                ctx.read_readonly_ws(&ro_addrs, factor_ws);
-                            } else {
-                                ctx.read_global_ws(&ro_addrs, factor_ws);
-                            }
-                            ctx.compute(compute_per_element);
+                            read(ctx, &ro_addrs);
+                            ctx.compute(compute_per_element * tile as u64);
                         }
                     }
                     GatherLayout::Bucketed { .. } => {
+                        // One ≤32-non-zero batch per factor, so the read-only
+                        // cache's line-dedup window sees a single factor's
+                        // rows.
                         let runs = span.div_ceil(32);
                         for r in 0..runs {
                             let run_start = warp_nnz_start + r * 32;
                             let run_end = (run_start + 32).min(warp_nnz_end);
-                            ro_addrs.clear();
-                            for nz in run_start..run_end {
-                                factor_addrs(nz, col, &mut ro_addrs);
-                            }
-                            if ro_addrs.is_empty() {
-                                break;
-                            }
-                            // Each non-zero pushed the same per-factor
-                            // address group; demux into one ≤32-address
-                            // batch per factor so the read-only cache's
-                            // line-dedup window sees a single factor's rows.
-                            let live = run_end - run_start;
-                            let per_nz = ro_addrs.len() / live;
-                            for f in 0..per_nz {
-                                factor_batch.clear();
-                                factor_batch.extend(
-                                    ro_addrs
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|(j, _)| j % per_nz == f)
-                                        .map(|(_, &a)| a),
-                                );
-                                if cfg.use_rocache {
-                                    ctx.read_readonly_ws(&factor_batch, factor_ws);
-                                } else {
-                                    ctx.read_global_ws(&factor_batch, factor_ws);
+                            for &(factor, first, ref rest) in &tile_digits {
+                                ro_addrs.clear();
+                                for nz in run_start..run_end {
+                                    factor.wide_load(nz, first, rest, line_shift, &mut ro_addrs);
                                 }
+                                read(ctx, &ro_addrs);
                             }
                             ctx.shuffle(BUCKET_SHUFFLE_OPS);
-                            ctx.compute(compute_per_element);
+                            ctx.compute(compute_per_element * tile as u64);
                         }
                     }
                 }
 
-                // Functional per-lane segment accumulation.
-                write_rows.clear();
+                // Functional per-lane segment accumulation, one tile column
+                // at a time. The first column narrates each finalized
+                // segment for the whole tile: one coordinate read, then its
+                // tile columns as consecutive output addresses.
                 coord_reads.clear();
+                write_rows.clear();
                 atomic_events.clear();
-                for lane in 0..warp {
-                    let thread = warp_first_thread + lane;
-                    let pstart = thread * threadlen;
-                    if pstart >= nnz {
-                        break;
-                    }
-                    let pend = ((thread + 1) * threadlen).min(nnz);
-                    // Heads seen so far, including any before this partition.
-                    let mut heads = fcoo.partition_first_segment.get(thread) as usize;
-                    let mut sum = 0.0f32;
-                    let mut began_inside = false;
-                    let mut has_open = false;
-                    for nz in pstart..pend {
-                        let head = fcoo.head(nz);
-                        if head {
-                            if has_open {
-                                // Previous segment closed by this head: its end
-                                // is inside the partition.
-                                finalize_segment(
-                                    cfg,
-                                    out,
-                                    out_stride,
-                                    col,
-                                    &row_of_seg,
-                                    coord_buffer,
-                                    heads - 1,
-                                    sum,
-                                    began_inside,
-                                    &mut write_rows,
-                                    &mut coord_reads,
-                                    &mut atomic_events,
-                                );
+                for (j, reads) in column_reads.iter().enumerate() {
+                    let col = col0 + j;
+                    // Exclusive segments are written once; boundary segments
+                    // are accumulated atomically (functionally) while the
+                    // cost model charges them as scan-carried writes when
+                    // segmented scan is on.
+                    let mut finalize = |atomic_events: &mut Vec<(usize, f32)>,
+                                        seg: usize,
+                                        sum: f32,
+                                        exclusive: bool| {
+                        let row = row_of_seg(seg);
+                        if j == 0 {
+                            if let Some(coords) = coord_buffer {
+                                coord_reads.push(coords.addr(seg));
                             }
-                            heads += 1;
-                            sum = 0.0;
-                            began_inside = true;
-                        } else if !has_open {
-                            // Partition starts mid-segment (sf bit clear).
-                            began_inside = false;
+                            if cfg.use_segscan {
+                                let base = row * columns + col0;
+                                for i in base..base + tile {
+                                    write_rows.push(out.addr(i));
+                                }
+                            }
                         }
-                        has_open = true;
-                        if cfg.use_segscan {
-                            sum += product(nz, col);
+                        let index = row * columns + col;
+                        if !cfg.use_segscan {
+                            atomic_events.push((index, sum));
+                        } else if exclusive {
+                            // SAFETY: exclusive segments are owned by exactly
+                            // one thread for this output column.
+                            unsafe { out.write(index, sum) };
                         } else {
-                            // Ablation: one atomic per non-zero, COO style.
-                            let row = row_of_seg(heads - 1);
-                            atomic_events.push((row * out_stride + col, product(nz, col)));
+                            out.atomic_add_f32(index, sum);
                         }
-                    }
-                    if has_open && cfg.use_segscan {
-                        // Final open segment: exclusive only if it both began
-                        // inside and the next partition starts a new segment.
-                        let ends_exclusive = pend == nnz || fcoo.head(pend);
-                        finalize_segment(
-                            cfg,
-                            out,
-                            out_stride,
-                            col,
-                            &row_of_seg,
-                            coord_buffer,
-                            heads - 1,
-                            sum,
-                            began_inside && ends_exclusive,
-                            &mut write_rows,
-                            &mut coord_reads,
-                            &mut atomic_events,
-                        );
+                    };
+                    for lane in 0..warp {
+                        let thread = warp_first_thread + lane;
+                        let pstart = thread * threadlen;
+                        if pstart >= nnz {
+                            break;
+                        }
+                        let pend = ((thread + 1) * threadlen).min(nnz);
+                        // Heads seen so far, including any before this
+                        // partition.
+                        let mut heads = fcoo.partition_first_segment.get(thread) as usize;
+                        let mut sum = 0.0f32;
+                        let mut began_inside = false;
+                        let mut has_open = false;
+                        for nz in pstart..pend {
+                            let head = fcoo.head(nz);
+                            if head {
+                                if has_open {
+                                    // Previous segment closed by this head:
+                                    // its end is inside the partition.
+                                    finalize(&mut atomic_events, heads - 1, sum, began_inside);
+                                }
+                                heads += 1;
+                                sum = 0.0;
+                                began_inside = true;
+                            } else if !has_open {
+                                // Partition starts mid-segment (sf bit clear).
+                                began_inside = false;
+                            }
+                            has_open = true;
+                            if cfg.use_segscan {
+                                sum += product(nz, reads);
+                            } else {
+                                // Ablation: one atomic per non-zero and
+                                // column, COO style.
+                                let index = row_of_seg(heads - 1) * columns + col;
+                                atomic_events.push((index, product(nz, reads)));
+                            }
+                        }
+                        if has_open && cfg.use_segscan {
+                            // Final open segment: exclusive only if it both
+                            // began inside and the next partition starts a
+                            // new segment.
+                            let ends_exclusive = pend == nnz || fcoo.head(pend);
+                            finalize(
+                                &mut atomic_events,
+                                heads - 1,
+                                sum,
+                                began_inside && ends_exclusive,
+                            );
+                        }
                     }
                 }
 
-                // Charge the warp-level segmented-scan stages and the batched
-                // output traffic.
+                // Charge the warp-level segmented-scan stages (one per tile
+                // column) and the batched output traffic.
                 if cfg.use_segscan {
-                    ctx.compute(warp_segscan_cycles(ctx.config()));
+                    ctx.compute(warp_segscan_cycles(ctx.config()) * tile as u64);
                     for chunk in coord_reads.chunks(warp) {
                         ctx.read_global(chunk);
                     }
                     // Sibling column blocks write adjacent columns of the same
                     // output rows; the write-back L2 merges them per line.
-                    let sharers = columns.min(8) as u64;
                     for chunk in write_rows.chunks(warp) {
-                        ctx.write_global_shared(chunk, sharers);
+                        ctx.write_global_shared(chunk, tiling.write_sharers);
                     }
                 }
                 for chunk in atomic_events.chunks(warp) {
@@ -777,16 +898,18 @@ where
                 }
             }
             if any_warp_ran && cfg.use_segscan {
-                // Block-level scan combine + barriers, plus the inter-block
+                // Block-level scan combine (once per tile column through the
+                // per-warp carry slots) + barriers, plus the inter-block
                 // carry when kernels are fused.
-                ctx.compute(block_segscan_cycles(ctx.block_threads(), ctx.config()));
+                ctx.compute(block_segscan_cycles(ctx.block_threads(), ctx.config()) * tile as u64);
                 ctx.syncthreads();
                 ctx.syncthreads();
                 if cfg.use_fusion {
                     ctx.adjacent_sync();
                 }
             }
-        });
+        },
+    );
     if cfg.use_segscan && !cfg.use_fusion {
         // Unfused variant: boundary carries resolved by a follow-up kernel
         // that re-reads one partial per partition.
@@ -802,43 +925,6 @@ where
         stats.merge(&carry);
     }
     stats
-}
-
-/// Finalizes one segment: exclusive segments are written once; boundary
-/// segments are accumulated atomically (functionally) while the cost model
-/// charges them as scan-carried writes when segmented scan is on.
-#[allow(clippy::too_many_arguments)]
-fn finalize_segment<RowOf: Fn(usize) -> usize>(
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-    out_stride: usize,
-    col: usize,
-    row_of_seg: &RowOf,
-    coord_buffer: Option<&DeviceBuffer<u32>>,
-    seg: usize,
-    sum: f32,
-    exclusive: bool,
-    write_rows: &mut Vec<u64>,
-    coord_reads: &mut Vec<u64>,
-    atomic_events: &mut Vec<(usize, f32)>,
-) {
-    let row = row_of_seg(seg);
-    let index = row * out_stride + col;
-    if let Some(coords) = coord_buffer {
-        coord_reads.push(coords.addr(seg));
-    }
-    if cfg.use_segscan {
-        write_rows.push(out.addr(index));
-        if exclusive {
-            // SAFETY: exclusive segments are owned by exactly one thread for
-            // this output column.
-            unsafe { out.write(index, sum) };
-        } else {
-            out.atomic_add_f32(index, sum);
-        }
-    } else {
-        atomic_events.push((index, sum));
-    }
 }
 
 #[cfg(test)]
@@ -1015,6 +1101,60 @@ mod tests {
             "diff {}",
             result.max_abs_diff(&reference)
         );
+    }
+
+    #[test]
+    fn column_tiles_follow_the_line_sharing_rule() {
+        let tiles = |op, ranks: &[usize]| {
+            let t = ColumnTiling::for_op(op, ranks);
+            (t.tile, t.grid_y(), t.factor_sharers, t.write_sharers)
+        };
+        let ttm = TensorOp::SpTtm { mode: 0 };
+        let mttkrp = TensorOp::SpMttkrp { mode: 0 };
+        let ttmc = TensorOp::SpTtmc { mode: 0 };
+        // SpTTM and SpMTTKRP: one column per block at every rank.
+        for r in [1, 3, 8, 16, 64] {
+            assert_eq!(tiles(ttm, &[r]), (1, r, r.min(8) as u64, r.min(8) as u64));
+            assert_eq!(tiles(mttkrp, &[r, r]).0, 1);
+        }
+        // SpTTMc: 8 sharers per line set, so S / 8 columns per block.
+        assert_eq!(tiles(ttmc, &[8, 8]), (8, 8, 8, 1));
+        assert_eq!(tiles(ttmc, &[4, 4]), (2, 8, 8, 4));
+        assert_eq!(tiles(ttmc, &[16, 16]), (8, 32, 8, 1));
+        assert_eq!(tiles(ttmc, &[8, 8, 8]), (64, 8, 8, 1));
+        // S / 8 rounds down to a power of two that divides the columns.
+        assert_eq!(tiles(ttmc, &[3, 3]), (1, 9, 8, 8));
+        assert_eq!(tiles(ttmc, &[5, 5]), (1, 25, 8, 8));
+        assert_eq!(tiles(ttmc, &[2, 2]), (1, 4, 4, 4));
+        assert_eq!(tiles(ttmc, &[3, 16]), (2, 24, 8, 4));
+    }
+
+    #[test]
+    fn tiled_spttmc_gathers_each_factor_line_once_per_tile() {
+        // On a hypersparse tensor every factor line misses, so the untiled
+        // kernel's 64 column blocks paid each line 8 times over (7.3× the
+        // SpMTTKRP traffic on the same mode); one block per 8 Kronecker
+        // columns keeps SpTTMc within a small multiple of SpMTTKRP.
+        let device = GpuDevice::titan_x();
+        for nnz in [1_500, 10_000] {
+            let (tensor, _) = datasets::generate(DatasetKind::Nell1, nnz, 23);
+            let factors = upload_factors(&device, &tensor, 8, 90);
+            let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+            let mttkrp = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 1 }, 8);
+            let mttkrp = FcooDevice::upload(device.memory(), &mttkrp).unwrap();
+            let (_, mttkrp_stats) =
+                spmttkrp(&device, &mttkrp, &refs, &LaunchConfig::default()).unwrap();
+            let ttmc = Fcoo::from_coo(&tensor, TensorOp::SpTtmc { mode: 1 }, 8);
+            let ttmc = FcooDevice::upload(device.memory(), &ttmc).unwrap();
+            let product = [&factors[0], &factors[2]];
+            let (_, ttmc_stats) =
+                spttmc_norder(&device, &ttmc, &product, &LaunchConfig::default()).unwrap();
+            let ratio = ttmc_stats.dram_bytes as f64 / mttkrp_stats.dram_bytes as f64;
+            assert!(
+                ratio < 3.5,
+                "nnz {nnz}: SpTTMc moves {ratio:.2}x SpMTTKRP's DRAM"
+            );
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use format::{table2_coo_bytes, table2_fcoo_bytes, BitFlags, Fcoo, StorageBre
 pub use formats::{AnyFormat, AnyFormatDevice, FormatKind, SparseFormat};
 pub use kernels::{
     spmttkrp, spmttkrp_into, spttm, spttm_into, spttmc, spttmc_norder, spttmc_norder_into,
-    LaunchConfig, BUCKET_SHUFFLE_OPS,
+    ColumnTiling, LaunchConfig, BUCKET_SHUFFLE_OPS,
 };
 pub use modes::{ModeClassification, TensorOp};
 pub use multi::{spmttkrp_multi_gpu, MultiGpuStats};

@@ -149,6 +149,46 @@ fn unified_kernels_are_sanitizer_clean() {
 }
 
 #[test]
+fn tiled_spttmc_launches_are_race_free() {
+    // SpTTMc at rank 4 and 8 computes 2 and 8 Kronecker columns per block:
+    // a block's lanes write consecutive output columns of one row, and the
+    // boundary segments of neighbouring partitions still meet only through
+    // atomics — under segmented scan, the atomic ablation and the unfused
+    // variant alike.
+    let tensor = sample_tensor();
+    let op = TensorOp::SpTtmc { mode: 1 };
+    for (r, tile) in [(4, 2), (8, 8)] {
+        for cfg in [
+            LaunchConfig::with_block_size(32),
+            LaunchConfig {
+                use_segscan: false,
+                ..LaunchConfig::with_block_size(32)
+            },
+            LaunchConfig {
+                use_fusion: false,
+                ..LaunchConfig::with_block_size(32)
+            },
+        ] {
+            let tiling = fcoo::ColumnTiling::for_op(op, &[r, r]);
+            assert_eq!(tiling.tile, tile);
+            let device = GpuDevice::titan_x();
+            let mats = factors(&device, &tensor, r);
+            let fcoo = Fcoo::from_coo(&tensor, op, 2);
+            let dev_fcoo = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+            device.start_recording();
+            fcoo::spttmc(&device, &dev_fcoo, &mats[0], &mats[2], &cfg).expect("spttmc");
+            let log = device.stop_recording();
+            let grid = (fcoo.partitions().div_ceil(32), r * r / tile);
+            assert_eq!(log.launches[0].grid, grid, "rank {r}: launch is not tiled");
+            let races = sanitizer::racecheck::check(&log);
+            assert!(races.is_clean(), "rank {r} {cfg:?}:\n{races}");
+            let report = sanitizer::analyze(&log);
+            assert!(report.is_clean(), "rank {r} {cfg:?}:\n{report}");
+        }
+    }
+}
+
+#[test]
 fn ablation_kernel_without_segscan_is_clean() {
     let tensor = sample_tensor();
     let cfg = LaunchConfig {

@@ -514,7 +514,8 @@ pub fn tune(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<String
 /// `tensortool certify <file.tns> <mode> <rank> [out.json]` — certified
 /// cost-bound tuning: derive a provable `[lo, hi]` envelope on
 /// `KernelStats::time_us` for every grid configuration of the unified
-/// SpTTM and SpMTTKRP kernels from the F-COO headers alone, eliminate
+/// SpTTM, SpMTTKRP and (column-tiled) SpTTMc kernels from the F-COO
+/// headers alone, eliminate
 /// every configuration whose certified lower bound exceeds another's upper
 /// bound with **zero** trial launches, and print the envelope matrix plus
 /// the launches-avoided count. Two gates then cross-check the certificates
@@ -537,6 +538,7 @@ pub fn certify(
     for (label, op) in [
         ("SpTTM", TensorOp::SpTtm { mode }),
         ("SpMTTKRP", TensorOp::SpMttkrp { mode }),
+        ("SpTTMc", TensorOp::SpTtmc { mode }),
     ] {
         let certified =
             crate::analyzer::tune_certified(&GpuDevice::titan_x(), tensor, op, rank, None, None);
@@ -1786,6 +1788,7 @@ mod tests {
         for needle in [
             "SpTTM",
             "SpMTTKRP",
+            "SpTTMc (mode 1, rank 8)",
             "trial launches avoided",
             "winner: B=",
             "gate: every measured trial lies within its certified envelope",

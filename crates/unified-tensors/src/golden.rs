@@ -6,7 +6,8 @@
 //! warp occupancy. This module runs all kernel variants — unified SpTTM,
 //! SpMTTKRP and SpTTMc, the atomic and BF-COO SpMTTKRP competitors, plus the
 //! two-step SpMTTKRP baseline — over the four synthetic FROSTT stand-ins at
-//! their tuned configurations, traced, and renders the raw counters (with
+//! their tuned configurations, plus a chunked pipeline and a rank-64 SpTTM
+//! on nell2, traced, and renders the raw counters (with
 //! the bit pattern of the simulated duration) into a deterministic text
 //! document.
 //!
@@ -245,6 +246,35 @@ fn run_chunked_mttkrp(
     }
 }
 
+/// Rank of the high-rank SpTTM row.
+const WIDE_RANK: usize = 64;
+
+/// Runs the unified SpTTM at rank 64 (the high end of Fig. 8) traced, at
+/// the fixed `(128, 8)` point. Its 64 column blocks per partition range
+/// make it the suite's widest grid, the only one whose wave count responds
+/// when fewer blocks fit on the device (threads per SM, SM count); the
+/// power-of-two row stride also pins the read-only cache's set indexing.
+fn run_wide_spttm(config: &DeviceConfig, tensor: &SparseTensorCoo) -> GoldenRun {
+    let device = &GpuDevice::new(config.clone());
+    let (block_size, threadlen) = (128, 8);
+    let cfg = LaunchConfig::with_block_size(block_size);
+    let fcoo = Fcoo::from_coo(tensor, TensorOp::SpTtm { mode: MODE }, threadlen);
+    let envelope = analyzer::cost::certify(config, &fcoo, WIDE_RANK, &cfg);
+    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("golden upload");
+    let host = DenseMatrix::random(tensor.shape()[MODE], WIDE_RANK, 1 + MODE as u64);
+    let u = DeviceMatrix::upload(device.memory(), &host).expect("golden factor upload");
+    device.start_tracing();
+    spttm(device, &on_device, &u, &cfg).expect("golden rank-64 spttm");
+    let counters = device.stop_tracing().counters();
+    GoldenRun {
+        kernel: "spttm-r64",
+        block_size,
+        threadlen,
+        counters,
+        envelope,
+    }
+}
+
 /// Runs the two-step SpMTTKRP baseline traced, reusing the unified
 /// SpMTTKRP's tuned configuration (exactly what the serving engine's
 /// degradation ladder does).
@@ -302,6 +332,7 @@ fn collect_runs(config: &DeviceConfig) -> Vec<(&'static str, GoldenRun)> {
             runs.push(run_chunked_mttkrp(config, &tensor, 2, "mttkrp-chunked/2"));
             runs.push(run_chunked_mttkrp(config, &tensor, 4, "mttkrp-chunked/4"));
             runs.push(run_chunked_mttkrp(config, &tensor, 8, "mttkrp-chunked/8"));
+            runs.push(run_wide_spttm(config, &tensor));
         }
         all.extend(runs.into_iter().map(|run| (name, run)));
     }
@@ -316,7 +347,7 @@ pub fn render_with(config: &DeviceConfig) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "golden counters: {} kernels x {} datasets + chunked pipeline (nnz {NNZ}, seed {SEED}, rank {RANK}, mode {})",
+        "golden counters: {} kernels x {} datasets + chunked pipeline + rank-{WIDE_RANK} spttm (nnz {NNZ}, seed {SEED}, rank {RANK}, mode {})",
         6,
         DATASETS.len(),
         MODE + 1
