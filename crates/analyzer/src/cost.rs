@@ -314,7 +314,7 @@ impl KernelShape {
     fn for_op(fcoo: &Fcoo, rank: usize) -> KernelShape {
         let pm = &fcoo.classification.product_modes;
         KernelShape {
-            tiling: ColumnTiling::for_op(fcoo.op, &vec![rank; pm.len()]),
+            tiling: ColumnTiling::at_rank(fcoo, rank),
             rank,
             n_factors: pm.len(),
             factor_ws: pm.iter().map(|&m| fcoo.shape[m] * rank * 4).sum(),
@@ -1422,63 +1422,6 @@ mod tests {
         }
         let log = device.stop_tracing();
         log.counters()
-    }
-
-    #[test]
-    fn envelope_contains_tiles_whose_lines_depend_on_the_row() {
-        // Rank 6 tiles SpTTMc by 4 and rank 12 by 8; neither row width is a
-        // multiple of the 8-float line, so a tile's wide load touches one or
-        // two lines per factor depending on where the row starts.
-        let (tensor, _) = datasets::generate(DatasetKind::Nell2, 1500, 2017);
-        let config = DeviceConfig::titan_x();
-        let op = TensorOp::SpTtmc { mode: 1 };
-        for (rank, tile) in [(6, 4), (12, 8)] {
-            assert_eq!(ColumnTiling::for_op(op, &[rank, rank]).tile, tile);
-            for cfg in [
-                LaunchConfig::with_block_size(64),
-                LaunchConfig {
-                    use_rocache: false,
-                    ..LaunchConfig::with_block_size(128)
-                },
-                LaunchConfig {
-                    use_segscan: false,
-                    ..LaunchConfig::with_block_size(64)
-                },
-            ] {
-                for kind in [FormatKind::Fcoo, FormatKind::BfCoo] {
-                    let format = AnyFormat::build(kind, &tensor, op, 8);
-                    let envelope = certify_format(&config, &format, rank, &cfg);
-                    let measured = traced_spttmc_counters(&tensor, &format, &cfg, rank);
-                    assert_eq!(
-                        envelope.violations(&measured),
-                        Vec::<String>::new(),
-                        "{kind:?} rank {rank} {cfg:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    fn traced_spttmc_counters(
-        tensor: &SparseTensorCoo,
-        format: &AnyFormat,
-        cfg: &LaunchConfig,
-        rank: usize,
-    ) -> KernelCounters {
-        let device = GpuDevice::titan_x();
-        let on_device = format.upload(device.memory()).unwrap();
-        let pm = &format.base().classification.product_modes;
-        let factors: Vec<DeviceMatrix> = pm
-            .iter()
-            .map(|&m| {
-                let host = DenseMatrix::random(tensor.shape()[m], rank, 1 + m as u64);
-                DeviceMatrix::upload(device.memory(), &host).unwrap()
-            })
-            .collect();
-        let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-        device.start_tracing();
-        on_device.spttmc_norder(&device, &refs, cfg).unwrap();
-        device.stop_tracing().counters()
     }
 
     #[test]

@@ -100,14 +100,6 @@ impl KernelKind {
             }
         }
     }
-
-    /// Dense output columns per rank-`rank` launch (the grid y-extent).
-    fn columns(self, rank: usize) -> usize {
-        match self {
-            KernelKind::SpTtmc => rank * rank,
-            _ => rank,
-        }
-    }
 }
 
 /// A launch property the analyzer decides per configuration.
@@ -401,19 +393,18 @@ fn analyze_point(
     rank: usize,
     grid_block_sizes: &[usize],
 ) -> ConfigVerdict {
-    let columns = kernel.columns(rank);
+    let tiling = fcoo::ColumnTiling::at_rank(fcoo, rank);
     let shared_bytes = (block_size / 32) * 8;
     let geometry = LaunchGeometry::new(
         block_size,
         fcoo.threadlen,
         fcoo.nnz(),
-        columns,
+        tiling.columns,
         shared_bytes,
-    );
-    let ranks = vec![rank; fcoo.classification.product_modes.len()];
-    let grid_y = fcoo::ColumnTiling::for_op(fcoo.op, &ranks).grid_y();
+    )
+    .with_tile(tiling.tile);
     let properties = vec![
-        launch_shape_verdict(config, &geometry, grid_y),
+        launch_shape_verdict(config, &geometry),
         barrier_verdict(kernel),
         segment_flags_verdict(fcoo, flags),
         atomic_verdict(kernel, fcoo, &geometry, rank),
@@ -429,20 +420,17 @@ fn analyze_point(
     }
 }
 
-/// `grid_y` is the launch's column-tile count (`geometry.columns` divided
-/// by the op's column tile).
-fn launch_shape_verdict(
-    config: &DeviceConfig,
-    geometry: &LaunchGeometry,
-    grid_y: usize,
-) -> PropertyVerdict {
+fn launch_shape_verdict(config: &DeviceConfig, geometry: &LaunchGeometry) -> PropertyVerdict {
     match launch_shape_violation(geometry, config) {
         None => PropertyVerdict {
             property: Property::LaunchShape,
             verdict: Verdict::Proved,
             detail: format!(
                 "grid ({}, {}) of {}-thread blocks, {} B shared/block within device limits",
-                geometry.grid_x, grid_y, geometry.block_size, geometry.shared_bytes
+                geometry.grid_x,
+                geometry.grid_y(),
+                geometry.block_size,
+                geometry.shared_bytes
             ),
             counterexample: None,
         },

@@ -28,8 +28,11 @@ pub struct LaunchGeometry {
     /// Grid x-extent: `⌈partitions / block_size⌉`.
     pub grid_x: usize,
     /// Dense output columns, handled by sibling blocks along the grid's y
-    /// dimension (one column tile per block, see `fcoo::ColumnTiling`).
+    /// dimension.
     pub columns: usize,
+    /// Consecutive output columns one block computes (`fcoo::ColumnTiling`);
+    /// 1 unless set by [`LaunchGeometry::with_tile`].
+    pub tile: usize,
     /// Dynamic shared memory per block in bytes.
     pub shared_bytes: usize,
 }
@@ -51,8 +54,19 @@ impl LaunchGeometry {
             partitions,
             grid_x: partitions.div_ceil(block_size.max(1)),
             columns,
+            tile: 1,
             shared_bytes,
         }
+    }
+
+    /// The same launch with `tile` consecutive columns per block.
+    pub fn with_tile(self, tile: usize) -> Self {
+        LaunchGeometry { tile, ..self }
+    }
+
+    /// Grid y-extent: column tiles per partition range.
+    pub fn grid_y(&self) -> usize {
+        self.columns / self.tile
     }
 
     /// Warp slots launched per block.

@@ -125,8 +125,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Tiled SpTTMc: exact against the reference, format-invariant and
-    /// certified, at tiles 1 (ranks 1, 2, 3, 5), 2 (rank 4), 8 (rank 8 and
-    /// 16 on order 3) and 64 (rank 8 and 16 on order 4).
+    /// certified, at tiles 1 (ranks 1, 2, 3, 5), 2 (rank 4), 4 (rank 6 on
+    /// order 3), 8 (ranks 8, 12 and 16 on order 3) and 64 (ranks 8, 12 and
+    /// 16 on order 4), with the read-only cache and the segmented scan each
+    /// on or off. Rows of 6 and 12 floats are no multiple of the 8-float
+    /// line, so a tile's wide load touches one or two lines per factor
+    /// depending on where the row starts.
     #[test]
     fn tiled_spttmc_matches_the_reference_across_formats_inside_its_envelope(
         order4 in proptest::bool::ANY,
@@ -134,9 +138,10 @@ proptest! {
         dataset_seed in 0u64..1000,
         kind_selector in 0u8..3,
         mode in 0usize..4,
-        rank_index in 0usize..7,
+        rank_index in 0usize..9,
         threadlen in 1usize..24,
         block_index in 0usize..3,
+        ablation in 0u8..3,
         factor_seed in 0u64..1000,
     ) {
         let tensor = if order4 {
@@ -145,8 +150,12 @@ proptest! {
             datasets::generate(kind_from(kind_selector), nnz, dataset_seed).0
         };
         prop_assume!(mode < tensor.order());
-        let rank = [1usize, 2, 3, 4, 5, 8, 16][rank_index];
-        let cfg = LaunchConfig::with_block_size([32usize, 64, 128][block_index]);
+        let rank = [1usize, 2, 3, 4, 5, 6, 8, 12, 16][rank_index];
+        let cfg = LaunchConfig {
+            use_rocache: ablation != 1,
+            use_segscan: ablation != 2,
+            ..LaunchConfig::with_block_size([32usize, 64, 128][block_index])
+        };
         let hosts: Vec<DenseMatrix> = (0..tensor.order())
             .filter(|&m| m != mode)
             .map(|m| DenseMatrix::random(tensor.shape()[m], rank, factor_seed + m as u64))
@@ -157,7 +166,10 @@ proptest! {
         let mut outputs = Vec::new();
         for kind in FormatKind::ALL {
             let (out, violations) = traced_spttmc(&tensor, kind, mode, &hosts, threadlen, &cfg);
-            let label = format!("{kind:?} order {} rank {rank} B{} T{threadlen}", tensor.order(), cfg.block_size);
+            let label = format!(
+                "{kind:?} order {} rank {rank} B{} T{threadlen} rocache {} segscan {}",
+                tensor.order(), cfg.block_size, cfg.use_rocache, cfg.use_segscan
+            );
             prop_assert!(violations.is_empty(), "{label}: {violations:?}");
             let diff = out.max_abs_diff(&reference);
             prop_assert!(diff < 1e-3 * scale, "{label}: diff {diff} against the reference");

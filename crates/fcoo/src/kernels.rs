@@ -29,6 +29,7 @@
 //! kernel launch.
 
 use crate::device::{DeviceMatrix, FcooDevice};
+use crate::format::Fcoo;
 use crate::modes::TensorOp;
 use gpu_sim::memory::DeviceBuffer;
 use gpu_sim::scan::{block_segscan_cycles, warp_segscan_cycles};
@@ -89,6 +90,13 @@ impl ColumnTiling {
             factor_sharers: (shared / tile).min(LINE_SHARERS) as u64,
             write_sharers: (LINE_SHARERS / tile).min(columns / tile).max(1) as u64,
         }
+    }
+
+    /// The tiling of `fcoo`'s operation with every product factor at rank
+    /// `rank`.
+    pub fn at_rank(fcoo: &Fcoo, rank: usize) -> ColumnTiling {
+        let ranks = vec![rank; fcoo.classification.product_modes.len()];
+        ColumnTiling::for_op(fcoo.op, &ranks)
     }
 
     /// Grid y-extent: column tiles per partition range.
