@@ -26,17 +26,23 @@
 //! envelopes*: `[lo, hi]` bounds on every raw counter the golden suite pins,
 //! derived from F-COO headers alone. That decides properties that used to be
 //! `Unknown` — factor-row gather traffic is now bracketed by
-//! [`cost::gather_bounds`] — and powers [`tune_certified`], which eliminates
-//! grid configurations whose certified lower bound exceeds another's upper
-//! bound without simulating a single launch.
+//! [`cost::gather_bounds`] — and lets the tuner eliminate grid
+//! configurations whose certified lower bound exceeds another's upper bound
+//! without simulating a single launch.
 //!
-//! Verdicts feed the consumers: [`tune_filter`] prunes refuted and
-//! strictly-dominated configs from [`fcoo::tune_with_filter`] sweeps (same
-//! winner, strictly fewer simulated launches), [`tune_certified`] layers
-//! envelope dominance on top (zero-launch winners when one config dominates
-//! the grid), [`plan_report`] lets the serving plan cache refuse persisted
-//! plans whose configuration is refuted at load time, and `tensortool
-//! analyze` / `tensortool certify` print the verdict and envelope matrices.
+//! There is one tuning path. [`tune_select`] is the planner: it certifies
+//! every grid point the structural filter [`tune_filter`] keeps, for every
+//! serving format, and picks the `(format, BLOCK_SIZE, threadlen)` triple
+//! with the smallest certified upper bound — zero launches. The serving
+//! plan cache and `tensortool tune` select through it. The launched sweeps
+//! are oracles only: [`tune_certified`] runs the same certified grid for
+//! F-COO and launches just the survivors whose envelopes overlap (what
+//! `tensortool certify` checks certificates against), and the golden suite
+//! passes [`tune_filter`] straight to [`fcoo::tune_with_filter`] (same
+//! winner as the exhaustive sweep, strictly fewer simulated launches).
+//! [`plan_report`] lets the serving plan cache refuse persisted plans whose
+//! configuration is refuted at load time, and `tensortool analyze` /
+//! `tensortool certify` print the verdict and envelope matrices.
 
 pub mod cost;
 pub mod model;
@@ -682,60 +688,8 @@ pub fn tune_filter(
     }
 }
 
-/// The [`KernelKind`] whose verdicts apply to a tuned operation.
-fn kernel_of(op: TensorOp) -> KernelKind {
-    match op {
-        TensorOp::SpTtm { .. } => KernelKind::SpTtm,
-        TensorOp::SpMttkrp { .. } => KernelKind::SpMttkrp,
-        TensorOp::SpTtmc { .. } => KernelKind::SpTtmc,
-    }
-}
-
-/// [`fcoo::tune`] with the analyzer's static pruning: same winner, strictly
-/// fewer simulated launches whenever the grid contains dominated points
-/// (recorded in [`TuneResult::pruned`]). Launched pairs whose verdict
-/// matrix still contains an `Unknown` — i.e. the grid point degraded to the
-/// dynamic sanitizer — are reported in [`TuneResult::unknown`].
-pub fn tune_pruned(
-    device: &GpuDevice,
-    tensor: &SparseTensorCoo,
-    op: TensorOp,
-    rank: usize,
-    block_sizes: Option<&[usize]>,
-    threadlens: Option<&[usize]>,
-) -> TuneResult {
-    let grid = block_sizes.unwrap_or(&fcoo::BLOCK_SIZES);
-    let keep = tune_filter(device.config(), grid);
-    let mut result =
-        fcoo::tune_with_filter(device, tensor, op, rank, block_sizes, threadlens, keep);
-    // Annotate residual uncertainty host-side, after the sweep, so the
-    // launch sequence (and thus every traced golden counter) is untouched.
-    let config = device.config();
-    let kernel = kernel_of(op);
-    let mut seen_threadlen = Vec::new();
-    for point in &result.surface {
-        if seen_threadlen.contains(&point.threadlen) {
-            continue;
-        }
-        seen_threadlen.push(point.threadlen);
-        let fcoo = Fcoo::from_coo(tensor, op, point.threadlen);
-        let flags = sanitizer::check_fcoo(&fcoo);
-        for p in result
-            .surface
-            .iter()
-            .filter(|p| p.threadlen == fcoo.threadlen)
-        {
-            let verdict = analyze_point(config, kernel, &fcoo, &flags, p.block_size, rank, grid);
-            if verdict.overall() == Verdict::Unknown {
-                result.unknown.push((p.block_size, p.threadlen));
-            }
-        }
-    }
-    result
-}
-
 /// One grid survivor's certified time envelope, as produced by
-/// [`tune_certified`].
+/// [`tune_certified`] and compared by [`tune_select`].
 #[derive(Debug, Clone)]
 pub struct CertifiedPoint {
     /// Threads per block.
@@ -778,9 +732,9 @@ pub struct CertifiedTune {
     /// sweep is skipped entirely ([`CertifiedTune::tuned`] is `None`).
     pub winner: Option<CertifiedWinner>,
     /// The launched sweep over the surviving pairs, when more than one
-    /// survived (its [`TuneResult::pruned`] records both structurally- and
-    /// dominance-removed pairs; [`TuneResult::unknown`] the launched ones
-    /// whose envelope overlap forced a trial).
+    /// survived: its surface holds exactly the pairs whose envelope overlap
+    /// forced a trial, and its [`TuneResult::pruned`] both the structurally-
+    /// and the dominance-removed pairs.
     pub tuned: Option<TuneResult>,
     /// Total grid points considered.
     pub grid_points: usize,
@@ -804,52 +758,19 @@ impl CertifiedTune {
     }
 }
 
-/// [`tune_pruned`] with certified dominance elimination: after the
-/// structural filter, every surviving grid point gets a certified
-/// `KernelStats::time_us` envelope from [`cost::certify`], and any point
-/// whose *lower* bound exceeds another survivor's *upper* bound is
-/// eliminated without a trial launch. Elimination is winner-preserving: the
-/// true cost of an eliminated point is ≥ its `lo`, which strictly exceeds
-/// the dominating point's `hi` ≥ that point's true cost. When a single
-/// survivor remains the sweep is skipped and the tuner returns a
-/// [`CertifiedWinner`] with **zero** launches.
-pub fn tune_certified(
-    device: &GpuDevice,
-    tensor: &SparseTensorCoo,
-    op: TensorOp,
-    rank: usize,
-    block_sizes: Option<&[usize]>,
-    threadlens: Option<&[usize]>,
-) -> CertifiedTune {
-    tune_certified_format(
-        device,
-        tensor,
-        FormatKind::Fcoo,
-        op,
-        rank,
-        block_sizes,
-        threadlens,
-    )
-}
-
-/// [`tune_certified`] for any serving format: envelopes come from
-/// [`cost::certify_format`] over the format's own gather schedule, and the
-/// residual launched sweep (when envelopes overlap) runs through
-/// [`fcoo::tune_format_with_filter`] so the trials execute the same
-/// format they certify.
-#[allow(clippy::too_many_arguments)]
-pub fn tune_certified_format(
-    device: &GpuDevice,
+/// The certified `KernelStats::time_us` envelope of every `(BLOCK_SIZE,
+/// threadlen)` grid point of `kind` that the structural filter
+/// ([`tune_filter`]) keeps, sweep order (threadlen-major), plus the pairs
+/// it pruned. Header arithmetic only: nothing is launched.
+fn certify_grid(
+    config: &DeviceConfig,
     tensor: &SparseTensorCoo,
     kind: FormatKind,
     op: TensorOp,
     rank: usize,
-    block_sizes: Option<&[usize]>,
-    threadlens: Option<&[usize]>,
-) -> CertifiedTune {
-    let config = device.config();
-    let grid_b = block_sizes.unwrap_or(&fcoo::BLOCK_SIZES);
-    let grid_t = threadlens.unwrap_or(&fcoo::THREADLENS);
+    grid_b: &[usize],
+    grid_t: &[usize],
+) -> (Vec<CertifiedPoint>, Vec<(usize, usize)>) {
     let keep = tune_filter(config, grid_b);
     let mut pruned = Vec::new();
     let mut envelopes = Vec::new();
@@ -861,14 +782,40 @@ pub fn tune_certified_format(
                 continue;
             }
             let cfg = fcoo::LaunchConfig::with_block_size(block_size);
-            let envelope = cost::certify_format(config, &format, rank, &cfg);
             envelopes.push(CertifiedPoint {
                 block_size,
                 threadlen,
-                time_us: envelope.stats_time_us(),
+                time_us: cost::certify_format(config, &format, rank, &cfg).stats_time_us(),
             });
         }
     }
+    (envelopes, pruned)
+}
+
+/// F-COO tuning with certified dominance elimination, the oracle
+/// `tensortool certify` checks certificates against: after the structural
+/// filter, every surviving grid point gets a certified
+/// `KernelStats::time_us` envelope from [`cost::certify`], and any point
+/// whose *lower* bound exceeds another survivor's *upper* bound is
+/// eliminated without a trial launch. Elimination is winner-preserving: the
+/// true cost of an eliminated point is ≥ its `lo`, which strictly exceeds
+/// the dominating point's `hi` ≥ that point's true cost. When a single
+/// survivor remains the sweep is skipped and the tuner returns a
+/// [`CertifiedWinner`] with **zero** launches; otherwise the survivors are
+/// launched through [`fcoo::tune_with_filter`].
+pub fn tune_certified(
+    device: &GpuDevice,
+    tensor: &SparseTensorCoo,
+    op: TensorOp,
+    rank: usize,
+    block_sizes: Option<&[usize]>,
+    threadlens: Option<&[usize]>,
+) -> CertifiedTune {
+    let config = device.config();
+    let grid_b = block_sizes.unwrap_or(&fcoo::BLOCK_SIZES);
+    let grid_t = threadlens.unwrap_or(&fcoo::THREADLENS);
+    let (envelopes, pruned) =
+        certify_grid(config, tensor, FormatKind::Fcoo, op, rank, grid_b, grid_t);
     // A survivor is eliminated iff some other survivor's upper bound sits
     // strictly below its lower bound. Comparing against the grid-wide
     // minimum upper bound implements exactly that: the minimizing point can
@@ -912,24 +859,19 @@ pub fn tune_certified_format(
             launches: 0,
         };
     }
+    let keep = tune_filter(config, grid_b);
     let keep_launch = move |fcoo: &Fcoo, block_size: usize| {
         keep(fcoo, block_size) && survivors.contains(&(block_size, fcoo.threadlen))
     };
-    let mut tuned = fcoo::tune_format_with_filter(
+    let tuned = fcoo::tune_with_filter(
         device,
         tensor,
-        kind,
         op,
         rank,
         block_sizes,
         threadlens,
         keep_launch,
     );
-    tuned.unknown = tuned
-        .surface
-        .iter()
-        .map(|p| (p.block_size, p.threadlen))
-        .collect();
     let launches = tuned.surface.len();
     CertifiedTune {
         envelopes,
@@ -1028,30 +970,22 @@ pub fn tune_select(
 ) -> FormatChoice {
     let grid_b = block_sizes.unwrap_or(&fcoo::BLOCK_SIZES);
     let grid_t = threadlens.unwrap_or(&fcoo::THREADLENS);
-    let keep = tune_filter(config, grid_b);
-    let mut candidates: Vec<FormatBest> = Vec::with_capacity(FormatKind::ALL.len());
-    for kind in FormatKind::ALL {
-        let mut best: Option<FormatBest> = None;
-        for &threadlen in grid_t {
-            let format = AnyFormat::build(kind, tensor, op, threadlen);
-            for &block_size in grid_b {
-                if !keep(format.base(), block_size) {
-                    continue;
-                }
-                let cfg = fcoo::LaunchConfig::with_block_size(block_size);
-                let time_us = cost::certify_format(config, &format, rank, &cfg).stats_time_us();
-                if best.as_ref().is_none_or(|b| time_us.hi < b.time_us.hi) {
-                    best = Some(FormatBest {
-                        kind,
-                        block_size,
-                        threadlen,
-                        time_us,
-                    });
-                }
+    let candidates: Vec<FormatBest> = FormatKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let (envelopes, _) = certify_grid(config, tensor, kind, op, rank, grid_b, grid_t);
+            let best = envelopes
+                .into_iter()
+                .reduce(|a, b| if b.time_us.hi < a.time_us.hi { b } else { a })
+                .expect("the structural filter keeps at least one configuration");
+            FormatBest {
+                kind,
+                block_size: best.block_size,
+                threadlen: best.threadlen,
+                time_us: best.time_us,
             }
-        }
-        candidates.push(best.expect("the structural filter keeps at least one configuration"));
-    }
+        })
+        .collect();
     let chosen = candidates
         .iter()
         .cloned()
@@ -1455,28 +1389,6 @@ mod tests {
     }
 
     #[test]
-    fn certified_format_tuning_preserves_the_exhaustive_bfcoo_winner() {
-        let device = GpuDevice::titan_x();
-        let tensor = sample();
-        let op = TensorOp::SpMttkrp { mode: 0 };
-        let grids = (Some(&[64usize, 128][..]), Some(&[8usize, 16][..]));
-        let exhaustive = fcoo::tune_format_with_filter(
-            &device,
-            &tensor,
-            FormatKind::BfCoo,
-            op,
-            8,
-            grids.0,
-            grids.1,
-            |_, _| true,
-        );
-        let certified =
-            tune_certified_format(&device, &tensor, FormatKind::BfCoo, op, 8, grids.0, grids.1);
-        assert_eq!(certified.best_pair(), exhaustive.best_pair());
-        assert!(certified.launches <= certified.grid_points);
-    }
-
-    #[test]
     fn format_plan_gate_rejects_corrupt_buckets() {
         let config = DeviceConfig::titan_x();
         let op = TensorOp::SpMttkrp { mode: 0 };
@@ -1495,30 +1407,6 @@ mod tests {
                 .any(|f| f.message.contains("format-invariants refuted")),
             "{report}"
         );
-    }
-
-    #[test]
-    fn pruned_tuning_reports_residual_unknowns() {
-        let device = GpuDevice::titan_x();
-        let tensor = sample();
-        let result = tune_pruned(
-            &device,
-            &tensor,
-            TensorOp::SpMttkrp { mode: 0 },
-            8,
-            None,
-            None,
-        );
-        // Every unknown pair was actually launched, never pruned.
-        let launched: Vec<(usize, usize)> = result
-            .surface
-            .iter()
-            .map(|p| (p.block_size, p.threadlen))
-            .collect();
-        for pair in &result.unknown {
-            assert!(launched.contains(pair), "{pair:?} not launched");
-            assert!(!result.pruned.contains(pair), "{pair:?} also pruned");
-        }
     }
 
     #[test]

@@ -246,7 +246,8 @@ fn pruned_tuning_selects_the_same_winner_with_fewer_launches() {
     let tensor = sample(4_000);
     let op = TensorOp::SpMttkrp { mode: 0 };
     let exhaustive = fcoo::tune(&device, &tensor, op, 8, None, None);
-    let pruned = analyzer::tune_pruned(&device, &tensor, op, 8, None, None);
+    let keep = analyzer::tune_filter(device.config(), &fcoo::BLOCK_SIZES);
+    let pruned = fcoo::tune_with_filter(&device, &tensor, op, 8, None, None, keep);
     assert_eq!(
         exhaustive.best_pair(),
         pruned.best_pair(),

@@ -29,13 +29,10 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("unified", &info.name), &(), |b, _| {
             b.iter(|| {
-                let mut engine = UnifiedGpuEngine::new(
-                    GpuDevice::titan_x(),
-                    &tensor,
-                    16,
-                    LaunchConfig::default(),
-                )
-                .expect("fits");
+                let device = GpuDevice::titan_x();
+                let mut engine =
+                    UnifiedGpuEngine::new(&device, &tensor, 16, LaunchConfig::default().block_size)
+                        .expect("fits");
                 cp_als(&tensor, &mut engine, &opts).expect("device sized for CP-ALS")
             })
         });

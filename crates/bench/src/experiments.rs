@@ -626,8 +626,9 @@ pub fn fig10(nnz: usize) -> Vec<(String, CpRun)> {
             format!("{}-SPLATT", info.name),
             cp_als(&tensor, &mut splatt, &opts).expect("SPLATT computes every MTTKRP"),
         ));
+        let device = GpuDevice::titan_x();
         let mut unified =
-            UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 16, LaunchConfig::default())
+            UnifiedGpuEngine::new(&device, &tensor, 16, LaunchConfig::default().block_size)
                 .expect("fits");
         out.push((
             format!("{}-Unified", info.name),

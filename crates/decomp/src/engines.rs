@@ -1,16 +1,21 @@
 //! MTTKRP engines for the CP-ALS driver.
 //!
-//! * [`UnifiedGpuEngine`] — the paper's implementation: F-COO preprocessed
-//!   for all modes on the host, transferred to the (simulated) GPU once, one
-//!   unified kernel per mode per iteration (§IV-D, §V-E);
+//! * [`UnifiedGpuEngine`] — the paper's implementation and the one GPU
+//!   engine: its input is one pre-resolved [`ModePlan`] per mode (a resident
+//!   format, the block size it launches at, the factor rows the other modes'
+//!   formats index). Formats stay resident, one unified kernel runs per mode
+//!   per iteration, and the dense updates overlap on a second stream (§IV-D,
+//!   §V-E). [`UnifiedGpuEngine::new`] is the F-COO, all-rows case; the
+//!   serving engine passes the formats its pool admitted;
 //! * [`SplattEngine`] — SPLATT's CSF trees, one per mode, MTTKRP on the CPU
 //!   pool (the Fig. 10 competitor);
 //! * [`ReferenceEngine`] — the sequential oracle from `tensor_core::ops`.
 
 use crate::cp::{MttkrpEngine, MttkrpError};
 use baselines::csf::{mttkrp_csf, Csf};
-use fcoo::{DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
+use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
 use gpu_sim::{GpuDevice, OutOfMemory, Timeline};
+use std::sync::Arc;
 use tensor_core::{DenseMatrix, SparseTensorCoo};
 
 /// Sequential reference engine (correctness oracle, wall-clock timed).
@@ -42,15 +47,49 @@ impl MttkrpEngine for ReferenceEngine<'_> {
     }
 }
 
-/// The paper's CP engine: unified F-COO kernels on the simulated GPU.
+/// One mode's pre-resolved MTTKRP plan.
+#[derive(Debug, Clone)]
+pub struct ModePlan {
+    /// The mode's resident format, built for `SpMttkrp { mode }`.
+    pub format: Arc<AnyFormatDevice>,
+    /// Threads per block the mode's kernel launches at.
+    pub block_size: usize,
+    /// The rows of this mode's factor that the other modes' formats index,
+    /// ascending: every row for formats over full coordinates, the touched
+    /// rows for formats over compact ones (`fcoo::compact_tensor`).
+    pub rows: Vec<u32>,
+}
+
+impl ModePlan {
+    /// Mode `mode`'s F-COO over full coordinates, uploaded to `device`.
+    pub fn fcoo(
+        device: &GpuDevice,
+        tensor: &SparseTensorCoo,
+        mode: usize,
+        threadlen: usize,
+        block_size: usize,
+    ) -> Result<ModePlan, OutOfMemory> {
+        let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, threadlen);
+        Ok(ModePlan {
+            format: Arc::new(AnyFormatDevice::Fcoo(FcooDevice::upload(
+                device.memory(),
+                &fcoo,
+            )?)),
+            block_size,
+            rows: (0..tensor.shape()[mode] as u32).collect(),
+        })
+    }
+}
+
+/// The paper's CP engine: unified kernels on the simulated GPU.
 ///
-/// F-COO is preprocessed for every mode up front and stays resident, so "no
+/// Every mode's format is preprocessed up front and stays resident, so "no
 /// format conversions or CPU-GPU data transfers happen inside a CP
-/// iteration" (§IV-D).
-pub struct UnifiedGpuEngine {
-    device: GpuDevice,
-    /// Each mode's resident F-COO and the launch configuration it runs at.
-    per_mode: Vec<(FcooDevice, LaunchConfig)>,
+/// iteration" (§IV-D) beyond the factors: each MTTKRP uploads only its
+/// product-mode factors, gathered to the rows its format indexes.
+pub struct UnifiedGpuEngine<'d> {
+    device: &'d GpuDevice,
+    plans: Vec<ModePlan>,
     /// Two-stream timeline (§V-E): stream 0 runs the MTTKRP kernels, stream
     /// 1 the CUBLAS-style dense operations; Gram products of the *other*
     /// factors overlap the MTTKRP, only the solve waits for its result.
@@ -58,83 +97,57 @@ pub struct UnifiedGpuEngine {
     last_mttkrp_finish: f64,
 }
 
-impl UnifiedGpuEngine {
-    /// Preprocesses and uploads F-COO for every mode.
+impl<'d> UnifiedGpuEngine<'d> {
+    /// An engine over pre-resolved per-mode plans on `device`.
+    pub fn from_plans(device: &'d GpuDevice, plans: Vec<ModePlan>) -> Self {
+        UnifiedGpuEngine {
+            device,
+            plans,
+            timeline: Timeline::new(2),
+            last_mttkrp_finish: 0.0,
+        }
+    }
+
+    /// Preprocesses and uploads F-COO over full coordinates for every mode,
+    /// all launched at `block_size`.
     pub fn new(
-        device: GpuDevice,
+        device: &'d GpuDevice,
         tensor: &SparseTensorCoo,
         threadlen: usize,
-        cfg: LaunchConfig,
+        block_size: usize,
     ) -> Result<Self, OutOfMemory> {
-        let per_mode = (0..tensor.order())
-            .map(|mode| {
-                let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, threadlen);
-                Ok((FcooDevice::upload(device.memory(), &fcoo)?, cfg.clone()))
-            })
-            .collect::<Result<Vec<_>, OutOfMemory>>()?;
-        Ok(UnifiedGpuEngine {
-            device,
-            per_mode,
-            timeline: Timeline::new(2),
-            last_mttkrp_finish: 0.0,
-        })
-    }
-
-    /// Preprocesses with per-mode tuned `(BLOCK_SIZE, threadlen)` parameters
-    /// (the paper runs its experiments with Table V's tuned configurations).
-    /// Sweeps a reduced grid per mode, then uploads the winning F-COO; each
-    /// mode launches at its own winning block size.
-    pub fn new_tuned(
-        device: GpuDevice,
-        tensor: &SparseTensorCoo,
-        rank: usize,
-    ) -> Result<Self, OutOfMemory> {
-        let mut per_mode = Vec::with_capacity(tensor.order());
-        for mode in 0..tensor.order() {
-            let result = fcoo::tune(
-                &device,
-                tensor,
-                TensorOp::SpMttkrp { mode },
-                rank,
-                Some(&[64, 128, 512]),
-                Some(&[8, 32]),
-            );
-            let (block_size, threadlen) = result.best_pair();
-            let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, threadlen);
-            per_mode.push((
-                FcooDevice::upload(device.memory(), &fcoo)?,
-                LaunchConfig::with_block_size(block_size),
-            ));
-        }
-        Ok(UnifiedGpuEngine {
-            device,
-            per_mode,
-            timeline: Timeline::new(2),
-            last_mttkrp_finish: 0.0,
-        })
-    }
-
-    /// The simulated device (for memory statistics).
-    pub fn device(&self) -> &GpuDevice {
-        &self.device
+        let plans = (0..tensor.order())
+            .map(|mode| ModePlan::fcoo(device, tensor, mode, threadlen, block_size))
+            .collect::<Result<_, _>>()?;
+        Ok(UnifiedGpuEngine::from_plans(device, plans))
     }
 }
 
-impl MttkrpEngine for UnifiedGpuEngine {
+impl MttkrpEngine for UnifiedGpuEngine<'_> {
     fn mttkrp(
         &mut self,
         mode: usize,
         factors: &[DenseMatrix],
     ) -> Result<(DenseMatrix, f64), MttkrpError> {
+        // A serving engine sizes the device before the run, so there an
+        // `OutOfMemory` is almost always an injected allocation failure; its
+        // integrity barrier tells those from genuine exhaustion.
         let oom = |e: OutOfMemory| MttkrpError(format!("device allocation failed: {e}"));
-        let uploaded: Vec<DeviceMatrix> = factors
-            .iter()
-            .map(|f| DeviceMatrix::upload(self.device.memory(), f))
-            .collect::<Result<_, _>>()
+        let uploaded = (0..factors.len())
+            .filter(|&m| m != mode)
+            .map(|m| {
+                let compact = fcoo::gather_rows(&factors[m], &self.plans[m].rows);
+                DeviceMatrix::upload(self.device.memory(), &compact)
+            })
+            .collect::<Result<Vec<_>, _>>()
             .map_err(oom)?;
-        let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-        let (fcoo, cfg) = &self.per_mode[mode];
-        let (result, stats) = fcoo::spmttkrp(&self.device, fcoo, &refs, cfg).map_err(oom)?;
+        let refs = fcoo::mttkrp_refs(&uploaded, mode, factors.len());
+        let plan = &self.plans[mode];
+        let cfg = LaunchConfig::with_block_size(plan.block_size);
+        let (result, stats) = plan
+            .format
+            .spmttkrp(self.device, &refs, &cfg)
+            .map_err(oom)?;
         self.last_mttkrp_finish = self.timeline.push(0, stats.time_us);
         Ok((result, stats.time_us))
     }
@@ -200,6 +213,7 @@ impl MttkrpEngine for SplattEngine {
 mod tests {
     use super::*;
     use crate::cp::{cp_als, CpOptions};
+    use fcoo::{AnyFormat, FormatKind};
     use tensor_core::datasets::{self, DatasetKind};
 
     fn options() -> CpOptions {
@@ -211,6 +225,48 @@ mod tests {
         }
     }
 
+    /// Per-mode plans over full coordinates in the given formats and launch
+    /// shapes.
+    fn plans(
+        device: &GpuDevice,
+        tensor: &SparseTensorCoo,
+        shapes: &[(FormatKind, usize, usize)],
+    ) -> Vec<ModePlan> {
+        shapes
+            .iter()
+            .enumerate()
+            .map(|(mode, &(kind, block_size, threadlen))| {
+                let format = AnyFormat::build(kind, tensor, TensorOp::SpMttkrp { mode }, threadlen);
+                ModePlan {
+                    format: Arc::new(format.upload(device.memory()).unwrap()),
+                    block_size,
+                    rows: (0..tensor.shape()[mode] as u32).collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Each mode's certified `(format, BLOCK_SIZE, threadlen)` choice.
+    fn selected(tensor: &SparseTensorCoo, rank: usize) -> Vec<(FormatKind, usize, usize)> {
+        (0..tensor.order())
+            .map(|mode| {
+                let choice = analyzer::tune_select(
+                    &gpu_sim::DeviceConfig::titan_x(),
+                    tensor,
+                    TensorOp::SpMttkrp { mode },
+                    rank,
+                    None,
+                    None,
+                );
+                (
+                    choice.kind(),
+                    choice.chosen.block_size,
+                    choice.chosen.threadlen,
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn engines_agree_on_fit() {
         let (tensor, _) = datasets::generate(DatasetKind::Nell2, 2500, 70);
@@ -220,9 +276,8 @@ mod tests {
         let mut splatt = SplattEngine::new(&tensor);
         let splatt_run =
             cp_als(&tensor, &mut splatt, &options()).expect("engine computes every MTTKRP");
-        let mut unified =
-            UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 8, LaunchConfig::default())
-                .unwrap();
+        let device = GpuDevice::titan_x();
+        let mut unified = UnifiedGpuEngine::new(&device, &tensor, 8, 128).unwrap();
         let unified_run =
             cp_als(&tensor, &mut unified, &options()).expect("engine computes every MTTKRP");
         // Same initialization, same math → same trajectory up to f32 noise.
@@ -233,9 +288,8 @@ mod tests {
     #[test]
     fn unified_engine_reports_simulated_time_and_model_other() {
         let (tensor, _) = datasets::generate(DatasetKind::Brainq, 4000, 71);
-        let mut unified =
-            UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 8, LaunchConfig::default())
-                .unwrap();
+        let device = GpuDevice::titan_x();
+        let mut unified = UnifiedGpuEngine::new(&device, &tensor, 8, 128).unwrap();
         let run = cp_als(&tensor, &mut unified, &options()).expect("engine computes every MTTKRP");
         assert_eq!(run.engine, "unified-gpu");
         assert!(run.mode_us.iter().all(|&t| t > 0.0));
@@ -243,13 +297,79 @@ mod tests {
     }
 
     #[test]
+    fn mttkrp_allocates_only_formats_product_factors_and_output() {
+        let (tensor, _) = datasets::generate(DatasetKind::Brainq, 4000, 71);
+        let device = GpuDevice::titan_x();
+        let mut unified = UnifiedGpuEngine::new(&device, &tensor, 8, 128).unwrap();
+        let formats = device.memory().live_bytes();
+        device.memory().reset_peak();
+        let opts = CpOptions {
+            max_iters: 1,
+            ..options()
+        };
+        cp_als(&tensor, &mut unified, &opts).expect("engine computes every MTTKRP");
+        // Mode n's MTTKRP holds the order - 1 product factors and its
+        // R-column output: together one full-size factor per mode, whatever
+        // n is. The mode-n factor itself never goes up.
+        let factors: usize = tensor.shape().iter().map(|&s| s * opts.rank * 4).sum();
+        assert_eq!(device.memory().peak_bytes(), formats + factors);
+        assert_eq!(
+            device.memory().live_bytes(),
+            formats,
+            "factors and outputs freed"
+        );
+    }
+
+    #[test]
+    fn compact_plans_match_full_plans_bit_for_bit() {
+        // Hypersparse: most factor rows are never touched.
+        let (tensor, _) = datasets::generate(DatasetKind::Delicious, 3000, 78);
+        let touched: Vec<Vec<u32>> = (0..tensor.order())
+            .map(|m| fcoo::touched_rows(tensor.mode_indices(m)))
+            .collect();
+        assert!((0..tensor.order()).any(|m| touched[m].len() < tensor.shape()[m]));
+        let device = GpuDevice::titan_x();
+        let compact: Vec<ModePlan> = (0..tensor.order())
+            .map(|mode| {
+                let op = TensorOp::SpMttkrp { mode };
+                let fcoo = Fcoo::from_coo(&fcoo::compact_tensor(&tensor, op, &touched), op, 8);
+                ModePlan {
+                    format: Arc::new(AnyFormatDevice::Fcoo(
+                        FcooDevice::upload(device.memory(), &fcoo).unwrap(),
+                    )),
+                    block_size: 128,
+                    rows: touched[mode].clone(),
+                }
+            })
+            .collect();
+        let compact_run = cp_als(
+            &tensor,
+            &mut UnifiedGpuEngine::from_plans(&device, compact),
+            &options(),
+        )
+        .expect("engine computes every MTTKRP");
+        let full_device = GpuDevice::titan_x();
+        let mut full = UnifiedGpuEngine::new(&full_device, &tensor, 8, 128).unwrap();
+        let full_run =
+            cp_als(&tensor, &mut full, &options()).expect("engine computes every MTTKRP");
+        assert_eq!(compact_run.model.lambda, full_run.model.lambda);
+        for (c, f) in compact_run
+            .model
+            .factors
+            .iter()
+            .zip(&full_run.model.factors)
+        {
+            assert_eq!(c.data(), f.data());
+        }
+    }
+
+    #[test]
     fn unified_mode_times_are_balanced() {
         // §V-B/Fig. 10: the unified method's per-mode MTTKRP times are
         // "very similar and well-balanced" even on the oddly-shaped brainq.
         let (tensor, _) = datasets::generate(DatasetKind::Brainq, 10_000, 72);
-        let mut unified =
-            UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 8, LaunchConfig::default())
-                .unwrap();
+        let device = GpuDevice::titan_x();
+        let mut unified = UnifiedGpuEngine::new(&device, &tensor, 8, 128).unwrap();
         let run = cp_als(&tensor, &mut unified, &options()).expect("engine computes every MTTKRP");
         let max = run.mode_us.iter().copied().fold(0.0f64, f64::max);
         let min = run.mode_us.iter().copied().fold(f64::INFINITY, f64::min);
@@ -258,30 +378,22 @@ mod tests {
 
     #[test]
     fn tuned_engine_launches_each_mode_at_its_own_block_size() {
-        let (tensor, _) = datasets::generate(DatasetKind::Brainq, 4000, 77);
+        let (tensor, _) = datasets::generate(DatasetKind::Brainq, 1500, 77);
         let opts = options();
-        let tuned_block = |mode| {
-            fcoo::tune(
-                &GpuDevice::titan_x(),
-                &tensor,
-                TensorOp::SpMttkrp { mode },
-                opts.rank,
-                Some(&[64, 128, 512]),
-                Some(&[8, 32]),
-            )
-            .best_pair()
-            .0
-        };
-        let expected: Vec<usize> = (0..tensor.order()).map(tuned_block).collect();
+        let shapes = selected(&tensor, opts.rank);
+        let expected: Vec<usize> = shapes
+            .iter()
+            .map(|&(_, block_size, _)| block_size)
+            .collect();
         assert!(
             expected.iter().any(|&b| b != expected[0]),
-            "the modes must tune to different block sizes: {expected:?}"
+            "the modes must select different block sizes: {expected:?}"
         );
-        let mut tuned =
-            UnifiedGpuEngine::new_tuned(GpuDevice::titan_x(), &tensor, opts.rank).unwrap();
-        tuned.device().start_tracing();
+        let device = GpuDevice::titan_x();
+        let mut tuned = UnifiedGpuEngine::from_plans(&device, plans(&device, &tensor, &shapes));
+        device.start_tracing();
         cp_als(&tensor, &mut tuned, &opts).expect("engine computes every MTTKRP");
-        let launches = tuned.device().stop_tracing().launches;
+        let launches = device.stop_tracing().launches;
         assert_eq!(launches.len(), opts.max_iters * tensor.order());
         for (i, launch) in launches.iter().enumerate() {
             let mode = i % tensor.order();
@@ -296,16 +408,18 @@ mod tests {
     fn tuned_engine_matches_default_engine_results() {
         let (tensor, _) = datasets::generate(DatasetKind::Nell2, 4000, 76);
         let opts = options();
-        let mut default_engine =
-            UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 8, LaunchConfig::default())
-                .unwrap();
+        let device = GpuDevice::titan_x();
+        let mut default_engine = UnifiedGpuEngine::new(&device, &tensor, 8, 128).unwrap();
         let default_run =
             cp_als(&tensor, &mut default_engine, &opts).expect("engine computes every MTTKRP");
+        let tuned_device = GpuDevice::titan_x();
+        let shapes = selected(&tensor, opts.rank);
         let mut tuned =
-            UnifiedGpuEngine::new_tuned(GpuDevice::titan_x(), &tensor, opts.rank).unwrap();
+            UnifiedGpuEngine::from_plans(&tuned_device, plans(&tuned_device, &tensor, &shapes));
         let tuned_run = cp_als(&tensor, &mut tuned, &opts).expect("engine computes every MTTKRP");
         assert!((default_run.fit - tuned_run.fit).abs() < 1e-3);
-        // Tuning can only help or tie on total simulated kernel time.
+        // Certified selection can only help or tie on total simulated
+        // kernel time.
         let default_mttkrp: f64 = default_run.mode_us.iter().sum();
         let tuned_mttkrp: f64 = tuned_run.mode_us.iter().sum();
         assert!(
@@ -317,9 +431,8 @@ mod tests {
     #[test]
     fn two_stream_overlap_shortens_the_makespan() {
         let (tensor, _) = datasets::generate(DatasetKind::Nell2, 6000, 74);
-        let mut unified =
-            UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 8, LaunchConfig::default())
-                .unwrap();
+        let device = GpuDevice::titan_x();
+        let mut unified = UnifiedGpuEngine::new(&device, &tensor, 8, 128).unwrap();
         let run = cp_als(&tensor, &mut unified, &options()).expect("engine computes every MTTKRP");
         let overlapped = run
             .overlapped_total_us
@@ -349,6 +462,6 @@ mod tests {
     fn engine_preprocessing_fails_cleanly_on_tiny_device() {
         let (tensor, _) = datasets::generate(DatasetKind::Nell2, 5000, 73);
         let device = GpuDevice::new(gpu_sim::DeviceConfig::titan_x_scaled_memory(1e-7));
-        assert!(UnifiedGpuEngine::new(device, &tensor, 8, LaunchConfig::default()).is_err());
+        assert!(UnifiedGpuEngine::new(&device, &tensor, 8, 128).is_err());
     }
 }

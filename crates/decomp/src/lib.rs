@@ -2,9 +2,9 @@
 //!
 //! * [`cp_als`] — CP decomposition by alternating least squares (the paper's
 //!   Algorithm 1), with the MTTKRP pluggable through [`MttkrpEngine`]:
-//!   the paper's [`UnifiedGpuEngine`] (F-COO on the simulated GPU, first GPU
-//!   CP implementation per §V-E), [`SplattEngine`] (CSF on the CPU pool), or
-//!   the sequential [`ReferenceEngine`];
+//!   the paper's [`UnifiedGpuEngine`] (per-mode [`ModePlan`]s on the
+//!   simulated GPU, first GPU CP implementation per §V-E), [`SplattEngine`]
+//!   (CSF on the CPU pool), or the sequential [`ReferenceEngine`];
 //! * [`tucker_hooi`] — the Tucker/HOOI extension the paper sketches,
 //!   implemented on the unified SpTTMc kernel.
 
@@ -13,5 +13,5 @@ pub mod engines;
 pub mod tucker;
 
 pub use cp::{cp_als, CpModel, CpOptions, CpRun, MttkrpEngine, MttkrpError};
-pub use engines::{ReferenceEngine, SplattEngine, UnifiedGpuEngine};
+pub use engines::{ModePlan, ReferenceEngine, SplattEngine, UnifiedGpuEngine};
 pub use tucker::{tucker_hooi, TuckerModel, TuckerOptions};

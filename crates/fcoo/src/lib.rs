@@ -48,7 +48,6 @@ pub mod format;
 pub mod formats;
 pub mod kernels;
 pub mod modes;
-pub mod multi;
 pub mod pack;
 pub mod serialize;
 pub mod tune;
@@ -64,10 +63,7 @@ pub use kernels::{
     ColumnTiling, LaunchConfig, BUCKET_SHUFFLE_OPS,
 };
 pub use modes::{ModeClassification, TensorOp};
-pub use multi::{spmttkrp_multi_gpu, MultiGpuStats};
-pub use pack::{compact_tensor, touched_rows};
+pub use pack::{compact_tensor, gather_rows, mttkrp_refs, touched_rows};
 pub use serialize::{read_fcoo, write_fcoo, DecodeError};
-pub use tune::{
-    tune, tune_format_with_filter, tune_with_filter, TunePoint, TuneResult, BLOCK_SIZES, THREADLENS,
-};
+pub use tune::{tune, tune_with_filter, TunePoint, TuneResult, BLOCK_SIZES, THREADLENS};
 pub use two_step::{spmttkrp_two_step_device, spmttkrp_two_step_unified, TwoStepOutcome};

@@ -13,9 +13,14 @@
 //! `bf`/`sf` flags, the segments and BF-COO's buckets of the compact format
 //! equal those of the original, and every output coordinate (the index
 //! modes) is unchanged. A fully touched mode renumbers to itself.
+//! [`gather_rows`] builds the matching compact factor on the host, and
+//! [`mttkrp_refs`] lays the uploaded product factors out as SpMTTKRP's
+//! arguments.
 
+use crate::device::DeviceMatrix;
 use crate::modes::{ModeClassification, TensorOp};
-use tensor_core::{Idx, SparseTensorCoo};
+use std::cmp::Ordering;
+use tensor_core::{DenseMatrix, Idx, SparseTensorCoo};
 
 /// The sorted distinct coordinates of one mode: the rows of that mode's
 /// factor any kernel over the tensor can read.
@@ -41,6 +46,30 @@ pub fn compact_tensor(
         compact.compact_mode(mode, &touched[mode]);
     }
     compact
+}
+
+/// Rows `rows` of `host`, in order: the compact factor a format over
+/// compact coordinates indexes.
+pub fn gather_rows(host: &DenseMatrix, rows: &[u32]) -> DenseMatrix {
+    let mut data = Vec::with_capacity(rows.len() * host.cols());
+    for &row in rows {
+        data.extend_from_slice(host.row(row as usize));
+    }
+    DenseMatrix::from_vec(rows.len(), host.cols(), data)
+}
+
+/// SpMTTKRP's factor arguments from its `order - 1` product-mode factors,
+/// ascending: one per tensor mode, the ignored mode-`mode` slot aliasing
+/// the first product factor, so the operating mode's factor never needs
+/// an upload.
+pub fn mttkrp_refs(products: &[DeviceMatrix], mode: usize, order: usize) -> Vec<&DeviceMatrix> {
+    (0..order)
+        .map(|m| match m.cmp(&mode) {
+            Ordering::Less => &products[m],
+            Ordering::Equal => &products[0],
+            Ordering::Greater => &products[m - 1],
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,10 +5,9 @@
 //! behaviour, so the best configuration is found empirically by sweeping the
 //! two parameters and timing the kernel on the simulated device.
 
-use crate::device::DeviceMatrix;
+use crate::device::{DeviceMatrix, FcooDevice};
 use crate::format::Fcoo;
-use crate::formats::{AnyFormat, AnyFormatDevice, FormatKind};
-use crate::kernels::LaunchConfig;
+use crate::kernels::{self, LaunchConfig};
 use crate::modes::TensorOp;
 use gpu_sim::GpuDevice;
 use tensor_core::{DenseMatrix, SparseTensorCoo};
@@ -40,12 +39,6 @@ pub struct TuneResult {
     /// `(block_size, threadlen)` pairs the keep-filter removed before any
     /// launch was simulated (empty for unfiltered [`tune`]).
     pub pruned: Vec<(usize, usize)>,
-    /// `(block_size, threadlen)` pairs that were launched because a static
-    /// verdict stayed `Unknown` — i.e. the analyzer degraded to the dynamic
-    /// sanitizer for them. The sweep itself never fills this; callers with a
-    /// static model (see `analyzer::tune_pruned`) annotate it so the grid's
-    /// residual uncertainty is visible next to the prune count.
-    pub unknown: Vec<(usize, usize)>,
 }
 
 impl TuneResult {
@@ -89,33 +82,6 @@ pub fn tune_with_filter(
     threadlens: Option<&[usize]>,
     keep: impl Fn(&Fcoo, usize) -> bool,
 ) -> TuneResult {
-    tune_format_with_filter(
-        device,
-        tensor,
-        FormatKind::Fcoo,
-        op,
-        rank,
-        block_sizes,
-        threadlens,
-        keep,
-    )
-}
-
-/// [`tune_with_filter`] for any serving format: preprocesses `tensor` into
-/// `kind` per threadlen and sweeps the kept block sizes through that
-/// format's gather schedule. The keep-filter still sees the shared F-COO
-/// payload (launch-shape reasoning is format-independent).
-#[allow(clippy::too_many_arguments)]
-pub fn tune_format_with_filter(
-    device: &GpuDevice,
-    tensor: &SparseTensorCoo,
-    kind: FormatKind,
-    op: TensorOp,
-    rank: usize,
-    block_sizes: Option<&[usize]>,
-    threadlens: Option<&[usize]>,
-    keep: impl Fn(&Fcoo, usize) -> bool,
-) -> TuneResult {
     let block_sizes = block_sizes.unwrap_or(&BLOCK_SIZES);
     let threadlens = threadlens.unwrap_or(&THREADLENS);
     let factors: Vec<DenseMatrix> = tensor
@@ -128,12 +94,12 @@ pub fn tune_format_with_filter(
     let mut pruned = Vec::new();
     for &threadlen in threadlens {
         // Format preprocessing depends on threadlen but not on block size.
-        let format = AnyFormat::build(kind, tensor, op, threadlen);
+        let fcoo = Fcoo::from_coo(tensor, op, threadlen);
         let kept: Vec<usize> = block_sizes
             .iter()
             .copied()
             .filter(|&block_size| {
-                let keep_it = keep(format.base(), block_size);
+                let keep_it = keep(&fcoo, block_size);
                 if !keep_it {
                     pruned.push((block_size, threadlen));
                 }
@@ -143,12 +109,11 @@ pub fn tune_format_with_filter(
         if kept.is_empty() {
             continue;
         }
-        let format_dev = format
-            .upload(device.memory())
+        let on_device = FcooDevice::upload(device.memory(), &fcoo)
             .expect("tuning tensor must fit on the device");
         for block_size in kept {
             let cfg = LaunchConfig::with_block_size(block_size);
-            let time_us = run_once_any(device, &format_dev, &factors, &cfg);
+            let time_us = run_once(device, &on_device, &factors, &cfg);
             surface.push(TunePoint {
                 block_size,
                 threadlen,
@@ -165,46 +130,39 @@ pub fn tune_format_with_filter(
         surface,
         best,
         pruned,
-        unknown: Vec::new(),
     }
 }
 
-fn run_once_any(
+fn run_once(
     device: &GpuDevice,
-    format: &AnyFormatDevice,
+    fcoo: &FcooDevice,
     factors: &[DenseMatrix],
     cfg: &LaunchConfig,
 ) -> f64 {
-    let base = format.base();
-    match base.op {
+    let upload =
+        |m: usize| DeviceMatrix::upload(device.memory(), &factors[m]).expect("factor upload");
+    match fcoo.op {
         TensorOp::SpTtm { mode } => {
-            let u = DeviceMatrix::upload(device.memory(), &factors[mode]).expect("factor upload");
-            let (_, stats) = format.spttm(device, &u, cfg).expect("spttm launch");
+            let u = upload(mode);
+            let (_, stats) = kernels::spttm(device, fcoo, &u, cfg).expect("spttm launch");
             stats.time_us
         }
         TensorOp::SpMttkrp { .. } => {
-            let uploaded: Vec<DeviceMatrix> = factors
-                .iter()
-                .map(|f| DeviceMatrix::upload(device.memory(), f).expect("factor upload"))
-                .collect();
+            let uploaded: Vec<DeviceMatrix> = (0..factors.len()).map(upload).collect();
             let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            let (_, stats) = format
-                .spmttkrp(device, &refs, cfg)
-                .expect("spmttkrp launch");
+            let (_, stats) = kernels::spmttkrp(device, fcoo, &refs, cfg).expect("spmttkrp launch");
             stats.time_us
         }
         TensorOp::SpTtmc { .. } => {
-            let pm = &base.classification.product_modes;
-            let uploaded: Vec<DeviceMatrix> = pm
+            let uploaded: Vec<DeviceMatrix> = fcoo
+                .classification
+                .product_modes
                 .iter()
-                .map(|&m| {
-                    DeviceMatrix::upload(device.memory(), &factors[m]).expect("factor upload")
-                })
+                .map(|&m| upload(m))
                 .collect();
             let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            let (_, stats) = format
-                .spttmc_norder(device, &refs, cfg)
-                .expect("spttmc launch");
+            let (_, stats) =
+                kernels::spttmc_norder(device, fcoo, &refs, cfg).expect("spttmc launch");
             stats.time_us
         }
     }

@@ -19,9 +19,10 @@ use crate::profile::{RequestProfile, ServeProfile};
 use crate::scheduler::{Placement, Scheduler};
 use crate::upload::{self, DeviceFactors, FactorPlan};
 use crate::workload::{Request, ServeOp, Workload};
-use decomp::cp::{cp_als, CpOptions, MttkrpEngine, MttkrpError};
+use decomp::cp::{cp_als, CpOptions, CpRun, MttkrpEngine, MttkrpError};
+use decomp::engines::{ModePlan, UnifiedGpuEngine};
 use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
-use gpu_sim::{DeviceConfig, FaultConfig, FaultEvent, GpuDevice, LaunchTrace, Timeline};
+use gpu_sim::{DeviceConfig, FaultConfig, FaultEvent, GpuDevice, LaunchTrace};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -1722,7 +1723,16 @@ impl ServeEngine {
         }
 
         let block_sizes: Vec<usize> = plans.iter().map(|p| p.block_size).collect();
-        let format_refs: Vec<&AnyFormatDevice> = formats.iter().map(Arc::as_ref).collect();
+        let mode_plans: Vec<ModePlan> = formats
+            .into_iter()
+            .zip(&block_sizes)
+            .zip(&self.tensors[&request.tensor_id].touched)
+            .map(|((format, &block_size), rows)| ModePlan {
+                format,
+                block_size,
+                rows: rows.clone(),
+            })
+            .collect();
         let opts = CpOptions {
             rank,
             max_iters: iterations,
@@ -1736,17 +1746,18 @@ impl ServeEngine {
             &[ExecTier::Unified, ExecTier::Cpu],
             true,
             |engine, tier| {
-                let registered = &engine.tensors[&request.tensor_id];
+                let tensor = &engine.tensors[&request.tensor_id].tensor;
                 let ran = match tier {
-                    ExecTier::Cpu => Ok(run_host_cp(&registered.tensor, &opts)),
-                    _ => run_planned_cp(
-                        &engine.devices[device],
-                        &format_refs,
-                        &block_sizes,
-                        &registered.touched,
-                        &registered.tensor,
-                        &opts,
-                    ),
+                    ExecTier::Cpu => Ok(run_host_cp(tensor, &opts)),
+                    _ => {
+                        let mut gpu = UnifiedGpuEngine::from_plans(
+                            &engine.devices[device],
+                            mode_plans.clone(),
+                        );
+                        cp_als(tensor, &mut gpu, &opts)
+                            .map(cp_output)
+                            .map_err(|e| e.to_string())
+                    }
                 };
                 let launches = engine.drain_launches(device);
                 ran.map(|run| (run, launches))
@@ -2379,104 +2390,17 @@ fn transient_bytes_for(fcoo: &Fcoo, factors: &FactorPlan) -> usize {
     factors.transient_bytes(output_bytes)
 }
 
-/// CP-ALS MTTKRP engine over pre-admitted per-mode formats: one unified
-/// kernel per mode per iteration, each at its own plan's block size, dense
-/// updates on a second stream (§V-E).
-struct PlannedCpEngine<'a> {
-    device: &'a GpuDevice,
-    formats: &'a [&'a AnyFormatDevice],
-    block_sizes: &'a [usize],
-    /// Per mode, the factor rows the formats' product coordinates index.
-    rows: &'a [Vec<u32>],
-    timeline: Timeline,
-    last_mttkrp_finish: f64,
-}
-
-impl MttkrpEngine for PlannedCpEngine<'_> {
-    fn mttkrp(
-        &mut self,
-        mode: usize,
-        factors: &[DenseMatrix],
-    ) -> Result<(DenseMatrix, f64), MttkrpError> {
-        // Admission control sized the device for CP factors, so an
-        // `OutOfMemory` here is almost always an *injected* allocation
-        // failure. It ends the attempt: the serving engine's integrity
-        // barrier tells injected failures (retry, then degrade to the host)
-        // from genuine exhaustion (reject).
-        let oom =
-            |e: gpu_sim::OutOfMemory| MttkrpError(format!("transient allocation failed: {e}"));
-        // Only the product-mode factors go up, each as the rows its
-        // coordinates index; the ignored mode-`mode` slot aliases one.
-        let uploaded = (0..factors.len())
-            .filter(|&m| m != mode)
-            .map(|m| {
-                let compact = upload::gather_rows(&factors[m], &self.rows[m]);
-                DeviceMatrix::upload(self.device.memory(), &compact)
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(oom)?;
-        let refs = upload::mttkrp_refs(&uploaded, mode, factors.len());
-        let cfg = LaunchConfig::with_block_size(self.block_sizes[mode]);
-        let (result, stats) = self.formats[mode]
-            .spmttkrp(self.device, &refs, &cfg)
-            .map_err(oom)?;
-        self.last_mttkrp_finish = self.timeline.push(0, stats.time_us);
-        Ok((result, stats.time_us))
-    }
-
-    fn dense_update_us(&mut self, rows: usize, rank: usize) -> Option<f64> {
-        // Same CUBLAS-style model as `decomp::engines::UnifiedGpuEngine`:
-        // Gram products overlap the MTTKRP on stream 1; the solve waits.
-        let config = self.device.config();
-        let peak_flops_per_us = config.total_cores() as f64 * 2.0 * config.clock_ghz * 1e3;
-        let effective = 0.1 * peak_flops_per_us;
-        let gram_flops = 2.0 * rows as f64 * (rank * rank) as f64;
-        let gram_us = gram_flops / effective + 2.0 * config.launch_overhead_us;
-        let solve_us = (rank * rank * rank) as f64 / effective + config.launch_overhead_us;
-        self.timeline.push(1, gram_us);
-        self.timeline
-            .push_after(1, self.last_mttkrp_finish, solve_us);
-        Some(gram_us + solve_us)
-    }
-
-    fn overlapped_elapsed_us(&self) -> Option<f64> {
-        Some(self.timeline.elapsed_us())
-    }
-
-    fn name(&self) -> &'static str {
-        "serve-planned"
-    }
-}
-
-/// Runs CP-ALS over pre-resolved per-mode formats launched at their
-/// per-mode block sizes; `rows[m]` lists the factor rows mode `m`'s format
-/// coordinates index. Returns the factor model and the two-stream GPU
-/// makespan in microseconds, or why an MTTKRP could not run.
-fn run_planned_cp(
-    device: &GpuDevice,
-    formats: &[&AnyFormatDevice],
-    block_sizes: &[usize],
-    rows: &[Vec<u32>],
-    tensor: &SparseTensorCoo,
-    opts: &CpOptions,
-) -> Result<(JobOutput, f64), String> {
-    let mut engine = PlannedCpEngine {
-        device,
-        formats,
-        block_sizes,
-        rows,
-        timeline: Timeline::new(2),
-        last_mttkrp_finish: 0.0,
-    };
-    let run = cp_als(tensor, &mut engine, opts).map_err(|e| e.to_string())?;
-    let gpu_us = run.overlapped_total_us.unwrap_or_else(|| run.total_us());
-    Ok((
+/// The factor model of a finished CP-ALS run and its makespan in
+/// microseconds (the engine's two-stream timeline).
+fn cp_output(run: CpRun) -> (JobOutput, f64) {
+    let us = run.overlapped_total_us.unwrap_or_else(|| run.total_us());
+    (
         JobOutput::Cp {
             factors: run.model.factors,
             lambda: run.model.lambda,
         },
-        gpu_us,
-    ))
+        us,
+    )
 }
 
 /// Sequential host MTTKRP engine with the analytic timing model — the CP
@@ -2524,15 +2448,7 @@ fn run_host_cp(tensor: &SparseTensorCoo, opts: &CpOptions) -> (JobOutput, f64) {
         tensor,
         elapsed_us: 0.0,
     };
-    let run = cp_als(tensor, &mut engine, opts).expect("the host engine computes every MTTKRP");
-    let host_us = run.overlapped_total_us.unwrap_or_else(|| run.total_us());
-    (
-        JobOutput::Cp {
-            factors: run.model.factors,
-            lambda: run.model.lambda,
-        },
-        host_us,
-    )
+    cp_output(cp_als(tensor, &mut engine, opts).expect("the host engine computes every MTTKRP"))
 }
 
 /// Computes the request's result the same way the given ladder tier would,
@@ -2650,29 +2566,23 @@ pub fn one_shot_cp_reference(
     block_sizes: &[usize],
 ) -> Option<JobOutput> {
     let device = GpuDevice::new(device_config.clone());
-    let fcoos: Vec<Fcoo> = (0..tensor.order())
-        .map(|mode| Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, threadlens[mode]))
-        .collect();
-    let formats: Vec<AnyFormatDevice> = fcoos
-        .iter()
-        .map(|f| FcooDevice::upload(device.memory(), f).map(AnyFormatDevice::Fcoo))
+    let plans = (0..tensor.order())
+        .map(|mode| ModePlan::fcoo(&device, tensor, mode, threadlens[mode], block_sizes[mode]))
         .collect::<Result<_, _>>()
         .ok()?;
-    let format_refs: Vec<&AnyFormatDevice> = formats.iter().collect();
     let opts = CpOptions {
         rank,
         max_iters: iterations,
         tol: 1e-5,
         seed: factor_seed,
     };
-    let all_rows: Vec<Vec<u32>> = tensor
-        .shape()
-        .iter()
-        .map(|&s| (0..s as u32).collect())
-        .collect();
-    let (output, _) =
-        run_planned_cp(&device, &format_refs, block_sizes, &all_rows, tensor, &opts).ok()?;
-    Some(output)
+    let run = cp_als(
+        tensor,
+        &mut UnifiedGpuEngine::from_plans(&device, plans),
+        &opts,
+    )
+    .ok()?;
+    Some(cp_output(run).0)
 }
 
 #[cfg(test)]

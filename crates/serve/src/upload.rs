@@ -7,14 +7,14 @@
 //! here aliases a product factor instead of costing an upload). Every
 //! serving plan's format is built over compact product-mode coordinates
 //! ([`fcoo::compact_tensor`]), so each factor goes up as exactly its
-//! touched rows: one `touched × R` matrix gathered on the host. The byte
+//! touched rows: one `touched × R` matrix gathered on the host
+//! ([`fcoo::gather_rows`]). The byte
 //! count depends only on the tensor and the rank, so [`FactorPlan`] sizes
 //! the request's device bytes and the shed rule's transfer term before
 //! admission, and [`upload`] carries it out.
 
 use fcoo::{DeviceMatrix, TensorOp};
 use gpu_sim::{GpuDevice, OutOfMemory};
-use std::cmp::Ordering;
 use tensor_core::DenseMatrix;
 
 /// Microseconds a host↔device copy of `bytes` takes at `pcie_gbs` GB/s
@@ -39,16 +39,6 @@ fn product_modes(op: TensorOp, order: usize) -> Vec<usize> {
             (0..order).filter(|&m| m != mode).collect()
         }
     }
-}
-
-/// Rows `rows` of `host`, in order: the compact factor a format over
-/// compact coordinates indexes.
-pub(crate) fn gather_rows(host: &DenseMatrix, rows: &[u32]) -> DenseMatrix {
-    let mut data = Vec::with_capacity(rows.len() * host.cols());
-    for &row in rows {
-        data.extend_from_slice(host.row(row as usize));
-    }
-    DenseMatrix::from_vec(rows.len(), host.cols(), data)
 }
 
 /// How one factor crosses PCIe.
@@ -123,7 +113,7 @@ impl DeviceFactors {
     /// product mode for SpTTMc.
     pub(crate) fn refs(&self) -> Vec<&DeviceMatrix> {
         match self.op {
-            TensorOp::SpMttkrp { mode } => mttkrp_refs(&self.matrices, mode, self.order),
+            TensorOp::SpMttkrp { mode } => fcoo::mttkrp_refs(&self.matrices, mode, self.order),
             TensorOp::SpTtm { .. } | TensorOp::SpTtmc { .. } => self.matrices.iter().collect(),
         }
     }
@@ -142,23 +132,6 @@ impl DeviceFactors {
     }
 }
 
-/// SpMTTKRP's factor arguments from its `order - 1` product-mode factors,
-/// ascending: one per tensor mode, the ignored mode-`mode` slot aliasing
-/// the first product factor.
-pub(crate) fn mttkrp_refs(
-    products: &[DeviceMatrix],
-    mode: usize,
-    order: usize,
-) -> Vec<&DeviceMatrix> {
-    (0..order)
-        .map(|m| match m.cmp(&mode) {
-            Ordering::Less => &products[m],
-            Ordering::Equal => &products[0],
-            Ordering::Greater => &products[m - 1],
-        })
-        .collect()
-}
-
 /// Builds the request's host factors (seeded per mode) and uploads each
 /// product-mode factor's touched rows as `plan` says.
 pub(crate) fn upload(
@@ -173,7 +146,7 @@ pub(crate) fn upload(
         .map(|m| {
             let host =
                 DenseMatrix::random(m.rows, plan.rank, factor_seed_for_mode(factor_seed, m.mode));
-            DeviceMatrix::upload(device.memory(), &gather_rows(&host, &touched[m.mode]))
+            DeviceMatrix::upload(device.memory(), &fcoo::gather_rows(&host, &touched[m.mode]))
         })
         .collect::<Result<Vec<_>, _>>()?;
     Ok(DeviceFactors {

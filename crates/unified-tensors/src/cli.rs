@@ -134,9 +134,9 @@ pub fn cp(tensor: &SparseTensorCoo, rank: usize, iters: usize) -> Result<String,
         tol: 1e-6,
         seed: 1,
     };
-    let mut engine =
-        UnifiedGpuEngine::new(GpuDevice::titan_x(), tensor, 16, LaunchConfig::default())
-            .map_err(|e| err(format!("device out of memory: {e}")))?;
+    let device = GpuDevice::titan_x();
+    let mut engine = UnifiedGpuEngine::new(&device, tensor, 16, LaunchConfig::default().block_size)
+        .map_err(|e| err(format!("device out of memory: {e}")))?;
     let run = cp_als(tensor, &mut engine, &opts).map_err(|e| err(format!("cp-als failed: {e}")))?;
     let mut out = String::new();
     let _ = writeln!(
@@ -616,7 +616,7 @@ pub fn certify(
                     "  winner: B={wb} T={wt} — {:.1} µs measured; envelopes overlapped \
                      on {} configurations, so those were launched",
                     tuned.best.time_us,
-                    tuned.unknown.len()
+                    tuned.surface.len()
                 );
             }
             (None, None) => unreachable!("tune_certified always resolves a winner"),

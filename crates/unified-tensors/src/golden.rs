@@ -62,6 +62,20 @@ fn factors(tensor: &SparseTensorCoo) -> Vec<DenseMatrix> {
         .collect()
 }
 
+/// The golden rows' tuning: the grid swept with the analyzer's structural
+/// pruning (untraced).
+fn tune(device: &GpuDevice, tensor: &SparseTensorCoo, op: TensorOp) -> fcoo::TuneResult {
+    fcoo::tune_with_filter(
+        device,
+        tensor,
+        op,
+        RANK,
+        Some(&BLOCK_SIZES),
+        Some(&THREADLENS),
+        analyzer::tune_filter(device.config(), &BLOCK_SIZES),
+    )
+}
+
 /// Tunes (untraced), then runs one unified kernel traced on `device` and
 /// returns the drained counters.
 fn run_unified(
@@ -73,14 +87,7 @@ fn run_unified(
     // A fresh device per row keeps rows independent: cache state warmed by
     // one row's tuning or execution never leaks into another's counters.
     let device = &GpuDevice::new(config.clone());
-    let tuned = analyzer::tune_pruned(
-        device,
-        tensor,
-        op,
-        RANK,
-        Some(&BLOCK_SIZES),
-        Some(&THREADLENS),
-    );
+    let tuned = tune(device, tensor, op);
     let (block_size, threadlen) = tuned.best_pair();
     let cfg = LaunchConfig {
         block_size,
@@ -280,14 +287,7 @@ fn run_wide_spttm(config: &DeviceConfig, tensor: &SparseTensorCoo) -> GoldenRun 
 /// degradation ladder does).
 fn run_two_step(config: &DeviceConfig, tensor: &SparseTensorCoo) -> GoldenRun {
     let device = &GpuDevice::new(config.clone());
-    let tuned = analyzer::tune_pruned(
-        device,
-        tensor,
-        TensorOp::SpMttkrp { mode: MODE },
-        RANK,
-        Some(&BLOCK_SIZES),
-        Some(&THREADLENS),
-    );
+    let tuned = tune(device, tensor, TensorOp::SpMttkrp { mode: MODE });
     let (block_size, threadlen) = tuned.best_pair();
     let cfg = LaunchConfig {
         block_size,

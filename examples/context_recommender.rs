@@ -21,9 +21,9 @@ fn main() {
         tol: 1e-6,
         seed: 5,
     };
-    let mut engine =
-        UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 8, LaunchConfig::default())
-            .expect("tensor fits on the device");
+    let device = GpuDevice::titan_x();
+    let mut engine = UnifiedGpuEngine::new(&device, &tensor, 8, LaunchConfig::default().block_size)
+        .expect("tensor fits on the device");
     let run = cp_als(&tensor, &mut engine, &opts).expect("engine computes every MTTKRP");
     println!(
         "CP rank-{} factorization: fit {:.3} in {} iterations ({:.1} ms simulated GPU time)\n",

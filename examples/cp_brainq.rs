@@ -24,8 +24,9 @@ fn main() {
     report(&splatt_run);
 
     println!("\n== Unified (F-COO, simulated Titan X) ==");
+    let device = GpuDevice::titan_x();
     let mut unified =
-        UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 16, LaunchConfig::default())
+        UnifiedGpuEngine::new(&device, &tensor, 16, LaunchConfig::default().block_size)
             .expect("brainq fits on the device");
     let unified_run = cp_als(&tensor, &mut unified, &opts).expect("engine computes every MTTKRP");
     report(&unified_run);

@@ -52,8 +52,9 @@ fn cp_engines_produce_matching_fits() {
     let ref_run = cp_als(&tensor, &mut reference, &opts).expect("engine computes every MTTKRP");
     let mut splatt = SplattEngine::new(&tensor);
     let splatt_run = cp_als(&tensor, &mut splatt, &opts).expect("engine computes every MTTKRP");
+    let device = GpuDevice::titan_x();
     let mut unified =
-        UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 8, LaunchConfig::default()).unwrap();
+        UnifiedGpuEngine::new(&device, &tensor, 8, LaunchConfig::default().block_size).unwrap();
     let unified_run = cp_als(&tensor, &mut unified, &opts).expect("engine computes every MTTKRP");
     assert!(
         (ref_run.fit - splatt_run.fit).abs() < 1e-3,
@@ -69,8 +70,9 @@ fn cp_engines_produce_matching_fits() {
 #[test]
 fn cp_on_gpu_recovers_planted_structure() {
     let tensor = planted_low_rank([40, 30, 20], 3, 0.35, 301);
+    let device = GpuDevice::titan_x();
     let mut unified =
-        UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 8, LaunchConfig::default()).unwrap();
+        UnifiedGpuEngine::new(&device, &tensor, 8, LaunchConfig::default().block_size).unwrap();
     let run = cp_als(
         &tensor,
         &mut unified,
@@ -99,8 +101,9 @@ fn cp_brainq_rank8_converges_and_balances_modes() {
         tol: 1e-7,
         seed: 6,
     };
+    let device = GpuDevice::titan_x();
     let mut unified =
-        UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 16, LaunchConfig::default()).unwrap();
+        UnifiedGpuEngine::new(&device, &tensor, 16, LaunchConfig::default().block_size).unwrap();
     let run = cp_als(&tensor, &mut unified, &opts).expect("engine computes every MTTKRP");
     assert!(run.fit > 0.0 && run.fit <= 1.0);
     let max = run.mode_us.iter().copied().fold(0.0f64, f64::max);

@@ -97,8 +97,9 @@ fn cp_als_runs_on_4_order_tensors() {
     };
     let mut reference = ReferenceEngine::new(&tensor);
     let ref_run = cp_als(&tensor, &mut reference, &opts).expect("engine computes every MTTKRP");
+    let device = GpuDevice::titan_x();
     let mut unified =
-        UnifiedGpuEngine::new(GpuDevice::titan_x(), &tensor, 8, LaunchConfig::default())
+        UnifiedGpuEngine::new(&device, &tensor, 8, LaunchConfig::default().block_size)
             .expect("fits");
     let unified_run = cp_als(&tensor, &mut unified, &opts).expect("engine computes every MTTKRP");
     assert_eq!(ref_run.model.factors.len(), 4);
