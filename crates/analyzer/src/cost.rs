@@ -489,8 +489,8 @@ enum GatherPlan {
 /// Certified counter envelope of one unified-kernel launch over `fcoo` at
 /// factor rank `rank` under `cfg` — without simulating anything.
 ///
-/// The envelope covers exactly what a traced
-/// `spttm_into`/`spmttkrp_into`/`spttmc_norder_into` launch reports (the
+/// The envelope covers exactly what a traced F-COO
+/// `AnyFormatDevice::launch_into` reports (the
 /// per-factor rank is `rank` for every product mode, matching the tuner and
 /// the golden suite). For the two-step baseline use [`certify_two_step`];
 /// for chunked out-of-core pipelines use [`certify_chunked`].
@@ -1259,27 +1259,16 @@ fn certify_fiber_reduction(
     fold_launch(&blocks, concurrent, bt, grid_x * rank, config)
 }
 
-/// Certified whole-pipeline envelope of an out-of-core chunked run
-/// (`ooc::run_chunked`): the sum of per-chunk launch envelopes over the
-/// plan, each chunk certified on its self-contained extracted format. The
-/// measured [`KernelCounters`] of a traced chunked run satisfy the summed
-/// bounds because chunk launches execute back to back and
-/// [`KernelCounters::merge`] is a field-wise sum.
-pub fn certify_chunked(
-    config: &DeviceConfig,
-    fcoo: &Fcoo,
-    plan: &ChunkPlan,
-    rank: usize,
-    cfg: &LaunchConfig,
-) -> CounterEnvelope {
-    certify_chunked_format(config, FormatKind::Fcoo, fcoo, plan, rank, cfg)
-}
-
-/// [`certify_chunked`] for any serving format. The chunk boundaries live in
-/// the shared F-COO payload; per-chunk bucket metadata is re-derived from
-/// each extracted chunk (exactly what the format-generic out-of-core
+/// Certified whole-pipeline envelope of an out-of-core chunked run in
+/// format `kind` (`ooc::run_chunked`): the sum of per-chunk launch
+/// envelopes over the plan, each chunk certified on its self-contained
+/// extracted format. The measured [`KernelCounters`] of a traced chunked
+/// run satisfy the summed bounds because chunk launches execute back to
+/// back and [`KernelCounters::merge`] is a field-wise sum. The chunk
+/// boundaries live in the shared F-COO payload; per-chunk bucket metadata
+/// is re-derived from each extracted chunk (exactly what the out-of-core
 /// executor uploads), so the per-chunk envelopes match the traced launches.
-pub fn certify_chunked_format(
+pub fn certify_chunked(
     config: &DeviceConfig,
     kind: FormatKind,
     fcoo: &Fcoo,
@@ -1380,8 +1369,9 @@ pub fn gather_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcoo::{DeviceMatrix, FcooDevice};
+    use fcoo::{AnyFormatDevice, DeviceMatrix, FcooDevice};
     use gpu_sim::GpuDevice;
+    use std::sync::Arc;
     use tensor_core::datasets::{self, DatasetKind};
     use tensor_core::DenseMatrix;
 
@@ -1501,7 +1491,7 @@ mod tests {
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 8);
         let budget = (fcoo.storage().total_bytes() / 4).max(1);
         let plan = fcoo::chunk::split(&fcoo, budget);
-        let envelope = certify_chunked(&config, &fcoo, &plan, RANK, &cfg);
+        let envelope = certify_chunked(&config, FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
         let device = GpuDevice::titan_x();
         let hosts: Vec<DenseMatrix> = tensor
             .shape()
@@ -1510,7 +1500,7 @@ mod tests {
             .map(|(m, &n)| DenseMatrix::random(n, RANK, 1 + m as u64))
             .collect();
         device.start_tracing();
-        ooc_run(&device, &fcoo, &plan, &hosts, &cfg);
+        ooc_run(&device, FormatKind::Fcoo, &fcoo, &plan, &hosts, &cfg);
         let measured = device.stop_tracing().counters();
         assert_eq!(envelope.violations(&measured), Vec::<String>::new());
         assert_eq!(envelope.launches, plan.len() as u64);
@@ -1520,6 +1510,7 @@ mod tests {
     // chunked execution loop is small enough to inline for the test.
     fn ooc_run(
         device: &GpuDevice,
+        kind: FormatKind,
         fcoo: &Fcoo,
         plan: &ChunkPlan,
         hosts: &[DenseMatrix],
@@ -1532,13 +1523,13 @@ mod tests {
         let refs: Vec<&DeviceMatrix> = factors.iter().collect();
         for desc in &plan.chunks {
             let chunk = fcoo::chunk::extract(fcoo, desc);
-            let on_device = FcooDevice::upload(device.memory(), &chunk).unwrap();
+            let on_device = AnyFormatDevice::upload_as(device.memory(), kind, &chunk).unwrap();
             let rows = chunk.shape[match chunk.op {
                 TensorOp::SpMttkrp { mode } => mode,
                 _ => unreachable!("test uses MTTKRP"),
             }];
             let out = device.memory().alloc_zeroed::<f32>(rows * RANK).unwrap();
-            fcoo::kernels::spmttkrp_into(device, &on_device, &refs, cfg, &out);
+            on_device.launch_into(device, &refs, cfg, &out);
         }
     }
 
@@ -1550,7 +1541,9 @@ mod tests {
     ) -> KernelCounters {
         let device = GpuDevice::titan_x();
         let bf = BfCoo::from_coo(tensor, op, threadlen);
-        let on_device = fcoo::BfCooDevice::upload(device.memory(), &bf).unwrap();
+        let on_device = AnyFormat::BfCoo(Arc::new(bf))
+            .upload(device.memory())
+            .unwrap();
         let factors: Vec<DeviceMatrix> = tensor
             .shape()
             .iter()
@@ -1560,21 +1553,13 @@ mod tests {
                 DeviceMatrix::upload(device.memory(), &host).unwrap()
             })
             .collect();
+        let refs: Vec<&DeviceMatrix> = op
+            .factor_modes(tensor.order())
+            .into_iter()
+            .map(|m| &factors[m])
+            .collect();
         device.start_tracing();
-        match op {
-            TensorOp::SpTtm { mode } => {
-                on_device.spttm(&device, &factors[mode], cfg).unwrap();
-            }
-            TensorOp::SpMttkrp { .. } => {
-                let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-                on_device.spmttkrp(&device, &refs, cfg).unwrap();
-            }
-            TensorOp::SpTtmc { .. } => {
-                let pm = &on_device.base.classification.product_modes;
-                let refs: Vec<&DeviceMatrix> = pm.iter().map(|&m| &factors[m]).collect();
-                on_device.spttmc_norder(&device, &refs, cfg).unwrap();
-            }
-        }
+        on_device.launch(&device, &refs, cfg).unwrap();
         device.stop_tracing().counters()
     }
 
@@ -1639,7 +1624,7 @@ mod tests {
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 8);
         let budget = (fcoo.storage().total_bytes() / 4).max(1);
         let plan = fcoo::chunk::split(&fcoo, budget);
-        let envelope = certify_chunked_format(&config, FormatKind::BfCoo, &fcoo, &plan, RANK, &cfg);
+        let envelope = certify_chunked(&config, FormatKind::BfCoo, &fcoo, &plan, RANK, &cfg);
         let device = GpuDevice::titan_x();
         let hosts: Vec<DenseMatrix> = tensor
             .shape()
@@ -1647,19 +1632,8 @@ mod tests {
             .enumerate()
             .map(|(m, &n)| DenseMatrix::random(n, RANK, 1 + m as u64))
             .collect();
-        let factors: Vec<DeviceMatrix> = hosts
-            .iter()
-            .map(|h| DeviceMatrix::upload(device.memory(), h).unwrap())
-            .collect();
-        let refs: Vec<&DeviceMatrix> = factors.iter().collect();
         device.start_tracing();
-        for desc in &plan.chunks {
-            let chunk = BfCoo::from_fcoo(fcoo::chunk::extract(&fcoo, desc));
-            let rows = chunk.base.shape[0];
-            let on_device = fcoo::BfCooDevice::upload(device.memory(), &chunk).unwrap();
-            let out = device.memory().alloc_zeroed::<f32>(rows * RANK).unwrap();
-            on_device.spmttkrp_into(&device, &refs, &cfg, &out);
-        }
+        ooc_run(&device, FormatKind::BfCoo, &fcoo, &plan, &hosts, &cfg);
         let measured = device.stop_tracing().counters();
         assert_eq!(envelope.violations(&measured), Vec::<String>::new());
         assert_eq!(envelope.launches, plan.len() as u64);

@@ -1,4 +1,4 @@
-//! ParTI-GPU-style baselines (Li et al. [13], [18]), re-implemented on the
+//! ParTI-GPU-style baselines (Li et al. \[13\], \[18\]), re-implemented on the
 //! shared simulator.
 //!
 //! Two design decisions — both criticized by the paper — characterize these

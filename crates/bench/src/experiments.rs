@@ -666,7 +666,7 @@ pub fn render_cp(runs: &[(String, CpRun)]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md design-choice benches)
+// Ablations (DESIGN.md design-choice experiments)
 // ---------------------------------------------------------------------------
 
 /// One ablation comparison: optimization on vs off.

@@ -1,11 +1,11 @@
 //! Shared harness for regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md's experiment index).
 //!
-//! The criterion benches under `benches/` and the `repro` binary both call
-//! into this crate: each `figN_*` / `tableN_*` function runs the relevant
-//! implementations on the synthetic FROSTT-like datasets and returns rows
-//! ready for printing. GPU numbers are simulated microseconds from the
-//! analytic device model; CPU numbers are wall-clock microseconds.
+//! The `repro` binary calls into this crate: each `figN_*` / `tableN_*`
+//! function runs the relevant implementations on the synthetic FROSTT-like
+//! datasets and returns rows ready for printing. GPU numbers are simulated
+//! microseconds from the analytic device model; CPU numbers are wall-clock
+//! microseconds.
 
 pub mod experiments;
 pub mod table;
@@ -41,13 +41,4 @@ pub fn make_factors(tensor: &SparseTensorCoo, rank: usize, seed: u64) -> Vec<Den
         .enumerate()
         .map(|(m, &n)| DenseMatrix::random(n, rank, seed + m as u64))
         .collect()
-}
-
-/// Non-zero budget for criterion benches (`BENCH_NNZ`, default 20k — small
-/// enough that a full `cargo bench` stays in minutes).
-pub fn bench_nnz() -> usize {
-    std::env::var("BENCH_NNZ")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000)
 }

@@ -25,13 +25,12 @@
 //! bucket streams plus the per-run shuffle demux make F-COO the certified
 //! winner — exactly the cross-format trade the planner arbitrates.
 
-use crate::device::{DeviceMatrix, FcooDevice};
+use crate::device::FcooDevice;
 use crate::format::Fcoo;
-use crate::kernels::{self, GatherLayout, LaunchConfig};
 use crate::modes::TensorOp;
 use gpu_sim::memory::{DeviceBuffer, DeviceMemory};
-use gpu_sim::{GpuDevice, KernelStats, OutOfMemory};
-use tensor_core::{DenseMatrix, SemiSparseTensor, SparseTensorCoo};
+use gpu_sim::OutOfMemory;
+use tensor_core::SparseTensorCoo;
 
 /// Non-zeros per bucketed gather run. Warps start on 32-thread boundaries,
 /// so every warp's non-zero span starts on a multiple of `RUN = 32` for any
@@ -136,107 +135,41 @@ pub struct BfCooDevice {
 impl BfCooDevice {
     /// Transfers a host BF-COO instance to device memory.
     pub fn upload(memory: &DeviceMemory, bfcoo: &BfCoo) -> Result<Self, OutOfMemory> {
-        let base = FcooDevice::upload(memory, &bfcoo.base)?;
-        let buckets = bfcoo
-            .buckets
+        Self::upload_parts(memory, &bfcoo.base, &bfcoo.buckets)
+    }
+
+    /// Uploads an F-COO payload and its bucket metadata, in that order.
+    pub(crate) fn upload_parts(
+        memory: &DeviceMemory,
+        base: &Fcoo,
+        buckets: &[Vec<u32>],
+    ) -> Result<Self, OutOfMemory> {
+        let base = FcooDevice::upload(memory, base)?;
+        let buckets = buckets
             .iter()
             .map(|column| memory.alloc_from_slice(column))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(BfCooDevice { base, buckets })
-    }
-
-    /// Number of segments (output fibers/slices).
-    pub fn segments(&self) -> usize {
-        self.base.segments()
-    }
-
-    /// Number of thread partitions.
-    pub fn partitions(&self) -> usize {
-        self.base.partitions()
-    }
-
-    fn layout(&self) -> GatherLayout<'_> {
-        GatherLayout::Bucketed {
-            buckets: &self.buckets,
-        }
-    }
-
-    /// [`crate::spttm`] with the bucketed gather schedule; bit-exact with
-    /// the F-COO result.
-    pub fn spttm(
-        &self,
-        device: &GpuDevice,
-        u: &DeviceMatrix,
-        cfg: &LaunchConfig,
-    ) -> Result<(SemiSparseTensor, KernelStats), OutOfMemory> {
-        kernels::spttm_with_layout(device, &self.base, u, cfg, self.layout())
-    }
-
-    /// [`crate::spttm_into`] with the bucketed gather schedule.
-    pub fn spttm_into(
-        &self,
-        device: &GpuDevice,
-        u: &DeviceMatrix,
-        cfg: &LaunchConfig,
-        out: &DeviceBuffer<f32>,
-    ) -> KernelStats {
-        kernels::spttm_into_with_layout(device, &self.base, u, cfg, out, self.layout())
-    }
-
-    /// [`crate::spmttkrp`] with the bucketed gather schedule.
-    pub fn spmttkrp(
-        &self,
-        device: &GpuDevice,
-        factors: &[&DeviceMatrix],
-        cfg: &LaunchConfig,
-    ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-        kernels::spmttkrp_with_layout(device, &self.base, factors, cfg, self.layout())
-    }
-
-    /// [`crate::spmttkrp_into`] with the bucketed gather schedule.
-    pub fn spmttkrp_into(
-        &self,
-        device: &GpuDevice,
-        factors: &[&DeviceMatrix],
-        cfg: &LaunchConfig,
-        out: &DeviceBuffer<f32>,
-    ) -> KernelStats {
-        kernels::spmttkrp_into_with_layout(device, &self.base, factors, cfg, out, self.layout())
-    }
-
-    /// [`crate::spttmc_norder`] with the bucketed gather schedule.
-    pub fn spttmc_norder(
-        &self,
-        device: &GpuDevice,
-        product_factors: &[&DeviceMatrix],
-        cfg: &LaunchConfig,
-    ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-        kernels::spttmc_norder_with_layout(device, &self.base, product_factors, cfg, self.layout())
-    }
-
-    /// [`crate::spttmc_norder_into`] with the bucketed gather schedule.
-    pub fn spttmc_norder_into(
-        &self,
-        device: &GpuDevice,
-        product_factors: &[&DeviceMatrix],
-        cfg: &LaunchConfig,
-        out: &DeviceBuffer<f32>,
-    ) -> KernelStats {
-        kernels::spttmc_norder_into_with_layout(
-            device,
-            &self.base,
-            product_factors,
-            cfg,
-            out,
-            self.layout(),
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnyFormatDevice, DeviceMatrix, LaunchConfig};
+    use gpu_sim::GpuDevice;
     use tensor_core::datasets::{self, DatasetKind};
+    use tensor_core::DenseMatrix;
+
+    /// The F-COO and BF-COO launch entries over one BF-COO instance.
+    fn both_formats(device: &GpuDevice, bf: &BfCoo) -> (AnyFormatDevice, AnyFormatDevice) {
+        let fc_dev = FcooDevice::upload(device.memory(), &bf.base).unwrap();
+        let bf_dev = BfCooDevice::upload(device.memory(), bf).unwrap();
+        (
+            AnyFormatDevice::Fcoo(fc_dev),
+            AnyFormatDevice::BfCoo(bf_dev),
+        )
+    }
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
@@ -278,12 +211,11 @@ mod tests {
         let device = GpuDevice::titan_x();
         for mode in 0..3 {
             let bf = BfCoo::from_coo(&tensor, TensorOp::SpTtm { mode }, 8);
-            let fc_dev = FcooDevice::upload(device.memory(), &bf.base).unwrap();
-            let bf_dev = BfCooDevice::upload(device.memory(), &bf).unwrap();
+            let (fc_dev, bf_dev) = both_formats(&device, &bf);
             let u_host = DenseMatrix::random(tensor.shape()[mode], 16, 7);
             let u = DeviceMatrix::upload(device.memory(), &u_host).unwrap();
             let cfg = LaunchConfig::default();
-            let (reference, _) = kernels::spttm(&device, &fc_dev, &u, &cfg).unwrap();
+            let (reference, _) = fc_dev.spttm(&device, &u, &cfg).unwrap();
             let (result, stats) = bf_dev.spttm(&device, &u, &cfg).unwrap();
             assert_eq!(result.nfibs(), reference.nfibs());
             for fib in 0..result.nfibs() {
@@ -303,8 +235,7 @@ mod tests {
         let (tensor, _) = datasets::generate(DatasetKind::Nell1, 2500, 12);
         let device = GpuDevice::titan_x();
         let bf = BfCoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 16);
-        let fc_dev = FcooDevice::upload(device.memory(), &bf.base).unwrap();
-        let bf_dev = BfCooDevice::upload(device.memory(), &bf).unwrap();
+        let (fc_dev, bf_dev) = both_formats(&device, &bf);
         let factors: Vec<DeviceMatrix> = tensor
             .shape()
             .iter()
@@ -330,8 +261,8 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let (reference, _) = kernels::spmttkrp(&device, &fc_dev, &refs, &cfg).unwrap();
-            let (result, _) = bf_dev.spmttkrp(&device, &refs, &cfg).unwrap();
+            let (reference, _) = fc_dev.launch(&device, &refs, &cfg).unwrap();
+            let (result, _) = bf_dev.launch(&device, &refs, &cfg).unwrap();
             assert_eq!(bits(result.data()), bits(reference.data()));
         }
     }
@@ -341,8 +272,7 @@ mod tests {
         let (tensor, _) = datasets::generate(DatasetKind::Delicious, 2000, 13);
         let device = GpuDevice::titan_x();
         let bf = BfCoo::from_coo(&tensor, TensorOp::SpTtmc { mode: 0 }, 8);
-        let fc_dev = FcooDevice::upload(device.memory(), &bf.base).unwrap();
-        let bf_dev = BfCooDevice::upload(device.memory(), &bf).unwrap();
+        let (fc_dev, bf_dev) = both_formats(&device, &bf);
         let a = DeviceMatrix::upload(
             device.memory(),
             &DenseMatrix::random(tensor.shape()[1], 4, 21),
@@ -354,8 +284,8 @@ mod tests {
         )
         .unwrap();
         let cfg = LaunchConfig::default();
-        let (reference, _) = kernels::spttmc_norder(&device, &fc_dev, &[&a, &b], &cfg).unwrap();
-        let (result, _) = bf_dev.spttmc_norder(&device, &[&a, &b], &cfg).unwrap();
+        let (reference, _) = fc_dev.launch(&device, &[&a, &b], &cfg).unwrap();
+        let (result, _) = bf_dev.launch(&device, &[&a, &b], &cfg).unwrap();
         assert_eq!(bits(result.data()), bits(reference.data()));
     }
 

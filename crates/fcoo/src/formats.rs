@@ -22,13 +22,14 @@
 //! [`AnyFormat`]/[`AnyFormatDevice`] are the runtime-dispatch companions:
 //! the serve plan cache stores an [`AnyFormat`] (host side, hashed and
 //! persisted), the pool uploads it once into an [`AnyFormatDevice`], and
-//! the engine launches through the dispatch methods without naming a
-//! concrete format anywhere.
+//! the engine launches through [`AnyFormatDevice::launch`] without naming
+//! a concrete format anywhere: the operation comes from the format's
+//! stored classification, the gather schedule from its kind.
 
 use crate::bfcoo::{BfCoo, BfCooDevice};
 use crate::device::{DeviceMatrix, FcooDevice};
 use crate::format::Fcoo;
-use crate::kernels::{self, LaunchConfig};
+use crate::kernels::{self, GatherLayout, LaunchConfig};
 use crate::modes::TensorOp;
 use gpu_sim::memory::{DeviceBuffer, DeviceMemory};
 use gpu_sim::{GpuDevice, KernelStats, OutOfMemory};
@@ -233,8 +234,8 @@ impl AnyFormat {
     }
 }
 
-/// A device-resident format of either kind, dispatching the unified
-/// kernels to the format's gather schedule.
+/// A device-resident format of either kind: the unified kernel's launch
+/// entry, running the format's operation on its gather schedule.
 #[derive(Debug)]
 pub enum AnyFormatDevice {
     /// Uploaded F-COO.
@@ -261,87 +262,107 @@ impl AnyFormatDevice {
         }
     }
 
-    /// Dispatched [`crate::spttm`].
+    /// Uploads an F-COO payload as a `kind` format, deriving the format's
+    /// schedule metadata from the payload on the way: how an out-of-core
+    /// chunk, a slice of the F-COO stream, runs in either format.
+    pub fn upload_as(
+        memory: &DeviceMemory,
+        kind: FormatKind,
+        fcoo: &Fcoo,
+    ) -> Result<AnyFormatDevice, OutOfMemory> {
+        Ok(match kind {
+            FormatKind::Fcoo => AnyFormatDevice::Fcoo(FcooDevice::upload(memory, fcoo)?),
+            FormatKind::BfCoo => AnyFormatDevice::BfCoo(BfCooDevice::upload_parts(
+                memory,
+                fcoo,
+                &crate::bfcoo::bucket_counts(fcoo),
+            )?),
+        })
+    }
+
+    /// The uploaded F-COO payload and the gather schedule its format runs.
+    fn schedule(&self) -> (&FcooDevice, GatherLayout<'_>) {
+        match self {
+            AnyFormatDevice::Fcoo(f) => (f, GatherLayout::Strided),
+            AnyFormatDevice::BfCoo(b) => (
+                &b.base,
+                GatherLayout::Bucketed {
+                    buckets: &b.buckets,
+                },
+            ),
+        }
+    }
+
+    /// Runs the unified kernel for the format's operation, accumulating
+    /// into `out` without clearing it: an all-zero buffer gives the
+    /// operation's result, while a buffer whose first row carries a running
+    /// partial sum extends that sum — the out-of-core path's chunk-boundary
+    /// seeding (`crates/ooc`). Returns the kernel statistics.
+    ///
+    /// `factors` are listed as [`TensorOp::factor_modes`] says: `[U]` for
+    /// SpTTM, one matrix per tensor mode for SpMTTKRP (the operating mode's
+    /// entry is ignored), one per product mode (ascending) for SpTTMc. `out`
+    /// is `rows × columns`, row-major: one row per segment for SpTTM (in
+    /// the order of the format's `segment_coords_host`), per operating-mode
+    /// coordinate otherwise; `R` columns, or `Π R_p` for SpTTMc.
+    ///
+    /// # Panics
+    /// If the factors do not fit the format or `out` has the wrong size.
+    pub fn launch_into(
+        &self,
+        device: &GpuDevice,
+        factors: &[&DeviceMatrix],
+        cfg: &LaunchConfig,
+        out: &DeviceBuffer<f32>,
+    ) -> KernelStats {
+        let (fcoo, layout) = self.schedule();
+        kernels::launch_into(device, fcoo, layout, factors, cfg, out)
+    }
+
+    /// [`AnyFormatDevice::launch_into`] a zero-allocated output, returned
+    /// as a dense `rows × columns` block.
+    pub fn launch(
+        &self,
+        device: &GpuDevice,
+        factors: &[&DeviceMatrix],
+        cfg: &LaunchConfig,
+    ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
+        let (fcoo, layout) = self.schedule();
+        kernels::launch(device, fcoo, layout, factors, cfg)
+    }
+
+    /// [`crate::spttm`] on this format's gather schedule.
     pub fn spttm(
         &self,
         device: &GpuDevice,
         u: &DeviceMatrix,
         cfg: &LaunchConfig,
     ) -> Result<(SemiSparseTensor, KernelStats), OutOfMemory> {
-        match self {
-            AnyFormatDevice::Fcoo(f) => kernels::spttm(device, f, u, cfg),
-            AnyFormatDevice::BfCoo(b) => b.spttm(device, u, cfg),
-        }
+        let mode = kernels::expect_op(self.base(), |mode| TensorOp::SpTtm { mode });
+        let (rows, stats) = self.launch(device, &[u], cfg)?;
+        Ok((kernels::spttm_fibers(self.base(), mode, &rows), stats))
     }
 
-    /// Dispatched [`crate::spttm_into`].
-    pub fn spttm_into(
-        &self,
-        device: &GpuDevice,
-        u: &DeviceMatrix,
-        cfg: &LaunchConfig,
-        out: &DeviceBuffer<f32>,
-    ) -> KernelStats {
-        match self {
-            AnyFormatDevice::Fcoo(f) => kernels::spttm_into(device, f, u, cfg, out),
-            AnyFormatDevice::BfCoo(b) => b.spttm_into(device, u, cfg, out),
-        }
-    }
-
-    /// Dispatched [`crate::spmttkrp`].
+    /// [`crate::spmttkrp`] on this format's gather schedule.
     pub fn spmttkrp(
         &self,
         device: &GpuDevice,
         factors: &[&DeviceMatrix],
         cfg: &LaunchConfig,
     ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-        match self {
-            AnyFormatDevice::Fcoo(f) => kernels::spmttkrp(device, f, factors, cfg),
-            AnyFormatDevice::BfCoo(b) => b.spmttkrp(device, factors, cfg),
-        }
+        kernels::expect_op(self.base(), |mode| TensorOp::SpMttkrp { mode });
+        self.launch(device, factors, cfg)
     }
 
-    /// Dispatched [`crate::spmttkrp_into`].
-    pub fn spmttkrp_into(
-        &self,
-        device: &GpuDevice,
-        factors: &[&DeviceMatrix],
-        cfg: &LaunchConfig,
-        out: &DeviceBuffer<f32>,
-    ) -> KernelStats {
-        match self {
-            AnyFormatDevice::Fcoo(f) => kernels::spmttkrp_into(device, f, factors, cfg, out),
-            AnyFormatDevice::BfCoo(b) => b.spmttkrp_into(device, factors, cfg, out),
-        }
-    }
-
-    /// Dispatched [`crate::spttmc_norder`].
+    /// [`crate::spttmc_norder`] on this format's gather schedule.
     pub fn spttmc_norder(
         &self,
         device: &GpuDevice,
         product_factors: &[&DeviceMatrix],
         cfg: &LaunchConfig,
     ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-        match self {
-            AnyFormatDevice::Fcoo(f) => kernels::spttmc_norder(device, f, product_factors, cfg),
-            AnyFormatDevice::BfCoo(b) => b.spttmc_norder(device, product_factors, cfg),
-        }
-    }
-
-    /// Dispatched [`crate::spttmc_norder_into`].
-    pub fn spttmc_norder_into(
-        &self,
-        device: &GpuDevice,
-        product_factors: &[&DeviceMatrix],
-        cfg: &LaunchConfig,
-        out: &DeviceBuffer<f32>,
-    ) -> KernelStats {
-        match self {
-            AnyFormatDevice::Fcoo(f) => {
-                kernels::spttmc_norder_into(device, f, product_factors, cfg, out)
-            }
-            AnyFormatDevice::BfCoo(b) => b.spttmc_norder_into(device, product_factors, cfg, out),
-        }
+        kernels::expect_op(self.base(), |mode| TensorOp::SpTtmc { mode });
+        self.launch(device, product_factors, cfg)
     }
 }
 
@@ -420,6 +441,25 @@ mod tests {
             assert_eq!(dev.kind(), kind);
             assert_eq!(dev.base().nnz, format.base().nnz());
             let (result, _) = dev.spmttkrp(&device, &refs, &cfg).unwrap();
+            // The same format uploaded from its bare F-COO payload, launched
+            // into a caller's zeroed buffer, computes the same bits.
+            let rehydrated =
+                AnyFormatDevice::upload_as(device.memory(), kind, format.base()).unwrap();
+            assert_eq!(rehydrated.kind(), kind);
+            let out = device
+                .memory()
+                .alloc_zeroed::<f32>(result.data().len())
+                .unwrap();
+            rehydrated.launch_into(&device, &refs, &cfg, &out);
+            assert_eq!(
+                out.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                result
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                "{kind}"
+            );
             results.push(result);
         }
         let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

@@ -23,7 +23,7 @@
 //!   is where tensor density shows up in performance (§V-A).
 //!
 //! [`LaunchConfig`] exposes the optimization toggles for the ablation
-//! benches: `use_segscan = false` degenerates to per-element atomics (the
+//! experiments: `use_segscan = false` degenerates to per-element atomics (the
 //! COO baseline behaviour), `use_rocache = false` reads factors from plain
 //! global memory, `use_fusion = false` pays a separate carry-resolution
 //! kernel launch.
@@ -35,7 +35,7 @@ use gpu_sim::memory::DeviceBuffer;
 use gpu_sim::scan::{block_segscan_cycles, warp_segscan_cycles};
 use gpu_sim::stats::BlockStats;
 use gpu_sim::{GpuDevice, KernelStats, OutOfMemory};
-use tensor_core::{DenseMatrix, SemiSparseTensor};
+use tensor_core::{DenseMatrix, Idx, SemiSparseTensor};
 
 /// Warp-shuffle operations each BF-COO gather run spends demultiplexing the
 /// bucketed lanes back onto their owning threads (arXiv:1904.03329 §4: one
@@ -207,6 +207,164 @@ impl LaunchConfig {
     }
 }
 
+/// The unified kernel's view of one launch: the factor reads of the
+/// format's operation and the output they fill.
+struct Gathers<'a> {
+    /// One read per product mode, in product-mode order.
+    reads: Vec<FactorRead<'a>>,
+    /// Output rows: segments for SpTTM, the operating mode's size otherwise.
+    rows: usize,
+    /// Output columns (`R`, or `Π R_p` for SpTTMc).
+    columns: usize,
+    /// Each segment's output row for SpMTTKRP/SpTTMc — its index-mode
+    /// coordinate — on the host and in the device array the kernel reads it
+    /// from. `None` for SpTTM, whose output row is the segment ordinal.
+    segment_rows: Option<(&'a [Idx], &'a DeviceBuffer<u32>)>,
+}
+
+impl<'a> Gathers<'a> {
+    /// Reads `factors`, listed as [`TensorOp::factor_modes`] says, for
+    /// `fcoo`'s operation.
+    ///
+    /// # Panics
+    /// If the factor count or a factor's shape does not fit the format.
+    fn new(fcoo: &'a FcooDevice, factors: &[&'a DeviceMatrix]) -> Self {
+        let product_modes = &fcoo.classification.product_modes;
+        let by_coordinate = Some((&fcoo.segment_coords_host[0][..], &fcoo.segment_coords[0]));
+        let (matrices, strides, rows, segment_rows) = match fcoo.op {
+            TensorOp::SpTtm { .. } => {
+                assert_eq!(factors.len(), 1, "SpTTM takes one factor");
+                (factors.to_vec(), vec![1], fcoo.segments(), None)
+            }
+            TensorOp::SpMttkrp { mode } => {
+                assert_eq!(
+                    factors.len(),
+                    fcoo.shape.len(),
+                    "one factor per mode required"
+                );
+                let matrices: Vec<&DeviceMatrix> =
+                    product_modes.iter().map(|&m| factors[m]).collect();
+                for (&m, factor) in product_modes.iter().zip(&matrices) {
+                    assert_eq!(
+                        factor.cols(),
+                        matrices[0].cols(),
+                        "factor {m} column count mismatch"
+                    );
+                }
+                let strides = vec![1; matrices.len()];
+                (matrices, strides, fcoo.shape[mode], by_coordinate)
+            }
+            TensorOp::SpTtmc { mode } => {
+                assert_eq!(
+                    factors.len(),
+                    product_modes.len(),
+                    "one factor per product mode required"
+                );
+                // Mixed-radix strides over the Kronecker column: last
+                // factor fastest.
+                let mut strides = vec![1usize; factors.len()];
+                for p in (0..factors.len() - 1).rev() {
+                    strides[p] = strides[p + 1] * factors[p + 1].cols();
+                }
+                (factors.to_vec(), strides, fcoo.shape[mode], by_coordinate)
+            }
+        };
+        for (&m, factor) in product_modes.iter().zip(&matrices) {
+            assert_eq!(
+                factor.rows(),
+                fcoo.shape[m],
+                "factor row mismatch on mode {m}"
+            );
+        }
+        // The first factor's digit varies slowest.
+        let columns = strides[0] * matrices[0].cols();
+        let reads = matrices
+            .into_iter()
+            .zip(&fcoo.product_indices)
+            .zip(strides)
+            .map(|((matrix, indices), stride)| FactorRead {
+                matrix,
+                indices,
+                stride,
+            })
+            .collect();
+        Gathers {
+            reads,
+            rows,
+            columns,
+            segment_rows,
+        }
+    }
+}
+
+/// Runs the unified kernel for `fcoo`'s operation with the `layout`
+/// gather schedule, accumulating into `out` without clearing it: an
+/// all-zero buffer gives the operation's result, while a buffer whose
+/// first row carries a running partial sum extends that sum — the
+/// out-of-core path's chunk-boundary seeding. `factors` are listed as
+/// [`TensorOp::factor_modes`] says.
+///
+/// # Panics
+/// If the factors do not fit the format or `out` is not exactly
+/// `rows × columns` elements.
+pub(crate) fn launch_into(
+    device: &GpuDevice,
+    fcoo: &FcooDevice,
+    layout: GatherLayout<'_>,
+    factors: &[&DeviceMatrix],
+    cfg: &LaunchConfig,
+    out: &DeviceBuffer<f32>,
+) -> KernelStats {
+    let gathers = Gathers::new(fcoo, factors);
+    assert_eq!(
+        out.len(),
+        gathers.rows * gathers.columns,
+        "output buffer size mismatch"
+    );
+    run_unified(device, fcoo, cfg, layout, &gathers, out)
+}
+
+/// [`launch_into`] a zero-allocated output, returned as a dense
+/// `rows × columns` block: one row per segment (output fiber) for SpTTM,
+/// per operating-mode coordinate for SpMTTKRP and SpTTMc.
+pub(crate) fn launch(
+    device: &GpuDevice,
+    fcoo: &FcooDevice,
+    layout: GatherLayout<'_>,
+    factors: &[&DeviceMatrix],
+    cfg: &LaunchConfig,
+) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
+    let Gathers { rows, columns, .. } = Gathers::new(fcoo, factors);
+    let out = device.memory().alloc_zeroed::<f32>(rows * columns)?;
+    let stats = launch_into(device, fcoo, layout, factors, cfg, &out);
+    Ok((DenseMatrix::from_vec(rows, columns, out.into_vec()), stats))
+}
+
+/// Panics unless `fcoo` was preprocessed for the operation `op` builds
+/// from its mode; returns that mode.
+pub(crate) fn expect_op(fcoo: &FcooDevice, op: fn(usize) -> TensorOp) -> usize {
+    let mode = fcoo.op.mode();
+    assert_eq!(
+        fcoo.op,
+        op(mode),
+        "the format was preprocessed for {:?}, not {:?}",
+        fcoo.op,
+        op(mode)
+    );
+    mode
+}
+
+/// SpTTM's semi-sparse result from its launched `segments × R` block.
+pub(crate) fn spttm_fibers(fcoo: &FcooDevice, mode: usize, rows: &DenseMatrix) -> SemiSparseTensor {
+    SemiSparseTensor::from_fibers(
+        fcoo.shape.clone(),
+        mode,
+        rows.cols(),
+        &fcoo.segment_coords_host,
+        rows.data(),
+    )
+}
+
 /// Sparse tensor-times-matrix `Y = X ×ₙ U` with the unified kernel.
 ///
 /// `fcoo` must have been preprocessed with [`TensorOp::SpTtm`] on the same
@@ -222,101 +380,9 @@ pub fn spttm(
     u: &DeviceMatrix,
     cfg: &LaunchConfig,
 ) -> Result<(SemiSparseTensor, KernelStats), OutOfMemory> {
-    spttm_with_layout(device, fcoo, u, cfg, GatherLayout::Strided)
-}
-
-pub(crate) fn spttm_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    u: &DeviceMatrix,
-    cfg: &LaunchConfig,
-    layout: GatherLayout<'_>,
-) -> Result<(SemiSparseTensor, KernelStats), OutOfMemory> {
-    let mode = match fcoo.op {
-        TensorOp::SpTtm { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpTTM"),
-    };
-    assert_eq!(
-        u.rows(),
-        fcoo.shape[mode],
-        "matrix rows must match product-mode size"
-    );
-    let r = u.cols();
-    let segments = fcoo.segments();
-    let out = device.memory().alloc_zeroed::<f32>(segments * r)?;
-    let stats = spttm_into_with_layout(device, fcoo, u, cfg, &out, layout);
-    let mut result = SemiSparseTensor::new(fcoo.shape.clone(), mode, r);
-    let values = out.into_vec();
-    for seg in 0..segments {
-        let coord: Vec<u32> = fcoo
-            .segment_coords_host
-            .iter()
-            .map(|column| column[seg])
-            .collect();
-        result.push_fiber(&coord, &values[seg * r..(seg + 1) * r]);
-    }
-    Ok((result, stats))
-}
-
-/// [`spttm`] into a caller-provided `segments × R` output buffer.
-///
-/// The buffer is accumulated into, not cleared: an all-zero buffer
-/// reproduces [`spttm`] exactly, while a buffer whose first row carries a
-/// running partial sum extends that sum — the out-of-core path's
-/// chunk-boundary seeding (`crates/ooc`). Returns the kernel statistics;
-/// the caller assembles the semi-sparse result from the buffer and the
-/// format's `segment_coords_host`.
-///
-/// # Panics
-/// If the format/op/factor shapes are inconsistent or `out` is not exactly
-/// `segments × R` elements.
-pub fn spttm_into(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    u: &DeviceMatrix,
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-) -> KernelStats {
-    spttm_into_with_layout(device, fcoo, u, cfg, out, GatherLayout::Strided)
-}
-
-pub(crate) fn spttm_into_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    u: &DeviceMatrix,
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-    layout: GatherLayout<'_>,
-) -> KernelStats {
-    let mode = match fcoo.op {
-        TensorOp::SpTtm { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpTTM"),
-    };
-    assert_eq!(
-        u.rows(),
-        fcoo.shape[mode],
-        "matrix rows must match product-mode size"
-    );
-    let r = u.cols();
-    assert_eq!(
-        out.len(),
-        fcoo.segments() * r,
-        "output buffer size mismatch"
-    );
-    run_unified(
-        device,
-        fcoo,
-        cfg,
-        layout,
-        &[FactorRead {
-            matrix: u,
-            indices: &fcoo.product_indices[0],
-            stride: 1,
-        }],
-        out,
-        |seg| seg,
-        None,
-    )
+    let mode = expect_op(fcoo, |mode| TensorOp::SpTtm { mode });
+    let (rows, stats) = launch(device, fcoo, GatherLayout::Strided, &[u], cfg)?;
+    Ok((spttm_fibers(fcoo, mode, &rows), stats))
 }
 
 /// Sparse MTTKRP `M = X₍ₙ₎ (⊙ factors)` with the unified one-shot kernel.
@@ -333,258 +399,26 @@ pub fn spmttkrp(
     factors: &[&DeviceMatrix],
     cfg: &LaunchConfig,
 ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    spmttkrp_with_layout(device, fcoo, factors, cfg, GatherLayout::Strided)
+    expect_op(fcoo, |mode| TensorOp::SpMttkrp { mode });
+    launch(device, fcoo, GatherLayout::Strided, factors, cfg)
 }
 
-pub(crate) fn spmttkrp_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    layout: GatherLayout<'_>,
-) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    let mode = match fcoo.op {
-        TensorOp::SpMttkrp { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpMTTKRP"),
-    };
-    let order = fcoo.shape.len();
-    assert_eq!(factors.len(), order, "one factor per mode required");
-    let product_modes = &fcoo.classification.product_modes;
-    let r = factors[product_modes[0]].cols();
-    for &m in product_modes {
-        assert_eq!(
-            factors[m].rows(),
-            fcoo.shape[m],
-            "factor {m} row count mismatch"
-        );
-        assert_eq!(factors[m].cols(), r, "factor {m} column count mismatch");
-    }
-    let rows = fcoo.shape[mode];
-    let out = device.memory().alloc_zeroed::<f32>(rows * r)?;
-    let stats = spmttkrp_into_with_layout(device, fcoo, factors, cfg, &out, layout);
-    Ok((DenseMatrix::from_vec(rows, r, out.into_vec()), stats))
-}
-
-/// [`spmttkrp`] into a caller-provided `shape[mode] × R` output buffer.
-///
-/// Accumulates into `out` without clearing it (see [`spttm_into`] for the
-/// out-of-core seeding contract). Returns the kernel statistics.
+/// Sparse TTM-chain (paper Eq. 4) for tensors of any order: one factor per
+/// product mode in ascending mode order; the output has `Π R_p` columns
+/// with the last product mode varying fastest (matching
+/// `tensor_core::ops::spttmc_norder`).
 ///
 /// # Panics
-/// If the format/op/factor shapes are inconsistent or `out` is not exactly
-/// `shape[mode] × R` elements.
-pub fn spmttkrp_into(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-) -> KernelStats {
-    spmttkrp_into_with_layout(device, fcoo, factors, cfg, out, GatherLayout::Strided)
-}
-
-pub(crate) fn spmttkrp_into_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-    layout: GatherLayout<'_>,
-) -> KernelStats {
-    let mode = match fcoo.op {
-        TensorOp::SpMttkrp { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpMTTKRP"),
-    };
-    let order = fcoo.shape.len();
-    assert_eq!(factors.len(), order, "one factor per mode required");
-    let product_modes = &fcoo.classification.product_modes;
-    let r = factors[product_modes[0]].cols();
-    for &m in product_modes {
-        assert_eq!(
-            factors[m].rows(),
-            fcoo.shape[m],
-            "factor {m} row count mismatch"
-        );
-        assert_eq!(factors[m].cols(), r, "factor {m} column count mismatch");
-    }
-    let rows = fcoo.shape[mode];
-    assert_eq!(out.len(), rows * r, "output buffer size mismatch");
-    let slice_of_seg = &fcoo.segment_coords_host[0];
-    let reads: Vec<FactorRead<'_>> = product_modes
-        .iter()
-        .zip(&fcoo.product_indices)
-        .map(|(&m, indices)| FactorRead {
-            matrix: factors[m],
-            indices,
-            stride: 1,
-        })
-        .collect();
-    run_unified(
-        device,
-        fcoo,
-        cfg,
-        layout,
-        &reads,
-        out,
-        |seg| slice_of_seg[seg] as usize,
-        Some(&fcoo.segment_coords[0]),
-    )
-}
-
-/// Sparse TTM-chain on 3-order tensors (paper Eq. 4): the matricized
-/// `Y₍ₙ₎ = Σ X(i,j,k) · (U_a(a,:) ⊗ U_b(b,:))`.
-///
-/// `factor_a`/`factor_b` correspond to the two product modes in ascending
-/// mode order. Returns the `shape[mode] × (R_a · R_b)` result.
-pub fn spttmc(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    factor_a: &DeviceMatrix,
-    factor_b: &DeviceMatrix,
-    cfg: &LaunchConfig,
-) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    assert_eq!(
-        fcoo.shape.len(),
-        3,
-        "use spttmc_norder for non-3-order tensors"
-    );
-    let product_modes = &fcoo.classification.product_modes;
-    assert_eq!(
-        factor_a.rows(),
-        fcoo.shape[product_modes[0]],
-        "factor A row mismatch"
-    );
-    assert_eq!(
-        factor_b.rows(),
-        fcoo.shape[product_modes[1]],
-        "factor B row mismatch"
-    );
-    spttmc_norder(device, fcoo, &[factor_a, factor_b], cfg)
-}
-
-/// Sparse TTM-chain for tensors of any order: one factor per product mode in
-/// ascending mode order; the output has `Π R_p` columns with the last
-/// product mode varying fastest (matching `tensor_core::ops::spttmc_norder`).
+/// If `fcoo` was preprocessed for a different operation or factor shapes are
+/// inconsistent.
 pub fn spttmc_norder(
     device: &GpuDevice,
     fcoo: &FcooDevice,
     product_factors: &[&DeviceMatrix],
     cfg: &LaunchConfig,
 ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    spttmc_norder_with_layout(device, fcoo, product_factors, cfg, GatherLayout::Strided)
-}
-
-pub(crate) fn spttmc_norder_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    product_factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    layout: GatherLayout<'_>,
-) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    let mode = match fcoo.op {
-        TensorOp::SpTtmc { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpTTMc"),
-    };
-    let product_modes = &fcoo.classification.product_modes;
-    assert_eq!(
-        product_factors.len(),
-        product_modes.len(),
-        "one factor per product mode required"
-    );
-    for (&m, factor) in product_modes.iter().zip(product_factors) {
-        assert_eq!(
-            factor.rows(),
-            fcoo.shape[m],
-            "factor row mismatch on mode {m}"
-        );
-    }
-    let columns: usize = product_factors.iter().map(|f| f.cols()).product();
-    let rows = fcoo.shape[mode];
-    let out = device.memory().alloc_zeroed::<f32>(rows * columns)?;
-    let stats = spttmc_norder_into_with_layout(device, fcoo, product_factors, cfg, &out, layout);
-    Ok((DenseMatrix::from_vec(rows, columns, out.into_vec()), stats))
-}
-
-/// [`spttmc_norder`] into a caller-provided `shape[mode] × Π R_p` output
-/// buffer.
-///
-/// Accumulates into `out` without clearing it (see [`spttm_into`] for the
-/// out-of-core seeding contract). Returns the kernel statistics.
-///
-/// # Panics
-/// If the format/op/factor shapes are inconsistent or `out` is not exactly
-/// `shape[mode] × Π R_p` elements.
-pub fn spttmc_norder_into(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    product_factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-) -> KernelStats {
-    spttmc_norder_into_with_layout(
-        device,
-        fcoo,
-        product_factors,
-        cfg,
-        out,
-        GatherLayout::Strided,
-    )
-}
-
-pub(crate) fn spttmc_norder_into_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    product_factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-    layout: GatherLayout<'_>,
-) -> KernelStats {
-    let mode = match fcoo.op {
-        TensorOp::SpTtmc { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpTTMc"),
-    };
-    let product_modes = &fcoo.classification.product_modes;
-    assert_eq!(
-        product_factors.len(),
-        product_modes.len(),
-        "one factor per product mode required"
-    );
-    for (&m, factor) in product_modes.iter().zip(product_factors) {
-        assert_eq!(
-            factor.rows(),
-            fcoo.shape[m],
-            "factor row mismatch on mode {m}"
-        );
-    }
-    let columns: usize = product_factors.iter().map(|f| f.cols()).product();
-    // Mixed-radix strides over the Kronecker column: last factor fastest.
-    let mut strides = vec![1usize; product_factors.len()];
-    for p in (0..product_factors.len().saturating_sub(1)).rev() {
-        strides[p] = strides[p + 1] * product_factors[p + 1].cols();
-    }
-    let rows = fcoo.shape[mode];
-    assert_eq!(out.len(), rows * columns, "output buffer size mismatch");
-    let slice_of_seg = &fcoo.segment_coords_host[0];
-    let reads: Vec<FactorRead<'_>> = product_factors
-        .iter()
-        .zip(&fcoo.product_indices)
-        .zip(strides)
-        .map(|((&matrix, indices), stride)| FactorRead {
-            matrix,
-            indices,
-            stride,
-        })
-        .collect();
-    run_unified(
-        device,
-        fcoo,
-        cfg,
-        layout,
-        &reads,
-        out,
-        |seg| slice_of_seg[seg] as usize,
-        Some(&fcoo.segment_coords[0]),
-    )
+    expect_op(fcoo, |mode| TensorOp::SpTtmc { mode });
+    launch(device, fcoo, GatherLayout::Strided, product_factors, cfg)
 }
 
 /// The shared unified kernel skeleton.
@@ -592,22 +426,23 @@ pub(crate) fn spttmc_norder_into_with_layout(
 /// Every output column `c` accumulates `value · Π_p factor_p(row_p, digit_p(c))`
 /// over the non-zeros of each segment ([`FactorRead`]); block `(bIdx, bIdy)`
 /// computes the [`ColumnTiling`] tile `bIdy` for its partition range.
-/// `row_of_seg` maps a segment ordinal to its output row; `coord_buffer`, if
-/// given, is the device array those lookups read (charged on finalization).
-#[allow(clippy::too_many_arguments)]
-fn run_unified<RowOf>(
+/// Finalizing a segment reads its output row from
+/// [`Gathers::segment_rows`], when given (charged as a coordinate read).
+fn run_unified(
     device: &GpuDevice,
     fcoo: &FcooDevice,
     cfg: &LaunchConfig,
     layout: GatherLayout<'_>,
-    factors: &[FactorRead<'_>],
+    gathers: &Gathers<'_>,
     out: &DeviceBuffer<f32>,
-    row_of_seg: RowOf,
-    coord_buffer: Option<&DeviceBuffer<u32>>,
-) -> KernelStats
-where
-    RowOf: Fn(usize) -> usize + Sync,
-{
+) -> KernelStats {
+    let factors = &gathers.reads;
+    let row_of_seg = |seg: usize| {
+        gathers
+            .segment_rows
+            .map_or(seg, |(rows, _)| rows[seg] as usize)
+    };
+    let coord_buffer = gathers.segment_rows.map(|(_, coords)| coords);
     let ranks: Vec<usize> = factors.iter().map(|f| f.matrix.cols()).collect();
     let tiling = ColumnTiling::for_op(fcoo.op, &ranks);
     let (columns, tile) = (tiling.columns, tiling.tile);
@@ -1073,7 +908,8 @@ mod tests {
         let b_host = DenseMatrix::random(tensor.shape()[2], 3, 22);
         let a = DeviceMatrix::upload(device.memory(), &a_host).unwrap();
         let b = DeviceMatrix::upload(device.memory(), &b_host).unwrap();
-        let (result, _) = spttmc(&device, &dev, &a, &b, &LaunchConfig::default()).unwrap();
+        let (result, _) =
+            spttmc_norder(&device, &dev, &[&a, &b], &LaunchConfig::default()).unwrap();
         let reference = ops::spttmc(
             &tensor,
             0,

@@ -7,15 +7,20 @@
 //! 1. **[`Fcoo`]** — the flagged-coordinate storage format: product-mode
 //!    indices plus one-bit change flags for the index modes (§IV-B, Fig. 2,
 //!    Table II);
-//! 2. **unified kernels** — [`spttm`], [`spmttkrp`] and [`spttmc`] share one
-//!    one-shot kernel skeleton parameterized only by the Table I mode
-//!    classification (§IV-C);
+//! 2. **unified kernels** — SpTTM, SpMTTKRP and SpTTMc are one one-shot
+//!    kernel skeleton parameterized only by the Table I mode classification
+//!    the format stores (§IV-C). [`AnyFormatDevice::launch_into`] is its
+//!    one launch entry: the operation comes from the format, and the
+//!    factors are listed as [`TensorOp::factor_modes`] says.
+//!    [`AnyFormatDevice::launch`] allocates the output first, and the typed
+//!    wrappers [`spttm`], [`spmttkrp`] and [`spttmc_norder`] (also methods
+//!    of [`AnyFormatDevice`]) assemble each operation's result type;
 //! 3. **GPU-specific optimizations** — segmented scan instead of atomics,
 //!    read-only-cache factor reads, kernel fusion via adjacent
 //!    synchronization, warp shuffle (§IV-D), all toggleable through
 //!    [`LaunchConfig`] for ablation;
 //! 4. **parameter tuning** — the `(BLOCK_SIZE, threadlen)` sweep of Fig. 5 /
-//!    Table V in [`tune`].
+//!    Table V in [`mod@tune`].
 //!
 //! Kernels run on the [`gpu_sim`] simulated device: results are real and
 //! validated against `tensor_core::ops` references; times are produced by
@@ -58,10 +63,7 @@ pub use chunk::{extract, split, ChunkDescriptor, ChunkPlan};
 pub use device::{DeviceMatrix, FcooDevice};
 pub use format::{table2_coo_bytes, table2_fcoo_bytes, BitFlags, Fcoo, StorageBreakdown};
 pub use formats::{AnyFormat, AnyFormatDevice, FormatKind, SparseFormat};
-pub use kernels::{
-    spmttkrp, spmttkrp_into, spttm, spttm_into, spttmc, spttmc_norder, spttmc_norder_into,
-    ColumnTiling, LaunchConfig, BUCKET_SHUFFLE_OPS,
-};
+pub use kernels::{spmttkrp, spttm, spttmc_norder, ColumnTiling, LaunchConfig, BUCKET_SHUFFLE_OPS};
 pub use modes::{ModeClassification, TensorOp};
 pub use pack::{compact_tensor, gather_rows, mttkrp_refs, touched_rows};
 pub use serialize::{read_fcoo, write_fcoo, DecodeError};

@@ -36,6 +36,18 @@ impl TensorOp {
         }
     }
 
+    /// The tensor mode of each matrix in a unified-kernel launch's factor
+    /// list, in list order: `[mode]` for SpTTM, every mode of an
+    /// `order`-way tensor for SpMTTKRP (the kernel ignores the operating
+    /// mode's slot), the product modes (ascending) for SpTTMc.
+    pub fn factor_modes(&self, order: usize) -> Vec<usize> {
+        match *self {
+            TensorOp::SpTtm { mode } => vec![mode],
+            TensorOp::SpMttkrp { .. } => (0..order).collect(),
+            TensorOp::SpTtmc { mode } => (0..order).filter(|&m| m != mode).collect(),
+        }
+    }
+
     /// Short display name, e.g. `SpTTM(mode-3)` (1-based like the paper).
     pub fn label(&self) -> String {
         match *self {

@@ -7,7 +7,7 @@
 
 use crate::device::{DeviceMatrix, FcooDevice};
 use crate::format::Fcoo;
-use crate::kernels::{self, LaunchConfig};
+use crate::kernels::{self, GatherLayout, LaunchConfig};
 use crate::modes::TensorOp;
 use gpu_sim::GpuDevice;
 use tensor_core::{DenseMatrix, SparseTensorCoo};
@@ -139,33 +139,16 @@ fn run_once(
     factors: &[DenseMatrix],
     cfg: &LaunchConfig,
 ) -> f64 {
-    let upload =
-        |m: usize| DeviceMatrix::upload(device.memory(), &factors[m]).expect("factor upload");
-    match fcoo.op {
-        TensorOp::SpTtm { mode } => {
-            let u = upload(mode);
-            let (_, stats) = kernels::spttm(device, fcoo, &u, cfg).expect("spttm launch");
-            stats.time_us
-        }
-        TensorOp::SpMttkrp { .. } => {
-            let uploaded: Vec<DeviceMatrix> = (0..factors.len()).map(upload).collect();
-            let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            let (_, stats) = kernels::spmttkrp(device, fcoo, &refs, cfg).expect("spmttkrp launch");
-            stats.time_us
-        }
-        TensorOp::SpTtmc { .. } => {
-            let uploaded: Vec<DeviceMatrix> = fcoo
-                .classification
-                .product_modes
-                .iter()
-                .map(|&m| upload(m))
-                .collect();
-            let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            let (_, stats) =
-                kernels::spttmc_norder(device, fcoo, &refs, cfg).expect("spttmc launch");
-            stats.time_us
-        }
-    }
+    let uploaded: Vec<DeviceMatrix> = fcoo
+        .op
+        .factor_modes(factors.len())
+        .into_iter()
+        .map(|m| DeviceMatrix::upload(device.memory(), &factors[m]).expect("factor upload"))
+        .collect();
+    let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
+    let (_, stats) =
+        kernels::launch(device, fcoo, GatherLayout::Strided, &refs, cfg).expect("tuning launch");
+    stats.time_us
 }
 
 #[cfg(test)]

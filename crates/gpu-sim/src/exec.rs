@@ -13,7 +13,9 @@ use crate::cache::ReadOnlyCache;
 use crate::coalesce::transactions;
 use crate::config::DeviceConfig;
 use crate::faults;
-use crate::memory::{DeviceBuffer, DeviceMemory};
+use crate::memory::{
+    apply_deferred_atomics, DeferredAtomics, DeviceBuffer, DeviceMemory, PendingAdd,
+};
 use crate::record::{self, AccessKind, AccessLog, BlockRecord, LaunchRecord};
 use crate::stats::{BlockStats, KernelStats};
 use crate::trace::{self, BlockTrace, LaunchTrace, MemoryEvent, MemoryEventKind, TraceLog};
@@ -124,7 +126,9 @@ impl GpuDevice {
     /// "two-dimensional thread grids with one-dimensional thread blocks".
     ///
     /// Blocks execute in parallel on the host; the returned statistics are
-    /// deterministic (reduced in block launch order, x-major).
+    /// deterministic (reduced in block launch order, x-major), and so are
+    /// float atomics, which are applied in that order once every block has
+    /// run.
     ///
     /// # Panics
     /// If `block_threads` is zero, not a multiple of the warp size, or
@@ -195,10 +199,8 @@ impl GpuDevice {
         }
         let recording = self.recording.lock().is_some();
         let tracing = self.tracing.lock().is_some();
-        let mut per_block: Vec<(BlockStats, Option<BlockRecord>, Option<BlockTrace>)> = (0
-            ..total_blocks)
-            .map(|_| (BlockStats::default(), None, None))
-            .collect();
+        let mut per_block: Vec<BlockSlot> =
+            (0..total_blocks).map(|_| BlockSlot::default()).collect();
         let config = &self.config;
         cpu_par::par_chunks_mut(&mut per_block, 8, |chunk_index, chunk| {
             for (offset, slot) in chunk.iter_mut().enumerate() {
@@ -212,18 +214,25 @@ impl GpuDevice {
                 if tracing {
                     trace::begin_block(block_linear);
                 }
+                let atomics = DeferredAtomics::begin();
                 let mut ctx = BlockCtx::new(config, block_x, block_y, block_threads);
                 kernel(&mut ctx);
-                slot.0 = ctx.finish();
+                slot.stats = ctx.finish();
+                slot.atomics = atomics.finish();
                 if recording {
-                    slot.1 = record::end_block();
+                    slot.record = record::end_block();
                 }
                 if tracing {
-                    slot.2 = trace::end_block();
+                    slot.trace = trace::end_block();
                 }
             }
         });
-        let stats: Vec<BlockStats> = per_block.iter().map(|(s, _, _)| s.clone()).collect();
+        // Float atomics land in block-linear order whatever the worker
+        // count, which at one worker is the order they were issued in.
+        for slot in &mut per_block {
+            apply_deferred_atomics(&std::mem::take(&mut slot.atomics));
+        }
+        let stats: Vec<BlockStats> = per_block.iter().map(|slot| slot.stats.clone()).collect();
         if recording {
             if let Some(log) = self.recording.lock().as_mut() {
                 log.launches.push(LaunchRecord {
@@ -232,8 +241,8 @@ impl GpuDevice {
                     blocks: per_block
                         .iter()
                         .enumerate()
-                        .map(|(block, (_, rec, _))| {
-                            rec.clone().unwrap_or(BlockRecord {
+                        .map(|(block, slot)| {
+                            slot.record.clone().unwrap_or(BlockRecord {
                                 block,
                                 events: Vec::new(),
                             })
@@ -252,8 +261,8 @@ impl GpuDevice {
                 let blocks = per_block
                     .into_iter()
                     .enumerate()
-                    .map(|(block, (_, _, tr))| {
-                        tr.unwrap_or(BlockTrace {
+                    .map(|(block, slot)| {
+                        slot.trace.unwrap_or(BlockTrace {
                             block,
                             ..BlockTrace::default()
                         })
@@ -271,6 +280,16 @@ impl GpuDevice {
         }
         KernelStats::from_blocks_with_concurrency(&stats, concurrent, config)
     }
+}
+
+/// What one block of a launch leaves behind for the launch to reduce in
+/// block-linear order.
+#[derive(Default)]
+struct BlockSlot {
+    stats: BlockStats,
+    record: Option<BlockRecord>,
+    trace: Option<BlockTrace>,
+    atomics: Vec<PendingAdd>,
 }
 
 /// Clamps a narrated range length to the recorded event's field width.
@@ -829,6 +848,47 @@ mod tests {
         });
         assert!(conflicted.atomic_conflict_cycles > 8 * spread.atomic_conflict_cycles);
         assert!(conflicted.time_us > spread.time_us);
+    }
+
+    #[test]
+    fn float_atomics_sum_in_block_order_on_any_worker_count() {
+        // Magnitudes spanning seven decades make the f32 sum depend on its
+        // order, so any order but block-linear shows in the bits.
+        let value = |b: usize| (b as f32 * 0.37).sin() * 10f32.powi((b % 7) as i32);
+        let blocks = 512;
+        let mut expected = 0.0f32;
+        for b in 0..blocks {
+            expected += value(b);
+            expected += value(b + blocks);
+        }
+        let device = GpuDevice::titan_x();
+        for _ in 0..4 {
+            let buffer = device.memory().alloc_zeroed::<f32>(1).unwrap();
+            device.launch((blocks, 1), 32, |ctx| {
+                let b = ctx.block_x();
+                ctx.begin_warp();
+                ctx.atomic_add_f32(&buffer, &[(0, value(b))]);
+                buffer.atomic_add_f32(0, value(b + blocks));
+            });
+            assert_eq!(buffer.get(0).to_bits(), expected.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_buffer_released_inside_a_block_keeps_its_atomics() {
+        let device = GpuDevice::titan_x();
+        let sums = device.memory().alloc_zeroed::<f32>(8).unwrap();
+        device.launch((8, 1), 32, |ctx| {
+            let b = ctx.block_x();
+            let local = device.memory().alloc_zeroed::<f32>(2).unwrap();
+            local.atomic_add_f32(1, b as f32);
+            local.atomic_add_f32(1, 0.5);
+            let host = local.into_vec();
+            // SAFETY: each block writes a distinct element.
+            unsafe { sums.write(b, host[1]) };
+        });
+        let expected: Vec<f32> = (0..8).map(|b| b as f32 + 0.5).collect();
+        assert_eq!(sums.to_vec(), expected);
     }
 
     #[test]

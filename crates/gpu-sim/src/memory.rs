@@ -10,7 +10,7 @@
 use crate::faults::{self, FaultCell};
 use crate::record::{self, AccessKind};
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -399,6 +399,8 @@ impl<T: DeviceValue> DeviceBuffer<T> {
     /// the memory (the whole of freeing it).
     fn release(&self) {
         let bytes = self.bytes();
+        let start = self.data.as_ptr() as usize;
+        flush_deferred_atomics(start, start + bytes);
         self.memory.live.fetch_sub(bytes, Ordering::Relaxed);
         if bytes > 0 {
             self.memory.allocations.lock().remove(&self.base);
@@ -418,6 +420,11 @@ impl<T: DeviceValue> DeviceBuffer<T> {
 impl DeviceBuffer<f32> {
     /// Atomically adds `value` to element `index` (CUDA `atomicAdd` on
     /// `float`), implemented as a compare-and-swap loop on the bit pattern.
+    ///
+    /// Inside a launched block the add is recorded and fault-checked here
+    /// but applied when the launch ends, in block-linear order (see
+    /// [`GpuDevice::launch`](crate::GpuDevice::launch)), so kernels must not
+    /// read an element they atomically update within the same launch.
     ///
     /// # Panics
     /// If `index` is out of bounds, naming the index and the buffer length.
@@ -449,20 +456,108 @@ impl DeviceBuffer<f32> {
         {
             return;
         }
-        // SAFETY: UnsafeCell<f32> and AtomicU32 have identical size and
-        // alignment; all concurrent accesses to accumulated elements go
-        // through this method.
-        let atomic: &AtomicU32 = unsafe { AtomicU32::from_ptr(self.data[index].get() as *mut u32) };
-        let mut current = atomic.load(Ordering::Relaxed);
-        loop {
-            let next = (f32::from_bits(current) + value).to_bits();
-            match atomic.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(observed) => current = observed,
+        let cell = self.data[index].get();
+        let deferred = DEFERRED.with(|deferred| match deferred.borrow_mut().as_mut() {
+            Some(adds) => {
+                adds.push(PendingAdd { cell, value });
+                true
             }
+            None => false,
+        });
+        if !deferred {
+            // SAFETY: the cell is an element of this live buffer.
+            unsafe { add_to_cell(cell, value) };
         }
     }
+}
+
+/// Adds `value` to the `f32` in `cell` with a compare-and-swap loop on its
+/// bit pattern.
+///
+/// # Safety
+/// `cell` must point to an element of a live `f32` buffer.
+unsafe fn add_to_cell(cell: *mut f32, value: f32) {
+    // SAFETY: UnsafeCell<f32> and AtomicU32 have identical size and
+    // alignment; all concurrent accesses to accumulated elements go through
+    // this function.
+    let atomic: &AtomicU32 = unsafe { AtomicU32::from_ptr(cell.cast::<u32>()) };
+    let mut current = atomic.load(Ordering::Relaxed);
+    loop {
+        let next = (f32::from_bits(current) + value).to_bits();
+        match atomic.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return,
+            Err(observed) => current = observed,
+        }
+    }
+}
+
+/// A float atomic issued inside a launched block and not yet applied.
+pub(crate) struct PendingAdd {
+    cell: *mut f32,
+    value: f32,
+}
+
+// SAFETY: a pending add is only dereferenced by `apply_deferred_atomics`
+// while its buffer is live: launches apply them before returning (the
+// kernel borrows every buffer it was handed for the whole launch), and a
+// buffer released inside the block flushes its own adds first.
+unsafe impl Send for PendingAdd {}
+
+thread_local! {
+    /// The running block's float atomics, queued while a launch defers them.
+    static DEFERRED: RefCell<Option<Vec<PendingAdd>>> = const { RefCell::new(None) };
+}
+
+/// Queues this thread's float atomics until [`DeferredAtomics::finish`], so
+/// a launch can apply every block's atomics in block-linear order after its
+/// parallel region: float sums then do not depend on which host thread ran
+/// which block first. Dropping the guard without finishing (a kernel
+/// panicked) stops queueing and discards the queue.
+pub(crate) struct DeferredAtomics(());
+
+impl DeferredAtomics {
+    pub(crate) fn begin() -> Self {
+        DEFERRED.with(|deferred| *deferred.borrow_mut() = Some(Vec::new()));
+        DeferredAtomics(())
+    }
+
+    /// Stops queueing and returns the block's atomics in issue order.
+    pub(crate) fn finish(self) -> Vec<PendingAdd> {
+        DEFERRED.with(|deferred| deferred.borrow_mut().take().unwrap_or_default())
+    }
+}
+
+impl Drop for DeferredAtomics {
+    fn drop(&mut self) {
+        DEFERRED.with(|deferred| *deferred.borrow_mut() = None);
+    }
+}
+
+/// Applies queued atomics in order.
+pub(crate) fn apply_deferred_atomics(adds: &[PendingAdd]) {
+    for add in adds {
+        // SAFETY: see `PendingAdd`'s `Send` impl.
+        unsafe { add_to_cell(add.cell, add.value) };
+    }
+}
+
+/// Applies and unqueues this thread's pending atomics into the host bytes
+/// `[start, end)`, before the buffer holding them is released.
+fn flush_deferred_atomics(start: usize, end: usize) {
+    DEFERRED.with(|deferred| {
+        if let Some(adds) = deferred.borrow_mut().as_mut() {
+            adds.retain(|add| {
+                let at = add.cell as usize;
+                if (start..end).contains(&at) {
+                    // SAFETY: the buffer holding the cell is not yet released.
+                    unsafe { add_to_cell(add.cell, add.value) };
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+    });
 }
 
 impl<T: DeviceValue> Drop for DeviceBuffer<T> {

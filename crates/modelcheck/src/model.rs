@@ -34,10 +34,11 @@
 //! interleaves across devices — is left free, and the checker explores all
 //! of it.
 //!
-//! Each [`step`] returns the successor state, the [`serve::ProtocolEvent`]s
-//! the engine would have logged for that transition (so counterexamples
-//! read like real traces), and an optional in-step property violation
-//! (scrub-before-reuse is checked at every device read).
+//! Each [`ModelState::step`] returns the successor state, the
+//! [`serve::ProtocolEvent`]s the engine would have logged for that
+//! transition (so counterexamples read like real traces), and an optional
+//! in-step property violation (scrub-before-reuse is checked at every
+//! device read).
 
 use crate::scenario::{Mutation, Scenario};
 use crate::{Property, Violation};

@@ -13,31 +13,19 @@
 //! atomic-count drift long before it corrupts an output value).
 
 use crate::executor::ChunkedRun;
-use analyzer::cost::{certify_chunked, certify_chunked_format, CounterEnvelope};
+use analyzer::cost::{certify_chunked, CounterEnvelope};
 use fcoo::chunk::ChunkPlan;
 use fcoo::{Fcoo, FormatKind, LaunchConfig};
 use gpu_sim::DeviceConfig;
 
-/// Certified envelope of a whole chunked pipeline: every counter of the
-/// merged per-chunk launches, summed over `plan`, plus bounds on the
-/// accumulated `KernelStats::time_us`. Derived from the parent format's
-/// headers alone — nothing is uploaded or launched.
-pub fn pipeline_envelope(
-    config: &DeviceConfig,
-    fcoo: &Fcoo,
-    plan: &ChunkPlan,
-    rank: usize,
-    cfg: &LaunchConfig,
-) -> CounterEnvelope {
-    certify_chunked(config, fcoo, plan, rank, cfg)
-}
-
-/// [`pipeline_envelope`] generalized over the sparse format: each chunk is
+/// Certified envelope of a whole chunked pipeline in format `kind`: every
+/// counter of the merged per-chunk launches, summed over `plan`, plus
+/// bounds on the accumulated `KernelStats::time_us`. Each chunk is
 /// certified with the format's own cost interpreter (bucketed gather
 /// transactions for BF-COO), matching what
-/// [`run_chunked_format`](crate::executor::run_chunked_format) launches.
-/// `FormatKind::Fcoo` is exactly [`pipeline_envelope`].
-pub fn pipeline_envelope_format(
+/// [`run_chunked`](crate::executor::run_chunked) launches. Derived from the
+/// parent format's headers alone — nothing is uploaded or launched.
+pub fn pipeline_envelope(
     config: &DeviceConfig,
     kind: FormatKind,
     fcoo: &Fcoo,
@@ -45,7 +33,7 @@ pub fn pipeline_envelope_format(
     rank: usize,
     cfg: &LaunchConfig,
 ) -> CounterEnvelope {
-    certify_chunked_format(config, kind, fcoo, plan, rank, cfg)
+    certify_chunked(config, kind, fcoo, plan, rank, cfg)
 }
 
 /// Validates a finished chunked run against its certified envelope.
@@ -102,8 +90,10 @@ mod tests {
         for divisor in [2usize, 5] {
             let budget = (fcoo.storage().total_bytes() / divisor).max(1);
             let plan = fcoo::split(&fcoo, budget);
-            let envelope = pipeline_envelope(device.config(), &fcoo, &plan, RANK, &cfg);
-            let run = run_chunked(&device, &fcoo, &plan, &factors, &cfg).expect("chunked run");
+            let envelope =
+                pipeline_envelope(device.config(), FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
+            let run = run_chunked(&device, FormatKind::Fcoo, &fcoo, &plan, &factors, &cfg)
+                .expect("chunked run");
             assert_eq!(
                 check_run(&envelope, &run),
                 Vec::<String>::new(),
@@ -128,22 +118,16 @@ mod tests {
         let budget = (fcoo.storage().total_bytes() / 3).max(1);
         let plan = fcoo::split(&fcoo, budget);
         let envelope =
-            pipeline_envelope_format(device.config(), FormatKind::BfCoo, &fcoo, &plan, RANK, &cfg);
-        let run = crate::executor::run_chunked_format(
-            &device,
-            FormatKind::BfCoo,
-            &fcoo,
-            &plan,
-            &factors,
-            &cfg,
-        )
-        .expect("chunked run");
+            pipeline_envelope(device.config(), FormatKind::BfCoo, &fcoo, &plan, RANK, &cfg);
+        let run = run_chunked(&device, FormatKind::BfCoo, &fcoo, &plan, &factors, &cfg)
+            .expect("chunked run");
         assert_eq!(check_run(&envelope, &run), Vec::<String>::new());
         assert_eq!(envelope.launches, plan.len() as u64);
         // The strided envelope certifies the same launch count but models
         // the un-bucketed gathers — a BF-COO run is not obliged to fit it,
         // only its own format envelope (checked above).
-        let strided = pipeline_envelope(device.config(), &fcoo, &plan, RANK, &cfg);
+        let strided =
+            pipeline_envelope(device.config(), FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
         assert_eq!(strided.launches, envelope.launches);
     }
 
@@ -152,16 +136,14 @@ mod tests {
         let device = GpuDevice::titan_x();
         let (tensor, _) = datasets::generate(DatasetKind::Brainq, 900, 3);
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 0 }, 8);
-        let factors: Vec<DenseMatrix> = tensor
-            .shape()
-            .iter()
-            .enumerate()
-            .map(|(m, &n)| DenseMatrix::random(n, RANK, 1 + m as u64))
-            .collect();
+        // SpTTM takes `[U]`: the mode-0 factor alone.
+        let factors = vec![DenseMatrix::random(tensor.shape()[0], RANK, 1)];
         let cfg = LaunchConfig::with_block_size(64);
         let plan = fcoo::split(&fcoo, (fcoo.storage().total_bytes() / 3).max(1));
-        let envelope = pipeline_envelope(device.config(), &fcoo, &plan, RANK, &cfg);
-        let mut run = run_chunked(&device, &fcoo, &plan, &factors, &cfg).expect("chunked run");
+        let envelope =
+            pipeline_envelope(device.config(), FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
+        let mut run = run_chunked(&device, FormatKind::Fcoo, &fcoo, &plan, &factors, &cfg)
+            .expect("chunked run");
         run.stats.time_us = envelope.stats_time_us().hi * 2.0 + 1.0;
         let violations = check_run(&envelope, &run);
         assert_eq!(violations.len(), 1, "{violations:?}");

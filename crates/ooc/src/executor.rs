@@ -17,7 +17,7 @@
 //! chunks never re-run (the serve layer's per-chunk retry).
 
 use fcoo::chunk::{self, ChunkDescriptor, ChunkPlan};
-use fcoo::{BfCoo, BfCooDevice, Fcoo, FcooDevice, FormatKind, LaunchConfig, TensorOp};
+use fcoo::{AnyFormatDevice, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{GpuDevice, KernelStats, OutOfMemory};
 use tensor_core::DenseMatrix;
 
@@ -142,35 +142,16 @@ pub fn output_cols(fcoo: &Fcoo, factors: &[DenseMatrix]) -> usize {
     }
 }
 
-/// Uploads one chunk-local format, runs its unified kernel into a buffer
-/// pre-loaded with `seed`, and reads the buffer back.
+/// Uploads one chunk-local payload as a `kind` format, runs its unified
+/// kernel into a buffer pre-loaded with `seed`, and reads the buffer back.
 ///
-/// `factors` follows the in-core kernel conventions: `[U]` for SpTTM, one
-/// matrix per tensor mode for SpMTTKRP, one per product mode (ascending)
-/// for SpTTMc. The chunk's device allocations are freed on return — only
-/// the factors persist across chunks.
+/// The format's schedule metadata (BF-COO's buckets, a pure function of
+/// the chunk-local coordinate stream) is derived from the chunk on upload.
+/// `factors` are listed as [`TensorOp::factor_modes`] says: `[U]` for
+/// SpTTM, one matrix per tensor mode for SpMTTKRP, one per product mode
+/// (ascending) for SpTTMc. The chunk's device allocations are freed on
+/// return — only the factors persist across chunks.
 pub fn run_chunk(
-    device: &GpuDevice,
-    chunk: &Fcoo,
-    factors: &[&fcoo::DeviceMatrix],
-    cfg: &LaunchConfig,
-    seed: &[f32],
-) -> Result<(Vec<f32>, KernelStats), OutOfMemory> {
-    let format = FcooDevice::upload(device.memory(), chunk)?;
-    let out = device.memory().alloc_from_slice(seed)?;
-    let stats = match chunk.op {
-        TensorOp::SpTtm { .. } => fcoo::spttm_into(device, &format, factors[0], cfg, &out),
-        TensorOp::SpMttkrp { .. } => fcoo::spmttkrp_into(device, &format, factors, cfg, &out),
-        TensorOp::SpTtmc { .. } => fcoo::spttmc_norder_into(device, &format, factors, cfg, &out),
-    };
-    Ok((out.into_vec(), stats))
-}
-
-/// [`run_chunk`] generalized over the sparse format: rebuilds the chunk's
-/// format-specific metadata (e.g. BF-COO bucket offsets, a pure function of
-/// the chunk-local coordinate stream) before upload and dispatches through
-/// the format's kernels. `FormatKind::Fcoo` is exactly [`run_chunk`].
-pub fn run_chunk_format(
     device: &GpuDevice,
     kind: FormatKind,
     chunk: &Fcoo,
@@ -178,20 +159,10 @@ pub fn run_chunk_format(
     cfg: &LaunchConfig,
     seed: &[f32],
 ) -> Result<(Vec<f32>, KernelStats), OutOfMemory> {
-    match kind {
-        FormatKind::Fcoo => run_chunk(device, chunk, factors, cfg, seed),
-        FormatKind::BfCoo => {
-            let bfcoo = BfCoo::from_fcoo(chunk.clone());
-            let format = BfCooDevice::upload(device.memory(), &bfcoo)?;
-            let out = device.memory().alloc_from_slice(seed)?;
-            let stats = match chunk.op {
-                TensorOp::SpTtm { .. } => format.spttm_into(device, factors[0], cfg, &out),
-                TensorOp::SpMttkrp { .. } => format.spmttkrp_into(device, factors, cfg, &out),
-                TensorOp::SpTtmc { .. } => format.spttmc_norder_into(device, factors, cfg, &out),
-            };
-            Ok((out.into_vec(), stats))
-        }
-    }
+    let format = AnyFormatDevice::upload_as(device.memory(), kind, chunk)?;
+    let out = device.memory().alloc_from_slice(seed)?;
+    let stats = format.launch_into(device, factors, cfg, &out);
+    Ok((out.into_vec(), stats))
 }
 
 /// Per-chunk byte and time accounting of one streamed execution.
@@ -226,26 +197,15 @@ pub struct ChunkedRun {
     pub stats: KernelStats,
 }
 
-/// Streams `fcoo` through `plan` on `device` and returns the accumulated
-/// output. `factors` are host matrices in the [`run_chunk`] convention;
-/// they are uploaded once and shared by every chunk.
+/// Streams `fcoo` through `plan` on `device` as a `kind` format and
+/// returns the accumulated output. `factors` are host matrices in the
+/// [`run_chunk`] convention; they are uploaded once and shared by every
+/// chunk. Every chunk runs through [`run_chunk`], so a BF-COO stream
+/// rebuilds each chunk's bucket metadata locally while the carry-row
+/// accumulation stays format-independent (the bucketed schedule permutes
+/// gathers within a thread, never the segment fold order, so outputs are
+/// bit-exact across formats).
 pub fn run_chunked(
-    device: &GpuDevice,
-    fcoo: &Fcoo,
-    plan: &ChunkPlan,
-    factors: &[DenseMatrix],
-    cfg: &LaunchConfig,
-) -> Result<ChunkedRun, OutOfMemory> {
-    run_chunked_format(device, FormatKind::Fcoo, fcoo, plan, factors, cfg)
-}
-
-/// [`run_chunked`] generalized over the sparse format: every chunk is
-/// executed via [`run_chunk_format`], so a BF-COO stream rebuilds each
-/// chunk's bucket metadata locally while the carry-row accumulation stays
-/// format-independent (the bucketed schedule permutes gathers within a
-/// thread, never the segment fold order, so outputs remain bit-exact with
-/// the strided path).
-pub fn run_chunked_format(
     device: &GpuDevice,
     kind: FormatKind,
     fcoo: &Fcoo,
@@ -266,7 +226,7 @@ pub fn run_chunked_format(
     for desc in &plan.chunks {
         let chunk = chunk::extract(fcoo, desc);
         let seed = acc.seed_image(desc, &chunk);
-        let (out, chunk_stats) = run_chunk_format(device, kind, &chunk, &refs, cfg, &seed)?;
+        let (out, chunk_stats) = run_chunk(device, kind, &chunk, &refs, cfg, &seed)?;
         acc.absorb(desc, &chunk, &out);
         reports.push(ChunkReport {
             index: desc.index,
@@ -290,7 +250,7 @@ pub fn run_chunked_format(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcoo::DeviceMatrix;
+    use fcoo::{DeviceMatrix, FcooDevice};
     use tensor_core::datasets::{self, DatasetKind};
 
     /// Small enough that grid_x·columns ≤ 8 blocks: the simulator runs all
@@ -328,7 +288,15 @@ mod tests {
         let plan = chunk::split(&f, 2048);
         assert!(plan.len() >= 4, "budget must force a real pipeline");
         let streaming_device = GpuDevice::titan_x();
-        let run = run_chunked(&streaming_device, &f, &plan, &factors, &cfg).unwrap();
+        let run = run_chunked(
+            &streaming_device,
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            &factors,
+            &cfg,
+        )
+        .unwrap();
         assert_eq!(run.rows, reference.rows());
         assert_eq!(run.cols, reference.cols());
         let ref_bits: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
@@ -350,8 +318,15 @@ mod tests {
         let plan = chunk::split(&f, 1536);
         assert!(plan.len() >= 4);
         let streaming_device = GpuDevice::titan_x();
-        let run =
-            run_chunked(&streaming_device, &f, &plan, std::slice::from_ref(&u), &cfg).unwrap();
+        let run = run_chunked(
+            &streaming_device,
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            std::slice::from_ref(&u),
+            &cfg,
+        )
+        .unwrap();
         let ref_bits: Vec<u32> = reference.values().iter().map(|v| v.to_bits()).collect();
         let got_bits: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(ref_bits, got_bits);
@@ -374,7 +349,15 @@ mod tests {
         let plan = chunk::split(&f, 2048);
         assert!(plan.len() >= 3);
         let streaming_device = GpuDevice::titan_x();
-        let run = run_chunked(&streaming_device, &f, &plan, &[a, b], &cfg).unwrap();
+        let run = run_chunked(
+            &streaming_device,
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            &[a, b],
+            &cfg,
+        )
+        .unwrap();
         let ref_bits: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
         let got_bits: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(ref_bits, got_bits);
@@ -400,7 +383,7 @@ mod tests {
 
         let plan = chunk::split(&f, 2048);
         assert!(plan.len() >= 4, "budget must force a real pipeline");
-        let bf_run = run_chunked_format(
+        let bf_run = run_chunked(
             &GpuDevice::titan_x(),
             FormatKind::BfCoo,
             &f,
@@ -412,7 +395,15 @@ mod tests {
         let bf_bits: Vec<u32> = bf_run.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(ref_bits, bf_bits, "BF-COO chunked diverged from in-core");
 
-        let fcoo_run = run_chunked(&GpuDevice::titan_x(), &f, &plan, &factors, &cfg).unwrap();
+        let fcoo_run = run_chunked(
+            &GpuDevice::titan_x(),
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            &factors,
+            &cfg,
+        )
+        .unwrap();
         let fcoo_bits: Vec<u32> = fcoo_run.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bf_bits, fcoo_bits, "formats diverged on the chunked path");
         // BF-COO chunks stream the extra bucket metadata host→device.
@@ -436,26 +427,32 @@ mod tests {
         let cfg = LaunchConfig::default();
         let plan = chunk::split(&f, 2048);
         assert!(plan.len() >= 2);
-        let device = GpuDevice::titan_x();
-        let uploaded: Vec<DeviceMatrix> = factors
-            .iter()
-            .map(|h| DeviceMatrix::upload(device.memory(), h).unwrap())
-            .collect();
-        let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-        let cols = output_cols(&f, &factors);
-        let mut acc = Accumulator::for_op(&f, cols);
-        for desc in &plan.chunks {
-            let chunk_fcoo = chunk::extract(&f, desc);
-            let seed = acc.seed_image(desc, &chunk_fcoo);
-            // First attempt: discarded without absorbing (a faulted chunk).
-            let (_discarded, _) = run_chunk(&device, &chunk_fcoo, &refs, &cfg, &seed).unwrap();
-            // Retry from the same seed; only this one is absorbed.
-            let (out, _) = run_chunk(&device, &chunk_fcoo, &refs, &cfg, &seed).unwrap();
-            acc.absorb(desc, &chunk_fcoo, &out);
+        // Serving retries chunks in the plan's format, so every format's
+        // retry must be idempotent.
+        for kind in FormatKind::ALL {
+            let device = GpuDevice::titan_x();
+            let uploaded: Vec<DeviceMatrix> = factors
+                .iter()
+                .map(|h| DeviceMatrix::upload(device.memory(), h).unwrap())
+                .collect();
+            let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
+            let cols = output_cols(&f, &factors);
+            let mut acc = Accumulator::for_op(&f, cols);
+            for desc in &plan.chunks {
+                let chunk_fcoo = chunk::extract(&f, desc);
+                let seed = acc.seed_image(desc, &chunk_fcoo);
+                // First attempt: discarded without absorbing (a faulted chunk).
+                let (_discarded, _) =
+                    run_chunk(&device, kind, &chunk_fcoo, &refs, &cfg, &seed).unwrap();
+                // Retry from the same seed; only this one is absorbed.
+                let (out, _) = run_chunk(&device, kind, &chunk_fcoo, &refs, &cfg, &seed).unwrap();
+                acc.absorb(desc, &chunk_fcoo, &out);
+            }
+            let clean =
+                run_chunked(&GpuDevice::titan_x(), kind, &f, &plan, &factors, &cfg).unwrap();
+            let a: Vec<u32> = acc.values().iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u32> = clean.values.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "{kind}: per-chunk retry must be idempotent");
         }
-        let clean = run_chunked(&GpuDevice::titan_x(), &f, &plan, &factors, &cfg).unwrap();
-        let a: Vec<u32> = acc.values().iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = clean.values.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b, "per-chunk retry must be idempotent");
     }
 }

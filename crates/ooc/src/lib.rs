@@ -26,11 +26,8 @@ pub mod bound;
 pub mod executor;
 pub mod pipeline;
 
-pub use bound::{check_run, pipeline_envelope, pipeline_envelope_format};
-pub use executor::{
-    output_cols, run_chunk, run_chunk_format, run_chunked, run_chunked_format, Accumulator,
-    ChunkReport, ChunkedRun,
-};
+pub use bound::{check_run, pipeline_envelope};
+pub use executor::{output_cols, run_chunk, run_chunked, Accumulator, ChunkReport, ChunkedRun};
 pub use fcoo::chunk::{extract, split, ChunkDescriptor, ChunkPlan};
 pub use pipeline::{
     schedule, schedule_on, ChunkSchedule, PipelineBuilder, PipelineTiming, StageTimes,

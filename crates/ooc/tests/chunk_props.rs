@@ -8,7 +8,7 @@
 //! runs every block on one worker chunk and results are strictly
 //! deterministic, making bitwise comparison meaningful.
 
-use fcoo::{chunk, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
+use fcoo::{chunk, DeviceMatrix, Fcoo, FcooDevice, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::GpuDevice;
 use ooc::run_chunked;
 use proptest::prelude::*;
@@ -97,7 +97,7 @@ proptest! {
         let reference = in_core_bits(&f, &factors, &cfg);
         let plan = chunk::split(&f, budget);
         prop_assert_eq!(plan.total_nnz(), f.nnz());
-        let run = run_chunked(&GpuDevice::titan_x(), &f, &plan, &factors, &cfg)
+        let run = run_chunked(&GpuDevice::titan_x(), FormatKind::Fcoo, &f, &plan, &factors, &cfg)
             .expect("streaming run");
         let got: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(
@@ -146,7 +146,7 @@ proptest! {
         let factors = host_factors(&t, op, factor_seed);
         let cfg = LaunchConfig::default();
         let reference = in_core_bits(&f, &factors, &cfg);
-        let run = run_chunked(&GpuDevice::titan_x(), &f, &plan, &factors, &cfg)
+        let run = run_chunked(&GpuDevice::titan_x(), FormatKind::Fcoo, &f, &plan, &factors, &cfg)
             .expect("streaming run");
         let got: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(reference, got, "carried segment double- or under-counted");

@@ -138,7 +138,7 @@ fn unified_kernels_are_sanitizer_clean() {
             assert!(sanitizer::check_fcoo(&fcoo).is_clean());
             let dev_fcoo = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
             device.start_recording();
-            fcoo::spttmc(&device, &dev_fcoo, &mats[0], &mats[2], &cfg).expect("spttmc");
+            fcoo::spttmc_norder(&device, &dev_fcoo, &[&mats[0], &mats[2]], &cfg).expect("spttmc");
             let report = sanitizer::analyze(&device.stop_recording());
             assert!(
                 report.is_clean(),
@@ -176,7 +176,7 @@ fn tiled_spttmc_launches_are_race_free() {
             let fcoo = Fcoo::from_coo(&tensor, op, 2);
             let dev_fcoo = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
             device.start_recording();
-            fcoo::spttmc(&device, &dev_fcoo, &mats[0], &mats[2], &cfg).expect("spttmc");
+            fcoo::spttmc_norder(&device, &dev_fcoo, &[&mats[0], &mats[2]], &cfg).expect("spttmc");
             let log = device.stop_recording();
             let grid = (fcoo.partitions().div_ceil(32), r * r / tile);
             assert_eq!(log.launches[0].grid, grid, "rank {r}: launch is not tiled");

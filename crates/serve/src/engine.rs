@@ -21,7 +21,7 @@ use crate::upload::{self, DeviceFactors, FactorPlan};
 use crate::workload::{Request, ServeOp, Workload};
 use decomp::cp::{cp_als, CpOptions, CpRun, MttkrpEngine, MttkrpError};
 use decomp::engines::{ModePlan, UnifiedGpuEngine};
-use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
+use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{DeviceConfig, FaultConfig, FaultEvent, GpuDevice, LaunchTrace};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -220,6 +220,28 @@ pub enum JobOutput {
 }
 
 impl JobOutput {
+    /// A tensor-op kernel's result from its `rows × columns` output block:
+    /// for SpTTM one fiber per row at the format's segment coordinates
+    /// (`segment_coords`, one column per index mode) over a tensor of
+    /// `shape`, the block itself otherwise.
+    pub(crate) fn from_rows(
+        op: TensorOp,
+        shape: Vec<usize>,
+        segment_coords: &[Vec<u32>],
+        rows: DenseMatrix,
+    ) -> JobOutput {
+        match op {
+            TensorOp::SpTtm { mode } => JobOutput::Semi(SemiSparseTensor::from_fibers(
+                shape,
+                mode,
+                rows.cols(),
+                segment_coords,
+                rows.data(),
+            )),
+            TensorOp::SpMttkrp { .. } | TensorOp::SpTtmc { .. } => JobOutput::Dense(rows),
+        }
+    }
+
     /// Bytes of the result payload (what a device→host copy moves).
     pub fn bytes(&self) -> usize {
         match self {
@@ -1512,8 +1534,7 @@ impl ServeEngine {
                 true,
                 |engine, _| {
                     let device_ref = &engine.devices[device];
-                    let run =
-                        ooc::run_chunk_format(device_ref, plan.kind(), &chunk, &refs, &cfg, &seed);
+                    let run = ooc::run_chunk(device_ref, plan.kind(), &chunk, &refs, &cfg, &seed);
                     let launches = engine.drain_launches(device);
                     run.map(|(out, stats)| (out, stats, launches))
                         .map_err(|e| format!("chunk {} allocation failed: {e}", desc.index))
@@ -1567,28 +1588,12 @@ impl ServeEngine {
             start_us: pipeline_ready,
             finish_us: timing.finish_us(),
         };
-        let rows = acc.rows();
-        let output = match op {
-            TensorOp::SpTtm { mode } => {
-                // Assemble the semi-sparse result exactly like the in-core
-                // SpTTM wrapper: one fiber per segment, values from the
-                // accumulated buffer.
-                let shape = self.registered(&request.tensor_id)?.tensor.shape().to_vec();
-                let mut result = SemiSparseTensor::new(shape, mode, cols);
-                let values = acc.values();
-                for seg in 0..rows {
-                    let coord: Vec<u32> = plan
-                        .fcoo()
-                        .segment_coords
-                        .iter()
-                        .map(|column| column[seg])
-                        .collect();
-                    result.push_fiber(&coord, &values[seg * cols..(seg + 1) * cols]);
-                }
-                JobOutput::Semi(result)
-            }
-            _ => JobOutput::Dense(DenseMatrix::from_vec(rows, cols, acc.into_values())),
-        };
+        let output = JobOutput::from_rows(
+            op,
+            self.registered(&request.tensor_id)?.tensor.shape().to_vec(),
+            &plan.fcoo().segment_coords,
+            DenseMatrix::from_vec(acc.rows(), cols, acc.into_values()),
+        );
         let profile = RequestProfile {
             h2d_us: h2d_us_total,
             kernel_us: kernel_us_total,
@@ -2231,24 +2236,17 @@ impl ServeEngine {
         let factors = self.upload_factors(device, request, op)?;
         let refs = factors.refs();
         let cfg = LaunchConfig::with_block_size(block_size);
-        let gpu = &self.devices[device];
-        let (output, stats) = match op {
-            // The compact format's dense mode spans the touched rows; the
-            // result reports the registered tensor's extent.
-            TensorOp::SpTtm { mode } => {
-                let extent = self.registered(&request.tensor_id)?.tensor.shape()[mode];
-                format.spttm(gpu, refs[0], &cfg).map(|(result, stats)| {
-                    (JobOutput::Semi(result.with_dense_extent(extent)), stats)
-                })
-            }
-            TensorOp::SpMttkrp { .. } => format
-                .spmttkrp(gpu, &refs, &cfg)
-                .map(|(result, stats)| (JobOutput::Dense(result), stats)),
-            TensorOp::SpTtmc { .. } => format
-                .spttmc_norder(gpu, &refs, &cfg)
-                .map(|(result, stats)| (JobOutput::Dense(result), stats)),
-        }
-        .map_err(|e| format!("transient allocation failed: {e}"))?;
+        let (rows, stats) = format
+            .launch(&self.devices[device], &refs, &cfg)
+            .map_err(|e| format!("transient allocation failed: {e}"))?;
+        // The compact format's product modes span the touched rows; the
+        // result reports the registered tensor's shape.
+        let output = JobOutput::from_rows(
+            op,
+            self.registered(&request.tensor_id)?.tensor.shape().to_vec(),
+            &format.base().segment_coords_host,
+            rows,
+        );
         Ok((output, stats.time_us, factors.bytes()))
     }
 
@@ -2511,45 +2509,26 @@ pub fn one_shot_reference(
 ) -> Option<JobOutput> {
     let device = GpuDevice::new(device_config.clone());
     let fcoo = Fcoo::from_coo(tensor, op, threadlen);
-    let format = FcooDevice::upload(device.memory(), &fcoo).ok()?;
-    let cfg = LaunchConfig::with_block_size(block_size);
+    let format = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).ok()?;
     let shape = tensor.shape();
-    match op {
-        TensorOp::SpTtm { mode } => {
-            let host =
-                DenseMatrix::random(shape[mode], rank, factor_seed_for_mode(factor_seed, mode));
-            let u = DeviceMatrix::upload(device.memory(), &host).ok()?;
-            let (result, _) = fcoo::spttm(&device, &format, &u, &cfg).ok()?;
-            Some(JobOutput::Semi(result))
-        }
-        TensorOp::SpMttkrp { mode: _ } => {
-            let hosts: Vec<DenseMatrix> = (0..shape.len())
-                .map(|m| DenseMatrix::random(shape[m], rank, factor_seed_for_mode(factor_seed, m)))
-                .collect();
-            let uploaded: Vec<DeviceMatrix> = hosts
-                .iter()
-                .map(|h| DeviceMatrix::upload(device.memory(), h))
-                .collect::<Result<_, _>>()
-                .ok()?;
-            let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            let (result, _) = fcoo::spmttkrp(&device, &format, &refs, &cfg).ok()?;
-            Some(JobOutput::Dense(result))
-        }
-        TensorOp::SpTtmc { mode } => {
-            let hosts: Vec<DenseMatrix> = product_modes(shape.len(), mode)
-                .iter()
-                .map(|&m| DenseMatrix::random(shape[m], rank, factor_seed_for_mode(factor_seed, m)))
-                .collect();
-            let uploaded: Vec<DeviceMatrix> = hosts
-                .iter()
-                .map(|h| DeviceMatrix::upload(device.memory(), h))
-                .collect::<Result<_, _>>()
-                .ok()?;
-            let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            let (result, _) = fcoo::spttmc_norder(&device, &format, &refs, &cfg).ok()?;
-            Some(JobOutput::Dense(result))
-        }
-    }
+    let factors: Vec<DeviceMatrix> = op
+        .factor_modes(shape.len())
+        .into_iter()
+        .map(|m| {
+            let host = DenseMatrix::random(shape[m], rank, factor_seed_for_mode(factor_seed, m));
+            DeviceMatrix::upload(device.memory(), &host)
+        })
+        .collect::<Result<_, _>>()
+        .ok()?;
+    let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+    let cfg = LaunchConfig::with_block_size(block_size);
+    let (rows, _) = format.launch(&device, &refs, &cfg).ok()?;
+    Some(JobOutput::from_rows(
+        op,
+        shape.to_vec(),
+        &format.base().segment_coords_host,
+        rows,
+    ))
 }
 
 /// CP-ALS through the one-shot API: fresh device, per-mode F-COO rebuilt

@@ -1,6 +1,6 @@
 //! Workload files: declarative tensor registrations plus request traces.
 //!
-//! A workload is a plain-text file the CLI and benches replay against the
+//! A workload is a plain-text file the CLI and the ledger replay against the
 //! serving engine. Two line kinds (blank lines and `#` comments ignored):
 //!
 //! ```text

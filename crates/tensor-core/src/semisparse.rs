@@ -65,6 +65,28 @@ impl SemiSparseTensor {
         self.values.extend_from_slice(fiber);
     }
 
+    /// One fiber per row of the row-major `values` block: fiber `f` sits at
+    /// index coordinate `(coords[0][f], coords[1][f], …)` (one column per
+    /// index mode, ascending) and holds row `f`, `dense_len` values long.
+    ///
+    /// # Panics
+    /// As [`SemiSparseTensor::new`] and [`SemiSparseTensor::push_fiber`],
+    /// or if a coordinate column is shorter than the row count.
+    pub fn from_fibers(
+        shape: Vec<usize>,
+        dense_mode: usize,
+        dense_len: usize,
+        coords: &[Vec<Idx>],
+        values: &[Val],
+    ) -> Self {
+        let mut result = SemiSparseTensor::new(shape, dense_mode, dense_len);
+        for (fib, fiber) in values.chunks_exact(dense_len).enumerate() {
+            let coord: Vec<Idx> = coords.iter().map(|column| column[fib]).collect();
+            result.push_fiber(&coord, fiber);
+        }
+        result
+    }
+
     /// The same fibers over an originating tensor whose dense mode has
     /// `extent` rows. No fiber indexes the dense mode, so only the recorded
     /// shape changes.

@@ -4,6 +4,7 @@
 //! logic is unit-testable without spawning processes. The binary in
 //! `src/bin/tensortool.rs` only parses arguments and forwards here.
 
+use crate::gpu_sim::OutOfMemory;
 use crate::prelude::*;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -22,6 +23,29 @@ impl std::error::Error for CliError {}
 
 fn err(message: impl Into<String>) -> CliError {
     CliError(message.into())
+}
+
+fn out_of_memory(e: OutOfMemory) -> CliError {
+    err(format!("device out of memory: {e}"))
+}
+
+/// Uploads random `rank`-column factors for one launch of `op` on a tensor
+/// of `shape`, listed as [`TensorOp::factor_modes`] says; the factor at
+/// list position `p` is seeded `1 + p`.
+fn upload_factors(
+    device: &GpuDevice,
+    op: TensorOp,
+    shape: &[usize],
+    rank: usize,
+) -> Result<Vec<DeviceMatrix>, CliError> {
+    op.factor_modes(shape.len())
+        .into_iter()
+        .enumerate()
+        .map(|(p, m)| {
+            let host = DenseMatrix::random(shape[m], rank, 1 + p as u64);
+            DeviceMatrix::upload(device.memory(), &host).map_err(out_of_memory)
+        })
+        .collect()
 }
 
 /// Loads a tensor from a FROSTT `.tns` file.
@@ -73,13 +97,11 @@ pub fn spttm(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<Strin
     check_mode(tensor, mode)?;
     let device = GpuDevice::titan_x();
     let fcoo = Fcoo::from_coo(tensor, TensorOp::SpTtm { mode }, 16);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo)
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+    let on_device = FcooDevice::upload(device.memory(), &fcoo).map_err(out_of_memory)?;
     let u_host = DenseMatrix::random(tensor.shape()[mode], rank, 1);
-    let u = DeviceMatrix::upload(device.memory(), &u_host)
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+    let u = DeviceMatrix::upload(device.memory(), &u_host).map_err(out_of_memory)?;
     let (result, stats) = crate::fcoo::spttm(&device, &on_device, &u, &LaunchConfig::default())
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+        .map_err(out_of_memory)?;
     let checksum: f64 = result.values().iter().map(|&v| v as f64).sum();
     Ok(format!(
         "SpTTM(mode-{}) rank {rank}: {:.1} µs simulated, {} fibers, \
@@ -96,8 +118,7 @@ pub fn mttkrp(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<Stri
     check_mode(tensor, mode)?;
     let device = GpuDevice::titan_x();
     let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, 16);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo)
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+    let on_device = FcooDevice::upload(device.memory(), &fcoo).map_err(out_of_memory)?;
     let hosts: Vec<DenseMatrix> = tensor
         .shape()
         .iter()
@@ -108,11 +129,11 @@ pub fn mttkrp(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<Stri
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f))
         .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+        .map_err(out_of_memory)?;
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
     let (result, stats) =
         crate::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default())
-            .map_err(|e| err(format!("device out of memory: {e}")))?;
+            .map_err(out_of_memory)?;
     let checksum: f64 = result.data().iter().map(|&v| v as f64).sum();
     Ok(format!(
         "SpMTTKRP(mode-{}) rank {rank}: {:.1} µs simulated, output {}x{}, \
@@ -136,7 +157,7 @@ pub fn cp(tensor: &SparseTensorCoo, rank: usize, iters: usize) -> Result<String,
     };
     let device = GpuDevice::titan_x();
     let mut engine = UnifiedGpuEngine::new(&device, tensor, 16, LaunchConfig::default().block_size)
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+        .map_err(out_of_memory)?;
     let run = cp_als(tensor, &mut engine, &opts).map_err(|e| err(format!("cp-als failed: {e}")))?;
     let mut out = String::new();
     let _ = writeln!(
@@ -197,48 +218,13 @@ pub fn run_cached(path: &Path, rank: usize) -> Result<String, CliError> {
     let fcoo = crate::fcoo::read_fcoo(std::io::BufReader::new(file))
         .map_err(|e| err(format!("cannot decode {}: {e}", path.display())))?;
     let device = GpuDevice::titan_x();
-    let on_device = FcooDevice::upload(device.memory(), &fcoo)
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
-    let cfg = LaunchConfig::default();
-    let stats = match fcoo.op {
-        TensorOp::SpTtm { mode } => {
-            let u_host = DenseMatrix::random(fcoo.shape[mode], rank, 1);
-            let u = DeviceMatrix::upload(device.memory(), &u_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            crate::fcoo::spttm(&device, &on_device, &u, &cfg)
-                .map_err(|e| err(format!("device out of memory: {e}")))?
-                .1
-        }
-        TensorOp::SpMttkrp { .. } => {
-            let hosts: Vec<DenseMatrix> = fcoo
-                .shape
-                .iter()
-                .enumerate()
-                .map(|(m, &n)| DenseMatrix::random(n, rank, 1 + m as u64))
-                .collect();
-            let factors: Vec<DeviceMatrix> = hosts
-                .iter()
-                .map(|f| DeviceMatrix::upload(device.memory(), f))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-            crate::fcoo::spmttkrp(&device, &on_device, &refs, &cfg)
-                .map_err(|e| err(format!("device out of memory: {e}")))?
-                .1
-        }
-        TensorOp::SpTtmc { .. } => {
-            let pm = &fcoo.classification.product_modes;
-            let a_host = DenseMatrix::random(fcoo.shape[pm[0]], rank, 1);
-            let b_host = DenseMatrix::random(fcoo.shape[pm[1]], rank, 2);
-            let a = DeviceMatrix::upload(device.memory(), &a_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            let b = DeviceMatrix::upload(device.memory(), &b_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            crate::fcoo::spttmc(&device, &on_device, &a, &b, &cfg)
-                .map_err(|e| err(format!("device out of memory: {e}")))?
-                .1
-        }
-    };
+    let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+        .map_err(out_of_memory)?;
+    let factors = upload_factors(&device, fcoo.op, &fcoo.shape, rank)?;
+    let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+    let (_, stats) = on_device
+        .launch(&device, &refs, &LaunchConfig::default())
+        .map_err(out_of_memory)?;
     Ok(format!(
         "{} rank {rank}: {:.1} µs simulated, {} blocks in {} waves, \
          {:.1}% cache hits\n",
@@ -270,16 +256,15 @@ pub fn bench(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<Strin
     let mut out = String::new();
 
     let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, 16);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo)
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+    let on_device = FcooDevice::upload(device.memory(), &fcoo).map_err(out_of_memory)?;
     let factors: Vec<DeviceMatrix> = hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f))
         .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+        .map_err(out_of_memory)?;
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
     let (_, unified) = crate::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default())
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+        .map_err(out_of_memory)?;
     let _ = writeln!(out, "unified   (sim GPU): {:>10.1} µs", unified.time_us);
 
     match spmttkrp_two_step_gpu(&device, tensor, mode, &host_refs) {
@@ -340,47 +325,13 @@ pub fn sanitize(
     );
 
     let device = GpuDevice::titan_x();
-    let on_device = format
-        .upload(device.memory())
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+    let on_device = format.upload(device.memory()).map_err(out_of_memory)?;
     device.start_recording();
-    let launch_result = match op {
-        TensorOp::SpTtm { .. } => {
-            let u_host = DenseMatrix::random(tensor.shape()[mode], rank, 1);
-            let u = DeviceMatrix::upload(device.memory(), &u_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            on_device.spttm(&device, &u, &cfg).map(|_| ())
-        }
-        TensorOp::SpMttkrp { .. } => {
-            let hosts: Vec<DenseMatrix> = tensor
-                .shape()
-                .iter()
-                .enumerate()
-                .map(|(m, &n)| DenseMatrix::random(n, rank, 1 + m as u64))
-                .collect();
-            let factors: Vec<DeviceMatrix> = hosts
-                .iter()
-                .map(|f| DeviceMatrix::upload(device.memory(), f))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-            on_device.spmttkrp(&device, &refs, &cfg).map(|_| ())
-        }
-        TensorOp::SpTtmc { .. } => {
-            let pm = &fcoo.classification.product_modes;
-            let a_host = DenseMatrix::random(tensor.shape()[pm[0]], rank, 1);
-            let b_host = DenseMatrix::random(tensor.shape()[pm[1]], rank, 2);
-            let a = DeviceMatrix::upload(device.memory(), &a_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            let b = DeviceMatrix::upload(device.memory(), &b_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            on_device
-                .spttmc_norder(&device, &[&a, &b], &cfg)
-                .map(|_| ())
-        }
-    };
+    let factors = upload_factors(&device, op, tensor.shape(), rank)?;
+    let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+    let launch_result = on_device.launch(&device, &refs, &cfg);
     let log = device.stop_recording();
-    launch_result.map_err(|e| err(format!("device out of memory: {e}")))?;
+    launch_result.map_err(out_of_memory)?;
     let dynamic = sanitizer::analyze(&log);
     let _ = write!(
         out,
@@ -1121,8 +1072,15 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         if !lint.is_clean() {
             return Err(err(format!("oocbench chunk-plan lint: {lint}")));
         }
-        let envelope = crate::ooc::pipeline_envelope(device.config(), &fcoo, &plan, rank, &cfg);
-        let run = crate::ooc::run_chunked(&device, &fcoo, &plan, &factors, &cfg)
+        let envelope = crate::ooc::pipeline_envelope(
+            device.config(),
+            FormatKind::Fcoo,
+            &fcoo,
+            &plan,
+            rank,
+            &cfg,
+        );
+        let run = crate::ooc::run_chunked(&device, FormatKind::Fcoo, &fcoo, &plan, &factors, &cfg)
             .map_err(|e| err(format!("oocbench chunked replay: {e}")))?;
         let bound_violations = crate::ooc::check_run(&envelope, &run);
         if let Some(violation) = bound_violations.first() {

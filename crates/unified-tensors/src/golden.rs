@@ -78,7 +78,7 @@ fn tune(device: &GpuDevice, tensor: &SparseTensorCoo, op: TensorOp) -> fcoo::Tun
 
 /// Tunes (untraced), then runs one unified kernel traced on `device` and
 /// returns the drained counters.
-fn run_unified(
+fn run_tuned(
     config: &DeviceConfig,
     tensor: &SparseTensorCoo,
     op: TensorOp,
@@ -97,31 +97,22 @@ fn run_unified(
     // Host-side, header-only: touches nothing on the device, so the traced
     // counters below stay byte-identical to the pre-certifier suite.
     let envelope = analyzer::cost::certify(config, &fcoo, RANK, &cfg);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("golden upload");
+    let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+        .expect("golden upload");
     let hosts = factors(tensor);
     let uploaded: Vec<DeviceMatrix> = hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("golden factor upload"))
         .collect();
+    let refs: Vec<&DeviceMatrix> = op
+        .factor_modes(hosts.len())
+        .into_iter()
+        .map(|m| &uploaded[m])
+        .collect();
     device.start_tracing();
-    match op {
-        TensorOp::SpTtm { mode } => {
-            spttm(device, &on_device, &uploaded[mode], &cfg).expect("golden spttm");
-        }
-        TensorOp::SpMttkrp { .. } => {
-            let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            spmttkrp(device, &on_device, &refs, &cfg).expect("golden spmttkrp");
-        }
-        TensorOp::SpTtmc { .. } => {
-            let product: Vec<&DeviceMatrix> = on_device
-                .classification
-                .product_modes
-                .iter()
-                .map(|&m| &uploaded[m])
-                .collect();
-            crate::fcoo::spttmc_norder(device, &on_device, &product, &cfg).expect("golden spttmc");
-        }
-    }
+    on_device
+        .launch(device, &refs, &cfg)
+        .expect("golden unified launch");
     let counters = device.stop_tracing().counters();
     GoldenRun {
         kernel,
@@ -239,10 +230,12 @@ fn run_chunked_mttkrp(
     let fcoo = Fcoo::from_coo(tensor, op, threadlen);
     let budget = (fcoo.storage().total_bytes() / divisor).max(1);
     let plan = crate::fcoo::chunk::split(&fcoo, budget);
-    let envelope = analyzer::cost::certify_chunked(config, &fcoo, &plan, RANK, &cfg);
+    let envelope =
+        analyzer::cost::certify_chunked(config, FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
     let hosts = factors(tensor);
     device.start_tracing();
-    crate::ooc::run_chunked(device, &fcoo, &plan, &hosts, &cfg).expect("golden chunked mttkrp");
+    crate::ooc::run_chunked(device, FormatKind::Fcoo, &fcoo, &plan, &hosts, &cfg)
+        .expect("golden chunked mttkrp");
     let counters = device.stop_tracing().counters();
     GoldenRun {
         kernel,
@@ -317,9 +310,9 @@ fn collect_runs(config: &DeviceConfig) -> Vec<(&'static str, GoldenRun)> {
     for (kind, name) in DATASETS {
         let (tensor, _) = datasets::generate(kind, NNZ, 2017);
         let mut runs = vec![
-            run_unified(config, &tensor, TensorOp::SpTtm { mode: MODE }, "spttm"),
-            run_unified(config, &tensor, TensorOp::SpMttkrp { mode: MODE }, "mttkrp"),
-            run_unified(config, &tensor, TensorOp::SpTtmc { mode: MODE }, "ttmc"),
+            run_tuned(config, &tensor, TensorOp::SpTtm { mode: MODE }, "spttm"),
+            run_tuned(config, &tensor, TensorOp::SpMttkrp { mode: MODE }, "mttkrp"),
+            run_tuned(config, &tensor, TensorOp::SpTtmc { mode: MODE }, "ttmc"),
             run_atomic_mttkrp(config, &tensor),
             run_bfcoo_mttkrp(config, &tensor),
         ];

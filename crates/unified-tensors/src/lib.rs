@@ -75,8 +75,8 @@ pub mod prelude {
         UnifiedGpuEngine,
     };
     pub use fcoo::{
-        spmttkrp, spttm, spttmc, AnyFormat, BfCoo, DeviceMatrix, Fcoo, FcooDevice, FormatKind,
-        LaunchConfig, TensorOp,
+        spmttkrp, spttm, spttmc_norder, AnyFormat, AnyFormatDevice, BfCoo, DeviceMatrix, Fcoo,
+        FcooDevice, FormatKind, LaunchConfig, TensorOp,
     };
     pub use gpu_sim::{DeviceConfig, GpuDevice, KernelStats};
     pub use serve::{ServeConfig, ServeEngine, ServeReport, Workload};

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use unified_tensors::fcoo::chunk;
-use unified_tensors::ooc::{run_chunked, run_chunked_format};
+use unified_tensors::ooc::run_chunked;
 use unified_tensors::prelude::*;
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -212,16 +212,8 @@ proptest! {
         let plan = chunk::split(&fcoo, budget);
         prop_assert!(plan.len() >= 2, "budget {} left {} chunk(s)", budget, plan.len());
         let cfg = LaunchConfig::default();
-        let strided = run_chunked(&GpuDevice::titan_x(), &fcoo, &plan, &factors, &cfg).unwrap();
-        let bucketed = run_chunked_format(
-            &GpuDevice::titan_x(),
-            FormatKind::BfCoo,
-            &fcoo,
-            &plan,
-            &factors,
-            &cfg,
-        )
-        .unwrap();
+        let [strided, bucketed] = [FormatKind::Fcoo, FormatKind::BfCoo]
+            .map(|kind| run_chunked(&GpuDevice::titan_x(), kind, &fcoo, &plan, &factors, &cfg).unwrap());
         prop_assert_eq!((strided.rows, strided.cols), (bucketed.rows, bucketed.cols));
         prop_assert_eq!(bits(&strided.values), bits(&bucketed.values));
         prop_assert_eq!(strided.chunks.len(), bucketed.chunks.len());
