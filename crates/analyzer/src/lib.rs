@@ -996,52 +996,12 @@ pub fn tune_select(
 
 /// Load-time gate for persisted serving plans: re-checks the *correctness*
 /// properties a decoded plan can violate — launch shape against the device
-/// and segment-flag consistency of the decoded F-COO — and reports
-/// refutations as [`Pass::Symbolic`] findings. A plan whose report carries
-/// errors must be rebuilt, not replayed.
-pub fn plan_report(config: &DeviceConfig, fcoo: &Fcoo, block_size: usize) -> Report {
-    let mut report = Report::default();
-    let geometry = LaunchGeometry::new(
-        block_size,
-        fcoo.threadlen,
-        fcoo.nnz(),
-        1,
-        (block_size / 32) * 8,
-    );
-    if let Some(violation) = launch_shape_violation(&geometry, config) {
-        report.findings.push(Finding {
-            pass: Pass::Symbolic,
-            severity: Severity::Error,
-            message: format!("launch-shape refuted: {violation}"),
-            launch: None,
-            block: None,
-        });
-    }
-    let flags = sanitizer::check_fcoo(fcoo);
-    if !flags.is_clean() {
-        for finding in flags.findings {
-            report.findings.push(Finding {
-                pass: Pass::Symbolic,
-                severity: finding.severity,
-                message: format!("segment-flags refuted: {}", finding.message),
-                launch: None,
-                block: None,
-            });
-        }
-    }
-    report
-}
-
-/// True when [`plan_report`] finds no errors — the plan may execute.
-pub fn plan_safe(config: &DeviceConfig, fcoo: &Fcoo, block_size: usize) -> bool {
-    plan_report(config, fcoo, block_size).error_count() == 0
-}
-
-/// [`plan_report`] for a format-erased plan: the decoded payload is linted
-/// with its format's own invariants — BF-COO additionally re-derives the
-/// bucket metadata and rejects any deviation, since an inexact bucket would
-/// unsound the certificate the plan persists.
-pub fn plan_report_format(config: &DeviceConfig, format: &AnyFormat, block_size: usize) -> Report {
+/// and the decoded payload's own format invariants (segment flags; BF-COO
+/// additionally re-derives the bucket metadata and rejects any deviation,
+/// since an inexact bucket would unsound the certificate the plan
+/// persists) — and reports refutations as [`Pass::Symbolic`] findings. A
+/// plan whose report carries errors must be rebuilt, not replayed.
+pub fn plan_report(config: &DeviceConfig, format: &AnyFormat, block_size: usize) -> Report {
     let fcoo = format.base();
     let mut report = Report::default();
     let geometry = LaunchGeometry::new(
@@ -1078,9 +1038,9 @@ pub fn plan_report_format(config: &DeviceConfig, format: &AnyFormat, block_size:
     report
 }
 
-/// True when [`plan_report_format`] finds no errors — the plan may execute.
-pub fn plan_safe_format(config: &DeviceConfig, format: &AnyFormat, block_size: usize) -> bool {
-    plan_report_format(config, format, block_size).error_count() == 0
+/// True when [`plan_report`] finds no errors — the plan may execute.
+pub fn plan_safe(config: &DeviceConfig, format: &AnyFormat, block_size: usize) -> bool {
+    plan_report(config, format, block_size).error_count() == 0
 }
 
 /// Cross-checks one kernel's verdict matrix against the production
@@ -1102,12 +1062,12 @@ pub fn gate_violations(
     let keep = tune_filter(config, &analysis.block_sizes);
     for &threadlen in &analysis.threadlens {
         let op = analysis.kernel.op(analysis.mode, tensor.order());
-        let fcoo = Fcoo::from_coo(tensor, op, threadlen);
+        let format = AnyFormat::build(FormatKind::Fcoo, tensor, op, threadlen);
         for refuted in analysis
             .refuted_configs()
             .filter(|c| c.threadlen == threadlen)
         {
-            if keep(&fcoo, refuted.block_size) {
+            if keep(format.base(), refuted.block_size) {
                 violations.push(format!(
                     "{} ({}, T={}): refuted but the tuner would still trial it",
                     analysis.kernel.label(),
@@ -1115,7 +1075,7 @@ pub fn gate_violations(
                     threadlen
                 ));
             }
-            if refuted.correctness_refuted() && plan_safe(config, &fcoo, refuted.block_size) {
+            if refuted.correctness_refuted() && plan_safe(config, &format, refuted.block_size) {
                 violations.push(format!(
                     "{} ({}, T={}): correctness-refuted but the plan cache would load it",
                     analysis.kernel.label(),
@@ -1247,11 +1207,11 @@ mod tests {
     #[test]
     fn plan_gate_refuses_corrupt_block_sizes_and_flags() {
         let config = DeviceConfig::titan_x();
-        let fcoo = Fcoo::from_coo(&sample(), TensorOp::SpTtm { mode: 1 }, 16);
-        assert!(plan_safe(&config, &fcoo, 128));
-        assert!(!plan_safe(&config, &fcoo, 2048), "over the thread limit");
-        assert!(!plan_safe(&config, &fcoo, 48), "not a warp multiple");
-        let report = plan_report(&config, &fcoo, 0);
+        let format = AnyFormat::build(FormatKind::Fcoo, &sample(), TensorOp::SpTtm { mode: 1 }, 16);
+        assert!(plan_safe(&config, &format, 128));
+        assert!(!plan_safe(&config, &format, 2048), "over the thread limit");
+        assert!(!plan_safe(&config, &format, 48), "not a warp multiple");
+        let report = plan_report(&config, &format, 0);
         assert!(report.findings[0].message.contains("launch-shape refuted"));
     }
 
@@ -1394,12 +1354,12 @@ mod tests {
         let op = TensorOp::SpMttkrp { mode: 0 };
         let mut bf = fcoo::BfCoo::from_coo(&sample(), op, 8);
         let format = AnyFormat::BfCoo(std::sync::Arc::new(bf.clone()));
-        assert!(plan_safe_format(&config, &format, 128));
-        assert!(!plan_safe_format(&config, &format, 48), "bad block size");
+        assert!(plan_safe(&config, &format, 128));
+        assert!(!plan_safe(&config, &format, 48), "bad block size");
         bf.buckets[0][0] += 1;
         let corrupt = AnyFormat::BfCoo(std::sync::Arc::new(bf));
-        assert!(!plan_safe_format(&config, &corrupt, 128));
-        let report = plan_report_format(&config, &corrupt, 128);
+        assert!(!plan_safe(&config, &corrupt, 128));
+        let report = plan_report(&config, &corrupt, 128);
         assert!(
             report
                 .findings

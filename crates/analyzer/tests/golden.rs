@@ -11,7 +11,7 @@
 
 use analyzer::model::LaunchGeometry;
 use analyzer::{analyze_tensor, KernelKind, Property, Verdict};
-use fcoo::{BitFlags, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
+use fcoo::{AnyFormat, BitFlags, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
 use gpu_sim::record::AccessKind;
 use gpu_sim::{coalesce, AccessLog, GpuDevice};
 use tensor_core::datasets::{self, DatasetKind};
@@ -164,7 +164,8 @@ fn proved_segment_flags_replay_clean_and_refuted_flags_reproduce() {
     let last = bytes.len() - 1;
     bytes[last] |= 1 << (partitions % 8);
     fcoo.sf = BitFlags::from_bytes(bytes, partitions);
-    assert!(!analyzer::plan_safe(device.config(), &fcoo, 128));
+    let format = AnyFormat::Fcoo(std::sync::Arc::new(fcoo.clone()));
+    assert!(!analyzer::plan_safe(device.config(), &format, 128));
     let lint = sanitizer::check_fcoo(&fcoo);
     assert!(
         lint.findings.iter().any(|f| f.message.contains("padding")),

@@ -9,21 +9,16 @@
 //! * [`parallel_for`] / [`parallel_for_chunked`] — `#pragma omp for` with
 //!   dynamic chunk scheduling,
 //! * [`par_chunks_mut`] — parallel iteration over disjoint mutable slice
-//!   chunks,
-//! * [`par_reduce`] — `#pragma omp for reduction(...)` with per-worker
-//!   accumulators,
-//! * [`PerWorker`] — per-thread scratch storage.
+//!   chunks.
 //!
 //! The same pool also drives the host-side execution of simulated GPU thread
 //! blocks in the `gpu-sim` crate.
 
 mod parallel;
 mod pool;
-mod scratch;
 
-pub use parallel::{par_chunks_mut, par_map, par_reduce, parallel_for, parallel_for_chunked};
+pub use parallel::{par_chunks_mut, parallel_for, parallel_for_chunked};
 pub use pool::{global_pool, Pool};
-pub use scratch::PerWorker;
 
 /// Basic information about the host CPU, used when printing the platform
 /// configuration (paper Table III).

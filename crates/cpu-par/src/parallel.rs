@@ -1,7 +1,6 @@
-//! Parallel loop and reduction helpers on top of [`Pool`](crate::Pool).
+//! Parallel loop helpers on top of [`Pool`](crate::Pool).
 
 use crate::pool::global_pool;
-use parking_lot::Mutex;
 
 /// Executes `body(i)` for every `i in 0..n` on the global pool.
 ///
@@ -75,56 +74,6 @@ where
     });
 }
 
-/// Parallel map: computes `f(i)` for every `i in 0..n` and collects the
-/// results in order.
-pub fn par_map<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    par_chunks_mut(&mut out, 64, |chunk_index, chunk| {
-        for (offset, slot) in chunk.iter_mut().enumerate() {
-            *slot = Some(f(chunk_index * 64 + offset));
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("every index visited"))
-        .collect()
-}
-
-/// Parallel reduction: maps every `i in 0..n` through `map` into a per-worker
-/// accumulator (seeded by `identity`) and folds the accumulators with
-/// `combine`.
-pub fn par_reduce<A, M, C>(n: usize, identity: impl Fn() -> A + Sync, map: M, combine: C) -> A
-where
-    A: Send,
-    M: Fn(&mut A, usize) + Sync,
-    C: Fn(A, A) -> A,
-{
-    let pool = global_pool();
-    let workers = pool.num_threads();
-    let accumulators: Vec<Mutex<Option<A>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-    let chunk = default_chunk(n);
-    let num_chunks = n.div_ceil(chunk.max(1)).max(if n == 0 { 0 } else { 1 });
-    if n == 0 {
-        return identity();
-    }
-    pool.run(num_chunks, &|task, worker| {
-        let start = task * chunk;
-        let end = (start + chunk).min(n);
-        let mut guard = accumulators[worker].lock();
-        let accumulator = guard.get_or_insert_with(&identity);
-        for i in start..end {
-            map(accumulator, i);
-        }
-    });
-    accumulators
-        .into_iter()
-        .filter_map(|slot| slot.into_inner())
-        .fold(identity(), combine)
-}
-
 /// Chunk size heuristic: at least 4 chunks per worker for load balance, but
 /// never chunks smaller than 64 iterations.
 fn default_chunk(n: usize) -> usize {
@@ -143,6 +92,7 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -190,46 +140,5 @@ mod tests {
     fn par_chunks_mut_empty_slice() {
         let mut data: Vec<u8> = Vec::new();
         par_chunks_mut(&mut data, 16, |_, _| panic!("must not run"));
-    }
-
-    #[test]
-    fn par_map_collects_in_order() {
-        let squares = par_map(2000, |i| i * i);
-        assert_eq!(squares.len(), 2000);
-        assert!(squares.iter().enumerate().all(|(i, &sq)| sq == i * i));
-    }
-
-    #[test]
-    fn par_map_empty() {
-        let empty: Vec<u8> = par_map(0, |_| panic!("must not run"));
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn reduce_sums_correctly() {
-        let n = 100_000usize;
-        let total = par_reduce(n, || 0u64, |acc, i| *acc += i as u64, |a, b| a + b);
-        assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
-    }
-
-    #[test]
-    fn reduce_empty_returns_identity() {
-        let total = par_reduce(0, || 42u64, |_, _| panic!("must not run"), |a, b| a + b);
-        assert_eq!(total, 42);
-    }
-
-    #[test]
-    fn reduce_max() {
-        let data: Vec<u32> = (0..10_000)
-            .map(|i| (i * 2654435761u64 % 65536) as u32)
-            .collect();
-        let expected = *data.iter().max().unwrap();
-        let found = par_reduce(
-            data.len(),
-            || 0u32,
-            |acc, i| *acc = (*acc).max(data[i]),
-            |a, b| a.max(b),
-        );
-        assert_eq!(found, expected);
     }
 }

@@ -89,7 +89,7 @@ impl MemoryEventKind {
 
 /// One narrated memory operation observed while tracing: the counter deltas
 /// it caused, plus the coalescing baseline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryEvent {
     /// Warp the operation belongs to.
     pub warp: u32,
@@ -115,7 +115,7 @@ pub struct MemoryEvent {
 }
 
 /// All memory events of one thread block, in program order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockTrace {
     /// Linearized block index (x-major, matching launch order).
     pub block: usize,
@@ -131,7 +131,7 @@ pub struct BlockTrace {
 /// [`KernelStats::from_blocks_with_concurrency`](crate::KernelStats::from_blocks_with_concurrency):
 /// `dur_us = max(compute_us, memory_us)` and consecutive waves abut, so the
 /// last wave's end equals the kernel's simulated duration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaveTrace {
     /// Start of the wave in microseconds from launch start (the first wave
     /// starts after the fixed launch overhead).
@@ -149,7 +149,7 @@ pub struct WaveTrace {
 }
 
 /// Everything traced for one kernel launch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchTrace {
     /// Grid shape of the launch.
     pub grid: (usize, usize),

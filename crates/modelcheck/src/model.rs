@@ -43,6 +43,7 @@
 use crate::scenario::{Mutation, Scenario};
 use crate::{Property, Violation};
 use fcoo::TensorOp;
+use serve::engine::{BACKOFF_BASE_US, BACKOFF_CAP_US};
 use serve::ledger::splitmix;
 use serve::{AdmitError, ExecTier, Placement, PlanKey, PoolLedger, ProtocolEvent, Scheduler};
 
@@ -207,8 +208,7 @@ pub fn key_for(key_id: u64) -> PlanKey {
 /// Deterministic model of the engine's capped exponential backoff (the
 /// model drops the jitter term: it only widens the span, never reorders).
 fn backoff_us(tier_attempts: u32) -> f64 {
-    let base = 50.0f64;
-    (base * f64::from(1u32 << tier_attempts.min(10))).min(800.0)
+    (BACKOFF_BASE_US * f64::from(1u32 << tier_attempts.min(10))).min(BACKOFF_CAP_US)
 }
 
 fn next_tier(tier: ExecTier) -> ExecTier {

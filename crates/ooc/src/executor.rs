@@ -165,6 +165,19 @@ pub fn run_chunk(
     Ok((out.into_vec(), stats))
 }
 
+/// One chunk's placed intervals on the three pipeline streams.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChunkSchedule {
+    /// Chunk ordinal in stream order.
+    pub index: usize,
+    /// H2D interval `[start, end)` in µs.
+    pub h2d: (f64, f64),
+    /// Kernel interval `[start, end)` in µs.
+    pub kernel: (f64, f64),
+    /// D2H interval `[start, end)` in µs.
+    pub d2h: (f64, f64),
+}
+
 /// Per-chunk byte and time accounting of one streamed execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkReport {

@@ -5,11 +5,11 @@
 //! this crate streams them. [`fcoo::chunk`] splits a format into
 //! partition-aligned chunks sized to a byte budget; [`executor`] runs the
 //! chunks through the unchanged unified kernels with carry-row seeding so
-//! the accumulated output is **bit-exact** with the in-core path; and
-//! [`pipeline`] resolves the deterministic 3-stream schedule (H2D of chunk
-//! `k+1` under the kernel of chunk `k` under the D2H of chunk `k−1`) whose
-//! makespan and overlap efficiency the serve layer and `tensortool
-//! oocbench` report.
+//! the accumulated output is **bit-exact** with the in-core path. The serve
+//! layer's scheduler places each chunk's H2D, kernel and D2H stages on the
+//! device's streams (H2D of chunk `k+1` under the kernel of chunk `k` under
+//! the D2H of chunk `k−1`) and records them as [`ChunkSchedule`]s, whose
+//! makespan and overlap efficiency `tensortool oocbench` reports.
 //!
 //! The execution path deliberately depends only on
 //! `fcoo`/`gpu-sim`/`tensor-core`: the serve engine composes these pieces
@@ -24,11 +24,9 @@
 
 pub mod bound;
 pub mod executor;
-pub mod pipeline;
 
 pub use bound::{check_run, pipeline_envelope};
-pub use executor::{output_cols, run_chunk, run_chunked, Accumulator, ChunkReport, ChunkedRun};
-pub use fcoo::chunk::{extract, split, ChunkDescriptor, ChunkPlan};
-pub use pipeline::{
-    schedule, schedule_on, ChunkSchedule, PipelineBuilder, PipelineTiming, StageTimes,
+pub use executor::{
+    output_cols, run_chunk, run_chunked, Accumulator, ChunkReport, ChunkSchedule, ChunkedRun,
 };
+pub use fcoo::chunk::{extract, split, ChunkDescriptor, ChunkPlan};

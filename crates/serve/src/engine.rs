@@ -12,10 +12,10 @@
 //! and vice versa.
 
 use crate::events::ProtocolEvent;
-use crate::metrics::{ExecTier, LatencySummary, RequestMetrics};
+use crate::metrics::{ExecTier, LatencySummary, RequestProfile};
 use crate::plan::{Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource};
 use crate::pool::{AdmitError, Admitted, DevicePool, PoolStats, ReservationId};
-use crate::profile::{RequestProfile, ServeProfile};
+use crate::profile::ServeProfile;
 use crate::scheduler::{Placement, Scheduler};
 use crate::upload::{self, DeviceFactors, FactorPlan};
 use crate::workload::{Request, ServeOp, Workload};
@@ -40,8 +40,6 @@ pub struct ServeConfig {
     pub streams_per_device: usize,
     /// Hardware model each device simulates.
     pub device_config: DeviceConfig,
-    /// Host↔device transfer bandwidth in GB/s (PCIe 3.0 x16 ≈ 12).
-    pub pcie_gbs: f64,
     /// Plan persistence directory (warm restarts) — `None` disables.
     pub plan_dir: Option<PathBuf>,
     /// Verify every unique computed result bit-exactly against the one-shot
@@ -90,7 +88,6 @@ impl Default for ServeConfig {
             devices: 1,
             streams_per_device: 2,
             device_config: DeviceConfig::titan_x(),
-            pcie_gbs: 12.0,
             plan_dir: None,
             verify: false,
             fault_injection: None,
@@ -101,24 +98,29 @@ impl Default for ServeConfig {
     }
 }
 
-/// Fault-recovery policy: retry budget, backoff shape, watchdog, sampled
-/// redundancy, and the quarantine / plan-invalidation thresholds.
+/// First retry backoff in µs; doubles per attempt up to [`BACKOFF_CAP_US`].
+pub const BACKOFF_BASE_US: f64 = 50.0;
+
+/// Ceiling of the exponential retry backoff (µs).
+pub const BACKOFF_CAP_US: f64 = 800.0;
+
+/// Seed of the deterministic backoff jitter and redundancy sampling — same
+/// workload + same fault seed ⇒ identical retry schedule.
+const RETRY_SEED: u64 = 0x0BAD_F417;
+
+/// A stream stall at least this long is cancelled by the watchdog: the
+/// request is charged this much dead time and the attempt is retried.
+/// Shorter stalls just add their dead time to the request's latency.
+const WATCHDOG_TIMEOUT_US: f64 = 2_000.0;
+
+/// Fault-recovery policy: retry budget, sampled redundancy, and the
+/// quarantine / plan-invalidation thresholds. Backoff shape and watchdog
+/// are fixed ([`BACKOFF_BASE_US`], [`BACKOFF_CAP_US`]).
 #[derive(Debug, Clone)]
 pub struct FaultTolerance {
     /// Discarded attempts tolerated per ladder tier before the request
     /// degrades to the next tier (unified → two-step → cpu).
     pub max_retries: usize,
-    /// First retry backoff in µs; doubles per attempt up to the cap.
-    pub backoff_base_us: f64,
-    /// Ceiling of the exponential backoff (µs).
-    pub backoff_cap_us: f64,
-    /// Seed of the deterministic backoff jitter and redundancy sampling —
-    /// same workload + same seeds ⇒ identical retry schedule.
-    pub retry_seed: u64,
-    /// A stream stall at least this long is cancelled by the watchdog: the
-    /// request is charged this much dead time and the attempt is retried.
-    /// Shorter stalls just add their dead time to the request's latency.
-    pub watchdog_timeout_us: f64,
     /// Fraction of requests whose accepted result is re-executed on the
     /// same tier and compared bit-exactly (silent-corruption sampling).
     /// Zero disables redundancy.
@@ -135,10 +137,6 @@ impl Default for FaultTolerance {
     fn default() -> Self {
         FaultTolerance {
             max_retries: 4,
-            backoff_base_us: 50.0,
-            backoff_cap_us: 800.0,
-            retry_seed: 0x0BAD_F417,
-            watchdog_timeout_us: 2_000.0,
             redundancy_rate: 0.0,
             quarantine_threshold: 25,
             plan_fault_threshold: 12,
@@ -352,18 +350,21 @@ pub struct PcieStats {
 }
 
 impl PcieStats {
-    fn record(&mut self, h2d_bytes: usize, d2h_bytes: usize) {
-        self.h2d_bytes += h2d_bytes as u64;
-        self.d2h_bytes += d2h_bytes as u64;
+    /// What `requests`' accepted attempts moved.
+    fn of(requests: &[RequestProfile]) -> PcieStats {
+        PcieStats {
+            h2d_bytes: requests.iter().map(|r| r.h2d_bytes as u64).sum(),
+            d2h_bytes: requests.iter().map(|r| r.d2h_bytes as u64).sum(),
+        }
     }
 }
 
 /// Everything a run produced.
 #[derive(Debug)]
 pub struct ServeReport {
-    /// Per-request metrics, in trace order (rejected and shed requests
-    /// excluded).
-    pub requests: Vec<RequestMetrics>,
+    /// One record per served request, in trace order (rejected and shed
+    /// requests excluded). Launch traces live in `profile`, not here.
+    pub requests: Vec<RequestProfile>,
     /// Requests that could not be served (unknown tensor, impossible fit).
     pub rejections: Vec<Rejection>,
     /// Requests shed by deadline-aware admission, in trace order. Every
@@ -396,8 +397,8 @@ pub struct ServeReport {
     pub verify_failures: usize,
     /// Fault and recovery tallies (all zero when injection is disabled).
     pub fault_stats: FaultStats,
-    /// Per-request profiles and counter rows (present exactly when
-    /// [`ServeConfig::profile`] was set).
+    /// The records with their launch traces, plus counter rows (present
+    /// exactly when [`ServeConfig::profile`] was set).
     pub profile: Option<ServeProfile>,
 }
 
@@ -555,10 +556,10 @@ struct AttemptDamage {
     dead_us: f64,
 }
 
-/// How one request ended: `Ok(Some(metrics))` = completed, `Ok(None)` =
+/// How one request ended: `Ok(Some(record))` = completed, `Ok(None)` =
 /// shed (recorded in the engine's shed list), `Err(reason)` = rejected —
 /// exactly one terminal state per request.
-type Served = Result<Option<RequestMetrics>, String>;
+type Served = Result<Option<RequestProfile>, String>;
 
 /// One request in flight: where it runs, the reservations it holds, and
 /// what its attempts have cost so far. Every lifecycle step of
@@ -630,8 +631,9 @@ impl<'r> Lifecycle<'r> {
     }
 
     /// The request's terminal record at `placement`, with an empty
-    /// transfer/kernel split and no launch traces for the caller to fill.
-    fn profile(&self, placement: &Placement, tier: ExecTier) -> RequestProfile {
+    /// execution span, transfer/kernel split and no launch traces for the
+    /// caller to fill (the complete step fills the checksum).
+    fn record(&self, placement: &Placement, tier: ExecTier) -> RequestProfile {
         RequestProfile {
             index: self.index,
             tensor_id: self.request.tensor_id.clone(),
@@ -642,11 +644,13 @@ impl<'r> Lifecycle<'r> {
             arrival_us: self.request.arrival_us,
             start_us: placement.start_us,
             finish_us: placement.finish_us,
+            exec_us: 0.0,
             recovery_us: self.recovery_us,
             h2d_us: 0.0,
             kernel_us: 0.0,
             d2h_us: 0.0,
             h2d_bytes: 0,
+            d2h_bytes: 0,
             lower_bound_us: self.lower_bound_us,
             plan_source: self.plan_source,
             block_size: self.plan.block_size,
@@ -654,6 +658,7 @@ impl<'r> Lifecycle<'r> {
             format: self.plan.kind(),
             batched: false,
             deferred: self.deferred,
+            checksum: 0,
             retries: self.retries,
             tier,
             faults_seen: self.faults_seen,
@@ -733,13 +738,9 @@ pub struct ServeEngine {
     total_arrivals: u64,
     /// Requests shed so far in the current run.
     sheds: Vec<ShedRecord>,
-    /// Overload-policy tallies for the current run.
+    /// Overload-policy tallies for the current run (`shed` and
+    /// `deadlined` are filled at its end).
     overload: OverloadStats,
-    /// Host↔device traffic of the current run.
-    pcie: PcieStats,
-    /// Per-request profiles of the current run (only filled when
-    /// [`ServeConfig::profile`] is set).
-    profiled: Vec<RequestProfile>,
     /// Host-visible protocol transitions (only recorded after
     /// [`ServeEngine::enable_protocol_log`]); the `modelcheck` crate replays
     /// its property automata over this log.
@@ -758,6 +759,15 @@ fn mix64(state: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Capped exponential backoff with deterministic jitter for retry
+/// `attempt` of request `index`.
+fn backoff_us(index: usize, attempt: u32) -> f64 {
+    let capped = (BACKOFF_BASE_US * f64::powi(2.0, attempt.min(16) as i32)).min(BACKOFF_CAP_US);
+    let h = mix64(RETRY_SEED ^ (index as u64) ^ ((attempt as u64) << 32));
+    // Jitter in [0.5, 1.0): half the schedule is deterministic floor.
+    capped * (0.5 + 0.5 * (h >> 11) as f64 / (1u64 << 53) as f64)
 }
 
 /// Analytic host-execution model for the CPU fallback tier: `2·nnz·R·(N−1)`
@@ -862,8 +872,6 @@ impl ServeEngine {
             total_arrivals: 0,
             sheds: Vec::new(),
             overload: OverloadStats::default(),
-            pcie: PcieStats::default(),
-            profiled: Vec::new(),
             protocol: Vec::new(),
             protocol_enabled: false,
         }
@@ -924,12 +932,6 @@ impl ServeEngine {
         );
     }
 
-    /// Microseconds a host↔device copy of `bytes` takes at the configured
-    /// PCIe bandwidth (1 GB/s = 10³ bytes/µs).
-    fn transfer_us(&self, bytes: usize) -> f64 {
-        upload::transfer_us(bytes, self.config.pcie_gbs)
-    }
-
     /// How a tensor-op request's factors will cross PCIe (their touched
     /// rows, sized before admission; see [`crate::upload`]).
     fn factor_plan(
@@ -955,18 +957,11 @@ impl ServeEngine {
             self.register_tensor(&spec.id, tensor);
         }
         let mut scheduler = Scheduler::new(self.config.devices, self.config.streams_per_device);
-        self.profiled.clear();
         self.sheds.clear();
         self.overload = OverloadStats::default();
-        self.pcie = PcieStats::default();
         let mut requests = Vec::new();
         let mut rejections = Vec::new();
-        let mut batched = 0usize;
-        let mut deferred_count = 0usize;
         for (index, request) in workload.requests.iter().enumerate() {
-            if request.deadline_us.is_some() {
-                self.overload.deadlined += 1;
-            }
             let served = match request.op {
                 ServeOp::Tensor(op) => self.serve_tensor_op(index, request, op, &mut scheduler),
                 ServeOp::CpAls { iterations } => {
@@ -974,15 +969,7 @@ impl ServeEngine {
                 }
             };
             match served {
-                Ok(Some(metrics)) => {
-                    if metrics.batched {
-                        batched += 1;
-                    }
-                    if metrics.deferred {
-                        deferred_count += 1;
-                    }
-                    requests.push(metrics);
-                }
+                Ok(Some(record)) => requests.push(record),
                 // Shed: already recorded in `self.sheds` by the shed path.
                 Ok(None) => {}
                 Err(reason) => rejections.push(Rejection { index, reason }),
@@ -999,22 +986,39 @@ impl ServeEngine {
         } else {
             (0, 0)
         };
-        let profile = if self.config.profile {
-            let profiled = std::mem::take(&mut self.profiled);
-            Some(ServeProfile::assemble(
-                self.config.device_config.clone(),
-                profiled,
-                |id| self.tensors.get(id).map(|r| &r.tensor),
-            ))
-        } else {
-            None
+        // Launch traces are kept once: in the profile's copy of the records.
+        let profile = self.config.profile.then(|| {
+            let traced = requests
+                .iter_mut()
+                .map(|r| {
+                    let launches = std::mem::take(&mut r.launches);
+                    RequestProfile {
+                        launches,
+                        ..r.clone()
+                    }
+                })
+                .collect();
+            ServeProfile::assemble(self.config.device_config.clone(), traced, |id| {
+                self.tensors.get(id).map(|r| &r.tensor)
+            })
+        });
+        let overload = OverloadStats {
+            deadlined: workload
+                .requests
+                .iter()
+                .filter(|r| r.deadline_us.is_some())
+                .count() as u64,
+            shed: self.sheds.len() as u64,
+            ..self.overload
         };
         ServeReport {
+            pcie: PcieStats::of(&requests),
+            batched: requests.iter().filter(|r| r.batched).count(),
+            deferred: requests.iter().filter(|r| r.deferred).count(),
             requests,
             rejections,
             sheds: std::mem::take(&mut self.sheds),
-            overload: self.overload,
-            pcie: self.pcie,
+            overload,
             plan_stats: self.plans.stats(),
             pool_stats: self.pools.iter().map(DevicePool::stats).collect(),
             peak_bytes: self
@@ -1025,8 +1029,6 @@ impl ServeEngine {
             capacity_bytes: self.config.device_config.memory_capacity,
             utilizations: scheduler.utilizations(),
             makespan_us: scheduler.makespan_us(),
-            batched,
-            deferred: deferred_count,
             verified,
             verify_failures,
             fault_stats: self.fault_stats,
@@ -1155,17 +1157,6 @@ impl ServeEngine {
         self.pools[device_index].clear();
     }
 
-    /// Capped exponential backoff with deterministic jitter for retry
-    /// `attempt` of request `index`.
-    fn backoff_us(&self, index: usize, attempt: u32) -> f64 {
-        let ft = &self.config.fault_tolerance;
-        let capped = (ft.backoff_base_us * f64::powi(2.0, attempt.min(16) as i32))
-            .min(ft.backoff_cap_us.max(ft.backoff_base_us));
-        let h = mix64(ft.retry_seed ^ (index as u64) ^ ((attempt as u64) << 32));
-        // Jitter in [0.5, 1.0): half the schedule is deterministic floor.
-        capped * (0.5 + 0.5 * (h >> 11) as f64 / (1u64 << 53) as f64)
-    }
-
     /// Whether this accepted attempt is sampled for redundant re-execution.
     fn redundancy_draw(&self, index: usize, attempt: u32) -> bool {
         let ft = &self.config.fault_tolerance;
@@ -1173,7 +1164,7 @@ impl ServeEngine {
             return false;
         }
         let h = mix64(
-            ft.retry_seed
+            RETRY_SEED
                 .rotate_left(17)
                 .wrapping_add(index as u64)
                 .wrapping_add((attempt as u64) << 40),
@@ -1191,19 +1182,18 @@ impl ServeEngine {
         key: PlanKey,
         events: &[FaultEvent],
     ) -> AttemptDamage {
-        let watchdog = self.config.fault_tolerance.watchdog_timeout_us;
         let mut damage = AttemptDamage::default();
         for event in events {
             self.fault_stats.record(event);
             let mut corrupting = event.is_corrupting();
             match event {
                 FaultEvent::StreamStall { stall_us, .. } => {
-                    if *stall_us >= watchdog {
+                    if *stall_us >= WATCHDOG_TIMEOUT_US {
                         // The watchdog cancels the hung stream: the request
                         // pays the timeout, not the full stall, and the
                         // attempt is discarded (its kernel never finished).
                         self.fault_stats.watchdog_cancellations += 1;
-                        damage.dead_us += watchdog;
+                        damage.dead_us += WATCHDOG_TIMEOUT_US;
                         corrupting = true;
                     } else {
                         damage.dead_us += stall_us;
@@ -1317,7 +1307,7 @@ impl ServeEngine {
         // The bus moves the compact factor bytes, and the kernel runs at
         // least the plan certificate's floor.
         let floor = [
-            self.transfer_us(factor_plan.h2d_bytes()),
+            upload::transfer_us(factor_plan.h2d_bytes()),
             plan.certificate.time_lo_us,
         ];
         if self.shed_if_late(&mut lc, scheduler, &floor) {
@@ -1354,25 +1344,21 @@ impl ServeEngine {
         } else {
             output.bytes()
         };
-        let d2h_us = self.transfer_us(d2h_bytes);
-        let h2d_us = self.transfer_us(h2d_bytes);
+        let d2h_us = upload::transfer_us(d2h_bytes);
+        let h2d_us = upload::transfer_us(h2d_bytes);
         let exec_us = h2d_us + kernel_us + d2h_us;
         let placement = lc.place(scheduler, lc.recovery_us, exec_us);
-        let profile = RequestProfile {
+        let record = RequestProfile {
+            exec_us,
             h2d_us,
             kernel_us,
             d2h_us,
             h2d_bytes,
-            launches,
-            ..lc.profile(&placement, tier)
-        };
-        Ok(Some(self.complete(
-            lc,
-            profile,
-            exec_us,
             d2h_bytes,
-            Keep::Result(output),
-        )))
+            launches,
+            ..lc.record(&placement, tier)
+        };
+        Ok(Some(self.complete(lc, record, Keep::Result(output))))
     }
 
     /// Serves a request from a cached same-plan same-factor result: only
@@ -1384,25 +1370,21 @@ impl ServeEngine {
         bytes: usize,
         tier: ExecTier,
     ) -> Served {
-        let d2h_us = self.transfer_us(bytes);
+        let d2h_us = upload::transfer_us(bytes);
         // Even a replay's queueing plus copy can provably miss a deadline
         // under saturation.
         if self.shed_if_late(&mut lc, scheduler, &[d2h_us]) {
             return Ok(None);
         }
         let placement = lc.place(scheduler, 0.0, d2h_us);
-        let profile = RequestProfile {
+        let record = RequestProfile {
+            exec_us: d2h_us,
             d2h_us,
+            d2h_bytes: bytes,
             batched: true,
-            ..lc.profile(&placement, tier)
+            ..lc.record(&placement, tier)
         };
-        Ok(Some(self.complete(
-            lc,
-            profile,
-            d2h_us,
-            bytes,
-            Keep::Cached,
-        )))
+        Ok(Some(self.complete(lc, record, Keep::Cached)))
     }
 
     /// Serves a tensor-op request whose working set genuinely exceeds the
@@ -1474,7 +1456,7 @@ impl ServeEngine {
         // dominates it — see `analyzer::cost`'s out-of-core bounds), so the
         // in-core floor stays a sound lower bound here.
         let floor = [
-            self.transfer_us(factor_plan.h2d_bytes()),
+            upload::transfer_us(factor_plan.h2d_bytes()),
             plan.certificate.time_lo_us,
         ];
         if self.shed_if_late(&mut lc, scheduler, &floor) {
@@ -1505,15 +1487,15 @@ impl ServeEngine {
         // and kernel + D2H share one — the next chunk's upload still hides
         // behind the current kernel. (Sharing the *copy* stream instead
         // chains D2H before the next H2D and serializes the pipeline.)
-        let resources: [usize; 3] = match streams {
+        let stage_streams: [usize; 3] = match streams {
             1 => [0, 0, 0],
             2 => [0, 1, 1],
             _ => [0, 1, 2],
         };
-        let pipeline_ready = resources.iter().fold(lc.ready, |t, &s| {
+        // The pipeline starts once every stream it uses is free.
+        let pipeline_ready = stage_streams.iter().fold(lc.ready, |t, &s| {
             t.max(scheduler.stream_available_us(device, s))
         });
-        let mut builder = ooc::PipelineBuilder::new(pipeline_ready, resources);
         let mut chunk_schedules: Vec<ooc::ChunkSchedule> = Vec::with_capacity(chunk_plan.len());
         let mut launches_all = Vec::new();
         let mut h2d_us_total = 0.0f64;
@@ -1553,24 +1535,22 @@ impl ServeEngine {
             acc.absorb(desc, &chunk, &out);
             launches_all.extend(attempt_launches);
             // Dead time from failed attempts and short stalls occupies the
-            // kernel stage — and its real stream — before the chunk's work.
+            // kernel stream before the chunk's work.
             if chunk_dead > 0.0 {
-                scheduler.stall_stream(device, resources[1], builder.stage_free_us(1), chunk_dead);
-                builder.stall_stage(1, chunk_dead);
+                scheduler.stall_stream(device, stage_streams[1], pipeline_ready, chunk_dead);
             }
             // The first chunk's upload carries the factors.
             let factor_bytes = if desc.index == 0 { uploaded.bytes() } else { 0 };
-            let h2d_us = self.transfer_us(chunk_bytes + factor_bytes);
+            let h2d_us = upload::transfer_us(chunk_bytes + factor_bytes);
             h2d_bytes_total += chunk_bytes + factor_bytes;
-            let d2h_us = self.transfer_us(acc.d2h_bytes(desc));
-            let span = builder.push(ooc::StageTimes {
-                h2d_us,
-                kernel_us: stats.time_us,
-                d2h_us,
-            });
-            scheduler.occupy_stream(device, resources[0], span.h2d.0, h2d_us);
-            scheduler.occupy_stream(device, resources[1], span.kernel.0, stats.time_us);
-            scheduler.occupy_stream(device, resources[2], span.d2h.0, d2h_us);
+            let d2h_us = upload::transfer_us(acc.d2h_bytes(desc));
+            let span = scheduler.place_chunk(
+                device,
+                stage_streams,
+                pipeline_ready,
+                desc.index,
+                [h2d_us, stats.time_us, d2h_us],
+            );
             h2d_us_total += h2d_us;
             kernel_us_total += stats.time_us;
             d2h_us_total += d2h_us;
@@ -1581,12 +1561,11 @@ impl ServeEngine {
             chunk_schedules.push(span);
         }
         drop(refs);
-        let timing = builder.finish();
         let placement = Placement {
             device,
-            stream: resources[1],
+            stream: stage_streams[1],
             start_us: pipeline_ready,
-            finish_us: timing.finish_us(),
+            finish_us: chunk_schedules.last().map_or(pipeline_ready, |c| c.d2h.1),
         };
         let output = JobOutput::from_rows(
             op,
@@ -1594,23 +1573,19 @@ impl ServeEngine {
             &plan.fcoo().segment_coords,
             DenseMatrix::from_vec(acc.rows(), cols, acc.into_values()),
         );
-        let profile = RequestProfile {
+        let record = RequestProfile {
+            exec_us: placement.finish_us - placement.start_us,
             h2d_us: h2d_us_total,
             kernel_us: kernel_us_total,
             d2h_us: d2h_us_total,
             h2d_bytes: h2d_bytes_total,
+            d2h_bytes: d2h_bytes_total,
             launches: launches_all,
             chunks: chunk_schedules,
-            chunk_streams: resources,
-            ..lc.profile(&placement, ExecTier::Unified)
+            chunk_streams: stage_streams,
+            ..lc.record(&placement, ExecTier::Unified)
         };
-        Ok(Some(self.complete(
-            lc,
-            profile,
-            timing.makespan_us(),
-            d2h_bytes_total,
-            Keep::Result(output),
-        )))
+        Ok(Some(self.complete(lc, record, Keep::Result(output))))
     }
 
     /// The out-of-core ladder's host rung: a chunk (or the factor upload)
@@ -1636,17 +1611,12 @@ impl ServeEngine {
         )?;
         let ((output, kernel_us, _), tier) = host.accepted.expect("the host tier always accepts");
         let placement = lc.place(scheduler, dead_us, kernel_us);
-        let profile = RequestProfile {
+        let record = RequestProfile {
+            exec_us: kernel_us,
             kernel_us,
-            ..lc.profile(&placement, tier)
+            ..lc.record(&placement, tier)
         };
-        Ok(Some(self.complete(
-            lc,
-            profile,
-            kernel_us,
-            0,
-            Keep::Result(output),
-        )))
+        Ok(Some(self.complete(lc, record, Keep::Result(output))))
     }
 
     /// Serves a CP-ALS request: one SpMTTKRP plan per mode through the plan
@@ -1722,7 +1692,7 @@ impl ServeEngine {
         if self.shed_if_late(
             &mut lc,
             scheduler,
-            &[self.transfer_us(factor_bytes), sweep_lo],
+            &[upload::transfer_us(factor_bytes), sweep_lo],
         ) {
             return Ok(None);
         }
@@ -1778,17 +1748,19 @@ impl ServeEngine {
         } else {
             (uploaded_bytes + factor_bytes, output.bytes())
         };
-        let h2d_us = self.transfer_us(h2d_bytes);
-        let d2h_us = self.transfer_us(d2h_bytes);
+        let h2d_us = upload::transfer_us(h2d_bytes);
+        let d2h_us = upload::transfer_us(d2h_bytes);
         let exec_us = h2d_us + gpu_us + d2h_us;
         let placement = lc.place(scheduler, lc.recovery_us, exec_us);
-        let profile = RequestProfile {
+        let record = RequestProfile {
+            exec_us,
             h2d_us,
             kernel_us: gpu_us,
             d2h_us,
             h2d_bytes,
+            d2h_bytes,
             launches,
-            ..lc.profile(&placement, tier)
+            ..lc.record(&placement, tier)
         };
         let execution = CpExecution {
             tensor_id: request.tensor_id.clone(),
@@ -1800,13 +1772,7 @@ impl ServeEngine {
             tier,
             output,
         };
-        Ok(Some(self.complete(
-            lc,
-            profile,
-            exec_us,
-            d2h_bytes,
-            Keep::Cp(execution),
-        )))
+        Ok(Some(self.complete(lc, record, Keep::Cp(execution))))
     }
 
     /// Admission's defer loop: runs `admit` against the request's device
@@ -1960,7 +1926,6 @@ impl ServeEngine {
         let deadline_us = lc.request.arrival_us + relative;
         if estimate_us > deadline_us {
             self.release_pending(lc);
-            self.overload.shed += 1;
             self.sheds.push(ShedRecord {
                 index: lc.index,
                 device: lc.device,
@@ -2057,7 +2022,7 @@ impl ServeEngine {
             lc.retries += 1;
             self.fault_stats.retries += 1;
             tier_attempts += 1;
-            let backoff_us = self.backoff_us(lc.index, lc.attempt);
+            let backoff_us = backoff_us(lc.index, lc.attempt);
             lc.recovery_us += backoff_us;
             dead_us += backoff_us;
             self.log_event(ProtocolEvent::Backoff {
@@ -2139,38 +2104,34 @@ impl ServeEngine {
 
     /// The terminal step of a served request: logs its placement, commits
     /// every reservation it still holds at the placement's finish, accepts
-    /// the result, records its PCIe traffic, keeps the result as `keep`
-    /// says, and turns the profile into the request's metrics (pushing the
-    /// profile itself when profiling).
+    /// the result, keeps it as `keep` says, and returns the request's
+    /// record with the result's checksum.
     fn complete(
         &mut self,
         lc: Lifecycle<'_>,
-        profile: RequestProfile,
-        exec_us: f64,
-        d2h_bytes: usize,
+        mut record: RequestProfile,
         keep: Keep,
-    ) -> RequestMetrics {
+    ) -> RequestProfile {
         self.log_event(ProtocolEvent::Place {
             request: lc.index as u64,
-            device: profile.device,
-            stream: profile.stream,
-            start_us: profile.start_us,
-            finish_us: profile.finish_us,
+            device: record.device,
+            stream: record.stream,
+            start_us: record.start_us,
+            finish_us: record.finish_us,
         });
         for &id in &lc.pending {
-            self.commit(&lc, id, profile.finish_us);
+            self.commit(&lc, id, record.finish_us);
         }
         self.log_event(ProtocolEvent::Accept {
             request: lc.index as u64,
             device: lc.device,
         });
-        self.pcie.record(profile.h2d_bytes, d2h_bytes);
         let result_key = (lc.key, lc.request.factor_seed);
-        let checksum = match keep {
+        record.checksum = match keep {
             Keep::Cached => self.results[&result_key].output.checksum(),
             Keep::Result(output) => {
                 let checksum = output.checksum();
-                let tier = profile.tier;
+                let tier = record.tier;
                 self.results
                     .insert(result_key, CachedResult { output, tier });
                 while self.results.len() > RESULT_CACHE_CAP {
@@ -2184,11 +2145,7 @@ impl ServeEngine {
                 checksum
             }
         };
-        let metrics = profile.metrics(exec_us, checksum);
-        if self.config.profile {
-            self.profiled.push(profile);
-        }
-        metrics
+        record
     }
 
     /// Uploads a tensor-op request's compact factors to `device`: the one
@@ -2643,7 +2600,12 @@ mod tests {
             ..ServeConfig::default()
         })
         .run(&w);
-        assert_eq!(plain.requests, profiled.requests);
+        // Every record field, floats bit for bit (`{:?}` prints the
+        // shortest round-trip form); the report's records carry no traces.
+        assert_eq!(
+            format!("{:?}", plain.requests),
+            format!("{:?}", profiled.requests)
+        );
         assert_eq!(plain.makespan_us.to_bits(), profiled.makespan_us.to_bits());
         assert!(plain.profile.is_none());
         let profile = profiled.profile.expect("profile requested");
@@ -2651,11 +2613,13 @@ mod tests {
         assert!(profile.event_count() > 0);
         assert!(!profile.kernels.is_empty());
         for (m, p) in profiled.requests.iter().zip(&profile.requests) {
-            assert_eq!(m.index, p.index);
-            assert_eq!(m.start_us.to_bits(), p.start_us.to_bits());
-            assert_eq!(m.finish_us.to_bits(), p.finish_us.to_bits());
+            assert!(m.launches.is_empty());
+            let untraced = RequestProfile {
+                launches: Vec::new(),
+                ..p.clone()
+            };
+            assert_eq!(format!("{m:?}"), format!("{untraced:?}"));
             assert!((p.h2d_us + p.kernel_us + p.d2h_us - m.exec_us).abs() < 1e-9);
-            assert_eq!(m.batched, p.batched);
             if !p.batched && p.tier != ExecTier::Cpu {
                 assert!(
                     !p.launches.is_empty(),

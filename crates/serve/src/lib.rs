@@ -53,9 +53,9 @@ pub use engine::{
 pub use events::ProtocolEvent;
 pub use fingerprint::tensor_fingerprint;
 pub use ledger::PoolLedger;
-pub use metrics::{ExecTier, LatencySummary, RequestMetrics};
+pub use metrics::{ExecTier, LatencySummary, RequestProfile};
 pub use plan::{Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource};
 pub use pool::{AdmitError, DevicePool, PoolStats, ReservationId};
-pub use profile::{KernelProfile, KernelStatics, RequestProfile, ServeProfile};
+pub use profile::{KernelProfile, KernelStatics, ServeProfile};
 pub use scheduler::{Placement, Scheduler};
 pub use workload::{open_loop, synthetic, Request, ServeOp, TensorSpec, Workload, WorkloadError};

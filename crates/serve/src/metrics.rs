@@ -1,7 +1,9 @@
-//! Per-request latency records and summary statistics.
+//! The per-request record and latency summary statistics.
 
 use crate::plan::PlanSource;
 use crate::workload::ServeOp;
+use fcoo::FormatKind;
+use gpu_sim::{KernelCounters, LaunchTrace};
 
 /// Which rung of the graceful-degradation ladder produced a result.
 ///
@@ -31,9 +33,13 @@ impl ExecTier {
     }
 }
 
-/// Timing and provenance of one served request.
+/// The one record of a served request: where and when it ran, how its
+/// plan and admission went, its attempts and tier, where its execution
+/// time went (transfer/kernel split), its result checksum and, in a
+/// profiled run's [`ServeProfile`](crate::profile::ServeProfile), the
+/// launch traces of its accepted attempt.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RequestMetrics {
+pub struct RequestProfile {
     /// Index of the request in the trace.
     pub index: usize,
     /// Registered tensor the request operated on.
@@ -48,14 +54,42 @@ pub struct RequestMetrics {
     pub stream: usize,
     /// When the request arrived (simulated µs).
     pub arrival_us: f64,
-    /// When its kernel started (simulated µs).
+    /// When the stream picked it up (simulated µs; recovery dead time and
+    /// execution follow from here).
     pub start_us: f64,
     /// When its result was ready on the host (simulated µs).
     pub finish_us: f64,
-    /// Pure execution span: transfers plus kernel (simulated µs).
+    /// Pure execution span: transfers plus kernel (simulated µs). For
+    /// out-of-core requests it is the pipeline makespan, which per-chunk
+    /// retry stalls extend.
     pub exec_us: f64,
+    /// Dead time spent on failed attempts, stalls, backoff waits and
+    /// redundant re-executions (µs); zero for a fault-free request.
+    pub recovery_us: f64,
+    /// Host→device transfer time of the accepted attempt (µs).
+    pub h2d_us: f64,
+    /// Simulated kernel time of the accepted attempt (µs).
+    pub kernel_us: f64,
+    /// Device→host transfer time of the result (µs).
+    pub d2h_us: f64,
+    /// Bytes the accepted attempt copied host→device: the format (when
+    /// admission uploaded it) or its chunks, plus the factors as the factor
+    /// plan moved them.
+    pub h2d_bytes: usize,
+    /// Bytes copied device→host: the result (zero on the host tier).
+    pub d2h_bytes: usize,
+    /// Certified completion-time lower bound deadline-aware admission
+    /// computed for the request (absolute simulated µs); `None` for
+    /// requests without a deadline.
+    pub lower_bound_us: Option<f64>,
     /// How the plan lookup was satisfied.
     pub plan_source: PlanSource,
+    /// Threads per block of the tuned plan.
+    pub block_size: usize,
+    /// Non-zeros per thread of the tuned plan.
+    pub threadlen: usize,
+    /// Sparse format the tuned plan executed with.
+    pub format: FormatKind,
     /// True when the request reused a batched same-plan result.
     pub batched: bool,
     /// True when admission control made the job wait for memory.
@@ -69,16 +103,24 @@ pub struct RequestMetrics {
     pub tier: ExecTier,
     /// Injected fault events observed while serving this request.
     pub faults_seen: u32,
-    /// Dead time spent on failed attempts, stalls, backoff waits and
-    /// redundant re-executions (µs); zero for a fault-free request.
-    pub recovery_us: f64,
-    /// Out-of-core chunks the request streamed through (zero = served
-    /// in-core). For chunked requests `exec_us` is the pipeline makespan,
-    /// which per-chunk retry stalls extend.
-    pub chunks: usize,
+    /// Launch traces of the accepted attempt's planned kernel, in issue
+    /// order. Only a profiled run's [`ServeProfile`] carries them (empty
+    /// for batched and host-tier requests); the report's records never
+    /// do.
+    ///
+    /// [`ServeProfile`]: crate::profile::ServeProfile
+    pub launches: Vec<LaunchTrace>,
+    /// Placed pipeline intervals of an out-of-core request's chunks, in
+    /// stream order with absolute simulated timestamps (empty for in-core
+    /// requests). For these, `h2d_us`/`kernel_us`/`d2h_us` are per-stage
+    /// totals, not a sequential layout.
+    pub chunks: Vec<ooc::ChunkSchedule>,
+    /// Device streams the three out-of-core pipeline stages ran on
+    /// (H2D, kernel, D2H); meaningful only when `chunks` is non-empty.
+    pub chunk_streams: [usize; 3],
 }
 
-impl RequestMetrics {
+impl RequestProfile {
     /// Time spent waiting before execution started.
     pub fn queue_us(&self) -> f64 {
         self.start_us - self.arrival_us
@@ -87,6 +129,15 @@ impl RequestMetrics {
     /// End-to-end latency from arrival to host-visible result.
     pub fn total_us(&self) -> f64 {
         self.finish_us - self.arrival_us
+    }
+
+    /// Counters aggregated over the accepted attempt's launches.
+    pub fn counters(&self) -> KernelCounters {
+        let mut total = KernelCounters::default();
+        for launch in &self.launches {
+            total.merge(&launch.counters());
+        }
+        total
     }
 }
 
@@ -118,8 +169,8 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 impl LatencySummary {
     /// Summarizes the end-to-end latency of `requests`.
-    pub fn from_requests(requests: &[RequestMetrics]) -> LatencySummary {
-        let mut totals: Vec<f64> = requests.iter().map(RequestMetrics::total_us).collect();
+    pub fn from_requests(requests: &[RequestProfile]) -> LatencySummary {
+        let mut totals: Vec<f64> = requests.iter().map(RequestProfile::total_us).collect();
         totals.sort_by(f64::total_cmp);
         if totals.is_empty() {
             return LatencySummary::default();
@@ -152,7 +203,7 @@ mod tests {
 
     #[test]
     fn summary_from_requests() {
-        let make = |arrival: f64, finish: f64| RequestMetrics {
+        let make = |arrival: f64, finish: f64| RequestProfile {
             index: 0,
             tensor_id: "t".into(),
             op: ServeOp::Tensor(fcoo::TensorOp::SpTtm { mode: 0 }),
@@ -163,15 +214,26 @@ mod tests {
             start_us: arrival,
             finish_us: finish,
             exec_us: finish - arrival,
+            recovery_us: 0.0,
+            h2d_us: 0.0,
+            kernel_us: finish - arrival,
+            d2h_us: 0.0,
+            h2d_bytes: 0,
+            d2h_bytes: 0,
+            lower_bound_us: None,
             plan_source: PlanSource::Memory,
+            block_size: 128,
+            threadlen: 8,
+            format: FormatKind::Fcoo,
             batched: false,
             deferred: false,
             checksum: 0,
             retries: 0,
             tier: ExecTier::Unified,
             faults_seen: 0,
-            recovery_us: 0.0,
-            chunks: 0,
+            launches: Vec::new(),
+            chunks: Vec::new(),
+            chunk_streams: [0, 0, 0],
         };
         let reqs: Vec<_> = (0..10).map(|i| make(0.0, (i + 1) as f64 * 10.0)).collect();
         let s = LatencySummary::from_requests(&reqs);

@@ -20,7 +20,7 @@
 //! [`analyzer::tune_select`], which certifies every structurally-surviving
 //! grid point of every format and keeps the triple with the minimal
 //! certified upper bound — zero trial launches. Disk loads pass the decoded
-//! plan through [`analyzer::plan_report_format`]: a persisted plan whose
+//! plan through [`analyzer::plan_report`]: a persisted plan whose
 //! tuned configuration is *refuted* — launch shape outside the device
 //! limits, inconsistent segment flags, inexact bucket metadata — is
 //! rejected and rebuilt instead of replayed into a panic or a wrong answer.
@@ -530,7 +530,7 @@ impl PlanCache {
             return None;
         }
         let format = AnyFormat::from_fcoo(kind, Arc::new(fcoo));
-        if !analyzer::plan_safe_format(device.config(), &format, block_size) {
+        if !analyzer::plan_safe(device.config(), &format, block_size) {
             self.stats.refuted_loads += 1;
             return None;
         }

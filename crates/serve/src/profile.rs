@@ -18,8 +18,7 @@
 //! analyzer's statically-decided verdicts shown side-by-side where the
 //! kernel has a symbolic model.
 
-use crate::metrics::{ExecTier, RequestMetrics};
-use crate::plan::PlanSource;
+use crate::metrics::{ExecTier, RequestProfile};
 use crate::workload::ServeOp;
 use analyzer::model::LaunchGeometry;
 use analyzer::{analyze_tensor, KernelKind, Property, Verdict};
@@ -28,116 +27,6 @@ use gpu_sim::{ChromeTrace, DeviceConfig, KernelCounters, LaunchTrace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tensor_core::SparseTensorCoo;
-
-/// Everything profiled for one served request: the lifecycle timestamps of
-/// its [`RequestMetrics`](crate::metrics::RequestMetrics), the transfer /
-/// kernel split of its execution span, and the launch traces of the
-/// accepted attempt.
-#[derive(Debug, Clone)]
-pub struct RequestProfile {
-    /// Index of the request in the trace.
-    pub index: usize,
-    /// Registered tensor the request operated on.
-    pub tensor_id: String,
-    /// The operation, including its mode (or CP-ALS iteration budget).
-    pub op: ServeOp,
-    /// Factor rank.
-    pub rank: usize,
-    /// Device the job ran on.
-    pub device: usize,
-    /// Stream within the device.
-    pub stream: usize,
-    /// When the request arrived (simulated µs).
-    pub arrival_us: f64,
-    /// When the stream picked it up (simulated µs; recovery dead time and
-    /// execution follow from here).
-    pub start_us: f64,
-    /// When its result was ready on the host (simulated µs).
-    pub finish_us: f64,
-    /// Dead time spent on failed attempts, stalls and backoff (µs).
-    pub recovery_us: f64,
-    /// Host→device transfer time of the accepted attempt (µs).
-    pub h2d_us: f64,
-    /// Simulated kernel time of the accepted attempt (µs).
-    pub kernel_us: f64,
-    /// Device→host transfer time of the result (µs).
-    pub d2h_us: f64,
-    /// Bytes the accepted attempt copied host→device: the format (when
-    /// admission uploaded it) or its chunks, plus the factors as the factor
-    /// plan moved them.
-    pub h2d_bytes: usize,
-    /// Certified completion-time lower bound deadline-aware admission
-    /// computed for the request (absolute simulated µs); `None` for
-    /// requests without a deadline.
-    pub lower_bound_us: Option<f64>,
-    /// How the plan lookup was satisfied.
-    pub plan_source: PlanSource,
-    /// Threads per block of the tuned plan.
-    pub block_size: usize,
-    /// Non-zeros per thread of the tuned plan.
-    pub threadlen: usize,
-    /// Sparse format the tuned plan executed with.
-    pub format: FormatKind,
-    /// True when the request reused a batched same-plan result.
-    pub batched: bool,
-    /// True when admission control made the job wait for memory.
-    pub deferred: bool,
-    /// Attempts discarded before the accepted one.
-    pub retries: u32,
-    /// Degradation-ladder tier that produced the accepted result.
-    pub tier: ExecTier,
-    /// Injected fault events observed while serving this request.
-    pub faults_seen: u32,
-    /// Launch traces of the accepted attempt's planned kernel, in issue
-    /// order (empty for batched and host-tier requests).
-    pub launches: Vec<LaunchTrace>,
-    /// Placed pipeline intervals of an out-of-core request's chunks, in
-    /// stream order with absolute simulated timestamps (empty for in-core
-    /// requests). For these, `h2d_us`/`kernel_us`/`d2h_us` are per-stage
-    /// totals, not a sequential layout.
-    pub chunks: Vec<ooc::ChunkSchedule>,
-    /// Device streams the three out-of-core pipeline stages ran on
-    /// (H2D, kernel, D2H); meaningful only when `chunks` is non-empty.
-    pub chunk_streams: [usize; 3],
-}
-
-impl RequestProfile {
-    /// The request's metrics: this record's lifecycle fields plus its
-    /// execution span and result checksum. The chunk count is the number
-    /// of streamed chunks.
-    pub(crate) fn metrics(&self, exec_us: f64, checksum: u64) -> RequestMetrics {
-        RequestMetrics {
-            index: self.index,
-            tensor_id: self.tensor_id.clone(),
-            op: self.op,
-            rank: self.rank,
-            device: self.device,
-            stream: self.stream,
-            arrival_us: self.arrival_us,
-            start_us: self.start_us,
-            finish_us: self.finish_us,
-            exec_us,
-            plan_source: self.plan_source,
-            batched: self.batched,
-            deferred: self.deferred,
-            checksum,
-            retries: self.retries,
-            tier: self.tier,
-            faults_seen: self.faults_seen,
-            recovery_us: self.recovery_us,
-            chunks: self.chunks.len(),
-        }
-    }
-
-    /// Counters aggregated over the accepted attempt's launches.
-    pub fn counters(&self) -> KernelCounters {
-        let mut total = KernelCounters::default();
-        for launch in &self.launches {
-            total.merge(&launch.counters());
-        }
-        total
-    }
-}
 
 /// The analyzer's statically-decided verdicts for one kernel row, shown
 /// side-by-side with the dynamic counters.
@@ -179,13 +68,14 @@ pub struct KernelProfile {
     pub statics: Option<KernelStatics>,
 }
 
-/// A profiled serving run: per-request profiles plus the grouped per-kernel
-/// counter rows.
+/// A profiled serving run: the request records with their launch traces,
+/// plus the grouped per-kernel counter rows.
 #[derive(Debug)]
 pub struct ServeProfile {
     /// Hardware model the run simulated (for peak-bandwidth context).
     pub device_config: DeviceConfig,
-    /// One profile per served request, in trace order.
+    /// The run's request records in trace order, each carrying its
+    /// accepted attempt's launch traces (the report's copies carry none).
     pub requests: Vec<RequestProfile>,
     /// Counter rows grouped by `(tensor, op, tier, config)`.
     pub kernels: Vec<KernelProfile>,
@@ -265,8 +155,8 @@ fn statics_for(
 }
 
 impl ServeProfile {
-    /// Assembles a profile from the per-request captures, grouping counter
-    /// rows and attaching analyzer verdicts via `tensor` lookup.
+    /// Assembles a profile from the traced request records, grouping
+    /// counter rows and attaching analyzer verdicts via `tensor` lookup.
     pub(crate) fn assemble<'a>(
         device_config: DeviceConfig,
         requests: Vec<RequestProfile>,

@@ -5,6 +5,8 @@
 //! pair whose last enqueued operation finishes earliest, breaking ties by
 //! lowest device then lowest stream index — so a fixed workload always
 //! produces the same schedule, which the integration tests assert.
+//! Out-of-core requests place their chunks' H2D, kernel and D2H stages on
+//! streams they choose ([`Scheduler::place_chunk`]), on the same timelines.
 
 use gpu_sim::Timeline;
 
@@ -154,25 +156,45 @@ impl Scheduler {
         }
     }
 
-    /// Occupies `stream` on `device` with `duration_us` of work starting no
-    /// earlier than `start_us`, returning the finish time.
+    /// Places out-of-core chunk `index` on `device`: its H2D, kernel and
+    /// D2H stages (durations in `stages_us`) go on `streams` in that order.
+    /// A stage starts once its stream is free and its predecessor ended —
+    /// the software-pipeline recurrence over the streams' fronts:
     ///
-    /// The out-of-core path resolves a whole chunk pipeline's intervals up
-    /// front ([`ooc::PipelineBuilder`]) and then stamps each span onto the
-    /// real streams with this — unlike [`Scheduler::place_on_device`] the
-    /// caller, not the scheduler, picks the stream.
-    pub fn occupy_stream(
+    /// ```text
+    /// h2d_start[k]    = max(h2d stream front,    ready_us)
+    /// kernel_start[k] = max(kernel stream front, h2d_end[k])
+    /// d2h_start[k]    = max(d2h stream front,    kernel_end[k])
+    /// ```
+    ///
+    /// Each stream serializes its stages (one copy engine per direction,
+    /// one compute queue), so with three streams and three or more chunks
+    /// the H2D of chunk `k+1` overlaps the kernel of chunk `k` and the D2H
+    /// of chunk `k−1`. Stages that share a stream serialize with each
+    /// other: `[0, 1, 1]` keeps the next upload under the current kernel,
+    /// `[0, 0, 0]` degenerates to serial execution. Pass the pipeline's
+    /// start as `ready_us`, at or after every used stream's front.
+    pub fn place_chunk(
         &mut self,
         device: usize,
-        stream: usize,
-        start_us: f64,
-        duration_us: f64,
-    ) -> f64 {
-        match self.timelines.get_mut(device) {
-            Some(t) => t
-                .try_push_after(stream, start_us, duration_us)
-                .unwrap_or(start_us + duration_us),
-            None => start_us + duration_us,
+        streams: [usize; 3],
+        ready_us: f64,
+        index: usize,
+        stages_us: [f64; 3],
+    ) -> ooc::ChunkSchedule {
+        let timeline = &mut self.timelines[device];
+        let mut after = ready_us;
+        let mut spans = [(0.0, 0.0); 3];
+        for ((span, stream), duration_us) in spans.iter_mut().zip(streams).zip(stages_us) {
+            let start = timeline.stream_elapsed_us(stream).max(after);
+            after = timeline.push_after(stream, after, duration_us);
+            *span = (start, after);
+        }
+        ooc::ChunkSchedule {
+            index,
+            h2d: spans[0],
+            kernel: spans[1],
+            d2h: spans[2],
         }
     }
 
@@ -311,20 +333,144 @@ mod tests {
         assert_eq!(sched.stream_available_us(0, 9), f64::INFINITY);
         assert_eq!(sched.device_available_us(0), 0.0);
         assert_eq!(sched.device_available_us(7), f64::INFINITY);
-        // Stamp an overlapped pair of spans on distinct streams.
-        let f0 = sched.occupy_stream(0, 0, 10.0, 20.0);
-        let f1 = sched.occupy_stream(0, 1, 15.0, 20.0);
-        assert_eq!((f0, f1), (30.0, 35.0));
-        assert_eq!(sched.stream_available_us(0, 0), 30.0);
+        // Earlier work on the kernel stream: the pipeline starts behind it.
+        sched.place_on_device(0, 0.0, 10.0);
+        let c = sched.place_chunk(0, [1, 0, 2], 10.0, 0, [5.0, 20.0, 5.0]);
+        assert_eq!(
+            (c.h2d, c.kernel, c.d2h),
+            ((10.0, 15.0), (15.0, 35.0), (35.0, 40.0))
+        );
+        assert_eq!(sched.stream_available_us(0, 0), 35.0);
         // A stall occupies without busy credit.
-        sched.stall_stream(0, 2, 0.0, 35.0);
-        assert_eq!(sched.stream_available_us(0, 2), 35.0);
-        // Device availability is the min over streams: 30, 35, 35 → 30.
-        assert_eq!(sched.device_available_us(0), 30.0);
-        assert_eq!(sched.makespan_us(), 35.0);
+        sched.stall_stream(0, 1, 0.0, 50.0);
+        assert_eq!(sched.stream_available_us(0, 1), 65.0);
+        // Device availability is the min over streams: 35, 65, 40 → 35.
+        assert_eq!(sched.device_available_us(0), 35.0);
+        assert_eq!(sched.makespan_us(), 65.0);
         let u = sched.utilizations();
-        assert_eq!(u[0][2], 0.0);
+        assert!((u[0][1] - 5.0 / 65.0).abs() < 1e-12, "{u:?}");
         assert!(u[0][0] > 0.0);
+    }
+
+    /// Places `stages` as consecutive chunks of one pipeline starting at
+    /// `ready_us` on a fresh device with `streams` streams.
+    fn pipeline(
+        streams: usize,
+        map: [usize; 3],
+        ready_us: f64,
+        stages: &[[f64; 3]],
+    ) -> (Scheduler, Vec<ooc::ChunkSchedule>) {
+        let mut sched = Scheduler::new(1, streams);
+        let chunks = stages
+            .iter()
+            .enumerate()
+            .map(|(index, &stage)| sched.place_chunk(0, map, ready_us, index, stage))
+            .collect();
+        (sched, chunks)
+    }
+
+    fn finish_us(chunks: &[ooc::ChunkSchedule]) -> f64 {
+        chunks.last().map_or(0.0, |c| c.d2h.1)
+    }
+
+    fn serial_us(stages: &[[f64; 3]]) -> f64 {
+        stages.iter().flatten().sum()
+    }
+
+    fn kernel_us(chunks: &[ooc::ChunkSchedule]) -> f64 {
+        chunks.iter().map(|c| c.kernel.1 - c.kernel.0).sum()
+    }
+
+    #[test]
+    fn single_chunk_is_serial() {
+        let stages = [[10.0, 20.0, 5.0]];
+        let (sched, chunks) = pipeline(3, [0, 1, 2], 100.0, &stages);
+        assert_eq!(finish_us(&chunks), 135.0);
+        assert_eq!(finish_us(&chunks) - 100.0, serial_us(&stages));
+        assert_eq!(sched.makespan_us(), 135.0);
+    }
+
+    #[test]
+    fn four_chunk_pipeline_beats_serial() {
+        let stages = [[10.0, 20.0, 5.0]; 4];
+        let (_, chunks) = pipeline(3, [0, 1, 2], 0.0, &stages);
+        // Kernel-bound steady state: 10 (fill) + 4·20 + 5 (drain) = 95.
+        assert_eq!(finish_us(&chunks), 95.0);
+        assert_eq!(serial_us(&stages), 140.0);
+        assert!((kernel_us(&chunks) / 95.0 - 80.0 / 95.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stages_never_overlap_within_a_stream_or_chunk() {
+        let stages = [[8.0, 3.0, 12.0], [2.0, 30.0, 1.0], [20.0, 1.0, 9.0]];
+        let (_, chunks) = pipeline(3, [0, 1, 2], 50.0, &stages);
+        for c in &chunks {
+            assert!(c.h2d.1 <= c.kernel.0);
+            assert!(c.kernel.1 <= c.d2h.0);
+        }
+        for pair in chunks.windows(2) {
+            assert!(pair[0].h2d.1 <= pair[1].h2d.0);
+            assert!(pair[0].kernel.1 <= pair[1].kernel.0);
+            assert!(pair[0].d2h.1 <= pair[1].d2h.0);
+        }
+    }
+
+    #[test]
+    fn transfer_bound_pipeline_hides_kernels_instead() {
+        let (_, chunks) = pipeline(3, [0, 1, 2], 0.0, &[[40.0, 4.0, 2.0]; 5]);
+        // H2D-bound: 5·40 + 4 + 2 = 206.
+        assert_eq!(finish_us(&chunks), 206.0);
+        assert!(kernel_us(&chunks) / 206.0 < 0.2);
+    }
+
+    #[test]
+    fn empty_pipeline_is_a_point() {
+        let (sched, chunks) = pipeline(3, [0, 1, 2], 7.0, &[]);
+        assert!(chunks.is_empty());
+        assert_eq!(sched.makespan_us(), 0.0);
+        assert_eq!(sched.utilizations(), vec![vec![0.0; 3]]);
+    }
+
+    #[test]
+    fn pipeline_streams_are_opaque_labels() {
+        let stages = [[10.0, 20.0, 5.0]; 4];
+        let (_, dedicated) = pipeline(3, [0, 1, 2], 3.0, &stages);
+        let (_, relabeled) = pipeline(8, [7, 2, 5], 3.0, &stages);
+        assert_eq!(dedicated, relabeled);
+    }
+
+    #[test]
+    fn two_stream_mapping_still_overlaps_h2d_with_compute() {
+        let stages = [[10.0, 20.0, 5.0]; 3];
+        // Two real streams, H2D alone on 0, kernel + D2H sharing 1: the
+        // next chunk's upload hides behind the current kernel.
+        let (_, chunks) = pipeline(2, [0, 1, 1], 0.0, &stages);
+        assert_eq!(finish_us(&chunks), 85.0);
+        for pair in chunks.windows(2) {
+            assert!(pair[0].kernel.1 <= pair[1].kernel.0);
+            assert!(pair[0].d2h.1 <= pair[1].kernel.0);
+        }
+        // Sharing the copy stream chains d2h(k) before h2d(k+1): with
+        // uniform stages that issue order erases the overlap entirely.
+        let (_, chained) = pipeline(2, [0, 1, 0], 0.0, &stages);
+        assert_eq!(finish_us(&chained), serial_us(&stages));
+        // One stream for everything degenerates to serial.
+        let (sched, serial) = pipeline(1, [0, 0, 0], 0.0, &stages);
+        assert_eq!(finish_us(&serial), serial_us(&stages));
+        assert_eq!(sched.utilizations(), vec![vec![1.0]]);
+    }
+
+    #[test]
+    fn kernel_stall_delays_subsequent_kernels_only() {
+        let (mut sched, _) = pipeline(3, [0, 1, 2], 0.0, &[[10.0, 20.0, 5.0]]);
+        // A faulted chunk burned 100 µs on the kernel stream.
+        sched.stall_stream(0, 1, 0.0, 100.0);
+        assert_eq!(sched.stream_available_us(0, 1), 130.0);
+        let c = sched.place_chunk(0, [0, 1, 2], 0.0, 1, [10.0, 20.0, 5.0]);
+        // H2D still overlapped the stall; the kernel waited it out.
+        assert_eq!(c.h2d, (10.0, 20.0));
+        assert_eq!(c.kernel, (130.0, 150.0));
+        assert_eq!(c.d2h, (150.0, 155.0));
     }
 
     #[test]

@@ -17,10 +17,13 @@ use fcoo::{DeviceMatrix, TensorOp};
 use gpu_sim::{GpuDevice, OutOfMemory};
 use tensor_core::DenseMatrix;
 
-/// Microseconds a host↔device copy of `bytes` takes at `pcie_gbs` GB/s
+/// Host↔device transfer bandwidth in GB/s (PCIe 3.0 x16 ≈ 12).
+const PCIE_GBS: f64 = 12.0;
+
+/// Microseconds a host↔device copy of `bytes` takes over PCIe
 /// (1 GB/s = 10³ bytes/µs).
-pub(crate) fn transfer_us(bytes: usize, pcie_gbs: f64) -> f64 {
-    bytes as f64 / (pcie_gbs * 1e3)
+pub(crate) fn transfer_us(bytes: usize) -> f64 {
+    bytes as f64 / (PCIE_GBS * 1e3)
 }
 
 /// Deterministic per-mode factor seed derivation, shared with the one-shot

@@ -94,7 +94,6 @@ fn disabled_injection_is_free() {
             redundancy_rate: 0.9,
             quarantine_threshold: 1,
             plan_fault_threshold: 1,
-            ..serve::FaultTolerance::default()
         },
         ..ServeConfig::default()
     });

@@ -165,7 +165,7 @@ fn render(name: &str, config: ServeConfig, workload: &Workload) -> String {
             r.finish_us,
             r.exec_us,
             r.tier.label(),
-            r.chunks,
+            r.chunks.len(),
             r.batched,
             r.deferred
         );

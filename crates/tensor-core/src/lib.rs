@@ -29,14 +29,12 @@ pub mod matrix;
 pub mod ops;
 pub mod semisparse;
 pub mod stats;
-pub mod stream;
 
 pub use coo::SparseTensorCoo;
 pub use datasets::{DatasetInfo, DatasetKind};
 pub use matricize::{matricize, MatricizeError};
 pub use matrix::DenseMatrix;
 pub use semisparse::SemiSparseTensor;
-pub use stream::{StreamBlock, StreamSpec, TensorStream};
 
 /// Index type for tensor coordinates.
 ///

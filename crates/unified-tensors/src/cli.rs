@@ -386,7 +386,7 @@ pub fn analyze(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<Str
         for candidate in &choice.candidates {
             let format =
                 crate::fcoo::AnyFormat::build(candidate.kind, tensor, op, candidate.threadlen);
-            let report = crate::analyzer::plan_report_format(config, &format, candidate.block_size);
+            let report = crate::analyzer::plan_report(config, &format, candidate.block_size);
             if report.error_count() > 0 {
                 violations.push(format!(
                     "{label}: {} payload at B{} T{} fails its structural lint",
@@ -963,7 +963,6 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         }
         let mut engine = ServeEngine::new(ServeConfig {
             device_config,
-            profile: true,
             verify: true,
             ..ServeConfig::default()
         });
@@ -1005,25 +1004,23 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
     for (label, divisor) in [("1/2", 2usize), ("1/4", 4), ("1/8", 8)] {
         let capacity = transient_bytes + min_format_bytes / divisor;
         let report = run_at(Some(capacity))?;
-        let chunked: Vec<_> = report.requests.iter().filter(|r| r.chunks > 0).collect();
+        let chunked: Vec<_> = report
+            .requests
+            .iter()
+            .filter(|r| !r.chunks.is_empty())
+            .collect();
         if chunked.is_empty() {
             return Err(err(format!(
                 "budget {label}: no request went out-of-core (capacity {capacity} B)"
             )));
         }
         let mean_chunks =
-            chunked.iter().map(|r| r.chunks as f64).sum::<f64>() / chunked.len() as f64;
-        let profile = report.profile.as_ref().expect("profiling enabled");
-        let pipelines: Vec<_> = profile
-            .requests
-            .iter()
-            .filter(|r| !r.chunks.is_empty())
-            .collect();
-        let overlap = pipelines
+            chunked.iter().map(|r| r.chunks.len() as f64).sum::<f64>() / chunked.len() as f64;
+        let overlap = chunked
             .iter()
             .map(|r| r.kernel_us / (r.finish_us - r.start_us))
             .sum::<f64>()
-            / pipelines.len().max(1) as f64;
+            / chunked.len() as f64;
         let nnz_s = total_nnz / (report.makespan_us * 1e-6);
         let _ = writeln!(
             out,

@@ -199,7 +199,11 @@ fn profiling_a_chunked_workload_is_bit_exact_and_shows_overlap() {
         "profiling changed the chunked makespan"
     );
     for (p, q) in plain.requests.iter().zip(&profiled.requests) {
-        assert!(p.chunks >= 4, "request {} did not stream deeply", p.index);
+        assert!(
+            p.chunks.len() >= 4,
+            "request {} did not stream deeply",
+            p.index
+        );
         assert_eq!(p.chunks, q.chunks);
         assert_eq!(p.checksum, q.checksum, "profiling changed chunked bits");
         assert_eq!(p.start_us.to_bits(), q.start_us.to_bits());
