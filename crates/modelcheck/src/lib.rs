@@ -166,3 +166,72 @@ pub fn check(scenario: &Scenario, mutation: Mutation) -> CheckReport {
         result: full,
     }
 }
+
+/// The checker's full report, as `tensortool modelcheck` prints it: every
+/// standard scenario under the faithful protocol (each must prove all four
+/// properties, with the reduced exploration agreeing), then the mutation
+/// self-test (each seeded bug must be refuted). `Err` carries the same
+/// report with the violations appended.
+pub fn report() -> Result<String, String> {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let mut violations = Vec::new();
+    let _ = writeln!(
+        out,
+        "modelcheck: serving-protocol properties over all host interleavings\n"
+    );
+    for scenario in scenario::standard() {
+        let report = check(&scenario, Mutation::None);
+        out.push_str(&report.render());
+        for ce in &report.result.violations {
+            out.push_str(&trace::render_counterexample(ce));
+            violations.push(format!(
+                "scenario `{}` refuted {}",
+                scenario.name,
+                ce.property.label()
+            ));
+        }
+        if !report.reduction_consistent {
+            violations.push(format!(
+                "scenario `{}`: ample-set reduction disagrees with full exploration",
+                scenario.name
+            ));
+        }
+        out.push('\n');
+    }
+    let _ = writeln!(out, "mutation self-test: seeded bugs must be refuted\n");
+    for (mutation, scenario, property) in scenario::mutation_suite() {
+        let report = check(&scenario, mutation);
+        let (label, name) = (mutation.label(), scenario.name);
+        match report.result.counterexample(property) {
+            Some(ce) => {
+                let _ = writeln!(
+                    out,
+                    "  {label} on `{name}`: {} refuted after {} step(s) — {}",
+                    property.label(),
+                    ce.schedule.len(),
+                    ce.detail
+                );
+            }
+            None => {
+                let _ = writeln!(
+                    out,
+                    "  {label} on `{name}`: ESCAPED — {} was not refuted",
+                    property.label()
+                );
+                violations.push(format!("mutation {label} escaped on `{name}`"));
+            }
+        }
+    }
+    if violations.is_empty() {
+        let _ = writeln!(
+            out,
+            "\nmodelcheck verdict: all properties proved, all mutations refuted"
+        );
+        return Ok(out);
+    }
+    for violation in &violations {
+        let _ = writeln!(out, "modelcheck violation: {violation}");
+    }
+    Err(out)
+}

@@ -1310,84 +1310,12 @@ pub fn saturate(out_path: Option<&Path>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `modelcheck` subcommand: runs the serve-layer model checker over every
-/// standard scenario (the faithful protocol must prove determinism,
-/// leak-freedom, admission liveness and scrub-before-reuse across all host
-/// interleavings) and the mutation self-test (every seeded protocol bug
-/// must be refuted with a counterexample). Exits non-zero on any refuted
+/// `modelcheck` subcommand: the model checker's full report
+/// ([`crate::modelcheck::report`]). Exits non-zero on any refuted
 /// property, any escaped mutation, or a reduction/full-exploration
 /// disagreement.
 pub fn modelcheck() -> Result<String, CliError> {
-    let mut out = String::new();
-    let mut violations = Vec::new();
-    let _ = writeln!(
-        out,
-        "modelcheck: serving-protocol properties over all host interleavings\n"
-    );
-    for scenario in crate::modelcheck::scenario::standard() {
-        let report = crate::modelcheck::check(&scenario, crate::modelcheck::Mutation::None);
-        out.push_str(&report.render());
-        if !report.all_proved() {
-            for ce in &report.result.violations {
-                out.push_str(&crate::modelcheck::trace::render_counterexample(ce));
-                violations.push(format!(
-                    "scenario `{}` refuted {}",
-                    scenario.name,
-                    ce.property.label()
-                ));
-            }
-        }
-        if !report.reduction_consistent {
-            violations.push(format!(
-                "scenario `{}`: ample-set reduction disagrees with full exploration",
-                scenario.name
-            ));
-        }
-        out.push('\n');
-    }
-    let _ = writeln!(out, "mutation self-test: seeded bugs must be refuted\n");
-    for (mutation, scenario, property) in crate::modelcheck::scenario::mutation_suite() {
-        let report = crate::modelcheck::check(&scenario, mutation);
-        match report.result.counterexample(property) {
-            Some(ce) => {
-                let _ = writeln!(
-                    out,
-                    "  {} on `{}`: {} refuted after {} step(s) — {}",
-                    mutation.label(),
-                    scenario.name,
-                    property.label(),
-                    ce.schedule.len(),
-                    ce.detail
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "  {} on `{}`: ESCAPED — {} was not refuted",
-                    mutation.label(),
-                    scenario.name,
-                    property.label()
-                );
-                violations.push(format!(
-                    "mutation {} escaped on `{}`",
-                    mutation.label(),
-                    scenario.name
-                ));
-            }
-        }
-    }
-    if violations.is_empty() {
-        let _ = writeln!(
-            out,
-            "\nmodelcheck verdict: all properties proved, all mutations refuted"
-        );
-        Ok(out)
-    } else {
-        for violation in &violations {
-            let _ = writeln!(out, "modelcheck violation: {violation}");
-        }
-        Err(err(out))
-    }
+    crate::modelcheck::report().map_err(err)
 }
 
 fn check_mode(tensor: &SparseTensorCoo, mode: usize) -> Result<(), CliError> {
