@@ -318,10 +318,12 @@ fn action_footprint(
     late_quarantine: bool,
 ) -> u64 {
     let r = action.request();
-    let dev = |r: usize| state.reqs[r].device.unwrap_or(0);
+    let dev = |r: usize| state.reqs[r].device().unwrap_or(0);
     match action {
         Action::Admit(_) => {
-            let d = state.affinity(sc.requests[r].preferred_device);
+            let d = state
+                .health
+                .affinity(sc.requests[r].preferred_device as u64);
             let mut f = req_bit(r) | BIT_TICKET | BIT_PLACE_ORDER | pool_bit(d);
             if can_fault {
                 // Affinity reads the quarantine flags.
@@ -381,7 +383,7 @@ fn future_footprint(
 ) -> u64 {
     use crate::model::Phase;
     let req = &state.reqs[r];
-    let d = req.device.unwrap_or(sc.requests[r].preferred_device);
+    let d = req.device().unwrap_or(sc.requests[r].preferred_device);
     let policy = if can_fault || late_quarantine {
         BIT_POLICY
     } else {

@@ -1,9 +1,17 @@
-//! The abstract transition system extracted from the serve engine.
+//! The serve engine's protocol as a transition system.
 //!
-//! Shared state is built from the *real* serving types — one
-//! [`serve::PoolLedger`] per device and the real [`serve::Scheduler`] — plus
-//! a small amount of per-request and per-device control state. Each request
-//! is a thread stepping through the engine's protocol:
+//! Every protocol rule comes from [`serve::protocol`], the module the engine
+//! runs: admission over the real [`serve::PoolLedger`], the defer step, the
+//! reservation lifecycle, the retry ladder (jittered backoff, retry counting,
+//! degradation), the quarantine threshold and affinity fallback
+//! ([`serve::protocol::Health`]), the shed step, and placement with dead time
+//! on the real [`serve::Scheduler`]. Each request carries the engine's own
+//! per-request state, a [`Flight`]. What this module adds is only what
+//! belongs to the checker: the phase machine and [`ModelState::enabled`]
+//! (which request may move, so the explorer can try every interleaving), the
+//! per-device taint flag that stands in for injected faults, each scenario's
+//! fault schedule, and the six mutations — each one drops or postpones one
+//! decision a shared rule returned, before the model applies it.
 //!
 //! ```text
 //! Idle ──Admit──▶ Admitted ──BeginExec──▶ Running ──Barrier──▶ Barriered
@@ -14,38 +22,38 @@
 //!                 Done ◀──Accept── Committed ◀──Commit── Placed ◀──┘
 //! ```
 //!
-//! A deadlined request whose certified execution-time floor already
-//! exceeds its deadline is *shed* right after admission: its pending
-//! reservation is released and it reaches the terminal `Shed` phase
-//! without ever taking the execution lock.
+//! Three abstractions remain, each documented where it lives:
 //!
-//! An out-of-core request loops on `Chunk` between `BeginExec` and
-//! `Barrier`: each chunk takes its own pending reservation, runs a
-//! per-attempt integrity barrier, and either commits at its D2H end or
-//! releases and retries on a fault — the engine's chunk-granular
-//! accounting, modeled step for step.
+//! * the **shed floor is static**: a request sheds when its deadline is
+//!   below its execution time, the engine's bound on an empty queue;
+//! * the **chunk step is atomic**: one `Chunk` action reserves the chunk,
+//!   runs one attempt, scrubs, and commits the chunk (in no simulated time)
+//!   or releases it before the retry — where the engine holds a chunk's
+//!   reservation across its retries — and the out-of-core host rung is not
+//!   modeled;
+//! * **faults are a taint flag**: an injected fault poisons the device until
+//!   a scrub clears it.
 //!
-//! The protocol rules mirror the engine's sequential dispatch: admission is
-//! FIFO (one ticket, head-of-line), a request may only admit once its
-//! target device has no *pending* (uncommitted) reservation, a device's
-//! execution lock is held from attempt start through the integrity
-//! barrier, and placement happens in arrival order. Everything else — which
-//! request commits first, when outputs are read back, how device work
-//! interleaves across devices — is left free, and the checker explores all
-//! of it.
+//! Admission is FIFO (one ticket, head-of-line), a request may only admit
+//! once its target device has no *pending* (uncommitted) reservation, a
+//! device's execution lock is held from attempt start through the integrity
+//! barrier, and placement happens in arrival order — the engine's sequential
+//! dispatch. Everything else — which request commits first, when outputs are
+//! read back, how device work interleaves across devices — is left free.
 //!
 //! Each [`ModelState::step`] returns the successor state, the
-//! [`serve::ProtocolEvent`]s the engine would have logged for that
-//! transition (so counterexamples read like real traces), and an optional
-//! in-step property violation (scrub-before-reuse is checked at every
-//! device read).
+//! [`serve::ProtocolEvent`]s the shared rules narrated for that transition
+//! (so counterexamples read like real traces), and an optional in-step
+//! property violation (scrub-before-reuse is checked at every device read).
 
 use crate::scenario::{Mutation, Scenario};
 use crate::{Property, Violation};
 use fcoo::TensorOp;
-use serve::engine::{BACKOFF_BASE_US, BACKOFF_CAP_US};
 use serve::ledger::splitmix;
-use serve::{AdmitError, ExecTier, Placement, PlanKey, PoolLedger, ProtocolEvent, Scheduler};
+use serve::protocol::{self, Flight, Health, Ladder, Rung};
+use serve::{
+    AdmitError, ExecTier, Placement, PlanKey, PoolLedger, ProtocolEvent, ReservationId, Scheduler,
+};
 
 /// Where a request is in its protocol lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,25 +84,14 @@ pub enum Phase {
 pub struct ReqState {
     /// Lifecycle phase.
     pub phase: Phase,
-    /// Simulated time the request became ready (arrival, pushed back by
-    /// deferrals).
-    pub ready_us: f64,
-    /// True if admission ever deferred this request.
-    pub deferred: bool,
-    /// Device the request admitted on.
-    pub device: Option<usize>,
-    /// Live reservation handle, if any.
-    pub reservation: Option<serve::ReservationId>,
-    /// Current execution tier.
-    pub tier: ExecTier,
-    /// Global attempt counter (indexes the fault schedule).
-    pub attempt: u32,
-    /// Attempts burned at the current tier.
-    pub tier_attempts: u32,
-    /// Total corrupted attempts recovered from.
-    pub retries: u32,
-    /// Accumulated backoff charged as placement dead time.
-    pub recovery_us: f64,
+    /// The engine's per-request protocol state: device, ready time,
+    /// deferral, open reservations, attempt number, retries and recovery
+    /// time (the backoff charged as placement dead time).
+    pub flight: Flight,
+    /// The whole-attempt ladder: current tier and attempts discarded there.
+    pub ladder: Ladder,
+    /// The current chunk's ladder (chunked requests only).
+    pub chunk_ladder: Ladder,
     /// Final placement, once placed.
     pub placement: Option<Placement>,
     /// True once the request no longer gates later placements (placed or
@@ -102,8 +99,13 @@ pub struct ReqState {
     pub place_done: bool,
     /// Streamed chunks completed so far (chunked requests only).
     pub chunks_done: u32,
-    /// Attempts burned on the current chunk (resets when it commits).
-    pub chunk_attempt: u32,
+}
+
+impl ReqState {
+    /// The device the request admitted on (none while it waits).
+    pub fn device(&self) -> Option<usize> {
+        (self.phase != Phase::Idle).then_some(self.flight.device)
+    }
 }
 
 /// Per-device control state.
@@ -114,12 +116,8 @@ pub struct DevState {
     /// True when an injected fault poisoned device memory and no scrub has
     /// run since.
     pub tainted: bool,
-    /// Corrupted attempts attributed to this device.
-    pub fault_count: u32,
-    /// True once the device is quarantined.
-    pub quarantined: bool,
-    /// `LateQuarantine` mutation only: threshold crossed, application
-    /// postponed to output readback.
+    /// `LateQuarantine` mutation only: the quarantine decision, postponed
+    /// to output readback.
     pub quarantine_due: bool,
 }
 
@@ -130,6 +128,8 @@ pub struct ModelState {
     pub pools: Vec<PoolLedger>,
     /// Real multi-stream scheduler.
     pub sched: Scheduler,
+    /// Per-device fault evidence and quarantine flags.
+    pub health: Health,
     /// Per-device control state.
     pub devs: Vec<DevState>,
     /// Per-request control state.
@@ -205,17 +205,43 @@ pub fn key_for(key_id: u64) -> PlanKey {
     PlanKey::new(0x4D43_0000 ^ key_id, TensorOp::SpMttkrp { mode: 0 }, 8)
 }
 
-/// Deterministic model of the engine's capped exponential backoff (the
-/// model drops the jitter term: it only widens the span, never reorders).
-fn backoff_us(tier_attempts: u32) -> f64 {
-    (BACKOFF_BASE_US * f64::from(1u32 << tier_attempts.min(10))).min(BACKOFF_CAP_US)
+/// The ladder every scenario request climbs: the engine's ladder for a
+/// third-order SpMTTKRP, the op of [`key_for`].
+fn tiers() -> &'static [ExecTier] {
+    protocol::tensor_tiers(TensorOp::SpMttkrp { mode: 0 }, 3)
 }
 
-fn next_tier(tier: ExecTier) -> ExecTier {
-    match tier {
-        ExecTier::Unified => ExecTier::TwoStep,
-        ExecTier::TwoStep | ExecTier::Cpu => ExecTier::Cpu,
+/// A chunk's ladder: the unified kernel only.
+const CHUNK_TIERS: &[ExecTier] = &[ExecTier::Unified];
+
+/// The scrub of an integrity barrier: reports and clears the device's
+/// taint. Under `SkipScrub` it neither scrubs nor looks — the taint
+/// silently survives and the attempt "passes".
+fn scrub(dev: &mut DevState, mutation: Mutation) -> bool {
+    mutation != Mutation::SkipScrub && std::mem::take(&mut dev.tainted)
+}
+
+/// Releases the reservations a rule handed back — unless `dropped`, the
+/// mutation that leaks them.
+fn release(
+    flight: &Flight,
+    pool: &mut PoolLedger,
+    held: Vec<ReservationId>,
+    dropped: bool,
+    events: &mut Vec<ProtocolEvent>,
+) {
+    if !dropped {
+        events.extend(held.into_iter().map(|id| flight.release(pool, id)));
     }
+}
+
+/// A device read (kernel launch or readback) while the device is still
+/// tainted refutes scrub-before-reuse.
+fn poisoned(tier: ExecTier, dev: &DevState, what: String) -> Option<Violation> {
+    (tier != ExecTier::Cpu && dev.tainted).then(|| Violation {
+        property: Property::ScrubBeforeReuse,
+        detail: format!("{what} while its memory is still poisoned by an unscrubbed fault"),
+    })
 }
 
 impl ModelState {
@@ -226,51 +252,29 @@ impl ModelState {
                 .map(|_| PoolLedger::new(sc.capacity_bytes))
                 .collect(),
             sched: Scheduler::new(sc.devices, sc.streams_per_device),
+            health: Health::new(sc.devices),
             devs: (0..sc.devices)
                 .map(|_| DevState {
                     lock: None,
                     tainted: false,
-                    fault_count: 0,
-                    quarantined: false,
                     quarantine_due: false,
                 })
                 .collect(),
             reqs: sc
                 .requests
                 .iter()
-                .map(|spec| ReqState {
+                .enumerate()
+                .map(|(r, spec)| ReqState {
                     phase: Phase::Idle,
-                    ready_us: spec.arrival_us,
-                    deferred: false,
-                    device: None,
-                    reservation: None,
-                    tier: ExecTier::Unified,
-                    attempt: 0,
-                    tier_attempts: 0,
-                    retries: 0,
-                    recovery_us: 0.0,
+                    flight: Flight::new(r, spec.preferred_device, spec.arrival_us),
+                    ladder: Ladder::new(tiers()),
+                    chunk_ladder: Ladder::new(CHUNK_TIERS),
                     placement: None,
                     place_done: false,
                     chunks_done: 0,
-                    chunk_attempt: 0,
                 })
                 .collect(),
         }
-    }
-
-    /// The engine's device affinity: the preferred device unless
-    /// quarantined, else the first healthy device, else the preference.
-    pub fn affinity(&self, preferred: usize) -> usize {
-        if !self.devs[preferred].quarantined {
-            return preferred;
-        }
-        for off in 1..self.devs.len() {
-            let d = (preferred + off) % self.devs.len();
-            if !self.devs[d].quarantined {
-                return d;
-            }
-        }
-        preferred
     }
 
     /// All requests in a terminal phase?
@@ -292,7 +296,7 @@ impl ModelState {
                     // (uncommitted) reservation — the engine admits after
                     // the previous job on the device settled its bytes.
                     if first_idle == Some(r) {
-                        let d = self.affinity(sc.requests[r].preferred_device);
+                        let d = self.health.affinity(sc.requests[r].preferred_device as u64);
                         if self.pools[d].pending_reservations() == 0 {
                             out.push(Action::Admit(r));
                         }
@@ -300,18 +304,16 @@ impl ModelState {
                 }
                 Phase::Admitted => {
                     // The shed decision is static: a deadline below the
-                    // certified execution-time floor (here exec_us itself)
-                    // is provably unreachable, and the engine decides this
-                    // deterministically at admission — before the lock.
+                    // execution time is unreachable even on an empty queue
+                    // (the engine's bound with nothing queued ahead), and
+                    // the engine decides it at admission — before the lock.
                     let sheds = sc.requests[r]
                         .deadline_us
                         .is_some_and(|dl| dl < sc.requests[r].exec_us);
                     if sheds {
                         out.push(Action::Shed(r));
-                    } else if let Some(d) = req.device {
-                        if self.devs[d].lock.is_none() {
-                            out.push(Action::BeginExec(r));
-                        }
+                    } else if self.devs[req.flight.device].lock.is_none() {
+                        out.push(Action::BeginExec(r));
                     }
                 }
                 Phase::Running => {
@@ -345,320 +347,204 @@ impl ModelState {
         let mut violation = None;
         let r = action.request();
         let spec = &sc.requests[r];
+        let ModelState {
+            pools,
+            sched,
+            health,
+            devs,
+            reqs,
+        } = &mut s;
+        let req = &mut reqs[r];
+        let max_retries = sc.max_retries as usize;
+        // The engine's fault policy after a corrupted attempt: attribute the
+        // fault, then quarantine on the threshold. LateQuarantine postpones
+        // the quarantine decision to output readback.
+        let fault_policy = |health: &mut Health, devs: &mut [DevState], d, events: &mut Vec<_>| {
+            health.record_fault(d);
+            if health.quarantine_due(d, u64::from(sc.quarantine_threshold)) {
+                if mutation == Mutation::LateQuarantine {
+                    devs[d].quarantine_due = true;
+                } else {
+                    events.push(health.quarantine(d));
+                }
+            }
+        };
         match action {
-            Action::Admit(r) => {
-                let d = s.affinity(spec.preferred_device);
-                let now = spec.arrival_us.max(s.reqs[r].ready_us);
+            Action::Admit(_) => {
+                let d = health.affinity(spec.preferred_device as u64);
+                req.flight.device = d;
                 if mutation != Mutation::StuckDefer {
                     // The engine retires finished reservations before every
                     // admission decision; StuckDefer drops exactly this.
-                    s.pools[d].retire(now);
+                    pools[d].retire(req.flight.ready_us);
                 }
                 let key = key_for(spec.key_id);
-                let resident = s.pools[d].is_resident(key);
-                let need = spec.transient_bytes + if resident { 0 } else { spec.format_bytes };
-                let live = s.pools[d].cached_bytes();
-                match s.pools[d].plan_admission(key, need, live) {
-                    Ok(_victims) => {
-                        if resident {
-                            s.pools[d].record_hit(key);
-                        } else {
-                            s.pools[d].record_upload(key, spec.format_bytes);
+                let live = pools[d].cached_bytes();
+                let (fb, tb) = (spec.format_bytes, spec.transient_bytes);
+                match protocol::admit(&mut pools[d], key, fb, tb, live) {
+                    Ok(admission) => {
+                        // The model's upload is instantaneous and never fails.
+                        if !admission.resident {
+                            pools[d].record_upload(key, fb);
                         }
-                        let id = s.pools[d].reserve_pending(key, spec.transient_bytes);
-                        let req = &mut s.reqs[r];
                         req.phase = Phase::Admitted;
-                        req.device = Some(d);
-                        req.reservation = Some(id);
-                        req.ready_us = now;
-                        events.push(ProtocolEvent::AdmitOk {
-                            request: r as u64,
-                            device: d,
-                            uploaded: !resident,
-                        });
-                        events.push(ProtocolEvent::ReservePending {
-                            request: r as u64,
-                            device: d,
-                            bytes: spec.transient_bytes,
-                        });
+                        events.push(req.flight.admitted(!admission.resident));
+                        events.push(req.flight.reserve(&mut pools[d], key, tb));
                     }
-                    Err(AdmitError::Defer { until_us }) => {
-                        let req = &mut s.reqs[r];
-                        req.deferred = true;
-                        req.ready_us = req.ready_us.max(until_us);
-                        events.push(ProtocolEvent::AdmitDefer {
-                            request: r as u64,
-                            device: d,
-                            until_us,
-                        });
-                    }
+                    Err(AdmitError::Defer { until_us }) => events.push(req.flight.defer(until_us)),
                     Err(AdmitError::TooLarge { working_set, .. }) => {
-                        let req = &mut s.reqs[r];
                         req.phase = Phase::Rejected;
                         req.place_done = true;
-                        events.push(ProtocolEvent::AdmitReject {
-                            request: r as u64,
-                            device: d,
-                            working_set,
-                        });
+                        events.push(req.flight.rejected(working_set));
                     }
                 }
             }
-            Action::Shed(r) => {
-                let d = s.reqs[r].device.unwrap_or(0);
-                // The shed request's bytes must come back before anything
-                // else admits on the device; DropShedRelease leaks them.
-                if mutation != Mutation::DropShedRelease {
-                    if let Some(id) = s.reqs[r].reservation.take() {
-                        s.pools[d].release(id);
-                        events.push(ProtocolEvent::Release {
-                            request: r as u64,
-                            device: d,
-                        });
-                    }
-                }
-                events.push(ProtocolEvent::Shed {
-                    request: r as u64,
-                    device: d,
-                    estimate_us: s.reqs[r].ready_us + spec.exec_us,
-                    deadline_us: spec.arrival_us + spec.deadline_us.unwrap_or(0.0),
-                });
-                s.reqs[r].phase = Phase::Shed;
-                s.reqs[r].place_done = true;
+            Action::Shed(_) => {
+                // The decision was static (see `enabled`); the bound from the
+                // request's ready time narrates it.
+                let deadline_us = spec.arrival_us + spec.deadline_us.unwrap_or(0.0);
+                let floor = [spec.exec_us];
+                let (estimate_us, _) =
+                    protocol::shed_bound(req.flight.ready_us, &floor, deadline_us);
+                let (held, shed) = req.flight.shed(estimate_us, deadline_us);
+                // DropShedRelease leaks the shed request's bytes.
+                let dropped = mutation == Mutation::DropShedRelease;
+                release(
+                    &req.flight,
+                    &mut pools[req.flight.device],
+                    held,
+                    dropped,
+                    &mut events,
+                );
+                events.push(shed);
+                req.phase = Phase::Shed;
+                req.place_done = true;
             }
-            Action::BeginExec(r) => {
-                let d = s.reqs[r].device.unwrap_or(0);
-                if s.reqs[r].tier != ExecTier::Cpu && s.devs[d].tainted {
-                    violation = Some(Violation {
-                        property: Property::ScrubBeforeReuse,
-                        detail: format!(
-                            "request {r} launches a device kernel on device {d} while its \
-                             memory is still poisoned by an unscrubbed fault"
-                        ),
-                    });
+            Action::BeginExec(_) => {
+                let (d, tier) = (req.flight.device, req.ladder.tier());
+                let what = format!("request {r} launches a device kernel on device {d}");
+                violation = poisoned(tier, &devs[d], what);
+                devs[d].lock = Some(r);
+                events.push(req.flight.attempt_start(tier));
+                // Fault injection: device tiers only, by attempt number.
+                if tier != ExecTier::Cpu && spec.fault_attempts.contains(&req.flight.attempt) {
+                    devs[d].tainted = true;
                 }
-                s.devs[d].lock = Some(r);
-                let req = &mut s.reqs[r];
-                events.push(ProtocolEvent::AttemptStart {
-                    request: r as u64,
-                    device: d,
-                    attempt: req.attempt,
-                    tier: req.tier,
-                });
-                // Fault injection: device tiers only, by global attempt.
-                if req.tier != ExecTier::Cpu && spec.fault_attempts.contains(&req.attempt) {
-                    s.devs[d].tainted = true;
-                }
-                s.reqs[r].phase = Phase::Running;
+                req.phase = Phase::Running;
             }
-            Action::Chunk(r) => {
-                let d = s.reqs[r].device.unwrap_or(0);
-                // Chunk-granular pending reservation: the streamed slice's
-                // bytes are held only while this chunk is in flight.
-                let id = s.pools[d].reserve_pending(key_for(spec.key_id), spec.chunk_bytes);
-                events.push(ProtocolEvent::ReservePending {
-                    request: r as u64,
-                    device: d,
-                    bytes: spec.chunk_bytes,
-                });
-                if s.reqs[r].tier != ExecTier::Cpu && s.devs[d].tainted {
-                    violation = Some(Violation {
-                        property: Property::ScrubBeforeReuse,
-                        detail: format!(
-                            "request {r} launches chunk {} on device {d} while its \
-                             memory is still poisoned by an unscrubbed fault",
-                            s.reqs[r].chunks_done
-                        ),
-                    });
-                }
-                events.push(ProtocolEvent::AttemptStart {
-                    request: r as u64,
-                    device: d,
-                    attempt: s.reqs[r].attempt,
-                    tier: s.reqs[r].tier,
-                });
-                // Chunk fault injection: first attempt of a scheduled
-                // chunk, device tiers only.
-                if s.reqs[r].tier != ExecTier::Cpu
-                    && s.reqs[r].chunk_attempt == 0
-                    && spec.chunk_fault_chunks.contains(&s.reqs[r].chunks_done)
+            Action::Chunk(_) => {
+                let (d, tier) = (req.flight.device, req.ladder.tier());
+                let key = key_for(spec.key_id);
+                events.push(req.flight.reserve(&mut pools[d], key, spec.chunk_bytes));
+                let what = format!(
+                    "request {r} launches chunk {} on device {d}",
+                    req.chunks_done
+                );
+                violation = poisoned(tier, &devs[d], what);
+                events.push(req.flight.attempt_start(tier));
+                // Chunk fault injection: first attempt of a scheduled chunk,
+                // device tiers only.
+                if tier != ExecTier::Cpu
+                    && req.chunk_ladder.discarded() == 0
+                    && spec.chunk_fault_chunks.contains(&req.chunks_done)
                 {
-                    s.devs[d].tainted = true;
+                    devs[d].tainted = true;
                 }
-                // Per-attempt integrity barrier, exactly as in the engine's
-                // inner chunk loop.
-                let corrupted = if mutation == Mutation::SkipScrub {
-                    false
-                } else {
-                    let saw = s.devs[d].tainted;
-                    s.devs[d].tainted = false;
-                    saw
-                };
-                events.push(ProtocolEvent::Scrub {
-                    request: r as u64,
-                    device: d,
-                    faults: usize::from(corrupted),
-                    corrupted,
-                });
+                // Per-attempt integrity barrier, as in the engine's chunk
+                // ladder.
+                let corrupted = scrub(&mut devs[d], mutation);
+                events.push(req.flight.scrub(usize::from(corrupted), corrupted));
+                let id = req
+                    .flight
+                    .pending
+                    .pop()
+                    .expect("the chunk reservation is open");
                 if corrupted {
-                    s.devs[d].fault_count += 1;
-                    // The faulted chunk's bytes must come back before the
-                    // retry; DropChunkRelease leaks them instead.
-                    if mutation != Mutation::DropChunkRelease {
-                        s.pools[d].release(id);
-                        events.push(ProtocolEvent::Release {
-                            request: r as u64,
-                            device: d,
-                        });
-                    }
-                    let req = &mut s.reqs[r];
-                    let pause = backoff_us(req.chunk_attempt);
-                    req.recovery_us += pause;
-                    req.retries += 1;
-                    req.chunk_attempt += 1;
-                    req.attempt += 1;
-                    events.push(ProtocolEvent::Backoff {
-                        request: r as u64,
-                        backoff_us: pause,
-                    });
+                    fault_policy(health, devs, d, &mut events);
+                    // The faulted chunk's bytes come back before the retry;
+                    // DropChunkRelease leaks them instead.
+                    let dropped = mutation == Mutation::DropChunkRelease;
+                    release(&req.flight, &mut pools[d], vec![id], dropped, &mut events);
+                    let retry = req.flight.retry(&mut req.chunk_ladder, max_retries);
+                    events.push(retry.event);
+                    assert_eq!(
+                        retry.rung,
+                        Rung::Same,
+                        "the out-of-core host rung is not modeled"
+                    );
                 } else {
                     // Chunk-granular commit: this chunk's bytes release at
-                    // its D2H end whether or not a later chunk faults.
-                    let finish = s.reqs[r].ready_us;
-                    s.pools[d].commit(id, finish);
-                    events.push(ProtocolEvent::Commit {
-                        request: r as u64,
-                        device: d,
-                        finish_us: finish,
-                    });
-                    let req = &mut s.reqs[r];
+                    // its D2H end (at once: chunks take no simulated time)
+                    // whether or not a later chunk faults.
+                    events.push(req.flight.commit(&mut pools[d], id, req.flight.ready_us));
                     req.chunks_done += 1;
-                    req.chunk_attempt = 0;
-                    req.attempt += 1;
+                    req.chunk_ladder = Ladder::new(CHUNK_TIERS);
                 }
             }
-            Action::Barrier(r) => {
-                let d = s.reqs[r].device.unwrap_or(0);
-                let corrupted = if mutation == Mutation::SkipScrub {
-                    // The mutated barrier neither scrubs nor looks: the
-                    // taint silently survives and the attempt "passes".
-                    false
-                } else {
-                    let saw = s.devs[d].tainted;
-                    s.devs[d].tainted = false;
-                    saw
-                };
-                events.push(ProtocolEvent::Scrub {
-                    request: r as u64,
-                    device: d,
-                    faults: usize::from(corrupted),
-                    corrupted,
-                });
-                s.devs[d].lock = None;
+            Action::Barrier(_) => {
+                let (d, tier) = (req.flight.device, req.ladder.tier());
+                let corrupted = scrub(&mut devs[d], mutation);
+                events.push(req.flight.scrub(usize::from(corrupted), corrupted));
+                devs[d].lock = None;
                 if corrupted {
-                    s.devs[d].fault_count += 1;
-                    if mutation == Mutation::LateQuarantine {
-                        if s.devs[d].fault_count >= sc.quarantine_threshold {
-                            s.devs[d].quarantine_due = true;
+                    fault_policy(health, devs, d, &mut events);
+                    let retry = req.flight.retry(&mut req.ladder, max_retries);
+                    events.push(retry.event);
+                    match retry.rung {
+                        Rung::Same => {}
+                        Rung::Degraded { from, to } => events.push(req.flight.degrade(from, to)),
+                        Rung::Exhausted => unreachable!("the host tier never faults"),
+                    }
+                    req.phase = Phase::Admitted;
+                } else if spec.doomed && tier != ExecTier::Cpu {
+                    // Genuine (non-fault) failure: on the first rung the
+                    // request releases what it holds and is rejected
+                    // (DropRelease leaks it instead); on a later rung it
+                    // falls to the last tier.
+                    match req.ladder.fail() {
+                        Some(to) => {
+                            events.push(req.flight.degrade(tier, to));
+                            req.phase = Phase::Admitted;
                         }
-                    } else if let Some(ev) = s.apply_quarantine(sc, d) {
-                        events.push(ev);
-                    }
-                    let req = &mut s.reqs[r];
-                    let pause = backoff_us(req.tier_attempts);
-                    req.recovery_us += pause;
-                    req.retries += 1;
-                    req.tier_attempts += 1;
-                    req.attempt += 1;
-                    events.push(ProtocolEvent::Backoff {
-                        request: r as u64,
-                        backoff_us: pause,
-                    });
-                    if req.tier_attempts > sc.max_retries {
-                        let from = req.tier;
-                        req.tier = next_tier(from);
-                        req.tier_attempts = 0;
-                        events.push(ProtocolEvent::Degrade {
-                            request: r as u64,
-                            from,
-                            to: req.tier,
-                        });
-                    }
-                    s.reqs[r].phase = Phase::Admitted;
-                } else if spec.doomed {
-                    // Genuine (non-fault) failure: release the reservation
-                    // and reject. DropRelease leaks it instead.
-                    if mutation != Mutation::DropRelease {
-                        if let Some(id) = s.reqs[r].reservation.take() {
-                            s.pools[d].release(id);
-                            events.push(ProtocolEvent::Release {
-                                request: r as u64,
-                                device: d,
-                            });
+                        None => {
+                            let held = std::mem::take(&mut req.flight.pending);
+                            let dropped = mutation == Mutation::DropRelease;
+                            release(&req.flight, &mut pools[d], held, dropped, &mut events);
+                            req.phase = Phase::Rejected;
+                            req.place_done = true;
                         }
                     }
-                    s.reqs[r].phase = Phase::Rejected;
-                    s.reqs[r].place_done = true;
                 } else {
-                    s.reqs[r].phase = Phase::Barriered;
+                    req.phase = Phase::Barriered;
                 }
             }
-            Action::Place(r) => {
-                let d = s.reqs[r].device.unwrap_or(0);
-                let req = &s.reqs[r];
-                let p = if req.recovery_us > 0.0 {
-                    s.sched
-                        .place_on_device_delayed(d, req.ready_us, req.recovery_us, spec.exec_us)
-                } else {
-                    s.sched.place_on_device(d, req.ready_us, spec.exec_us)
-                };
-                events.push(ProtocolEvent::Place {
-                    request: r as u64,
-                    device: d,
-                    stream: p.stream,
-                    start_us: p.start_us,
-                    finish_us: p.finish_us,
-                });
-                let req = &mut s.reqs[r];
+            Action::Place(_) => {
+                let p = req
+                    .flight
+                    .place(sched, req.flight.recovery_us, spec.exec_us);
+                events.push(req.flight.placed(&p));
                 req.placement = Some(p);
                 req.place_done = true;
                 req.phase = Phase::Placed;
             }
-            Action::Commit(r) => {
-                let d = s.reqs[r].device.unwrap_or(0);
-                let finish = s.reqs[r].placement.map_or(0.0, |p| p.finish_us);
-                if let Some(id) = s.reqs[r].reservation {
-                    s.pools[d].commit(id, finish);
+            Action::Commit(_) => {
+                let finish = req.placement.map_or(0.0, |p| p.finish_us);
+                for id in std::mem::take(&mut req.flight.pending) {
+                    events.push(req.flight.commit(&mut pools[req.flight.device], id, finish));
                 }
-                events.push(ProtocolEvent::Commit {
-                    request: r as u64,
-                    device: d,
-                    finish_us: finish,
-                });
-                s.reqs[r].phase = Phase::Committed;
+                req.phase = Phase::Committed;
             }
-            Action::Accept(r) => {
-                let d = s.reqs[r].device.unwrap_or(0);
-                if s.reqs[r].tier != ExecTier::Cpu && s.devs[d].tainted {
-                    violation = Some(Violation {
-                        property: Property::ScrubBeforeReuse,
-                        detail: format!(
-                            "request {r}'s output is read back from device {d} while its \
-                             memory is still poisoned by an unscrubbed fault"
-                        ),
-                    });
+            Action::Accept(_) => {
+                let d = req.flight.device;
+                let what = format!("request {r}'s output is read back from device {d}");
+                violation = poisoned(req.ladder.tier(), &devs[d], what);
+                events.push(req.flight.accept());
+                if std::mem::take(&mut devs[d].quarantine_due)
+                    && health.quarantine_due(d, u64::from(sc.quarantine_threshold))
+                {
+                    events.push(health.quarantine(d));
                 }
-                events.push(ProtocolEvent::Accept {
-                    request: r as u64,
-                    device: d,
-                });
-                if mutation == Mutation::LateQuarantine && s.devs[d].quarantine_due {
-                    s.devs[d].quarantine_due = false;
-                    if let Some(ev) = s.apply_quarantine(sc, d) {
-                        events.push(ev);
-                    }
-                }
-                s.reqs[r].phase = Phase::Done;
+                req.phase = Phase::Done;
             }
         }
         StepResult {
@@ -666,20 +552,6 @@ impl ModelState {
             events,
             violation,
         }
-    }
-
-    /// The engine's quarantine policy: threshold crossed and at least one
-    /// other healthy device remains.
-    fn apply_quarantine(&mut self, sc: &Scenario, d: usize) -> Option<ProtocolEvent> {
-        let healthy = self.devs.iter().filter(|dv| !dv.quarantined).count();
-        if self.devs[d].fault_count >= sc.quarantine_threshold
-            && !self.devs[d].quarantined
-            && healthy > 1
-        {
-            self.devs[d].quarantined = true;
-            return Some(ProtocolEvent::Quarantine { device: d });
-        }
-        None
     }
 
     /// Seeded digest of the complete state, for visited-set dedup. Two
@@ -690,26 +562,27 @@ impl ModelState {
             h = splitmix(h ^ p.digest(seed));
         }
         h = splitmix(h ^ self.sched.digest(seed));
-        for dv in &self.devs {
+        for (d, dv) in self.devs.iter().enumerate() {
             h = splitmix(h ^ dv.lock.map_or(u64::MAX, |r| r as u64));
             h = splitmix(h ^ u64::from(dv.tainted));
-            h = splitmix(h ^ u64::from(dv.fault_count));
-            h = splitmix(h ^ u64::from(dv.quarantined));
+            h = splitmix(h ^ self.health.faults(d));
+            h = splitmix(h ^ u64::from(self.health.is_quarantined(d)));
             h = splitmix(h ^ u64::from(dv.quarantine_due));
         }
         for rq in &self.reqs {
+            let f = &rq.flight;
             h = splitmix(h ^ rq.phase as u64);
-            h = splitmix(h ^ rq.ready_us.to_bits());
-            h = splitmix(h ^ u64::from(rq.deferred));
-            h = splitmix(h ^ rq.device.map_or(u64::MAX, |d| d as u64));
-            h = splitmix(h ^ u64::from(rq.tier as u8));
-            h = splitmix(h ^ u64::from(rq.attempt));
-            h = splitmix(h ^ u64::from(rq.tier_attempts));
-            h = splitmix(h ^ u64::from(rq.retries));
-            h = splitmix(h ^ rq.recovery_us.to_bits());
+            h = splitmix(h ^ f.ready_us.to_bits());
+            h = splitmix(h ^ u64::from(f.deferred));
+            h = splitmix(h ^ rq.device().map_or(u64::MAX, |d| d as u64));
+            h = splitmix(h ^ u64::from(rq.ladder.tier() as u8));
+            h = splitmix(h ^ u64::from(f.attempt));
+            h = splitmix(h ^ u64::from(rq.ladder.discarded()));
+            h = splitmix(h ^ u64::from(f.retries));
+            h = splitmix(h ^ f.recovery_us.to_bits());
             h = splitmix(h ^ u64::from(rq.place_done));
             h = splitmix(h ^ u64::from(rq.chunks_done));
-            h = splitmix(h ^ u64::from(rq.chunk_attempt));
+            h = splitmix(h ^ u64::from(rq.chunk_ladder.discarded()));
             if let Some(p) = rq.placement {
                 h = splitmix(h ^ p.stream as u64);
                 h = splitmix(h ^ p.start_us.to_bits());
@@ -729,11 +602,11 @@ impl ModelState {
         for rq in &self.reqs {
             h = splitmix(h ^ u64::from(rq.phase == Phase::Rejected));
             h = splitmix(h ^ u64::from(rq.phase == Phase::Shed));
-            h = splitmix(h ^ rq.device.map_or(u64::MAX, |d| d as u64));
-            h = splitmix(h ^ u64::from(rq.deferred));
-            h = splitmix(h ^ u64::from(rq.tier as u8));
-            h = splitmix(h ^ u64::from(rq.retries));
-            h = splitmix(h ^ rq.recovery_us.to_bits());
+            h = splitmix(h ^ rq.device().map_or(u64::MAX, |d| d as u64));
+            h = splitmix(h ^ u64::from(rq.flight.deferred));
+            h = splitmix(h ^ u64::from(rq.ladder.tier() as u8));
+            h = splitmix(h ^ u64::from(rq.flight.retries));
+            h = splitmix(h ^ rq.flight.recovery_us.to_bits());
             if let Some(p) = rq.placement {
                 h = splitmix(h ^ p.stream as u64);
                 h = splitmix(h ^ p.start_us.to_bits());
@@ -747,9 +620,9 @@ impl ModelState {
             h = splitmix(h ^ st.evictions);
             h = splitmix(h ^ p.cached_bytes() as u64);
         }
-        for dv in &self.devs {
-            h = splitmix(h ^ u64::from(dv.quarantined));
-            h = splitmix(h ^ u64::from(dv.fault_count));
+        for d in 0..self.devs.len() {
+            h = splitmix(h ^ u64::from(self.health.is_quarantined(d)));
+            h = splitmix(h ^ self.health.faults(d));
         }
         h = splitmix(h ^ self.sched.makespan_us().to_bits());
         h

@@ -16,6 +16,7 @@ use crate::metrics::{ExecTier, LatencySummary, RequestProfile};
 use crate::plan::{Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource};
 use crate::pool::{AdmitError, Admitted, DevicePool, PoolStats, ReservationId};
 use crate::profile::ServeProfile;
+use crate::protocol::{self, Flight, Health, Ladder, Rung};
 use crate::scheduler::{Placement, Scheduler};
 use crate::upload::{self, DeviceFactors, FactorPlan};
 use crate::workload::{Request, ServeOp, Workload};
@@ -98,24 +99,15 @@ impl Default for ServeConfig {
     }
 }
 
-/// First retry backoff in µs; doubles per attempt up to [`BACKOFF_CAP_US`].
-pub const BACKOFF_BASE_US: f64 = 50.0;
-
-/// Ceiling of the exponential retry backoff (µs).
-pub const BACKOFF_CAP_US: f64 = 800.0;
-
-/// Seed of the deterministic backoff jitter and redundancy sampling — same
-/// workload + same fault seed ⇒ identical retry schedule.
-const RETRY_SEED: u64 = 0x0BAD_F417;
-
 /// A stream stall at least this long is cancelled by the watchdog: the
 /// request is charged this much dead time and the attempt is retried.
 /// Shorter stalls just add their dead time to the request's latency.
 const WATCHDOG_TIMEOUT_US: f64 = 2_000.0;
 
 /// Fault-recovery policy: retry budget, sampled redundancy, and the
-/// quarantine / plan-invalidation thresholds. Backoff shape and watchdog
-/// are fixed ([`BACKOFF_BASE_US`], [`BACKOFF_CAP_US`]).
+/// quarantine / plan-invalidation thresholds. Backoff shape (capped
+/// exponential from 50 µs to 800 µs, deterministically jittered; see
+/// [`crate::protocol`]) and watchdog are fixed.
 #[derive(Debug, Clone)]
 pub struct FaultTolerance {
     /// Discarded attempts tolerated per ladder tier before the request
@@ -273,11 +265,7 @@ impl JobOutput {
             } else {
                 v.to_bits()
             };
-            // splitmix64 finalizer (the workspace's standard offline mix).
-            let mut z = bits.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            crate::ledger::splitmix(bits)
         }
         let fold = |acc: u64, &v: &f32| acc.wrapping_add(mixed(v));
         match self {
@@ -566,31 +554,18 @@ type Served = Result<Option<RequestProfile>, String>;
 /// [`ServeEngine`] reads or advances it, from routing to the terminal
 /// record.
 struct Lifecycle<'r> {
-    index: usize,
+    /// The request's protocol state.
+    flight: Flight,
     request: &'r Request,
-    device: usize,
     /// Plan the request's faults are attributed to (the first mode's plan
     /// for CP-ALS).
     key: PlanKey,
     /// Plan whose launch shape and format the terminal record reports.
     plan: Arc<Plan>,
     plan_source: PlanSource,
-    /// Earliest time the request can start: its arrival, or the release
-    /// that admission last deferred it to.
-    ready: f64,
-    deferred: bool,
-    /// Reservations opened for the request and not yet committed or
-    /// released.
-    pending: Vec<ReservationId>,
     /// Certified completion-time lower bound of the shed check.
     lower_bound_us: Option<f64>,
-    retries: u32,
     faults_seen: u32,
-    /// Dead time of failed attempts, stalls, backoff and redundant
-    /// re-executions.
-    recovery_us: f64,
-    /// Number of the next attempt (all ladders of the request share it).
-    attempt: u32,
 }
 
 impl<'r> Lifecycle<'r> {
@@ -603,30 +578,13 @@ impl<'r> Lifecycle<'r> {
         plan_source: PlanSource,
     ) -> Self {
         Lifecycle {
-            index,
+            flight: Flight::new(index, device, request.arrival_us),
             request,
-            device,
             key,
             plan,
             plan_source,
-            ready: request.arrival_us,
-            deferred: false,
-            pending: Vec::new(),
             lower_bound_us: None,
-            retries: 0,
             faults_seen: 0,
-            recovery_us: 0.0,
-            attempt: 0,
-        }
-    }
-
-    /// Places `exec_us` of work on the request's device once it is ready,
-    /// behind `dead_us` of dead stream time.
-    fn place(&self, scheduler: &mut Scheduler, dead_us: f64, exec_us: f64) -> Placement {
-        if dead_us > 0.0 {
-            scheduler.place_on_device_delayed(self.device, self.ready, dead_us, exec_us)
-        } else {
-            scheduler.place_on_device(self.device, self.ready, exec_us)
         }
     }
 
@@ -635,7 +593,7 @@ impl<'r> Lifecycle<'r> {
     /// caller to fill (the complete step fills the checksum).
     fn record(&self, placement: &Placement, tier: ExecTier) -> RequestProfile {
         RequestProfile {
-            index: self.index,
+            index: self.flight.request,
             tensor_id: self.request.tensor_id.clone(),
             op: self.request.op,
             rank: self.request.rank,
@@ -645,7 +603,7 @@ impl<'r> Lifecycle<'r> {
             start_us: placement.start_us,
             finish_us: placement.finish_us,
             exec_us: 0.0,
-            recovery_us: self.recovery_us,
+            recovery_us: self.flight.recovery_us,
             h2d_us: 0.0,
             kernel_us: 0.0,
             d2h_us: 0.0,
@@ -657,9 +615,9 @@ impl<'r> Lifecycle<'r> {
             threadlen: self.plan.threadlen(),
             format: self.plan.kind(),
             batched: false,
-            deferred: self.deferred,
+            deferred: self.flight.deferred,
             checksum: 0,
-            retries: self.retries,
+            retries: self.flight.retries,
             tier,
             faults_seen: self.faults_seen,
             launches: Vec::new(),
@@ -720,10 +678,9 @@ pub struct ServeEngine {
     results: BTreeMap<(PlanKey, u64), CachedResult>,
     cp_executions: Vec<CpExecution>,
     fault_stats: FaultStats,
-    /// Corrupting faults attributed to each device (quarantine evidence).
-    device_fault_counts: Vec<u64>,
-    /// Devices removed from the affinity rotation after repeated faults.
-    quarantined: Vec<bool>,
+    /// Corrupting faults attributed to each device (quarantine evidence)
+    /// and the devices removed from the affinity rotation.
+    health: Health,
     /// Corrupting faults correlated with one plan (invalidation evidence).
     plan_fault_counts: BTreeMap<PlanKey, u64>,
     /// Serving devices for each plan digest: primary first, then replicas.
@@ -750,24 +707,6 @@ pub struct ServeEngine {
 
 fn product_modes(order: usize, mode: usize) -> Vec<usize> {
     (0..order).filter(|&m| m != mode).collect()
-}
-
-/// splitmix64 finalizer: the deterministic hash behind backoff jitter and
-/// redundancy sampling (same workload + same seeds ⇒ same draws).
-fn mix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Capped exponential backoff with deterministic jitter for retry
-/// `attempt` of request `index`.
-fn backoff_us(index: usize, attempt: u32) -> f64 {
-    let capped = (BACKOFF_BASE_US * f64::powi(2.0, attempt.min(16) as i32)).min(BACKOFF_CAP_US);
-    let h = mix64(RETRY_SEED ^ (index as u64) ^ ((attempt as u64) << 32));
-    // Jitter in [0.5, 1.0): half the schedule is deterministic floor.
-    capped * (0.5 + 0.5 * (h >> 11) as f64 / (1u64 << 53) as f64)
 }
 
 /// Analytic host-execution model for the CPU fallback tier: `2·nnz·R·(N−1)`
@@ -864,8 +803,7 @@ impl ServeEngine {
             results: BTreeMap::new(),
             cp_executions: Vec::new(),
             fault_stats: FaultStats::default(),
-            device_fault_counts: vec![0; device_count],
-            quarantined: vec![false; device_count],
+            health: Health::new(device_count),
             plan_fault_counts: BTreeMap::new(),
             plan_affinity: BTreeMap::new(),
             plan_arrivals: BTreeMap::new(),
@@ -1042,24 +980,6 @@ impl ServeEngine {
             .ok_or_else(|| format!("unknown tensor `{tensor_id}`"))
     }
 
-    /// The legacy static affinity rule a fresh plan digest seeds its
-    /// affinity entry with: `digest % devices`, re-hashed across the
-    /// healthy devices when the preferred one is quarantined.
-    fn affinity_seed(&self, digest: u64) -> usize {
-        let preferred = (digest % self.devices.len() as u64) as usize;
-        if !self.quarantined[preferred] {
-            return preferred;
-        }
-        let healthy: Vec<usize> = (0..self.devices.len())
-            .filter(|&d| !self.quarantined[d])
-            .collect();
-        if healthy.is_empty() {
-            preferred
-        } else {
-            healthy[(digest % healthy.len() as u64) as usize]
-        }
-    }
-
     /// Routes a plan digest to a serving device: counts the arrival,
     /// replicates the plan to a second device once its measured arrival
     /// share crosses [`REPLICATION_SHARE`], and picks the
@@ -1074,12 +994,11 @@ impl ServeEngine {
             *n
         };
         if !self.plan_affinity.contains_key(&digest) {
-            let seed = self.affinity_seed(digest);
+            // A fresh plan digest seeds its entry with the affinity rule.
+            let seed = self.health.affinity(digest);
             self.plan_affinity.insert(digest, vec![seed]);
         }
-        let healthy: Vec<usize> = (0..self.devices.len())
-            .filter(|&d| !self.quarantined[d])
-            .collect();
+        let healthy = self.health.healthy();
         let entry = &self.plan_affinity[&digest];
         let share = arrivals as f64 / self.total_arrivals as f64;
         if entry.len() == 1
@@ -1121,7 +1040,7 @@ impl ServeEngine {
                     .total_cmp(&scheduler.device_available_us(b))
                     .then(a.cmp(&b))
             })
-            .unwrap_or_else(|| self.affinity_seed(digest))
+            .unwrap_or_else(|| self.health.affinity(digest))
     }
 
     /// Re-places every plan affinity that still targets the quarantined
@@ -1130,9 +1049,7 @@ impl ServeEngine {
     /// quarantined pool's unpinned cached formats — its memory is dead
     /// weight once no new work routes there.
     fn rebalance_affinities(&mut self, device_index: usize) {
-        let healthy: Vec<usize> = (0..self.devices.len())
-            .filter(|&d| !self.quarantined[d])
-            .collect();
+        let healthy = self.health.healthy();
         if healthy.is_empty() {
             return;
         }
@@ -1159,17 +1076,8 @@ impl ServeEngine {
 
     /// Whether this accepted attempt is sampled for redundant re-execution.
     fn redundancy_draw(&self, index: usize, attempt: u32) -> bool {
-        let ft = &self.config.fault_tolerance;
-        if ft.redundancy_rate <= 0.0 {
-            return false;
-        }
-        let h = mix64(
-            RETRY_SEED
-                .rotate_left(17)
-                .wrapping_add(index as u64)
-                .wrapping_add((attempt as u64) << 40),
-        );
-        (h >> 11) as f64 / ((1u64 << 53) as f64) < ft.redundancy_rate
+        let rate = self.config.fault_tolerance.redundancy_rate;
+        rate > 0.0 && protocol::redundancy_draw(index, attempt, rate)
     }
 
     /// The per-attempt integrity barrier: scrubs the device (forcing full
@@ -1204,7 +1112,7 @@ impl ServeEngine {
             }
             if corrupting {
                 damage.corrupted = true;
-                self.device_fault_counts[device_index] += 1;
+                self.health.record_fault(device_index);
                 *self.plan_fault_counts.entry(key).or_insert(0) += 1;
             }
         }
@@ -1215,17 +1123,14 @@ impl ServeEngine {
     /// attempt's events have been attributed.
     fn apply_fault_policy(&mut self, device_index: usize, key: PlanKey) {
         let ft = &self.config.fault_tolerance;
-        let quarantine_at = ft.quarantine_threshold;
         let plan_at = ft.plan_fault_threshold;
-        if !self.quarantined[device_index]
-            && self.device_fault_counts[device_index] >= quarantine_at
-            && self.quarantined.iter().filter(|&&q| !q).count() > 1
+        if self
+            .health
+            .quarantine_due(device_index, ft.quarantine_threshold)
         {
-            self.quarantined[device_index] = true;
+            let event = self.health.quarantine(device_index);
             self.fault_stats.devices_quarantined += 1;
-            self.log_event(ProtocolEvent::Quarantine {
-                device: device_index,
-            });
+            self.log_event(event);
             // Re-place the quarantined device's plan affinities immediately
             // — queued work behind a stale entry would otherwise keep
             // targeting the dead device until its own retry path noticed.
@@ -1249,16 +1154,12 @@ impl ServeEngine {
         if self.config.fault_injection.is_none() {
             return AttemptDamage::default();
         }
-        let events = self.devices[lc.device].memory().scrub_faults();
+        let device = lc.flight.device;
+        let events = self.devices[device].memory().scrub_faults();
         lc.faults_seen += events.len() as u32;
-        let damage = self.absorb_events(lc.device, lc.key, &events);
-        self.log_event(ProtocolEvent::Scrub {
-            request: lc.index as u64,
-            device: lc.device,
-            faults: events.len(),
-            corrupted: damage.corrupted,
-        });
-        self.apply_fault_policy(lc.device, lc.key);
+        let damage = self.absorb_events(device, lc.key, &events);
+        self.log_event(lc.flight.scrub(events.len(), damage.corrupted));
+        self.apply_fault_policy(device, lc.key);
         damage
     }
 
@@ -1291,7 +1192,7 @@ impl ServeEngine {
             self.plans
                 .get_or_build(key, &registered.tensor, &registered.touched, &self.scratch);
         let mut lc = Lifecycle::new(index, request, device, key, plan, plan_source);
-        self.pools[device].retire(lc.ready);
+        self.pools[device].retire(lc.flight.ready_us);
         if let Some(cached) = self.results.get(&(key, request.factor_seed)) {
             let (bytes, tier) = (cached.output.bytes(), cached.tier);
             return self.replay(lc, scheduler, bytes, tier);
@@ -1314,14 +1215,9 @@ impl ServeEngine {
             return Ok(None);
         }
 
-        let tiers: &[ExecTier] = if matches!(op, TensorOp::SpMttkrp { .. }) && order == 3 {
-            &[ExecTier::Unified, ExecTier::TwoStep, ExecTier::Cpu]
-        } else {
-            &[ExecTier::Unified, ExecTier::Cpu]
-        };
         let attempts = self.attempt_ladder(
             &mut lc,
-            tiers,
+            protocol::tensor_tiers(op, order),
             true,
             |engine, tier| {
                 let run = engine.execute_tier(device, tier, &admitted.format, request, op, &plan);
@@ -1347,7 +1243,7 @@ impl ServeEngine {
         let d2h_us = upload::transfer_us(d2h_bytes);
         let h2d_us = upload::transfer_us(h2d_bytes);
         let exec_us = h2d_us + kernel_us + d2h_us;
-        let placement = lc.place(scheduler, lc.recovery_us, exec_us);
+        let placement = lc.flight.place(scheduler, lc.flight.recovery_us, exec_us);
         let record = RequestProfile {
             exec_us,
             h2d_us,
@@ -1376,7 +1272,7 @@ impl ServeEngine {
         if self.shed_if_late(&mut lc, scheduler, &[d2h_us]) {
             return Ok(None);
         }
-        let placement = lc.place(scheduler, 0.0, d2h_us);
+        let placement = lc.flight.place(scheduler, 0.0, d2h_us);
         let record = RequestProfile {
             exec_us: d2h_us,
             d2h_us,
@@ -1408,7 +1304,7 @@ impl ServeEngine {
         factor_plan: &FactorPlan,
         transient_bytes: usize,
     ) -> Served {
-        let (key, device, request) = (lc.key, lc.device, lc.request);
+        let (key, device, request) = (lc.key, lc.flight.device, lc.request);
         let plan = Arc::clone(&lc.plan);
         let capacity = self.config.device_config.memory_capacity;
         let headroom = capacity.saturating_sub(transient_bytes);
@@ -1445,11 +1341,7 @@ impl ServeEngine {
         if let Err(too_large) = self.defer_admission(&mut lc, |pool| pool.make_room(key, need)) {
             return Err(self.admission_rejected(&lc, too_large));
         }
-        self.log_event(ProtocolEvent::AdmitOk {
-            request: lc.index as u64,
-            device,
-            uploaded: true,
-        });
+        self.log_event(lc.flight.admitted(true));
         self.reserve(&mut lc, key, transient_bytes);
         // The pipeline still pays the factor upload and at least the
         // certificate's whole-format kernel floor (the summed chunk envelope
@@ -1493,7 +1385,7 @@ impl ServeEngine {
             _ => [0, 1, 2],
         };
         // The pipeline starts once every stream it uses is free.
-        let pipeline_ready = stage_streams.iter().fold(lc.ready, |t, &s| {
+        let pipeline_ready = stage_streams.iter().fold(lc.flight.ready_us, |t, &s| {
             t.max(scheduler.stream_available_us(device, s))
         });
         let mut chunk_schedules: Vec<ooc::ChunkSchedule> = Vec::with_capacity(chunk_plan.len());
@@ -1523,12 +1415,16 @@ impl ServeEngine {
                 },
                 None,
             )?;
-            let chunk_pending = lc.pending.pop().expect("the chunk reservation is open");
+            let chunk_pending = lc
+                .flight
+                .pending
+                .pop()
+                .expect("the chunk reservation is open");
             let chunk_dead = run.dead_us;
             let Some(((out, stats, attempt_launches), _)) = run.accepted else {
                 // This chunk cannot be streamed: release its own reservation
                 // (completed chunks stay committed) and fall to the host.
-                self.release(&lc, chunk_pending);
+                self.release(&lc, vec![chunk_pending]);
                 unstalled_dead += chunk_dead;
                 return self.host_rung(lc, op, scheduler, unstalled_dead);
             };
@@ -1610,7 +1506,7 @@ impl ServeEngine {
             None,
         )?;
         let ((output, kernel_us, _), tier) = host.accepted.expect("the host tier always accepts");
-        let placement = lc.place(scheduler, dead_us, kernel_us);
+        let placement = lc.flight.place(scheduler, dead_us, kernel_us);
         let record = RequestProfile {
             exec_us: kernel_us,
             kernel_us,
@@ -1664,7 +1560,7 @@ impl ServeEngine {
             plan,
             worst_source(&sources),
         );
-        self.pools[device].retire(lc.ready);
+        self.pools[device].retire(lc.flight.ready_us);
         // An upper bound on the device bytes of the decomposition: all
         // per-mode factors at full size plus the largest MTTKRP output. The
         // transient budget rides on the first mode's admission; the other
@@ -1751,7 +1647,7 @@ impl ServeEngine {
         let h2d_us = upload::transfer_us(h2d_bytes);
         let d2h_us = upload::transfer_us(d2h_bytes);
         let exec_us = h2d_us + gpu_us + d2h_us;
-        let placement = lc.place(scheduler, lc.recovery_us, exec_us);
+        let placement = lc.flight.place(scheduler, lc.flight.recovery_us, exec_us);
         let record = RequestProfile {
             exec_us,
             h2d_us,
@@ -1787,17 +1683,12 @@ impl ServeEngine {
         mut admit: impl FnMut(&mut DevicePool) -> Result<T, AdmitError>,
     ) -> Result<T, TooLarge> {
         loop {
-            match admit(&mut self.pools[lc.device]) {
+            match admit(&mut self.pools[lc.flight.device]) {
                 Ok(admitted) => return Ok(admitted),
                 Err(AdmitError::Defer { until_us }) => {
-                    self.log_event(ProtocolEvent::AdmitDefer {
-                        request: lc.index as u64,
-                        device: lc.device,
-                        until_us,
-                    });
-                    lc.deferred = true;
-                    lc.ready = until_us.max(lc.ready);
-                    self.pools[lc.device].retire(lc.ready);
+                    let event = lc.flight.defer(until_us);
+                    self.log_event(event);
+                    self.pools[lc.flight.device].retire(lc.flight.ready_us);
                 }
                 Err(error @ AdmitError::TooLarge { working_set, .. }) => {
                     return Err(TooLarge {
@@ -1824,17 +1715,15 @@ impl ServeEngine {
             });
             match admitted {
                 Ok(admitted) => {
-                    self.log_event(ProtocolEvent::AdmitOk {
-                        request: lc.index as u64,
-                        device: lc.device,
-                        uploaded: admitted.uploaded,
-                    });
+                    self.log_event(lc.flight.admitted(admitted.uploaded));
                     return Ok(admitted);
                 }
                 // `TooLarge` can be a lie under injection: the pool's format
                 // upload hit an *injected* allocation failure. The latched
                 // event tells the two apart — retry the injected case.
-                Err(too_large) if !self.injected_alloc_failure(lc.device) => return Err(too_large),
+                Err(too_large) if !self.injected_alloc_failure(lc.flight.device) => {
+                    return Err(too_large)
+                }
                 Err(_) => self.fault_stats.retries += 1,
             }
         }
@@ -1857,11 +1746,7 @@ impl ServeEngine {
 
     /// Logs a genuine admission rejection and returns its reason.
     fn admission_rejected(&mut self, lc: &Lifecycle<'_>, too_large: TooLarge) -> String {
-        self.log_event(ProtocolEvent::AdmitReject {
-            request: lc.index as u64,
-            device: lc.device,
-            working_set: too_large.working_set,
-        });
+        self.log_event(lc.flight.rejected(too_large.working_set));
         too_large.message
     }
 
@@ -1869,39 +1754,24 @@ impl ServeEngine {
     /// while attempts run. It stays on the lifecycle until committed or
     /// released, so neither success nor failure leaks pool bytes.
     fn reserve(&mut self, lc: &mut Lifecycle<'_>, key: PlanKey, bytes: usize) {
-        lc.pending
-            .push(self.pools[lc.device].reserve_pending(key, bytes));
-        self.log_event(ProtocolEvent::ReservePending {
-            request: lc.index as u64,
-            device: lc.device,
-            bytes,
-        });
+        let ledger = self.pools[lc.flight.device].ledger_mut();
+        let event = lc.flight.reserve(ledger, key, bytes);
+        self.log_event(event);
     }
 
     /// Gives a pending reservation its finish time.
     fn commit(&mut self, lc: &Lifecycle<'_>, id: ReservationId, finish_us: f64) {
-        self.pools[lc.device].commit(id, finish_us);
-        self.log_event(ProtocolEvent::Commit {
-            request: lc.index as u64,
-            device: lc.device,
-            finish_us,
-        });
+        let ledger = self.pools[lc.flight.device].ledger_mut();
+        let event = lc.flight.commit(ledger, id, finish_us);
+        self.log_event(event);
     }
 
-    /// Cancels a pending reservation.
-    fn release(&mut self, lc: &Lifecycle<'_>, id: ReservationId) {
-        self.pools[lc.device].release(id);
-        self.log_event(ProtocolEvent::Release {
-            request: lc.index as u64,
-            device: lc.device,
-        });
-    }
-
-    /// Cancels every reservation the request still holds open (a shed or a
-    /// genuine failure).
-    fn release_pending(&mut self, lc: &mut Lifecycle<'_>) {
-        for id in std::mem::take(&mut lc.pending) {
-            self.release(lc, id);
+    /// Cancels the pending reservations `ids`.
+    fn release(&mut self, lc: &Lifecycle<'_>, ids: Vec<ReservationId>) {
+        for id in ids {
+            let ledger = self.pools[lc.flight.device].ledger_mut();
+            let event = lc.flight.release(ledger, id);
+            self.log_event(event);
         }
     }
 
@@ -1920,27 +1790,23 @@ impl ServeEngine {
         let Some(relative) = lc.request.deadline_us else {
             return false;
         };
-        let queue_start = lc.ready.max(scheduler.device_available_us(lc.device));
-        let estimate_us = floor_us.iter().fold(queue_start, |t, us| t + us);
-        lc.lower_bound_us = Some(estimate_us);
+        let (ready_us, device) = (lc.flight.ready_us, lc.flight.device);
+        let queue_start = ready_us.max(scheduler.device_available_us(device));
         let deadline_us = lc.request.arrival_us + relative;
-        if estimate_us > deadline_us {
-            self.release_pending(lc);
+        let (estimate_us, shed) = protocol::shed_bound(queue_start, floor_us, deadline_us);
+        lc.lower_bound_us = Some(estimate_us);
+        if shed {
+            let (held, event) = lc.flight.shed(estimate_us, deadline_us);
+            self.release(lc, held);
             self.sheds.push(ShedRecord {
-                index: lc.index,
-                device: lc.device,
+                index: lc.flight.request,
+                device,
                 estimate_us,
                 deadline_us,
             });
-            self.log_event(ProtocolEvent::Shed {
-                request: lc.index as u64,
-                device: lc.device,
-                estimate_us,
-                deadline_us,
-            });
-            return true;
+            self.log_event(event);
         }
-        false
+        shed
     }
 
     /// The attempt ladder: runs `attempt`, starting on `tiers[0]`, until
@@ -1959,23 +1825,17 @@ impl ServeEngine {
     fn attempt_ladder<T>(
         &mut self,
         lc: &mut Lifecycle<'_>,
-        tiers: &[ExecTier],
+        tiers: &'static [ExecTier],
         announce: bool,
         mut attempt: impl FnMut(&mut Self, ExecTier) -> Result<T, String>,
         sampled: Option<Sampled<T>>,
     ) -> Result<Attempts<T>, String> {
-        let mut rung = 0;
-        let mut tier_attempts = 0usize;
+        let mut ladder = Ladder::new(tiers);
         let mut dead_us = 0.0f64;
         loop {
-            let tier = tiers[rung];
+            let tier = ladder.tier();
             if announce {
-                self.log_event(ProtocolEvent::AttemptStart {
-                    request: lc.index as u64,
-                    device: lc.device,
-                    attempt: lc.attempt,
-                    tier,
-                });
+                self.log_event(lc.flight.attempt_start(tier));
             }
             let result = attempt(self, tier);
             let damage = if tier == ExecTier::Cpu {
@@ -1983,7 +1843,7 @@ impl ServeEngine {
             } else {
                 self.integrity_barrier(lc)
             };
-            lc.recovery_us += damage.dead_us;
+            lc.flight.recovery_us += damage.dead_us;
             dead_us += damage.dead_us;
             match result {
                 Ok(value) if !damage.corrupted => {
@@ -1991,7 +1851,7 @@ impl ServeEngine {
                         Some(project)
                             if tier != ExecTier::Cpu
                                 && self.config.fault_injection.is_some()
-                                && self.redundancy_draw(lc.index, lc.attempt) =>
+                                && self.redundancy_draw(lc.flight.request, lc.flight.attempt) =>
                         {
                             self.redundant_check(lc, tier, &value, project, &mut attempt)
                         }
@@ -2005,41 +1865,33 @@ impl ServeEngine {
                     }
                 }
                 Err(reason) if !damage.injected_alloc && !damage.corrupted => {
-                    if rung == 0 {
-                        self.release_pending(lc);
-                        return Err(reason);
-                    }
                     // A degraded tier that cannot run at all (e.g. the
                     // two-step intermediate does not fit) falls to the last.
-                    let last = tiers.len() - 1;
-                    self.degrade(lc, tier, tiers[last]);
-                    rung = last;
-                    tier_attempts = 0;
+                    let Some(last) = ladder.fail() else {
+                        let held = std::mem::take(&mut lc.flight.pending);
+                        self.release(lc, held);
+                        return Err(reason);
+                    };
+                    self.degrade(lc, tier, last);
                     continue;
                 }
                 _ => {}
             }
-            lc.retries += 1;
             self.fault_stats.retries += 1;
-            tier_attempts += 1;
-            let backoff_us = backoff_us(lc.index, lc.attempt);
-            lc.recovery_us += backoff_us;
-            dead_us += backoff_us;
-            self.log_event(ProtocolEvent::Backoff {
-                request: lc.index as u64,
-                backoff_us,
-            });
-            lc.attempt += 1;
-            if tier_attempts > self.config.fault_tolerance.max_retries {
-                rung += 1;
-                let Some(&next) = tiers.get(rung) else {
+            let retry = lc
+                .flight
+                .retry(&mut ladder, self.config.fault_tolerance.max_retries);
+            dead_us += retry.backoff_us;
+            self.log_event(retry.event);
+            match retry.rung {
+                Rung::Same => {}
+                Rung::Degraded { from, to } => self.degrade(lc, from, to),
+                Rung::Exhausted => {
                     return Ok(Attempts {
                         accepted: None,
                         dead_us,
-                    });
-                };
-                self.degrade(lc, tier, next);
-                tier_attempts = 0;
+                    })
+                }
             }
         }
     }
@@ -2059,12 +1911,12 @@ impl ServeEngine {
         self.fault_stats.redundant_checks += 1;
         let redo = attempt(self, tier);
         let damage = self.integrity_barrier(lc);
-        lc.recovery_us += damage.dead_us;
+        lc.flight.recovery_us += damage.dead_us;
         let Ok(redo) = redo else {
             return false;
         };
         let (redo_output, redo_us) = project(&redo);
-        lc.recovery_us += redo_us;
+        lc.flight.recovery_us += redo_us;
         if damage.corrupted {
             // Inconclusive: the check itself faulted.
             false
@@ -2083,11 +1935,7 @@ impl ServeEngine {
         } else {
             self.fault_stats.cpu_fallbacks += 1;
         }
-        self.log_event(ProtocolEvent::Degrade {
-            request: lc.index as u64,
-            from,
-            to,
-        });
+        self.log_event(lc.flight.degrade(from, to));
     }
 
     /// Takes the launch traces `device` recorded since the last drain (none
@@ -2112,20 +1960,16 @@ impl ServeEngine {
         mut record: RequestProfile,
         keep: Keep,
     ) -> RequestProfile {
-        self.log_event(ProtocolEvent::Place {
-            request: lc.index as u64,
+        self.log_event(lc.flight.placed(&Placement {
             device: record.device,
             stream: record.stream,
             start_us: record.start_us,
             finish_us: record.finish_us,
-        });
-        for &id in &lc.pending {
+        }));
+        for &id in &lc.flight.pending {
             self.commit(&lc, id, record.finish_us);
         }
-        self.log_event(ProtocolEvent::Accept {
-            request: lc.index as u64,
-            device: lc.device,
-        });
+        self.log_event(lc.flight.accept());
         let result_key = (lc.key, lc.request.factor_seed);
         record.checksum = match keep {
             Keep::Cached => self.results[&result_key].output.checksum(),

@@ -41,6 +41,7 @@ pub mod metrics;
 pub mod plan;
 pub mod pool;
 pub mod profile;
+pub mod protocol;
 pub mod scheduler;
 pub mod upload;
 pub mod workload;

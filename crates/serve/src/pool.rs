@@ -23,6 +23,7 @@
 
 use crate::ledger::PoolLedger;
 use crate::plan::PlanKey;
+use crate::protocol;
 use fcoo::{AnyFormat, AnyFormatDevice};
 use gpu_sim::memory::DeviceMemory;
 use std::collections::BTreeMap;
@@ -82,6 +83,13 @@ impl DevicePool {
         &self.ledger
     }
 
+    /// The accounting core, for the reservation rules of
+    /// [`crate::protocol`]; they never touch residency, so the format
+    /// handles stay in step.
+    pub(crate) fn ledger_mut(&mut self) -> &mut PoolLedger {
+        &mut self.ledger
+    }
+
     /// Releases reservations whose jobs finish at or before `now_us` and
     /// unpins their formats.
     pub fn retire(&mut self, now_us: f64) {
@@ -107,23 +115,17 @@ impl DevicePool {
         format_bytes: usize,
         transient_bytes: usize,
     ) -> Result<Admitted, AdmitError> {
-        let capacity = self.memory.capacity();
-        if format_bytes + transient_bytes > capacity {
-            return Err(AdmitError::TooLarge {
-                working_set: format_bytes + transient_bytes,
-                capacity,
-            });
-        }
-        let resident = self.ledger.is_resident(key);
-        let need = transient_bytes + if resident { 0 } else { format_bytes };
-        let victims = self
-            .ledger
-            .plan_admission(key, need, self.memory.live_bytes())?;
-        for k in victims {
+        let admission = protocol::admit(
+            &mut self.ledger,
+            key,
+            format_bytes,
+            transient_bytes,
+            self.memory.live_bytes(),
+        )?;
+        for k in admission.evicted {
             self.formats.remove(&k);
         }
-        if resident {
-            self.ledger.record_hit(key);
+        if admission.resident {
             let format = self
                 .formats
                 .get(&key)
@@ -168,16 +170,8 @@ impl DevicePool {
     /// admission reduces to carving out headroom. Same error contract as
     /// [`DevicePool::admit`].
     pub fn make_room(&mut self, requesting: PlanKey, need: usize) -> Result<(), AdmitError> {
-        if need > self.memory.capacity() {
-            return Err(AdmitError::TooLarge {
-                working_set: need,
-                capacity: self.memory.capacity(),
-            });
-        }
-        let victims = self
-            .ledger
-            .plan_admission(requesting, need, self.memory.live_bytes())?;
-        for k in victims {
+        let live = self.memory.live_bytes();
+        for k in protocol::make_room(&mut self.ledger, requesting, need, live)? {
             self.formats.remove(&k);
         }
         Ok(())

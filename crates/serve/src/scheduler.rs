@@ -1,10 +1,11 @@
 //! Multi-stream scheduler: places independent jobs on simulated devices.
 //!
 //! Each simulated device owns a [`Timeline`] with a fixed number of streams.
-//! Job placement is deterministic: the scheduler picks the (device, stream)
-//! pair whose last enqueued operation finishes earliest, breaking ties by
-//! lowest device then lowest stream index — so a fixed workload always
-//! produces the same schedule, which the integration tests assert.
+//! Job placement is deterministic: the caller picks the device, and the
+//! scheduler picks that device's stream whose last enqueued operation
+//! finishes earliest, breaking ties by lowest stream index — so a fixed
+//! workload always produces the same schedule, which the integration tests
+//! assert.
 //! Out-of-core requests place their chunks' H2D, kernel and D2H stages on
 //! streams they choose ([`Scheduler::place_chunk`]), on the same timelines.
 
@@ -23,7 +24,8 @@ pub struct Placement {
     pub finish_us: f64,
 }
 
-/// Deterministic least-loaded placement over one timeline per device.
+/// Deterministic earliest-free-stream placement over one timeline per
+/// device.
 ///
 /// `Clone` so the `modelcheck` crate can branch scheduler state at every
 /// explored interleaving; [`Scheduler::digest`] gives the matching
@@ -55,52 +57,15 @@ impl Scheduler {
         self.timelines.get(device).map_or(0, Timeline::streams)
     }
 
-    /// The earliest-available (device, stream) pair, ties broken by lowest
-    /// device then lowest stream index.
-    fn least_loaded(&self) -> (usize, usize, f64) {
-        let mut best = (0, 0, f64::INFINITY);
-        for (d, timeline) in self.timelines.iter().enumerate() {
-            for s in 0..timeline.streams() {
-                let t = timeline.stream_elapsed_us(s);
-                if t < best.2 {
-                    best = (d, s, t);
-                }
-            }
-        }
-        best
-    }
-
-    /// Places a job that becomes ready at `ready_us` and runs for
-    /// `duration_us` on the least-loaded stream across all devices.
-    pub fn place(&mut self, ready_us: f64, duration_us: f64) -> Placement {
-        let (device, stream, avail) = self.least_loaded();
-        self.place_on(device, stream, avail, ready_us, duration_us)
-    }
-
-    /// Places a job on a specific device (least-loaded stream within it),
-    /// used when the job's data is resident on that device.
-    pub fn place_on_device(&mut self, device: usize, ready_us: f64, duration_us: f64) -> Placement {
-        let device = device.min(self.timelines.len() - 1);
-        let timeline = &self.timelines[device];
-        let mut stream = 0;
-        let mut avail = f64::INFINITY;
-        for s in 0..timeline.streams() {
-            let t = timeline.stream_elapsed_us(s);
-            if t < avail {
-                avail = t;
-                stream = s;
-            }
-        }
-        self.place_on(device, stream, avail, ready_us, duration_us)
-    }
-
-    /// Places a job on a specific device whose service includes `dead_us`
-    /// of blocked-but-idle stream time (failed attempts, injected stalls,
-    /// retry backoff) before `duration_us` of real work. The dead span
-    /// counts toward the makespan — the stream is occupied — but not toward
-    /// busy time, exactly like a dependency wait, so utilization numbers
-    /// stay honest under fault injection.
-    pub fn place_on_device_delayed(
+    /// Places a job on `device` (clamped to the last device), on its
+    /// earliest-free stream: `dead_us` of blocked-but-idle stream time
+    /// (failed attempts, injected stalls, retry backoff) from `ready_us`,
+    /// then `duration_us` of real work. The dead span counts toward the
+    /// makespan — the stream is occupied — but not toward busy time,
+    /// exactly like a dependency wait, so utilization numbers stay honest
+    /// under fault injection. With no dead time the finish is the job's
+    /// start plus its duration.
+    pub fn place_on_device(
         &mut self,
         device: usize,
         ready_us: f64,
@@ -108,28 +73,13 @@ impl Scheduler {
         duration_us: f64,
     ) -> Placement {
         let device = device.min(self.timelines.len() - 1);
-        let timeline = &mut self.timelines[device];
-        let mut stream = 0;
-        let mut avail = f64::INFINITY;
-        for s in 0..timeline.streams() {
-            let t = timeline.stream_elapsed_us(s);
-            if t < avail {
-                avail = t;
-                stream = s;
-            }
-        }
-        let start_us = avail.max(ready_us);
-        // Advance to the start without busy credit, burn the dead time,
-        // then enqueue the real work.
-        timeline.try_push_after(stream, ready_us, 0.0);
-        timeline.stall(stream, dead_us);
-        let finish_us = timeline
-            .try_push(stream, duration_us)
-            .unwrap_or(start_us + dead_us + duration_us);
+        let (stream, avail) = earliest_stream(&self.timelines[device]);
+        self.stall_stream(device, stream, ready_us, dead_us);
+        let finish_us = self.timelines[device].push(stream, duration_us);
         Placement {
             device,
             stream,
-            start_us,
+            start_us: avail.max(ready_us),
             finish_us,
         }
     }
@@ -148,12 +98,9 @@ impl Scheduler {
     /// range). The deadline-shedding estimator and replica selection both
     /// read queue depth through this.
     pub fn device_available_us(&self, device: usize) -> f64 {
-        match self.timelines.get(device) {
-            Some(t) if t.streams() > 0 => (0..t.streams())
-                .map(|s| t.stream_elapsed_us(s))
-                .fold(f64::INFINITY, f64::min),
-            _ => f64::INFINITY,
-        }
+        self.timelines
+            .get(device)
+            .map_or(f64::INFINITY, |t| earliest_stream(t).1)
     }
 
     /// Places out-of-core chunk `index` on `device`: its H2D, kernel and
@@ -208,26 +155,6 @@ impl Scheduler {
         }
     }
 
-    fn place_on(
-        &mut self,
-        device: usize,
-        stream: usize,
-        avail: f64,
-        ready_us: f64,
-        duration_us: f64,
-    ) -> Placement {
-        let start_us = avail.max(ready_us);
-        let finish_us = self.timelines[device]
-            .try_push_after(stream, ready_us, duration_us)
-            .unwrap_or(start_us + duration_us);
-        Placement {
-            device,
-            stream,
-            start_us,
-            finish_us,
-        }
-    }
-
     /// A 64-bit digest of the full scheduler state (every stream's elapsed
     /// and busy time, bit-exact), seeded by `seed`. Equal schedules always
     /// digest equally, so the model checker can dedup interleavings that
@@ -259,6 +186,19 @@ impl Scheduler {
     }
 }
 
+/// The stream of `timeline` whose last enqueued operation finishes
+/// earliest (ties → lowest index), and when that is.
+fn earliest_stream(timeline: &Timeline) -> (usize, f64) {
+    let mut best = (0, f64::INFINITY);
+    for s in 0..timeline.streams() {
+        let t = timeline.stream_elapsed_us(s);
+        if t < best.1 {
+            best = (s, t);
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,8 +206,8 @@ mod tests {
     #[test]
     fn round_robins_across_idle_streams() {
         let mut sched = Scheduler::new(1, 2);
-        let a = sched.place(0.0, 100.0);
-        let b = sched.place(0.0, 100.0);
+        let a = sched.place_on_device(0, 0.0, 0.0, 100.0);
+        let b = sched.place_on_device(0, 0.0, 0.0, 100.0);
         assert_eq!((a.device, a.stream), (0, 0));
         assert_eq!((b.device, b.stream), (0, 1));
         // Both overlap: makespan is one job, not two.
@@ -275,23 +215,24 @@ mod tests {
     }
 
     #[test]
-    fn spreads_across_devices_before_queueing() {
-        let mut sched = Scheduler::new(2, 1);
-        let a = sched.place(0.0, 100.0);
-        let b = sched.place(0.0, 100.0);
-        let c = sched.place(0.0, 50.0);
-        assert_eq!(a.device, 0);
-        assert_eq!(b.device, 1);
-        // Third job queues behind the earliest-finishing stream (tie → dev 0).
-        assert_eq!(c.device, 0);
+    fn queues_behind_the_earliest_free_stream() {
+        let mut sched = Scheduler::new(2, 2);
+        let a = sched.place_on_device(1, 0.0, 0.0, 100.0);
+        let b = sched.place_on_device(1, 0.0, 0.0, 100.0);
+        let c = sched.place_on_device(1, 0.0, 0.0, 50.0);
+        assert_eq!((a.stream, b.stream), (0, 1));
+        // Third job queues behind the earliest-finishing stream (tie → 0).
+        assert_eq!((c.device, c.stream), (1, 0));
         assert_eq!(c.start_us, 100.0);
         assert_eq!(sched.makespan_us(), 150.0);
+        // An out-of-range device clamps to the last one.
+        assert_eq!(sched.place_on_device(9, 0.0, 0.0, 1.0).device, 1);
     }
 
     #[test]
     fn ready_time_delays_start() {
         let mut sched = Scheduler::new(1, 1);
-        let p = sched.place(40.0, 10.0);
+        let p = sched.place_on_device(0, 40.0, 0.0, 10.0);
         assert_eq!(p.start_us, 40.0);
         assert_eq!(p.finish_us, 50.0);
     }
@@ -301,7 +242,7 @@ mod tests {
         let run = || {
             let mut sched = Scheduler::new(2, 2);
             (0..32)
-                .map(|i| sched.place(i as f64 * 3.0, 17.0 + (i % 5) as f64))
+                .map(|i| sched.place_on_device(i % 2, i as f64 * 3.0, 0.0, 17.0 + (i % 5) as f64))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -310,20 +251,20 @@ mod tests {
     #[test]
     fn delayed_placement_charges_dead_time_to_makespan_not_busy() {
         let mut sched = Scheduler::new(1, 1);
-        let p = sched.place_on_device_delayed(0, 10.0, 40.0, 50.0);
+        let p = sched.place_on_device(0, 10.0, 40.0, 50.0);
         assert_eq!(p.start_us, 10.0);
         assert_eq!(p.finish_us, 100.0);
         assert_eq!(sched.makespan_us(), 100.0);
         // Only the 50 µs of real work counts as busy.
         let u = sched.utilizations();
         assert!((u[0][0] - 0.5).abs() < 1e-12, "{:?}", u);
-        // Zero dead time degenerates to the plain placement.
-        let mut a = Scheduler::new(1, 2);
-        let mut b = Scheduler::new(1, 2);
-        let pa = a.place_on_device(0, 5.0, 30.0);
-        let pb = b.place_on_device_delayed(0, 5.0, 0.0, 30.0);
-        assert_eq!(pa, pb);
-        assert_eq!(a.utilizations(), b.utilizations());
+        // Zero dead time degenerates to a plain enqueue after the ready
+        // time, bit for bit.
+        let mut sched = Scheduler::new(1, 2);
+        let mut plain = Timeline::new(2);
+        let p = sched.place_on_device(0, 5.0, 0.0, 30.0);
+        assert_eq!(Some(p.finish_us), plain.try_push_after(0, 5.0, 30.0));
+        assert_eq!(sched.utilizations(), vec![plain.utilizations()]);
     }
 
     #[test]
@@ -334,7 +275,7 @@ mod tests {
         assert_eq!(sched.device_available_us(0), 0.0);
         assert_eq!(sched.device_available_us(7), f64::INFINITY);
         // Earlier work on the kernel stream: the pipeline starts behind it.
-        sched.place_on_device(0, 0.0, 10.0);
+        sched.place_on_device(0, 0.0, 0.0, 10.0);
         let c = sched.place_chunk(0, [1, 0, 2], 10.0, 0, [5.0, 20.0, 5.0]);
         assert_eq!(
             (c.h2d, c.kernel, c.d2h),
@@ -476,8 +417,8 @@ mod tests {
     #[test]
     fn pinned_device_placement() {
         let mut sched = Scheduler::new(2, 2);
-        let a = sched.place_on_device(1, 0.0, 30.0);
-        let b = sched.place_on_device(1, 0.0, 30.0);
+        let a = sched.place_on_device(1, 0.0, 0.0, 30.0);
+        let b = sched.place_on_device(1, 0.0, 0.0, 30.0);
         assert_eq!(a.device, 1);
         assert_eq!(b.device, 1);
         assert_ne!(a.stream, b.stream);

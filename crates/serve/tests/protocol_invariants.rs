@@ -6,7 +6,7 @@
 //!   `release` / retire / evict sequences conserve bytes exactly against an
 //!   independent shadow model, and `earliest_release` is always the true
 //!   minimum over committed reservations.
-//! * [`Scheduler`]: `place_on_device_delayed` charges its dead time to the
+//! * [`Scheduler`]: `place_on_device` charges its dead time to the
 //!   makespan but never to busy credit, and per-stream utilization stays
 //!   within [0, 1] under randomized delayed placements.
 //! * [`serve::ServeEngine`]: request conservation — across arbitrary
@@ -136,7 +136,7 @@ proptest! {
         let mut sched = Scheduler::new(1, streams);
         let mut total_work = 0.0f64;
         for (ready, dead, dur) in jobs {
-            let p = sched.place_on_device_delayed(0, ready, dead, dur);
+            let p = sched.place_on_device(0, ready, dead, dur);
             prop_assert!(
                 (p.finish_us - (p.start_us + dead + dur)).abs() <= 1e-9 * p.finish_us.max(1.0),
                 "dead time must be charged to the span: start {} dead {} dur {} finish {}",
