@@ -2,7 +2,7 @@
 //!
 //! A kernel is a host closure invoked once per thread block with a
 //! [`BlockCtx`]. The closure performs the block's real computation on
-//! [`DeviceBuffer`](crate::memory::DeviceBuffer)s (results are bit-useful,
+//! [`DeviceBuffer`]s (results are bit-useful,
 //! validated against sequential references) and *narrates* its memory
 //! behaviour to the context — per-warp address batches, atomics, shared
 //! memory, shuffles — which the context folds into [`BlockStats`]. Blocks run

@@ -9,7 +9,7 @@
 //! [`crate::streams`], with three hard guarantees:
 //!
 //! 1. **Zero-cost when disabled.** Every hook is gated on
-//!    [`faults_active`], a single relaxed atomic load — the same pattern the
+//!    `faults_active()`, a single relaxed atomic load — the same pattern the
 //!    sanitizer's recording mode uses. With no injector installed anywhere the
 //!    hot path is bit-exact with the un-instrumented simulator.
 //! 2. **Deterministic.** Every fault decision is a pure hash of

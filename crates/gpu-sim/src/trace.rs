@@ -13,7 +13,7 @@
 //! ([`faults`](crate::faults)):
 //!
 //! * **zero-cost when disabled** — every hook is behind a single relaxed
-//!   atomic load ([`tracing_active`]); a non-tracing run executes the exact
+//!   atomic load (`tracing_active()`); a non-tracing run executes the exact
 //!   same instruction stream as an uninstrumented one, so tracing can never
 //!   perturb results or simulated timings;
 //! * **deterministic regardless of host interleaving** — events are

@@ -187,14 +187,7 @@ fn dfs(ctx: &mut Ctx<'_>, state: &ModelState, path: &mut Vec<Step>) -> u128 {
                 .reqs
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| {
-                    !matches!(
-                        r.phase,
-                        crate::model::Phase::Done
-                            | crate::model::Phase::Rejected
-                            | crate::model::Phase::Shed
-                    )
-                })
+                .filter(|(_, r)| !r.phase.is_terminal())
                 .map(|(i, r)| format!("request {i} stuck in {:?}", r.phase))
                 .collect();
             ctx.record(

@@ -1,12 +1,13 @@
 //! Bounded model checker for the serving layer.
 //!
-//! The serve engine's host-side protocol — request admission, plan-cache
-//! and pool accounting, stream placement, fault scrubbing and quarantine —
-//! is extracted into an abstract transition system ([`model`]) built from
-//! the *real* accounting types ([`serve::PoolLedger`], [`serve::Scheduler`])
-//! and explored exhaustively over every host interleaving of small
-//! scenarios ([`explore`]), with ample-set partial-order reduction. Four
-//! properties are proved or refuted with a concrete counterexample trace:
+//! The serve engine's host-side protocol — request admission, pool
+//! accounting, the retry ladder, stream placement, fault scrubbing and
+//! quarantine — runs as a transition system ([`model`]) that calls the
+//! engine's own rules ([`serve::protocol`]) over the *real* accounting
+//! types ([`serve::PoolLedger`], [`serve::Scheduler`]), explored
+//! exhaustively over every host interleaving of small scenarios
+//! ([`explore`]), with ample-set partial-order reduction. Four properties
+//! are proved or refuted with a concrete counterexample trace:
 //!
 //! * **Determinism** — the same seed reaches a bit-identical serve report
 //!   under *every* interleaving (single terminal fingerprint).
@@ -33,9 +34,11 @@
 //! protocol bugs — a dropped `release`, a skipped scrub, a lazily applied
 //! quarantine, a deferred admission that never retires, a faulted chunk
 //! that skips its chunk-granular release, a shed request that skips its
-//! release — and demands each is refuted
-//! while the faithful protocol proves everything on the same scenario. [`replay`] closes the model–code gap by running the property
-//! automata over a real engine's [`serve::ProtocolEvent`] log.
+//! release — and demands each is refuted while the faithful protocol
+//! proves everything on the same scenario. Each mutation drops or postpones
+//! one decision a shared rule returned; `serve` itself has no mutation
+//! hook. [`replay`] runs the property automata over a real engine's
+//! [`serve::ProtocolEvent`] log as a cross-check.
 
 pub mod explore;
 pub mod model;
@@ -174,60 +177,46 @@ pub fn check(scenario: &Scenario, mutation: Mutation) -> CheckReport {
 /// report with the violations appended.
 pub fn report() -> Result<String, String> {
     use std::fmt::Write as _;
-    let mut out = String::new();
+    let mut out =
+        "modelcheck: serving-protocol properties over all host interleavings\n\n".to_string();
     let mut violations = Vec::new();
-    let _ = writeln!(
-        out,
-        "modelcheck: serving-protocol properties over all host interleavings\n"
-    );
-    for scenario in scenario::standard() {
-        let report = check(&scenario, Mutation::None);
-        out.push_str(&report.render());
+    for sc in scenario::standard() {
+        let report = check(&sc, Mutation::None);
+        out += &report.render();
         for ce in &report.result.violations {
-            out.push_str(&trace::render_counterexample(ce));
-            violations.push(format!(
-                "scenario `{}` refuted {}",
-                scenario.name,
-                ce.property.label()
-            ));
+            out += &trace::render_counterexample(ce);
+            let property = ce.property.label();
+            violations.push(format!("scenario `{}` refuted {property}", sc.name));
         }
         if !report.reduction_consistent {
+            let name = sc.name;
             violations.push(format!(
-                "scenario `{}`: ample-set reduction disagrees with full exploration",
-                scenario.name
+                "scenario `{name}`: ample-set reduction disagrees with full exploration"
             ));
         }
         out.push('\n');
     }
-    let _ = writeln!(out, "mutation self-test: seeded bugs must be refuted\n");
-    for (mutation, scenario, property) in scenario::mutation_suite() {
-        let report = check(&scenario, mutation);
-        let (label, name) = (mutation.label(), scenario.name);
-        match report.result.counterexample(property) {
-            Some(ce) => {
-                let _ = writeln!(
-                    out,
-                    "  {label} on `{name}`: {} refuted after {} step(s) — {}",
-                    property.label(),
-                    ce.schedule.len(),
-                    ce.detail
-                );
-            }
+    out += "mutation self-test: seeded bugs must be refuted\n\n";
+    for (mutation, sc, property) in scenario::mutation_suite() {
+        let (label, name, property_label) = (mutation.label(), sc.name, property.label());
+        let _ = match check(&sc, mutation).result.counterexample(property) {
+            Some(ce) => writeln!(
+                out,
+                "  {label} on `{name}`: {property_label} refuted after {} step(s) — {}",
+                ce.schedule.len(),
+                ce.detail
+            ),
             None => {
-                let _ = writeln!(
-                    out,
-                    "  {label} on `{name}`: ESCAPED — {} was not refuted",
-                    property.label()
-                );
                 violations.push(format!("mutation {label} escaped on `{name}`"));
+                writeln!(
+                    out,
+                    "  {label} on `{name}`: ESCAPED — {property_label} was not refuted"
+                )
             }
-        }
+        };
     }
     if violations.is_empty() {
-        let _ = writeln!(
-            out,
-            "\nmodelcheck verdict: all properties proved, all mutations refuted"
-        );
+        out += "\nmodelcheck verdict: all properties proved, all mutations refuted\n";
         return Ok(out);
     }
     for violation in &violations {

@@ -1,17 +1,15 @@
 //! The serve engine's protocol as a transition system.
 //!
-//! Every protocol rule comes from [`serve::protocol`], the module the engine
-//! runs: admission over the real [`serve::PoolLedger`], the defer step, the
-//! reservation lifecycle, the retry ladder (jittered backoff, retry counting,
-//! degradation), the quarantine threshold and affinity fallback
-//! ([`serve::protocol::Health`]), the shed step, and placement with dead time
-//! on the real [`serve::Scheduler`]. Each request carries the engine's own
-//! per-request state, a [`Flight`]. What this module adds is only what
-//! belongs to the checker: the phase machine and [`ModelState::enabled`]
-//! (which request may move, so the explorer can try every interleaving), the
-//! per-device taint flag that stands in for injected faults, each scenario's
-//! fault schedule, and the six mutations — each one drops or postpones one
-//! decision a shared rule returned, before the model applies it.
+//! Every rule comes from [`serve::protocol`], the module the engine runs,
+//! over the real [`serve::PoolLedger`] and [`serve::Scheduler`], and each
+//! request carries the engine's own per-request state, a [`Flight`]. This
+//! module adds only what belongs to the checker: the phase machine and
+//! [`ModelState::enabled`] (which request may move, so the explorer can try
+//! every interleaving), a per-device execution lock and taint flag, each
+//! scenario's fault schedule, and the six mutations — each drops or
+//! postpones one decision a shared rule returned. Three abstractions
+//! remain, documented where they live: faults are a taint flag, the shed
+//! floor is static, and the chunk step is atomic (`docs/MODELCHECK.md`).
 //!
 //! ```text
 //! Idle ──Admit──▶ Admitted ──BeginExec──▶ Running ──Barrier──▶ Barriered
@@ -22,38 +20,22 @@
 //!                 Done ◀──Accept── Committed ◀──Commit── Placed ◀──┘
 //! ```
 //!
-//! Three abstractions remain, each documented where it lives:
-//!
-//! * the **shed floor is static**: a request sheds when its deadline is
-//!   below its execution time, the engine's bound on an empty queue;
-//! * the **chunk step is atomic**: one `Chunk` action reserves the chunk,
-//!   runs one attempt, scrubs, and commits the chunk (in no simulated time)
-//!   or releases it before the retry — where the engine holds a chunk's
-//!   reservation across its retries — and the out-of-core host rung is not
-//!   modeled;
-//! * **faults are a taint flag**: an injected fault poisons the device until
-//!   a scrub clears it.
-//!
-//! Admission is FIFO (one ticket, head-of-line), a request may only admit
-//! once its target device has no *pending* (uncommitted) reservation, a
-//! device's execution lock is held from attempt start through the integrity
-//! barrier, and placement happens in arrival order — the engine's sequential
-//! dispatch. Everything else — which request commits first, when outputs are
-//! read back, how device work interleaves across devices — is left free.
-//!
-//! Each [`ModelState::step`] returns the successor state, the
-//! [`serve::ProtocolEvent`]s the shared rules narrated for that transition
-//! (so counterexamples read like real traces), and an optional in-step
-//! property violation (scrub-before-reuse is checked at every device read).
+//! The engine's sequential dispatch fixes four orders: admission is FIFO
+//! (one ticket, head-of-line), a request admits only once its device has
+//! no pending reservation, a device's execution lock is held from attempt
+//! start through the integrity barrier, and placement is in arrival order.
+//! Everything else — which request commits first, when outputs are read
+//! back, how devices interleave — is left free. Each [`ModelState::step`]
+//! returns the successor, the [`serve::ProtocolEvent`]s the shared rules
+//! narrated (so counterexamples read like real traces), and any in-step
+//! violation (scrub-before-reuse is checked at every device read).
 
 use crate::scenario::{Mutation, Scenario};
 use crate::{Property, Violation};
 use fcoo::TensorOp;
 use serve::ledger::splitmix;
 use serve::protocol::{self, Flight, Health, Ladder, Rung};
-use serve::{
-    AdmitError, ExecTier, Placement, PlanKey, PoolLedger, ProtocolEvent, ReservationId, Scheduler,
-};
+use serve::{AdmitError, ExecTier, Placement, PlanKey, PoolLedger, ProtocolEvent, Scheduler};
 
 /// Where a request is in its protocol lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +59,13 @@ pub enum Phase {
     /// Shed: the certified completion-time lower bound provably missed the
     /// deadline, so the request never executed — terminal.
     Shed,
+}
+
+impl Phase {
+    /// Done, rejected or shed.
+    pub fn is_terminal(self) -> bool {
+        matches!(self, Phase::Done | Phase::Rejected | Phase::Shed)
+    }
 }
 
 /// Per-request control state.
@@ -109,7 +98,7 @@ impl ReqState {
 }
 
 /// Per-device control state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DevState {
     /// Request currently holding the execution lock.
     pub lock: Option<usize>,
@@ -205,12 +194,6 @@ pub fn key_for(key_id: u64) -> PlanKey {
     PlanKey::new(0x4D43_0000 ^ key_id, TensorOp::SpMttkrp { mode: 0 }, 8)
 }
 
-/// The ladder every scenario request climbs: the engine's ladder for a
-/// third-order SpMTTKRP, the op of [`key_for`].
-fn tiers() -> &'static [ExecTier] {
-    protocol::tensor_tiers(TensorOp::SpMttkrp { mode: 0 }, 3)
-}
-
 /// A chunk's ladder: the unified kernel only.
 const CHUNK_TIERS: &[ExecTier] = &[ExecTier::Unified];
 
@@ -219,20 +202,6 @@ const CHUNK_TIERS: &[ExecTier] = &[ExecTier::Unified];
 /// silently survives and the attempt "passes".
 fn scrub(dev: &mut DevState, mutation: Mutation) -> bool {
     mutation != Mutation::SkipScrub && std::mem::take(&mut dev.tainted)
-}
-
-/// Releases the reservations a rule handed back — unless `dropped`, the
-/// mutation that leaks them.
-fn release(
-    flight: &Flight,
-    pool: &mut PoolLedger,
-    held: Vec<ReservationId>,
-    dropped: bool,
-    events: &mut Vec<ProtocolEvent>,
-) {
-    if !dropped {
-        events.extend(held.into_iter().map(|id| flight.release(pool, id)));
-    }
 }
 
 /// A device read (kernel launch or readback) while the device is still
@@ -253,13 +222,7 @@ impl ModelState {
                 .collect(),
             sched: Scheduler::new(sc.devices, sc.streams_per_device),
             health: Health::new(sc.devices),
-            devs: (0..sc.devices)
-                .map(|_| DevState {
-                    lock: None,
-                    tainted: false,
-                    quarantine_due: false,
-                })
-                .collect(),
+            devs: vec![DevState::default(); sc.devices],
             reqs: sc
                 .requests
                 .iter()
@@ -267,7 +230,9 @@ impl ModelState {
                 .map(|(r, spec)| ReqState {
                     phase: Phase::Idle,
                     flight: Flight::new(r, spec.preferred_device, spec.arrival_us),
-                    ladder: Ladder::new(tiers()),
+                    // The engine's ladder for the scenario's op on a
+                    // third-order tensor.
+                    ladder: Ladder::new(protocol::tensor_tiers(key_for(spec.key_id).op(), 3)),
                     chunk_ladder: Ladder::new(CHUNK_TIERS),
                     placement: None,
                     place_done: false,
@@ -279,9 +244,7 @@ impl ModelState {
 
     /// All requests in a terminal phase?
     pub fn terminal(&self) -> bool {
-        self.reqs
-            .iter()
-            .all(|r| matches!(r.phase, Phase::Done | Phase::Rejected | Phase::Shed))
+        self.reqs.iter().all(|r| r.phase.is_terminal())
     }
 
     /// The enabled actions: at most one per request, by protocol phase.
@@ -360,7 +323,7 @@ impl ModelState {
         // fault, then quarantine on the threshold. LateQuarantine postpones
         // the quarantine decision to output readback.
         let fault_policy = |health: &mut Health, devs: &mut [DevState], d, events: &mut Vec<_>| {
-            health.record_fault(d);
+            health.faults[d] += 1;
             if health.quarantine_due(d, u64::from(sc.quarantine_threshold)) {
                 if mutation == Mutation::LateQuarantine {
                     devs[d].quarantine_due = true;
@@ -408,14 +371,9 @@ impl ModelState {
                     protocol::shed_bound(req.flight.ready_us, &floor, deadline_us);
                 let (held, shed) = req.flight.shed(estimate_us, deadline_us);
                 // DropShedRelease leaks the shed request's bytes.
-                let dropped = mutation == Mutation::DropShedRelease;
-                release(
-                    &req.flight,
-                    &mut pools[req.flight.device],
-                    held,
-                    dropped,
-                    &mut events,
-                );
+                if mutation != Mutation::DropShedRelease {
+                    events.extend(req.flight.release(&mut pools[req.flight.device], held));
+                }
                 events.push(shed);
                 req.phase = Phase::Shed;
                 req.place_done = true;
@@ -433,6 +391,10 @@ impl ModelState {
                 req.phase = Phase::Running;
             }
             Action::Chunk(_) => {
+                // The atomic chunk step: reserve, one attempt, scrub, then
+                // commit or release before the retry — where the engine
+                // holds a chunk's reservation across its retries. The
+                // out-of-core host rung is not modeled.
                 let (d, tier) = (req.flight.device, req.ladder.tier());
                 let key = key_for(spec.key_id);
                 events.push(req.flight.reserve(&mut pools[d], key, spec.chunk_bytes));
@@ -454,22 +416,20 @@ impl ModelState {
                 // ladder.
                 let corrupted = scrub(&mut devs[d], mutation);
                 events.push(req.flight.scrub(usize::from(corrupted), corrupted));
-                let id = req
-                    .flight
-                    .pending
-                    .pop()
-                    .expect("the chunk reservation is open");
+                let Some(id) = req.flight.pending.pop() else {
+                    unreachable!("the chunk reservation was just opened")
+                };
                 if corrupted {
                     fault_policy(health, devs, d, &mut events);
                     // The faulted chunk's bytes come back before the retry;
                     // DropChunkRelease leaks them instead.
-                    let dropped = mutation == Mutation::DropChunkRelease;
-                    release(&req.flight, &mut pools[d], vec![id], dropped, &mut events);
+                    if mutation != Mutation::DropChunkRelease {
+                        events.extend(req.flight.release(&mut pools[d], vec![id]));
+                    }
                     let retry = req.flight.retry(&mut req.chunk_ladder, max_retries);
                     events.push(retry.event);
-                    assert_eq!(
-                        retry.rung,
-                        Rung::Same,
+                    assert!(
+                        retry.rung == Rung::Same,
                         "the out-of-core host rung is not modeled"
                     );
                 } else {
@@ -508,8 +468,9 @@ impl ModelState {
                         }
                         None => {
                             let held = std::mem::take(&mut req.flight.pending);
-                            let dropped = mutation == Mutation::DropRelease;
-                            release(&req.flight, &mut pools[d], held, dropped, &mut events);
+                            if mutation != Mutation::DropRelease {
+                                events.extend(req.flight.release(&mut pools[d], held));
+                            }
                             req.phase = Phase::Rejected;
                             req.place_done = true;
                         }
@@ -519,9 +480,8 @@ impl ModelState {
                 }
             }
             Action::Place(_) => {
-                let p = req
-                    .flight
-                    .place(sched, req.flight.recovery_us, spec.exec_us);
+                let dead_us = req.flight.recovery_us;
+                let p = req.flight.place(sched, dead_us, spec.exec_us);
                 events.push(req.flight.placed(&p));
                 req.placement = Some(p);
                 req.place_done = true;
@@ -565,8 +525,8 @@ impl ModelState {
         for (d, dv) in self.devs.iter().enumerate() {
             h = splitmix(h ^ dv.lock.map_or(u64::MAX, |r| r as u64));
             h = splitmix(h ^ u64::from(dv.tainted));
-            h = splitmix(h ^ self.health.faults(d));
-            h = splitmix(h ^ u64::from(self.health.is_quarantined(d)));
+            h = splitmix(h ^ self.health.faults[d]);
+            h = splitmix(h ^ u64::from(self.health.quarantined[d]));
             h = splitmix(h ^ u64::from(dv.quarantine_due));
         }
         for rq in &self.reqs {
@@ -621,8 +581,8 @@ impl ModelState {
             h = splitmix(h ^ p.cached_bytes() as u64);
         }
         for d in 0..self.devs.len() {
-            h = splitmix(h ^ u64::from(self.health.is_quarantined(d)));
-            h = splitmix(h ^ self.health.faults(d));
+            h = splitmix(h ^ u64::from(self.health.quarantined[d]));
+            h = splitmix(h ^ self.health.faults[d]);
         }
         h = splitmix(h ^ self.sched.makespan_us().to_bits());
         h

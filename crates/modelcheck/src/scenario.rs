@@ -318,56 +318,25 @@ pub fn standard() -> Vec<Scenario> {
 /// The mutation self-test: each seeded bug paired with the scenario that
 /// exposes it and the property it must refute there.
 pub fn mutation_suite() -> Vec<(Mutation, Scenario, crate::Property)> {
+    use crate::Property::{AdmissionLiveness, Determinism, LeakFreedom, ScrubBeforeReuse};
     vec![
-        (
-            Mutation::DropRelease,
-            doomed(),
-            crate::Property::LeakFreedom,
-        ),
-        (
-            Mutation::DropRelease,
-            doomed_follower(),
-            crate::Property::AdmissionLiveness,
-        ),
-        (
-            Mutation::SkipScrub,
-            acceptance(),
-            crate::Property::ScrubBeforeReuse,
-        ),
-        (
-            Mutation::LateQuarantine,
-            quarantine(),
-            crate::Property::Determinism,
-        ),
-        (
-            Mutation::StuckDefer,
-            pressure(),
-            crate::Property::AdmissionLiveness,
-        ),
-        (
-            Mutation::DropChunkRelease,
-            ooc(),
-            crate::Property::LeakFreedom,
-        ),
+        (Mutation::DropRelease, doomed(), LeakFreedom),
+        (Mutation::DropRelease, doomed_follower(), AdmissionLiveness),
+        (Mutation::SkipScrub, acceptance(), ScrubBeforeReuse),
+        (Mutation::LateQuarantine, quarantine(), Determinism),
+        (Mutation::StuckDefer, pressure(), AdmissionLiveness),
+        (Mutation::DropChunkRelease, ooc(), LeakFreedom),
         (
             Mutation::DropChunkRelease,
             ooc_follower(),
-            crate::Property::AdmissionLiveness,
+            AdmissionLiveness,
         ),
-        (
-            Mutation::SkipScrub,
-            ooc(),
-            crate::Property::ScrubBeforeReuse,
-        ),
-        (
-            Mutation::DropShedRelease,
-            overload(),
-            crate::Property::LeakFreedom,
-        ),
+        (Mutation::SkipScrub, ooc(), ScrubBeforeReuse),
+        (Mutation::DropShedRelease, overload(), LeakFreedom),
         (
             Mutation::DropShedRelease,
             overload_follower(),
-            crate::Property::AdmissionLiveness,
+            AdmissionLiveness,
         ),
     ]
 }

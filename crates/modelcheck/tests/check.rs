@@ -209,6 +209,59 @@ fn drop_shed_release_leaks_and_deadlocks() {
     assert!(ce.detail.contains("deadlock"), "{}", ce.detail);
 }
 
+/// The model narrates what it does: the concatenated events of every
+/// counterexample of a dropped release — on the leak scenario and on the
+/// follower scenario of each of the three release mutations — fail the
+/// replay automata's reservation balance, while every terminal schedule of
+/// the faithful protocol on the same scenarios balances. A model that
+/// dropped a release decision but still narrated its `Release` event would
+/// pass its own leak check and fail here.
+#[test]
+fn dropped_release_narrations_fail_reservation_balance() {
+    let events = |schedule: &[modelcheck::Step]| -> Vec<serve::ProtocolEvent> {
+        schedule.iter().flat_map(|s| s.events.clone()).collect()
+    };
+    let unbalanced = |log: &[serve::ProtocolEvent]| {
+        modelcheck::replay::replay(log)
+            .iter()
+            .any(|v| v.contains("reservation"))
+    };
+    let mut pairs = 0;
+    for (mutation, sc, _) in scenario::mutation_suite() {
+        if !matches!(
+            mutation,
+            Mutation::DropRelease | Mutation::DropChunkRelease | Mutation::DropShedRelease
+        ) {
+            continue;
+        }
+        pairs += 1;
+        let mutated = explore::explore(&sc, mutation, false);
+        assert!(
+            !mutated.violations.is_empty(),
+            "{} escaped",
+            mutation.label()
+        );
+        for ce in &mutated.violations {
+            assert!(
+                unbalanced(&events(&ce.schedule)),
+                "{} on `{}`: the {} counterexample's narration balances its reservations",
+                mutation.label(),
+                sc.name,
+                ce.property.label()
+            );
+        }
+        let faithful = explore::explore(&sc, Mutation::None, false);
+        for schedule in faithful.fingerprints.values() {
+            assert!(
+                !unbalanced(&events(schedule)),
+                "faithful schedule on `{}` fails reservation balance",
+                sc.name
+            );
+        }
+    }
+    assert_eq!(pairs, 6, "three release mutations, each on two scenarios");
+}
+
 /// A skipped scrub in the chunk loop lets a mid-pipeline fault's taint
 /// survive into the next chunk's kernel launch.
 #[test]

@@ -549,12 +549,11 @@ struct AttemptDamage {
 /// exactly one terminal state per request.
 type Served = Result<Option<RequestProfile>, String>;
 
-/// One request in flight: where it runs, the reservations it holds, and
-/// what its attempts have cost so far. Every lifecycle step of
-/// [`ServeEngine`] reads or advances it, from routing to the terminal
-/// record.
+/// One request in flight. Every lifecycle step of [`ServeEngine`] reads or
+/// advances it, from routing to the terminal record.
 struct Lifecycle<'r> {
-    /// The request's protocol state.
+    /// The request's protocol state: where it runs, the reservations it
+    /// holds, and what its attempts have cost so far.
     flight: Flight,
     request: &'r Request,
     /// Plan the request's faults are attributed to (the first mode's plan
@@ -1074,12 +1073,6 @@ impl ServeEngine {
         self.pools[device_index].clear();
     }
 
-    /// Whether this accepted attempt is sampled for redundant re-execution.
-    fn redundancy_draw(&self, index: usize, attempt: u32) -> bool {
-        let rate = self.config.fault_tolerance.redundancy_rate;
-        rate > 0.0 && protocol::redundancy_draw(index, attempt, rate)
-    }
-
     /// The per-attempt integrity barrier: scrubs the device (forcing full
     /// detection and repairing latent flips), tallies every event, charges
     /// stall dead time (watchdog-capped), and attributes corrupting events
@@ -1112,7 +1105,7 @@ impl ServeEngine {
             }
             if corrupting {
                 damage.corrupted = true;
-                self.health.record_fault(device_index);
+                self.health.faults[device_index] += 1;
                 *self.plan_fault_counts.entry(key).or_insert(0) += 1;
             }
         }
@@ -1768,9 +1761,8 @@ impl ServeEngine {
 
     /// Cancels the pending reservations `ids`.
     fn release(&mut self, lc: &Lifecycle<'_>, ids: Vec<ReservationId>) {
-        for id in ids {
-            let ledger = self.pools[lc.flight.device].ledger_mut();
-            let event = lc.flight.release(ledger, id);
+        let ledger = self.pools[lc.flight.device].ledger_mut();
+        for event in lc.flight.release(ledger, ids) {
             self.log_event(event);
         }
     }
@@ -1851,7 +1843,11 @@ impl ServeEngine {
                         Some(project)
                             if tier != ExecTier::Cpu
                                 && self.config.fault_injection.is_some()
-                                && self.redundancy_draw(lc.flight.request, lc.flight.attempt) =>
+                                && protocol::redundancy_draw(
+                                    lc.flight.request,
+                                    lc.flight.attempt,
+                                    self.config.fault_tolerance.redundancy_rate,
+                                ) =>
                         {
                             self.redundant_check(lc, tier, &value, project, &mut attempt)
                         }

@@ -4,9 +4,10 @@
 //! — admission, reservation lifecycle, execution attempts, scrub barriers,
 //! placement, fault policy — is describable as a [`ProtocolEvent`]. The
 //! engine can record its own transitions into a protocol log (see
-//! [`crate::engine::ServeEngine::enable_protocol_log`]), and the
-//! `modelcheck` crate emits the same events when narrating counterexample
-//! schedules, so a refuted property reads exactly like a real engine trace.
+//! [`crate::engine::ServeEngine::enable_protocol_log`]). The rules of
+//! [`crate::protocol`] build the events, and the `modelcheck` crate runs
+//! the same rules, so its counterexample schedules narrate exactly the
+//! events a real engine trace would.
 //! The `modelcheck::replay` checker closes the loop: it runs the property
 //! automata over a real engine's log, tying the abstract model to the code.
 
@@ -163,38 +164,6 @@ pub enum ProtocolEvent {
         /// The replica device added.
         replica: usize,
     },
-}
-
-impl ProtocolEvent {
-    /// The request this event belongs to, if any ([`Quarantine`],
-    /// [`PlanInvalidate`], [`Rebalance`] and [`Replicate`] are
-    /// device-scoped).
-    ///
-    /// [`Quarantine`]: ProtocolEvent::Quarantine
-    /// [`PlanInvalidate`]: ProtocolEvent::PlanInvalidate
-    /// [`Rebalance`]: ProtocolEvent::Rebalance
-    /// [`Replicate`]: ProtocolEvent::Replicate
-    pub fn request(&self) -> Option<u64> {
-        match *self {
-            ProtocolEvent::AdmitOk { request, .. }
-            | ProtocolEvent::AdmitDefer { request, .. }
-            | ProtocolEvent::AdmitReject { request, .. }
-            | ProtocolEvent::ReservePending { request, .. }
-            | ProtocolEvent::Commit { request, .. }
-            | ProtocolEvent::Release { request, .. }
-            | ProtocolEvent::AttemptStart { request, .. }
-            | ProtocolEvent::Scrub { request, .. }
-            | ProtocolEvent::Backoff { request, .. }
-            | ProtocolEvent::Degrade { request, .. }
-            | ProtocolEvent::Place { request, .. }
-            | ProtocolEvent::Accept { request, .. }
-            | ProtocolEvent::Shed { request, .. } => Some(request),
-            ProtocolEvent::Quarantine { .. }
-            | ProtocolEvent::PlanInvalidate { .. }
-            | ProtocolEvent::Rebalance { .. }
-            | ProtocolEvent::Replicate { .. } => None,
-        }
-    }
 }
 
 impl std::fmt::Display for ProtocolEvent {

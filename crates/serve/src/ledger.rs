@@ -359,9 +359,10 @@ impl PoolLedger {
     }
 }
 
-/// The splitmix64 finalizer used by every state digest in the serving
-/// layer (and by the `modelcheck` crate for its visited-set hashes):
-/// a cheap, well-mixed, dependency-free 64-bit permutation.
+/// The splitmix64 finalizer, the serving layer's one offline mix: state
+/// digests (and the `modelcheck` crate's visited-set hashes), retry jitter
+/// and redundancy sampling, result checksums and the synthetic workload
+/// generator. A cheap, well-mixed, dependency-free 64-bit permutation.
 pub fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -12,12 +12,13 @@
 //! (arXiv:2201.12523).
 //!
 //! All accounting — residency budgets, the reservation lifecycle, LRU
-//! victim selection, the admit/defer/reject decision — lives in the pure
-//! [`PoolLedger`]; this type adds only the actual device uploads and the
-//! `Arc<AnyFormatDevice>` handles (the pool is format-erased: an F-COO and
-//! a BF-COO plan cache and evict identically, BF-COO just charges its
-//! bucket metadata too). The `modelcheck` crate explores the ledger
-//! directly, so the protocol it proves is the one running here.
+//! victim selection — lives in the pure [`PoolLedger`], and the admission
+//! decision over it is [`crate::protocol::admit`]; this type adds only the
+//! actual device uploads and the `Arc<AnyFormatDevice>` handles (the pool
+//! is format-erased: an F-COO and a BF-COO plan cache and evict
+//! identically, BF-COO just charges its bucket metadata too). The
+//! `modelcheck` crate runs the same rule over the ledger directly, so the
+//! protocol it proves is the one running here.
 //!
 //! [`OutOfMemory`]: gpu_sim::memory::OutOfMemory
 
@@ -68,11 +69,6 @@ impl DevicePool {
         self.ledger.reserved_bytes()
     }
 
-    /// Number of cached device-resident formats.
-    pub fn cached_formats(&self) -> usize {
-        self.ledger.cached_formats()
-    }
-
     /// The pool's device memory handle.
     pub fn memory(&self) -> &DeviceMemory {
         &self.memory
@@ -84,8 +80,8 @@ impl DevicePool {
     }
 
     /// The accounting core, for the reservation rules of
-    /// [`crate::protocol`]; they never touch residency, so the format
-    /// handles stay in step.
+    /// [`crate::protocol`]. Residency only changes through `admit`,
+    /// `make_room` and `clear`, which keep the format handles in step.
     pub(crate) fn ledger_mut(&mut self) -> &mut PoolLedger {
         &mut self.ledger
     }
@@ -94,11 +90,6 @@ impl DevicePool {
     /// unpins their formats.
     pub fn retire(&mut self, now_us: f64) {
         self.ledger.retire(now_us);
-    }
-
-    /// True when `key`'s format is resident (bumps its LRU recency).
-    pub fn touch_resident(&mut self, key: PlanKey) -> bool {
-        self.ledger.touch_resident(key)
     }
 
     /// Admits a job that needs `key`'s format (uploading `format` if
@@ -170,39 +161,20 @@ impl DevicePool {
     /// admission reduces to carving out headroom. Same error contract as
     /// [`DevicePool::admit`].
     pub fn make_room(&mut self, requesting: PlanKey, need: usize) -> Result<(), AdmitError> {
-        let live = self.memory.live_bytes();
-        for k in protocol::make_room(&mut self.ledger, requesting, need, live)? {
+        let capacity = self.memory.capacity();
+        if need > capacity {
+            return Err(AdmitError::TooLarge {
+                working_set: need,
+                capacity,
+            });
+        }
+        let victims = self
+            .ledger
+            .plan_admission(requesting, need, self.memory.live_bytes())?;
+        for k in victims {
             self.formats.remove(&k);
         }
         Ok(())
-    }
-
-    /// Opens a reservation for a job about to execute: `transient_bytes` are
-    /// held and `key`'s format is pinned immediately, but no finish time is
-    /// known yet. Must be paired with [`DevicePool::commit`] (job succeeded)
-    /// or [`DevicePool::release`] (job failed) — a failed job that skips
-    /// `release` would leak its bytes forever.
-    pub fn reserve_pending(&mut self, key: PlanKey, transient_bytes: usize) -> ReservationId {
-        self.ledger.reserve_pending(key, transient_bytes)
-    }
-
-    /// Gives a pending reservation its finish time; it now retires through
-    /// [`DevicePool::retire`] like any other. No-op for unknown ids.
-    pub fn commit(&mut self, id: ReservationId, finish_us: f64) {
-        self.ledger.commit(id, finish_us);
-    }
-
-    /// Cancels a reservation: its bytes are freed and its format unpinned
-    /// immediately (the error path of a failed job). No-op for ids already
-    /// retired or released, so it can never double-unpin.
-    pub fn release(&mut self, id: ReservationId) {
-        self.ledger.release(id);
-    }
-
-    /// Earliest time an in-flight reservation retires, if any. Pending
-    /// (uncommitted) reservations have no finish time and are excluded.
-    pub fn earliest_release(&self) -> Option<f64> {
-        self.ledger.earliest_release()
     }
 
     /// Drops every unpinned cached format (used by tests and shutdown).
@@ -251,7 +223,7 @@ mod tests {
         assert!(!second.uploaded);
         assert_eq!(pool.stats().uploads, 1);
         assert_eq!(pool.stats().format_reuses, 1);
-        assert_eq!(pool.cached_formats(), 1);
+        assert_eq!(pool.ledger().cached_formats(), 1);
     }
 
     #[test]
@@ -289,9 +261,9 @@ mod tests {
         let admitted = pool.admit(key_b, &fcoo_b, fb, 512).unwrap();
         assert!(admitted.uploaded);
         assert_eq!(pool.stats().evictions, 1, "A was evicted for B");
-        assert_eq!(pool.cached_formats(), 1);
-        assert!(pool.touch_resident(key_b));
-        assert!(!pool.touch_resident(key_a));
+        assert_eq!(pool.ledger().cached_formats(), 1);
+        assert!(pool.ledger_mut().touch_resident(key_b));
+        assert!(!pool.ledger_mut().touch_resident(key_a));
         // Memory never exceeded capacity.
         assert!(pool.memory().peak_bytes() <= pool.memory().capacity());
     }
@@ -305,8 +277,8 @@ mod tests {
         let memory = DeviceMemory::new(fa.max(fb) + 4096);
         let mut pool = DevicePool::new(memory);
         pool.admit(key_a, &fcoo_a, fa, 512).unwrap();
-        let id = pool.reserve_pending(key_a, 512);
-        pool.commit(id, 100.0);
+        let id = pool.ledger_mut().reserve_pending(key_a, 512);
+        pool.ledger_mut().commit(id, 100.0);
         // A is pinned by an in-flight job: B must wait, not OOM.
         let err = pool.admit(key_b, &fcoo_b, fb, 512).unwrap_err();
         assert_eq!(err, AdmitError::Defer { until_us: 100.0 });
@@ -335,21 +307,21 @@ mod tests {
         let fb = bytes_of(&fcoo);
         pool.admit(key, &fcoo, fb, 2048).unwrap();
         let before = pool.reserved_bytes();
-        let id = pool.reserve_pending(key, 2048);
+        let id = pool.ledger_mut().reserve_pending(key, 2048);
         assert_eq!(pool.reserved_bytes(), before + 2048);
         // Pending reservations have no finish time and never self-retire.
-        assert_eq!(pool.earliest_release(), None);
+        assert_eq!(pool.ledger().earliest_release(), None);
         pool.retire(f64::MAX);
         assert_eq!(pool.reserved_bytes(), before + 2048);
         // The job fails: release must restore bytes-in-use exactly.
-        pool.release(id);
+        pool.ledger_mut().release(id);
         assert_eq!(pool.reserved_bytes(), before);
         // The format is unpinned again: releasing twice must not underflow
         // another job's pin.
-        let other = pool.reserve_pending(key, 512);
-        pool.release(id);
+        let other = pool.ledger_mut().reserve_pending(key, 512);
+        pool.ledger_mut().release(id);
         assert_eq!(pool.reserved_bytes(), 512);
-        pool.release(other);
+        pool.ledger_mut().release(other);
         assert_eq!(pool.reserved_bytes(), 0);
     }
 
@@ -360,12 +332,12 @@ mod tests {
         let (key, fcoo) = fcoo_for(7);
         let fb = bytes_of(&fcoo);
         pool.admit(key, &fcoo, fb, 1024).unwrap();
-        let id = pool.reserve_pending(key, 1024);
-        pool.commit(id, 75.0);
-        assert_eq!(pool.earliest_release(), Some(75.0));
+        let id = pool.ledger_mut().reserve_pending(key, 1024);
+        pool.ledger_mut().commit(id, 75.0);
+        assert_eq!(pool.ledger().earliest_release(), Some(75.0));
         pool.retire(75.0);
         assert_eq!(pool.reserved_bytes(), 0);
-        assert_eq!(pool.earliest_release(), None);
+        assert_eq!(pool.ledger().earliest_release(), None);
     }
 
     #[test]
@@ -376,16 +348,16 @@ mod tests {
         let fb = bytes_of(&fcoo);
         pool.admit(key, &fcoo, fb, 2048).unwrap();
         for finish_us in [50.0, 80.0] {
-            let id = pool.reserve_pending(key, 2048);
-            pool.commit(id, finish_us);
+            let id = pool.ledger_mut().reserve_pending(key, 2048);
+            pool.ledger_mut().commit(id, finish_us);
         }
         assert_eq!(pool.reserved_bytes(), 4096);
-        assert_eq!(pool.earliest_release(), Some(50.0));
+        assert_eq!(pool.ledger().earliest_release(), Some(50.0));
         pool.retire(60.0);
         assert_eq!(pool.reserved_bytes(), 2048);
         pool.retire(90.0);
         assert_eq!(pool.reserved_bytes(), 0);
-        assert_eq!(pool.earliest_release(), None);
+        assert_eq!(pool.ledger().earliest_release(), None);
     }
 
     #[test]
@@ -399,11 +371,11 @@ mod tests {
         pool.admit(key, &fcoo, fb, 1024).unwrap();
         let d0 = pool.ledger().digest(0);
         assert_eq!(pool.ledger().digest(0), d0, "digest is a pure function");
-        let id = pool.reserve_pending(key, 1024);
+        let id = pool.ledger_mut().reserve_pending(key, 1024);
         assert_ne!(pool.ledger().digest(0), d0, "reservation moves the digest");
         assert_eq!(pool.ledger().pending_reservations(), 1);
         assert_eq!(pool.ledger().total_pins(), 1);
-        pool.commit(id, 10.0);
+        pool.ledger_mut().commit(id, 10.0);
         pool.retire(10.0);
         assert_eq!(pool.ledger().pending_reservations(), 0);
         assert_eq!(pool.ledger().total_pins(), 0);

@@ -1,25 +1,16 @@
-//! The serving protocol's rules, each written once.
+//! The serving protocol's rules, each written once: admission ([`admit`])
+//! and the defer step, the reservation lifecycle, the retry ladder
+//! ([`Ladder`], [`Flight::retry`]), quarantine and affinity ([`Health`]),
+//! the shed step ([`shed_bound`], [`Flight::shed`]) and placement with dead
+//! time ([`Flight::place`]).
 //!
-//! Two drivers run these rules. [`crate::engine::ServeEngine`] runs them
-//! with real execution; the `modelcheck` crate runs them over every host
-//! interleaving of small scenarios. A rule advances one request's
-//! [`Flight`], one device's [`PoolLedger`] or the devices' [`Health`], and
-//! returns its decision together with the [`ProtocolEvent`] that narrates
-//! it; the driver applies the decision. So the protocol the checker proves
-//! is the one the engine runs, and a seeded protocol bug in the checker is
-//! a driver that drops or postpones one decision before applying it.
-//!
-//! The rules:
-//!
-//! * admission over a ledger ([`admit`], [`make_room`]) and the defer step
-//!   ([`Flight::defer`]);
-//! * the reservation lifecycle ([`Flight::reserve`], [`Flight::commit`],
-//!   [`Flight::release`]);
-//! * the retry ladder ([`Ladder`], [`Flight::retry`]): jittered backoff,
-//!   retry counting and degradation, for whole attempts and for chunks;
-//! * the quarantine threshold and the affinity fallback ([`Health`]);
-//! * the shed step ([`shed_bound`], [`Flight::shed`]);
-//! * placement with dead time ([`Flight::place`]).
+//! Two drivers run them: [`crate::engine::ServeEngine`] with real
+//! execution, and the `modelcheck` crate over every host interleaving of
+//! small scenarios. A rule advances one request's [`Flight`], one device's
+//! [`PoolLedger`] or the devices' [`Health`], and returns its decision with
+//! the [`ProtocolEvent`] that narrates it; the driver applies the decision.
+//! So the checker proves the protocol the engine runs, and a seeded bug in
+//! the checker is a driver dropping or postponing one decision.
 
 use crate::events::ProtocolEvent;
 use crate::ledger::{splitmix, AdmitError, PoolLedger, ReservationId};
@@ -28,10 +19,9 @@ use crate::plan::PlanKey;
 use crate::scheduler::{Placement, Scheduler};
 use fcoo::TensorOp;
 
-/// First retry backoff in µs; doubles per attempt up to `BACKOFF_CAP_US`.
+/// First retry backoff and its ceiling (µs): the backoff doubles per
+/// attempt up to the cap.
 const BACKOFF_BASE_US: f64 = 50.0;
-
-/// Ceiling of the exponential retry backoff (µs).
 const BACKOFF_CAP_US: f64 = 800.0;
 
 /// Seed of the deterministic backoff jitter and redundancy sampling — same
@@ -48,8 +38,11 @@ fn backoff_us(request: usize, attempt: u32) -> f64 {
 }
 
 /// Whether attempt `attempt` of request `request` is sampled for redundant
-/// re-execution at `rate`.
+/// re-execution at `rate` (never at a rate of zero).
 pub(crate) fn redundancy_draw(request: usize, attempt: u32, rate: f64) -> bool {
+    if rate <= 0.0 {
+        return false;
+    }
     let h = splitmix(
         RETRY_SEED
             .rotate_left(17)
@@ -62,20 +55,18 @@ pub(crate) fn redundancy_draw(request: usize, attempt: u32, rate: f64) -> bool {
 /// What an admission decided.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Admission {
-    /// The format was already resident: the admission is a reuse, and
-    /// nothing is uploaded. Otherwise the driver uploads it and records
-    /// the upload ([`PoolLedger::record_upload`]).
+    /// The format was resident (a reuse); otherwise the driver uploads it
+    /// and records the upload ([`PoolLedger::record_upload`]).
     pub resident: bool,
     /// Formats evicted to make room; the driver drops their uploads.
     pub evicted: Vec<PlanKey>,
 }
 
-/// The admission rule: a job needing `key`'s format (budgeted at
-/// `format_bytes`, charged only when it is not resident) plus
-/// `transient_bytes` must fit next to `live_bytes` of allocations and the
-/// in-flight reservations, evicting least-recently-used unpinned formats
-/// as required. [`AdmitError::Defer`] means in-flight reservations pin the
-/// room; [`AdmitError::TooLarge`] means the working set never fits.
+/// The admission rule: `key`'s format (`format_bytes`, charged only when
+/// not resident) plus `transient_bytes` must fit next to `live_bytes` of
+/// allocations and the in-flight reservations, evicting LRU unpinned
+/// formats as required. [`AdmitError::Defer`]: reservations pin the room;
+/// [`AdmitError::TooLarge`]: the working set never fits.
 pub fn admit(
     ledger: &mut PoolLedger,
     key: PlanKey,
@@ -92,34 +83,15 @@ pub fn admit(
     }
     let resident = ledger.is_resident(key);
     let need = transient_bytes + if resident { 0 } else { format_bytes };
-    let evicted = make_room(ledger, key, need, live_bytes)?;
+    let evicted = ledger.plan_admission(key, need, live_bytes)?;
     if resident {
         ledger.record_hit(key);
     }
     Ok(Admission { resident, evicted })
 }
 
-/// Frees room for a job that needs `need` bytes next to `live_bytes` of
-/// allocations without caching anything (the out-of-core path), evicting
-/// as [`admit`] does. Returns the evicted formats.
-pub fn make_room(
-    ledger: &mut PoolLedger,
-    requesting: PlanKey,
-    need: usize,
-    live_bytes: usize,
-) -> Result<Vec<PlanKey>, AdmitError> {
-    if need > ledger.capacity() {
-        return Err(AdmitError::TooLarge {
-            working_set: need,
-            capacity: ledger.capacity(),
-        });
-    }
-    ledger.plan_admission(requesting, need, live_bytes)
-}
-
-/// The execution ladder of a tensor op: SpMTTKRP on a third-order tensor
-/// has a two-step rung between the unified kernel and the host; every
-/// other op goes from the unified kernel straight to the host.
+/// A tensor op's execution ladder: unified → two-step → host for SpMTTKRP
+/// on a third-order tensor, unified → host otherwise.
 pub fn tensor_tiers(op: TensorOp, order: usize) -> &'static [ExecTier] {
     if matches!(op, TensorOp::SpMttkrp { .. }) && order == 3 {
         &[ExecTier::Unified, ExecTier::TwoStep, ExecTier::Cpu]
@@ -157,10 +129,9 @@ impl Ladder {
         self.discarded
     }
 
-    /// The genuine-failure rule: an attempt failed for a reason a retry
-    /// cannot fix. On the first rung the request is rejected (`None`: the
-    /// driver releases what it holds); on a later rung it falls to the
-    /// last tier, which is returned.
+    /// The genuine-failure rule (a failure no retry fixes): on the first
+    /// rung the request is rejected (`None`: the driver releases what it
+    /// holds); on a later rung it falls to the last tier, returned.
     pub fn fail(&mut self) -> Option<ExecTier> {
         if self.rung == 0 {
             return None;
@@ -201,8 +172,10 @@ pub struct Retry {
 /// Per-device fault evidence and the quarantine rotation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Health {
-    faults: Vec<u64>,
-    quarantined: Vec<bool>,
+    /// Corrupting faults attributed to each device.
+    pub faults: Vec<u64>,
+    /// Devices removed from the rotation.
+    pub quarantined: Vec<bool>,
 }
 
 impl Health {
@@ -212,21 +185,6 @@ impl Health {
             faults: vec![0; devices],
             quarantined: vec![false; devices],
         }
-    }
-
-    /// Attributes one corrupting fault to `device`.
-    pub fn record_fault(&mut self, device: usize) {
-        self.faults[device] += 1;
-    }
-
-    /// Corrupting faults attributed to `device`.
-    pub fn faults(&self, device: usize) -> u64 {
-        self.faults[device]
-    }
-
-    /// True once `device` is quarantined.
-    pub fn is_quarantined(&self, device: usize) -> bool {
-        self.quarantined[device]
     }
 
     /// The devices still in the rotation, in index order.
@@ -239,9 +197,7 @@ impl Health {
     /// The quarantine rule: `device` leaves the rotation once its faults
     /// reach `threshold`, as long as another healthy device remains.
     pub fn quarantine_due(&self, device: usize, threshold: u64) -> bool {
-        !self.quarantined[device]
-            && self.faults[device] >= threshold
-            && self.quarantined.iter().filter(|&&q| !q).count() > 1
+        !self.quarantined[device] && self.faults[device] >= threshold && self.healthy().len() > 1
     }
 
     /// Applies a quarantine decision.
@@ -267,11 +223,10 @@ impl Health {
     }
 }
 
-/// The shed rule's certified completion-time lower bound: the request's
-/// queue start plus `floor_us`, the costs it cannot avoid. The real
+/// The shed rule: the certified completion-time lower bound is the queue
+/// start plus `floor_us`, the costs the request cannot avoid. The real
 /// placement can only start later and run longer, so a bound past
-/// `deadline_us` proves the deadline unreachable. Returns the bound and
-/// whether the request is shed.
+/// `deadline_us` proves the deadline unreachable. Returns (bound, shed).
 pub fn shed_bound(queue_start_us: f64, floor_us: &[f64], deadline_us: f64) -> (f64, bool) {
     let estimate_us = floor_us.iter().fold(queue_start_us, |t, us| t + us);
     (estimate_us, estimate_us > deadline_us)
@@ -279,7 +234,7 @@ pub fn shed_bound(queue_start_us: f64, floor_us: &[f64], deadline_us: f64) -> (f
 
 /// One request's progress through the protocol: the state every rule
 /// reads or advances, from admission to the terminal record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Flight {
     /// Request id (arrival index).
     pub request: usize,
@@ -309,11 +264,7 @@ impl Flight {
             request,
             device,
             ready_us: arrival_us,
-            deferred: false,
-            pending: Vec::new(),
-            attempt: 0,
-            retries: 0,
-            recovery_us: 0.0,
+            ..Flight::default()
         }
     }
 
@@ -321,9 +272,9 @@ impl Flight {
         self.request as u64
     }
 
-    /// The defer step: in-flight reservations pin the room admission needs
-    /// until `until_us`, so the request waits for them. The driver retires
-    /// the ledger at the new ready time before it tries again.
+    /// The defer step: reservations pin the room admission needs until
+    /// `until_us`; the request waits, and the driver retires the ledger at
+    /// the new ready time before it tries again.
     pub fn defer(&mut self, until_us: f64) -> ProtocolEvent {
         self.deferred = true;
         self.ready_us = until_us.max(self.ready_us);
@@ -352,9 +303,8 @@ impl Flight {
         }
     }
 
-    /// Opens a pending reservation of `bytes` that pins `key`'s format
-    /// while attempts run. It stays in [`Flight::pending`] until it is
-    /// committed or released, so neither success nor failure leaks.
+    /// Opens a pending reservation of `bytes` pinning `key`'s format; it
+    /// stays in [`Flight::pending`] until committed or released.
     pub fn reserve(
         &mut self,
         ledger: &mut PoolLedger,
@@ -369,8 +319,7 @@ impl Flight {
         }
     }
 
-    /// Gives reservation `id`, taken out of [`Flight::pending`], its
-    /// finish time.
+    /// Gives reservation `id` (out of [`Flight::pending`]) its finish time.
     pub fn commit(
         &self,
         ledger: &mut PoolLedger,
@@ -385,18 +334,20 @@ impl Flight {
         }
     }
 
-    /// Cancels reservation `id`, taken out of [`Flight::pending`].
-    pub fn release(&self, ledger: &mut PoolLedger, id: ReservationId) -> ProtocolEvent {
-        ledger.release(id);
-        ProtocolEvent::Release {
-            request: self.id(),
-            device: self.device,
-        }
+    /// Cancels reservations `ids` (out of [`Flight::pending`]).
+    pub fn release(&self, ledger: &mut PoolLedger, ids: Vec<ReservationId>) -> Vec<ProtocolEvent> {
+        let release = |id| {
+            ledger.release(id);
+            ProtocolEvent::Release {
+                request: self.id(),
+                device: self.device,
+            }
+        };
+        ids.into_iter().map(release).collect()
     }
 
-    /// The shed step: the request leaves unrun. Returns every reservation
-    /// it holds, for the driver to release, and the `Shed` event (logged
-    /// after the releases).
+    /// The shed step: the request leaves unrun. Returns the reservations it
+    /// holds, for the driver to release, then the `Shed` event.
     pub fn shed(
         &mut self,
         estimate_us: f64,
@@ -432,10 +383,10 @@ impl Flight {
         }
     }
 
-    /// The retry rule for a discarded attempt on `ladder`: counts the
-    /// retry, charges the jittered backoff of this attempt as recovery
-    /// time, advances the attempt number, and moves the ladder down a rung
-    /// once more than `max_retries` attempts were discarded at one tier.
+    /// The retry rule for a discarded attempt on `ladder`: counts it,
+    /// charges this attempt's jittered backoff as recovery time, advances
+    /// the attempt number, and past `max_retries` discarded attempts at one
+    /// tier moves the ladder down a rung.
     pub fn retry(&mut self, ladder: &mut Ladder, max_retries: usize) -> Retry {
         self.retries += 1;
         ladder.discarded += 1;

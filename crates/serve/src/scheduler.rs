@@ -47,24 +47,16 @@ impl Scheduler {
         }
     }
 
-    /// Number of devices.
-    pub fn devices(&self) -> usize {
-        self.timelines.len()
-    }
-
     /// Number of streams on `device` (zero when out of range).
     pub fn streams(&self, device: usize) -> usize {
         self.timelines.get(device).map_or(0, Timeline::streams)
     }
 
-    /// Places a job on `device` (clamped to the last device), on its
-    /// earliest-free stream: `dead_us` of blocked-but-idle stream time
-    /// (failed attempts, injected stalls, retry backoff) from `ready_us`,
-    /// then `duration_us` of real work. The dead span counts toward the
-    /// makespan — the stream is occupied — but not toward busy time,
-    /// exactly like a dependency wait, so utilization numbers stay honest
-    /// under fault injection. With no dead time the finish is the job's
-    /// start plus its duration.
+    /// Places a job on the earliest-free stream of `device` (clamped to the
+    /// last device): from `ready_us`, `dead_us` of blocked-but-idle time
+    /// (failed attempts, stalls, backoff), then `duration_us` of work. Dead
+    /// time counts toward the makespan but not toward busy time, like a
+    /// dependency wait, so utilization stays honest under fault injection.
     pub fn place_on_device(
         &mut self,
         device: usize,

@@ -11,7 +11,7 @@
 //! ([`fcoo::gather_rows`]). The byte
 //! count depends only on the tensor and the rank, so [`FactorPlan`] sizes
 //! the request's device bytes and the shed rule's transfer term before
-//! admission, and [`upload`] carries it out.
+//! admission, and the crate-private `upload` carries it out.
 
 use fcoo::{DeviceMatrix, TensorOp};
 use gpu_sim::{GpuDevice, OutOfMemory};

@@ -254,13 +254,12 @@ impl Workload {
     }
 }
 
-/// Deterministic splitmix64 step (the workspace's standard offline PRNG).
+/// Deterministic splitmix64 step (the workspace's standard offline PRNG):
+/// the finalizer of the current state, then the state advances.
 fn splitmix64(state: &mut u64) -> u64 {
+    let draw = crate::ledger::splitmix(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    draw
 }
 
 /// Uniform f64 in `[0, 1)` from one splitmix64 draw.
