@@ -1767,12 +1767,10 @@ impl ServeEngine {
         }
     }
 
-    /// The shed check. The request's certified completion-time lower bound
-    /// is its earliest queue slot on the device plus `floor_us`, the costs
-    /// it cannot avoid. The real placement can only start later and run
-    /// longer, so a bound past the deadline proves the deadline
-    /// unreachable: the request releases what it holds and is shed.
-    /// Returns true when it was shed.
+    /// The shed check: [`protocol::shed_bound`] from the request's earliest
+    /// queue slot on its device, with `floor_us` the costs it cannot avoid.
+    /// A shed request releases what it holds. Returns true when it was
+    /// shed.
     fn shed_if_late(
         &mut self,
         lc: &mut Lifecycle<'_>,

@@ -4,13 +4,13 @@
 //! the shed step ([`shed_bound`], [`Flight::shed`]) and placement with dead
 //! time ([`Flight::place`]).
 //!
-//! Two drivers run them: [`crate::engine::ServeEngine`] with real
+//! Two callers run them: [`crate::engine::ServeEngine`] with real
 //! execution, and the `modelcheck` crate over every host interleaving of
 //! small scenarios. A rule advances one request's [`Flight`], one device's
 //! [`PoolLedger`] or the devices' [`Health`], and returns its decision with
-//! the [`ProtocolEvent`] that narrates it; the driver applies the decision.
+//! the [`ProtocolEvent`] that narrates it; the caller applies the decision.
 //! So the checker proves the protocol the engine runs, and a seeded bug in
-//! the checker is a driver dropping or postponing one decision.
+//! the checker is a caller dropping or postponing one decision.
 
 use crate::events::ProtocolEvent;
 use crate::ledger::{splitmix, AdmitError, PoolLedger, ReservationId};
@@ -19,9 +19,10 @@ use crate::plan::PlanKey;
 use crate::scheduler::{Placement, Scheduler};
 use fcoo::TensorOp;
 
-/// First retry backoff and its ceiling (µs): the backoff doubles per
-/// attempt up to the cap.
+/// First retry backoff in µs; doubles per attempt up to `BACKOFF_CAP_US`.
 const BACKOFF_BASE_US: f64 = 50.0;
+
+/// Ceiling of the exponential retry backoff (µs).
 const BACKOFF_CAP_US: f64 = 800.0;
 
 /// Seed of the deterministic backoff jitter and redundancy sampling — same
@@ -55,10 +56,10 @@ pub(crate) fn redundancy_draw(request: usize, attempt: u32, rate: f64) -> bool {
 /// What an admission decided.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Admission {
-    /// The format was resident (a reuse); otherwise the driver uploads it
+    /// The format was resident (a reuse); otherwise the caller uploads it
     /// and records the upload ([`PoolLedger::record_upload`]).
     pub resident: bool,
-    /// Formats evicted to make room; the driver drops their uploads.
+    /// Formats evicted to make room; the caller drops their uploads.
     pub evicted: Vec<PlanKey>,
 }
 
@@ -130,7 +131,7 @@ impl Ladder {
     }
 
     /// The genuine-failure rule (a failure no retry fixes): on the first
-    /// rung the request is rejected (`None`: the driver releases what it
+    /// rung the request is rejected (`None`: the caller releases what it
     /// holds); on a later rung it falls to the last tier, returned.
     pub fn fail(&mut self) -> Option<ExecTier> {
         if self.rung == 0 {
@@ -273,7 +274,7 @@ impl Flight {
     }
 
     /// The defer step: reservations pin the room admission needs until
-    /// `until_us`; the request waits, and the driver retires the ledger at
+    /// `until_us`; the request waits, and the caller retires the ledger at
     /// the new ready time before it tries again.
     pub fn defer(&mut self, until_us: f64) -> ProtocolEvent {
         self.deferred = true;
@@ -347,7 +348,7 @@ impl Flight {
     }
 
     /// The shed step: the request leaves unrun. Returns the reservations it
-    /// holds, for the driver to release, then the `Shed` event.
+    /// holds, for the caller to release, then the `Shed` event.
     pub fn shed(
         &mut self,
         estimate_us: f64,
