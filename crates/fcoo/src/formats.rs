@@ -203,15 +203,6 @@ impl AnyFormat {
         }
     }
 
-    /// The F-COO payload as a shared handle (serialization reuses the
-    /// F-COO stream for every format).
-    pub fn base_arc(&self) -> Arc<Fcoo> {
-        match self {
-            AnyFormat::Fcoo(f) => Arc::clone(f),
-            AnyFormat::BfCoo(b) => Arc::new(b.base.clone()),
-        }
-    }
-
     /// Non-zeros per thread partition.
     pub fn threadlen(&self) -> usize {
         self.base().threadlen

@@ -13,22 +13,27 @@ use crate::cache::ReadOnlyCache;
 use crate::coalesce::transactions;
 use crate::config::DeviceConfig;
 use crate::faults;
-use crate::memory::{
-    apply_deferred_atomics, DeferredAtomics, DeviceBuffer, DeviceMemory, PendingAdd,
-};
-use crate::record::{self, AccessKind, AccessLog, BlockRecord, LaunchRecord};
+use crate::instrument::{self, Accesses, BlockOutput, SlotGuard};
+use crate::memory::{DeviceBuffer, DeviceMemory};
+use crate::record::{AccessLog, LaunchRecord};
 use crate::stats::{BlockStats, KernelStats};
-use crate::trace::{self, BlockTrace, LaunchTrace, MemoryEvent, MemoryEventKind, TraceLog};
+use crate::trace::{LaunchTrace, MemoryEventKind, TraceLog};
 use parking_lot::Mutex;
 
 /// A simulated GPU: configuration plus global memory.
 pub struct GpuDevice {
     config: DeviceConfig,
     memory: DeviceMemory,
+    sinks: Mutex<Sinks>,
+}
+
+/// The instrumentation a device has switched on, with what it captured.
+#[derive(Default)]
+struct Sinks {
     /// `Some` while the device is in sanitizer recording mode.
-    recording: Mutex<Option<AccessLog>>,
+    recording: Option<AccessLog>,
     /// `Some` while the device is in profiler tracing mode.
-    tracing: Mutex<Option<TraceLog>>,
+    tracing: Option<TraceLog>,
 }
 
 impl GpuDevice {
@@ -38,8 +43,7 @@ impl GpuDevice {
         GpuDevice {
             config,
             memory,
-            recording: Mutex::new(None),
-            tracing: Mutex::new(None),
+            sinks: Mutex::new(Sinks::default()),
         }
     }
 
@@ -63,10 +67,10 @@ impl GpuDevice {
     /// allocation snapshot) into an [`AccessLog`] until
     /// [`GpuDevice::stop_recording`] is called. Idempotent while recording.
     pub fn start_recording(&self) {
-        let mut guard = self.recording.lock();
-        if guard.is_none() {
-            *guard = Some(AccessLog::default());
-            record::recording_device_added();
+        let mut sinks = self.sinks.lock();
+        if sinks.recording.is_none() {
+            sinks.recording = Some(AccessLog::default());
+            instrument::open_gate(instrument::RECORDING);
         }
     }
 
@@ -76,11 +80,13 @@ impl GpuDevice {
     /// # Panics
     /// If the device was not recording.
     pub fn stop_recording(&self) -> AccessLog {
-        let mut guard = self.recording.lock();
-        let log = guard
+        let log = self
+            .sinks
+            .lock()
+            .recording
             .take()
             .expect("stop_recording called on a device that was not recording");
-        record::recording_device_removed();
+        instrument::close_gate(instrument::RECORDING);
         log
     }
 
@@ -90,10 +96,10 @@ impl GpuDevice {
     /// Idempotent while tracing. Tracing only observes — results and
     /// simulated timings are bit-exact with an untraced run.
     pub fn start_tracing(&self) {
-        let mut guard = self.tracing.lock();
-        if guard.is_none() {
-            *guard = Some(TraceLog::default());
-            trace::tracing_device_added();
+        let mut sinks = self.sinks.lock();
+        if sinks.tracing.is_none() {
+            sinks.tracing = Some(TraceLog::default());
+            instrument::open_gate(instrument::TRACING);
         }
     }
 
@@ -103,11 +109,13 @@ impl GpuDevice {
     /// # Panics
     /// If the device was not tracing.
     pub fn stop_tracing(&self) -> TraceLog {
-        let mut guard = self.tracing.lock();
-        let log = guard
+        let log = self
+            .sinks
+            .lock()
+            .tracing
             .take()
             .expect("stop_tracing called on a device that was not tracing");
-        trace::tracing_device_removed();
+        instrument::close_gate(instrument::TRACING);
         log
     }
 
@@ -115,7 +123,7 @@ impl GpuDevice {
     /// Returns an empty vector when the device is not tracing (callers can
     /// drain unconditionally).
     pub fn drain_trace(&self) -> Vec<LaunchTrace> {
-        match self.tracing.lock().as_mut() {
+        match self.sinks.lock().tracing.as_mut() {
             Some(log) => std::mem::take(&mut log.launches),
             None => Vec::new(),
         }
@@ -177,17 +185,17 @@ impl GpuDevice {
         );
         let (gx, gy) = grid;
         let total_blocks = gx * gy;
+        let mut concurrent = self.config.concurrent_blocks(block_threads);
+        if let Some(per_sm) = self.config.shared_mem_per_sm.checked_div(shared_bytes) {
+            concurrent = concurrent.min(per_sm.max(1) * self.config.num_sms);
+        }
         // Fault-injection hook: advance the launch counter, arm this
         // launch's faults, and honour an injected launch failure — the
         // kernel never runs, so output buffers keep their pre-launch
         // contents and only the launch overhead is charged (the failure is
         // latched for the host to observe, like CUDA's async error state).
         if faults::faults_active() && self.memory.fault_launch_begin() {
-            let mut concurrent = self.config.concurrent_blocks(block_threads);
-            if let Some(per_sm) = self.config.shared_mem_per_sm.checked_div(shared_bytes) {
-                concurrent = concurrent.min(per_sm.max(1) * self.config.num_sms);
-            }
-            if let Some(log) = self.tracing.lock().as_mut() {
+            if let Some(log) = self.sinks.lock().tracing.as_mut() {
                 log.launches.push(LaunchTrace::dropped(
                     grid,
                     block_threads,
@@ -197,8 +205,10 @@ impl GpuDevice {
             }
             return KernelStats::from_blocks_with_concurrency(&[], concurrent, &self.config);
         }
-        let recording = self.recording.lock().is_some();
-        let tracing = self.tracing.lock().is_some();
+        let (recording, tracing) = {
+            let sinks = self.sinks.lock();
+            (sinks.recording.is_some(), sinks.tracing.is_some())
+        };
         let mut per_block: Vec<BlockSlot> =
             (0..total_blocks).map(|_| BlockSlot::default()).collect();
         let config = &self.config;
@@ -208,75 +218,43 @@ impl GpuDevice {
                 // x-major linearization: bIdx varies fastest.
                 let block_x = block_linear % gx.max(1);
                 let block_y = block_linear / gx.max(1);
-                if recording {
-                    record::begin_block(block_linear);
-                }
-                if tracing {
-                    trace::begin_block(block_linear);
-                }
-                let atomics = DeferredAtomics::begin();
+                let guard = SlotGuard::begin(block_linear, recording, tracing);
                 let mut ctx = BlockCtx::new(config, block_x, block_y, block_threads);
                 kernel(&mut ctx);
                 slot.stats = ctx.finish();
-                slot.atomics = atomics.finish();
-                if recording {
-                    slot.record = record::end_block();
-                }
-                if tracing {
-                    slot.trace = trace::end_block();
-                }
+                slot.output = guard.finish();
             }
         });
         // Float atomics land in block-linear order whatever the worker
         // count, which at one worker is the order they were issued in.
         for slot in &mut per_block {
-            apply_deferred_atomics(&std::mem::take(&mut slot.atomics));
+            slot.output.apply_atomics();
         }
         let stats: Vec<BlockStats> = per_block.iter().map(|slot| slot.stats.clone()).collect();
-        if recording {
-            if let Some(log) = self.recording.lock().as_mut() {
-                log.launches.push(LaunchRecord {
-                    grid,
-                    block_threads,
-                    blocks: per_block
-                        .iter()
-                        .enumerate()
-                        .map(|(block, slot)| {
-                            slot.record.clone().unwrap_or(BlockRecord {
-                                block,
-                                events: Vec::new(),
-                            })
-                        })
-                        .collect(),
-                    allocations: self.memory.live_allocations(),
-                });
-            }
+        let mut sinks = self.sinks.lock();
+        if let (true, Some(log)) = (recording, sinks.recording.as_mut()) {
+            log.launches.push(LaunchRecord {
+                grid,
+                block_threads,
+                blocks: per_block
+                    .iter_mut()
+                    .filter_map(|slot| slot.output.record.take())
+                    .collect(),
+                allocations: self.memory.live_allocations(),
+            });
         }
-        let mut concurrent = config.concurrent_blocks(block_threads);
-        if let Some(per_sm) = config.shared_mem_per_sm.checked_div(shared_bytes) {
-            concurrent = concurrent.min(per_sm.max(1) * config.num_sms);
-        }
-        if tracing {
-            if let Some(log) = self.tracing.lock().as_mut() {
-                let blocks = per_block
+        if let (true, Some(log)) = (tracing, sinks.tracing.as_mut()) {
+            log.launches.push(LaunchTrace::assemble(
+                grid,
+                block_threads,
+                concurrent,
+                &stats,
+                per_block
                     .into_iter()
-                    .enumerate()
-                    .map(|(block, slot)| {
-                        slot.trace.unwrap_or(BlockTrace {
-                            block,
-                            ..BlockTrace::default()
-                        })
-                    })
-                    .collect();
-                log.launches.push(LaunchTrace::assemble(
-                    grid,
-                    block_threads,
-                    concurrent,
-                    &stats,
-                    blocks,
-                    config,
-                ));
-            }
+                    .filter_map(|slot| slot.output.trace)
+                    .collect(),
+                config,
+            ));
         }
         KernelStats::from_blocks_with_concurrency(&stats, concurrent, config)
     }
@@ -287,32 +265,7 @@ impl GpuDevice {
 #[derive(Default)]
 struct BlockSlot {
     stats: BlockStats,
-    record: Option<BlockRecord>,
-    trace: Option<BlockTrace>,
-    atomics: Vec<PendingAdd>,
-}
-
-/// Clamps a narrated range length to the recorded event's field width.
-#[inline]
-fn range_len(bytes: usize) -> u32 {
-    u32::try_from(bytes).unwrap_or(u32::MAX)
-}
-
-/// Minimum transactions a warp-wide batch of 4-byte lane accesses could need
-/// if perfectly coalesced (the profiler's coalescing baseline).
-#[inline]
-fn ideal_lane_transactions(lanes: usize, transaction_bytes: usize) -> u64 {
-    ((lanes * 4) as u64).div_ceil(transaction_bytes.max(1) as u64)
-}
-
-/// Counter snapshot taken before a narrated operation so the trace hook can
-/// attribute the operation's exact deltas without re-deriving the cost model.
-#[derive(Clone, Copy)]
-struct TraceBefore {
-    transactions: u64,
-    dram_bytes: u64,
-    rocache_hits: u64,
-    rocache_misses: u64,
+    output: BlockOutput,
 }
 
 /// Execution context handed to a kernel closure, one per thread block.
@@ -392,12 +345,7 @@ impl<'a> BlockCtx<'a> {
     /// Kernels iterate their block's warps and call this once per warp so the
     /// context can track the slowest warp (intra-block imbalance).
     pub fn begin_warp(&mut self) {
-        if record::recording_active() {
-            record::on_begin_warp();
-        }
-        if trace::tracing_active() {
-            trace::on_begin_warp();
-        }
+        instrument::begin_warp();
         self.close_warp();
         self.warp_open = true;
     }
@@ -427,33 +375,15 @@ impl<'a> BlockCtx<'a> {
     /// Charges a warp-wide global-memory read with the given lane addresses.
     #[inline]
     pub fn read_global(&mut self, addrs: &[u64]) {
-        if record::recording_active() {
-            record::on_access_batch(AccessKind::NarratedRead, addrs, 1);
-        }
-        let before = self.trace_before();
         self.global_access(addrs);
-        if let Some(before) = before {
-            if !addrs.is_empty() {
-                let ideal = ideal_lane_transactions(addrs.len(), self.config.transaction_bytes);
-                self.trace_memory(MemoryEventKind::GlobalRead, Some(ideal), before, 0, 0);
-            }
-        }
+        self.narrate(MemoryEventKind::GlobalRead, Accesses::Lanes(addrs));
     }
 
     /// Charges a warp-wide global-memory write with the given lane addresses.
     #[inline]
     pub fn write_global(&mut self, addrs: &[u64]) {
-        if record::recording_active() {
-            record::on_access_batch(AccessKind::NarratedWrite, addrs, 1);
-        }
-        let before = self.trace_before();
         self.global_access(addrs);
-        if let Some(before) = before {
-            if !addrs.is_empty() {
-                let ideal = ideal_lane_transactions(addrs.len(), self.config.transaction_bytes);
-                self.trace_memory(MemoryEventKind::GlobalWrite, Some(ideal), before, 0, 0);
-            }
-        }
+        self.narrate(MemoryEventKind::GlobalWrite, Accesses::Lanes(addrs));
     }
 
     /// Charges a warp-wide write whose cache lines are co-written by
@@ -464,19 +394,12 @@ impl<'a> BlockCtx<'a> {
         if addrs.is_empty() {
             return;
         }
-        if record::recording_active() {
-            record::on_access_batch(AccessKind::NarratedWrite, addrs, 1);
-        }
-        let before = self.trace_before();
         let t = transactions(addrs, self.config.transaction_bytes) as u64;
         self.stats.transactions += t;
         self.stats.dram_bytes +=
             (t * self.config.transaction_bytes as u64 / sharers.max(1)).max(t * 4);
         self.warp_cycles += t * self.config.mem_issue_cycles;
-        if let Some(before) = before {
-            let ideal = ideal_lane_transactions(addrs.len(), self.config.transaction_bytes);
-            self.trace_memory(MemoryEventKind::GlobalWrite, Some(ideal), before, 0, 0);
-        }
+        self.narrate(MemoryEventKind::GlobalWrite, Accesses::Lanes(addrs));
     }
 
     fn global_access(&mut self, addrs: &[u64]) {
@@ -498,31 +421,21 @@ impl<'a> BlockCtx<'a> {
     /// cost is the region's aligned sector count rather than a naive
     /// per-iteration stride analysis.
     pub fn read_global_range(&mut self, start_addr: u64, bytes: usize) {
-        if record::recording_active() {
-            record::on_access(AccessKind::NarratedRead, start_addr, range_len(bytes));
-        }
-        let before = self.trace_before();
         self.stream_range(start_addr, bytes);
-        if let Some(before) = before {
-            if bytes > 0 {
-                self.trace_memory(MemoryEventKind::StreamRead, None, before, 0, 0);
-            }
-        }
+        self.narrate(
+            MemoryEventKind::StreamRead,
+            Accesses::Range(start_addr, bytes),
+        );
     }
 
     /// Charges a streaming write of a contiguous region (same model as
     /// [`BlockCtx::read_global_range`]).
     pub fn write_global_range(&mut self, start_addr: u64, bytes: usize) {
-        if record::recording_active() {
-            record::on_access(AccessKind::NarratedWrite, start_addr, range_len(bytes));
-        }
-        let before = self.trace_before();
         self.stream_range(start_addr, bytes);
-        if let Some(before) = before {
-            if bytes > 0 {
-                self.trace_memory(MemoryEventKind::StreamWrite, None, before, 0, 0);
-            }
-        }
+        self.narrate(
+            MemoryEventKind::StreamWrite,
+            Accesses::Range(start_addr, bytes),
+        );
     }
 
     /// Cost of streaming a contiguous region through DRAM (shared by the
@@ -550,19 +463,16 @@ impl<'a> BlockCtx<'a> {
         if bytes == 0 {
             return;
         }
-        if record::recording_active() {
-            record::on_access(AccessKind::NarratedRead, start_addr, range_len(bytes));
-        }
-        let before = self.trace_before();
         let shift = self.config.transaction_bytes.trailing_zeros();
         let first = start_addr >> shift;
         let last = (start_addr + bytes as u64 - 1) >> shift;
         let t = last - first + 1;
         self.stats.transactions += t;
         self.warp_cycles += t * self.config.mem_issue_cycles;
-        if let Some(before) = before {
-            self.trace_memory(MemoryEventKind::StreamRead, None, before, 0, 0);
-        }
+        self.narrate(
+            MemoryEventKind::StreamRead,
+            Accesses::Range(start_addr, bytes),
+        );
     }
 
     /// Charges a warp-wide read of a *reused* working set of `ws_bytes`
@@ -574,10 +484,6 @@ impl<'a> BlockCtx<'a> {
         if addrs.is_empty() {
             return;
         }
-        if record::recording_active() {
-            record::on_access_batch(AccessKind::NarratedRead, addrs, 1);
-        }
-        let before = self.trace_before();
         let t = transactions(addrs, self.config.transaction_bytes) as u64;
         self.stats.transactions += t;
         self.warp_cycles += t * self.config.mem_issue_cycles;
@@ -586,10 +492,7 @@ impl<'a> BlockCtx<'a> {
         } else {
             self.stats.dram_bytes += t * self.config.transaction_bytes as u64;
         }
-        if let Some(before) = before {
-            let ideal = ideal_lane_transactions(addrs.len(), self.config.transaction_bytes);
-            self.trace_memory(MemoryEventKind::GlobalRead, Some(ideal), before, 0, 0);
-        }
+        self.narrate(MemoryEventKind::GlobalRead, Accesses::Lanes(addrs));
     }
 
     /// Charges a warp-wide read through the read-only data cache (the `__ldg`
@@ -603,10 +506,6 @@ impl<'a> BlockCtx<'a> {
     /// `ws_bytes` total size: read-only cache misses whose working set fits
     /// the device L2 are served on chip (L2 latency, no DRAM fill).
     pub fn read_readonly_ws(&mut self, addrs: &[u64], ws_bytes: usize) {
-        if record::recording_active() {
-            record::on_access_batch(AccessKind::NarratedRead, addrs, 1);
-        }
-        let before = self.trace_before();
         let line = self.rocache.line_bytes() as u64;
         let mut seen_lines = [u64::MAX; 32];
         let mut seen = 0usize;
@@ -634,11 +533,7 @@ impl<'a> BlockCtx<'a> {
                 }
             }
         }
-        if let Some(before) = before {
-            if !addrs.is_empty() {
-                self.trace_memory(MemoryEventKind::CacheRead, None, before, 0, 0);
-            }
-        }
+        self.narrate(MemoryEventKind::CacheRead, Accesses::Lanes(addrs));
     }
 
     /// Performs and charges a warp's worth of `atomicAdd(float*)`: each
@@ -652,37 +547,31 @@ impl<'a> BlockCtx<'a> {
             return;
         }
         let addrs: Vec<u64> = lanes.iter().map(|&(i, _)| buffer.addr(i)).collect();
-        if record::recording_active() {
-            record::on_access_batch(AccessKind::NarratedAtomic, &addrs, 4);
-        }
-        let before = self.trace_before();
-        let mut max_multiplicity = 0u64;
         let mut seen: Vec<(usize, u64)> = Vec::with_capacity(lanes.len());
-        for &(index, value) in lanes {
-            buffer.atomic_add_f32(index, value);
+        for &(index, _) in lanes {
             match seen.iter_mut().find(|(i, _)| *i == index) {
                 Some((_, count)) => *count += 1,
                 None => seen.push((index, 1)),
             }
         }
-        for &(_, count) in &seen {
-            max_multiplicity = max_multiplicity.max(count);
-        }
+        let max_multiplicity = seen.iter().map(|&(_, count)| count).max().unwrap_or(0);
         self.stats.atomics += lanes.len() as u64;
         let conflict = self.config.atomic_cycles * max_multiplicity;
         self.stats.atomic_conflict_cycles += conflict;
         self.warp_cycles += conflict;
         // The write traffic itself.
         self.global_access(&addrs);
-        if let Some(before) = before {
-            let ideal = ideal_lane_transactions(addrs.len(), self.config.transaction_bytes);
-            self.trace_memory(
-                MemoryEventKind::Atomic,
-                Some(ideal),
-                before,
-                lanes.len() as u64,
-                max_multiplicity,
-            );
+        // Narrated before performed: the record lists the batch ahead of the
+        // functional atomics it describes.
+        instrument::narrate(
+            MemoryEventKind::Atomic,
+            Accesses::Lanes(&addrs),
+            max_multiplicity,
+            &self.stats,
+            self.config.transaction_bytes,
+        );
+        for &(index, value) in lanes {
+            buffer.atomic_add_f32(index, value);
         }
     }
 
@@ -704,20 +593,16 @@ impl<'a> BlockCtx<'a> {
     /// Charges one `__syncthreads()` barrier.
     #[inline]
     pub fn syncthreads(&mut self) {
-        if record::recording_active() {
-            record::on_syncthreads();
-        }
         self.warp_cycles += self.config.syncthreads_cycles;
+        instrument::sync(false);
     }
 
     /// Charges one adjacent-synchronization wait (StreamScan-style inter-block
     /// domino used for kernel fusion, §IV-D).
     #[inline]
     pub fn adjacent_sync(&mut self) {
-        if record::recording_active() {
-            record::on_adjacent_sync();
-        }
         self.warp_cycles += self.config.adjacent_sync_cycles;
+        instrument::sync(true);
     }
 
     /// Charges a divergent per-lane loop: the warp runs as long as its
@@ -734,47 +619,17 @@ impl<'a> BlockCtx<'a> {
         self.rocache.hit_rate()
     }
 
-    /// Snapshot of the trace-relevant counters, taken only when tracing is
-    /// active (`None` otherwise, so the disabled path stays a single branch).
+    /// The one instrumentation call of a non-atomic narration method, made
+    /// after it has charged its cost.
     #[inline]
-    fn trace_before(&self) -> Option<TraceBefore> {
-        if trace::tracing_active() {
-            Some(TraceBefore {
-                transactions: self.stats.transactions,
-                dram_bytes: self.stats.dram_bytes,
-                rocache_hits: self.stats.rocache_hits,
-                rocache_misses: self.stats.rocache_misses,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Emits one trace event carrying the counter deltas since `before`.
-    /// `ideal` is the perfectly-coalesced transaction baseline (`None` means
-    /// the access is coalesced by construction, so ideal equals actual).
-    fn trace_memory(
-        &self,
-        kind: MemoryEventKind,
-        ideal: Option<u64>,
-        before: TraceBefore,
-        atomic_lanes: u64,
-        atomic_multiplicity: u64,
-    ) {
-        let transactions = self.stats.transactions - before.transactions;
-        trace::on_memory(MemoryEvent {
-            warp: 0,
+    fn narrate(&self, kind: MemoryEventKind, accesses: Accesses) {
+        instrument::narrate(
             kind,
-            transactions,
-            // Broadcast-style accesses can beat the payload baseline (one
-            // sector serves every lane), so clamp: efficiency is at most 1.
-            ideal_transactions: ideal.unwrap_or(transactions).min(transactions),
-            dram_bytes: self.stats.dram_bytes - before.dram_bytes,
-            cache_hits: self.stats.rocache_hits - before.rocache_hits,
-            cache_misses: self.stats.rocache_misses - before.rocache_misses,
-            atomic_lanes,
-            atomic_multiplicity,
-        });
+            accesses,
+            0,
+            &self.stats,
+            self.config.transaction_bytes,
+        );
     }
 }
 
@@ -1094,7 +949,7 @@ mod tests {
             assert_eq!(functional_read.epoch, 0, "read happened before syncthreads");
         }
         // After stop_recording, launches are no longer captured and the
-        // functional hooks go quiet (no recorder on any thread).
+        // functional hooks go quiet (no block slot records on any thread).
         device.launch((1, 1), 32, |ctx| {
             ctx.begin_warp();
             let _ = buffer.get(0);

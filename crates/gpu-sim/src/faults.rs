@@ -37,8 +37,9 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Number of devices with an installed fault injector. Mirrors the recording
-/// gate in [`crate::record`]: when zero, every fault hook is one relaxed load.
+/// Number of devices with an installed fault injector. Mirrors the
+/// recording and tracing gate in `instrument`: when zero, every fault hook
+/// is one relaxed load.
 static FAULTY_DEVICES: AtomicUsize = AtomicUsize::new(0);
 
 /// True when any device has fault injection installed (the cheap global gate

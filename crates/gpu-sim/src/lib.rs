@@ -37,9 +37,9 @@
 pub mod cache;
 pub mod coalesce;
 pub mod config;
-pub mod device_scan;
 pub mod exec;
 pub mod faults;
+mod instrument;
 pub mod memory;
 pub mod record;
 pub mod scan;
@@ -49,7 +49,6 @@ pub mod symbolic;
 pub mod trace;
 
 pub use config::DeviceConfig;
-pub use device_scan::{segmented_scan_device, DeviceScan};
 pub use exec::{BlockCtx, GpuDevice};
 pub use faults::{FaultConfig, FaultEvent};
 pub use memory::{DeviceBuffer, DeviceMemory, OutOfMemory};

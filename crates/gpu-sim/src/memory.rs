@@ -8,11 +8,12 @@
 //! out-of-memory failures on the large SpMTTKRP intermediates.
 
 use crate::faults::{self, FaultCell};
-use crate::record::{self, AccessKind};
+use crate::instrument;
+use crate::record::AccessKind;
 use parking_lot::Mutex;
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Allocation failure: the device ran out of global memory.
@@ -308,13 +309,11 @@ impl<T: DeviceValue> DeviceBuffer<T> {
             self.data.len(),
             self.base
         );
-        if record::recording_active() {
-            record::on_access(
-                AccessKind::FunctionalRead,
-                self.base + (index * std::mem::size_of::<T>()) as u64,
-                std::mem::size_of::<T>() as u32,
-            );
-        }
+        instrument::functional(
+            AccessKind::FunctionalRead,
+            self.base + (index * std::mem::size_of::<T>()) as u64,
+            std::mem::size_of::<T>() as u32,
+        );
         // SAFETY: kernels never write an element that another thread reads
         // concurrently without atomics (CUDA global-memory contract).
         let value = unsafe { *self.data[index].get() };
@@ -343,13 +342,11 @@ impl<T: DeviceValue> DeviceBuffer<T> {
             self.data.len(),
             self.base
         );
-        if record::recording_active() {
-            record::on_access(
-                AccessKind::FunctionalWrite,
-                self.base + (index * std::mem::size_of::<T>()) as u64,
-                std::mem::size_of::<T>() as u32,
-            );
-        }
+        instrument::functional(
+            AccessKind::FunctionalWrite,
+            self.base + (index * std::mem::size_of::<T>()) as u64,
+            std::mem::size_of::<T>() as u32,
+        );
         // SAFETY: `index` is bounds-checked above; exclusive access to this
         // element is the caller's obligation, stated in this fn's contract.
         unsafe { *self.data[index].get() = value };
@@ -390,7 +387,7 @@ impl<T: DeviceValue> DeviceBuffer<T> {
     /// True when reads must take the per-element path of [`Self::get`]:
     /// recording is active or this memory has armed ECC flips.
     fn checked_reads(&self) -> bool {
-        record::recording_active()
+        instrument::recording_active()
             || (faults::faults_active()
                 && self.memory.faults.flips_armed.load(Ordering::Relaxed) > 0)
     }
@@ -400,7 +397,7 @@ impl<T: DeviceValue> DeviceBuffer<T> {
     fn release(&self) {
         let bytes = self.bytes();
         let start = self.data.as_ptr() as usize;
-        flush_deferred_atomics(start, start + bytes);
+        instrument::flush_atomics(start, start + bytes);
         self.memory.live.fetch_sub(bytes, Ordering::Relaxed);
         if bytes > 0 {
             self.memory.allocations.lock().remove(&self.base);
@@ -436,13 +433,11 @@ impl DeviceBuffer<f32> {
             self.data.len(),
             self.base
         );
-        if record::recording_active() {
-            record::on_access(
-                AccessKind::FunctionalAtomic,
-                self.base + (index * std::mem::size_of::<f32>()) as u64,
-                std::mem::size_of::<f32>() as u32,
-            );
-        }
+        instrument::functional(
+            AccessKind::FunctionalAtomic,
+            self.base + (index * std::mem::size_of::<f32>()) as u64,
+            std::mem::size_of::<f32>() as u32,
+        );
         // Fault-injection hook (after the record event fires: the hardware
         // acknowledged the transaction, then lost the write). Gated on the
         // zero-cost global check, then this launch's armed flag.
@@ -456,108 +451,9 @@ impl DeviceBuffer<f32> {
         {
             return;
         }
-        let cell = self.data[index].get();
-        let deferred = DEFERRED.with(|deferred| match deferred.borrow_mut().as_mut() {
-            Some(adds) => {
-                adds.push(PendingAdd { cell, value });
-                true
-            }
-            None => false,
-        });
-        if !deferred {
-            // SAFETY: the cell is an element of this live buffer.
-            unsafe { add_to_cell(cell, value) };
-        }
+        // SAFETY: the cell is an element of this live buffer.
+        unsafe { instrument::atomic_add(self.data[index].get(), value) };
     }
-}
-
-/// Adds `value` to the `f32` in `cell` with a compare-and-swap loop on its
-/// bit pattern.
-///
-/// # Safety
-/// `cell` must point to an element of a live `f32` buffer.
-unsafe fn add_to_cell(cell: *mut f32, value: f32) {
-    // SAFETY: UnsafeCell<f32> and AtomicU32 have identical size and
-    // alignment; all concurrent accesses to accumulated elements go through
-    // this function.
-    let atomic: &AtomicU32 = unsafe { AtomicU32::from_ptr(cell.cast::<u32>()) };
-    let mut current = atomic.load(Ordering::Relaxed);
-    loop {
-        let next = (f32::from_bits(current) + value).to_bits();
-        match atomic.compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(observed) => current = observed,
-        }
-    }
-}
-
-/// A float atomic issued inside a launched block and not yet applied.
-pub(crate) struct PendingAdd {
-    cell: *mut f32,
-    value: f32,
-}
-
-// SAFETY: a pending add is only dereferenced by `apply_deferred_atomics`
-// while its buffer is live: launches apply them before returning (the
-// kernel borrows every buffer it was handed for the whole launch), and a
-// buffer released inside the block flushes its own adds first.
-unsafe impl Send for PendingAdd {}
-
-thread_local! {
-    /// The running block's float atomics, queued while a launch defers them.
-    static DEFERRED: RefCell<Option<Vec<PendingAdd>>> = const { RefCell::new(None) };
-}
-
-/// Queues this thread's float atomics until [`DeferredAtomics::finish`], so
-/// a launch can apply every block's atomics in block-linear order after its
-/// parallel region: float sums then do not depend on which host thread ran
-/// which block first. Dropping the guard without finishing (a kernel
-/// panicked) stops queueing and discards the queue.
-pub(crate) struct DeferredAtomics(());
-
-impl DeferredAtomics {
-    pub(crate) fn begin() -> Self {
-        DEFERRED.with(|deferred| *deferred.borrow_mut() = Some(Vec::new()));
-        DeferredAtomics(())
-    }
-
-    /// Stops queueing and returns the block's atomics in issue order.
-    pub(crate) fn finish(self) -> Vec<PendingAdd> {
-        DEFERRED.with(|deferred| deferred.borrow_mut().take().unwrap_or_default())
-    }
-}
-
-impl Drop for DeferredAtomics {
-    fn drop(&mut self) {
-        DEFERRED.with(|deferred| *deferred.borrow_mut() = None);
-    }
-}
-
-/// Applies queued atomics in order.
-pub(crate) fn apply_deferred_atomics(adds: &[PendingAdd]) {
-    for add in adds {
-        // SAFETY: see `PendingAdd`'s `Send` impl.
-        unsafe { add_to_cell(add.cell, add.value) };
-    }
-}
-
-/// Applies and unqueues this thread's pending atomics into the host bytes
-/// `[start, end)`, before the buffer holding them is released.
-fn flush_deferred_atomics(start: usize, end: usize) {
-    DEFERRED.with(|deferred| {
-        if let Some(adds) = deferred.borrow_mut().as_mut() {
-            adds.retain(|add| {
-                let at = add.cell as usize;
-                if (start..end).contains(&at) {
-                    // SAFETY: the buffer holding the cell is not yet released.
-                    unsafe { add_to_cell(add.cell, add.value) };
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-    });
 }
 
 impl<T: DeviceValue> Drop for DeviceBuffer<T> {

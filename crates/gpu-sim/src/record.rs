@@ -17,33 +17,11 @@
 //! resulting [`AccessLog`] to run race, out-of-bounds and narration-audit
 //! passes; this module only records.
 //!
-//! Recording is scoped to kernel execution: blocks run each on a single pool
-//! thread, so a thread-local recorder installed around the kernel closure
-//! attributes events to the right block without locking. Host-side accesses
-//! (uploads, `to_vec` downloads between launches) carry no recorder and are
-//! deliberately not captured — they model `cudaMemcpy`, not kernel traffic.
-
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Global count of devices currently in recording mode. The functional hooks
-/// in `DeviceBuffer` consult this first so that non-recording runs pay one
-/// relaxed atomic load per access and nothing else.
-static RECORDING_DEVICES: AtomicUsize = AtomicUsize::new(0);
-
-/// True if any device is currently recording (cheap global gate).
-#[inline]
-pub(crate) fn recording_active() -> bool {
-    RECORDING_DEVICES.load(Ordering::Relaxed) > 0
-}
-
-pub(crate) fn recording_device_added() {
-    RECORDING_DEVICES.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn recording_device_removed() {
-    RECORDING_DEVICES.fetch_sub(1, Ordering::Relaxed);
-}
+//! Events are collected in the running block's instrumentation slot, which
+//! also holds the profiler's trace and the block's queued float atomics.
+//! Host-side accesses (uploads, `to_vec` downloads between launches) run in
+//! no block and are deliberately not captured — they model `cudaMemcpy`,
+//! not kernel traffic.
 
 /// What a recorded memory event is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,126 +138,29 @@ impl AccessLog {
     }
 }
 
-/// Per-thread recorder installed around one block's kernel closure.
-struct Recorder {
-    record: BlockRecord,
-    warp: u32,
-    epoch: u32,
-    warp_started: bool,
-    adjacent_epoch: u32,
-}
-
-thread_local! {
-    static CURRENT: RefCell<Option<Recorder>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh recorder for `block` on this thread.
-pub(crate) fn begin_block(block: usize) {
-    CURRENT.with(|current| {
-        *current.borrow_mut() = Some(Recorder {
-            record: BlockRecord {
-                block,
-                events: Vec::new(),
-            },
-            warp: 0,
-            epoch: 0,
-            warp_started: false,
-            adjacent_epoch: 0,
-        });
-    });
-}
-
-/// Removes this thread's recorder and returns the block's events.
-pub(crate) fn end_block() -> Option<BlockRecord> {
-    CURRENT.with(|current| current.borrow_mut().take().map(|recorder| recorder.record))
-}
-
-#[inline]
-fn with_recorder(f: impl FnOnce(&mut Recorder)) {
-    CURRENT.with(|current| {
-        if let Some(recorder) = current.borrow_mut().as_mut() {
-            f(recorder);
-        }
-    });
-}
-
-/// Records one access. Called from narration methods and functional hooks;
-/// no-op unless a recorder is installed on this thread.
-#[inline]
-pub(crate) fn on_access(kind: AccessKind, addr: u64, bytes: u32) {
-    with_recorder(|recorder| {
-        recorder.record.events.push(Event {
-            addr,
-            bytes,
-            kind,
-            warp: recorder.warp,
-            epoch: recorder.epoch,
-            adjacent_epoch: recorder.adjacent_epoch,
-        });
-    });
-}
-
-/// Records a warp-wide batch of lane accesses of `bytes` each.
-#[inline]
-pub(crate) fn on_access_batch(kind: AccessKind, addrs: &[u64], bytes: u32) {
-    with_recorder(|recorder| {
-        for &addr in addrs {
-            recorder.record.events.push(Event {
-                addr,
-                bytes,
-                kind,
-                warp: recorder.warp,
-                epoch: recorder.epoch,
-                adjacent_epoch: recorder.adjacent_epoch,
-            });
-        }
-    });
-}
-
-/// Advances to the next warp (resets the sync epoch — warps of a block run
-/// the same sync sequence; the adjacent epoch is block-scoped and persists).
-pub(crate) fn on_begin_warp() {
-    with_recorder(|recorder| {
-        if recorder.warp_started {
-            recorder.warp += 1;
-        } else {
-            recorder.warp_started = true;
-        }
-        recorder.epoch = 0;
-    });
-}
-
-/// Advances the current warp's sync epoch (a `syncthreads` barrier).
-pub(crate) fn on_syncthreads() {
-    with_recorder(|recorder| recorder.epoch += 1);
-}
-
-/// Records a completed adjacent-synchronization wait: it both advances the
-/// warp's sync epoch (it is an intervening sync event for intra-block
-/// ordering) and the block's adjacent epoch (one domino round).
-pub(crate) fn on_adjacent_sync() {
-    with_recorder(|recorder| {
-        recorder.epoch += 1;
-        recorder.adjacent_epoch += 1;
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn recorder_attributes_warp_epoch_and_adjacency() {
-        begin_block(3);
-        on_access(AccessKind::FunctionalRead, 0x100, 4);
-        on_begin_warp();
-        on_access(AccessKind::NarratedRead, 0x200, 4);
-        on_syncthreads();
-        on_access(AccessKind::FunctionalWrite, 0x300, 4);
-        on_begin_warp();
-        on_adjacent_sync();
-        on_access_batch(AccessKind::NarratedWrite, &[0x400, 0x404], 1);
-        let record = end_block().unwrap();
+        use crate::instrument::{self, Accesses, SlotGuard};
+        use crate::stats::BlockStats;
+        use crate::trace::MemoryEventKind;
+        // The recorder hooks fire while any device records.
+        instrument::open_gate(instrument::RECORDING);
+        let block = SlotGuard::begin(3, true, false);
+        instrument::functional(AccessKind::FunctionalRead, 0x100, 4);
+        instrument::begin_warp();
+        instrument::functional(AccessKind::FunctionalRead, 0x200, 4);
+        instrument::sync(false);
+        instrument::functional(AccessKind::FunctionalWrite, 0x300, 4);
+        instrument::begin_warp();
+        instrument::sync(true);
+        let stats = BlockStats::default();
+        let lanes = Accesses::Lanes(&[0x400, 0x404]);
+        instrument::narrate(MemoryEventKind::GlobalWrite, lanes, 0, &stats, 32);
+        let record = block.finish().record.unwrap();
         assert_eq!(record.block, 3);
         assert_eq!(record.events.len(), 5);
         assert_eq!((record.events[0].warp, record.events[0].epoch), (0, 0));
@@ -288,12 +169,15 @@ mod tests {
         // Second begin_warp resets the sync epoch and bumps the warp; the
         // adjacent_sync then counts as one sync event and one domino round.
         assert_eq!((record.events[3].warp, record.events[3].epoch), (1, 1));
+        assert_eq!(record.events[3].kind, AccessKind::NarratedWrite);
         assert_eq!(record.events[2].adjacent_epoch, 0);
         assert_eq!(record.events[3].adjacent_epoch, 1);
         assert_eq!(record.events[4].adjacent_epoch, 1);
-        // No recorder installed anymore: events are dropped silently.
-        on_access(AccessKind::FunctionalRead, 0x500, 4);
-        assert!(end_block().is_none());
+        // No block is running anymore: events are dropped silently.
+        instrument::functional(AccessKind::FunctionalRead, 0x500, 4);
+        let next = SlotGuard::begin(4, true, false).finish().record.unwrap();
+        assert!(next.events.is_empty());
+        instrument::close_gate(instrument::RECORDING);
     }
 
     #[test]

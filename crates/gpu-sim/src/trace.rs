@@ -8,19 +8,19 @@
 //! analytic timing fold of [`KernelStats`](crate::KernelStats) exactly, so a
 //! trace is consistent with the simulated duration bit for bit.
 //!
-//! The tracer follows the same two design rules as the sanitizer recorder
-//! ([`record`](crate::record)) and the fault injector
-//! ([`faults`](crate::faults)):
+//! Two design rules, shared with the sanitizer recorder
+//! ([`record`](crate::record)):
 //!
 //! * **zero-cost when disabled** — every hook is behind a single relaxed
-//!   atomic load (`tracing_active()`); a non-tracing run executes the exact
-//!   same instruction stream as an uninstrumented one, so tracing can never
-//!   perturb results or simulated timings;
+//!   atomic load of a global gate; a non-tracing run executes the exact
+//!   same cost model as an uninstrumented one, so tracing can never perturb
+//!   results or simulated timings;
 //! * **deterministic regardless of host interleaving** — events are
-//!   collected per block on the executing pool thread (a thread-local
-//!   collector, no shared mutable state) and reassembled in x-major launch
-//!   order, and all timestamps come from the simulated timeline, never the
-//!   wall clock. Two runs of the same seed produce byte-identical traces.
+//!   collected per block in the running block's instrumentation slot (a
+//!   thread-local, no shared mutable state) and reassembled in x-major
+//!   launch order, and all timestamps come from the simulated timeline,
+//!   never the wall clock. Two runs of the same seed produce byte-identical
+//!   traces.
 //!
 //! Export goes through [`ChromeTrace`], a hand-rolled Chrome-trace/Perfetto
 //! JSON builder (the dependency set has no JSON library, and hand-formatting
@@ -30,28 +30,7 @@
 
 use crate::config::DeviceConfig;
 use crate::stats::BlockStats;
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Global count of devices currently in tracing mode. Narration hooks consult
-/// this first so that non-tracing runs pay one relaxed atomic load and
-/// nothing else.
-static TRACING_DEVICES: AtomicUsize = AtomicUsize::new(0);
-
-/// True if any device is currently tracing (cheap global gate).
-#[inline]
-pub(crate) fn tracing_active() -> bool {
-    TRACING_DEVICES.load(Ordering::Relaxed) > 0
-}
-
-pub(crate) fn tracing_device_added() {
-    TRACING_DEVICES.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn tracing_device_removed() {
-    TRACING_DEVICES.fetch_sub(1, Ordering::Relaxed);
-}
 
 /// What kind of memory behaviour a [`MemoryEvent`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -413,70 +392,6 @@ impl KernelCounters {
         self.atomic_calls += other.atomic_calls;
         self.atomic_multiplicity_sum += other.atomic_multiplicity_sum;
     }
-}
-
-/// Per-thread collector installed around one block's kernel closure (same
-/// scheme as the sanitizer recorder: one pool thread per block, so no
-/// locking, and reassembly in launch order keeps the result deterministic).
-struct Collector {
-    trace: BlockTrace,
-    warp: u32,
-    warp_started: bool,
-}
-
-thread_local! {
-    static CURRENT: RefCell<Option<Collector>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh collector for `block` on this thread.
-pub(crate) fn begin_block(block: usize) {
-    CURRENT.with(|current| {
-        *current.borrow_mut() = Some(Collector {
-            trace: BlockTrace {
-                block,
-                warps: 0,
-                events: Vec::new(),
-            },
-            warp: 0,
-            warp_started: false,
-        });
-    });
-}
-
-/// Removes this thread's collector and returns the block's trace.
-pub(crate) fn end_block() -> Option<BlockTrace> {
-    CURRENT.with(|current| current.borrow_mut().take().map(|c| c.trace))
-}
-
-#[inline]
-fn with_collector(f: impl FnOnce(&mut Collector)) {
-    CURRENT.with(|current| {
-        if let Some(collector) = current.borrow_mut().as_mut() {
-            f(collector);
-        }
-    });
-}
-
-/// Advances to the next warp.
-pub(crate) fn on_begin_warp() {
-    with_collector(|collector| {
-        if collector.warp_started {
-            collector.warp += 1;
-        } else {
-            collector.warp_started = true;
-        }
-        collector.trace.warps += 1;
-    });
-}
-
-/// Records one memory event attributed to the current warp. No-op unless a
-/// collector is installed on this thread.
-#[inline]
-pub(crate) fn on_memory(mut event: MemoryEvent) {
-    with_collector(|collector| {
-        event.warp = collector.warp;
-        collector.trace.events.push(event);
-    });
 }
 
 /// Trace-event phases of the Chrome trace-event format.

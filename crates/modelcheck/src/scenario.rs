@@ -82,8 +82,6 @@ impl ReqSpec {
 pub struct Scenario {
     /// Display name.
     pub name: &'static str,
-    /// One-line description of the race the scenario exercises.
-    pub what: &'static str,
     /// Number of simulated devices.
     pub devices: usize,
     /// Streams per device.
@@ -141,10 +139,9 @@ impl Mutation {
     }
 }
 
-fn base(name: &'static str, what: &'static str, requests: Vec<ReqSpec>) -> Scenario {
+fn base(name: &'static str, requests: Vec<ReqSpec>) -> Scenario {
     Scenario {
         name,
-        what,
         devices: 2,
         streams_per_device: 2,
         capacity_bytes: 1 << 20,
@@ -160,7 +157,6 @@ pub fn baseline() -> Scenario {
     r2.exec_us = 35.0;
     base(
         "baseline",
-        "3 requests, 2 devices, no faults, one format reuse",
         vec![ReqSpec::new(0.0, 0, 0), ReqSpec::new(5.0, 1, 1), r2],
     )
 }
@@ -175,11 +171,7 @@ pub fn acceptance() -> Scenario {
     r2.exec_us = 45.0;
     let mut r3 = ReqSpec::new(15.0, 1, 3);
     r3.exec_us = 70.0;
-    base(
-        "acceptance",
-        "4 requests, 2 devices, 1 injected fault on request 1",
-        vec![ReqSpec::new(0.0, 0, 0), r1, r2, r3],
-    )
+    base("acceptance", vec![ReqSpec::new(0.0, 0, 0), r1, r2, r3])
 }
 
 /// Memory pressure: request 1 cannot fit next to request 0's in-flight
@@ -194,11 +186,7 @@ pub fn pressure() -> Scenario {
     let mut r2 = ReqSpec::new(8.0, 1, 2);
     r2.format_bytes = 200;
     r2.transient_bytes = 100;
-    let mut s = base(
-        "pressure",
-        "capacity 1000 B: request 1 must defer behind request 0, then evict",
-        vec![r0, r1, r2],
-    );
+    let mut s = base("pressure", vec![r0, r1, r2]);
     s.capacity_bytes = 1000;
     s.streams_per_device = 1;
     s
@@ -211,7 +199,6 @@ pub fn doomed() -> Scenario {
     r1.doomed = true;
     base(
         "doomed",
-        "request 1 fails genuinely on device 0; its bytes must come back",
         vec![ReqSpec::new(0.0, 0, 0), r1, ReqSpec::new(10.0, 1, 2)],
     )
 }
@@ -223,7 +210,6 @@ pub fn doomed_follower() -> Scenario {
     r1.doomed = true;
     base(
         "doomed-follower",
-        "a request queues behind a genuinely failing one on the same device",
         vec![ReqSpec::new(0.0, 0, 0), r1, ReqSpec::new(10.0, 0, 2)],
     )
 }
@@ -233,11 +219,7 @@ pub fn doomed_follower() -> Scenario {
 pub fn quarantine() -> Scenario {
     let mut r0 = ReqSpec::new(0.0, 0, 0);
     r0.fault_attempts = vec![0, 1];
-    let mut s = base(
-        "quarantine",
-        "device 0 crosses the fault threshold mid-run; request 1 redirects",
-        vec![r0, ReqSpec::new(5.0, 0, 1)],
-    );
+    let mut s = base("quarantine", vec![r0, ReqSpec::new(5.0, 0, 1)]);
     s.quarantine_threshold = 2;
     s.max_retries = 2;
     s
@@ -252,11 +234,7 @@ pub fn ooc() -> Scenario {
     let mut r0 = ReqSpec::new(0.0, 0, 0).chunked(3, 200);
     r0.transient_bytes = 300;
     r0.chunk_fault_chunks = vec![1];
-    base(
-        "ooc",
-        "a 3-chunk streamed request faults mid-pipeline; chunk bytes must cycle",
-        vec![r0, ReqSpec::new(5.0, 1, 1)],
-    )
+    base("ooc", vec![r0, ReqSpec::new(5.0, 1, 1)])
 }
 
 /// Like [`ooc`], but the follower targets the *same* device — if a faulted
@@ -266,11 +244,7 @@ pub fn ooc_follower() -> Scenario {
     let mut r0 = ReqSpec::new(0.0, 0, 0).chunked(3, 200);
     r0.transient_bytes = 300;
     r0.chunk_fault_chunks = vec![1];
-    base(
-        "ooc-follower",
-        "a request queues behind a chunk-streamed one on the same device",
-        vec![r0, ReqSpec::new(5.0, 0, 1)],
-    )
+    base("ooc-follower", vec![r0, ReqSpec::new(5.0, 0, 1)])
 }
 
 /// Overload shedding: request 1 carries a deadline its certified
@@ -282,7 +256,6 @@ pub fn overload() -> Scenario {
     r1.deadline_us = Some(10.0);
     base(
         "overload",
-        "request 1's deadline provably misses; it is shed, its bytes return",
         vec![ReqSpec::new(0.0, 0, 0), r1, ReqSpec::new(10.0, 1, 2)],
     )
 }
@@ -294,7 +267,6 @@ pub fn overload_follower() -> Scenario {
     r1.deadline_us = Some(10.0);
     base(
         "overload-follower",
-        "a request queues behind a shed one on the same device",
         vec![ReqSpec::new(0.0, 0, 0), r1, ReqSpec::new(10.0, 0, 2)],
     )
 }

@@ -6,8 +6,9 @@
 //! The workloads reach every request path: in-core execution, result-cache
 //! replay, admission deferral, a deadline shed, hot-plan replication,
 //! out-of-core chunks, CP-ALS, and genuine rejections. Result checksums are
-//! left out on purpose: float atomics may sum in a thread-dependent order,
-//! while events and simulated timings do not depend on the values.
+//! left out on purpose: events and simulated timings do not depend on the
+//! values, so a checksum would pin the kernels' arithmetic, which the golden
+//! and format-conformance suites pin already, rather than the protocol.
 //!
 //! On a mismatch the rendered log is written next to the test binary's
 //! scratch directory (`CARGO_TARGET_TMPDIR/lifecycle.actual.txt`) so it can

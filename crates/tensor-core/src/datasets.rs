@@ -85,10 +85,6 @@ impl DatasetKind {
     /// Skew exponent for coordinate sampling (0 = uniform). Larger values
     /// concentrate non-zeros in a power-law head, increasing fiber-length
     /// variance.
-    pub fn skew_exponent(self) -> f64 {
-        self.skew()
-    }
-
     fn skew(self) -> f64 {
         match self {
             DatasetKind::Brainq => 0.0,

@@ -5,7 +5,7 @@
 //! coordinate tuple per non-empty fiber (the index modes only) plus an
 //! `nfibs × R` row-major dense value block.
 
-use crate::{DenseMatrix, Idx, Val};
+use crate::{Idx, Val};
 
 /// A tensor that is sparse in all modes except one dense mode of length `R`.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,11 +181,6 @@ impl SemiSparseTensor {
         }
         self.coords = new_coords;
         self.values = new_values;
-    }
-
-    /// Views the fibers as a dense `nfibs × dense_len` matrix (clones values).
-    pub fn to_matrix(&self) -> DenseMatrix {
-        DenseMatrix::from_vec(self.nfibs(), self.dense_len, self.values.clone())
     }
 
     /// Largest absolute difference to `other`, after both are canonicalized.

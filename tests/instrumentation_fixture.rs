@@ -279,7 +279,9 @@ fn probe(device: &GpuDevice, input: &[f32]) -> (String, Vec<LaunchTrace>, Vec<u3
         let b = ctx.block_x();
         for warp in 0..ctx.warps_per_block() {
             ctx.begin_warp();
-            let addrs: Vec<u64> = (0..32).map(|lane| data.addr((b + warp + lane) % 64)).collect();
+            let addrs: Vec<u64> = (0..32)
+                .map(|lane| data.addr((b + warp + lane) % 64))
+                .collect();
             ctx.read_global(&addrs);
             let value = data.get(b);
             ctx.syncthreads();
@@ -288,7 +290,11 @@ fn probe(device: &GpuDevice, input: &[f32]) -> (String, Vec<LaunchTrace>, Vec<u3
     });
     let recorded = format!("{:?}", device.stop_recording());
     let traced = device.stop_tracing().launches;
-    (recorded, traced, sums.to_vec().iter().map(|v| v.to_bits()).collect())
+    (
+        recorded,
+        traced,
+        sums.to_vec().iter().map(|v| v.to_bits()).collect(),
+    )
 }
 
 #[test]
@@ -312,10 +318,17 @@ fn a_kernel_panic_leaves_no_slot_behind() {
     assert!(panicked.is_err(), "the out-of-bounds read must panic");
     device.stop_recording();
     device.stop_tracing();
+    // No pool worker still holds a panicked block's slot: float atomics
+    // issued on the workers outside any launch apply at once.
+    let host = device.memory().alloc_zeroed::<f32>(1).expect("alloc");
+    let mut tasks = vec![0u8; 256];
+    unified_tensors::cpu_par::par_chunks_mut(&mut tasks, 1, |_, _| host.atomic_add_f32(0, 1.0));
+    assert_eq!(host.get(0), 256.0, "host-side atomics after a panic");
 
     let fresh = GpuDevice::titan_x();
     let _small = fresh.memory().alloc_zeroed::<f32>(8).expect("alloc");
     let _sink = fresh.memory().alloc_zeroed::<f32>(1).expect("alloc");
+    let _host = fresh.memory().alloc_zeroed::<f32>(1).expect("alloc");
     let after_panic = probe(&device, &input);
     let on_fresh = probe(&fresh, &input);
     assert_eq!(after_panic.0, on_fresh.0, "recording after a panic");

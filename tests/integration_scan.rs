@@ -1,14 +1,20 @@
-//! Cross-validation of the unified kernels against the standalone device
-//! segmented scan: computing the per-non-zero products on the host, scanning
-//! them with `gpu_sim::device_scan`, and gathering each segment's total must
-//! reproduce the unified kernel's output exactly (same algorithmic
-//! decomposition, independent implementations).
+//! Cross-validation of the unified kernels against their algorithmic
+//! decomposition: computing the per-non-zero products on the host, scanning
+//! them with the host reference `gpu_sim::scan::segmented_scan_inclusive`
+//! over the format's bit-flag heads, and gathering each segment's total
+//! must reproduce the unified kernel's output (same decomposition,
+//! independent implementations).
 
-use unified_tensors::gpu_sim::device_scan::segmented_scan_device;
+use unified_tensors::gpu_sim::scan::segmented_scan_inclusive;
 use unified_tensors::prelude::*;
 
+/// The format's segment heads, one flag per non-zero.
+fn heads(fcoo: &Fcoo) -> Vec<bool> {
+    (0..fcoo.nnz()).map(|nz| fcoo.bf.get(nz)).collect()
+}
+
 #[test]
-fn unified_spttm_equals_product_then_device_scan() {
+fn unified_spttm_equals_product_then_segmented_scan() {
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, 4_000, 600);
     let device = GpuDevice::titan_x();
     let rank = 6;
@@ -22,27 +28,21 @@ fn unified_spttm_equals_product_then_device_scan() {
         unified_tensors::fcoo::spttm(&device, &on_device, &u, &LaunchConfig::default())
             .expect("kernel");
 
-    // Path B: per-non-zero products (host) → device segmented scan →
-    // segment totals at the scan's segment-final positions.
+    // Path B: per-non-zero products → segmented scan → segment totals at
+    // the scan's segment-final positions.
     let nnz = fcoo.nnz();
     let segments = fcoo.segments();
+    let heads = heads(&fcoo);
     for col in 0..rank {
         let products: Vec<f32> = (0..nnz)
             .map(|nz| fcoo.values[nz] * u_host.get(fcoo.product_indices[0][nz] as usize, col))
             .collect();
-        let values = device.memory().alloc_from_slice(&products).expect("alloc");
-        let flags = device
-            .memory()
-            .alloc_from_slice(fcoo.bf.bytes())
-            .expect("alloc");
-        let out = device.memory().alloc_zeroed::<f32>(nnz).expect("alloc");
-        segmented_scan_device(&device, &values, &flags, nnz, &out, 128);
+        let out = segmented_scan_inclusive(&products, &heads);
         // Segment totals: the scanned value just before each next head.
         let mut seg_totals = Vec::with_capacity(segments);
-        for nz in 0..nnz {
-            let next_is_head = nz + 1 == nnz || fcoo.bf.get(nz + 1);
-            if next_is_head {
-                seg_totals.push(out.get(nz));
+        for (nz, &total) in out.iter().enumerate() {
+            if heads.get(nz + 1).copied().unwrap_or(true) {
+                seg_totals.push(total);
             }
         }
         assert_eq!(seg_totals.len(), segments);
@@ -57,7 +57,7 @@ fn unified_spttm_equals_product_then_device_scan() {
 }
 
 #[test]
-fn unified_mttkrp_equals_product_then_device_scan() {
+fn unified_mttkrp_equals_product_then_segmented_scan() {
     let (tensor, _) = datasets::generate(DatasetKind::Brainq, 6_000, 601);
     let device = GpuDevice::titan_x();
     let rank = 4;
@@ -81,6 +81,7 @@ fn unified_mttkrp_equals_product_then_device_scan() {
 
     let nnz = fcoo.nnz();
     let product_modes = &fcoo.classification.product_modes;
+    let heads = heads(&fcoo);
     for col in 0..rank {
         let products: Vec<f32> = (0..nnz)
             .map(|nz| {
@@ -91,20 +92,12 @@ fn unified_mttkrp_equals_product_then_device_scan() {
                 product
             })
             .collect();
-        let values = device.memory().alloc_from_slice(&products).expect("alloc");
-        let flags = device
-            .memory()
-            .alloc_from_slice(fcoo.bf.bytes())
-            .expect("alloc");
-        let out = device.memory().alloc_zeroed::<f32>(nnz).expect("alloc");
-        segmented_scan_device(&device, &values, &flags, nnz, &out, 64);
+        let out = segmented_scan_inclusive(&products, &heads);
         let mut seg = 0usize;
-        for nz in 0..nnz {
-            let next_is_head = nz + 1 == nnz || fcoo.bf.get(nz + 1);
-            if next_is_head {
+        for (nz, &total) in out.iter().enumerate() {
+            if heads.get(nz + 1).copied().unwrap_or(true) {
                 let row = fcoo.segment_coords[0][seg] as usize;
                 let kernel_value = kernel_result.get(row, col);
-                let total = out.get(nz);
                 assert!(
                     (kernel_value - total).abs() <= 2e-3 * (1.0 + total.abs()),
                     "column {col} segment {seg} (row {row}): {kernel_value} vs {total}"
