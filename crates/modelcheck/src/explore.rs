@@ -425,7 +425,7 @@ fn select_ample(
     let can_fault = sc
         .requests
         .iter()
-        .any(|r| !r.fault_attempts.is_empty() || !r.chunk_fault_chunks.is_empty());
+        .any(|r| !r.fault_attempts.is_empty() || !r.chunk_faults.is_empty());
     let late_quarantine = mutation == Mutation::LateQuarantine;
     for &action in actions {
         let r = action.request();

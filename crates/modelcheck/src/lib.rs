@@ -19,21 +19,17 @@
 //!   readback) ever follows an injected fault without an intervening
 //!   scrub barrier.
 //!
-//! Out-of-core requests stream their format in chunks, each holding a
-//! chunk-granular pending reservation from upload to its D2H commit — the
-//! same properties cover that reserve/commit/release cycle across fault
-//! interleavings.
-//!
-//! Deadlined requests whose certified execution-time floor provably
-//! misses the deadline are *shed*: the model releases their pending
-//! reservation and retires them unrun, and the same four properties cover
-//! the shed path (a leaked shed reservation refutes leak-freedom and
-//! deadlocks same-device admission).
+//! The same properties cover the out-of-core chunk loop, which the engine
+//! and the model share: each chunk holds one reservation across its retries
+//! and commits it at its D2H end, or releases it when the chunk runs out of
+//! retries and the request takes the host rung. They also cover the shed
+//! path: a request whose certified floor provably misses its deadline
+//! releases its reservation unrun.
 //!
 //! The mutation self-test ([`scenario::mutation_suite`]) seeds six known
 //! protocol bugs — a dropped `release`, a skipped scrub, a lazily applied
-//! quarantine, a deferred admission that never retires, a faulted chunk
-//! that skips its chunk-granular release, a shed request that skips its
+//! quarantine, a deferred admission that never retires, a chunk out of
+//! retries that skips its release, a shed request that skips its
 //! release — and demands each is refuted while the faithful protocol
 //! proves everything on the same scenario. Each mutation drops or postpones
 //! one decision a shared rule returned; `serve` itself has no mutation

@@ -9,7 +9,8 @@
 //! scenario's fault schedule, and the six mutations — each drops or
 //! postpones one decision a shared rule returned. Three abstractions
 //! remain, documented where they live: faults are a taint flag, the shed
-//! floor is static, and the chunk step is atomic (`docs/MODELCHECK.md`).
+//! floor is static, and chunks take no simulated time
+//! (`docs/MODELCHECK.md`).
 //!
 //! ```text
 //! Idle ──Admit──▶ Admitted ──BeginExec──▶ Running ──Barrier──▶ Barriered
@@ -34,11 +35,12 @@ use crate::scenario::{Mutation, Scenario};
 use crate::{Property, Violation};
 use fcoo::TensorOp;
 use serve::ledger::splitmix;
-use serve::protocol::{self, Flight, Health, Ladder, Rung};
+use serve::protocol::{self, Flight, Health, Ladder, Rung, CHUNK_TIERS};
 use serve::{AdmitError, ExecTier, Placement, PlanKey, PoolLedger, ProtocolEvent, Scheduler};
 
-/// Where a request is in its protocol lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a request is in its protocol lifecycle. From `Placed` on (in
+/// declaration order) a request no longer gates later placements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
     /// Not yet admitted (possibly deferred and retrying).
     Idle,
@@ -83,9 +85,6 @@ pub struct ReqState {
     pub chunk_ladder: Ladder,
     /// Final placement, once placed.
     pub placement: Option<Placement>,
-    /// True once the request no longer gates later placements (placed or
-    /// rejected).
-    pub place_done: bool,
     /// Streamed chunks completed so far (chunked requests only).
     pub chunks_done: u32,
 }
@@ -135,8 +134,9 @@ pub enum Action {
     /// Request `r` is shed: its certified execution-time floor provably
     /// misses its deadline, so its reservation is released unrun.
     Shed(usize),
-    /// Request `r` streams its next chunk: reserve → run → scrub →
-    /// commit (or release + backoff on a faulted attempt).
+    /// Request `r` runs one attempt of its current chunk: reserve (first
+    /// attempt) → run → scrub → commit, or backoff and retry with the
+    /// reservation held, or release and take the host rung.
     Chunk(usize),
     /// Request `r` runs the integrity barrier (scrub + fault policy).
     Barrier(usize),
@@ -194,9 +194,6 @@ pub fn key_for(key_id: u64) -> PlanKey {
     PlanKey::new(0x4D43_0000 ^ key_id, TensorOp::SpMttkrp { mode: 0 }, 8)
 }
 
-/// A chunk's ladder: the unified kernel only.
-const CHUNK_TIERS: &[ExecTier] = &[ExecTier::Unified];
-
 /// The scrub of an integrity barrier: reports and clears the device's
 /// taint. Under `SkipScrub` it neither scrubs nor looks — the taint
 /// silently survives and the attempt "passes".
@@ -235,7 +232,6 @@ impl ModelState {
                     ladder: Ladder::new(protocol::tensor_tiers(key_for(spec.key_id).op(), 3)),
                     chunk_ladder: Ladder::new(CHUNK_TIERS),
                     placement: None,
-                    place_done: false,
                     chunks_done: 0,
                 })
                 .collect(),
@@ -251,7 +247,7 @@ impl ModelState {
     pub fn enabled(&self, sc: &Scenario) -> Vec<Action> {
         let first_idle = self.reqs.iter().position(|r| r.phase == Phase::Idle);
         let mut out = Vec::new();
-        for (r, req) in self.reqs.iter().enumerate() {
+        for (r, (req, spec)) in self.reqs.iter().zip(&sc.requests).enumerate() {
             match req.phase {
                 Phase::Idle => {
                     // FIFO admission ticket: only the head of the queue may
@@ -259,7 +255,7 @@ impl ModelState {
                     // (uncommitted) reservation — the engine admits after
                     // the previous job on the device settled its bytes.
                     if first_idle == Some(r) {
-                        let d = self.health.affinity(sc.requests[r].preferred_device as u64);
+                        let d = self.health.affinity(spec.preferred_device as u64);
                         if self.pools[d].pending_reservations() == 0 {
                             out.push(Action::Admit(r));
                         }
@@ -270,9 +266,7 @@ impl ModelState {
                     // execution time is unreachable even on an empty queue
                     // (the engine's bound with nothing queued ahead), and
                     // the engine decides it at admission — before the lock.
-                    let sheds = sc.requests[r]
-                        .deadline_us
-                        .is_some_and(|dl| dl < sc.requests[r].exec_us);
+                    let sheds = spec.deadline_us.is_some_and(|dl| dl < spec.exec_us);
                     if sheds {
                         out.push(Action::Shed(r));
                     } else if self.devs[req.flight.device].lock.is_none() {
@@ -281,8 +275,9 @@ impl ModelState {
                 }
                 Phase::Running => {
                     // A chunked request streams every chunk (holding the
-                    // execution lock) before its final integrity barrier.
-                    if req.chunks_done < sc.requests[r].chunks {
+                    // execution lock) before its barrier, unless a chunk
+                    // out of retries sent it to the host rung.
+                    if req.chunks_done < spec.chunks && req.ladder.tier() != ExecTier::Cpu {
                         out.push(Action::Chunk(r));
                     } else {
                         out.push(Action::Barrier(r));
@@ -290,7 +285,7 @@ impl ModelState {
                 }
                 Phase::Barriered => {
                     // Sequential dispatch: placement in arrival order.
-                    if self.reqs[..r].iter().all(|p| p.place_done) {
+                    if self.reqs[..r].iter().all(|p| p.phase >= Phase::Placed) {
                         out.push(Action::Place(r));
                     }
                 }
@@ -344,20 +339,26 @@ impl ModelState {
                 let key = key_for(spec.key_id);
                 let live = pools[d].cached_bytes();
                 let (fb, tb) = (spec.format_bytes, spec.transient_bytes);
-                match protocol::admit(&mut pools[d], key, fb, tb, live) {
-                    Ok(admission) => {
-                        // The model's upload is instantaneous and never fails.
-                        if !admission.resident {
+                // Out of core, admission only makes room (transients, two
+                // chunks); the model's upload is instantaneous and never fails.
+                let admitted = if spec.chunks > 0 {
+                    let need = tb + 2 * spec.chunk_bytes;
+                    protocol::make_room(&mut pools[d], key, need, live).map(|_| true)
+                } else {
+                    protocol::admit(&mut pools[d], key, fb, tb, live).map(|a| !a.resident)
+                };
+                match admitted {
+                    Ok(uploaded) => {
+                        if uploaded && spec.chunks == 0 {
                             pools[d].record_upload(key, fb);
                         }
                         req.phase = Phase::Admitted;
-                        events.push(req.flight.admitted(!admission.resident));
+                        events.push(req.flight.admitted(uploaded));
                         events.push(req.flight.reserve(&mut pools[d], key, tb));
                     }
                     Err(AdmitError::Defer { until_us }) => events.push(req.flight.defer(until_us)),
                     Err(AdmitError::TooLarge { working_set, .. }) => {
                         req.phase = Phase::Rejected;
-                        req.place_done = true;
                         events.push(req.flight.rejected(working_set));
                     }
                 }
@@ -376,7 +377,6 @@ impl ModelState {
                 }
                 events.push(shed);
                 req.phase = Phase::Shed;
-                req.place_done = true;
             }
             Action::BeginExec(_) => {
                 let (d, tier) = (req.flight.device, req.ladder.tier());
@@ -391,60 +391,61 @@ impl ModelState {
                 req.phase = Phase::Running;
             }
             Action::Chunk(_) => {
-                // The atomic chunk step: reserve, one attempt, scrub, then
-                // commit or release before the retry — where the engine
-                // holds a chunk's reservation across its retries. The
-                // out-of-core host rung is not modeled.
-                let (d, tier) = (req.flight.device, req.ladder.tier());
-                let key = key_for(spec.key_id);
-                events.push(req.flight.reserve(&mut pools[d], key, spec.chunk_bytes));
-                let what = format!(
-                    "request {r} launches chunk {} on device {d}",
-                    req.chunks_done
-                );
+                // One attempt on the chunk's ladder. The chunk's reservation
+                // opens before its first attempt and is held across every
+                // retry; `end_chunk` closes it.
+                let (d, tier) = (req.flight.device, req.chunk_ladder.tier());
+                let discarded = req.chunk_ladder.discarded();
+                if discarded == 0 {
+                    let key = key_for(spec.key_id);
+                    events.push(req.flight.reserve(&mut pools[d], key, spec.chunk_bytes));
+                }
+                let chunk = req.chunks_done;
+                let what = format!("request {r} launches chunk {chunk} on device {d}");
                 violation = poisoned(tier, &devs[d], what);
                 events.push(req.flight.attempt_start(tier));
-                // Chunk fault injection: first attempt of a scheduled chunk,
-                // device tiers only.
-                if tier != ExecTier::Cpu
-                    && req.chunk_ladder.discarded() == 0
-                    && spec.chunk_fault_chunks.contains(&req.chunks_done)
-                {
+                // Fault injection: the chunk's first `chunk_faults` attempts.
+                let faults = spec.chunk_faults.get(chunk as usize);
+                if faults.is_some_and(|&n| discarded < n) {
                     devs[d].tainted = true;
                 }
-                // Per-attempt integrity barrier, as in the engine's chunk
-                // ladder.
+                // The per-attempt integrity barrier of the engine's ladder.
                 let corrupted = scrub(&mut devs[d], mutation);
                 events.push(req.flight.scrub(usize::from(corrupted), corrupted));
-                let Some(id) = req.flight.pending.pop() else {
-                    unreachable!("the chunk reservation was just opened")
-                };
                 if corrupted {
                     fault_policy(health, devs, d, &mut events);
-                    // The faulted chunk's bytes come back before the retry;
-                    // DropChunkRelease leaks them instead.
-                    if mutation != Mutation::DropChunkRelease {
-                        events.extend(req.flight.release(&mut pools[d], vec![id]));
-                    }
                     let retry = req.flight.retry(&mut req.chunk_ladder, max_retries);
                     events.push(retry.event);
-                    assert!(
-                        retry.rung == Rung::Same,
-                        "the out-of-core host rung is not modeled"
-                    );
+                    if retry.rung == Rung::Exhausted {
+                        // Out of retries: the chunk hands its bytes back
+                        // (DropChunkRelease leaks them instead) and the
+                        // request takes the host rung.
+                        let (held, degrade) = req.flight.end_chunk(&mut pools[d], None);
+                        if mutation != Mutation::DropChunkRelease {
+                            events.extend(req.flight.release(&mut pools[d], held));
+                        }
+                        events.push(degrade);
+                        req.ladder = Ladder::new(protocol::HOST_TIERS);
+                    }
                 } else {
-                    // Chunk-granular commit: this chunk's bytes release at
-                    // its D2H end (at once: chunks take no simulated time)
-                    // whether or not a later chunk faults.
-                    events.push(req.flight.commit(&mut pools[d], id, req.flight.ready_us));
+                    // Chunk-granular commit at the chunk's D2H end (at once:
+                    // chunks take no simulated time), whether or not a later
+                    // chunk faults.
+                    let finish = Some(req.flight.ready_us);
+                    events.push(req.flight.end_chunk(&mut pools[d], finish).1);
                     req.chunks_done += 1;
                     req.chunk_ladder = Ladder::new(CHUNK_TIERS);
                 }
             }
             Action::Barrier(_) => {
                 let (d, tier) = (req.flight.device, req.ladder.tier());
-                let corrupted = scrub(&mut devs[d], mutation);
-                events.push(req.flight.scrub(usize::from(corrupted), corrupted));
+                // The host tier never touches the device and each chunk
+                // attempt ran its own barrier: only in-core ones scrub here.
+                let scrubs = tier != ExecTier::Cpu && spec.chunks == 0;
+                let corrupted = scrubs && scrub(&mut devs[d], mutation);
+                if scrubs {
+                    events.push(req.flight.scrub(usize::from(corrupted), corrupted));
+                }
                 devs[d].lock = None;
                 if corrupted {
                     fault_policy(health, devs, d, &mut events);
@@ -472,7 +473,6 @@ impl ModelState {
                                 events.extend(req.flight.release(&mut pools[d], held));
                             }
                             req.phase = Phase::Rejected;
-                            req.place_done = true;
                         }
                     }
                 } else {
@@ -484,7 +484,6 @@ impl ModelState {
                 let p = req.flight.place(sched, dead_us, spec.exec_us);
                 events.push(req.flight.placed(&p));
                 req.placement = Some(p);
-                req.place_done = true;
                 req.phase = Phase::Placed;
             }
             Action::Commit(_) => {
@@ -540,7 +539,6 @@ impl ModelState {
             h = splitmix(h ^ u64::from(rq.ladder.discarded()));
             h = splitmix(h ^ u64::from(f.retries));
             h = splitmix(h ^ f.recovery_us.to_bits());
-            h = splitmix(h ^ u64::from(rq.place_done));
             h = splitmix(h ^ u64::from(rq.chunks_done));
             h = splitmix(h ^ u64::from(rq.chunk_ladder.discarded()));
             if let Some(p) = rq.placement {

@@ -19,7 +19,8 @@ pub struct ReqSpec {
     pub preferred_device: usize,
     /// Plan identity: requests sharing a `key_id` share a cached format.
     pub key_id: u64,
-    /// Bytes of the uploaded format (resident until evicted).
+    /// Bytes of the uploaded format (resident until evicted); unused out of
+    /// core, where admission only makes room.
     pub format_bytes: usize,
     /// Transient working-set bytes held from admission to commit.
     pub transient_bytes: usize,
@@ -33,14 +34,16 @@ pub struct ReqSpec {
     pub doomed: bool,
     /// Number of streamed chunks when the format exceeds device memory
     /// (`0` = in-core). A chunked request takes one *pending* reservation
-    /// per chunk and must commit it at the chunk's D2H end — or release it
-    /// on a faulted attempt before retrying.
+    /// per chunk, holds it across the chunk's retries and commits it at the
+    /// chunk's D2H end — or, once the chunk runs out of retries, releases
+    /// it and takes the host rung.
     pub chunks: u32,
     /// Bytes one streamed chunk reserves while in flight.
     pub chunk_bytes: usize,
-    /// Zero-based chunk indices whose *first* attempt is hit by an
-    /// injected corrupting fault (the retry runs clean).
-    pub chunk_fault_chunks: Vec<u32>,
+    /// Per chunk index, how many of the chunk's first attempts an injected
+    /// corrupting fault hits (missing entries run clean). More than
+    /// `max_retries` exhausts the chunk.
+    pub chunk_faults: Vec<u32>,
     /// Relative deadline in microseconds, if the request carries one. A
     /// deadline below `exec_us` (the certified execution-time floor) is
     /// provably unreachable, so the engine sheds the request right after
@@ -61,19 +64,9 @@ impl ReqSpec {
             doomed: false,
             chunks: 0,
             chunk_bytes: 0,
-            chunk_fault_chunks: Vec::new(),
+            chunk_faults: Vec::new(),
             deadline_us: None,
         }
-    }
-
-    /// Marks the request as out-of-core: `chunks` streamed chunks of
-    /// `chunk_bytes` each, with nothing cached whole (the format never
-    /// fits, so `format_bytes` drops to zero).
-    fn chunked(mut self, chunks: u32, chunk_bytes: usize) -> Self {
-        self.format_bytes = 0;
-        self.chunks = chunks;
-        self.chunk_bytes = chunk_bytes;
-        self
     }
 }
 
@@ -114,9 +107,9 @@ pub enum Mutation {
     /// A deferred admission retries without retiring finished
     /// reservations, so the retry can never make progress.
     StuckDefer,
-    /// A faulted chunk attempt skips the chunk-granular `release` before
-    /// retrying, leaking one pending reservation per chunk fault — and
-    /// deadlocking any later request admitting on the device.
+    /// A chunk out of retries skips the `release` of its reservation on
+    /// the way to the host rung, leaking it — and deadlocking any later
+    /// request admitting on the device.
     DropChunkRelease,
     /// A shed request skips the `release` of its pending reservation,
     /// leaking its working-set bytes — and deadlocking any later request
@@ -226,25 +219,27 @@ pub fn quarantine() -> Scenario {
 }
 
 /// Out-of-core streaming: request 0's format exceeds device memory and
-/// streams in 3 chunks with chunk-granular pending reservations; the
-/// middle chunk's first attempt faults and must release its reservation
-/// before the retry. Request 1 runs on the other device, free to
-/// interleave anywhere in the chunk pipeline.
+/// streams in 3 chunks with chunk-granular pending reservations. The
+/// middle chunk's first attempt faults and retries with its reservation
+/// held; all four attempts of the last chunk fault (`max_retries` is 3),
+/// so it releases its reservation and sends the request to the host rung.
+/// Request 1 runs on the other device, free to interleave anywhere in the
+/// chunk pipeline.
 pub fn ooc() -> Scenario {
-    let mut r0 = ReqSpec::new(0.0, 0, 0).chunked(3, 200);
-    r0.transient_bytes = 300;
-    r0.chunk_fault_chunks = vec![1];
+    let mut r0 = ReqSpec::new(0.0, 0, 0);
+    (r0.chunks, r0.chunk_bytes, r0.transient_bytes) = (3, 200, 300);
+    r0.chunk_faults = vec![0, 1, 4];
     base("ooc", vec![r0, ReqSpec::new(5.0, 1, 1)])
 }
 
-/// Like [`ooc`], but the follower targets the *same* device — if a faulted
-/// chunk leaks its pending reservation, the follower's admission gate
-/// (no pending bytes on the device) can never open.
+/// Like [`ooc`], but the follower targets the *same* device — if the
+/// exhausted chunk leaks its pending reservation, the follower's admission
+/// gate (no pending bytes on the device) can never open.
 pub fn ooc_follower() -> Scenario {
-    let mut r0 = ReqSpec::new(0.0, 0, 0).chunked(3, 200);
-    r0.transient_bytes = 300;
-    r0.chunk_fault_chunks = vec![1];
-    base("ooc-follower", vec![r0, ReqSpec::new(5.0, 0, 1)])
+    let mut s = ooc();
+    s.name = "ooc-follower";
+    s.requests[1].preferred_device = 0;
+    s
 }
 
 /// Overload shedding: request 1 carries a deadline its certified

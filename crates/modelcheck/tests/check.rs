@@ -6,6 +6,88 @@
 
 use modelcheck::scenario::{self, Mutation};
 use modelcheck::{check, explore, trace, Property};
+use serve::{ExecTier, ProtocolEvent};
+
+/// Request `request`'s narration of its exhausted chunk, as event names:
+/// from the reservation it opened last before it degraded from the unified
+/// tier to the host, through that `Degrade`.
+fn exhausted_chunk(log: &[ProtocolEvent], request: u64) -> Vec<String> {
+    let prefix = format!("request {request} ");
+    let own: Vec<&ProtocolEvent> = log
+        .iter()
+        .filter(|e| e.to_string().starts_with(&prefix))
+        .collect();
+    let host = own
+        .iter()
+        .position(|e| {
+            matches!(
+                e,
+                ProtocolEvent::Degrade {
+                    from: ExecTier::Unified,
+                    to: ExecTier::Cpu,
+                    ..
+                }
+            )
+        })
+        .expect("the request takes the host rung");
+    let reserve = own[..host]
+        .iter()
+        .rposition(|e| matches!(e, ProtocolEvent::ReservePending { .. }))
+        .expect("the exhausted chunk opened a reservation");
+    own[reserve..=host]
+        .iter()
+        .map(|e| {
+            format!("{e:?}")
+                .split(' ')
+                .next()
+                .unwrap_or_default()
+                .to_string()
+        })
+        .collect()
+}
+
+/// The engine's narration of a chunk that runs out of retries: its one
+/// reservation, held across every attempt, then released before the
+/// request degrades to the host.
+fn exhausted_chunk_order(max_retries: usize) -> Vec<String> {
+    let mut order = vec!["ReservePending"];
+    for _ in 0..=max_retries {
+        order.extend(["AttemptStart", "Scrub", "Backoff"]);
+    }
+    order.extend(["Release", "Degrade"]);
+    order.into_iter().map(String::from).collect()
+}
+
+/// A serve engine whose device holds the transients of a nell2 SpMTTKRP
+/// request (3000 nnz, rank 8) but never its whole format, so the request
+/// streams out of core, injecting `faults`.
+fn ooc_engine(faults: gpu_sim::FaultConfig) -> serve::ServeEngine {
+    use fcoo::TensorOp;
+    use tensor_core::datasets::{self, DatasetKind};
+    let (tensor, _) = datasets::generate(DatasetKind::Nell2, 3000, 7);
+    let transients: usize =
+        tensor.shape().iter().map(|&s| s * 8 * 4).sum::<usize>() + tensor.shape()[0] * 8 * 4 + 1024;
+    let min_format = serve::plan::SERVE_THREADLENS
+        .iter()
+        .map(|&tl| {
+            fcoo::Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, tl)
+                .storage()
+                .total_bytes()
+                + 64
+        })
+        .min()
+        .expect("non-empty grid");
+    let mut device_config = gpu_sim::DeviceConfig::titan_x();
+    device_config.memory_capacity = transients + min_format / 2;
+    let mut engine = serve::ServeEngine::new(serve::ServeConfig {
+        device_config,
+        verify: true,
+        fault_injection: Some(faults),
+        ..serve::ServeConfig::default()
+    });
+    engine.enable_protocol_log();
+    engine
+}
 
 /// The issue's acceptance scenario — 4 requests × 2 devices × 1 injected
 /// fault — is explored exhaustively and all four properties are proved,
@@ -218,10 +300,10 @@ fn drop_shed_release_leaks_and_deadlocks() {
 /// pass its own leak check and fail here.
 #[test]
 fn dropped_release_narrations_fail_reservation_balance() {
-    let events = |schedule: &[modelcheck::Step]| -> Vec<serve::ProtocolEvent> {
+    let events = |schedule: &[modelcheck::Step]| -> Vec<ProtocolEvent> {
         schedule.iter().flat_map(|s| s.events.clone()).collect()
     };
-    let unbalanced = |log: &[serve::ProtocolEvent]| {
+    let unbalanced = |log: &[ProtocolEvent]| {
         modelcheck::replay::replay(log)
             .iter()
             .any(|v| v.contains("reservation"))
@@ -311,43 +393,20 @@ fn real_engine_log_replays_cleanly() {
 /// replay that log cleanly.
 #[test]
 fn chunked_engine_log_replays_cleanly() {
-    use fcoo::TensorOp;
-    use tensor_core::datasets::{self, DatasetKind};
     let workload = serve::Workload::parse(
         "tensor big nell2 3000 7\n\
          request big mttkrp 0 8 0.0 11\n\
          request big mttkrp 0 8 5.0 12\n",
     )
     .expect("valid workload");
-    let (tensor, _) = datasets::generate(DatasetKind::Nell2, 3000, 7);
-    let transients: usize =
-        tensor.shape().iter().map(|&s| s * 8 * 4).sum::<usize>() + tensor.shape()[0] * 8 * 4 + 1024;
-    let min_format = serve::plan::SERVE_THREADLENS
-        .iter()
-        .map(|&tl| {
-            fcoo::Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, tl)
-                .storage()
-                .total_bytes()
-                + 64
-        })
-        .min()
-        .expect("non-empty grid");
-    let mut device_config = gpu_sim::DeviceConfig::titan_x();
-    device_config.memory_capacity = transients + min_format / 2;
-    let mut engine = serve::ServeEngine::new(serve::ServeConfig {
-        device_config,
-        verify: true,
-        fault_injection: Some(gpu_sim::FaultConfig::chaos(2024, 0.05)),
-        ..serve::ServeConfig::default()
-    });
-    engine.enable_protocol_log();
+    let mut engine = ooc_engine(gpu_sim::FaultConfig::chaos(2024, 0.05));
     let report = engine.run(&workload);
     assert!(report.rejections.is_empty(), "{:?}", report.rejections);
     assert_eq!(report.verify_failures, 0);
     let log = engine.take_protocol_log();
     let reserves = log
         .iter()
-        .filter(|e| matches!(e, serve::ProtocolEvent::ReservePending { .. }))
+        .filter(|e| matches!(e, ProtocolEvent::ReservePending { .. }))
         .count();
     assert!(
         reserves > report.requests.len() + 1,
@@ -355,6 +414,52 @@ fn chunked_engine_log_replays_cleanly() {
     );
     let violations = modelcheck::replay::replay(&log);
     assert!(violations.is_empty(), "{violations:?}");
+}
+
+/// A chunk out of retries falls to the host rung: with every kernel launch
+/// failing, the first chunk exhausts its ladder while holding its one
+/// reservation, hands it back, and the request is served on the host —
+/// verified, with the pool drained and the log replaying cleanly.
+#[test]
+fn exhausted_chunk_falls_to_the_host_rung() {
+    let faults = gpu_sim::FaultConfig {
+        launch_failure_rate: 1.0,
+        ..gpu_sim::FaultConfig::quiet(3)
+    };
+    let mut engine = ooc_engine(faults);
+    let workload =
+        serve::Workload::parse("tensor big nell2 3000 7\nrequest big mttkrp 0 8 0.0 11\n")
+            .expect("valid workload");
+    let report = engine.run(&workload);
+    assert!(report.rejections.is_empty(), "{:?}", report.rejections);
+    assert_eq!(report.requests.len(), 1);
+    let served = &report.requests[0];
+    assert_eq!(served.tier, ExecTier::Cpu);
+    assert!(served.chunks.is_empty(), "the host rung streams no chunks");
+    assert_eq!(report.verify_failures, 0);
+    assert_eq!(engine.pool(0).reserved_bytes(), 0, "reservations leaked");
+    let log = engine.take_protocol_log();
+    let violations = modelcheck::replay::replay(&log);
+    assert!(violations.is_empty(), "{violations:?}");
+    let max_retries = engine.config().fault_tolerance.max_retries;
+    assert_eq!(exhausted_chunk(&log, 0), exhausted_chunk_order(max_retries));
+}
+
+/// The faithful model narrates its exhausted `ooc` chunk as the engine
+/// does: one reservation held across every attempt, released before the
+/// host rung.
+#[test]
+fn model_narrates_the_exhausted_chunk_as_the_engine() {
+    let sc = scenario::ooc();
+    let faithful = explore::explore(&sc, Mutation::None, false);
+    assert_eq!(faithful.fingerprints.len(), 1);
+    for schedule in faithful.fingerprints.values() {
+        let log: Vec<ProtocolEvent> = schedule.iter().flat_map(|s| s.events.clone()).collect();
+        assert_eq!(
+            exhausted_chunk(&log, 0),
+            exhausted_chunk_order(sc.max_retries as usize)
+        );
+    }
 }
 
 /// The replay automata themselves catch tampered logs: deleting a commit
@@ -375,7 +480,7 @@ fn replay_flags_tampered_logs() {
 
     let commit_at = log
         .iter()
-        .position(|e| matches!(e, serve::ProtocolEvent::Commit { .. }))
+        .position(|e| matches!(e, ProtocolEvent::Commit { .. }))
         .expect("log has a commit");
     let mut dropped_commit = log.clone();
     dropped_commit.remove(commit_at);
@@ -386,7 +491,7 @@ fn replay_flags_tampered_logs() {
 
     let scrub_at = log
         .iter()
-        .position(|e| matches!(e, serve::ProtocolEvent::Scrub { .. }))
+        .position(|e| matches!(e, ProtocolEvent::Scrub { .. }))
         .expect("log has a scrub");
     let mut dropped_scrub = log.clone();
     dropped_scrub.remove(scrub_at);

@@ -1352,7 +1352,7 @@ impl ServeEngine {
         // upload retries like an attempt but is not announced as one.
         let upload = self.attempt_ladder(
             &mut lc,
-            &[ExecTier::Unified],
+            protocol::CHUNK_TIERS,
             false,
             |engine, _| engine.upload_factors(device, request, op),
             None,
@@ -1361,6 +1361,7 @@ impl ServeEngine {
         // it through a delayed placement instead).
         let mut unstalled_dead = upload.dead_us;
         let Some((uploaded, _)) = upload.accepted else {
+            self.log_event(lc.flight.degrade(ExecTier::Unified, ExecTier::Cpu));
             return self.host_rung(lc, op, scheduler, unstalled_dead);
         };
 
@@ -1397,7 +1398,7 @@ impl ServeEngine {
             let seed = acc.seed_image(desc, &chunk);
             let run = self.attempt_ladder(
                 &mut lc,
-                &[ExecTier::Unified],
+                protocol::CHUNK_TIERS,
                 true,
                 |engine, _| {
                     let device_ref = &engine.devices[device];
@@ -1408,16 +1409,13 @@ impl ServeEngine {
                 },
                 None,
             )?;
-            let chunk_pending = lc
-                .flight
-                .pending
-                .pop()
-                .expect("the chunk reservation is open");
             let chunk_dead = run.dead_us;
             let Some(((out, stats, attempt_launches), _)) = run.accepted else {
-                // This chunk cannot be streamed: release its own reservation
-                // (completed chunks stay committed) and fall to the host.
-                self.release(&lc, vec![chunk_pending]);
+                // Out of retries: this chunk hands back its reservation (done
+                // chunks stay committed) and the request takes the host rung.
+                let (held, degrade) = lc.flight.end_chunk(self.pools[device].ledger_mut(), None);
+                self.release(&lc, held);
+                self.log_event(degrade);
                 unstalled_dead += chunk_dead;
                 return self.host_rung(lc, op, scheduler, unstalled_dead);
             };
@@ -1446,7 +1444,9 @@ impl ServeEngine {
             d2h_bytes_total += acc.d2h_bytes(desc);
             // Chunk-granular commit: this chunk's format bytes release at
             // its D2H end whether or not a later chunk faults.
-            self.commit(&lc, chunk_pending, span.d2h.1);
+            let ledger = self.pools[device].ledger_mut();
+            let (_, commit) = lc.flight.end_chunk(ledger, Some(span.d2h.1));
+            self.log_event(commit);
             chunk_schedules.push(span);
         }
         drop(refs);
@@ -1478,10 +1478,11 @@ impl ServeEngine {
     }
 
     /// The out-of-core ladder's host rung: a chunk (or the factor upload)
-    /// ran out of retries, so the whole request runs on the host. Completed
-    /// chunks' reservations are already committed; the job reservation
-    /// commits at the host result's finish, so the pool still drains to
-    /// zero. `dead_us` is the dead time no stream stall has charged yet.
+    /// ran out of retries and the caller logged the `Degrade`, so the whole
+    /// request runs on the host. Completed chunks' reservations are already
+    /// committed; the job reservation commits at the host result's finish,
+    /// so the pool still drains to zero. `dead_us` is the dead time no
+    /// stream stall has charged yet.
     fn host_rung(
         &mut self,
         mut lc: Lifecycle<'_>,
@@ -1489,11 +1490,11 @@ impl ServeEngine {
         scheduler: &mut Scheduler,
         dead_us: f64,
     ) -> Served {
-        self.degrade(&lc, ExecTier::Unified, ExecTier::Cpu);
+        self.fault_stats.cpu_fallbacks += 1;
         let request = lc.request;
         let host = self.attempt_ladder(
             &mut lc,
-            &[ExecTier::Cpu],
+            protocol::HOST_TIERS,
             false,
             |engine, _| engine.execute_cpu(request, op),
             None,
@@ -1752,13 +1753,6 @@ impl ServeEngine {
         self.log_event(event);
     }
 
-    /// Gives a pending reservation its finish time.
-    fn commit(&mut self, lc: &Lifecycle<'_>, id: ReservationId, finish_us: f64) {
-        let ledger = self.pools[lc.flight.device].ledger_mut();
-        let event = lc.flight.commit(ledger, id, finish_us);
-        self.log_event(event);
-    }
-
     /// Cancels the pending reservations `ids`.
     fn release(&mut self, lc: &Lifecycle<'_>, ids: Vec<ReservationId>) {
         let ledger = self.pools[lc.flight.device].ledger_mut();
@@ -1961,7 +1955,9 @@ impl ServeEngine {
             finish_us: record.finish_us,
         }));
         for &id in &lc.flight.pending {
-            self.commit(&lc, id, record.finish_us);
+            let ledger = self.pools[lc.flight.device].ledger_mut();
+            let event = lc.flight.commit(ledger, id, record.finish_us);
+            self.log_event(event);
         }
         self.log_event(lc.flight.accept());
         let result_key = (lc.key, lc.request.factor_seed);

@@ -138,11 +138,6 @@ impl PoolLedger {
         self.slots.values().map(|s| s.pins).sum()
     }
 
-    /// Number of resident formats.
-    pub fn cached_formats(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Sum of the byte budgets of all resident formats.
     pub fn cached_bytes(&self) -> usize {
         self.slots.values().map(|s| s.bytes).sum()
@@ -169,23 +164,12 @@ impl PoolLedger {
         self.reservations = kept;
     }
 
-    /// True when `key`'s format is resident (bumps its LRU recency).
-    pub fn touch_resident(&mut self, key: PlanKey) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.slots.get_mut(&key) {
-            Some(slot) => {
-                slot.last_used = tick;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Records an admission served by the already-resident `key` (bumps
-    /// recency and the reuse counter).
+    /// its LRU recency and the reuse counter).
     pub fn record_hit(&mut self, key: PlanKey) {
-        if self.touch_resident(key) {
+        self.tick += 1;
+        if let Some(slot) = self.slots.get_mut(&key) {
+            slot.last_used = self.tick;
             self.stats.format_reuses += 1;
         }
     }
@@ -234,7 +218,7 @@ impl PoolLedger {
     }
 
     /// The LRU unpinned format other than `requesting`, if any.
-    pub fn next_victim(&self, requesting: PlanKey) -> Option<PlanKey> {
+    fn next_victim(&self, requesting: PlanKey) -> Option<PlanKey> {
         self.slots
             .iter()
             .filter(|(k, slot)| **k != requesting && slot.pins == 0)
@@ -244,7 +228,7 @@ impl PoolLedger {
 
     /// Evicts `key` (counting it) and returns its byte budget. Zero when
     /// the key was not resident.
-    pub fn evict(&mut self, key: PlanKey) -> usize {
+    fn evict(&mut self, key: PlanKey) -> usize {
         match self.slots.remove(&key) {
             Some(slot) => {
                 self.stats.evictions += 1;

@@ -154,24 +154,12 @@ impl DevicePool {
         })
     }
 
-    /// Frees pool space for a job that needs `need` bytes of headroom next
-    /// to the live allocations, evicting LRU unpinned formats as required —
-    /// but uploads nothing. The out-of-core path uses this: its chunk
-    /// uploads are short-lived and never enter the format cache, so
-    /// admission reduces to carving out headroom. Same error contract as
-    /// [`DevicePool::admit`].
+    /// Out-of-core admission ([`protocol::make_room`]): frees `need` bytes
+    /// of headroom next to the live allocations but uploads nothing. Same
+    /// error contract as [`DevicePool::admit`].
     pub fn make_room(&mut self, requesting: PlanKey, need: usize) -> Result<(), AdmitError> {
-        let capacity = self.memory.capacity();
-        if need > capacity {
-            return Err(AdmitError::TooLarge {
-                working_set: need,
-                capacity,
-            });
-        }
-        let victims = self
-            .ledger
-            .plan_admission(requesting, need, self.memory.live_bytes())?;
-        for k in victims {
+        let live_bytes = self.memory.live_bytes();
+        for k in protocol::make_room(&mut self.ledger, requesting, need, live_bytes)? {
             self.formats.remove(&k);
         }
         Ok(())
@@ -223,7 +211,7 @@ mod tests {
         assert!(!second.uploaded);
         assert_eq!(pool.stats().uploads, 1);
         assert_eq!(pool.stats().format_reuses, 1);
-        assert_eq!(pool.ledger().cached_formats(), 1);
+        assert!(pool.ledger().is_resident(key));
     }
 
     #[test]
@@ -261,9 +249,8 @@ mod tests {
         let admitted = pool.admit(key_b, &fcoo_b, fb, 512).unwrap();
         assert!(admitted.uploaded);
         assert_eq!(pool.stats().evictions, 1, "A was evicted for B");
-        assert_eq!(pool.ledger().cached_formats(), 1);
-        assert!(pool.ledger_mut().touch_resident(key_b));
-        assert!(!pool.ledger_mut().touch_resident(key_a));
+        assert!(pool.ledger().is_resident(key_b));
+        assert!(!pool.ledger().is_resident(key_a));
         // Memory never exceeded capacity.
         assert!(pool.memory().peak_bytes() <= pool.memory().capacity());
     }

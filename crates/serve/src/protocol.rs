@@ -1,8 +1,9 @@
-//! The serving protocol's rules, each written once: admission ([`admit`])
-//! and the defer step, the reservation lifecycle, the retry ladder
-//! ([`Ladder`], [`Flight::retry`]), quarantine and affinity ([`Health`]),
-//! the shed step ([`shed_bound`], [`Flight::shed`]) and placement with dead
-//! time ([`Flight::place`]).
+//! The serving protocol's rules, each written once: admission ([`admit`],
+//! [`make_room`]) and the defer step, the reservation lifecycle, the retry
+//! ladder ([`Ladder`], [`Flight::retry`]) and chunk rule
+//! ([`Flight::end_chunk`]), quarantine and affinity ([`Health`]), the shed
+//! step ([`shed_bound`], [`Flight::shed`]) and placement with dead time
+//! ([`Flight::place`]).
 //!
 //! Two callers run them: [`crate::engine::ServeEngine`] with real
 //! execution, and the `modelcheck` crate over every host interleaving of
@@ -84,11 +85,29 @@ pub fn admit(
     }
     let resident = ledger.is_resident(key);
     let need = transient_bytes + if resident { 0 } else { format_bytes };
-    let evicted = ledger.plan_admission(key, need, live_bytes)?;
+    let evicted = make_room(ledger, key, need, live_bytes)?;
     if resident {
         ledger.record_hit(key);
     }
     Ok(Admission { resident, evicted })
+}
+
+/// Out-of-core admission: `need` bytes of headroom, evicting as [`admit`]
+/// does (never `requesting`'s format) but uploading nothing, since chunk
+/// formats never enter the cache. Returns the evicted formats.
+pub fn make_room(
+    ledger: &mut PoolLedger,
+    requesting: PlanKey,
+    need: usize,
+    live_bytes: usize,
+) -> Result<Vec<PlanKey>, AdmitError> {
+    if need > ledger.capacity() {
+        return Err(AdmitError::TooLarge {
+            working_set: need,
+            capacity: ledger.capacity(),
+        });
+    }
+    ledger.plan_admission(requesting, need, live_bytes)
 }
 
 /// A tensor op's execution ladder: unified → two-step → host for SpMTTKRP
@@ -100,6 +119,11 @@ pub fn tensor_tiers(op: TensorOp, order: usize) -> &'static [ExecTier] {
         &[ExecTier::Unified, ExecTier::Cpu]
     }
 }
+
+/// An out-of-core step's ladder (the factor upload, each chunk).
+pub const CHUNK_TIERS: &[ExecTier] = &[ExecTier::Unified];
+/// The host rung, for a request out of retries on an out-of-core step.
+pub const HOST_TIERS: &[ExecTier] = &[ExecTier::Cpu];
 
 /// A request's position on one attempt ladder: the tiers it may run at,
 /// the current rung, and the attempts discarded there.
@@ -362,6 +386,23 @@ impl Flight {
             deadline_us,
         };
         (held, event)
+    }
+
+    /// The chunk rule: how a chunk's ladder ends. Its reservation, held
+    /// across every retry, leaves [`Flight::pending`]: an accepted chunk
+    /// commits it at its D2H end (returns the `Commit`); one out of retries
+    /// (`None`) returns it, for the caller to release, with the request's
+    /// `Degrade` to the host rung.
+    pub fn end_chunk(
+        &mut self,
+        ledger: &mut PoolLedger,
+        d2h_end_us: Option<f64>,
+    ) -> (Vec<ReservationId>, ProtocolEvent) {
+        let id = self.pending.pop().expect("the chunk reservation is open");
+        match d2h_end_us {
+            Some(finish_us) => (Vec::new(), self.commit(ledger, id, finish_us)),
+            None => (vec![id], self.degrade(ExecTier::Unified, ExecTier::Cpu)),
+        }
     }
 
     /// An attempt starts at `tier`.
