@@ -37,11 +37,11 @@
 
 use fcoo::chunk::ChunkPlan;
 use fcoo::{
-    AnyFormat, BfCoo, ColumnTiling, Fcoo, FormatKind, LaunchConfig, TensorOp, BUCKET_RUN,
-    BUCKET_SHUFFLE_OPS,
+    AnyFormat, BfCoo, BitFlags, ColumnTiling, Fcoo, FormatKind, LaunchConfig, SortedFcoo, TensorOp,
+    BUCKET_RUN, BUCKET_SHUFFLE_OPS,
 };
 use gpu_sim::{scan, BlockStats, DeviceConfig, KernelCounters, KernelStats};
-use tensor_core::SparseTensorCoo;
+use tensor_core::{Idx, SparseTensorCoo};
 
 /// A closed integer interval `[lo, hi]` certifying a counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,6 +294,8 @@ impl CounterEnvelope {
 /// The kernel-shape constants `run_unified` derives from the operation —
 /// everything the interpreter needs beyond the format header.
 struct KernelShape {
+    /// The operation the kernel computes.
+    op: TensorOp,
     /// Output columns and their split over `bIdy`.
     tiling: ColumnTiling,
     /// Factor rank of every product mode.
@@ -311,23 +313,23 @@ struct KernelShape {
 }
 
 impl KernelShape {
-    fn for_op(fcoo: &Fcoo, rank: usize) -> KernelShape {
-        let pm = &fcoo.classification.product_modes;
+    fn for_op(op: TensorOp, product_modes: &[usize], shape: &[usize], rank: usize) -> KernelShape {
         KernelShape {
-            tiling: ColumnTiling::at_rank(fcoo, rank),
+            op,
+            tiling: ColumnTiling::for_op(op, &vec![rank; product_modes.len()]),
             rank,
-            n_factors: pm.len(),
-            factor_ws: pm.iter().map(|&m| fcoo.shape[m] * rank * 4).sum(),
-            compute_per_element: 1 + pm.len() as u64,
-            has_coords: !matches!(fcoo.op, TensorOp::SpTtm { .. }),
+            n_factors: product_modes.len(),
+            factor_ws: product_modes.iter().map(|&m| shape[m] * rank * 4).sum(),
+            compute_per_element: 1 + product_modes.len() as u64,
+            has_coords: !matches!(op, TensorOp::SpTtm { .. }),
         }
     }
 
     /// Column stride of product factor `p` within the output column: the
     /// last SpTTMc factor varies fastest; the other kernels read column `c`
     /// of every factor.
-    fn stride(&self, fcoo: &Fcoo, p: usize) -> usize {
-        match fcoo.op {
+    fn stride(&self, p: usize) -> usize {
+        match self.op {
             TensorOp::SpTtmc { .. } => self.rank.pow((self.n_factors - 1 - p) as u32),
             _ => 1,
         }
@@ -337,14 +339,14 @@ impl KernelShape {
     /// load touches for one non-zero of column tile `ty`, over every row:
     /// a row of `rank` floats starts at any multiple of `gcd(rank, line/4)`
     /// floats past a line boundary (buffer bases are line-aligned).
-    fn tile_lines(&self, fcoo: &Fcoo, p: usize, ty: usize, line: usize) -> (u64, u64) {
+    fn tile_lines(&self, p: usize, ty: usize, line: usize) -> (u64, u64) {
         let tile = self.tiling.tile;
         if tile == 1 {
             // One column: one element, one line.
             return (1, 1);
         }
         let floats = (line / 4).max(1);
-        let stride = self.stride(fcoo, p);
+        let stride = self.stride(p);
         let mut digits: Vec<usize> = (ty * tile..(ty + 1) * tile)
             .map(|c| (c / stride) % self.rank)
             .collect();
@@ -424,13 +426,71 @@ struct BlockEnvelope {
     warps: u64,
 }
 
-/// Per-`block_x` facts that do not depend on the column block: the warp
-/// stream geometry, the gather-call live-lane counts and the exact segment
-/// event sequences of the lane fold.
-struct ColumnPlan {
-    warps: Vec<WarpPlan>,
+/// What the interpreter reads of a format: the F-COO header arrays plus
+/// BF-COO's bucket metadata. Product indices and values never appear, so
+/// nothing value-dependent can leak into an envelope except through the
+/// gather intervals.
+pub(crate) struct Header<'a> {
+    op: TensorOp,
+    product_modes: &'a [usize],
+    shape: &'a [usize],
+    threadlen: usize,
+    nnz: usize,
+    bf: &'a BitFlags,
+    segment_coords: &'a [Vec<Idx>],
+    partition_first_segment: &'a [u32],
+    /// BF-COO's per-run distinct-row counts; `None` for F-COO.
+    buckets: Option<&'a [Vec<u32>]>,
 }
 
+impl<'a> Header<'a> {
+    fn of(fcoo: &'a Fcoo, buckets: Option<&'a [Vec<u32>]>) -> Self {
+        Header {
+            op: fcoo.op,
+            product_modes: &fcoo.classification.product_modes,
+            shape: &fcoo.shape,
+            threadlen: fcoo.threadlen,
+            nnz: fcoo.nnz(),
+            bf: &fcoo.bf,
+            segment_coords: &fcoo.segment_coords,
+            partition_first_segment: &fcoo.partition_first_segment,
+            buckets,
+        }
+    }
+
+    /// The header of `sorted` partitioned at `threadlen`, without building
+    /// the format: what a threadlen sweep certifies.
+    pub(crate) fn sorted(
+        sorted: &'a SortedFcoo,
+        threadlen: usize,
+        partition_first_segment: &'a [u32],
+        buckets: Option<&'a [Vec<u32>]>,
+    ) -> Self {
+        Header {
+            op: sorted.op,
+            product_modes: &sorted.classification.product_modes,
+            shape: &sorted.shape,
+            threadlen,
+            nnz: sorted.nnz(),
+            bf: &sorted.bf,
+            segment_coords: &sorted.segment_coords,
+            partition_first_segment,
+            buckets,
+        }
+    }
+
+    fn partitions(&self) -> usize {
+        self.partition_first_segment.len()
+    }
+}
+
+/// Lanes per warp: warps start on 32-thread boundaries at every block size,
+/// which is what makes a warp's charges independent of the block size.
+const WARP: usize = 32;
+
+/// Everything the interpreter knows about one warp before any column tile
+/// is charged: the warp stream geometry, the gather-call live-lane counts
+/// and the exact segment event sequences of the lane fold.
 struct WarpPlan {
     /// Summed sector count of the five-plus metadata streams (BF-COO adds
     /// its per-product-mode bucket streams here).
@@ -448,6 +508,25 @@ struct WarpPlan {
     /// Output rows of the COO-style atomic events, in program order
     /// (atomic-ablation mode).
     atomic_rows: Vec<usize>,
+}
+
+/// One warp's charges for one column tile. None depends on the block size:
+/// the block tail goes to a block's last warp when blocks are folded.
+#[derive(Debug, Clone, Copy)]
+struct WarpCharge {
+    /// Warp cycles, block tail excluded.
+    cycles: Interval,
+    transactions: Interval,
+    ideal_transactions: Interval,
+    max_access_transactions: Interval,
+    dram_bytes: Interval,
+    /// Read-only cache probes (the block sums them).
+    probes: Interval,
+    /// Whether the warp issued any gather call.
+    gathers: bool,
+    atomics: u64,
+    atomic_calls: u64,
+    atomic_multiplicity_sum: u64,
 }
 
 /// Summed exact charges of a warp's batches of one narrated access.
@@ -505,7 +584,7 @@ pub fn certify(
     rank: usize,
     cfg: &LaunchConfig,
 ) -> CounterEnvelope {
-    certify_impl(config, fcoo, None, rank, cfg)
+    certify_one(config, &Header::of(fcoo, None), rank, cfg)
 }
 
 /// [`certify`] for a BF-COO tensor: same interpreter, but the per-run
@@ -520,7 +599,12 @@ pub fn certify_bfcoo(
     rank: usize,
     cfg: &LaunchConfig,
 ) -> CounterEnvelope {
-    certify_impl(config, &bfcoo.base, Some(&bfcoo.buckets), rank, cfg)
+    certify_one(
+        config,
+        &Header::of(&bfcoo.base, Some(&bfcoo.buckets)),
+        rank,
+        cfg,
+    )
 }
 
 /// Dispatches [`certify`] / [`certify_bfcoo`] on a format-erased tensor.
@@ -536,18 +620,21 @@ pub fn certify_format(
     }
 }
 
-fn certify_impl(
+/// The one-block-size case of [`certify_block_sizes`].
+fn certify_one(
     config: &DeviceConfig,
-    fcoo: &Fcoo,
-    buckets: Option<&[Vec<u32>]>,
+    header: &Header,
     rank: usize,
     cfg: &LaunchConfig,
 ) -> CounterEnvelope {
-    let shape = KernelShape::for_op(fcoo, rank);
-    let threadlen = fcoo.threadlen;
-    let nnz = fcoo.nnz();
-    let partitions = fcoo.partitions();
-    let bt = cfg.block_size;
+    certify_block_sizes(config, header, rank, cfg, &[cfg.block_size])
+        .pop()
+        .expect("one envelope per block size")
+}
+
+/// The launch-shape asserts of `launch_with_shared`; returns the block's
+/// shared allocation.
+fn check_launch_shape(config: &DeviceConfig, bt: usize) -> usize {
     assert!(bt > 0, "block must have threads");
     assert!(
         bt.is_multiple_of(config.warp_size),
@@ -562,141 +649,306 @@ fn certify_impl(
         shared_bytes <= config.shared_mem_per_sm,
         "shared allocation exceeds per-SM capacity"
     );
-    let grid_x = partitions.div_ceil(bt);
-    let ColumnTiling { columns, tile, .. } = shape.tiling;
-    let warp = 32usize;
-    let warps_per_block = bt / config.warp_size;
+    shared_bytes
+}
 
+/// Certified envelopes of the launch over `header` at every block size in
+/// `block_sizes` (the rest of `cfg` applies to all), in that order.
+///
+/// A warp's charges for a column tile do not depend on the block size —
+/// warps start on 32-thread boundaries whatever the block — so one pass
+/// charges every `(tile, warp)` pair once and each block size only folds
+/// them: per block, sum its warps, add the block tail (scan combine,
+/// barriers, fusion domino) to its last warp, then run the wave fold. All
+/// charges are integer intervals, so every envelope is bit-identical to
+/// certifying that block size alone.
+pub(crate) fn certify_block_sizes(
+    config: &DeviceConfig,
+    header: &Header,
+    rank: usize,
+    cfg: &LaunchConfig,
+    block_sizes: &[usize],
+) -> Vec<CounterEnvelope> {
+    let shared: Vec<usize> = block_sizes
+        .iter()
+        .map(|&bt| check_launch_shape(config, bt))
+        .collect();
+    let shape = KernelShape::for_op(header.op, header.product_modes, header.shape, rank);
+    let partitions = header.partitions();
+    let n_warps = partitions.div_ceil(WARP);
+    let charges = charge_warps(config, header, &shape, cfg);
+    let bucketed = header.buckets.is_some();
+    let shape = &shape;
+    block_sizes
+        .iter()
+        .zip(shared)
+        .map(|(&bt, shared_bytes)| {
+            let grid_x = partitions.div_ceil(bt);
+            let warps_per_block = bt / config.warp_size;
+            // Block tail: scan combine, barriers and the fusion domino.
+            let mut tail = 0u64;
+            if cfg.use_segscan {
+                tail += scan::block_segscan_cycles(bt, config) * shape.tiling.tile as u64;
+                tail += 2 * config.syncthreads_cycles;
+                if cfg.use_fusion {
+                    tail += config.adjacent_sync_cycles;
+                }
+            }
+            // Blocks in x-major launch order (bIdx varies fastest) for the
+            // wave fold; `charges` holds one row of warps per column tile.
+            let blocks: Vec<BlockEnvelope> = charges
+                .chunks(n_warps)
+                .flat_map(|row| {
+                    (0..grid_x).map(move |bx| {
+                        let first = bx * bt / WARP;
+                        let warps = &row[first..(first + warps_per_block).min(n_warps)];
+                        fold_block(config, shape, cfg, bucketed, warps, tail)
+                    })
+                })
+                .collect();
+
+            // Occupancy, mirroring `launch_with_shared`.
+            let mut concurrent = config.concurrent_blocks(bt);
+            if let Some(per_sm) = config.shared_mem_per_sm.checked_div(shared_bytes) {
+                concurrent = concurrent.min(per_sm.max(1) * config.num_sms);
+            }
+            let mut envelope = fold_launch(&blocks, concurrent, bt, blocks.len(), config);
+
+            // Unfused variant: the follow-up carry-resolution kernel is
+            // charged to `KernelStats` but never traced; keep its exact time
+            // separately.
+            if cfg.use_segscan && !cfg.use_fusion {
+                let carry_block = BlockStats {
+                    dram_bytes: (partitions * 8) as u64,
+                    transactions: (partitions * 8).div_ceil(config.transaction_bytes) as u64,
+                    max_warp_cycles: 64,
+                    total_warp_cycles: 64,
+                    warps: 1,
+                    ..Default::default()
+                };
+                let carry = KernelStats::from_blocks(&[carry_block], bt, config);
+                envelope.untraced_time_us = carry.time_us;
+            }
+            envelope
+        })
+        .collect()
+}
+
+/// One block's envelope from its warps' charges: the block tail accrues to
+/// the last live warp, and the read-only cache, private to the block and
+/// cold at entry, is bounded by the block's summed probes.
+fn fold_block(
+    config: &DeviceConfig,
+    shape: &KernelShape,
+    cfg: &LaunchConfig,
+    bucketed: bool,
+    warps: &[WarpCharge],
+    tail: u64,
+) -> BlockEnvelope {
+    let mut env = BlockEnvelope {
+        max_warp_cycles: Interval::ZERO,
+        total_warp_cycles: Interval::ZERO,
+        transactions: Interval::ZERO,
+        ideal_transactions: Interval::ZERO,
+        max_access_transactions: Interval::ZERO,
+        dram_bytes: Interval::ZERO,
+        cache_hits: Interval::ZERO,
+        cache_misses: Interval::ZERO,
+        atomics: 0,
+        atomic_calls: 0,
+        atomic_multiplicity_sum: 0,
+        warps: warps.len() as u64,
+    };
+    let mut probes = Interval::ZERO;
+    let mut any_gather = false;
+    for (w, charge) in warps.iter().enumerate() {
+        let mut cycles = charge.cycles;
+        if w + 1 == warps.len() {
+            cycles.add_exact(tail);
+        }
+        env.max_warp_cycles.max_with(cycles);
+        env.total_warp_cycles.add(cycles);
+        env.transactions.add(charge.transactions);
+        env.ideal_transactions.add(charge.ideal_transactions);
+        env.max_access_transactions
+            .max_with(charge.max_access_transactions);
+        env.dram_bytes.add(charge.dram_bytes);
+        env.atomics += charge.atomics;
+        env.atomic_calls += charge.atomic_calls;
+        env.atomic_multiplicity_sum += charge.atomic_multiplicity_sum;
+        probes.add(charge.probes);
+        any_gather |= charge.gathers;
+    }
+    if cfg.use_rocache {
+        // At least one compulsory miss per distinct factor buffer; at most
+        // every probe misses.
+        let n_factors = shape.n_factors as u64;
+        let miss_lo = if any_gather { n_factors } else { 0 };
+        env.cache_misses = Interval::new(miss_lo.min(probes.hi), probes.hi);
+        env.cache_hits = Interval::new(0, probes.hi.saturating_sub(miss_lo));
+        env.transactions.add(env.cache_misses);
+        // CacheRead events carry no payload baseline: ideal = actual.
+        env.ideal_transactions.add(env.cache_misses);
+        if shape.factor_ws > config.l2_bytes {
+            let line = config.readonly_line_bytes as u64;
+            let dram_per_miss = (line / shape.tiling.factor_sharers.max(1)).max(4);
+            env.dram_bytes.add(env.cache_misses.scale(dram_per_miss));
+        }
+        if any_gather {
+            // The block's first probe batch is all-miss (cold cache, in-call
+            // dedup), so the worst access sees ≥ n_factors — except under
+            // the bucketed schedule, whose batches are per-factor and may
+            // dedup to a single line.
+            let cold_lo = if bucketed { 1 } else { n_factors };
+            env.max_access_transactions
+                .max_with(Interval::new(cold_lo, probes.hi));
+        }
+    }
+    env
+}
+
+/// The plan of global warp `g`: its metadata streams, gather schedule and
+/// the exact lane fold over the segment flags.
+fn plan_warp(
+    config: &DeviceConfig,
+    header: &Header,
+    shape: &KernelShape,
+    cfg: &LaunchConfig,
+    g: usize,
+) -> WarpPlan {
+    let threadlen = header.threadlen;
+    let nnz = header.nnz;
+    let partitions = header.partitions();
     let row_of_seg = |seg: usize| -> usize {
-        match fcoo.op {
+        match header.op {
             TensorOp::SpTtm { .. } => seg,
-            _ => fcoo.segment_coords[0][seg] as usize,
+            _ => header.segment_coords[0][seg] as usize,
+        }
+    };
+    let wft = g * WARP;
+    let warp_nnz_start = wft * threadlen;
+    let warp_nnz_end = ((wft + WARP) * threadlen).min(nnz);
+    let span = warp_nnz_end - warp_nnz_start;
+    let mut stream_transactions_total = 0u64;
+    let mut stream_max = 0u64;
+    // values + one stream per product-index column (same offsets).
+    let value_t = stream_transactions(warp_nnz_start * 4, span * 4, config);
+    stream_transactions_total += value_t * (1 + shape.n_factors) as u64;
+    stream_max = stream_max.max(value_t);
+    let mut charge_stream = |offset: usize, bytes: usize| {
+        let t = stream_transactions(offset, bytes, config);
+        stream_transactions_total += t;
+        stream_max = stream_max.max(t);
+    };
+    // bit flags with the one-byte head lookahead.
+    let bf_first = warp_nnz_start / 8;
+    let bf_last = warp_nnz_end.min(nnz - 1) / 8;
+    charge_stream(bf_first, bf_last - bf_first + 1);
+    // partition pointers and segment-start flags.
+    let threads_here = WARP.min(partitions - wft);
+    charge_stream(wft * 4, threads_here * 4);
+    let sf_first = wft / 8;
+    let sf_last = (wft + threads_here - 1) / 8;
+    charge_stream(sf_first, sf_last - sf_first + 1);
+
+    let gather = match header.buckets {
+        None => {
+            // F-COO: live lanes per threadlen iteration.
+            let mut gather_lives = Vec::new();
+            for i in 0..threadlen {
+                let live = (0..WARP)
+                    .take_while(|&lane| (wft + lane) * threadlen + i < nnz)
+                    .count();
+                if live == 0 {
+                    break;
+                }
+                gather_lives.push(live);
+            }
+            GatherPlan::Strided(gather_lives)
+        }
+        Some(buckets) => {
+            // BF-COO streams one distinct-row-count array per product mode
+            // alongside the flags; `warp_nnz_start` is a multiple of 32, so
+            // the warp's runs coincide with the global aligned runs the
+            // buckets index.
+            let run_first = warp_nnz_start / BUCKET_RUN;
+            let runs = span.div_ceil(BUCKET_RUN);
+            for _ in buckets {
+                charge_stream(run_first * 4, runs * 4);
+            }
+            let mut run_plans = Vec::with_capacity(runs);
+            for r in 0..runs {
+                let run_start = warp_nnz_start + r * BUCKET_RUN;
+                let run_end = (run_start + BUCKET_RUN).min(warp_nnz_end);
+                let ds = buckets
+                    .iter()
+                    .map(|column| column[run_first + r] as u64)
+                    .collect();
+                run_plans.push((run_end - run_start, ds));
+            }
+            GatherPlan::Bucketed(run_plans)
         }
     };
 
-    // Pass 1: column-independent per-block_x plans (streams, gather lives,
-    // exact segment event sequences).
-    let mut plans: Vec<ColumnPlan> = Vec::with_capacity(grid_x);
-    for bx in 0..grid_x {
-        let mut warps = Vec::new();
-        for w in 0..warps_per_block {
-            let wft = bx * bt + w * warp;
-            let warp_nnz_start = wft * threadlen;
-            if warp_nnz_start >= nnz {
-                break;
-            }
-            let warp_nnz_end = ((wft + warp) * threadlen).min(nnz);
-            let span = warp_nnz_end - warp_nnz_start;
-            let mut stream_transactions_total = 0u64;
-            let mut stream_max = 0u64;
-            // values + one stream per product-index column (same offsets).
-            let value_t = stream_transactions(warp_nnz_start * 4, span * 4, config);
-            stream_transactions_total += value_t * (1 + shape.n_factors) as u64;
-            stream_max = stream_max.max(value_t);
-            let mut charge_stream = |offset: usize, bytes: usize| {
-                let t = stream_transactions(offset, bytes, config);
-                stream_transactions_total += t;
-                stream_max = stream_max.max(t);
-            };
-            // bit flags with the one-byte head lookahead.
-            let bf_first = warp_nnz_start / 8;
-            let bf_last = warp_nnz_end.min(nnz - 1) / 8;
-            charge_stream(bf_first, bf_last - bf_first + 1);
-            // partition pointers and segment-start flags.
-            let threads_here = warp.min(partitions - wft);
-            charge_stream(wft * 4, threads_here * 4);
-            let sf_first = wft / 8;
-            let sf_last = (wft + threads_here - 1) / 8;
-            charge_stream(sf_first, sf_last - sf_first + 1);
-
-            let gather = match buckets {
-                None => {
-                    // F-COO: live lanes per threadlen iteration.
-                    let mut gather_lives = Vec::new();
-                    for i in 0..threadlen {
-                        let live = (0..warp)
-                            .take_while(|&lane| (wft + lane) * threadlen + i < nnz)
-                            .count();
-                        if live == 0 {
-                            break;
-                        }
-                        gather_lives.push(live);
-                    }
-                    GatherPlan::Strided(gather_lives)
-                }
-                Some(buckets) => {
-                    // BF-COO streams one distinct-row-count array per
-                    // product mode alongside the flags; `warp_nnz_start` is
-                    // a multiple of 32, so the warp's runs coincide with
-                    // the global aligned runs the buckets index.
-                    let run_first = warp_nnz_start / BUCKET_RUN;
-                    let runs = span.div_ceil(BUCKET_RUN);
-                    for _ in buckets {
-                        charge_stream(run_first * 4, runs * 4);
-                    }
-                    let mut run_plans = Vec::with_capacity(runs);
-                    for r in 0..runs {
-                        let run_start = warp_nnz_start + r * BUCKET_RUN;
-                        let run_end = (run_start + BUCKET_RUN).min(warp_nnz_end);
-                        let ds = buckets
-                            .iter()
-                            .map(|column| column[run_first + r] as u64)
-                            .collect();
-                        run_plans.push((run_end - run_start, ds));
-                    }
-                    GatherPlan::Bucketed(run_plans)
-                }
-            };
-
-            // Exact lane fold over the segment flags.
-            let mut finals = Vec::new();
-            let mut atomic_rows = Vec::new();
-            for lane in 0..warp {
-                let thread = wft + lane;
-                let pstart = thread * threadlen;
-                if pstart >= nnz {
-                    break;
-                }
-                let pend = ((thread + 1) * threadlen).min(nnz);
-                let mut heads = fcoo.partition_first_segment[thread] as usize;
-                let mut has_open = false;
-                for nz in pstart..pend {
-                    if fcoo.bf.get(nz) {
-                        if has_open {
-                            if cfg.use_segscan {
-                                finals.push(heads - 1);
-                            } else {
-                                atomic_rows.push(row_of_seg(heads - 1));
-                            }
-                        }
-                        heads += 1;
-                    }
-                    has_open = true;
-                    if !cfg.use_segscan {
+    // Exact lane fold over the segment flags.
+    let mut finals = Vec::new();
+    let mut atomic_rows = Vec::new();
+    for lane in 0..WARP {
+        let thread = wft + lane;
+        let pstart = thread * threadlen;
+        if pstart >= nnz {
+            break;
+        }
+        let pend = ((thread + 1) * threadlen).min(nnz);
+        let mut heads = header.partition_first_segment[thread] as usize;
+        let mut has_open = false;
+        for nz in pstart..pend {
+            if header.bf.get(nz) {
+                if has_open {
+                    if cfg.use_segscan {
+                        finals.push(heads - 1);
+                    } else {
                         atomic_rows.push(row_of_seg(heads - 1));
                     }
                 }
-                if has_open && cfg.use_segscan {
-                    finals.push(heads - 1);
-                }
+                heads += 1;
             }
-            let mut coord_reads = Batches::default();
-            if shape.has_coords {
-                for chunk in finals.chunks(warp) {
-                    coord_reads.add(chunk, config);
-                }
+            has_open = true;
+            if !cfg.use_segscan {
+                atomic_rows.push(row_of_seg(heads - 1));
             }
-            warps.push(WarpPlan {
-                stream_transactions: stream_transactions_total,
-                stream_max,
-                gather,
-                final_rows: finals.iter().map(|&seg| row_of_seg(seg)).collect(),
-                coord_reads,
-                atomic_rows,
-            });
         }
-        plans.push(ColumnPlan { warps });
+        if has_open && cfg.use_segscan {
+            finals.push(heads - 1);
+        }
     }
+    let mut coord_reads = Batches::default();
+    if shape.has_coords {
+        for chunk in finals.chunks(WARP) {
+            coord_reads.add(chunk, config);
+        }
+    }
+    WarpPlan {
+        stream_transactions: stream_transactions_total,
+        stream_max,
+        gather,
+        final_rows: finals.iter().map(|&seg| row_of_seg(seg)).collect(),
+        coord_reads,
+        atomic_rows,
+    }
+}
+
+/// Every `(column tile, warp)` charge of the launch over `header`, tile-major
+/// (`charges[ty · warps + g]`): the one pass a block-size sweep shares.
+fn charge_warps(
+    config: &DeviceConfig,
+    header: &Header,
+    shape: &KernelShape,
+    cfg: &LaunchConfig,
+) -> Vec<WarpCharge> {
+    let n_warps = header.partitions().div_ceil(WARP);
+    let ColumnTiling { columns, tile, .. } = shape.tiling;
+    let grid_y = shape.tiling.grid_y();
 
     // Gather-call cost constants.
     let miss_cycles = if shape.factor_ws <= config.l2_bytes {
@@ -704,270 +956,198 @@ fn certify_impl(
     } else {
         config.rocache_miss_cycles
     };
-    let rocache_sharers = if cfg.use_rocache {
-        shape.tiling.factor_sharers
-    } else {
-        1
-    };
-    let line = config.readonly_line_bytes as u64;
-    let dram_per_miss = (line / rocache_sharers.max(1)).max(4);
+    let line = config.readonly_line_bytes;
     let write_sharers = shape.tiling.write_sharers;
-    let n_factors = shape.n_factors as u64;
     let tile_cycles = tile as u64;
-    let grid_y = shape.tiling.grid_y();
+    // Each factor's wide-load line count per non-zero for every tile, and
+    // their sums over the factors.
+    let tile_lines: Vec<Vec<(u64, u64)>> = (0..grid_y)
+        .map(|ty| {
+            (0..shape.n_factors)
+                .map(|p| shape.tile_lines(p, ty, line))
+                .collect()
+        })
+        .collect();
 
-    // Pass 2: per-(block_x, column tile) envelopes, emitted in x-major
-    // launch order (bIdx varies fastest) for the wave fold.
-    let mut blocks: Vec<BlockEnvelope> = Vec::with_capacity(grid_x * grid_y);
+    let blank = WarpCharge {
+        cycles: Interval::ZERO,
+        transactions: Interval::ZERO,
+        ideal_transactions: Interval::ZERO,
+        max_access_transactions: Interval::ZERO,
+        dram_bytes: Interval::ZERO,
+        probes: Interval::ZERO,
+        gathers: false,
+        atomics: 0,
+        atomic_calls: 0,
+        atomic_multiplicity_sum: 0,
+    };
+    let mut charges = vec![blank; grid_y * n_warps];
     // Output indices of one warp's finalizations or atomics (reused).
     let mut indices: Vec<usize> = Vec::new();
-    for ty in 0..grid_y {
-        let col0 = ty * tile;
-        // Each factor's wide-load line count per non-zero for this tile,
-        // and their sums over the factors.
-        let lines: Vec<(u64, u64)> = (0..shape.n_factors)
-            .map(|p| shape.tile_lines(fcoo, p, ty, line as usize))
-            .collect();
-        let lines_lo: u64 = lines.iter().map(|l| l.0).sum();
-        let lines_hi: u64 = lines.iter().map(|l| l.1).sum();
-        for plan in &plans {
+    for g in 0..n_warps {
+        let wp = plan_warp(config, header, shape, cfg, g);
+        for (ty, lines) in tile_lines.iter().enumerate() {
+            let col0 = ty * tile;
+            let lines_lo: u64 = lines.iter().map(|l| l.0).sum();
+            let lines_hi: u64 = lines.iter().map(|l| l.1).sum();
             let l2_hot = ty > 0;
-            let mut env = BlockEnvelope {
-                max_warp_cycles: Interval::ZERO,
-                total_warp_cycles: Interval::ZERO,
-                transactions: Interval::ZERO,
-                ideal_transactions: Interval::ZERO,
-                max_access_transactions: Interval::ZERO,
-                dram_bytes: Interval::ZERO,
-                cache_hits: Interval::ZERO,
-                cache_misses: Interval::ZERO,
-                atomics: 0,
-                atomic_calls: 0,
-                atomic_multiplicity_sum: 0,
-                warps: plan.warps.len() as u64,
-            };
-            // Per-block read-only cache probe totals (the cache is private
-            // to the block and cold at entry).
-            let mut probes = Interval::ZERO;
-            let mut any_gather = false;
-            for (w, wp) in plan.warps.iter().enumerate() {
-                let mut cycles = Interval::ZERO;
-                // Metadata streams: transactions and issue cycles always;
-                // DRAM only for the bIdy = 0 sibling (the rest hit L2).
-                env.transactions.add_exact(wp.stream_transactions);
-                env.ideal_transactions.add_exact(wp.stream_transactions);
-                if !l2_hot {
-                    env.dram_bytes
-                        .add_exact(wp.stream_transactions * config.transaction_bytes as u64);
-                }
-                cycles.add_exact(wp.stream_transactions * config.mem_issue_cycles);
-                env.max_access_transactions
-                    .max_with(Interval::exact(wp.stream_max));
+            let c = &mut charges[ty * n_warps + g];
+            let mut cycles = Interval::ZERO;
+            // Metadata streams: transactions and issue cycles always; DRAM
+            // only for the bIdy = 0 sibling (the rest hit L2).
+            c.transactions.add_exact(wp.stream_transactions);
+            c.ideal_transactions.add_exact(wp.stream_transactions);
+            if !l2_hot {
+                c.dram_bytes
+                    .add_exact(wp.stream_transactions * config.transaction_bytes as u64);
+            }
+            cycles.add_exact(wp.stream_transactions * config.mem_issue_cycles);
+            c.max_access_transactions
+                .max_with(Interval::exact(wp.stream_max));
 
-                // Factor gathers: the sole interval source.
-                match &wp.gather {
-                    GatherPlan::Strided(lives) => {
-                        for &live in lives {
-                            any_gather = true;
-                            let live = live as u64;
-                            let per_call = Interval::new(lines_lo, live * lines_hi);
-                            probes.add(per_call);
+            // Factor gathers: the sole interval source.
+            match &wp.gather {
+                GatherPlan::Strided(lives) => {
+                    for &live in lives {
+                        c.gathers = true;
+                        let live = live as u64;
+                        let per_call = Interval::new(lines_lo, live * lines_hi);
+                        c.probes.add(per_call);
+                        if cfg.use_rocache {
+                            // Per probe: 1 hit cycle … one miss fill.
+                            cycles.add(Interval::new(per_call.lo, per_call.hi * miss_cycles));
+                        } else {
+                            // Plain coalesced loads of a reused working set.
+                            cycles.add(per_call.scale(config.mem_issue_cycles));
+                            if shape.factor_ws <= config.l2_bytes {
+                                cycles.add_exact(config.l2_latency_cycles);
+                            } else {
+                                c.dram_bytes
+                                    .add(per_call.scale(config.transaction_bytes as u64));
+                            }
+                            c.transactions.add(per_call);
+                            let ideal = |lanes: u64| {
+                                ideal_lane_transactions((live * lanes) as usize, config)
+                            };
+                            c.ideal_transactions.add(Interval::new(
+                                ideal(lines_lo).min(per_call.lo),
+                                ideal(lines_hi).min(per_call.hi),
+                            ));
+                        }
+                        c.max_access_transactions.max_with(per_call);
+                        cycles.add_exact(shape.compute_per_element * tile_cycles);
+                    }
+                }
+                GatherPlan::Bucketed(runs) => {
+                    // One batch per factor per run: the bucket metadata
+                    // bounds each batch's distinct lines by the run's exact
+                    // distinct-row count, so `live · n_factors` never
+                    // appears — this is where BF-COO's certified upper bound
+                    // beats F-COO's.
+                    for (run_len, ds) in runs {
+                        c.gathers = true;
+                        for (&d, &(lo, hi)) in ds.iter().zip(lines) {
+                            // At most `hi` lines per distinct row; past the
+                            // read-only cache's 32-tag in-call dedup window
+                            // every address may probe.
+                            let distinct = d * hi;
+                            let probes_hi = if distinct <= 32 {
+                                distinct
+                            } else {
+                                *run_len as u64 * hi
+                            };
+                            let per_call = Interval::new(lo, probes_hi);
                             if cfg.use_rocache {
-                                // Per probe: 1 hit cycle … one miss fill.
+                                c.probes.add(per_call);
                                 cycles.add(Interval::new(per_call.lo, per_call.hi * miss_cycles));
                             } else {
-                                // Plain coalesced loads of a reused working set.
                                 cycles.add(per_call.scale(config.mem_issue_cycles));
                                 if shape.factor_ws <= config.l2_bytes {
                                     cycles.add_exact(config.l2_latency_cycles);
                                 } else {
-                                    env.dram_bytes
+                                    c.dram_bytes
                                         .add(per_call.scale(config.transaction_bytes as u64));
                                 }
-                                env.transactions.add(per_call);
-                                let ideal = |lanes: u64| {
-                                    ideal_lane_transactions((live * lanes) as usize, config)
-                                };
-                                env.ideal_transactions.add(Interval::new(
-                                    ideal(lines_lo).min(per_call.lo),
-                                    ideal(lines_hi).min(per_call.hi),
-                                ));
+                                c.transactions.add(per_call);
+                                let ideal = ideal_lane_transactions(*run_len * hi as usize, config);
+                                c.ideal_transactions
+                                    .add(Interval::new(1, ideal.min(per_call.hi)));
                             }
-                            env.max_access_transactions.max_with(per_call);
-                            cycles.add_exact(shape.compute_per_element * tile_cycles);
+                            c.max_access_transactions.max_with(per_call);
                         }
-                    }
-                    GatherPlan::Bucketed(runs) => {
-                        // One batch per factor per run: the bucket metadata
-                        // bounds each batch's distinct lines by the run's
-                        // exact distinct-row count, so `live · n_factors`
-                        // never appears — this is where BF-COO's certified
-                        // upper bound beats F-COO's.
-                        for (run_len, ds) in runs {
-                            any_gather = true;
-                            for (&d, &(lo, hi)) in ds.iter().zip(&lines) {
-                                // At most `hi` lines per distinct row; past
-                                // the read-only cache's 32-tag in-call dedup
-                                // window every address may probe.
-                                let distinct = d * hi;
-                                let probes_hi = if distinct <= 32 {
-                                    distinct
-                                } else {
-                                    *run_len as u64 * hi
-                                };
-                                let per_call = Interval::new(lo, probes_hi);
-                                if cfg.use_rocache {
-                                    probes.add(per_call);
-                                    cycles
-                                        .add(Interval::new(per_call.lo, per_call.hi * miss_cycles));
-                                } else {
-                                    cycles.add(per_call.scale(config.mem_issue_cycles));
-                                    if shape.factor_ws <= config.l2_bytes {
-                                        cycles.add_exact(config.l2_latency_cycles);
-                                    } else {
-                                        env.dram_bytes
-                                            .add(per_call.scale(config.transaction_bytes as u64));
-                                    }
-                                    env.transactions.add(per_call);
-                                    let ideal =
-                                        ideal_lane_transactions(*run_len * hi as usize, config);
-                                    env.ideal_transactions
-                                        .add(Interval::new(1, ideal.min(per_call.hi)));
-                                }
-                                env.max_access_transactions.max_with(per_call);
-                            }
-                            // Demux shuffles and the product FLOPs, exactly
-                            // as narrated: once per run.
-                            cycles.add_exact(BUCKET_SHUFFLE_OPS * config.shuffle_cycles);
-                            cycles.add_exact(shape.compute_per_element * tile_cycles);
-                        }
+                        // Demux shuffles and the product FLOPs, exactly as
+                        // narrated: once per run.
+                        cycles.add_exact(BUCKET_SHUFFLE_OPS * config.shuffle_cycles);
+                        cycles.add_exact(shape.compute_per_element * tile_cycles);
                     }
                 }
+            }
 
-                // Segmented-scan stages and batched output traffic.
-                if cfg.use_segscan {
-                    cycles.add_exact(scan::warp_segscan_cycles(config) * tile_cycles);
-                    let coords = wp.coord_reads;
-                    env.transactions.add_exact(coords.transactions);
-                    env.dram_bytes
-                        .add_exact(coords.transactions * config.transaction_bytes as u64);
-                    cycles.add_exact(coords.transactions * config.mem_issue_cycles);
-                    env.ideal_transactions.add_exact(coords.ideal);
-                    env.max_access_transactions
-                        .max_with(Interval::exact(coords.max));
-                    indices.clear();
-                    for &row in &wp.final_rows {
-                        let base = row * columns + col0;
-                        indices.extend(base..base + tile);
-                    }
-                    for chunk in indices.chunks(warp) {
-                        let t = batch_transactions(chunk, config);
-                        env.transactions.add_exact(t);
-                        env.dram_bytes.add_exact(
-                            (t * config.transaction_bytes as u64 / write_sharers.max(1)).max(t * 4),
-                        );
-                        cycles.add_exact(t * config.mem_issue_cycles);
-                        let ideal = ideal_lane_transactions(chunk.len(), config).min(t);
-                        env.ideal_transactions.add_exact(ideal);
-                        env.max_access_transactions.max_with(Interval::exact(t));
-                    }
-                }
-
-                // COO-style frontier atomics (exact: indices are known).
-                // Issued one tile column after another, each in the
-                // untiled kernel's order.
+            // Segmented-scan stages and batched output traffic.
+            if cfg.use_segscan {
+                cycles.add_exact(scan::warp_segscan_cycles(config) * tile_cycles);
+                let coords = wp.coord_reads;
+                c.transactions.add_exact(coords.transactions);
+                c.dram_bytes
+                    .add_exact(coords.transactions * config.transaction_bytes as u64);
+                cycles.add_exact(coords.transactions * config.mem_issue_cycles);
+                c.ideal_transactions.add_exact(coords.ideal);
+                c.max_access_transactions
+                    .max_with(Interval::exact(coords.max));
                 indices.clear();
-                for col in col0..col0 + tile {
-                    indices.extend(wp.atomic_rows.iter().map(|&row| row * columns + col));
+                for &row in &wp.final_rows {
+                    let base = row * columns + col0;
+                    indices.extend(base..base + tile);
                 }
-                for chunk in indices.chunks(warp) {
-                    env.atomics += chunk.len() as u64;
-                    let mut max_multiplicity = 0u64;
-                    let mut seen: Vec<(usize, u64)> = Vec::with_capacity(chunk.len());
-                    for &index in chunk {
-                        match seen.iter_mut().find(|(i, _)| *i == index) {
-                            Some((_, count)) => *count += 1,
-                            None => seen.push((index, 1)),
-                        }
-                    }
-                    for &(_, count) in &seen {
-                        max_multiplicity = max_multiplicity.max(count);
-                    }
-                    let conflict = config.atomic_cycles * max_multiplicity;
-                    cycles.add_exact(conflict);
+                for chunk in indices.chunks(WARP) {
                     let t = batch_transactions(chunk, config);
-                    env.transactions.add_exact(t);
-                    env.dram_bytes
-                        .add_exact(t * config.transaction_bytes as u64);
+                    c.transactions.add_exact(t);
+                    c.dram_bytes.add_exact(
+                        (t * config.transaction_bytes as u64 / write_sharers.max(1)).max(t * 4),
+                    );
                     cycles.add_exact(t * config.mem_issue_cycles);
                     let ideal = ideal_lane_transactions(chunk.len(), config).min(t);
-                    env.ideal_transactions.add_exact(ideal);
-                    env.max_access_transactions.max_with(Interval::exact(t));
-                    env.atomic_calls += 1;
-                    env.atomic_multiplicity_sum += max_multiplicity;
+                    c.ideal_transactions.add_exact(ideal);
+                    c.max_access_transactions.max_with(Interval::exact(t));
                 }
+            }
 
-                // Block tail (scan combine, barriers, fusion domino) accrues
-                // to the last live warp.
-                if cfg.use_segscan && w + 1 == plan.warps.len() {
-                    cycles.add_exact(scan::block_segscan_cycles(bt, config) * tile_cycles);
-                    cycles.add_exact(2 * config.syncthreads_cycles);
-                    if cfg.use_fusion {
-                        cycles.add_exact(config.adjacent_sync_cycles);
+            // COO-style frontier atomics (exact: indices are known). Issued
+            // one tile column after another, each in the untiled kernel's
+            // order.
+            indices.clear();
+            for col in col0..col0 + tile {
+                indices.extend(wp.atomic_rows.iter().map(|&row| row * columns + col));
+            }
+            for chunk in indices.chunks(WARP) {
+                c.atomics += chunk.len() as u64;
+                let mut max_multiplicity = 0u64;
+                let mut seen: Vec<(usize, u64)> = Vec::with_capacity(chunk.len());
+                for &index in chunk {
+                    match seen.iter_mut().find(|(i, _)| *i == index) {
+                        Some((_, count)) => *count += 1,
+                        None => seen.push((index, 1)),
                     }
                 }
-
-                env.max_warp_cycles.max_with(cycles);
-                env.total_warp_cycles.add(cycles);
-            }
-            if cfg.use_rocache {
-                // Cold per-block cache: at least one compulsory miss per
-                // distinct factor buffer; at most every probe misses.
-                let miss_lo = if any_gather { n_factors } else { 0 };
-                env.cache_misses = Interval::new(miss_lo.min(probes.hi), probes.hi);
-                env.cache_hits = Interval::new(0, probes.hi.saturating_sub(miss_lo));
-                env.transactions.add(env.cache_misses);
-                // CacheRead events carry no payload baseline: ideal = actual.
-                env.ideal_transactions.add(env.cache_misses);
-                if shape.factor_ws > config.l2_bytes {
-                    env.dram_bytes.add(env.cache_misses.scale(dram_per_miss));
+                for &(_, count) in &seen {
+                    max_multiplicity = max_multiplicity.max(count);
                 }
-                if any_gather {
-                    // The block's first probe batch is all-miss (cold cache,
-                    // in-call dedup), so the worst access sees ≥ n_factors —
-                    // except under the bucketed schedule, whose batches are
-                    // per-factor and may dedup to a single line.
-                    let cold_lo = if buckets.is_some() { 1 } else { n_factors };
-                    env.max_access_transactions
-                        .max_with(Interval::new(cold_lo, probes.hi));
-                }
+                let conflict = config.atomic_cycles * max_multiplicity;
+                cycles.add_exact(conflict);
+                let t = batch_transactions(chunk, config);
+                c.transactions.add_exact(t);
+                c.dram_bytes.add_exact(t * config.transaction_bytes as u64);
+                cycles.add_exact(t * config.mem_issue_cycles);
+                let ideal = ideal_lane_transactions(chunk.len(), config).min(t);
+                c.ideal_transactions.add_exact(ideal);
+                c.max_access_transactions.max_with(Interval::exact(t));
+                c.atomic_calls += 1;
+                c.atomic_multiplicity_sum += max_multiplicity;
             }
-            blocks.push(env);
+            c.cycles = cycles;
         }
     }
-
-    // Occupancy, mirroring `launch_with_shared`.
-    let mut concurrent = config.concurrent_blocks(bt);
-    if let Some(per_sm) = config.shared_mem_per_sm.checked_div(shared_bytes) {
-        concurrent = concurrent.min(per_sm.max(1) * config.num_sms);
-    }
-    let mut envelope = fold_launch(&blocks, concurrent, bt, grid_x * grid_y, config);
-
-    // Unfused variant: the follow-up carry-resolution kernel is charged to
-    // `KernelStats` but never traced; keep its exact time separately.
-    if cfg.use_segscan && !cfg.use_fusion {
-        let carry_block = BlockStats {
-            dram_bytes: (partitions * 8) as u64,
-            transactions: (partitions * 8).div_ceil(config.transaction_bytes) as u64,
-            max_warp_cycles: 64,
-            total_warp_cycles: 64,
-            warps: 1,
-            ..Default::default()
-        };
-        let carry = KernelStats::from_blocks(&[carry_block], bt, config);
-        envelope.untraced_time_us = carry.time_us;
-    }
-    envelope
+    charges
 }
 
 /// Folds per-block envelopes into a launch envelope by running the exact
@@ -1316,7 +1496,8 @@ pub fn gather_bounds(
     rank: usize,
     block_size: usize,
 ) -> GatherBounds {
-    let shape = KernelShape::for_op(fcoo, rank);
+    let pm = &fcoo.classification.product_modes;
+    let shape = KernelShape::for_op(fcoo.op, pm, &fcoo.shape, rank);
     let threadlen = fcoo.threadlen;
     let nnz = fcoo.nnz();
     let partitions = fcoo.partitions();
@@ -1350,7 +1531,7 @@ pub fn gather_bounds(
     for ty in 0..shape.tiling.grid_y() {
         let (mut lo, mut hi) = (0, 0);
         for p in 0..shape.n_factors {
-            let l = shape.tile_lines(fcoo, p, ty, config.readonly_line_bytes);
+            let l = shape.tile_lines(p, ty, config.readonly_line_bytes);
             lo += l.0;
             hi += l.1;
         }
@@ -1677,5 +1858,48 @@ mod tests {
         assert_eq!(bounds.transactions.hi, envelope.cache_misses.hi);
         assert!(bounds.calls > 0);
         assert_eq!(bounds.bound_factor, 8);
+    }
+
+    #[test]
+    fn one_fold_per_block_size_equals_certifying_each_alone() {
+        // Every counter, under every ablation: the sweep's shared charges
+        // carry no state from one block size's fold into the next.
+        let (tensor, _) = datasets::generate(DatasetKind::Nell2, 1500, 21);
+        let config = DeviceConfig::titan_x();
+        let blocks = [1024, 32, 256, 64, 512, 128];
+        for op in [
+            TensorOp::SpTtm { mode: 1 },
+            TensorOp::SpMttkrp { mode: 0 },
+            TensorOp::SpTtmc { mode: 2 },
+        ] {
+            for threadlen in [3, 8] {
+                let bf = BfCoo::from_coo(&tensor, op, threadlen);
+                for buckets in [None, Some(&bf.buckets[..])] {
+                    let header = Header::of(&bf.base, buckets);
+                    for ablation in 0..4 {
+                        let cfg = LaunchConfig {
+                            use_rocache: ablation != 1,
+                            use_segscan: ablation != 2,
+                            use_fusion: ablation != 3,
+                            ..LaunchConfig::default()
+                        };
+                        let swept = certify_block_sizes(&config, &header, RANK, &cfg, &blocks);
+                        for (&block_size, envelope) in blocks.iter().zip(&swept) {
+                            let alone = certify_one(
+                                &config,
+                                &header,
+                                RANK,
+                                &LaunchConfig { block_size, ..cfg },
+                            );
+                            assert_eq!(
+                                format!("{envelope:?}"),
+                                format!("{alone:?}"),
+                                "{op:?} T{threadlen} B{block_size} ablation {ablation}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

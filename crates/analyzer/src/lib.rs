@@ -47,7 +47,7 @@
 pub mod cost;
 pub mod model;
 
-use fcoo::{AnyFormat, Fcoo, FormatKind, TensorOp, TuneResult};
+use fcoo::{AnyFormat, Fcoo, FormatKind, SortedFcoo, TensorOp, TuneResult};
 use gpu_sim::symbolic::{AffineLaneAccess, RangeAccess};
 use gpu_sim::{DeviceConfig, GpuDevice};
 use model::{launch_shape_violation, LaunchGeometry};
@@ -676,16 +676,21 @@ pub fn tune_filter(
     let config = config.clone();
     let candidates = candidate_block_sizes.to_vec();
     move |fcoo: &Fcoo, block_size: usize| {
-        let geometry = LaunchGeometry::new(
-            block_size,
-            fcoo.threadlen,
-            fcoo.nnz(),
-            1,
-            (block_size / 32) * 8,
-        );
-        launch_shape_violation(&geometry, &config).is_none()
-            && geometry.dominated_by(&candidates).is_none()
+        structurally_kept(&config, &candidates, fcoo.threadlen, fcoo.nnz(), block_size)
     }
+}
+
+/// [`tune_filter`]'s predicate on bare header numbers.
+fn structurally_kept(
+    config: &DeviceConfig,
+    candidates: &[usize],
+    threadlen: usize,
+    nnz: usize,
+    block_size: usize,
+) -> bool {
+    let geometry = LaunchGeometry::new(block_size, threadlen, nnz, 1, (block_size / 32) * 8);
+    launch_shape_violation(&geometry, config).is_none()
+        && geometry.dominated_by(candidates).is_none()
 }
 
 /// One grid survivor's certified time envelope, as produced by
@@ -762,32 +767,54 @@ impl CertifiedTune {
 /// threadlen)` grid point of `kind` that the structural filter
 /// ([`tune_filter`]) keeps, sweep order (threadlen-major), plus the pairs
 /// it pruned. Header arithmetic only: nothing is launched.
-fn certify_grid(
+///
+/// The sweep shares everything it can. `sorted` is the one sort of the
+/// tensor for its operation; each threadlen only derives its partition
+/// pointers from it, and BF-COO's buckets are counted once. Each threadlen
+/// then charges its `(column tile, warp)` pairs once for all the block
+/// sizes it keeps. Every envelope is bit-identical to
+/// [`cost::certify_format`] over the format built at that point.
+pub fn certify_grid(
     config: &DeviceConfig,
-    tensor: &SparseTensorCoo,
+    sorted: &SortedFcoo,
     kind: FormatKind,
-    op: TensorOp,
     rank: usize,
     grid_b: &[usize],
     grid_t: &[usize],
 ) -> (Vec<CertifiedPoint>, Vec<(usize, usize)>) {
-    let keep = tune_filter(config, grid_b);
+    let buckets = (kind == FormatKind::BfCoo).then(|| sorted.bucket_counts());
     let mut pruned = Vec::new();
     let mut envelopes = Vec::new();
     for &threadlen in grid_t {
-        let format = AnyFormat::build(kind, tensor, op, threadlen);
-        for &block_size in grid_b {
-            if !keep(format.base(), block_size) {
-                pruned.push((block_size, threadlen));
-                continue;
-            }
-            let cfg = fcoo::LaunchConfig::with_block_size(block_size);
-            envelopes.push(CertifiedPoint {
-                block_size,
-                threadlen,
-                time_us: cost::certify_format(config, &format, rank, &cfg).stats_time_us(),
-            });
+        let (kept, refused): (Vec<usize>, Vec<usize>) = grid_b.iter().partition(|&&block_size| {
+            structurally_kept(config, grid_b, threadlen, sorted.nnz(), block_size)
+        });
+        pruned.extend(
+            refused
+                .into_iter()
+                .map(|block_size| (block_size, threadlen)),
+        );
+        if kept.is_empty() {
+            continue;
         }
+        let partitioning = sorted.partition(threadlen);
+        let header = cost::Header::sorted(
+            sorted,
+            threadlen,
+            &partitioning.partition_first_segment,
+            buckets.as_deref(),
+        );
+        let cfg = fcoo::LaunchConfig::default();
+        let certified = cost::certify_block_sizes(config, &header, rank, &cfg, &kept);
+        envelopes.extend(
+            kept.into_iter()
+                .zip(certified)
+                .map(|(block_size, envelope)| CertifiedPoint {
+                    block_size,
+                    threadlen,
+                    time_us: envelope.stats_time_us(),
+                }),
+        );
     }
     (envelopes, pruned)
 }
@@ -814,8 +841,8 @@ pub fn tune_certified(
     let config = device.config();
     let grid_b = block_sizes.unwrap_or(&fcoo::BLOCK_SIZES);
     let grid_t = threadlens.unwrap_or(&fcoo::THREADLENS);
-    let (envelopes, pruned) =
-        certify_grid(config, tensor, FormatKind::Fcoo, op, rank, grid_b, grid_t);
+    let sorted = SortedFcoo::new(tensor, op);
+    let (envelopes, pruned) = certify_grid(config, &sorted, FormatKind::Fcoo, rank, grid_b, grid_t);
     // A survivor is eliminated iff some other survivor's upper bound sits
     // strictly below its lower bound. Comparing against the grid-wide
     // minimum upper bound implements exactly that: the minimizing point can
@@ -970,10 +997,11 @@ pub fn tune_select(
 ) -> FormatChoice {
     let grid_b = block_sizes.unwrap_or(&fcoo::BLOCK_SIZES);
     let grid_t = threadlens.unwrap_or(&fcoo::THREADLENS);
+    let sorted = SortedFcoo::new(tensor, op);
     let candidates: Vec<FormatBest> = FormatKind::ALL
         .into_iter()
         .map(|kind| {
-            let (envelopes, _) = certify_grid(config, tensor, kind, op, rank, grid_b, grid_t);
+            let (envelopes, _) = certify_grid(config, &sorted, kind, rank, grid_b, grid_t);
             let best = envelopes
                 .into_iter()
                 .reduce(|a, b| if b.time_us.hi < a.time_us.hi { b } else { a })

@@ -22,7 +22,8 @@
 
 use analyzer::cost;
 use fcoo::{
-    spmttkrp, spttm, AnyFormat, DeviceMatrix, Fcoo, FcooDevice, FormatKind, LaunchConfig, TensorOp,
+    spmttkrp, spttm, AnyFormat, DeviceMatrix, Fcoo, FcooDevice, FormatKind, LaunchConfig,
+    SortedFcoo, TensorOp,
 };
 use gpu_sim::{DeviceConfig, GpuDevice};
 use proptest::prelude::*;
@@ -270,6 +271,87 @@ proptest! {
         prop_assert_eq!(
             certified.launches + certified.launches_avoided(),
             certified.grid_points
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The one-sort, one-pass grid sweep is exact: over order-3 and order-4
+    /// tensors, every operation, both formats, block sizes 32–256 and
+    /// threadlens 1–33, each certified envelope equals `certify_format`
+    /// over the format built at that point, bit for bit, the structural
+    /// filter prunes the same pairs, and `tune_select` picks what a
+    /// per-point sweep picks.
+    #[test]
+    fn one_pass_grid_sweep_equals_certifying_every_point(
+        order4 in proptest::bool::ANY,
+        nnz in 60usize..400,
+        dataset_seed in 0u64..1000,
+        kind_selector in 0u8..3,
+        mode in 0usize..4,
+        op_selector in 0u8..3,
+        rank_index in 0usize..3,
+    ) {
+        const BLOCKS: [usize; 4] = [32, 64, 128, 256];
+        let tensor = if order4 {
+            datasets::generate_norder(&[12, 9, 14, 7], nnz, 0.6, dataset_seed)
+        } else {
+            datasets::generate(kind_from(kind_selector), nnz, dataset_seed).0
+        };
+        prop_assume!(mode < tensor.order());
+        let op = match op_selector {
+            0 => TensorOp::SpTtm { mode },
+            1 => TensorOp::SpMttkrp { mode },
+            _ => TensorOp::SpTtmc { mode },
+        };
+        let rank = [2usize, 4, 8][rank_index];
+        let threadlens: Vec<usize> = (1..=33).collect();
+        let config = DeviceConfig::titan_x();
+        let keep = analyzer::tune_filter(&config, &BLOCKS);
+        let sorted = SortedFcoo::new(&tensor, op);
+        let mut bests = Vec::new();
+        for kind in FormatKind::ALL {
+            let (envelopes, pruned) =
+                analyzer::certify_grid(&config, &sorted, kind, rank, &BLOCKS, &threadlens);
+            let mut want_envelopes = Vec::new();
+            let mut want_pruned = Vec::new();
+            for &threadlen in &threadlens {
+                let format = AnyFormat::build(kind, &tensor, op, threadlen);
+                for block_size in BLOCKS {
+                    if !keep(format.base(), block_size) {
+                        want_pruned.push((block_size, threadlen));
+                        continue;
+                    }
+                    let cfg = LaunchConfig::with_block_size(block_size);
+                    let time = cost::certify_format(&config, &format, rank, &cfg).stats_time_us();
+                    want_envelopes.push((block_size, threadlen, time.lo.to_bits(), time.hi.to_bits()));
+                }
+            }
+            let got: Vec<_> = envelopes
+                .iter()
+                .map(|p| (p.block_size, p.threadlen, p.time_us.lo.to_bits(), p.time_us.hi.to_bits()))
+                .collect();
+            prop_assert_eq!(got, want_envelopes.clone(), "{:?} {:?} rank {}", kind, op, rank);
+            prop_assert_eq!(pruned, want_pruned);
+            // Minimal certified upper bound; ties keep the earlier point.
+            let best = want_envelopes
+                .into_iter()
+                .reduce(|a, b| if f64::from_bits(b.3) < f64::from_bits(a.3) { b } else { a })
+                .expect("the filter keeps a configuration");
+            bests.push((kind, best));
+        }
+        let chosen = bests
+            .iter()
+            .copied()
+            .reduce(|a, b| if f64::from_bits(b.1 .3) < f64::from_bits(a.1 .3) { b } else { a })
+            .expect("two formats");
+        let choice = analyzer::tune_select(&config, &tensor, op, rank, Some(&BLOCKS), Some(&threadlens));
+        let c = &choice.chosen;
+        prop_assert_eq!(
+            (c.kind, c.block_size, c.threadlen, c.time_us.lo.to_bits(), c.time_us.hi.to_bits()),
+            (chosen.0, chosen.1 .0, chosen.1 .1, chosen.1 .2, chosen.1 .3)
         );
     }
 }

@@ -41,8 +41,6 @@ struct Region {
     num_tasks: usize,
     /// Next unclaimed task index.
     next: AtomicUsize,
-    /// Number of workers still executing region tasks.
-    active: AtomicUsize,
     /// Set if any task panicked.
     poisoned: AtomicUsize,
 }
@@ -51,6 +49,11 @@ struct Shared {
     /// Current region, replaced for every `run` call. The `u64` is a region
     /// sequence number so sleeping workers can tell a new region arrived.
     region: Mutex<(u64, Option<Arc<Region>>)>,
+    /// Workers that still hold the current region. A worker drops its
+    /// handle before it counts itself out, so the caller of `Pool::run`
+    /// always frees the region: which thread frees it never depends on
+    /// scheduling, and neither does the layout of the allocator's heaps.
+    active: AtomicUsize,
     work_ready: Condvar,
     region_done: Condvar,
     shutdown: AtomicUsize,
@@ -72,6 +75,7 @@ impl Pool {
         let num_threads = num_threads.max(1);
         let shared = Arc::new(Shared {
             region: Mutex::new((0, None)),
+            active: AtomicUsize::new(0),
             work_ready: Condvar::new(),
             region_done: Condvar::new(),
             shutdown: AtomicUsize::new(0),
@@ -127,11 +131,13 @@ impl Pool {
             task: erased,
             num_tasks,
             next: AtomicUsize::new(0),
-            active: AtomicUsize::new(self.num_threads),
             poisoned: AtomicUsize::new(0),
         });
         {
             let mut guard = self.shared.region.lock();
+            self.shared
+                .active
+                .store(self.num_threads, Ordering::Release);
             guard.0 += 1;
             guard.1 = Some(Arc::clone(&region));
             self.shared.work_ready.notify_all();
@@ -139,7 +145,7 @@ impl Pool {
         // Wait for all workers to drain the region.
         {
             let mut guard = self.shared.region.lock();
-            while region.active.load(Ordering::Acquire) != 0 {
+            while self.shared.active.load(Ordering::Acquire) != 0 {
                 self.shared.region_done.wait(&mut guard);
             }
             // Clear the region so late wake-ups observe no work.
@@ -195,7 +201,8 @@ fn worker_loop(shared: &Shared, worker: usize) {
                 region.poisoned.store(1, Ordering::Release);
             }
         }
-        let remaining = region.active.fetch_sub(1, Ordering::AcqRel) - 1;
+        drop(region);
+        let remaining = shared.active.fetch_sub(1, Ordering::AcqRel) - 1;
         if remaining == 0 {
             let _guard = shared.region.lock();
             shared.region_done.notify_all();

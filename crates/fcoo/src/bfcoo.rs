@@ -30,7 +30,7 @@ use crate::format::Fcoo;
 use crate::modes::TensorOp;
 use gpu_sim::memory::{DeviceBuffer, DeviceMemory};
 use gpu_sim::OutOfMemory;
-use tensor_core::SparseTensorCoo;
+use tensor_core::{Idx, SparseTensorCoo};
 
 /// Non-zeros per bucketed gather run. Warps start on 32-thread boundaries,
 /// so every warp's non-zero span starts on a multiple of `RUN = 32` for any
@@ -56,18 +56,24 @@ pub struct BfCoo {
 /// distinct count, which is why the sanitizer's BF-COO lint recomputes
 /// and compares these.
 pub fn bucket_counts(base: &Fcoo) -> Vec<Vec<u32>> {
-    let nnz = base.nnz();
-    base.product_indices
+    run_distinct_counts(&base.product_indices)
+}
+
+/// [`bucket_counts`] over bare product-index columns: the counts depend on
+/// the sort order alone, not on the partition size.
+pub(crate) fn run_distinct_counts(product_indices: &[Vec<Idx>]) -> Vec<Vec<u32>> {
+    product_indices
         .iter()
         .map(|column| {
-            (0..nnz.div_ceil(RUN))
+            (0..column.len().div_ceil(RUN))
                 .map(|run| {
                     let start = run * RUN;
-                    let end = (start + RUN).min(nnz);
-                    let mut rows = column[start..end].to_vec();
+                    let end = (start + RUN).min(column.len());
+                    let mut rows = [0 as Idx; RUN];
+                    let rows = &mut rows[..end - start];
+                    rows.copy_from_slice(&column[start..end]);
                     rows.sort_unstable();
-                    rows.dedup();
-                    rows.len() as u32
+                    1 + rows.windows(2).filter(|pair| pair[0] != pair[1]).count() as u32
                 })
                 .collect()
         })

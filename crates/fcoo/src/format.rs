@@ -159,44 +159,107 @@ pub struct Fcoo {
     pub partition_first_segment: Vec<u32>,
 }
 
-impl Fcoo {
-    /// Preprocesses `tensor` for `op` with the given partition size.
-    ///
-    /// Sorting places equal index-mode coordinates contiguously; the flags
-    /// are derived from coordinate changes in that order. Cost: one sort of
-    /// the non-zeros (done on the host, once per mode — the paper
-    /// preprocesses all modes up front and ships them to the GPU once).
+/// The threadlen-independent part of an F-COO build: the non-zeros sorted
+/// for one operation, their product-mode indices, values and segment head
+/// flags, and the segments' index-mode coordinates.
+///
+/// Only `sf` and `partition_first_segment` depend on the partition size, so
+/// a sweep over threadlens sorts once and derives each partitioning from
+/// this with [`SortedFcoo::partition`] (one pass over `bf`).
+#[derive(Debug, Clone)]
+pub struct SortedFcoo {
+    /// The operation the sort order serves.
+    pub op: TensorOp,
+    /// The Table I classification that shaped the sort.
+    pub classification: ModeClassification,
+    /// Original tensor shape.
+    pub shape: Vec<usize>,
+    /// `product_indices[p][nz]`: coordinate along the `p`-th product mode.
+    pub product_indices: Vec<Vec<Idx>>,
+    /// Non-zero values, in segment order.
+    pub values: Vec<Val>,
+    /// Segment head flags, one per non-zero.
+    pub bf: BitFlags,
+    /// `segment_coords[m][seg]`: coordinate along the `m`-th index mode of
+    /// each segment.
+    pub segment_coords: Vec<Vec<Idx>>,
+}
+
+/// The partition-size-dependent arrays of an F-COO instance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Partitioning {
+    /// Start flags, one per partition.
+    pub sf: BitFlags,
+    /// Global segment ordinal at the start of each partition.
+    pub partition_first_segment: Vec<u32>,
+}
+
+impl SortedFcoo {
+    /// Sorts `tensor` for `op` (index modes leading, so equal index-mode
+    /// coordinates are contiguous) and flags the segment heads: the one
+    /// sort an F-COO build pays, done on the host once per mode — the paper
+    /// preprocesses all modes up front and ships them to the GPU once.
     ///
     /// # Panics
-    /// If `threadlen` is zero or the tensor is empty.
-    pub fn from_coo(tensor: &SparseTensorCoo, op: TensorOp, threadlen: usize) -> Self {
-        assert!(threadlen > 0, "threadlen must be positive");
+    /// If the tensor is empty.
+    pub fn new(tensor: &SparseTensorCoo, op: TensorOp) -> Self {
         assert!(tensor.nnz() > 0, "cannot build F-COO from an empty tensor");
         let classification = ModeClassification::classify(op, tensor.order());
-        let mut sorted = tensor.clone();
         let order = classification.sort_order();
-        if !sorted.is_sorted_by(&order) {
-            sorted.sort_by_mode_order(&order);
-        }
-        let nnz = sorted.nnz();
-        let index_modes = &classification.index_modes;
-        let product_modes = &classification.product_modes;
+        let nnz = tensor.nnz();
+        let perm: Vec<usize> = if tensor.is_sorted_by(&order) {
+            (0..nnz).collect()
+        } else {
+            tensor.sort_permutation(&order)
+        };
+        let gather = |column: &[Idx]| -> Vec<Idx> { perm.iter().map(|&i| column[i]).collect() };
+        let index_columns: Vec<Vec<Idx>> = classification
+            .index_modes
+            .iter()
+            .map(|&m| gather(tensor.mode_indices(m)))
+            .collect();
 
         let mut bf = BitFlags::new(nnz);
-        let mut segment_coords: Vec<Vec<Idx>> = vec![Vec::new(); index_modes.len()];
+        let mut segment_coords: Vec<Vec<Idx>> = vec![Vec::new(); index_columns.len()];
         for nz in 0..nnz {
-            let is_head = nz == 0
-                || index_modes
-                    .iter()
-                    .any(|&m| sorted.mode_indices(m)[nz] != sorted.mode_indices(m)[nz - 1]);
+            let is_head = nz == 0 || index_columns.iter().any(|c| c[nz] != c[nz - 1]);
             if is_head {
                 bf.set(nz);
-                for (slot, &m) in index_modes.iter().enumerate() {
-                    segment_coords[slot].push(sorted.mode_indices(m)[nz]);
+                for (coords, column) in segment_coords.iter_mut().zip(&index_columns) {
+                    coords.push(column[nz]);
                 }
             }
         }
 
+        let values = tensor.values();
+        SortedFcoo {
+            op,
+            shape: tensor.shape().to_vec(),
+            product_indices: classification
+                .product_modes
+                .iter()
+                .map(|&m| gather(tensor.mode_indices(m)))
+                .collect(),
+            values: perm.iter().map(|&i| values[i]).collect(),
+            bf,
+            segment_coords,
+            classification,
+        }
+    }
+
+    /// Number of non-zeros.
+    pub fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The start flags and partition pointers of `threadlen`-non-zero
+    /// partitions.
+    ///
+    /// # Panics
+    /// If `threadlen` is zero.
+    pub fn partition(&self, threadlen: usize) -> Partitioning {
+        assert!(threadlen > 0, "threadlen must be positive");
+        let nnz = self.nnz();
         let partitions = nnz.div_ceil(threadlen);
         let mut sf = BitFlags::new(partitions);
         let mut partition_first_segment = Vec::with_capacity(partitions);
@@ -204,32 +267,64 @@ impl Fcoo {
         for p in 0..partitions {
             let start = p * threadlen;
             partition_first_segment.push(heads_before);
-            if bf.get(start) {
+            if self.bf.get(start) {
                 sf.set(p);
             }
             let end = ((p + 1) * threadlen).min(nnz);
             for nz in start..end {
-                if bf.get(nz) {
+                if self.bf.get(nz) {
                     heads_before += 1;
                 }
             }
         }
-
-        Fcoo {
-            op,
-            shape: sorted.shape().to_vec(),
-            threadlen,
-            product_indices: product_modes
-                .iter()
-                .map(|&m| sorted.mode_indices(m).to_vec())
-                .collect(),
-            values: sorted.values().to_vec(),
-            bf,
+        Partitioning {
             sf,
-            segment_coords,
             partition_first_segment,
-            classification,
         }
+    }
+
+    /// BF-COO's per-run distinct-row counts ([`crate::bucket_counts`]):
+    /// its runs are aligned 32-non-zero spans, the same at every
+    /// threadlen.
+    pub fn bucket_counts(&self) -> Vec<Vec<u32>> {
+        crate::bfcoo::run_distinct_counts(&self.product_indices)
+    }
+
+    /// The F-COO instance at `threadlen`, copying the shared arrays.
+    pub fn fcoo(&self, threadlen: usize) -> Fcoo {
+        self.clone().into_fcoo(threadlen)
+    }
+
+    /// The F-COO instance at `threadlen`, moving the shared arrays.
+    pub fn into_fcoo(self, threadlen: usize) -> Fcoo {
+        let Partitioning {
+            sf,
+            partition_first_segment,
+        } = self.partition(threadlen);
+        Fcoo {
+            op: self.op,
+            classification: self.classification,
+            shape: self.shape,
+            threadlen,
+            product_indices: self.product_indices,
+            values: self.values,
+            bf: self.bf,
+            sf,
+            segment_coords: self.segment_coords,
+            partition_first_segment,
+        }
+    }
+}
+
+impl Fcoo {
+    /// Preprocesses `tensor` for `op` with the given partition size: one
+    /// [`SortedFcoo`] sort, partitioned at `threadlen`.
+    ///
+    /// # Panics
+    /// If `threadlen` is zero or the tensor is empty.
+    pub fn from_coo(tensor: &SparseTensorCoo, op: TensorOp, threadlen: usize) -> Self {
+        assert!(threadlen > 0, "threadlen must be positive");
+        SortedFcoo::new(tensor, op).into_fcoo(threadlen)
     }
 
     /// Number of non-zeros.
@@ -412,6 +507,53 @@ mod tests {
         assert!((model - formula).abs() <= 8.0);
         // F-COO is smaller than COO.
         assert!(breakdown.total_bytes() < table2_coo_bytes(3, nnz));
+    }
+
+    /// Every field of two F-COO instances, values by bit pattern.
+    fn assert_same_fcoo(a: &Fcoo, b: &Fcoo, label: &str) {
+        assert_eq!(a.op, b.op, "{label}");
+        assert_eq!(a.classification, b.classification, "{label}");
+        assert_eq!(a.shape, b.shape, "{label}");
+        assert_eq!(a.threadlen, b.threadlen, "{label}");
+        assert_eq!(a.product_indices, b.product_indices, "{label}");
+        let bits = |v: &[Val]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.values), bits(&b.values), "{label}");
+        assert_eq!(a.bf, b.bf, "{label}");
+        assert_eq!(a.sf, b.sf, "{label}");
+        assert_eq!(a.segment_coords, b.segment_coords, "{label}");
+        assert_eq!(
+            a.partition_first_segment, b.partition_first_segment,
+            "{label}"
+        );
+    }
+
+    #[test]
+    fn every_threadlen_derived_from_one_sort_equals_a_fresh_build() {
+        let order3 = tensor_core::datasets::generate(tensor_core::DatasetKind::Nell1, 700, 3).0;
+        let order4 = tensor_core::datasets::generate_norder(&[12, 9, 14, 7], 500, 0.6, 4);
+        for tensor in [&order3, &order4] {
+            for mode in 0..tensor.order() {
+                for op in [
+                    TensorOp::SpTtm { mode },
+                    TensorOp::SpMttkrp { mode },
+                    TensorOp::SpTtmc { mode },
+                ] {
+                    let sorted = SortedFcoo::new(tensor, op);
+                    let buckets = sorted.bucket_counts();
+                    for threadlen in 1..=33 {
+                        let label = format!("order {} {op:?} T{threadlen}", tensor.order());
+                        let fresh = Fcoo::from_coo(tensor, op, threadlen);
+                        let derived = sorted.fcoo(threadlen);
+                        assert_same_fcoo(&derived, &fresh, &label);
+                        let partitioning = sorted.partition(threadlen);
+                        assert_eq!(partitioning.sf, fresh.sf, "{label}");
+                        let fresh_bf = crate::BfCoo::from_coo(tensor, op, threadlen);
+                        assert_same_fcoo(&derived, &fresh_bf.base, &label);
+                        assert_eq!(buckets, fresh_bf.buckets, "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

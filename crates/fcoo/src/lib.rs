@@ -61,7 +61,9 @@ pub mod two_step;
 pub use bfcoo::{bucket_counts, BfCoo, BfCooDevice, RUN as BUCKET_RUN};
 pub use chunk::{extract, split, ChunkDescriptor, ChunkPlan};
 pub use device::{DeviceMatrix, FcooDevice};
-pub use format::{table2_coo_bytes, table2_fcoo_bytes, BitFlags, Fcoo, StorageBreakdown};
+pub use format::{
+    table2_coo_bytes, table2_fcoo_bytes, BitFlags, Fcoo, Partitioning, SortedFcoo, StorageBreakdown,
+};
 pub use formats::{AnyFormat, AnyFormatDevice, FormatKind, SparseFormat};
 pub use kernels::{spmttkrp, spttm, spttmc_norder, ColumnTiling, LaunchConfig, BUCKET_SHUFFLE_OPS};
 pub use modes::{ModeClassification, TensorOp};

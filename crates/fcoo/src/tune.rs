@@ -6,7 +6,7 @@
 //! two parameters and timing the kernel on the simulated device.
 
 use crate::device::{DeviceMatrix, FcooDevice};
-use crate::format::Fcoo;
+use crate::format::{Fcoo, SortedFcoo};
 use crate::kernels::{self, GatherLayout, LaunchConfig};
 use crate::modes::TensorOp;
 use gpu_sim::GpuDevice;
@@ -92,9 +92,10 @@ pub fn tune_with_filter(
         .collect();
     let mut surface = Vec::with_capacity(block_sizes.len() * threadlens.len());
     let mut pruned = Vec::new();
+    // One sort serves every threadlen; only the partitioning differs.
+    let sorted = SortedFcoo::new(tensor, op);
     for &threadlen in threadlens {
-        // Format preprocessing depends on threadlen but not on block size.
-        let fcoo = Fcoo::from_coo(tensor, op, threadlen);
+        let fcoo = sorted.fcoo(threadlen);
         let kept: Vec<usize> = block_sizes
             .iter()
             .copied()

@@ -194,8 +194,18 @@ impl GpuDevice {
         // kernel never runs, so output buffers keep their pre-launch
         // contents and only the launch overhead is charged (the failure is
         // latched for the host to observe, like CUDA's async error state).
+        // Both logs record the launch, with no blocks.
         if faults::faults_active() && self.memory.fault_launch_begin() {
-            if let Some(log) = self.sinks.lock().tracing.as_mut() {
+            let mut sinks = self.sinks.lock();
+            if let Some(log) = sinks.recording.as_mut() {
+                log.launches.push(LaunchRecord {
+                    grid,
+                    block_threads,
+                    blocks: Vec::new(),
+                    allocations: self.memory.live_allocations(),
+                });
+            }
+            if let Some(log) = sinks.tracing.as_mut() {
                 log.launches.push(LaunchTrace::dropped(
                     grid,
                     block_threads,

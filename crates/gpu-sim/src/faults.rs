@@ -701,6 +701,28 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_launch_reaches_both_logs_with_no_blocks() {
+        let device = GpuDevice::titan_x();
+        let mut config = forced(5);
+        config.launch_failure_rate = 1.0;
+        device.memory().install_faults(config);
+        let out = device.memory().alloc_zeroed::<f32>(4).unwrap();
+        device.start_recording();
+        device.start_tracing();
+        device.launch((4, 1), 32, |ctx| ctx.write_global(&[out.addr(0)]));
+        let recorded = device.stop_recording();
+        let traced = device.stop_tracing();
+        assert_eq!(recorded.launches.len(), 1);
+        assert_eq!(recorded.launches[0].grid, (4, 1));
+        assert!(recorded.launches[0].blocks.is_empty());
+        assert!(recorded.launches[0]
+            .allocations
+            .contains(&(out.addr(0), 4 * 4)));
+        assert_eq!(traced.launches.len(), 1);
+        assert!(traced.launches[0].dropped);
+    }
+
+    #[test]
     fn alloc_failures_surface_as_oom_plus_event() {
         let device = GpuDevice::titan_x();
         let mut config = forced(11);

@@ -11,10 +11,13 @@
 //! reads hold only the rows the non-zeros touch ([`crate::upload`]).
 //!
 //! The cache persists plans through [`fcoo::write_fcoo`] under a small
-//! versioned header carrying the tuned block size and the chosen
-//! [`FormatKind`] tag, so a restarted server warms itself from disk instead
-//! of re-preprocessing ("warm restart"). Only the shared F-COO payload is
-//! serialized; schedule metadata (BF-COO's buckets) is re-derived on load.
+//! versioned header carrying the tuned block size, the chosen
+//! [`FormatKind`] tag and a digest of the tuning grids, so a restarted
+//! server warms itself from disk instead of re-preprocessing ("warm
+//! restart"). Only the shared F-COO payload is serialized; schedule
+//! metadata (BF-COO's buckets) is re-derived on load. A plan tuned over
+//! other grids is a miss: a rebuild under this cache's grids could choose a
+//! different triple, and a warm cache must serve what a cold one would.
 //!
 //! Three static-analyzer hooks guard the cache. Plan builds select with
 //! [`analyzer::tune_select`], which certifies every structurally-surviving
@@ -44,14 +47,11 @@ use tensor_core::SparseTensorCoo;
 
 /// Magic bytes of a persisted plan file (header before the F-COO stream).
 const PLAN_MAGIC: &[u8; 4] = b"SPLN";
-/// Version 3 appended the one-byte [`FormatKind`] tag after the
-/// certificate, so a plan records *which* format its triple was certified
-/// for. Version-2 files (certificate but no tag) predate cross-format
-/// selection and are decoded as legacy F-COO plans without a rebuild;
-/// version-1 files (no certificate) are refused and rebuilt.
-const PLAN_VERSION: u32 = 3;
-/// The pre-format-tag version still accepted at load time.
-const LEGACY_PLAN_VERSION: u32 = 2;
+/// Version 4 appended the 64-bit digest of the tuning grids
+/// ([`grid_digest`]) after the one-byte [`FormatKind`] tag. Earlier
+/// versions do not say which grids chose their triple, so they are refused
+/// and rebuilt like a plan tuned over other grids.
+const PLAN_VERSION: u32 = 4;
 
 /// The default `(BLOCK_SIZE)` grid a serving plan build sweeps — a subset of
 /// the paper's Fig. 5 grid, chosen to keep tail latency of cold requests
@@ -59,7 +59,20 @@ const LEGACY_PLAN_VERSION: u32 = 2;
 pub const SERVE_BLOCK_SIZES: [usize; 3] = [64, 128, 256];
 
 /// The default `threadlen` grid for serving plan builds.
-pub const SERVE_THREADLENS: [usize; 3] = [8, 16, 32];
+pub const SERVE_THREADLENS: [usize; 4] = [4, 8, 16, 32];
+
+/// Digest of the `(BLOCK_SIZE, threadlen)` grids a plan was tuned over, in
+/// sweep order (ties keep the earlier point, so order matters too).
+fn grid_digest(block_sizes: &[usize], threadlens: &[usize]) -> u64 {
+    let mut h = Fnv1a::default();
+    for grid in [block_sizes, threadlens] {
+        h.write_u64(grid.len() as u64);
+        for &point in grid {
+            h.write_u64(point as u64);
+        }
+    }
+    h.finish()
+}
 
 /// Identity of a plan: tensor content, operation (with mode) and rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -241,10 +254,10 @@ pub struct PlanCacheStats {
     /// certificate did not match the one re-derived from the decoded bytes
     /// (each such lookup rebuilds).
     pub certificate_mismatches: u64,
-    /// Persisted version-2 plans (pre-format-tag) accepted as legacy
-    /// F-COO plans — loaded, not rebuilt; counted so operators can see how
-    /// much of the warm cache predates cross-format selection.
-    pub legacy_plan_loads: u64,
+    /// Persisted plans refused at load time because they were tuned over
+    /// other grids than this cache's, or were written before plan files
+    /// recorded their grids (each such lookup rebuilds).
+    pub stale_grid_loads: u64,
     /// Out-of-core chunk plans split from scratch (one per new
     /// `(plan, budget)` pair the engine asked for).
     pub chunk_builds: u64,
@@ -450,7 +463,10 @@ impl PlanCache {
             .and_then(|_| w.write_all(&plan.key.rank.to_le_bytes()))
             .and_then(|_| w.write_all(&plan.certificate.time_lo_us.to_le_bytes()))
             .and_then(|_| w.write_all(&plan.certificate.time_hi_us.to_le_bytes()))
-            .and_then(|_| w.write_all(&[plan.kind().tag()]));
+            .and_then(|_| w.write_all(&[plan.kind().tag()]))
+            .and_then(|_| {
+                w.write_all(&grid_digest(&self.block_sizes, &self.threadlens).to_le_bytes())
+            });
         if header_ok.is_err() || fcoo::write_fcoo(plan.fcoo(), &mut w).is_err() {
             drop(w);
             std::fs::remove_file(&path).ok();
@@ -476,11 +492,10 @@ impl PlanCache {
     /// distinct coordinates (`touched`) is refused as refuted. A fully
     /// touched mode is the same either way, so such plans still load.
     ///
-    /// Version-2 files predate the format tag; they are decoded as legacy
-    /// F-COO plans (counted in [`PlanCacheStats::legacy_plan_loads`])
-    /// rather than rebuilt — their certificates re-derive identically
-    /// because F-COO certification is unchanged. An unknown tag byte in a
-    /// version-3 file is corruption and falls back to a rebuild.
+    /// A plan tuned over other grids than this cache's, or written by an
+    /// older version that did not record its grids, is refused (counted in
+    /// [`PlanCacheStats::stale_grid_loads`]) before its payload is decoded.
+    /// An unknown tag byte is corruption and falls back to a rebuild.
     fn load(&mut self, key: PlanKey, touched: &[Vec<u32>], device: &GpuDevice) -> Option<Plan> {
         let dir = self.dir.as_ref()?;
         let file = std::fs::File::open(dir.join(key.file_name())).ok()?;
@@ -493,7 +508,10 @@ impl PlanCache {
         let mut word = [0u8; 4];
         r.read_exact(&mut word).ok()?;
         let version = u32::from_le_bytes(word);
-        if version != PLAN_VERSION && version != LEGACY_PLAN_VERSION {
+        if version != PLAN_VERSION {
+            if version < PLAN_VERSION {
+                self.stats.stale_grid_loads += 1;
+            }
             return None;
         }
         r.read_exact(&mut word).ok()?;
@@ -509,13 +527,14 @@ impl PlanCache {
             time_lo_us,
             time_hi_us,
         };
-        let kind = if version == LEGACY_PLAN_VERSION {
-            FormatKind::Fcoo
-        } else {
-            let mut tag = [0u8; 1];
-            r.read_exact(&mut tag).ok()?;
-            FormatKind::from_tag(tag[0])?
-        };
+        let mut tag = [0u8; 1];
+        r.read_exact(&mut tag).ok()?;
+        let kind = FormatKind::from_tag(tag[0])?;
+        r.read_exact(&mut wide).ok()?;
+        if u64::from_le_bytes(wide) != grid_digest(&self.block_sizes, &self.threadlens) {
+            self.stats.stale_grid_loads += 1;
+            return None;
+        }
         let fcoo = fcoo::read_fcoo(&mut r).ok()?;
         if rank != key.rank || fcoo.op != key.op() {
             return None;
@@ -538,9 +557,6 @@ impl PlanCache {
         if !stored.matches(&derived) {
             self.stats.certificate_mismatches += 1;
             return None;
-        }
-        if version == LEGACY_PLAN_VERSION {
-            self.stats.legacy_plan_loads += 1;
         }
         Some(Plan {
             key,
@@ -858,7 +874,7 @@ mod tests {
         assert_eq!(source, PlanSource::Disk);
         assert_eq!(loaded.kind(), FormatKind::BfCoo);
         assert!(loaded.certificate.matches(&built.certificate));
-        assert_eq!(warm.stats().legacy_plan_loads, 0);
+        assert_eq!(warm.stats().stale_grid_loads, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -874,29 +890,72 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_plans_load_as_fcoo_without_a_rebuild() {
+    fn plans_without_a_recorded_grid_are_rebuilt() {
         let device = GpuDevice::titan_x();
         let tensor = uniform_tensor();
         let key = key_for(&tensor);
-        let dir = std::env::temp_dir().join("serve_plan_test_legacy_v2");
+        let dir = std::env::temp_dir().join("serve_plan_test_unrecorded_grid");
+        for version in [2u32, 3] {
+            std::fs::remove_dir_all(&dir).ok();
+            let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[16]);
+            cold.get_or_build(key, &tensor, &touched(&tensor), &device);
+            // Rewrite the file into its older shape: that version word and
+            // no grid digest (the eight bytes after the tag at offset 32);
+            // version 2 had no tag either.
+            let path = dir.join(key.file_name());
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let first_dropped = if version == 2 { 32 } else { 33 };
+            bytes.drain(first_dropped..41);
+            std::fs::write(&path, bytes).unwrap();
+            let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[16]);
+            let (_, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
+            assert_eq!(source, PlanSource::Built, "version {version}");
+            assert_eq!(warm.stats().stale_grid_loads, 1, "version {version}");
+            assert_eq!(warm.stats().disk_hits, 0, "version {version}");
+        }
         std::fs::remove_dir_all(&dir).ok();
-        let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[16]);
-        let (built, _) = cold.get_or_build(key, &tensor, &touched(&tensor), &device);
-        assert_eq!(built.kind(), FormatKind::Fcoo);
-        // Rewrite the file into its version-2 shape: version word 2, no
-        // format-tag byte (the tag sits at offset 32, after the header).
-        let path = dir.join(key.file_name());
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        bytes.remove(32);
-        std::fs::write(&path, bytes).unwrap();
-        let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[16]);
-        let (loaded, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
-        assert_eq!(source, PlanSource::Disk, "legacy plans must not rebuild");
-        assert_eq!(loaded.kind(), FormatKind::Fcoo);
-        assert!(loaded.certificate.matches(&built.certificate));
-        assert_eq!(warm.stats().legacy_plan_loads, 1);
-        assert_eq!(warm.stats().builds, 0);
+    }
+
+    #[test]
+    fn plans_tuned_over_another_grid_are_rebuilt_as_a_cold_build_would() {
+        let device = GpuDevice::titan_x();
+        let tensor = sample();
+        let key = key_for(&tensor);
+        let dir = std::env::temp_dir().join("serve_plan_test_stale_grid");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut old_grid = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[8, 16]);
+        let (stale, source) = old_grid.get_or_build(key, &tensor, &touched(&tensor), &device);
+        assert_eq!(source, PlanSource::Built);
+        // A restart under a wider threadlen grid must not replay the plan
+        // the narrower grid chose.
+        let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[4, 8, 16]);
+        let (rebuilt, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
+        assert_eq!(source, PlanSource::Built);
+        assert_eq!(warm.stats().stale_grid_loads, 1);
+        assert_eq!(warm.stats().disk_hits, 0);
+        let mut cold = PlanCache::new(None).with_grids(&[64, 128], &[4, 8, 16]);
+        let (fresh, _) = cold.get_or_build(key, &tensor, &touched(&tensor), &device);
+        assert_eq!(rebuilt.kind(), fresh.kind());
+        assert_eq!(rebuilt.block_size, fresh.block_size);
+        assert_eq!(rebuilt.threadlen(), fresh.threadlen());
+        assert!(rebuilt.certificate.matches(&fresh.certificate));
+        assert_eq!(rebuilt.fcoo().values, fresh.fcoo().values);
+        assert_eq!(rebuilt.fcoo().sf, fresh.fcoo().sf);
+        assert_eq!(
+            rebuilt.fcoo().partition_first_segment,
+            fresh.fcoo().partition_first_segment
+        );
+        // This tensor's certified optimum lies below the old grid, which is
+        // what makes replaying the stale plan wrong.
+        assert_eq!(fresh.threadlen(), 4);
+        assert_ne!(stale.threadlen(), fresh.threadlen());
+        // The rebuilt plan overwrote the stale file: the next restart under
+        // the new grid loads it.
+        let mut again = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[4, 8, 16]);
+        let (_, source) = again.get_or_build(key, &tensor, &touched(&tensor), &device);
+        assert_eq!(source, PlanSource::Disk);
+        assert_eq!(again.stats().stale_grid_loads, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

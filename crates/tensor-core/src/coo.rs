@@ -139,6 +139,18 @@ impl SparseTensorCoo {
     /// # Panics
     /// If `mode_order` is not a permutation of `0..order`.
     pub fn sort_by_mode_order(&mut self, mode_order: &[usize]) {
+        let perm = self.sort_permutation(mode_order);
+        self.apply_permutation(&perm);
+    }
+
+    /// The permutation [`sort_by_mode_order`](Self::sort_by_mode_order)
+    /// applies: entry `i` is the index of the non-zero that lands at
+    /// position `i`. Lets a caller gather only the columns it needs instead
+    /// of cloning and sorting the whole tensor.
+    ///
+    /// # Panics
+    /// If `mode_order` is not a permutation of `0..order`.
+    pub fn sort_permutation(&self, mode_order: &[usize]) -> Vec<usize> {
         self.check_mode_order(mode_order);
         let mut perm: Vec<usize> = (0..self.nnz()).collect();
         let indices = &self.indices;
@@ -151,7 +163,7 @@ impl SparseTensorCoo {
             }
             std::cmp::Ordering::Equal
         });
-        self.apply_permutation(&perm);
+        perm
     }
 
     /// Renumbers `mode` to each coordinate's rank among `coords`, the mode's
