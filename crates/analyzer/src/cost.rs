@@ -11,7 +11,7 @@
 //!    (`gpu_sim::memory`), a multiple of the 32-byte transaction sector, so
 //!    within-buffer sector counts depend only on element offsets — which the
 //!    header determines — and distinct buffers never share a sector;
-//! 2. the segment structure (where every finalize, coordinate read, output
+//! 2. the segment structure (where every finalize, coordinate range, output
 //!    write and frontier atomic lands) is fully encoded by `bf`, `sf`,
 //!    `partition_first_segment` and `segment_coords` — no tensor *values*
 //!    are consulted.
@@ -306,9 +306,9 @@ struct KernelShape {
     factor_ws: usize,
     /// FLOP cycles charged per gather call and tile column.
     compute_per_element: u64,
-    /// Whether finalization reads the segment-coordinate array
-    /// (SpMTTKRP/SpTTMc look up output rows; SpTTM's rows are the segment
-    /// ordinals themselves).
+    /// Whether each warp streams a segment-coordinate range (SpMTTKRP/SpTTMc
+    /// look up output rows; SpTTM's rows are the segment ordinals
+    /// themselves).
     has_coords: bool,
 }
 
@@ -492,19 +492,19 @@ const WARP: usize = 32;
 /// is charged: the warp stream geometry, the gather-call live-lane counts
 /// and the exact segment event sequences of the lane fold.
 struct WarpPlan {
-    /// Summed sector count of the five-plus metadata streams (BF-COO adds
-    /// its per-product-mode bucket streams here).
+    /// Summed sector count of the five-plus metadata streams (SpMTTKRP and
+    /// SpTTMc add the segment-coordinate range, BF-COO its per-product-mode
+    /// bucket streams).
     stream_transactions: u64,
     /// Largest single stream's sector count (for the worst-access bound).
     stream_max: u64,
     /// The warp's factor-gather schedule.
     gather: GatherPlan,
+    /// Shuffles handing the streamed coordinates to the lanes that use them.
+    coord_shuffles: u64,
     /// Output rows of the segments finalized by this warp, in program order
     /// (segmented-scan mode).
     final_rows: Vec<usize>,
-    /// Sector counts of the finalized segments' coordinate reads: the same
-    /// for every column tile.
-    coord_reads: Batches,
     /// Output rows of the COO-style atomic events, in program order
     /// (atomic-ablation mode).
     atomic_rows: Vec<usize>,
@@ -527,27 +527,6 @@ struct WarpCharge {
     atomics: u64,
     atomic_calls: u64,
     atomic_multiplicity_sum: u64,
-}
-
-/// Summed exact charges of a warp's batches of one narrated access.
-#[derive(Debug, Clone, Copy, Default)]
-struct Batches {
-    /// Sectors over all batches.
-    transactions: u64,
-    /// Coalesced baseline over all batches (capped per batch by its
-    /// sectors).
-    ideal: u64,
-    /// The largest batch's sectors.
-    max: u64,
-}
-
-impl Batches {
-    fn add(&mut self, indices: &[usize], config: &DeviceConfig) {
-        let t = batch_transactions(indices, config);
-        self.transactions += t;
-        self.ideal += ideal_lane_transactions(indices.len(), config).min(t);
-        self.max = self.max.max(t);
-    }
 }
 
 /// Mirror of `fcoo::kernels::GatherLayout` at the envelope level: what the
@@ -850,6 +829,23 @@ fn plan_warp(
     let sf_first = wft / 8;
     let sf_last = (wft + threads_here - 1) / 8;
     charge_stream(sf_first, sf_last - sf_first + 1);
+    // The coordinates of the segments the warp finalizes (or adds into):
+    // from the segment open at its first non-zero to its last head.
+    let mut coord_shuffles = 0;
+    if shape.has_coords {
+        let last_thread = wft + threads_here - 1;
+        let seg_first = header.partition_first_segment[wft] as usize
+            + usize::from(header.bf.get(warp_nnz_start))
+            - 1;
+        let seg_last = header.partition_first_segment[last_thread] as usize
+            + (last_thread * threadlen..warp_nnz_end)
+                .filter(|&nz| header.bf.get(nz))
+                .count()
+            - 1;
+        let count = seg_last - seg_first + 1;
+        charge_stream(seg_first * 4, count * 4);
+        coord_shuffles = count.div_ceil(WARP) as u64;
+    }
 
     let gather = match header.buckets {
         None => {
@@ -922,18 +918,12 @@ fn plan_warp(
             finals.push(heads - 1);
         }
     }
-    let mut coord_reads = Batches::default();
-    if shape.has_coords {
-        for chunk in finals.chunks(WARP) {
-            coord_reads.add(chunk, config);
-        }
-    }
     WarpPlan {
         stream_transactions: stream_transactions_total,
         stream_max,
         gather,
+        coord_shuffles,
         final_rows: finals.iter().map(|&seg| row_of_seg(seg)).collect(),
-        coord_reads,
         atomic_rows,
     }
 }
@@ -1002,6 +992,7 @@ fn charge_warps(
                     .add_exact(wp.stream_transactions * config.transaction_bytes as u64);
             }
             cycles.add_exact(wp.stream_transactions * config.mem_issue_cycles);
+            cycles.add_exact(wp.coord_shuffles * config.shuffle_cycles);
             c.max_access_transactions
                 .max_with(Interval::exact(wp.stream_max));
 
@@ -1086,14 +1077,6 @@ fn charge_warps(
             // Segmented-scan stages and batched output traffic.
             if cfg.use_segscan {
                 cycles.add_exact(scan::warp_segscan_cycles(config) * tile_cycles);
-                let coords = wp.coord_reads;
-                c.transactions.add_exact(coords.transactions);
-                c.dram_bytes
-                    .add_exact(coords.transactions * config.transaction_bytes as u64);
-                cycles.add_exact(coords.transactions * config.mem_issue_cycles);
-                c.ideal_transactions.add_exact(coords.ideal);
-                c.max_access_transactions
-                    .max_with(Interval::exact(coords.max));
                 indices.clear();
                 for &row in &wp.final_rows {
                     let base = row * columns + col0;

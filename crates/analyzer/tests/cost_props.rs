@@ -16,6 +16,10 @@
 //! grid: the output matches the sequential reference, BF-COO matches F-COO
 //! and each format's certificate contains its traced counters.
 //!
+//! Hypersparse SpMTTKRP and SpTTMc get a property over ranks 1–16: the
+//! certificate's exact counters equal the traced ones at every column-grid
+//! height.
+//!
 //! A deterministic case pins the headline acceptance number: on the
 //! nell2 stand-in the MTTKRP winner is certified with at least half of
 //! the full tuning grid ruled out with zero trial launches.
@@ -272,6 +276,69 @@ proptest! {
             certified.launches + certified.launches_avoided(),
             certified.grid_points
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Coordinate streams across the column grid: on hypersparse tensors,
+    /// whose warps each finalize tens of segment rows, SpMTTKRP and SpTTMc
+    /// at every rank 1–16, both formats and both reduction schedules are
+    /// certified exactly: every exact counter equals the traced one, and
+    /// while the factors fit L2 (so read-only misses move no DRAM) so do
+    /// the DRAM bytes — the bIdy = 0 block alone pays DRAM for the
+    /// coordinates, in the certificate as in the trace.
+    #[test]
+    fn envelopes_over_ranks_1_to_16_contain_traced_runs_exactly(
+        nnz in 60usize..500,
+        dataset_seed in 0u64..1000,
+        nell1 in proptest::bool::ANY,
+        mode in 0usize..3,
+        ttmc in proptest::bool::ANY,
+        rank in 1usize..17,
+        threadlen in 1usize..12,
+        block_index in 0usize..3,
+        segscan in proptest::bool::ANY,
+        factor_seed in 0u64..1000,
+    ) {
+        let kind = if nell1 { DatasetKind::Nell1 } else { DatasetKind::Delicious };
+        let (tensor, _) = datasets::generate(kind, nnz, dataset_seed);
+        let op = if ttmc { TensorOp::SpTtmc { mode } } else { TensorOp::SpMttkrp { mode } };
+        let cfg = LaunchConfig {
+            use_segscan: segscan,
+            ..LaunchConfig::with_block_size([32usize, 64, 128][block_index])
+        };
+        let factor_modes = op.factor_modes(tensor.order());
+        let hosts: Vec<DenseMatrix> = factor_modes
+            .iter()
+            .map(|&m| DenseMatrix::random(tensor.shape()[m], rank, factor_seed + m as u64))
+            .collect();
+        let config = DeviceConfig::titan_x();
+        let factor_bytes: usize = hosts.iter().map(|h| h.data().len() * 4).sum();
+        for format_kind in FormatKind::ALL {
+            let format = AnyFormat::build(format_kind, &tensor, op, threadlen);
+            let envelope = cost::certify_format(&config, &format, rank, &cfg);
+            let device = GpuDevice::titan_x();
+            let on_device = format.upload(device.memory()).expect("format upload");
+            let factors: Vec<DeviceMatrix> = hosts
+                .iter()
+                .map(|h| DeviceMatrix::upload(device.memory(), h).expect("factor upload"))
+                .collect();
+            let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+            device.start_tracing();
+            on_device.launch(&device, &refs, &cfg).expect("traced launch");
+            let counters = device.stop_tracing().counters();
+            let label = format!(
+                "{format_kind:?} {op:?} rank {rank} B{} T{threadlen} segscan {segscan}",
+                cfg.block_size
+            );
+            let violations = envelope.violations(&counters);
+            prop_assert!(violations.is_empty(), "{label}: {violations:?}");
+            if factor_bytes <= config.l2_bytes {
+                prop_assert!(envelope.dram_bytes.is_exact(), "{label}: {:?}", envelope.dram_bytes);
+            }
+        }
     }
 }
 

@@ -5,6 +5,9 @@
 //! closure. The caller blocks until all tasks have finished, which is what
 //! makes it sound to smuggle a borrowed closure across the thread boundary —
 //! the borrow provably outlives the region.
+//!
+//! A one-worker pool spawns no thread: its regions run on the calling
+//! thread, so a one-worker process keeps all its allocations in one heap.
 
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
@@ -65,12 +68,15 @@ pub struct Pool {
     /// Held for a whole region: `Shared` has one region slot, so a second
     /// caller must wait until the first caller's region has drained.
     run_lock: Mutex<()>,
+    /// Worker threads; none for a one-worker pool, which runs its regions
+    /// on the caller's thread.
     handles: Vec<std::thread::JoinHandle<()>>,
     num_threads: usize,
 }
 
 impl Pool {
-    /// Creates a pool with `num_threads` workers (minimum 1).
+    /// Creates a pool with `num_threads` workers (minimum 1). One worker
+    /// is the calling thread itself: no thread is spawned.
     pub fn new(num_threads: usize) -> Self {
         let num_threads = num_threads.max(1);
         let shared = Arc::new(Shared {
@@ -80,7 +86,8 @@ impl Pool {
             region_done: Condvar::new(),
             shutdown: AtomicUsize::new(0),
         });
-        let handles = (0..num_threads)
+        let spawned = if num_threads == 1 { 0 } else { num_threads };
+        let handles = (0..spawned)
             .map(|worker| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -122,6 +129,9 @@ impl Pool {
             "cpu-par: Pool::run nested inside a task of the same pool would deadlock"
         );
         let _region = self.run_lock.lock();
+        if self.handles.is_empty() {
+            return run_inline(&self.shared, num_tasks, task);
+        }
         // Erase the closure lifetime; see `TaskPtr` for the soundness argument.
         // SAFETY: only the lifetime is transmuted; `run` does not return
         // until every worker has dropped its reference (see `TaskPtr`).
@@ -164,6 +174,22 @@ impl Drop for Pool {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+/// A one-worker region on the calling thread: every task in index order as
+/// worker 0, each panic caught and reported once the region has drained.
+/// The thread counts as the pool's worker meanwhile, so a nested
+/// [`Pool::run`] panics as it would on a spawned worker.
+fn run_inline(shared: &Shared, num_tasks: usize, task: &Task<'_>) {
+    let outer = WORKER_OF.replace(shared);
+    let mut poisoned = false;
+    for index in 0..num_tasks {
+        poisoned |= catch_unwind(AssertUnwindSafe(|| task(index, 0))).is_err();
+    }
+    WORKER_OF.set(outer);
+    if poisoned {
+        panic!("cpu-par: a parallel task panicked");
     }
 }
 
@@ -270,10 +296,14 @@ mod tests {
 
     #[test]
     fn single_thread_pool_works() {
+        // One worker is the caller itself: no thread is spawned.
         let pool = Pool::new(1);
+        assert!(pool.handles.is_empty());
+        let caller = std::thread::current().id();
         let total = AtomicUsize::new(0);
         pool.run(64, &|i, worker| {
             assert_eq!(worker, 0);
+            assert_eq!(std::thread::current().id(), caller);
             total.fetch_add(i, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 64 * 63 / 2);
@@ -281,21 +311,32 @@ mod tests {
 
     #[test]
     fn panicking_task_poisons_region() {
-        let pool = Pool::new(2);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(8, &|i, _| {
-                if i == 3 {
-                    panic!("boom");
-                }
+        for workers in [1, 2] {
+            let pool = Pool::new(workers);
+            let ran = AtomicUsize::new(0);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(8, &|i, _| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if i == 3 {
+                        panic!("boom");
+                    }
+                });
+            }));
+            // Reported once the region has drained.
+            let payload = outcome.expect_err("the panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"cpu-par: a parallel task panicked")
+            );
+            assert_eq!(ran.load(Ordering::Relaxed), 8, "{workers} worker(s)");
+            assert!(WORKER_OF.get().is_null(), "the caller is no worker");
+            // Pool remains usable after a poisoned region.
+            let total = AtomicUsize::new(0);
+            pool.run(4, &|i, _| {
+                total.fetch_add(i, Ordering::Relaxed);
             });
-        }));
-        assert!(outcome.is_err());
-        // Pool remains usable after a poisoned region.
-        let total = AtomicUsize::new(0);
-        pool.run(4, &|i, _| {
-            total.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 6);
+            assert_eq!(total.load(Ordering::Relaxed), 6);
+        }
     }
 
     #[test]
@@ -339,11 +380,17 @@ mod tests {
 
     #[test]
     fn nested_run_on_the_same_pool_panics_instead_of_deadlocking() {
+        for workers in [1, 2] {
+            nested_run_panics(workers);
+        }
+    }
+
+    fn nested_run_panics(workers: usize) {
         // Waited on through a channel with a timeout, so a regression fails
         // the test instead of hanging it.
         let (done, finished) = std::sync::mpsc::channel();
         let runner = std::thread::spawn(move || {
-            let pool = Pool::new(2);
+            let pool = Pool::new(workers);
             let inner = Mutex::new(None);
             let outer = catch_unwind(AssertUnwindSafe(|| {
                 pool.run(2, &|_, _| {
@@ -367,11 +414,11 @@ mod tests {
         });
         let (outer_panicked, inner, total) = finished
             .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("a nested Pool::run deadlocked");
+            .unwrap_or_else(|_| panic!("a nested Pool::run deadlocked at {workers} worker(s)"));
         runner.join().expect("the runner thread finished cleanly");
         assert!(
             outer_panicked,
-            "the nested call's panic must reach the caller"
+            "{workers} worker(s): the nested call's panic must reach the caller"
         );
         let inner = inner.expect("the nested call panicked with a message");
         assert!(inner.contains("nested"), "panic message: {inner}");

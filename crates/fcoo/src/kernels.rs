@@ -14,6 +14,10 @@
 //!   per-non-zero product (`val × U(k,:)` for SpTTM, `val × B(j,:) ∗ C(k,:)`
 //!   for SpMTTKRP, `val × (U₂(j,:) ⊗ U₃(k,:))` for SpTTMc) and reduces along
 //!   `bf` segments;
+//! * each warp streams its metadata as contiguous ranges: values, product
+//!   indices, flags, partition pointers and, for SpMTTKRP/SpTTMc, the output
+//!   rows of the segments it finalizes. The `bIdy = 0` block fetches them
+//!   from DRAM and its column siblings hit L2 (§IV-D's data reuse);
 //! * segments are finalized with a **segmented scan** (warp shuffles + one
 //!   shared-memory stage), not atomics: segments fully inside a partition
 //!   are written exactly once; segments spanning partition/block boundaries
@@ -426,8 +430,8 @@ pub fn spttmc_norder(
 /// Every output column `c` accumulates `value · Π_p factor_p(row_p, digit_p(c))`
 /// over the non-zeros of each segment ([`FactorRead`]); block `(bIdx, bIdy)`
 /// computes the [`ColumnTiling`] tile `bIdy` for its partition range.
-/// Finalizing a segment reads its output row from
-/// [`Gathers::segment_rows`], when given (charged as a coordinate read).
+/// Each warp streams the [`Gathers::segment_rows`] its segments land in,
+/// when given, as one range with its other metadata.
 fn run_unified(
     device: &GpuDevice,
     fcoo: &FcooDevice,
@@ -442,7 +446,6 @@ fn run_unified(
             .segment_rows
             .map_or(seg, |(rows, _)| rows[seg] as usize)
     };
-    let coord_buffer = gathers.segment_rows.map(|(_, coords)| coords);
     let ranks: Vec<usize> = factors.iter().map(|f| f.matrix.cols()).collect();
     let tiling = ColumnTiling::for_op(fcoo.op, &ranks);
     let (columns, tile) = (tiling.columns, tiling.tile);
@@ -510,7 +513,6 @@ fn run_unified(
             };
             let mut ro_addrs: Vec<u64> = Vec::with_capacity(2 * warp);
             let mut write_rows: Vec<u64> = Vec::with_capacity(warp * tile);
-            let mut coord_reads: Vec<u64> = Vec::with_capacity(warp);
             let mut atomic_events: Vec<(usize, f32)> = Vec::new();
             let mut any_warp_ran = false;
             for w in 0..ctx.warps_per_block() {
@@ -525,7 +527,8 @@ fn run_unified(
                 let span = warp_nnz_end - warp_nnz_start;
 
                 // Streaming reads of the warp's contiguous tensor region:
-                // values, product-mode indices, bit flags, partition metadata.
+                // values, product-mode indices, bit flags, partition metadata
+                // and the output rows of its segments.
                 // The grid places all column blocks of one partition range
                 // adjacently, so the bIdy = 0 block streams the region from
                 // DRAM and its co-resident column siblings hit in L2 (the
@@ -557,6 +560,27 @@ fn run_unified(
                 let sf_first = warp_first_thread / 8;
                 let sf_last = (warp_first_thread + threads_here - 1) / 8;
                 stream(ctx, fcoo.sf.addr(sf_first), sf_last - sf_first + 1);
+                if let Some((_, coords)) = gathers.segment_rows {
+                    // The output rows of the segments this warp finalizes
+                    // (or, in the atomic ablation, adds into): one
+                    // contiguous coordinate range, from the segment open at
+                    // the warp's first non-zero to its last head. It streams
+                    // with the rest of the metadata, so column siblings hit
+                    // L2 for it too, and each 32 coordinates cost one
+                    // shuffle to hand their rows to the finalizing lanes.
+                    let last_thread = warp_first_thread + threads_here - 1;
+                    let seg_first = fcoo.partition_first_segment.get(warp_first_thread) as usize
+                        + usize::from(fcoo.head(warp_nnz_start))
+                        - 1;
+                    let seg_last = fcoo.partition_first_segment.get(last_thread) as usize
+                        + (last_thread * threadlen..warp_nnz_end)
+                            .filter(|&nz| fcoo.head(nz))
+                            .count()
+                        - 1;
+                    let count = seg_last - seg_first + 1;
+                    stream(ctx, coords.addr(seg_first), count * 4);
+                    ctx.shuffle(count.div_ceil(warp) as u64);
+                }
                 if let GatherLayout::Bucketed { buckets } = layout {
                     // BF-COO also streams its per-run distinct-row counts,
                     // one array per product mode. `warp_nnz_start` is a
@@ -632,9 +656,7 @@ fn run_unified(
 
                 // Functional per-lane segment accumulation, one tile column
                 // at a time. The first column narrates each finalized
-                // segment for the whole tile: one coordinate read, then its
-                // tile columns as consecutive output addresses.
-                coord_reads.clear();
+                // segment's tile columns as consecutive output addresses.
                 write_rows.clear();
                 atomic_events.clear();
                 for (j, reads) in column_reads.iter().enumerate() {
@@ -648,15 +670,10 @@ fn run_unified(
                                         sum: f32,
                                         exclusive: bool| {
                         let row = row_of_seg(seg);
-                        if j == 0 {
-                            if let Some(coords) = coord_buffer {
-                                coord_reads.push(coords.addr(seg));
-                            }
-                            if cfg.use_segscan {
-                                let base = row * columns + col0;
-                                for i in base..base + tile {
-                                    write_rows.push(out.addr(i));
-                                }
+                        if j == 0 && cfg.use_segscan {
+                            let base = row * columns + col0;
+                            for i in base..base + tile {
+                                write_rows.push(out.addr(i));
                             }
                         }
                         let index = row * columns + col;
@@ -727,9 +744,6 @@ fn run_unified(
                 // column) and the batched output traffic.
                 if cfg.use_segscan {
                     ctx.compute(warp_segscan_cycles(ctx.config()) * tile as u64);
-                    for chunk in coord_reads.chunks(warp) {
-                        ctx.read_global(chunk);
-                    }
                     // Sibling column blocks write adjacent columns of the same
                     // output rows; the write-back L2 merges them per line.
                     for chunk in write_rows.chunks(warp) {
@@ -1204,6 +1218,82 @@ mod tests {
                 ..Default::default()
             },
         );
+    }
+
+    /// DRAM bytes a traced launch charged to reads of `buffer`, with the
+    /// number of narrated reads of it. A warp narrates its metadata
+    /// streams before anything else, so each warp's leading traced stream
+    /// reads pair, in order, with its first narrated recorded accesses.
+    fn stream_dram_of(
+        recorded: &gpu_sim::AccessLog,
+        traced: &gpu_sim::TraceLog,
+        buffer: &DeviceBuffer<u32>,
+    ) -> (u64, usize) {
+        use gpu_sim::MemoryEventKind;
+        let lo = buffer.addr(0);
+        let hi = lo + buffer.len() as u64 * 4;
+        let (mut dram, mut reads) = (0, 0);
+        for (rl, tl) in recorded.launches.iter().zip(&traced.launches) {
+            for (rb, tb) in rl.blocks.iter().zip(&tl.blocks) {
+                assert_eq!(rb.block, tb.block);
+                let mut narrated = rb.events.iter().filter(|e| !e.kind.is_functional());
+                let mut events = tb.events.iter().peekable();
+                while let Some(first) = events.peek() {
+                    let warp = first.warp;
+                    let mut leading = true;
+                    for event in std::iter::from_fn(|| events.next_if(|e| e.warp == warp)) {
+                        leading &= event.kind == MemoryEventKind::StreamRead;
+                        if !leading {
+                            continue;
+                        }
+                        let access = narrated
+                            .find(|e| e.warp == warp)
+                            .expect("every traced stream read was recorded");
+                        if (lo..hi).contains(&access.addr) {
+                            dram += event.dram_bytes;
+                            reads += 1;
+                        }
+                    }
+                }
+            }
+            let all = rl
+                .blocks
+                .iter()
+                .flat_map(|b| &b.events)
+                .filter(|e| !e.kind.is_functional() && (lo..hi).contains(&e.addr));
+            assert_eq!(
+                all.count(),
+                reads,
+                "a narrated read of the buffer lies outside the warps' streams"
+            );
+        }
+        (dram, reads)
+    }
+
+    #[test]
+    fn coordinate_dram_does_not_grow_with_grid_y() {
+        // nell1 is hypersparse: its SpMTTKRP segments hold one or two
+        // non-zeros, so every warp finalizes tens of output rows.
+        let (tensor, _) = datasets::generate(DatasetKind::Nell1, 3000, 22);
+        let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 4);
+        let coordinate_traffic = |rank: usize| {
+            let device = GpuDevice::titan_x();
+            let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+            let factors = upload_factors(&device, &tensor, rank, 40);
+            let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+            device.start_recording();
+            device.start_tracing();
+            spmttkrp(&device, &dev, &refs, &LaunchConfig::default()).unwrap();
+            let traced = device.stop_tracing();
+            let recorded = device.stop_recording();
+            assert_eq!(traced.launches[0].grid.1, rank, "one column block per rank");
+            stream_dram_of(&recorded, &traced, &dev.segment_coords[0])
+        };
+        let (dram_1, reads_1) = coordinate_traffic(1);
+        let (dram_16, reads_16) = coordinate_traffic(16);
+        assert!(dram_1 > 0, "the coordinates are read from DRAM once");
+        assert_eq!(reads_16, 16 * reads_1, "every column sibling reads them");
+        assert_eq!(dram_1, dram_16, "the siblings' reads hit L2");
     }
 
     #[test]
