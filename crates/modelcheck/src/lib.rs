@@ -6,8 +6,8 @@
 //! engine's own rules ([`serve::protocol`]) over the *real* accounting
 //! types ([`serve::PoolLedger`], [`serve::Scheduler`]), explored
 //! exhaustively over every host interleaving of small scenarios
-//! ([`explore`]), with ample-set partial-order reduction. Four properties
-//! are proved or refuted with a concrete counterexample trace:
+//! ([`explore`]). Four properties are proved or refuted with a concrete
+//! counterexample trace:
 //!
 //! * **Determinism** — the same seed reaches a bit-identical serve report
 //!   under *every* interleaving (single terminal fingerprint).
@@ -95,14 +95,9 @@ pub struct CheckReport {
     pub scenario: String,
     /// Mutation under which the protocol ran.
     pub mutation: Mutation,
-    /// Full (unreduced) exploration counters — the proof's coverage claim.
+    /// Exploration counters — the proof's coverage claim.
     pub full: ExploreStats,
-    /// Reduced exploration counters.
-    pub reduced: ExploreStats,
-    /// True when the reduced run reproduced the full run's verdicts and
-    /// terminal fingerprint set — the reduction's self-check.
-    pub reduction_consistent: bool,
-    /// Verdict per property, from the full run.
+    /// Verdict per property.
     pub result: ExploreResult,
 }
 
@@ -116,19 +111,12 @@ impl CheckReport {
     /// [`trace::render_counterexample`] for those).
     pub fn render(&self) -> String {
         let mut out = format!(
-            "scenario `{}` (mutation: {})\n  full:    {} states, {} transitions, {} interleavings\n  reduced: {} states, {} transitions ({})\n",
+            "scenario `{}` (mutation: {})\n  full:    {} states, {} transitions, {} interleavings\n",
             self.scenario,
             self.mutation.label(),
             self.full.states,
             self.full.transitions,
             self.full.interleavings,
-            self.reduced.states,
-            self.reduced.transitions,
-            if self.reduction_consistent {
-                "agrees with full exploration"
-            } else {
-                "DISAGREES with full exploration"
-            }
         );
         for property in Property::ALL {
             match self.result.counterexample(property) {
@@ -145,30 +133,21 @@ impl CheckReport {
     }
 }
 
-/// Checks `scenario` under `mutation`: a full exploration for the verdicts
-/// and exact interleaving count, plus a reduced exploration cross-checked
-/// against it (verdict-for-verdict and fingerprint-for-fingerprint).
+/// Checks `scenario` under `mutation`: one full exploration for the
+/// verdicts and the exact interleaving count.
 pub fn check(scenario: &Scenario, mutation: Mutation) -> CheckReport {
-    let full = explore::explore(scenario, mutation, false);
-    let reduced = explore::explore(scenario, mutation, true);
-    let verdicts_agree = Property::ALL
-        .iter()
-        .all(|&p| full.refutes(p) == reduced.refutes(p));
-    let fingerprints_agree = full.fingerprints.keys().collect::<Vec<_>>()
-        == reduced.fingerprints.keys().collect::<Vec<_>>();
+    let result = explore::explore(scenario, mutation);
     CheckReport {
         scenario: scenario.name.to_string(),
         mutation,
-        full: full.stats,
-        reduced: reduced.stats,
-        reduction_consistent: verdicts_agree && fingerprints_agree,
-        result: full,
+        full: result.stats,
+        result,
     }
 }
 
 /// The checker's full report, as `tensortool modelcheck` prints it: every
 /// standard scenario under the faithful protocol (each must prove all four
-/// properties, with the reduced exploration agreeing), then the mutation
+/// properties), then the mutation
 /// self-test (each seeded bug must be refuted). `Err` carries the same
 /// report with the violations appended.
 pub fn report() -> Result<String, String> {
@@ -183,12 +162,6 @@ pub fn report() -> Result<String, String> {
             out += &trace::render_counterexample(ce);
             let property = ce.property.label();
             violations.push(format!("scenario `{}` refuted {property}", sc.name));
-        }
-        if !report.reduction_consistent {
-            let name = sc.name;
-            violations.push(format!(
-                "scenario `{name}`: ample-set reduction disagrees with full exploration"
-            ));
         }
         out.push('\n');
     }

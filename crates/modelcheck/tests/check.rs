@@ -1,8 +1,7 @@
 //! The checker's own acceptance suite: the faithful protocol proves all
-//! four properties on every standard scenario (with the reduced and full
-//! explorations agreeing), every seeded mutation is refuted with a
-//! concrete counterexample schedule, and the property automata replay
-//! cleanly over a real chaos-mode engine log.
+//! four properties on every standard scenario, every seeded mutation is
+//! refuted with a concrete counterexample schedule, and the property
+//! automata replay cleanly over a real chaos-mode engine log.
 
 use modelcheck::scenario::{self, Mutation};
 use modelcheck::{check, explore, trace, Property};
@@ -96,7 +95,6 @@ fn ooc_engine(faults: gpu_sim::FaultConfig) -> serve::ServeEngine {
 fn acceptance_scenario_proves_all_properties() {
     let report = check(&scenario::acceptance(), Mutation::None);
     assert!(report.all_proved(), "{}", report.render());
-    assert!(report.reduction_consistent, "{}", report.render());
     assert!(
         report.full.states > 100,
         "suspiciously few states: {}",
@@ -126,12 +124,6 @@ fn standard_scenarios_all_prove() {
             sc.name,
             report.render()
         );
-        assert!(
-            report.reduction_consistent,
-            "reduction diverged on `{}`:\n{}",
-            sc.name,
-            report.render()
-        );
     }
 }
 
@@ -143,14 +135,14 @@ fn seeded_mutations_are_refuted_with_counterexamples() {
     let suite = scenario::mutation_suite();
     assert!(suite.len() >= 3);
     for (mutation, sc, property) in suite {
-        let base = explore::explore(&sc, Mutation::None, false);
+        let base = explore::explore(&sc, Mutation::None);
         assert!(
             !base.refutes(property),
             "faithful protocol already refutes {} on `{}`",
             property.label(),
             sc.name
         );
-        let mutated = explore::explore(&sc, mutation, false);
+        let mutated = explore::explore(&sc, mutation);
         let ce = mutated.counterexample(property).unwrap_or_else(|| {
             panic!(
                 "mutation {} escaped on `{}`: {} not refuted",
@@ -175,7 +167,7 @@ fn seeded_mutations_are_refuted_with_counterexamples() {
 /// observably different reports.
 #[test]
 fn determinism_counterexample_shows_both_interleavings() {
-    let result = explore::explore(&scenario::quarantine(), Mutation::LateQuarantine, false);
+    let result = explore::explore(&scenario::quarantine(), Mutation::LateQuarantine);
     let ce = result
         .counterexample(Property::Determinism)
         .expect("late quarantine must make the admission race observable");
@@ -187,52 +179,16 @@ fn determinism_counterexample_shows_both_interleavings() {
     assert!(narrated.contains("versus the interleaving"), "{narrated}");
 }
 
-/// The ample-set reduction must agree with full exploration on verdicts
-/// *and* terminal fingerprints for every scenario × mutation pair, and
-/// must actually prune work somewhere.
-#[test]
-fn reduction_agrees_with_full_exploration_everywhere() {
-    let mutations = [
-        Mutation::None,
-        Mutation::DropRelease,
-        Mutation::SkipScrub,
-        Mutation::LateQuarantine,
-        Mutation::StuckDefer,
-        Mutation::DropChunkRelease,
-        Mutation::DropShedRelease,
-    ];
-    let mut pruned_somewhere = false;
-    for sc in scenario::standard() {
-        for mutation in mutations {
-            let report = check(&sc, mutation);
-            assert!(
-                report.reduction_consistent,
-                "reduction diverged on `{}` under {}:\n{}",
-                sc.name,
-                mutation.label(),
-                report.render()
-            );
-            if report.reduced.transitions < report.full.transitions {
-                pruned_somewhere = true;
-            }
-        }
-    }
-    assert!(
-        pruned_somewhere,
-        "ample-set reduction never pruned a single transition"
-    );
-}
-
 /// Dropping the doomed request's `release` leaks bytes on the terminal
 /// path *and* deadlocks a same-device follower — both surfaced.
 #[test]
 fn drop_release_leaks_and_deadlocks() {
-    let leak = explore::explore(&scenario::doomed(), Mutation::DropRelease, false);
+    let leak = explore::explore(&scenario::doomed(), Mutation::DropRelease);
     let ce = leak
         .counterexample(Property::LeakFreedom)
         .expect("leaked reservation not caught");
     assert!(ce.detail.contains("never returns to zero"), "{}", ce.detail);
-    let dead = explore::explore(&scenario::doomed_follower(), Mutation::DropRelease, false);
+    let dead = explore::explore(&scenario::doomed_follower(), Mutation::DropRelease);
     let ce = dead
         .counterexample(Property::AdmissionLiveness)
         .expect("admission deadlock not caught");
@@ -246,7 +202,7 @@ fn drop_release_leaks_and_deadlocks() {
 /// reserve → commit/release on every interleaving).
 #[test]
 fn drop_chunk_release_leaks_and_deadlocks() {
-    let leak = explore::explore(&scenario::ooc(), Mutation::DropChunkRelease, false);
+    let leak = explore::explore(&scenario::ooc(), Mutation::DropChunkRelease);
     let ce = leak
         .counterexample(Property::LeakFreedom)
         .expect("leaked chunk reservation not caught");
@@ -256,7 +212,7 @@ fn drop_chunk_release_leaks_and_deadlocks() {
         "counterexample never streams a chunk: {:?}",
         ce.schedule.iter().map(|s| &s.label).collect::<Vec<_>>()
     );
-    let dead = explore::explore(&scenario::ooc_follower(), Mutation::DropChunkRelease, false);
+    let dead = explore::explore(&scenario::ooc_follower(), Mutation::DropChunkRelease);
     let ce = dead
         .counterexample(Property::AdmissionLiveness)
         .expect("admission deadlock behind leaked chunk not caught");
@@ -270,7 +226,7 @@ fn drop_chunk_release_leaks_and_deadlocks() {
 /// bytes cycle reserve → release on every interleaving).
 #[test]
 fn drop_shed_release_leaks_and_deadlocks() {
-    let leak = explore::explore(&scenario::overload(), Mutation::DropShedRelease, false);
+    let leak = explore::explore(&scenario::overload(), Mutation::DropShedRelease);
     let ce = leak
         .counterexample(Property::LeakFreedom)
         .expect("leaked shed reservation not caught");
@@ -280,11 +236,7 @@ fn drop_shed_release_leaks_and_deadlocks() {
         "counterexample never sheds: {:?}",
         ce.schedule.iter().map(|s| &s.label).collect::<Vec<_>>()
     );
-    let dead = explore::explore(
-        &scenario::overload_follower(),
-        Mutation::DropShedRelease,
-        false,
-    );
+    let dead = explore::explore(&scenario::overload_follower(), Mutation::DropShedRelease);
     let ce = dead
         .counterexample(Property::AdmissionLiveness)
         .expect("admission deadlock behind leaked shed not caught");
@@ -317,7 +269,7 @@ fn dropped_release_narrations_fail_reservation_balance() {
             continue;
         }
         pairs += 1;
-        let mutated = explore::explore(&sc, mutation, false);
+        let mutated = explore::explore(&sc, mutation);
         assert!(
             !mutated.violations.is_empty(),
             "{} escaped",
@@ -332,7 +284,7 @@ fn dropped_release_narrations_fail_reservation_balance() {
                 ce.property.label()
             );
         }
-        let faithful = explore::explore(&sc, Mutation::None, false);
+        let faithful = explore::explore(&sc, Mutation::None);
         for schedule in faithful.fingerprints.values() {
             assert!(
                 !unbalanced(&events(schedule)),
@@ -348,7 +300,7 @@ fn dropped_release_narrations_fail_reservation_balance() {
 /// survive into the next chunk's kernel launch.
 #[test]
 fn skip_scrub_poisons_the_next_chunk() {
-    let result = explore::explore(&scenario::ooc(), Mutation::SkipScrub, false);
+    let result = explore::explore(&scenario::ooc(), Mutation::SkipScrub);
     let ce = result
         .counterexample(Property::ScrubBeforeReuse)
         .expect("tainted chunk launch not caught");
@@ -359,7 +311,7 @@ fn skip_scrub_poisons_the_next_chunk() {
 /// that repeats forever.
 #[test]
 fn stuck_defer_is_a_livelock_not_a_deadlock() {
-    let result = explore::explore(&scenario::pressure(), Mutation::StuckDefer, false);
+    let result = explore::explore(&scenario::pressure(), Mutation::StuckDefer);
     let ce = result
         .counterexample(Property::AdmissionLiveness)
         .expect("stuck defer not caught");
@@ -451,7 +403,7 @@ fn exhausted_chunk_falls_to_the_host_rung() {
 #[test]
 fn model_narrates_the_exhausted_chunk_as_the_engine() {
     let sc = scenario::ooc();
-    let faithful = explore::explore(&sc, Mutation::None, false);
+    let faithful = explore::explore(&sc, Mutation::None);
     assert_eq!(faithful.fingerprints.len(), 1);
     for schedule in faithful.fingerprints.values() {
         let log: Vec<ProtocolEvent> = schedule.iter().flat_map(|s| s.events.clone()).collect();

@@ -4,37 +4,16 @@
 //! ([`analyzer::cost::certify`]); a chunked pipeline is a deterministic
 //! sequence of such launches over the extracted chunk formats, so its
 //! whole-pipeline envelope is the field-wise sum of the per-chunk
-//! envelopes ([`analyzer::cost::certify_chunked`]). This module wraps that
-//! sum in the executor's terms: [`pipeline_envelope`] derives the bound
-//! from a [`ChunkPlan`] before anything runs, and [`check_run`] validates
-//! a finished [`ChunkedRun`] against it — `tensortool oocbench` fails on
+//! envelopes ([`analyzer::cost::certify_chunked`]), derived from a
+//! [`ChunkPlan`](fcoo::chunk::ChunkPlan) before anything runs. This module
+//! checks a finished run in the executor's terms: [`check_run`] validates
+//! a [`ChunkedRun`] against that bound — `tensortool oocbench` fails on
 //! any violation, which would be a soundness bug in either the cost model
 //! or the chunked executor (a mis-seeded carry row shows up here as an
 //! atomic-count drift long before it corrupts an output value).
 
 use crate::executor::ChunkedRun;
-use analyzer::cost::{certify_chunked, CounterEnvelope};
-use fcoo::chunk::ChunkPlan;
-use fcoo::{Fcoo, FormatKind, LaunchConfig};
-use gpu_sim::DeviceConfig;
-
-/// Certified envelope of a whole chunked pipeline in format `kind`: every
-/// counter of the merged per-chunk launches, summed over `plan`, plus
-/// bounds on the accumulated `KernelStats::time_us`. Each chunk is
-/// certified with the format's own cost interpreter (bucketed gather
-/// transactions for BF-COO), matching what
-/// [`run_chunked`](crate::executor::run_chunked) launches. Derived from the
-/// parent format's headers alone — nothing is uploaded or launched.
-pub fn pipeline_envelope(
-    config: &DeviceConfig,
-    kind: FormatKind,
-    fcoo: &Fcoo,
-    plan: &ChunkPlan,
-    rank: usize,
-    cfg: &LaunchConfig,
-) -> CounterEnvelope {
-    certify_chunked(config, kind, fcoo, plan, rank, cfg)
-}
+use analyzer::cost::CounterEnvelope;
 
 /// Validates a finished chunked run against its certified envelope.
 ///
@@ -68,7 +47,8 @@ pub fn check_run(envelope: &CounterEnvelope, run: &ChunkedRun) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::executor::run_chunked;
-    use fcoo::TensorOp;
+    use analyzer::cost::certify_chunked;
+    use fcoo::{Fcoo, FormatKind, LaunchConfig, TensorOp};
     use gpu_sim::GpuDevice;
     use tensor_core::datasets::{self, DatasetKind};
     use tensor_core::DenseMatrix;
@@ -91,7 +71,7 @@ mod tests {
             let budget = (fcoo.storage().total_bytes() / divisor).max(1);
             let plan = fcoo::split(&fcoo, budget);
             let envelope =
-                pipeline_envelope(device.config(), FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
+                certify_chunked(device.config(), FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
             let run = run_chunked(&device, FormatKind::Fcoo, &fcoo, &plan, &factors, &cfg)
                 .expect("chunked run");
             assert_eq!(
@@ -118,7 +98,7 @@ mod tests {
         let budget = (fcoo.storage().total_bytes() / 3).max(1);
         let plan = fcoo::split(&fcoo, budget);
         let envelope =
-            pipeline_envelope(device.config(), FormatKind::BfCoo, &fcoo, &plan, RANK, &cfg);
+            certify_chunked(device.config(), FormatKind::BfCoo, &fcoo, &plan, RANK, &cfg);
         let run = run_chunked(&device, FormatKind::BfCoo, &fcoo, &plan, &factors, &cfg)
             .expect("chunked run");
         assert_eq!(check_run(&envelope, &run), Vec::<String>::new());
@@ -126,8 +106,7 @@ mod tests {
         // The strided envelope certifies the same launch count but models
         // the un-bucketed gathers — a BF-COO run is not obliged to fit it,
         // only its own format envelope (checked above).
-        let strided =
-            pipeline_envelope(device.config(), FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
+        let strided = certify_chunked(device.config(), FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
         assert_eq!(strided.launches, envelope.launches);
     }
 
@@ -140,8 +119,7 @@ mod tests {
         let factors = vec![DenseMatrix::random(tensor.shape()[0], RANK, 1)];
         let cfg = LaunchConfig::with_block_size(64);
         let plan = fcoo::split(&fcoo, (fcoo.storage().total_bytes() / 3).max(1));
-        let envelope =
-            pipeline_envelope(device.config(), FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
+        let envelope = certify_chunked(device.config(), FormatKind::Fcoo, &fcoo, &plan, RANK, &cfg);
         let mut run = run_chunked(&device, FormatKind::Fcoo, &fcoo, &plan, &factors, &cfg)
             .expect("chunked run");
         run.stats.time_us = envelope.stats_time_us().hi * 2.0 + 1.0;

@@ -15,17 +15,17 @@
 //! `fcoo`/`gpu-sim`/`tensor-core`: the serve engine composes these pieces
 //! with its own admission, reservation and fault machinery
 //! (`crates/serve`), and the bench CLI drives them standalone. On top of
-//! it, [`bound`] pulls in the analyzer's cost interpreter to certify a
-//! whole-pipeline counter envelope for any chunk plan before it runs —
-//! the bound `tensortool oocbench` checks every streamed execution
-//! against.
+//! it, [`bound`] checks a finished run against the whole-pipeline counter
+//! envelope the analyzer certifies for its chunk plan before it runs
+//! ([`analyzer::cost::certify_chunked`]) — the bound `tensortool oocbench`
+//! checks every streamed execution against.
 
 #![warn(missing_docs)]
 
 pub mod bound;
 pub mod executor;
 
-pub use bound::{check_run, pipeline_envelope};
+pub use bound::check_run;
 pub use executor::{
     output_cols, run_chunk, run_chunked, Accumulator, ChunkReport, ChunkSchedule, ChunkedRun,
 };

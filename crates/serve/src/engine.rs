@@ -1321,15 +1321,16 @@ impl ServeEngine {
         // if the transients plus the two chunk formats the pipeline holds
         // at once — the kernel's chunk and the next chunk's upload — cannot
         // fit. Chunks are rehydrated into the plan's format at upload time,
-        // so the budget charges each format's schedule metadata (BF-COO
-        // buckets) too.
+        // so each chunk's device bytes — computed once, for this room check
+        // and for its own reservation below — charge the format's schedule
+        // metadata (BF-COO buckets) too.
         let gather_modes = plan.fcoo().product_indices.len();
-        let max_chunk_bytes = chunk_plan
+        let chunk_bytes: Vec<usize> = chunk_plan
             .chunks
             .iter()
             .map(|c| c.format_bytes + plan.kind().metadata_bytes(c.nnz, gather_modes))
-            .max()
-            .unwrap_or(0);
+            .collect();
+        let max_chunk_bytes = chunk_bytes.iter().copied().max().unwrap_or(0);
         let need = transient_bytes + 2 * max_chunk_bytes + 64;
         if let Err(too_large) = self.defer_admission(&mut lc, |pool| pool.make_room(key, need)) {
             return Err(self.admission_rejected(&lc, too_large));
@@ -1389,12 +1390,9 @@ impl ServeEngine {
         let mut d2h_us_total = 0.0f64;
         let (mut h2d_bytes_total, mut d2h_bytes_total) = (0usize, 0usize);
         let refs = uploaded.refs();
-        for desc in chunk_plan.chunks.iter() {
+        for (desc, &bytes) in chunk_plan.chunks.iter().zip(&chunk_bytes) {
             let chunk = fcoo::extract(plan.fcoo(), desc);
-            let chunk_bytes = chunk.storage().total_bytes()
-                + plan.kind().metadata_bytes(chunk.nnz(), gather_modes)
-                + 64;
-            self.reserve(&mut lc, key, chunk_bytes);
+            self.reserve(&mut lc, key, bytes);
             let seed = acc.seed_image(desc, &chunk);
             let run = self.attempt_ladder(
                 &mut lc,
@@ -1428,8 +1426,8 @@ impl ServeEngine {
             }
             // The first chunk's upload carries the factors.
             let factor_bytes = if desc.index == 0 { uploaded.bytes() } else { 0 };
-            let h2d_us = upload::transfer_us(chunk_bytes + factor_bytes);
-            h2d_bytes_total += chunk_bytes + factor_bytes;
+            let h2d_us = upload::transfer_us(bytes + factor_bytes);
+            h2d_bytes_total += bytes + factor_bytes;
             let d2h_us = upload::transfer_us(acc.d2h_bytes(desc));
             let span = scheduler.place_chunk(
                 device,

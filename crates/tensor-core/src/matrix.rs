@@ -270,13 +270,6 @@ impl DenseMatrix {
         norms
     }
 
-    /// Scales column `col` by `factor`.
-    pub fn scale_column(&mut self, col: usize, factor: Val) {
-        for row in 0..self.rows {
-            self.data[row * self.cols + col] *= factor;
-        }
-    }
-
     /// Frobenius norm.
     pub fn frobenius(&self) -> f64 {
         self.data
@@ -426,13 +419,10 @@ mod tests {
     }
 
     #[test]
-    fn fill_and_scale_column() {
+    fn fill_sets_every_entry() {
         let mut a = DenseMatrix::zeros(3, 2);
         a.fill(2.0);
         assert!(a.data().iter().all(|&v| v == 2.0));
-        a.scale_column(1, 0.5);
-        assert_eq!(a.get(0, 0), 2.0);
-        assert_eq!(a.get(2, 1), 1.0);
     }
 
     #[test]

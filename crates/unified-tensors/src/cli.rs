@@ -466,23 +466,26 @@ pub fn tune(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<String
 /// cost-bound tuning: derive a provable `[lo, hi]` envelope on
 /// `KernelStats::time_us` for every grid configuration of the unified
 /// SpTTM, SpMTTKRP and (column-tiled) SpTTMc kernels from the F-COO
-/// headers alone, eliminate
-/// every configuration whose certified lower bound exceeds another's upper
-/// bound with **zero** trial launches, and print the envelope matrix plus
-/// the launches-avoided count. Two gates then cross-check the certificates
-/// against reality — every exhaustively measured trial time must lie
-/// within its envelope, and the certified winner must match the winner of
-/// the full launched sweep — and the command exits non-zero if either
-/// fails. With an output path, writes the deterministic
-/// `BENCH_certify.json` trajectory point (trial launches avoided per
-/// grid).
+/// headers alone ([`crate::analyzer::certify_grid`]), mark every
+/// configuration whose certified lower bound exceeds another's upper bound
+/// as dominated, and print the envelope matrix plus the trial launches a
+/// sweep over the survivors avoids (none at all when a single
+/// configuration survives). Two gates then cross-check the certificates
+/// against the exhaustive launched sweep ([`crate::fcoo::tune()`]) — every
+/// measured trial time must lie within its envelope, and the sweep's winner
+/// must be neither pruned nor dominated (and equal the sole survivor when
+/// there is one) — and the command exits non-zero if either fails. With an
+/// output path, writes the deterministic `BENCH_certify.json` trajectory
+/// point (trial launches avoided per grid).
 pub fn certify(
     tensor: &SparseTensorCoo,
     mode: usize,
     rank: usize,
     out_path: Option<&Path>,
 ) -> Result<String, CliError> {
+    use crate::fcoo::{BLOCK_SIZES, THREADLENS};
     check_mode(tensor, mode)?;
+    let config = DeviceConfig::titan_x();
     let mut out = String::new();
     let mut violations: Vec<String> = Vec::new();
     let mut grid_rows = String::new();
@@ -491,121 +494,77 @@ pub fn certify(
         ("SpMTTKRP", TensorOp::SpMttkrp { mode }),
         ("SpTTMc", TensorOp::SpTtmc { mode }),
     ] {
-        let certified =
-            crate::analyzer::tune_certified(&GpuDevice::titan_x(), tensor, op, rank, None, None);
+        let sorted = crate::fcoo::SortedFcoo::new(tensor, op);
+        let (envelopes, pruned) = crate::analyzer::certify_grid(
+            &config,
+            &sorted,
+            FormatKind::Fcoo,
+            rank,
+            &BLOCK_SIZES,
+            &THREADLENS,
+        );
+        // A point is dominated iff some other point's upper bound sits
+        // strictly below its lower bound; the grid-wide minimum upper bound
+        // decides exactly that, and never dominates its own point (lo ≤ hi).
+        let min_hi = envelopes
+            .iter()
+            .map(|p| p.time_us.hi)
+            .fold(f64::INFINITY, f64::min);
+        let (dominated, survivors): (Vec<_>, Vec<_>) =
+            envelopes.iter().partition(|p| p.time_us.lo > min_hi);
+        let grid_points = BLOCK_SIZES.len() * THREADLENS.len();
+        let zero_launch_winner = survivors.len() == 1;
+        let launches = if zero_launch_winner {
+            0
+        } else {
+            survivors.len()
+        };
         let _ = writeln!(
             out,
             "{label} (mode {}, rank {}): {} grid points — {} pruned, {} dominated, \
              {} launched, {} trial launches avoided",
             mode + 1,
             rank,
-            certified.grid_points,
-            certified.pruned.len(),
-            certified.eliminated.len(),
-            certified.launches,
-            certified.launches_avoided(),
+            grid_points,
+            pruned.len(),
+            dominated.len(),
+            launches,
+            grid_points - launches,
         );
         let _ = write!(out, "  T\\B ");
-        for b in &crate::fcoo::BLOCK_SIZES {
+        for b in &BLOCK_SIZES {
             let _ = write!(out, "{b:>16}");
         }
         let _ = writeln!(out);
-        for &t in &crate::fcoo::THREADLENS {
+        for &t in &THREADLENS {
             let _ = write!(out, "{t:>5} ");
-            for &b in &crate::fcoo::BLOCK_SIZES {
-                let cell = if certified.pruned.contains(&(b, t)) {
-                    "pruned".to_string()
-                } else if certified.eliminated.contains(&(b, t)) {
-                    "dominated".to_string()
-                } else if let Some(p) = certified
-                    .envelopes
+            for &b in &BLOCK_SIZES {
+                let point = envelopes
                     .iter()
-                    .find(|p| (p.block_size, p.threadlen) == (b, t))
-                {
-                    format!("{:.1}..{:.1}", p.time_us.lo, p.time_us.hi)
-                } else {
-                    "-".to_string()
+                    .find(|p| (p.block_size, p.threadlen) == (b, t));
+                let cell = match point {
+                    None => "pruned".to_string(),
+                    Some(p) if p.time_us.lo > min_hi => "dominated".to_string(),
+                    Some(p) => format!("{:.1}..{:.1}", p.time_us.lo, p.time_us.hi),
                 };
                 let _ = write!(out, "{cell:>16}");
             }
             let _ = writeln!(out);
         }
-        let min_hi = certified
-            .envelopes
-            .iter()
-            .map(|p| p.time_us.hi)
-            .fold(f64::INFINITY, f64::min);
-        for p in &certified.envelopes {
-            if certified.eliminated.contains(&(p.block_size, p.threadlen)) {
-                let _ = writeln!(
-                    out,
-                    "  dominated ({}, T={}): certified lower bound {:.1} µs exceeds the \
-                     grid's best-case upper bound {:.1} µs — cannot win, never launched",
-                    p.block_size, p.threadlen, p.time_us.lo, min_hi
-                );
-            }
+        for p in &dominated {
+            let _ = writeln!(
+                out,
+                "  dominated ({}, T={}): certified lower bound {:.1} µs exceeds the \
+                 grid's best-case upper bound {:.1} µs — cannot win, needs no trial launch",
+                p.block_size, p.threadlen, p.time_us.lo, min_hi
+            );
         }
-        let (wb, wt) = certified.best_pair();
-        let winner_bounds = certified
-            .envelopes
-            .iter()
-            .find(|p| (p.block_size, p.threadlen) == (wb, wt))
-            .expect("the winner survived certification")
-            .time_us;
-        match (&certified.winner, &certified.tuned) {
-            (Some(_), _) => {
-                let _ = writeln!(
-                    out,
-                    "  winner: B={wb} T={wt} — certified with zero launches, \
-                     time in [{:.1}, {:.1}] µs",
-                    winner_bounds.lo, winner_bounds.hi
-                );
-            }
-            (None, Some(tuned)) => {
-                let _ = writeln!(
-                    out,
-                    "  winner: B={wb} T={wt} — {:.1} µs measured; envelopes overlapped \
-                     on {} configurations, so those were launched",
-                    tuned.best.time_us,
-                    tuned.surface.len()
-                );
-            }
-            (None, None) => unreachable!("tune_certified always resolves a winner"),
-        }
-        // Per-format verdict matrix: the cross-format planner's certified
-        // selection printed beside the single-format grid above, so the
-        // output shows both which grid point wins within F-COO and which
-        // format wins overall.
-        let choice =
-            crate::analyzer::tune_select(&DeviceConfig::titan_x(), tensor, op, rank, None, None);
-        let _ = writeln!(out, "  formats:");
-        for line in choice.render().lines() {
-            let _ = writeln!(out, "    {line}");
-        }
-        let _ = writeln!(
-            out,
-            "    selected {} ({})",
-            choice.kind().label(),
-            if choice.strictly_dominates() {
-                "strictly dominates on the certified upper bound"
-            } else {
-                "tie-break keeps the paper's baseline"
-            }
-        );
-        // Cross-check against an exhaustive launched sweep on a fresh
-        // device: the certificates must contain every measured time, and
-        // skipping launches must not have changed the winner.
+        // The exhaustive launched sweep is the reference: the certificates
+        // must contain every measured time, and pruning or dominance must
+        // not have ruled out its winner.
         let exhaustive = crate::fcoo::tune(&GpuDevice::titan_x(), tensor, op, rank, None, None);
-        if exhaustive.best_pair() != (wb, wt) {
-            let (eb, et) = exhaustive.best_pair();
-            violations.push(format!(
-                "{label}: certified winner B={wb} T={wt} disagrees with the \
-                 exhaustive sweep's B={eb} T={et}"
-            ));
-        }
         for point in &exhaustive.surface {
-            if let Some(p) = certified
-                .envelopes
+            if let Some(p) = envelopes
                 .iter()
                 .find(|p| (p.block_size, p.threadlen) == (point.block_size, point.threadlen))
             {
@@ -622,26 +581,67 @@ pub fn certify(
                 }
             }
         }
+        let (wb, wt) = exhaustive.best_pair();
+        let Some(winner) = survivors
+            .iter()
+            .find(|p| (p.block_size, p.threadlen) == (wb, wt))
+        else {
+            violations.push(format!(
+                "{label}: the exhaustive sweep's winner B={wb} T={wt} was pruned or dominated"
+            ));
+            continue;
+        };
+        if zero_launch_winner {
+            let _ = writeln!(
+                out,
+                "  winner: B={wb} T={wt} — certified with zero launches, \
+                 time in [{:.1}, {:.1}] µs",
+                winner.time_us.lo, winner.time_us.hi
+            );
+        } else {
+            let _ = writeln!(
+                out,
+                "  winner: B={wb} T={wt} — {:.1} µs measured; envelopes overlap \
+                 on {launches} configurations, so only those need a trial launch",
+                exhaustive.best.time_us,
+            );
+        }
+        // Per-format verdict matrix: the cross-format planner's certified
+        // selection printed beside the single-format grid above, so the
+        // output shows both which grid point wins within F-COO and which
+        // format wins overall.
+        let choice = crate::analyzer::tune_select(&config, tensor, op, rank, None, None);
+        let _ = writeln!(out, "  formats:");
+        for line in choice.render().lines() {
+            let _ = writeln!(out, "    {line}");
+        }
+        let _ = writeln!(
+            out,
+            "    selected {} ({})",
+            choice.kind().label(),
+            if choice.strictly_dominates() {
+                "strictly dominates on the certified upper bound"
+            } else {
+                "tie-break keeps the paper's baseline"
+            }
+        );
         if !grid_rows.is_empty() {
             grid_rows.push_str(",\n");
         }
         let _ = write!(
             grid_rows,
-            "    {{\"kernel\": \"{label}\", \"grid_points\": {}, \"pruned\": {}, \
-             \"dominated\": {}, \"launches\": {}, \"launches_avoided\": {}, \
-             \"zero_launch_winner\": {}, \"chosen_format\": \"{}\", \
+            "    {{\"kernel\": \"{label}\", \"grid_points\": {grid_points}, \"pruned\": {}, \
+             \"dominated\": {}, \"launches\": {launches}, \"launches_avoided\": {}, \
+             \"zero_launch_winner\": {zero_launch_winner}, \"chosen_format\": \"{}\", \
              \"format_strictly_dominates\": {}, \"winner\": {{\"block_size\": {wb}, \
              \"threadlen\": {wt}, \"time_lo_us\": {:.6}, \"time_hi_us\": {:.6}}}}}",
-            certified.grid_points,
-            certified.pruned.len(),
-            certified.eliminated.len(),
-            certified.launches,
-            certified.launches_avoided(),
-            certified.winner.is_some(),
+            pruned.len(),
+            dominated.len(),
+            grid_points - launches,
             choice.kind().label(),
             choice.strictly_dominates(),
-            winner_bounds.lo,
-            winner_bounds.hi,
+            winner.time_us.lo,
+            winner.time_us.hi,
         );
     }
     if !violations.is_empty() {
@@ -653,7 +653,7 @@ pub fn certify(
     let _ = writeln!(
         out,
         "gate: every measured trial lies within its certified envelope and \
-         the certified winner matches the launched sweep"
+         the exhaustive sweep's winner survives certification"
     );
     if let Some(path) = out_path {
         let json = format!(
@@ -1069,7 +1069,7 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         if !lint.is_clean() {
             return Err(err(format!("oocbench chunk-plan lint: {lint}")));
         }
-        let envelope = crate::ooc::pipeline_envelope(
+        let envelope = crate::analyzer::cost::certify_chunked(
             device.config(),
             FormatKind::Fcoo,
             &fcoo,
@@ -1312,8 +1312,7 @@ pub fn saturate(out_path: Option<&Path>) -> Result<String, CliError> {
 
 /// `modelcheck` subcommand: the model checker's full report
 /// ([`crate::modelcheck::report`]). Exits non-zero on any refuted
-/// property, any escaped mutation, or a reduction/full-exploration
-/// disagreement.
+/// property or any escaped mutation.
 pub fn modelcheck() -> Result<String, CliError> {
     crate::modelcheck::report().map_err(err)
 }
