@@ -22,6 +22,53 @@ impl std::fmt::Display for MttkrpError {
 
 impl std::error::Error for MttkrpError {}
 
+/// Why CP-ALS could not run to completion.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CpError {
+    /// The rank is 0: there is no component to fit.
+    ZeroRank,
+    /// The engine could not compute an MTTKRP.
+    Mttkrp(MttkrpError),
+}
+
+impl std::fmt::Display for CpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CpError::ZeroRank => f.write_str("rank must be at least 1"),
+            CpError::Mttkrp(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for CpError {}
+
+impl From<MttkrpError> for CpError {
+    fn from(e: MttkrpError) -> Self {
+        CpError::Mttkrp(e)
+    }
+}
+
+/// One dense stage of a factor update, as the driver runs it (the paper's
+/// CUBLAS-style operations, §IV-D).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DenseStage {
+    /// `AᵀA` of mode `mode`'s `rows × rank` factor. The driver keeps one
+    /// Gram per factor: every mode's but the first at the start, then each
+    /// mode's again right after that mode's solve.
+    Gram {
+        /// Whose factor.
+        mode: usize,
+        /// The factor's rows.
+        rows: usize,
+    },
+    /// The `rank × rank` normal-equations solve that updates mode `mode`'s
+    /// factor from its MTTKRP and the other modes' Grams.
+    Solve {
+        /// Whose factor.
+        mode: usize,
+    },
+}
+
 /// Where one mode's MTTKRP runs and how long it took.
 pub trait MttkrpEngine {
     /// Computes the MTTKRP for `mode` with the current factors. Returns the
@@ -33,10 +80,9 @@ pub trait MttkrpEngine {
         factors: &[DenseMatrix],
     ) -> Result<(DenseMatrix, f64), MttkrpError>;
 
-    /// Cost of the dense factor update (Gram products + solve) in the
-    /// engine's time base, or `None` to have the driver measure the host
-    /// solve with the wall clock.
-    fn dense_update_us(&mut self, _rows: usize, _rank: usize) -> Option<f64> {
+    /// Cost of one dense stage the driver just ran, in the engine's time
+    /// base, or `None` to have the driver measure it with the wall clock.
+    fn dense_us(&mut self, _stage: DenseStage, _rank: usize) -> Option<f64> {
         None
     }
 
@@ -113,8 +159,10 @@ pub struct CpRun {
     pub iterations: usize,
     /// Total MTTKRP time per mode, microseconds, engine time base.
     pub mode_us: Vec<f64>,
-    /// Total non-MTTKRP time (dense updates), microseconds.
+    /// Total non-MTTKRP time (Grams and solves), microseconds.
     pub other_us: f64,
+    /// Gram matrices computed: one per solve, plus `order − 1` at the start.
+    pub grams: usize,
     /// Makespan with the engine's two-stream overlap applied, when the
     /// engine models it (always ≤ the serial total).
     pub overlapped_total_us: Option<f64>,
@@ -129,17 +177,48 @@ impl CpRun {
     }
 }
 
-/// Runs CP-ALS on `tensor` using `engine` for every MTTKRP. Stops at the
-/// first MTTKRP the engine cannot compute and returns its error.
+/// Runs one dense stage on the host and adds its cost to `other_us`: the
+/// engine's modeled time, or else the host wall clock.
+fn charged<T>(
+    engine: &mut dyn MttkrpEngine,
+    stage: DenseStage,
+    rank: usize,
+    other_us: &mut f64,
+    work: impl FnOnce() -> T,
+) -> T {
+    // Sanctioned host wall-clock site (clippy `disallowed-methods`): the
+    // dense stages run on the real host CPU and are measured, not simulated.
+    #[allow(clippy::disallowed_methods)]
+    let start = std::time::Instant::now();
+    let out = work();
+    *other_us += engine
+        .dense_us(stage, rank)
+        .unwrap_or_else(|| start.elapsed().as_secs_f64() * 1e6);
+    out
+}
+
+/// The Hadamard product of `grams`, accumulated left to right.
+fn hadamard_all<'a>(mut grams: impl Iterator<Item = &'a DenseMatrix>) -> DenseMatrix {
+    let first = grams.next().expect("CP has at least two modes").clone();
+    grams.fold(first, |acc, gram| acc.hadamard(gram))
+}
+
+/// Runs CP-ALS on `tensor` using `engine` for every MTTKRP. Each factor's
+/// Gram is computed once per update, right after its solve, and cached for
+/// the other modes' solves and the fit. Stops at the first MTTKRP the
+/// engine cannot compute and returns its error; a zero rank is
+/// [`CpError::ZeroRank`].
 ///
 /// # Panics
-/// If the rank is zero or the tensor is empty.
+/// If the tensor is empty.
 pub fn cp_als(
     tensor: &SparseTensorCoo,
     engine: &mut dyn MttkrpEngine,
     opts: &CpOptions,
-) -> Result<CpRun, MttkrpError> {
-    assert!(opts.rank > 0, "rank must be positive");
+) -> Result<CpRun, CpError> {
+    if opts.rank == 0 {
+        return Err(CpError::ZeroRank);
+    }
     assert!(tensor.nnz() > 0, "cannot decompose an empty tensor");
     let order = tensor.order();
     let mut factors: Vec<DenseMatrix> = tensor
@@ -162,6 +241,22 @@ pub fn cp_als(
     let mut other_us = 0.0f64;
     let mut fit = 0.0f64;
     let mut iterations = 0usize;
+    // `grams[m]` is `factors[m]`'s Gram. Mode 0 is solved before any solve
+    // reads it, so its first Gram is computed after that solve.
+    let mut grams: Vec<Option<DenseMatrix>> = vec![None; order];
+    let mut gram_count = 0usize;
+    let mut gram =
+        |engine: &mut dyn MttkrpEngine, other_us: &mut f64, mode: usize, factor: &DenseMatrix| {
+            gram_count += 1;
+            let stage = DenseStage::Gram {
+                mode,
+                rows: factor.rows(),
+            };
+            charged(engine, stage, opts.rank, other_us, || factor.gram())
+        };
+    for mode in 1..order {
+        grams[mode] = Some(gram(engine, &mut other_us, mode, &factors[mode]));
+    }
 
     for _iter in 0..opts.max_iters {
         iterations += 1;
@@ -169,40 +264,30 @@ pub fn cp_als(
         for mode in 0..order {
             let (m, elapsed) = engine.mttkrp(mode, &factors)?;
             mode_us[mode] += elapsed;
-
-            // Sanctioned host wall-clock site (clippy `disallowed-methods`):
-            // the dense Gram/solve stages run on the real host CPU and are
-            // measured, not simulated.
-            #[allow(clippy::disallowed_methods)]
-            let dense_start = std::time::Instant::now();
-            // V = ∗_{m ≠ mode} (A_mᵀ A_m), Hadamard of Grams.
-            let mut v: Option<DenseMatrix> = None;
-            for (other, factor) in factors.iter().enumerate() {
-                if other == mode {
-                    continue;
-                }
-                let gram = factor.gram();
-                v = Some(match v {
-                    None => gram,
-                    Some(acc) => acc.hadamard(&gram),
-                });
-            }
-            let v = v.expect("tensor has at least 2 modes");
-            let mut updated = solve_normal_equations(&m, &v);
-            lambda = updated.normalize_columns();
-            // Guard against collapsed (zero) components.
-            for (r, &norm) in lambda.iter().enumerate() {
-                if norm == 0.0 {
-                    for row in 0..updated.rows() {
-                        updated.set(row, r, 0.0);
+            let solve = DenseStage::Solve { mode };
+            let updated = charged(engine, solve, opts.rank, &mut other_us, || {
+                // V = ∗_{m ≠ mode} (A_mᵀ A_m), Hadamard of cached Grams.
+                let v = hadamard_all(
+                    grams
+                        .iter()
+                        .enumerate()
+                        .filter(|&(other, _)| other != mode)
+                        .map(|(_, g)| g.as_ref().expect("every other mode's Gram is cached")),
+                );
+                let mut updated = solve_normal_equations(&m, &v);
+                lambda = updated.normalize_columns();
+                // Guard against collapsed (zero) components.
+                for (r, &norm) in lambda.iter().enumerate() {
+                    if norm == 0.0 {
+                        for row in 0..updated.rows() {
+                            updated.set(row, r, 0.0);
+                        }
                     }
                 }
-            }
+                updated
+            });
             factors[mode] = updated;
-            match engine.dense_update_us(tensor.shape()[mode], opts.rank) {
-                Some(model_us) => other_us += model_us,
-                None => other_us += dense_start.elapsed().as_secs_f64() * 1e6,
-            }
+            grams[mode] = Some(gram(engine, &mut other_us, mode, &factors[mode]));
             if mode == order - 1 {
                 last_m = Some(m);
             }
@@ -219,15 +304,7 @@ pub fn cp_als(
                         .sum::<f64>()
             })
             .sum();
-        let mut gram_product: Option<DenseMatrix> = None;
-        for factor in &factors {
-            let gram = factor.gram();
-            gram_product = Some(match gram_product {
-                None => gram,
-                Some(acc) => acc.hadamard(&gram),
-            });
-        }
-        let gram_product = gram_product.expect("CP requires at least two modes");
+        let gram_product = hadamard_all(grams.iter().flatten());
         let mut norm_model_sq = 0.0f64;
         for r in 0..opts.rank {
             for s in 0..opts.rank {
@@ -250,6 +327,7 @@ pub fn cp_als(
         iterations,
         mode_us,
         other_us,
+        grams: gram_count,
         overlapped_total_us: engine.overlapped_elapsed_us(),
         engine: engine.name(),
     })
@@ -389,5 +467,18 @@ mod tests {
         let tensor = SparseTensorCoo::new(vec![3, 3, 3]);
         let mut engine = ReferenceEngine::new(&tensor);
         let _ = cp_als(&tensor, &mut engine, &CpOptions::default());
+    }
+
+    #[test]
+    fn rejects_rank_zero_without_panicking() {
+        let tensor = low_rank_tensor([4, 4, 4], 2, 17);
+        let mut engine = ReferenceEngine::new(&tensor);
+        let opts = CpOptions {
+            rank: 0,
+            ..CpOptions::default()
+        };
+        let err = cp_als(&tensor, &mut engine, &opts).unwrap_err();
+        assert_eq!(err, CpError::ZeroRank);
+        assert_eq!(err.to_string(), "rank must be at least 1");
     }
 }

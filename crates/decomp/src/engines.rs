@@ -4,17 +4,19 @@
 //!   engine: its input is one pre-resolved [`ModePlan`] per mode (a resident
 //!   format, the block size it launches at, the factor rows the other modes'
 //!   formats index). Formats stay resident, one unified kernel runs per mode
-//!   per iteration, and the dense updates overlap on a second stream (§IV-D,
-//!   §V-E). [`UnifiedGpuEngine::new`] is the F-COO, all-rows case; the
+//!   per iteration on stream 0, and the dense stages run on stream 1 (§IV-D,
+//!   §V-E) along the update's dependency chain: MTTKRP(n) → solve(n) →
+//!   MTTKRP(n+1), with the Gram of the factor just solved hidden under the
+//!   next MTTKRP. [`UnifiedGpuEngine::new`] is the F-COO, all-rows case; the
 //!   serving engine passes the formats its pool admitted;
 //! * [`SplattEngine`] — SPLATT's CSF trees, one per mode, MTTKRP on the CPU
 //!   pool (the Fig. 10 competitor);
 //! * [`ReferenceEngine`] — the sequential oracle from `tensor_core::ops`.
 
-use crate::cp::{MttkrpEngine, MttkrpError};
+use crate::cp::{DenseStage, MttkrpEngine, MttkrpError};
 use baselines::csf::{mttkrp_csf, Csf};
 use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
-use gpu_sim::{GpuDevice, OutOfMemory, Timeline};
+use gpu_sim::{DeviceConfig, GpuDevice, OutOfMemory, Timeline};
 use std::sync::Arc;
 use tensor_core::{DenseMatrix, SparseTensorCoo};
 
@@ -81,6 +83,43 @@ impl ModePlan {
     }
 }
 
+/// The CUBLAS-style dense-stage throughput: a conservative 10% of the
+/// device's peak single-precision FLOP/µs.
+fn dense_flops_per_us(config: &DeviceConfig) -> f64 {
+    0.1 * (config.total_cores() as f64 * 2.0 * config.clock_ghz * 1e3)
+}
+
+/// Simulated time of one Gram launch over a `rows × rank` factor (µs).
+fn gram_us(config: &DeviceConfig, rows: usize, rank: usize) -> f64 {
+    2.0 * rows as f64 * (rank * rank) as f64 / dense_flops_per_us(config)
+        + config.launch_overhead_us
+}
+
+/// Simulated time of one `rank × rank` solve launch (µs).
+pub fn solve_us(config: &DeviceConfig, rank: usize) -> f64 {
+    (rank * rank * rank) as f64 / dense_flops_per_us(config) + config.launch_overhead_us
+}
+
+/// What one span of the engine's two-stream timeline ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanKind {
+    /// Mode `n`'s MTTKRP kernel, on stream 0.
+    Mttkrp(usize),
+    /// A dense stage, on stream 1.
+    Dense(DenseStage),
+}
+
+/// One launch on the engine's timeline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamSpan {
+    /// What ran.
+    pub kind: SpanKind,
+    /// Simulated start (µs from the job's start).
+    pub start_us: f64,
+    /// Simulated end (µs).
+    pub end_us: f64,
+}
+
 /// The paper's CP engine: unified kernels on the simulated GPU.
 ///
 /// Every mode's format is preprocessed up front and stays resident, so "no
@@ -91,10 +130,16 @@ pub struct UnifiedGpuEngine<'d> {
     device: &'d GpuDevice,
     plans: Vec<ModePlan>,
     /// Two-stream timeline (§V-E): stream 0 runs the MTTKRP kernels, stream
-    /// 1 the CUBLAS-style dense operations; Gram products of the *other*
-    /// factors overlap the MTTKRP, only the solve waits for its result.
+    /// 1 the CUBLAS-style dense stages the driver ran, in its order. An
+    /// MTTKRP waits for the previous solve, whose factor it reads; a solve
+    /// waits for its MTTKRP and, in stream order, for the previous Gram. A
+    /// Gram follows its solve and hides under the next MTTKRP; the first
+    /// `order − 1` overlap the first MTTKRP.
     timeline: Timeline,
-    last_mttkrp_finish: f64,
+    /// Every launch, in issue order.
+    spans: Vec<StreamSpan>,
+    last_mttkrp_end: f64,
+    last_solve_end: f64,
 }
 
 impl<'d> UnifiedGpuEngine<'d> {
@@ -104,7 +149,9 @@ impl<'d> UnifiedGpuEngine<'d> {
             device,
             plans,
             timeline: Timeline::new(2),
-            last_mttkrp_finish: 0.0,
+            spans: Vec::new(),
+            last_mttkrp_end: 0.0,
+            last_solve_end: 0.0,
         }
     }
 
@@ -120,6 +167,43 @@ impl<'d> UnifiedGpuEngine<'d> {
             .map(|mode| ModePlan::fcoo(device, tensor, mode, threadlen, block_size))
             .collect::<Result<_, _>>()?;
         Ok(UnifiedGpuEngine::from_plans(device, plans))
+    }
+
+    /// Every launch so far, in issue order.
+    pub fn spans(&self) -> &[StreamSpan] {
+        &self.spans
+    }
+
+    /// The dense-stream launches so far: (Grams, solves).
+    pub fn dense_launches(&self) -> (usize, usize) {
+        let count = |gram: bool| {
+            self.spans
+                .iter()
+                .filter(|s| match s.kind {
+                    SpanKind::Dense(DenseStage::Gram { .. }) => gram,
+                    SpanKind::Dense(DenseStage::Solve { .. }) => !gram,
+                    SpanKind::Mttkrp(_) => false,
+                })
+                .count()
+        };
+        (count(true), count(false))
+    }
+
+    /// Enqueues `duration_us` of `kind` on its stream, not before
+    /// `earliest_us`; returns its end.
+    fn launch(&mut self, kind: SpanKind, earliest_us: f64, duration_us: f64) -> f64 {
+        let stream = match kind {
+            SpanKind::Mttkrp(_) => 0,
+            SpanKind::Dense(_) => 1,
+        };
+        let start_us = self.timeline.stream_elapsed_us(stream).max(earliest_us);
+        let end_us = self.timeline.push_after(stream, earliest_us, duration_us);
+        self.spans.push(StreamSpan {
+            kind,
+            start_us,
+            end_us,
+        });
+        end_us
     }
 }
 
@@ -148,27 +232,28 @@ impl MttkrpEngine for UnifiedGpuEngine<'_> {
             .format
             .spmttkrp(self.device, &refs, &cfg)
             .map_err(oom)?;
-        self.last_mttkrp_finish = self.timeline.push(0, stats.time_us);
+        self.last_mttkrp_end =
+            self.launch(SpanKind::Mttkrp(mode), self.last_solve_end, stats.time_us);
         Ok((result, stats.time_us))
     }
 
-    fn dense_update_us(&mut self, rows: usize, rank: usize) -> Option<f64> {
-        // CUBLAS-style model: Gram products over the other modes plus the
-        // R×R solve, at a conservative 10% of the device's peak single
-        // precision throughput, plus per-kernel launch overheads.
+    fn dense_us(&mut self, stage: DenseStage, rank: usize) -> Option<f64> {
         let config = self.device.config();
-        let peak_flops_per_us = config.total_cores() as f64 * 2.0 * config.clock_ghz * 1e3;
-        let effective = 0.1 * peak_flops_per_us;
-        // The Gram products read factors the MTTKRP does not write: they run
-        // on stream 1 concurrently with the MTTKRP kernel.
-        let gram_flops = 2.0 * rows as f64 * (rank * rank) as f64;
-        let gram_us = gram_flops / effective + 2.0 * config.launch_overhead_us;
-        // The solve consumes the MTTKRP result: it waits for stream 0.
-        let solve_us = (rank * rank * rank) as f64 / effective + config.launch_overhead_us;
-        self.timeline.push(1, gram_us);
-        self.timeline
-            .push_after(1, self.last_mttkrp_finish, solve_us);
-        Some(gram_us + solve_us)
+        let kind = SpanKind::Dense(stage);
+        match stage {
+            // A Gram reads a factor no MTTKRP writes: it only queues behind
+            // the solve that produced that factor.
+            DenseStage::Gram { rows, .. } => {
+                let us = gram_us(config, rows, rank);
+                self.launch(kind, 0.0, us);
+                Some(us)
+            }
+            DenseStage::Solve { .. } => {
+                let us = solve_us(config, rank);
+                self.last_solve_end = self.launch(kind, self.last_mttkrp_end, us);
+                Some(us)
+            }
+        }
     }
 
     fn overlapped_elapsed_us(&self) -> Option<f64> {
@@ -438,16 +523,120 @@ mod tests {
             .overlapped_total_us
             .expect("unified engine models streams");
         let serial = run.total_us();
-        let mttkrp_total: f64 = run.mode_us.iter().sum();
+        // The critical path: every MTTKRP and every solve, in turn.
+        let chain: f64 = run.mode_us.iter().sum::<f64>()
+            + (run.iterations * tensor.order()) as f64 * solve_us(device.config(), options().rank);
         assert!(
             overlapped <= serial + 1e-6,
             "overlap {overlapped} vs serial {serial}"
         );
         assert!(
-            overlapped >= mttkrp_total,
-            "makespan cannot beat the critical path"
+            overlapped >= chain - 1e-9,
+            "makespan {overlapped} cannot beat the MTTKRP + solve chain {chain}"
         );
-        assert!(overlapped < serial, "gram products must actually overlap");
+        assert!(overlapped < serial, "Gram launches must actually overlap");
+    }
+
+    /// Runs CP-ALS on the unified engine and checks its timeline against the
+    /// update's dependency chain.
+    fn check_schedule(tensor: &SparseTensorCoo, opts: &CpOptions) {
+        let order = tensor.order();
+        let device = GpuDevice::titan_x();
+        let mut unified = UnifiedGpuEngine::new(&device, tensor, 8, 128).unwrap();
+        let run = cp_als(tensor, &mut unified, opts).expect("engine computes every MTTKRP");
+        let spans = unified.spans();
+        let gram = |mode: usize| {
+            SpanKind::Dense(DenseStage::Gram {
+                mode,
+                rows: tensor.shape()[mode],
+            })
+        };
+        // The dense stream runs the driver's stages in the driver's order:
+        // the order − 1 initial Grams, then per update a solve and the
+        // Gram of the factor it produced.
+        let dense: Vec<SpanKind> = spans
+            .iter()
+            .map(|s| s.kind)
+            .filter(|k| matches!(k, SpanKind::Dense(_)))
+            .collect();
+        let mut expected: Vec<SpanKind> = (1..order).map(gram).collect();
+        for _ in 0..run.iterations {
+            for mode in 0..order {
+                expected.push(SpanKind::Dense(DenseStage::Solve { mode }));
+                expected.push(gram(mode));
+            }
+        }
+        assert_eq!(dense, expected);
+        let (grams, solves) = unified.dense_launches();
+        assert_eq!(solves, run.iterations * order);
+        assert_eq!(grams, solves + order - 1);
+        assert_eq!(
+            run.grams, grams,
+            "the driver computes what the engine charges"
+        );
+        // The initial Grams run back to back from the job's start.
+        assert_eq!(spans[0].start_us, 0.0);
+        for pair in spans[..order - 1].windows(2) {
+            assert_eq!(pair[1].start_us, pair[0].end_us);
+        }
+
+        let (mut solve_end, mut mttkrp_end, mut gram_end) = (0.0f64, 0.0f64, 0.0f64);
+        let mut chain = 0.0f64;
+        for (i, span) in spans.iter().enumerate() {
+            assert!(span.end_us >= span.start_us);
+            match span.kind {
+                SpanKind::Mttkrp(_) => {
+                    assert!(
+                        span.start_us >= solve_end,
+                        "span {i}: MTTKRP at {} before the previous solve ends at {solve_end}",
+                        span.start_us
+                    );
+                    mttkrp_end = span.end_us;
+                    chain += span.end_us - span.start_us;
+                }
+                SpanKind::Dense(DenseStage::Solve { mode }) => {
+                    assert_eq!(spans[i - 1].kind, SpanKind::Mttkrp(mode));
+                    assert!(
+                        span.start_us >= mttkrp_end && span.start_us >= gram_end,
+                        "span {i}: solve at {} before its MTTKRP ({mttkrp_end}) or the \
+                         previous Gram ({gram_end}) ends",
+                        span.start_us
+                    );
+                    solve_end = span.end_us;
+                    chain += span.end_us - span.start_us;
+                }
+                SpanKind::Dense(DenseStage::Gram { .. }) => {
+                    if i >= order - 1 {
+                        assert_eq!(
+                            span.start_us, solve_end,
+                            "span {i}: Gram right after its solve"
+                        );
+                    }
+                    gram_end = span.end_us;
+                }
+            }
+        }
+        let makespan = run
+            .overlapped_total_us
+            .expect("unified engine models streams");
+        let last = spans.iter().map(|s| s.end_us).fold(0.0, f64::max);
+        assert_eq!(makespan, last);
+        assert!(
+            makespan >= chain - 1e-9,
+            "makespan {makespan} below the MTTKRP + solve chain {chain}"
+        );
+    }
+
+    #[test]
+    fn schedule_follows_the_update_dependency_chain() {
+        let opts = CpOptions {
+            tol: 0.0,
+            ..options()
+        };
+        let (order3, _) = datasets::generate(DatasetKind::Nell2, 3000, 79);
+        check_schedule(&order3, &opts);
+        let order4 = datasets::generate_norder(&[15, 12, 10, 8], 2_000, 0.6, 80);
+        check_schedule(&order4, &opts);
     }
 
     #[test]

@@ -12,6 +12,6 @@ pub mod cp;
 pub mod engines;
 pub mod tucker;
 
-pub use cp::{cp_als, CpModel, CpOptions, CpRun, MttkrpEngine, MttkrpError};
+pub use cp::{cp_als, CpError, CpModel, CpOptions, CpRun, DenseStage, MttkrpEngine, MttkrpError};
 pub use engines::{ModePlan, ReferenceEngine, SplattEngine, UnifiedGpuEngine};
 pub use tucker::{tucker_hooi, TuckerModel, TuckerOptions};

@@ -20,8 +20,8 @@ use crate::protocol::{self, Flight, Health, Ladder, Rung};
 use crate::scheduler::{Placement, Scheduler};
 use crate::upload::{self, DeviceFactors, FactorPlan};
 use crate::workload::{Request, ServeOp, Workload};
-use decomp::cp::{cp_als, CpOptions, CpRun, MttkrpEngine, MttkrpError};
-use decomp::engines::{ModePlan, UnifiedGpuEngine};
+use decomp::cp::{cp_als, CpOptions, CpRun, DenseStage, MttkrpEngine, MttkrpError};
+use decomp::engines::{self, ModePlan, UnifiedGpuEngine};
 use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{DeviceConfig, FaultConfig, FaultEvent, GpuDevice, LaunchTrace};
 use std::collections::BTreeMap;
@@ -899,12 +899,12 @@ impl ServeEngine {
         let mut requests = Vec::new();
         let mut rejections = Vec::new();
         for (index, request) in workload.requests.iter().enumerate() {
-            let served = match request.op {
+            let served = protocol::check_rank(request.rank).and_then(|()| match request.op {
                 ServeOp::Tensor(op) => self.serve_tensor_op(index, request, op, &mut scheduler),
                 ServeOp::CpAls { iterations } => {
                     self.serve_cp(index, request, iterations, &mut scheduler)
                 }
-            };
+            });
             match served {
                 Ok(Some(record)) => requests.push(record),
                 // Shed: already recorded in `self.sheds` by the shed path.
@@ -1575,12 +1575,14 @@ impl ServeEngine {
             self.reserve(&mut lc, key, transient(mode));
         }
         // A decomposition uploads its initial factors and runs at least one
-        // ALS sweep at each mode's certified kernel floor.
+        // ALS sweep: each mode's MTTKRP at its certified kernel floor, then
+        // that mode's solve, which the next MTTKRP waits for.
         let sweep_lo: f64 = plans.iter().map(|p| p.certificate.time_lo_us).sum();
+        let solves_us = shape.len() as f64 * engines::solve_us(&self.config.device_config, rank);
         if self.shed_if_late(
             &mut lc,
             scheduler,
-            &[upload::transfer_us(factor_bytes), sweep_lo],
+            &[upload::transfer_us(factor_bytes), sweep_lo, solves_us],
         ) {
             return Ok(None);
         }
@@ -2211,9 +2213,12 @@ impl MttkrpEngine for HostCpEngine<'_> {
         Ok((result, us))
     }
 
-    fn dense_update_us(&mut self, rows: usize, rank: usize) -> Option<f64> {
-        // Gram products + solve at the same analytic 2 GFLOP/s host rate.
-        let flops = 2.0 * rows as f64 * (rank * rank) as f64 + (rank * rank * rank) as f64;
+    fn dense_us(&mut self, stage: DenseStage, rank: usize) -> Option<f64> {
+        // Grams and solves at the same analytic 2 GFLOP/s host rate.
+        let flops = match stage {
+            DenseStage::Gram { rows, .. } => 2.0 * rows as f64 * (rank * rank) as f64,
+            DenseStage::Solve { .. } => (rank * rank * rank) as f64,
+        };
         let us = flops / 2000.0;
         self.elapsed_us += us;
         Some(us)
@@ -2488,6 +2493,70 @@ mod tests {
         let zero = Workload::parse("tensor t nell2 900 3\nrequest t cp 0 4 0.0 1\n").unwrap();
         let report = engine.run(&zero);
         assert_eq!(report.rejections.len(), 1);
+    }
+
+    #[test]
+    fn cp_shed_floor_is_sound_and_counts_every_solve() {
+        // The lifecycle fixture's CP job and a larger nell2 one, each with
+        // a deadline far enough out that the floor is computed, not acted on.
+        for (text, rank) in [
+            ("tensor t nell2 900 3\nrequest t cp 3 4 0.0 21 1000000\n", 4),
+            ("tensor n nell2 3000 5\nrequest n cp 3 8 0.0 7 1000000\n", 8),
+        ] {
+            let mut engine = ServeEngine::new(ServeConfig::default());
+            let report = engine.run(&Workload::parse(text).unwrap());
+            let record = &report.requests[0];
+            assert_eq!(
+                record.start_us, 0.0,
+                "an idle device starts the job on arrival"
+            );
+            let floor = record.lower_bound_us.expect("a deadlined request") - record.start_us;
+            let solves = 3.0 * engines::solve_us(&DeviceConfig::titan_x(), rank);
+            assert!(
+                floor > solves,
+                "{text}: floor {floor} must count the solves"
+            );
+            assert!(
+                floor <= record.exec_us,
+                "{text}: floor {floor} exceeds the served span {}",
+                record.exec_us
+            );
+        }
+    }
+
+    #[test]
+    fn rank_zero_is_rejected_for_every_op() {
+        let (tensor, _) = datasets::generate(datasets::DatasetKind::Nell2, 900, 3);
+        let mut engine = ServeEngine::new(ServeConfig::default());
+        engine.register_tensor("t", tensor);
+        let ops = [
+            ServeOp::Tensor(TensorOp::SpTtm { mode: 0 }),
+            ServeOp::Tensor(TensorOp::SpMttkrp { mode: 0 }),
+            ServeOp::Tensor(TensorOp::SpTtmc { mode: 0 }),
+            ServeOp::CpAls { iterations: 2 },
+        ];
+        let workload = Workload {
+            tensors: Vec::new(),
+            requests: ops
+                .iter()
+                .map(|&op| Request {
+                    tensor_id: "t".to_string(),
+                    op,
+                    rank: 0,
+                    arrival_us: 0.0,
+                    factor_seed: 1,
+                    deadline_us: None,
+                })
+                .collect(),
+        };
+        let report = engine.run(&workload);
+        assert!(report.requests.is_empty());
+        let reasons: Vec<&str> = report
+            .rejections
+            .iter()
+            .map(|r| r.reason.as_str())
+            .collect();
+        assert_eq!(reasons, ["rank must be at least 1"; 4]);
     }
 
     #[test]

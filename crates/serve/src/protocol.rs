@@ -1,4 +1,5 @@
-//! The serving protocol's rules, each written once: admission ([`admit`],
+//! The serving protocol's rules, each written once: the rank rule
+//! ([`check_rank`]), admission ([`admit`],
 //! [`make_room`]) and the defer step, the reservation lifecycle, the retry
 //! ladder ([`Ladder`], [`Flight::retry`]) and chunk rule
 //! ([`Flight::end_chunk`]), quarantine and affinity ([`Health`]), the shed
@@ -52,6 +53,16 @@ pub(crate) fn redundancy_draw(request: usize, attempt: u32, rate: f64) -> bool {
             .wrapping_add((attempt as u64) << 40),
     );
     (h >> 11) as f64 / ((1u64 << 53) as f64) < rate
+}
+
+/// The rank rule, one for every op: a request's rank (SpTTM's fiber
+/// length, SpMTTKRP's and SpTTMc's factor columns, CP-ALS's components) is
+/// at least 1.
+pub fn check_rank(rank: usize) -> Result<(), String> {
+    if rank == 0 {
+        return Err("rank must be at least 1".to_string());
+    }
+    Ok(())
 }
 
 /// What an admission decided.

@@ -24,7 +24,7 @@
 //! with a skewed plan pick so a hot plan exists to exercise replication.
 
 use fcoo::TensorOp;
-use tensor_core::datasets::DatasetKind;
+use tensor_core::datasets::{self, DatasetKind};
 
 /// What a request asks the engine to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +155,12 @@ impl Workload {
                     let nnz = fields[3]
                         .parse()
                         .map_err(|_| err(format!("bad nnz `{}`", fields[3])))?;
+                    if nnz < datasets::MIN_NNZ_BUDGET {
+                        return Err(err(format!(
+                            "nnz {nnz} is below the generator's minimum of {}",
+                            datasets::MIN_NNZ_BUDGET
+                        )));
+                    }
                     let seed = fields[4]
                         .parse()
                         .map_err(|_| err(format!("bad seed `{}`", fields[4])))?;
@@ -188,6 +194,7 @@ impl Workload {
                     let rank = fields[4]
                         .parse()
                         .map_err(|_| err(format!("bad rank `{}`", fields[4])))?;
+                    crate::protocol::check_rank(rank).map_err(err)?;
                     let arrival_us: f64 = fields[5]
                         .parse()
                         .map_err(|_| err(format!("bad arrival `{}`", fields[5])))?;
@@ -454,6 +461,17 @@ mod tests {
         assert!(err.to_string().contains("bad deadline"));
         let err = Workload::parse("request t spttm 0 8 4.0 1 soon\n").unwrap_err();
         assert!(err.to_string().contains("bad deadline"));
+    }
+
+    #[test]
+    fn parse_rejects_rank_zero_and_tiny_tensors() {
+        let rank0 = Workload::parse("tensor t nell2 900 3\nrequest t spttm 0 0 0.0 1\n");
+        let e = rank0.unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "rank must be at least 1"));
+        let tiny = Workload::parse("tensor t nell2 15 3\n").unwrap_err();
+        assert_eq!(tiny.line, 1);
+        assert!(tiny.message.contains("minimum of 16"), "{tiny}");
+        assert!(Workload::parse("tensor t nell2 16 3\n").is_ok());
     }
 
     #[test]

@@ -128,6 +128,9 @@ impl DatasetInfo {
     }
 }
 
+/// The smallest non-zero budget [`generate`] accepts.
+pub const MIN_NNZ_BUDGET: usize = 16;
+
 /// Generates a synthetic tensor imitating `kind`, scaled so that the
 /// non-zero count is approximately `nnz_budget` while density and mode-size
 /// ratios match the paper values.
@@ -143,7 +146,10 @@ impl DatasetInfo {
 ///
 /// Returns the tensor (coalesced, canonically sorted) and its metadata.
 pub fn generate(kind: DatasetKind, nnz_budget: usize, seed: u64) -> (SparseTensorCoo, DatasetInfo) {
-    assert!(nnz_budget >= 16, "nnz budget too small to be meaningful");
+    assert!(
+        nnz_budget >= MIN_NNZ_BUDGET,
+        "nnz budget too small to be meaningful"
+    );
     let shape = scaled_shape(kind, nnz_budget);
     let density_target = kind.paper_nnz() as f64
         / kind

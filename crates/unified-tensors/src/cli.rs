@@ -83,6 +83,12 @@ pub fn generate(kind_name: &str, nnz: usize, path: &Path) -> Result<String, CliE
         "uniform" => DatasetKind::Uniform,
         other => return Err(err(format!("unknown dataset kind `{other}`"))),
     };
+    if nnz < datasets::MIN_NNZ_BUDGET {
+        return Err(err(format!(
+            "nnz must be at least {}",
+            datasets::MIN_NNZ_BUDGET
+        )));
+    }
     let (tensor, info) = datasets::generate(kind, nnz, 2017);
     let file = std::fs::File::create(path)
         .map_err(|e| err(format!("cannot create {}: {e}", path.display())))?;
@@ -171,7 +177,11 @@ pub fn cp(tensor: &SparseTensorCoo, rank: usize, iters: usize) -> Result<String,
         let _ = writeln!(out, "  mode-{} MTTKRP: {us:.1} µs", mode + 1);
     }
     if let Some(overlapped) = run.overlapped_total_us {
-        let _ = writeln!(out, "  two-stream makespan: {overlapped:.1} µs");
+        let (grams, solves) = engine.dense_launches();
+        let _ = writeln!(
+            out,
+            "  two-stream makespan: {overlapped:.1} µs (dense stream: {grams} Grams, {solves} solves)"
+        );
     }
     let lambdas: Vec<String> = run.model.lambda.iter().map(|l| format!("{l:.3}")).collect();
     let _ = writeln!(out, "  lambda: [{}]", lambdas.join(", "));

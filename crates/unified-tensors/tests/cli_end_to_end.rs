@@ -112,3 +112,33 @@ fn mode_zero_is_rejected_as_one_based() {
     assert!(err.contains("1-based"));
     std::fs::remove_file(&tns).ok();
 }
+
+#[test]
+fn malformed_workloads_fail_with_a_message_not_a_panic() {
+    let cases = [
+        ("tiny", "tensor t nell2 10 1\n", "minimum of 16"),
+        (
+            "spttm_rank0",
+            "tensor t nell2 900 1\nrequest t spttm 0 0 0.0 1\n",
+            "rank must be at least 1",
+        ),
+        (
+            "cp_rank0",
+            "tensor t nell2 900 1\nrequest t cp 2 0 0.0 1\n",
+            "rank must be at least 1",
+        ),
+    ];
+    for (name, text, message) in cases {
+        let path = temp_path(&format!("{name}.txt"));
+        std::fs::write(&path, text).unwrap();
+        let out = tensortool(&["serve", path.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert!(err.contains(message), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+        std::fs::remove_file(&path).ok();
+    }
+    let out = tensortool(&["generate", "nell2", "10", "/dev/null"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nnz must be at least 16"));
+}
