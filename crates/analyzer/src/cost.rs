@@ -11,10 +11,10 @@
 //!    (`gpu_sim::memory`), a multiple of the 32-byte transaction sector, so
 //!    within-buffer sector counts depend only on element offsets — which the
 //!    header determines — and distinct buffers never share a sector;
-//! 2. the segment structure (where every finalize, coordinate range, output
-//!    write and frontier atomic lands) is fully encoded by `bf`, `sf`,
-//!    `partition_first_segment` and `segment_coords` — no tensor *values*
-//!    are consulted.
+//! 2. the segment structure (where every finalize, output write and
+//!    frontier atomic lands: segment `s` owns output row `s`) is fully
+//!    encoded by `bf`, `sf` and `partition_first_segment` — no tensor
+//!    *values* are consulted.
 //!
 //! The only value-dependent quantity is the factor-matrix gather: which rows
 //! lane `l` reads depends on `product_indices`, which the certifier is not
@@ -42,7 +42,7 @@ use fcoo::{
 };
 use gpu_sim::{scan, BlockStats, DeviceConfig, KernelCounters, KernelStats};
 use std::sync::Arc;
-use tensor_core::{Idx, SparseTensorCoo};
+use tensor_core::SparseTensorCoo;
 
 /// A closed integer interval `[lo, hi]` certifying a counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,10 +307,6 @@ struct KernelShape {
     factor_ws: usize,
     /// FLOP cycles charged per gather call and tile column.
     compute_per_element: u64,
-    /// Whether each warp streams a segment-coordinate range (SpMTTKRP/SpTTMc
-    /// look up output rows; SpTTM's rows are the segment ordinals
-    /// themselves).
-    has_coords: bool,
 }
 
 impl KernelShape {
@@ -322,7 +318,6 @@ impl KernelShape {
             n_factors: product_modes.len(),
             factor_ws: product_modes.iter().map(|&m| shape[m] * rank * 4).sum(),
             compute_per_element: 1 + product_modes.len() as u64,
-            has_coords: !matches!(op, TensorOp::SpTtm { .. }),
         }
     }
 
@@ -438,7 +433,6 @@ pub(crate) struct Header<'a> {
     threadlen: usize,
     nnz: usize,
     bf: &'a BitFlags,
-    segment_coords: &'a [Vec<Idx>],
     partition_first_segment: &'a [u32],
     /// BF-COO's per-run distinct-row counts; `None` for F-COO.
     buckets: Option<&'a [Vec<u32>]>,
@@ -453,7 +447,6 @@ impl<'a> Header<'a> {
             threadlen: fcoo.threadlen,
             nnz: fcoo.nnz(),
             bf: &fcoo.bf,
-            segment_coords: &fcoo.segment_coords,
             partition_first_segment: &fcoo.partition_first_segment,
             buckets,
         }
@@ -474,7 +467,6 @@ impl<'a> Header<'a> {
             threadlen,
             nnz: sorted.nnz(),
             bf: &sorted.bf,
-            segment_coords: &sorted.segment_coords,
             partition_first_segment,
             buckets,
         }
@@ -493,18 +485,15 @@ const WARP: usize = 32;
 /// is charged: the warp stream geometry, the gather-call live-lane counts
 /// and the exact segment event sequences of the lane fold.
 struct WarpPlan {
-    /// Summed sector count of the five-plus metadata streams (SpMTTKRP and
-    /// SpTTMc add the segment-coordinate range, BF-COO its per-product-mode
-    /// bucket streams).
+    /// Summed sector count of the five-plus metadata streams (BF-COO adds
+    /// its per-product-mode bucket streams).
     stream_transactions: u64,
     /// Largest single stream's sector count (for the worst-access bound).
     stream_max: u64,
     /// The warp's factor-gather schedule.
     gather: GatherPlan,
-    /// Shuffles handing the streamed coordinates to the lanes that use them.
-    coord_shuffles: u64,
-    /// Output rows of the segments finalized by this warp, in program order
-    /// (segmented-scan mode).
+    /// Output rows (segment ordinals) finalized by this warp, in program
+    /// order (segmented-scan mode).
     final_rows: Vec<usize>,
     /// Output rows of the COO-style atomic events, in program order
     /// (atomic-ablation mode).
@@ -787,12 +776,6 @@ fn plan_warp(
     let threadlen = header.threadlen;
     let nnz = header.nnz;
     let partitions = header.partitions();
-    let row_of_seg = |seg: usize| -> usize {
-        match header.op {
-            TensorOp::SpTtm { .. } => seg,
-            _ => header.segment_coords[0][seg] as usize,
-        }
-    };
     let wft = g * WARP;
     let warp_nnz_start = wft * threadlen;
     let warp_nnz_end = ((wft + WARP) * threadlen).min(nnz);
@@ -818,23 +801,6 @@ fn plan_warp(
     let sf_first = wft / 8;
     let sf_last = (wft + threads_here - 1) / 8;
     charge_stream(sf_first, sf_last - sf_first + 1);
-    // The coordinates of the segments the warp finalizes (or adds into):
-    // from the segment open at its first non-zero to its last head.
-    let mut coord_shuffles = 0;
-    if shape.has_coords {
-        let last_thread = wft + threads_here - 1;
-        let seg_first = header.partition_first_segment[wft] as usize
-            + usize::from(header.bf.get(warp_nnz_start))
-            - 1;
-        let seg_last = header.partition_first_segment[last_thread] as usize
-            + (last_thread * threadlen..warp_nnz_end)
-                .filter(|&nz| header.bf.get(nz))
-                .count()
-            - 1;
-        let count = seg_last - seg_first + 1;
-        charge_stream(seg_first * 4, count * 4);
-        coord_shuffles = count.div_ceil(WARP) as u64;
-    }
 
     let gather = match header.buckets {
         None => {
@@ -876,7 +842,7 @@ fn plan_warp(
     };
 
     // Exact lane fold over the segment flags.
-    let mut finals = Vec::new();
+    let mut final_rows = Vec::new();
     let mut atomic_rows = Vec::new();
     for lane in 0..WARP {
         let thread = wft + lane;
@@ -891,28 +857,27 @@ fn plan_warp(
             if header.bf.get(nz) {
                 if has_open {
                     if cfg.use_segscan {
-                        finals.push(heads - 1);
+                        final_rows.push(heads - 1);
                     } else {
-                        atomic_rows.push(row_of_seg(heads - 1));
+                        atomic_rows.push(heads - 1);
                     }
                 }
                 heads += 1;
             }
             has_open = true;
             if !cfg.use_segscan {
-                atomic_rows.push(row_of_seg(heads - 1));
+                atomic_rows.push(heads - 1);
             }
         }
         if has_open && cfg.use_segscan {
-            finals.push(heads - 1);
+            final_rows.push(heads - 1);
         }
     }
     WarpPlan {
         stream_transactions: stream_transactions_total,
         stream_max,
         gather,
-        coord_shuffles,
-        final_rows: finals.iter().map(|&seg| row_of_seg(seg)).collect(),
+        final_rows,
         atomic_rows,
     }
 }
@@ -981,7 +946,6 @@ fn charge_warps(
                     .add_exact(wp.stream_transactions * config.transaction_bytes as u64);
             }
             cycles.add_exact(wp.stream_transactions * config.mem_issue_cycles);
-            cycles.add_exact(wp.coord_shuffles * config.shuffle_cycles);
             c.max_access_transactions
                 .max_with(Interval::exact(wp.stream_max));
 
@@ -1672,11 +1636,10 @@ mod tests {
         for desc in &plan.chunks {
             let chunk = fcoo::chunk::extract(fcoo, desc);
             let on_device = AnyFormatDevice::upload_as(device.memory(), kind, &chunk).unwrap();
-            let rows = chunk.shape[match chunk.op {
-                TensorOp::SpMttkrp { mode } => mode,
-                _ => unreachable!("test uses MTTKRP"),
-            }];
-            let out = device.memory().alloc_zeroed::<f32>(rows * RANK).unwrap();
+            let out = device
+                .memory()
+                .alloc_zeroed::<f32>(chunk.segments() * RANK)
+                .unwrap();
             on_device.launch_into(device, &refs, cfg, &out);
         }
     }

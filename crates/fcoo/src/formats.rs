@@ -293,9 +293,9 @@ impl AnyFormatDevice {
     /// `factors` are listed as [`TensorOp::factor_modes`] says: `[U]` for
     /// SpTTM, one matrix per tensor mode for SpMTTKRP (the operating mode's
     /// entry is ignored), one per product mode (ascending) for SpTTMc. `out`
-    /// is `rows × columns`, row-major: one row per segment for SpTTM (in
-    /// the order of the format's `segment_coords_host`), per operating-mode
-    /// coordinate otherwise; `R` columns, or `Π R_p` for SpTTMc.
+    /// is `segments × columns`, row-major, for every operation: one row per
+    /// segment, in the order of the format's `segment_coords_host`; `R`
+    /// columns, or `Π R_p` for SpTTMc.
     ///
     /// # Panics
     /// If the factors do not fit the format or `out` has the wrong size.
@@ -311,7 +311,7 @@ impl AnyFormatDevice {
     }
 
     /// [`AnyFormatDevice::launch_into`] a zero-allocated output, returned
-    /// as a dense `rows × columns` block.
+    /// as a dense `segments × columns` block.
     pub fn launch(
         &self,
         device: &GpuDevice,
@@ -341,8 +341,9 @@ impl AnyFormatDevice {
         factors: &[&DeviceMatrix],
         cfg: &LaunchConfig,
     ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-        kernels::expect_op(self.base(), |mode| TensorOp::SpMttkrp { mode });
-        self.launch(device, factors, cfg)
+        let mode = kernels::expect_op(self.base(), |mode| TensorOp::SpMttkrp { mode });
+        let (rows, stats) = self.launch(device, factors, cfg)?;
+        Ok((kernels::mode_rows(self.base(), mode, &rows), stats))
     }
 
     /// [`crate::spttmc_norder`] on this format's gather schedule.
@@ -352,8 +353,9 @@ impl AnyFormatDevice {
         product_factors: &[&DeviceMatrix],
         cfg: &LaunchConfig,
     ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-        kernels::expect_op(self.base(), |mode| TensorOp::SpTtmc { mode });
-        self.launch(device, product_factors, cfg)
+        let mode = kernels::expect_op(self.base(), |mode| TensorOp::SpTtmc { mode });
+        let (rows, stats) = self.launch(device, product_factors, cfg)?;
+        Ok((kernels::mode_rows(self.base(), mode, &rows), stats))
     }
 }
 
@@ -424,6 +426,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+        let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut results = Vec::new();
         for kind in FormatKind::ALL {
             let format = AnyFormat::build(kind, &tensor, op, 8);
@@ -433,27 +436,22 @@ mod tests {
             assert_eq!(dev.base().nnz, format.base().nnz());
             let (result, _) = dev.spmttkrp(&device, &refs, &cfg).unwrap();
             // The same format uploaded from its bare F-COO payload, launched
-            // into a caller's zeroed buffer, computes the same bits.
+            // into a caller's zeroed one-row-per-segment buffer, computes the
+            // same bits once its rows are placed at their coordinates.
             let rehydrated =
                 AnyFormatDevice::upload_as(device.memory(), kind, format.base()).unwrap();
             assert_eq!(rehydrated.kind(), kind);
-            let out = device
-                .memory()
-                .alloc_zeroed::<f32>(result.data().len())
-                .unwrap();
+            let segments = format.base().segments();
+            let out = device.memory().alloc_zeroed::<f32>(segments * 8).unwrap();
             rehydrated.launch_into(&device, &refs, &cfg, &out);
-            assert_eq!(
-                out.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                result
-                    .data()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "{kind}"
+            let placed = crate::scatter_rows(
+                &DenseMatrix::from_vec(segments, 8, out.into_vec()),
+                &format.base().segment_coords[0],
+                tensor.shape()[0],
             );
+            assert_eq!(bits(&placed), bits(&result), "{kind}");
             results.push(result);
         }
-        let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&results[0]), bits(&results[1]));
     }
 }

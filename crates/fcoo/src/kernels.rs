@@ -15,14 +15,18 @@
 //!   for SpMTTKRP, `val × (U₂(j,:) ⊗ U₃(k,:))` for SpTTMc) and reduces along
 //!   `bf` segments;
 //! * each warp streams its metadata as contiguous ranges: values, product
-//!   indices, flags, partition pointers and, for SpMTTKRP/SpTTMc, the output
-//!   rows of the segments it finalizes. The `bIdy = 0` block fetches them
-//!   from DRAM and its column siblings hit L2 (§IV-D's data reuse);
+//!   indices, flags and partition pointers. The `bIdy = 0` block fetches
+//!   them from DRAM and its column siblings hit L2 (§IV-D's data reuse);
 //! * segments are finalized with a **segmented scan** (warp shuffles + one
 //!   shared-memory stage), not atomics: segments fully inside a partition
 //!   are written exactly once; segments spanning partition/block boundaries
 //!   are carried via adjacent synchronization (fused kernels) and account
 //!   for at most two extra writes per partition;
+//! * every operation writes **one output row per segment**, in segment
+//!   order, so the output never depends on a mode's size and no warp reads
+//!   a segment's coordinate. The typed wrappers place the rows on the host
+//!   from the format's segment coordinates: SpTTM's fibers, SpMTTKRP's and
+//!   SpTTMc's `shape[mode]` rows;
 //! * factor-matrix rows are read through the **read-only data cache**, which
 //!   is where tensor density shows up in performance (§V-A).
 //!
@@ -35,11 +39,12 @@
 use crate::device::{DeviceMatrix, FcooDevice};
 use crate::format::Fcoo;
 use crate::modes::TensorOp;
+use crate::pack::scatter_rows;
 use gpu_sim::memory::DeviceBuffer;
 use gpu_sim::scan::{block_segscan_cycles, warp_segscan_cycles};
 use gpu_sim::stats::BlockStats;
 use gpu_sim::{GpuDevice, KernelStats, OutOfMemory};
-use tensor_core::{DenseMatrix, Idx, SemiSparseTensor};
+use tensor_core::{DenseMatrix, SemiSparseTensor};
 
 /// Warp-shuffle operations each BF-COO gather run spends demultiplexing the
 /// bucketed lanes back onto their owning threads (arXiv:1904.03329 §4: one
@@ -212,18 +217,13 @@ impl LaunchConfig {
 }
 
 /// The unified kernel's view of one launch: the factor reads of the
-/// format's operation and the output they fill.
+/// format's operation and the width of the output they fill, one row per
+/// segment.
 struct Gathers<'a> {
     /// One read per product mode, in product-mode order.
     reads: Vec<FactorRead<'a>>,
-    /// Output rows: segments for SpTTM, the operating mode's size otherwise.
-    rows: usize,
     /// Output columns (`R`, or `Π R_p` for SpTTMc).
     columns: usize,
-    /// Each segment's output row for SpMTTKRP/SpTTMc — its index-mode
-    /// coordinate — on the host and in the device array the kernel reads it
-    /// from. `None` for SpTTM, whose output row is the segment ordinal.
-    segment_rows: Option<(&'a [Idx], &'a DeviceBuffer<u32>)>,
 }
 
 impl<'a> Gathers<'a> {
@@ -234,13 +234,12 @@ impl<'a> Gathers<'a> {
     /// If the factor count or a factor's shape does not fit the format.
     fn new(fcoo: &'a FcooDevice, factors: &[&'a DeviceMatrix]) -> Self {
         let product_modes = &fcoo.classification.product_modes;
-        let by_coordinate = Some((&fcoo.segment_coords_host[0][..], &fcoo.segment_coords[0]));
-        let (matrices, strides, rows, segment_rows) = match fcoo.op {
+        let (matrices, strides) = match fcoo.op {
             TensorOp::SpTtm { .. } => {
                 assert_eq!(factors.len(), 1, "SpTTM takes one factor");
-                (factors.to_vec(), vec![1], fcoo.segments(), None)
+                (factors.to_vec(), vec![1])
             }
-            TensorOp::SpMttkrp { mode } => {
+            TensorOp::SpMttkrp { .. } => {
                 assert_eq!(
                     factors.len(),
                     fcoo.shape.len(),
@@ -256,9 +255,9 @@ impl<'a> Gathers<'a> {
                     );
                 }
                 let strides = vec![1; matrices.len()];
-                (matrices, strides, fcoo.shape[mode], by_coordinate)
+                (matrices, strides)
             }
-            TensorOp::SpTtmc { mode } => {
+            TensorOp::SpTtmc { .. } => {
                 assert_eq!(
                     factors.len(),
                     product_modes.len(),
@@ -270,7 +269,7 @@ impl<'a> Gathers<'a> {
                 for p in (0..factors.len() - 1).rev() {
                     strides[p] = strides[p + 1] * factors[p + 1].cols();
                 }
-                (factors.to_vec(), strides, fcoo.shape[mode], by_coordinate)
+                (factors.to_vec(), strides)
             }
         };
         for (&m, factor) in product_modes.iter().zip(&matrices) {
@@ -292,12 +291,7 @@ impl<'a> Gathers<'a> {
                 stride,
             })
             .collect();
-        Gathers {
-            reads,
-            rows,
-            columns,
-            segment_rows,
-        }
+        Gathers { reads, columns }
     }
 }
 
@@ -310,7 +304,7 @@ impl<'a> Gathers<'a> {
 ///
 /// # Panics
 /// If the factors do not fit the format or `out` is not exactly
-/// `rows × columns` elements.
+/// `segments × columns` elements.
 pub(crate) fn launch_into(
     device: &GpuDevice,
     fcoo: &FcooDevice,
@@ -322,15 +316,14 @@ pub(crate) fn launch_into(
     let gathers = Gathers::new(fcoo, factors);
     assert_eq!(
         out.len(),
-        gathers.rows * gathers.columns,
+        fcoo.segments() * gathers.columns,
         "output buffer size mismatch"
     );
     run_unified(device, fcoo, cfg, layout, &gathers, out)
 }
 
 /// [`launch_into`] a zero-allocated output, returned as a dense
-/// `rows × columns` block: one row per segment (output fiber) for SpTTM,
-/// per operating-mode coordinate for SpMTTKRP and SpTTMc.
+/// `segments × columns` block: one row per segment, in segment order.
 pub(crate) fn launch(
     device: &GpuDevice,
     fcoo: &FcooDevice,
@@ -338,7 +331,7 @@ pub(crate) fn launch(
     factors: &[&DeviceMatrix],
     cfg: &LaunchConfig,
 ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    let Gathers { rows, columns, .. } = Gathers::new(fcoo, factors);
+    let (rows, columns) = (fcoo.segments(), Gathers::new(fcoo, factors).columns);
     let out = device.memory().alloc_zeroed::<f32>(rows * columns)?;
     let stats = launch_into(device, fcoo, layout, factors, cfg, &out);
     Ok((DenseMatrix::from_vec(rows, columns, out.into_vec()), stats))
@@ -367,6 +360,13 @@ pub(crate) fn spttm_fibers(fcoo: &FcooDevice, mode: usize, rows: &DenseMatrix) -
         &fcoo.segment_coords_host,
         rows.data(),
     )
+}
+
+/// SpMTTKRP's or SpTTMc's dense `shape[mode] × columns` result from its
+/// launched `segments × columns` block: each segment's row lands at its
+/// operating-mode coordinate, every other row is zero.
+pub(crate) fn mode_rows(fcoo: &FcooDevice, mode: usize, rows: &DenseMatrix) -> DenseMatrix {
+    scatter_rows(rows, &fcoo.segment_coords_host[0], fcoo.shape[mode])
 }
 
 /// Sparse tensor-times-matrix `Y = X ×ₙ U` with the unified kernel.
@@ -403,8 +403,9 @@ pub fn spmttkrp(
     factors: &[&DeviceMatrix],
     cfg: &LaunchConfig,
 ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    expect_op(fcoo, |mode| TensorOp::SpMttkrp { mode });
-    launch(device, fcoo, GatherLayout::Strided, factors, cfg)
+    let mode = expect_op(fcoo, |mode| TensorOp::SpMttkrp { mode });
+    let (rows, stats) = launch(device, fcoo, GatherLayout::Strided, factors, cfg)?;
+    Ok((mode_rows(fcoo, mode, &rows), stats))
 }
 
 /// Sparse TTM-chain (paper Eq. 4) for tensors of any order: one factor per
@@ -421,8 +422,9 @@ pub fn spttmc_norder(
     product_factors: &[&DeviceMatrix],
     cfg: &LaunchConfig,
 ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    expect_op(fcoo, |mode| TensorOp::SpTtmc { mode });
-    launch(device, fcoo, GatherLayout::Strided, product_factors, cfg)
+    let mode = expect_op(fcoo, |mode| TensorOp::SpTtmc { mode });
+    let (rows, stats) = launch(device, fcoo, GatherLayout::Strided, product_factors, cfg)?;
+    Ok((mode_rows(fcoo, mode, &rows), stats))
 }
 
 /// The shared unified kernel skeleton.
@@ -430,8 +432,7 @@ pub fn spttmc_norder(
 /// Every output column `c` accumulates `value · Π_p factor_p(row_p, digit_p(c))`
 /// over the non-zeros of each segment ([`FactorRead`]); block `(bIdx, bIdy)`
 /// computes the [`ColumnTiling`] tile `bIdy` for its partition range.
-/// Each warp streams the [`Gathers::segment_rows`] its segments land in,
-/// when given, as one range with its other metadata.
+/// Segment `s` writes output row `s`.
 fn run_unified(
     device: &GpuDevice,
     fcoo: &FcooDevice,
@@ -441,11 +442,6 @@ fn run_unified(
     out: &DeviceBuffer<f32>,
 ) -> KernelStats {
     let factors = &gathers.reads;
-    let row_of_seg = |seg: usize| {
-        gathers
-            .segment_rows
-            .map_or(seg, |(rows, _)| rows[seg] as usize)
-    };
     let ranks: Vec<usize> = factors.iter().map(|f| f.matrix.cols()).collect();
     let tiling = ColumnTiling::for_op(fcoo.op, &ranks);
     let (columns, tile) = (tiling.columns, tiling.tile);
@@ -527,8 +523,8 @@ fn run_unified(
                 let span = warp_nnz_end - warp_nnz_start;
 
                 // Streaming reads of the warp's contiguous tensor region:
-                // values, product-mode indices, bit flags, partition metadata
-                // and the output rows of its segments.
+                // values, product-mode indices, bit flags and partition
+                // metadata.
                 // The grid places all column blocks of one partition range
                 // adjacently, so the bIdy = 0 block streams the region from
                 // DRAM and its co-resident column siblings hit in L2 (the
@@ -560,27 +556,6 @@ fn run_unified(
                 let sf_first = warp_first_thread / 8;
                 let sf_last = (warp_first_thread + threads_here - 1) / 8;
                 stream(ctx, fcoo.sf.addr(sf_first), sf_last - sf_first + 1);
-                if let Some((_, coords)) = gathers.segment_rows {
-                    // The output rows of the segments this warp finalizes
-                    // (or, in the atomic ablation, adds into): one
-                    // contiguous coordinate range, from the segment open at
-                    // the warp's first non-zero to its last head. It streams
-                    // with the rest of the metadata, so column siblings hit
-                    // L2 for it too, and each 32 coordinates cost one
-                    // shuffle to hand their rows to the finalizing lanes.
-                    let last_thread = warp_first_thread + threads_here - 1;
-                    let seg_first = fcoo.partition_first_segment.get(warp_first_thread) as usize
-                        + usize::from(fcoo.head(warp_nnz_start))
-                        - 1;
-                    let seg_last = fcoo.partition_first_segment.get(last_thread) as usize
-                        + (last_thread * threadlen..warp_nnz_end)
-                            .filter(|&nz| fcoo.head(nz))
-                            .count()
-                        - 1;
-                    let count = seg_last - seg_first + 1;
-                    stream(ctx, coords.addr(seg_first), count * 4);
-                    ctx.shuffle(count.div_ceil(warp) as u64);
-                }
                 if let GatherLayout::Bucketed { buckets } = layout {
                     // BF-COO also streams its per-run distinct-row counts,
                     // one array per product mode. `warp_nnz_start` is a
@@ -669,14 +644,13 @@ fn run_unified(
                                         seg: usize,
                                         sum: f32,
                                         exclusive: bool| {
-                        let row = row_of_seg(seg);
                         if j == 0 && cfg.use_segscan {
-                            let base = row * columns + col0;
+                            let base = seg * columns + col0;
                             for i in base..base + tile {
                                 write_rows.push(out.addr(i));
                             }
                         }
-                        let index = row * columns + col;
+                        let index = seg * columns + col;
                         if !cfg.use_segscan {
                             atomic_events.push((index, sum));
                         } else if exclusive {
@@ -721,7 +695,7 @@ fn run_unified(
                             } else {
                                 // Ablation: one atomic per non-zero and
                                 // column, COO style.
-                                let index = row_of_seg(heads - 1) * columns + col;
+                                let index = (heads - 1) * columns + col;
                                 atomic_events.push((index, product(nz, reads)));
                             }
                         }
@@ -788,6 +762,7 @@ fn run_unified(
 mod tests {
     use super::*;
     use crate::format::Fcoo;
+    use gpu_sim::AccessKind;
     use tensor_core::approx::assert_slices_close;
     use tensor_core::datasets::{self, DatasetKind};
     use tensor_core::ops;
@@ -1220,80 +1195,68 @@ mod tests {
         );
     }
 
-    /// DRAM bytes a traced launch charged to reads of `buffer`, with the
-    /// number of narrated reads of it. A warp narrates its metadata
-    /// streams before anything else, so each warp's leading traced stream
-    /// reads pair, in order, with its first narrated recorded accesses.
-    fn stream_dram_of(
-        recorded: &gpu_sim::AccessLog,
-        traced: &gpu_sim::TraceLog,
-        buffer: &DeviceBuffer<u32>,
-    ) -> (u64, usize) {
-        use gpu_sim::MemoryEventKind;
-        let lo = buffer.addr(0);
-        let hi = lo + buffer.len() as u64 * 4;
-        let (mut dram, mut reads) = (0, 0);
-        for (rl, tl) in recorded.launches.iter().zip(&traced.launches) {
-            for (rb, tb) in rl.blocks.iter().zip(&tl.blocks) {
-                assert_eq!(rb.block, tb.block);
-                let mut narrated = rb.events.iter().filter(|e| !e.kind.is_functional());
-                let mut events = tb.events.iter().peekable();
-                while let Some(first) = events.peek() {
-                    let warp = first.warp;
-                    let mut leading = true;
-                    for event in std::iter::from_fn(|| events.next_if(|e| e.warp == warp)) {
-                        leading &= event.kind == MemoryEventKind::StreamRead;
-                        if !leading {
-                            continue;
-                        }
-                        let access = narrated
-                            .find(|e| e.warp == warp)
-                            .expect("every traced stream read was recorded");
-                        if (lo..hi).contains(&access.addr) {
-                            dram += event.dram_bytes;
-                            reads += 1;
-                        }
+    #[test]
+    fn every_op_writes_one_row_per_segment_and_reads_no_coordinate() {
+        // nell1 is hypersparse: its SpMTTKRP segments hold one or two
+        // non-zeros, and its mode sizes dwarf its segment counts.
+        let (tensor, _) = datasets::generate(DatasetKind::Nell1, 3000, 22);
+        let order = tensor.order();
+        for mode in 0..order {
+            for op in [
+                TensorOp::SpTtm { mode },
+                TensorOp::SpMttkrp { mode },
+                TensorOp::SpTtmc { mode },
+            ] {
+                let device = GpuDevice::titan_x();
+                let fcoo = Fcoo::from_coo(&tensor, op, 4);
+                let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+                let factors: Vec<DeviceMatrix> = op
+                    .factor_modes(order)
+                    .into_iter()
+                    .map(|m| {
+                        let host = DenseMatrix::random(tensor.shape()[m], 4, 40 + m as u64);
+                        DeviceMatrix::upload(device.memory(), &host).unwrap()
+                    })
+                    .collect();
+                let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+                let columns = ColumnTiling::at_rank(&fcoo, 4).columns;
+                device.start_recording();
+                let (rows, _) = launch(
+                    &device,
+                    &dev,
+                    GatherLayout::Strided,
+                    &refs,
+                    &LaunchConfig::default(),
+                )
+                .unwrap();
+                let recorded = device.stop_recording();
+                assert_eq!((rows.rows(), rows.cols()), (fcoo.segments(), columns));
+                let coords = &dev.segment_coords[0];
+                let coord_range = coords.addr(0)..coords.addr(0) + coords.len() as u64 * 4;
+                let launch = &recorded.launches[0];
+                let events = launch.blocks.iter().flat_map(|b| &b.events);
+                for event in events {
+                    assert!(
+                        !coord_range.contains(&event.addr),
+                        "{op:?} read a segment coordinate on the device"
+                    );
+                    if matches!(
+                        event.kind,
+                        AccessKind::NarratedRead | AccessKind::FunctionalRead
+                    ) {
+                        continue;
                     }
+                    // Every write lands in the one output buffer, sized
+                    // `segments × columns`.
+                    let (_, bytes) = launch
+                        .allocations
+                        .iter()
+                        .find(|&&(base, len)| (base..base + len as u64).contains(&event.addr))
+                        .expect("every write lands in a live buffer");
+                    assert_eq!(*bytes, fcoo.segments() * columns * 4, "{op:?}");
                 }
             }
-            let all = rl
-                .blocks
-                .iter()
-                .flat_map(|b| &b.events)
-                .filter(|e| !e.kind.is_functional() && (lo..hi).contains(&e.addr));
-            assert_eq!(
-                all.count(),
-                reads,
-                "a narrated read of the buffer lies outside the warps' streams"
-            );
         }
-        (dram, reads)
-    }
-
-    #[test]
-    fn coordinate_dram_does_not_grow_with_grid_y() {
-        // nell1 is hypersparse: its SpMTTKRP segments hold one or two
-        // non-zeros, so every warp finalizes tens of output rows.
-        let (tensor, _) = datasets::generate(DatasetKind::Nell1, 3000, 22);
-        let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 4);
-        let coordinate_traffic = |rank: usize| {
-            let device = GpuDevice::titan_x();
-            let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
-            let factors = upload_factors(&device, &tensor, rank, 40);
-            let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-            device.start_recording();
-            device.start_tracing();
-            spmttkrp(&device, &dev, &refs, &LaunchConfig::default()).unwrap();
-            let traced = device.stop_tracing();
-            let recorded = device.stop_recording();
-            assert_eq!(traced.launches[0].grid.1, rank, "one column block per rank");
-            stream_dram_of(&recorded, &traced, &dev.segment_coords[0])
-        };
-        let (dram_1, reads_1) = coordinate_traffic(1);
-        let (dram_16, reads_16) = coordinate_traffic(16);
-        assert!(dram_1 > 0, "the coordinates are read from DRAM once");
-        assert_eq!(reads_16, 16 * reads_1, "every column sibling reads them");
-        assert_eq!(dram_1, dram_16, "the siblings' reads hit L2");
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use format::{
 pub use formats::{AnyFormat, AnyFormatDevice, FormatKind, SparseFormat};
 pub use kernels::{spmttkrp, spttm, spttmc_norder, ColumnTiling, LaunchConfig, BUCKET_SHUFFLE_OPS};
 pub use modes::{ModeClassification, TensorOp};
-pub use pack::{compact_tensor, gather_rows, mttkrp_refs, touched_rows};
+pub use pack::{compact_tensor, gather_rows, mttkrp_refs, scatter_rows, touched_rows};
 pub use serialize::{read_fcoo, write_fcoo, DecodeError};
 pub use tune::{tune, tune_with_filter, TunePoint, TuneResult, BLOCK_SIZES, THREADLENS};
 pub use two_step::{spmttkrp_two_step_device, spmttkrp_two_step_unified, TwoStepOutcome};

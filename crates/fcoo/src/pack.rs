@@ -13,9 +13,10 @@
 //! `bf`/`sf` flags, the segments and BF-COO's buckets of the compact format
 //! equal those of the original, and every output coordinate (the index
 //! modes) is unchanged. A fully touched mode renumbers to itself.
-//! [`gather_rows`] builds the matching compact factor on the host, and
-//! [`mttkrp_refs`] lays the uploaded product factors out as SpMTTKRP's
-//! arguments.
+//! [`gather_rows`] builds the matching compact factor on the host,
+//! [`scatter_rows`] places a kernel's per-segment output rows at their
+//! coordinates, and [`mttkrp_refs`] lays the uploaded product factors out
+//! as SpMTTKRP's arguments.
 
 use crate::device::DeviceMatrix;
 use crate::modes::{ModeClassification, TensorOp};
@@ -56,6 +57,22 @@ pub fn gather_rows(host: &DenseMatrix, rows: &[u32]) -> DenseMatrix {
         data.extend_from_slice(host.row(row as usize));
     }
     DenseMatrix::from_vec(rows.len(), host.cols(), data)
+}
+
+/// The `height × cols` matrix holding row `i` of `rows` at row `at[i]`
+/// and zeros elsewhere: the inverse of [`gather_rows`], which places a
+/// kernel's per-segment output rows at their mode coordinates.
+///
+/// # Panics
+/// If `at` does not list one row per row of `rows`, or a row lies outside
+/// `height`.
+pub fn scatter_rows(rows: &DenseMatrix, at: &[u32], height: usize) -> DenseMatrix {
+    assert_eq!(at.len(), rows.rows(), "one destination per row");
+    let mut out = DenseMatrix::zeros(height, rows.cols());
+    for (i, &row) in at.iter().enumerate() {
+        out.row_mut(row as usize).copy_from_slice(rows.row(i));
+    }
+    out
 }
 
 /// SpMTTKRP's factor arguments from its `order - 1` product-mode factors,

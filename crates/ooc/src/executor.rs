@@ -21,37 +21,27 @@ use fcoo::{AnyFormatDevice, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{GpuDevice, KernelStats, OutOfMemory};
 use tensor_core::DenseMatrix;
 
-/// Host-side accumulator for a chunked job's output.
-///
-/// For SpTTM the accumulator is indexed by **global segment** (the
-/// semi-sparse output, one row per fiber); for SpMTTKRP/SpTTMc by the
-/// operating mode's coordinate (the dense output). Either way a chunk's
-/// local segment `s` maps to exactly one accumulator row, and distinct
-/// local segments map to distinct rows — so absorbing a chunk is a plain
-/// row overwrite.
+/// Host-side accumulator for a chunked job's output: one row per
+/// **global segment** for every operation, the unified kernel's output
+/// layout. A chunk's local segment `s` is global segment `seg_base + s`,
+/// and distinct local segments are distinct rows — so absorbing a chunk is
+/// a plain row overwrite.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     values: Vec<f32>,
     rows: usize,
     cols: usize,
-    /// True when rows are global segments (SpTTM) rather than mode
-    /// coordinates (SpMTTKRP/SpTTMc).
-    per_segment: bool,
 }
 
 impl Accumulator {
-    /// An all-zero accumulator sized for `fcoo`'s operation with `cols`
+    /// An all-zero accumulator sized for `fcoo`'s segments with `cols`
     /// output columns (the rank, or `Π R_p` for SpTTMc).
     pub fn for_op(fcoo: &Fcoo, cols: usize) -> Self {
-        let (rows, per_segment) = match fcoo.op {
-            TensorOp::SpTtm { .. } => (fcoo.segments(), true),
-            TensorOp::SpMttkrp { mode } | TensorOp::SpTtmc { mode } => (fcoo.shape[mode], false),
-        };
+        let rows = fcoo.segments();
         Accumulator {
             values: vec![0.0; rows * cols],
             rows,
             cols,
-            per_segment,
         }
     }
 
@@ -75,61 +65,31 @@ impl Accumulator {
         self.values
     }
 
-    /// Host image of the chunk's device output buffer at launch: zeros,
-    /// except the carried-in segment's row which is seeded with the running
-    /// partial sum. `chunk` must be [`chunk::extract`]\(parent, `desc`\).
-    pub fn seed_image(&self, desc: &ChunkDescriptor, chunk: &Fcoo) -> Vec<f32> {
+    /// Host image of the chunk's device output buffer at launch, one row
+    /// per local segment: zeros, except the carried-in segment's row (the
+    /// chunk's first) which is seeded with the running partial sum.
+    pub fn seed_image(&self, desc: &ChunkDescriptor) -> Vec<f32> {
         let cols = self.cols;
-        let mut image = if self.per_segment {
-            vec![0.0; desc.segments * cols]
-        } else {
-            vec![0.0; self.rows * cols]
-        };
+        let mut image = vec![0.0; desc.segments * cols];
         if desc.carry_in {
-            let src = self.carry_row(desc, chunk);
-            let dst = if self.per_segment {
-                0
-            } else {
-                chunk.segment_coords[0][0] as usize
-            };
-            image[dst * cols..(dst + 1) * cols]
-                .copy_from_slice(&self.values[src * cols..(src + 1) * cols]);
+            let carried = desc.seg_base * cols;
+            image[..cols].copy_from_slice(&self.values[carried..carried + cols]);
         }
         image
     }
 
     /// Folds an accepted chunk's device output into the accumulator: each
-    /// local segment's row overwrites its accumulator row (the carried row
-    /// was seeded, so overwrite preserves the running fold).
-    pub fn absorb(&mut self, desc: &ChunkDescriptor, chunk: &Fcoo, out: &[f32]) {
-        let cols = self.cols;
-        for ls in 0..desc.segments {
-            let src = if self.per_segment {
-                ls
-            } else {
-                chunk.segment_coords[0][ls] as usize
-            };
-            let dst = if self.per_segment {
-                desc.seg_base + ls
-            } else {
-                chunk.segment_coords[0][ls] as usize
-            };
-            self.values[dst * cols..(dst + 1) * cols]
-                .copy_from_slice(&out[src * cols..(src + 1) * cols]);
-        }
+    /// local segment's row overwrites its global row (the carried row was
+    /// seeded, so overwrite preserves the running fold).
+    pub fn absorb(&mut self, desc: &ChunkDescriptor, out: &[f32]) {
+        let (cols, base) = (self.cols, desc.seg_base * self.cols);
+        let len = desc.segments * cols;
+        self.values[base..base + len].copy_from_slice(&out[..len]);
     }
 
     /// Bytes the chunk's finished rows move device→host.
     pub fn d2h_bytes(&self, desc: &ChunkDescriptor) -> usize {
         desc.segments * self.cols * 4
-    }
-
-    fn carry_row(&self, desc: &ChunkDescriptor, chunk: &Fcoo) -> usize {
-        if self.per_segment {
-            desc.seg_base
-        } else {
-            chunk.segment_coords[0][0] as usize
-        }
     }
 }
 
@@ -196,11 +156,10 @@ pub struct ChunkReport {
 /// Everything one chunked execution produced.
 #[derive(Debug, Clone)]
 pub struct ChunkedRun {
-    /// Final output, row-major (`rows × cols`): per-segment rows for
-    /// SpTTM, the dense result for SpMTTKRP/SpTTMc. Bit-exact with the
-    /// in-core kernel's output buffer.
+    /// Final output, row-major (`rows × cols`), one row per segment for
+    /// every operation. Bit-exact with the in-core kernel's output buffer.
     pub values: Vec<f32>,
-    /// Output rows.
+    /// Output rows: the format's segments.
     pub rows: usize,
     /// Output columns.
     pub cols: usize,
@@ -238,9 +197,9 @@ pub fn run_chunked(
     let product_modes = fcoo.product_indices.len();
     for desc in &plan.chunks {
         let chunk = chunk::extract(fcoo, desc);
-        let seed = acc.seed_image(desc, &chunk);
+        let seed = acc.seed_image(desc);
         let (out, chunk_stats) = run_chunk(device, kind, &chunk, &refs, cfg, &seed)?;
-        acc.absorb(desc, &chunk, &out);
+        acc.absorb(desc, &out);
         reports.push(ChunkReport {
             index: desc.index,
             nnz: desc.nnz,
@@ -281,6 +240,17 @@ mod tests {
         DenseMatrix::random(rows, RANK, seed)
     }
 
+    /// Bits of a chunked run's segment rows placed at their `shape[mode]`
+    /// coordinates: the typed wrappers' dense result.
+    fn placed_bits(run: &ChunkedRun, f: &Fcoo) -> Vec<u32> {
+        let rows = DenseMatrix::from_vec(run.rows, run.cols, run.values.clone());
+        fcoo::scatter_rows(&rows, &f.segment_coords[0], f.shape[f.op.mode()])
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
     #[test]
     fn chunked_spmttkrp_is_bit_exact_with_in_core() {
         let t = tensor();
@@ -310,11 +280,14 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        assert_eq!(run.rows, reference.rows());
+        assert_eq!(run.rows, f.segments());
         assert_eq!(run.cols, reference.cols());
         let ref_bits: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
-        let got_bits: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ref_bits, got_bits, "chunked result diverged bitwise");
+        assert_eq!(
+            ref_bits,
+            placed_bits(&run, &f),
+            "chunked result diverged bitwise"
+        );
     }
 
     #[test]
@@ -372,8 +345,7 @@ mod tests {
         )
         .unwrap();
         let ref_bits: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
-        let got_bits: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ref_bits, got_bits);
+        assert_eq!(ref_bits, placed_bits(&run, &f));
     }
 
     #[test]
@@ -405,7 +377,7 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        let bf_bits: Vec<u32> = bf_run.values.iter().map(|v| v.to_bits()).collect();
+        let bf_bits = placed_bits(&bf_run, &f);
         assert_eq!(ref_bits, bf_bits, "BF-COO chunked diverged from in-core");
 
         let fcoo_run = run_chunked(
@@ -417,7 +389,7 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        let fcoo_bits: Vec<u32> = fcoo_run.values.iter().map(|v| v.to_bits()).collect();
+        let fcoo_bits = placed_bits(&fcoo_run, &f);
         assert_eq!(bf_bits, fcoo_bits, "formats diverged on the chunked path");
         // BF-COO chunks stream the extra bucket metadata host→device.
         for (bf, fc) in bf_run.chunks.iter().zip(&fcoo_run.chunks) {
@@ -453,13 +425,13 @@ mod tests {
             let mut acc = Accumulator::for_op(&f, cols);
             for desc in &plan.chunks {
                 let chunk_fcoo = chunk::extract(&f, desc);
-                let seed = acc.seed_image(desc, &chunk_fcoo);
+                let seed = acc.seed_image(desc);
                 // First attempt: discarded without absorbing (a faulted chunk).
                 let (_discarded, _) =
                     run_chunk(&device, kind, &chunk_fcoo, &refs, &cfg, &seed).unwrap();
                 // Retry from the same seed; only this one is absorbed.
                 let (out, _) = run_chunk(&device, kind, &chunk_fcoo, &refs, &cfg, &seed).unwrap();
-                acc.absorb(desc, &chunk_fcoo, &out);
+                acc.absorb(desc, &out);
             }
             let clean =
                 run_chunked(&GpuDevice::titan_x(), kind, &f, &plan, &factors, &cfg).unwrap();

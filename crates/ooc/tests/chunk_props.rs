@@ -1,16 +1,17 @@
 //! Property tests for out-of-core streaming: chunked execution must be
 //! bit-exact with the in-core kernels for *arbitrary* chunk budgets —
 //! including budgets so small the plan degrades to single-partition (even
-//! single-non-zero) chunks — and a segment that spans a chunk boundary
-//! must fold into the output exactly once.
+//! single-non-zero) chunks — on dense, hypersparse (nell1, delicious) and
+//! order-4 tensors, and a segment that spans a chunk boundary must fold
+//! into the output exactly once.
 //!
-//! Sizes are capped so `grid_x · columns ≤ 8` blocks: the simulator then
-//! runs every block on one worker chunk and results are strictly
-//! deterministic, making bitwise comparison meaningful.
+//! The streamed segment rows are placed at their coordinates exactly as
+//! the one-shot wrappers place the in-core launch's, so the comparison is
+//! against the dense `shape[mode]` result every caller sees.
 
 use fcoo::{chunk, DeviceMatrix, Fcoo, FcooDevice, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::GpuDevice;
-use ooc::run_chunked;
+use ooc::{run_chunked, ChunkedRun};
 use proptest::prelude::*;
 use tensor_core::datasets::{self, DatasetKind};
 use tensor_core::{DenseMatrix, SparseTensorCoo};
@@ -42,6 +43,34 @@ fn host_factors(t: &SparseTensorCoo, op: TensorOp, seed: u64) -> Vec<DenseMatrix
             .map(|m| DenseMatrix::random(t.shape()[m], TTMC_RANK, seed + m as u64))
             .collect(),
     }
+}
+
+/// A tensor of one of four kinds: nell2 (dense-ish), nell1 and delicious
+/// (hypersparse: most segments hold one or two non-zeros) and an order-4
+/// power-law tensor.
+fn tensor_from(selector: u8, nnz: usize, seed: u64) -> SparseTensorCoo {
+    match selector % 4 {
+        0 => datasets::generate(DatasetKind::Nell2, nnz, seed).0,
+        1 => datasets::generate(DatasetKind::Nell1, nnz, seed).0,
+        2 => datasets::generate(DatasetKind::Delicious, nnz, seed).0,
+        _ => datasets::generate_norder(&[10, 8, 12, 6], nnz, 0.5, seed),
+    }
+}
+
+/// A chunked run's output as raw bits, laid out like [`in_core_bits`]:
+/// SpTTM's fiber values in segment order, SpMTTKRP's and SpTTMc's rows
+/// placed at their operating-mode coordinates.
+fn chunked_bits(f: &Fcoo, run: &ChunkedRun) -> Vec<u32> {
+    let values = match f.op {
+        TensorOp::SpTtm { .. } => run.values.clone(),
+        op => {
+            let rows = DenseMatrix::from_vec(run.rows, run.cols, run.values.clone());
+            fcoo::scatter_rows(&rows, &f.segment_coords[0], f.shape[op.mode()])
+                .data()
+                .to_vec()
+        }
+    };
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// In-core reference output as raw bits, via the one-shot wrappers.
@@ -80,15 +109,16 @@ proptest! {
     #[test]
     fn chunked_matches_in_core_for_any_budget(
         nnz in 60usize..250,
+        tensor_selector in 0u8..4,
         dataset_seed in 0u64..1000,
         op_selector in 0u8..3,
-        mode in 0usize..3,
+        mode in 0usize..4,
         threadlen_index in 0usize..4,
         budget in 1usize..6000,
         factor_seed in 0u64..1000,
     ) {
-        let (t, _) = datasets::generate(DatasetKind::Nell2, nnz, dataset_seed);
-        let op = op_from(op_selector, mode);
+        let t = tensor_from(tensor_selector, nnz, dataset_seed);
+        let op = op_from(op_selector, mode % t.order());
         let threadlen = [1usize, 2, 4, 8][threadlen_index];
         let f = Fcoo::from_coo(&t, op, threadlen);
         prop_assume!(f.nnz() > 0);
@@ -99,10 +129,9 @@ proptest! {
         prop_assert_eq!(plan.total_nnz(), f.nnz());
         let run = run_chunked(&GpuDevice::titan_x(), FormatKind::Fcoo, &f, &plan, &factors, &cfg)
             .expect("streaming run");
-        let got: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(
             reference,
-            got,
+            chunked_bits(&f, &run),
             "budget {} B ({} chunks, threadlen {}) diverged from in-core",
             budget,
             plan.len(),
@@ -148,7 +177,10 @@ proptest! {
         let reference = in_core_bits(&f, &factors, &cfg);
         let run = run_chunked(&GpuDevice::titan_x(), FormatKind::Fcoo, &f, &plan, &factors, &cfg)
             .expect("streaming run");
-        let got: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(reference, got, "carried segment double- or under-counted");
+        prop_assert_eq!(
+            reference,
+            chunked_bits(&f, &run),
+            "carried segment double- or under-counted"
+        );
     }
 }

@@ -22,7 +22,7 @@ use crate::upload::{self, DeviceFactors, FactorPlan};
 use crate::workload::{Request, ServeOp, Workload};
 use decomp::cp::{cp_als, CpOptions, CpRun, DenseStage, MttkrpEngine, MttkrpError};
 use decomp::engines::{self, ModePlan, UnifiedGpuEngine};
-use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
+use fcoo::{AnyFormatDevice, ColumnTiling, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{DeviceConfig, FaultConfig, FaultEvent, GpuDevice, LaunchTrace};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -210,10 +210,12 @@ pub enum JobOutput {
 }
 
 impl JobOutput {
-    /// A tensor-op kernel's result from its `rows × columns` output block:
-    /// for SpTTM one fiber per row at the format's segment coordinates
-    /// (`segment_coords`, one column per index mode) over a tensor of
-    /// `shape`, the block itself otherwise.
+    /// A unified-tier result from the kernel's `segments × columns` output
+    /// block, one row per segment, placed by the format's segment
+    /// coordinates (`segment_coords`, one column per index mode) over a
+    /// tensor of `shape`: SpTTM's fibers, or SpMTTKRP's and SpTTMc's dense
+    /// `shape[mode]` rows. The two-step and host tiers compute full rows
+    /// and build [`JobOutput::Dense`] themselves.
     pub(crate) fn from_rows(
         op: TensorOp,
         shape: Vec<usize>,
@@ -228,7 +230,9 @@ impl JobOutput {
                 segment_coords,
                 rows.data(),
             )),
-            TensorOp::SpMttkrp { .. } | TensorOp::SpTtmc { .. } => JobOutput::Dense(rows),
+            TensorOp::SpMttkrp { mode } | TensorOp::SpTtmc { mode } => {
+                JobOutput::Dense(fcoo::scatter_rows(&rows, &segment_coords[0], shape[mode]))
+            }
         }
     }
 
@@ -899,7 +903,8 @@ impl ServeEngine {
         let mut requests = Vec::new();
         let mut rejections = Vec::new();
         for (index, request) in workload.requests.iter().enumerate() {
-            let served = protocol::check_rank(request.rank).and_then(|()| match request.op {
+            let tensor = self.tensors.get(&request.tensor_id).map(|r| &r.tensor);
+            let served = protocol::check_request(request, tensor).and_then(|()| match request.op {
                 ServeOp::Tensor(op) => self.serve_tensor_op(index, request, op, &mut scheduler),
                 ServeOp::CpAls { iterations } => {
                     self.serve_cp(index, request, iterations, &mut scheduler)
@@ -1186,14 +1191,15 @@ impl ServeEngine {
                 .get_or_build(key, &registered.tensor, &registered.touched, &self.scratch);
         let mut lc = Lifecycle::new(index, request, device, key, plan, plan_source);
         self.pools[device].retire(lc.flight.ready_us);
+        let out_bytes = output_bytes(lc.plan.fcoo(), request.rank);
         if let Some(cached) = self.results.get(&(key, request.factor_seed)) {
-            let (bytes, tier) = (cached.output.bytes(), cached.tier);
-            return self.replay(lc, scheduler, bytes, tier);
+            let tier = cached.tier;
+            return self.replay(lc, scheduler, out_bytes, tier);
         }
 
         let factor_plan = self.factor_plan(&request.tensor_id, op, request.rank)?;
         let plan = Arc::clone(&lc.plan);
-        let transient_bytes = transient_bytes_for(plan.fcoo(), &factor_plan);
+        let transient_bytes = factor_plan.transient_bytes(out_bytes);
         let Ok(admitted) = self.admit_format(&mut lc, key, &plan, transient_bytes) else {
             return self.serve_chunked(lc, op, scheduler, &factor_plan, transient_bytes);
         };
@@ -1219,7 +1225,7 @@ impl ServeEngine {
             },
             Some(in_core_output),
         )?;
-        let (((output, kernel_us, factor_bytes), launches), tier) =
+        let (((output, kernel_us, factor_bytes, d2h_bytes), launches), tier) =
             attempts.accepted.expect("the host tier always accepts");
         let h2d_bytes = factor_bytes
             + if admitted.uploaded {
@@ -1227,12 +1233,6 @@ impl ServeEngine {
             } else {
                 0
             };
-        // The host tier computes off-device: nothing crosses the bus for it.
-        let d2h_bytes = if tier == ExecTier::Cpu {
-            0
-        } else {
-            output.bytes()
-        };
         let d2h_us = upload::transfer_us(d2h_bytes);
         let h2d_us = upload::transfer_us(h2d_bytes);
         let exec_us = h2d_us + kernel_us + d2h_us;
@@ -1393,7 +1393,7 @@ impl ServeEngine {
         for (desc, &bytes) in chunk_plan.chunks.iter().zip(&chunk_bytes) {
             let chunk = fcoo::extract(plan.fcoo(), desc);
             self.reserve(&mut lc, key, bytes);
-            let seed = acc.seed_image(desc, &chunk);
+            let seed = acc.seed_image(desc);
             let run = self.attempt_ladder(
                 &mut lc,
                 protocol::CHUNK_TIERS,
@@ -1417,7 +1417,7 @@ impl ServeEngine {
                 unstalled_dead += chunk_dead;
                 return self.host_rung(lc, op, scheduler, unstalled_dead);
             };
-            acc.absorb(desc, &chunk, &out);
+            acc.absorb(desc, &out);
             launches_all.extend(attempt_launches);
             // Dead time from failed attempts and short stalls occupies the
             // kernel stream before the chunk's work.
@@ -1497,7 +1497,8 @@ impl ServeEngine {
             |engine, _| engine.execute_cpu(request, op),
             None,
         )?;
-        let ((output, kernel_us, _), tier) = host.accepted.expect("the host tier always accepts");
+        let ((output, kernel_us, _, _), tier) =
+            host.accepted.expect("the host tier always accepts");
         let placement = lc.flight.place(scheduler, dead_us, kernel_us);
         let record = RequestProfile {
             exec_us: kernel_us,
@@ -2030,15 +2031,17 @@ impl ServeEngine {
         let (rows, stats) = format
             .launch(&self.devices[device], &refs, &cfg)
             .map_err(|e| format!("transient allocation failed: {e}"))?;
-        // The compact format's product modes span the touched rows; the
-        // result reports the registered tensor's shape.
+        // The device holds one row per segment, and that is what comes
+        // back; the compact format's product modes span the touched rows,
+        // and the result reports the registered tensor's shape.
+        let d2h_bytes = rows.data().len() * 4;
         let output = JobOutput::from_rows(
             op,
             self.registered(&request.tensor_id)?.tensor.shape().to_vec(),
             &format.base().segment_coords_host,
             rows,
         );
-        Ok((output, stats.time_us, factors.bytes()))
+        Ok((output, stats.time_us, factors.bytes(), d2h_bytes))
     }
 
     /// The two-step fallback (Fig. 3a): SpTTM then a second unified launch,
@@ -2071,11 +2074,10 @@ impl ServeEngine {
             &cfg,
         )
         .map_err(|e| format!("two-step allocation failed: {e}"))?;
-        Ok((
-            JobOutput::Dense(outcome.result),
-            outcome.stats.time_us,
-            factors.bytes(),
-        ))
+        // The two-step kernel writes the dense `shape[mode]` rows.
+        let output = JobOutput::Dense(outcome.result);
+        let d2h_bytes = output.bytes();
+        Ok((output, outcome.stats.time_us, factors.bytes(), d2h_bytes))
     }
 
     /// The last rung: sequential host reference with analytic timing. Never
@@ -2084,7 +2086,8 @@ impl ServeEngine {
         let tensor = &self.registered(&request.tensor_id)?.tensor;
         let output = host_reference_output(tensor, op, request.rank, request.factor_seed);
         let kernel_us = cpu_reference_us(tensor.nnz(), request.rank, tensor.order());
-        Ok((output, kernel_us, 0))
+        // The host tier computes off-device: nothing crosses the bus.
+        Ok((output, kernel_us, 0, 0))
     }
 
     /// Re-runs every cached unique result (single ops and CP-ALS jobs)
@@ -2162,21 +2165,15 @@ impl ServeEngine {
 }
 
 /// One attempt's result: the output, the planned kernel's simulated time
-/// (µs), and the factor bytes it moved host→device.
-type Attempt = (JobOutput, f64, usize);
+/// (µs), the factor bytes it moved host→device and the result bytes it
+/// moved device→host.
+type Attempt = (JobOutput, f64, usize, usize);
 
-/// Device bytes a request holds beyond its cached format (see
-/// [`FactorPlan::transient_bytes`]).
-fn transient_bytes_for(fcoo: &Fcoo, factors: &FactorPlan) -> usize {
-    let mode = fcoo.op.mode();
-    let shape = &fcoo.shape;
-    let rank = factors.rank;
-    let output_bytes = match fcoo.op {
-        TensorOp::SpTtm { .. } => fcoo.segments() * rank * 4,
-        TensorOp::SpMttkrp { .. } => shape[mode] * rank * 4,
-        TensorOp::SpTtmc { .. } => shape[mode] * rank.pow((shape.len() - 1) as u32) * 4,
-    };
-    factors.transient_bytes(output_bytes)
+/// Bytes of the unified kernel's output over `fcoo` at `rank`: one row per
+/// segment for every operation. The request's device buffer (see
+/// [`FactorPlan::transient_bytes`]) and what a replay copies back.
+fn output_bytes(fcoo: &Fcoo, rank: usize) -> usize {
+    fcoo.segments() * ColumnTiling::at_rank(fcoo, rank).columns * 4
 }
 
 /// The factor model of a finished CP-ALS run and its makespan in
@@ -2557,6 +2554,90 @@ mod tests {
             .map(|r| r.reason.as_str())
             .collect();
         assert_eq!(reasons, ["rank must be at least 1"; 4]);
+    }
+
+    #[test]
+    fn malformed_tensors_and_times_reach_one_typed_outcome() {
+        let (tensor, _) = datasets::generate(datasets::DatasetKind::Nell2, 900, 3);
+        let mut engine = ServeEngine::new(ServeConfig::default());
+        engine.register_tensor("t", tensor);
+        engine.register_tensor("empty", SparseTensorCoo::from_entries(vec![4, 5, 6], &[]));
+        engine.register_tensor(
+            "vector",
+            SparseTensorCoo::from_entries(vec![7], &[(vec![2], 1.0), (vec![5], 2.0)]),
+        );
+        // (tensor, arrival, deadline) → the rejection's reason.
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        let cases = [
+            ("empty", 0.0, None, "has no non-zeros"),
+            ("vector", 0.0, None, "need at least 2"),
+            ("t", nan, None, "arrival must be"),
+            ("t", -1.0, None, "arrival must be"),
+            ("t", inf, None, "arrival must be"),
+            ("t", 0.0, Some(nan), "deadline must be"),
+            ("t", 0.0, Some(-5.0), "deadline must be"),
+            ("t", 0.0, Some(inf), "deadline must be"),
+            ("t", 0.0, Some(-inf), "deadline must be"),
+        ];
+        let ops = [
+            ServeOp::Tensor(TensorOp::SpTtm { mode: 0 }),
+            ServeOp::Tensor(TensorOp::SpMttkrp { mode: 0 }),
+            ServeOp::Tensor(TensorOp::SpTtmc { mode: 0 }),
+            ServeOp::CpAls { iterations: 2 },
+        ];
+        let request = |tensor: &str, op, arrival_us, deadline_us| Request {
+            tensor_id: tensor.to_string(),
+            op,
+            rank: 4,
+            arrival_us,
+            factor_seed: 1,
+            deadline_us,
+        };
+        let mut requests = Vec::new();
+        let mut expected = Vec::new();
+        for &op in &ops {
+            for &(tensor, arrival, deadline, reason) in &cases {
+                expected.push((requests.len(), reason));
+                requests.push(request(tensor, op, arrival, deadline));
+            }
+        }
+        // One well-formed request per op after the malformed ones: served.
+        let served: Vec<usize> = (requests.len()..requests.len() + ops.len()).collect();
+        requests.extend(ops.iter().map(|&op| request("t", op, 0.0, None)));
+        let workload = Workload {
+            tensors: Vec::new(),
+            requests,
+        };
+        let report = engine.run(&workload);
+        // Exactly one terminal state per request.
+        let mut terminal: Vec<usize> = report
+            .requests
+            .iter()
+            .map(|r| r.index)
+            .chain(report.rejections.iter().map(|r| r.index))
+            .chain(report.sheds.iter().map(|s| s.index))
+            .collect();
+        terminal.sort_unstable();
+        assert_eq!(terminal, (0..workload.requests.len()).collect::<Vec<_>>());
+        for (rejection, &(index, reason)) in report.rejections.iter().zip(&expected) {
+            assert_eq!(rejection.index, index);
+            assert!(
+                rejection.reason.contains(reason),
+                "request {index}: `{}` should say `{reason}`",
+                rejection.reason
+            );
+        }
+        assert_eq!(report.rejections.len(), expected.len());
+        let ran: Vec<usize> = report.requests.iter().map(|r| r.index).collect();
+        assert_eq!(ran, served);
+        for d in 0..engine.config().devices {
+            assert_eq!(
+                engine.pool(d).reserved_bytes(),
+                0,
+                "device {d}'s pool drains"
+            );
+        }
     }
 
     #[test]

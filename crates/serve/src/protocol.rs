@@ -1,5 +1,6 @@
 //! The serving protocol's rules, each written once: the rank rule
-//! ([`check_rank`]), admission ([`admit`],
+//! ([`check_rank`]) and the request rule ([`check_request`]), admission
+//! ([`admit`],
 //! [`make_room`]) and the defer step, the reservation lifecycle, the retry
 //! ladder ([`Ladder`], [`Flight::retry`]) and chunk rule
 //! ([`Flight::end_chunk`]), quarantine and affinity ([`Health`]), the shed
@@ -19,7 +20,9 @@ use crate::ledger::{splitmix, AdmitError, PoolLedger, ReservationId};
 use crate::metrics::ExecTier;
 use crate::plan::PlanKey;
 use crate::scheduler::{Placement, Scheduler};
+use crate::workload::Request;
 use fcoo::TensorOp;
+use tensor_core::SparseTensorCoo;
 
 /// First retry backoff in µs; doubles per attempt up to `BACKOFF_CAP_US`.
 const BACKOFF_BASE_US: f64 = 50.0;
@@ -63,6 +66,35 @@ pub fn check_rank(rank: usize) -> Result<(), String> {
         return Err("rank must be at least 1".to_string());
     }
     Ok(())
+}
+
+/// The request rule, applied at admission before anything is planned: the
+/// rank rule; an arrival and a deadline that are finite, non-negative times
+/// (a NaN or infinite deadline is not "no deadline"); and a registered
+/// tensor, when `tensor` is found, with at least one non-zero and two
+/// modes — what every F-COO format needs.
+pub fn check_request(request: &Request, tensor: Option<&SparseTensorCoo>) -> Result<(), String> {
+    check_rank(request.rank)?;
+    let times = [
+        ("arrival", Some(request.arrival_us)),
+        ("deadline", request.deadline_us),
+    ];
+    for (name, time) in times {
+        if let Some(us) = time.filter(|us| !(us.is_finite() && *us >= 0.0)) {
+            return Err(format!(
+                "{name} must be a finite non-negative time, not {us}"
+            ));
+        }
+    }
+    match tensor {
+        Some(t) if t.order() < 2 => Err(format!(
+            "tensor `{}` has {} mode(s); tensor operations need at least 2",
+            request.tensor_id,
+            t.order()
+        )),
+        Some(t) if t.nnz() == 0 => Err(format!("tensor `{}` has no non-zeros", request.tensor_id)),
+        _ => Ok(()),
+    }
 }
 
 /// What an admission decided.

@@ -43,14 +43,15 @@ fn format_bytes_range(nnz: usize, seed: u64) -> (usize, usize) {
 }
 
 /// Device bytes a rank-8 SpMTTKRP mode-0 request on a `nell2` tensor holds
-/// beyond its format, sized the way the engine sizes them.
+/// beyond its format, sized the way the engine sizes them: its output holds
+/// one row per segment, one per distinct mode-0 coordinate.
 fn transient_bytes(nnz: usize, seed: u64) -> usize {
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, nnz, seed);
     let touched: Vec<Vec<u32>> = (0..tensor.order())
         .map(|m| fcoo::touched_rows(tensor.mode_indices(m)))
         .collect();
     FactorPlan::new(TensorOp::SpMttkrp { mode: 0 }, tensor.shape(), &touched, 8)
-        .transient_bytes(tensor.shape()[0] * 8 * 4)
+        .transient_bytes(touched[0].len() * 8 * 4)
 }
 
 fn with_capacity(capacity: usize) -> DeviceConfig {
@@ -65,15 +66,16 @@ fn parse(text: &str) -> Workload {
 
 /// Every scenario: a name, the engine configuration and the workload.
 fn scenarios() -> Vec<(&'static str, ServeConfig, Workload)> {
-    // Overload on two devices: tight deadlines shed, the skewed plan pick
-    // replays cached results and replicates the hot plan.
+    // Overload on two devices: tight deadlines shed (after reserving, and
+    // once on a replay), the skewed plan pick replays cached results and
+    // replicates the hot plan.
     let open_loop = (
         "open-loop",
         ServeConfig {
             devices: 2,
             ..ServeConfig::default()
         },
-        serve::open_loop(60, 42, 25.0, 150.0),
+        serve::open_loop(60, 42, 3.0, 12.0),
     );
     // One device with room for a single working set: admission defers and
     // evicts. The CP-ALS job cannot fit at all and is rejected.

@@ -25,7 +25,9 @@ request big mttkrp 0 8 10.0 13
 }
 
 /// Device bytes one request needs beyond its format: the factors it
-/// uploads, its output, allocator slack — the engine's transient sizing.
+/// uploads, its output (one row per segment: SpMTTKRP's segments are the
+/// mode's distinct coordinates), allocator slack — the engine's transient
+/// sizing.
 fn transient_bytes() -> usize {
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, NNZ, TENSOR_SEED);
     let touched: Vec<Vec<u32>> = (0..tensor.order())
@@ -37,7 +39,7 @@ fn transient_bytes() -> usize {
         &touched,
         RANK,
     )
-    .transient_bytes(tensor.shape()[0] * RANK * 4)
+    .transient_bytes(touched[0].len() * RANK * 4)
 }
 
 /// Smallest F-COO footprint the tuner could possibly pick, so a capacity

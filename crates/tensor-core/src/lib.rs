@@ -5,7 +5,7 @@
 //!
 //! * [`DenseMatrix`] — row-major single-precision dense matrices (the factor
 //!   matrices of tensor decompositions) with the product operations the paper
-//!   uses (Kronecker, Khatri-Rao, Hadamard, Gram),
+//!   uses (Khatri-Rao, Hadamard, Gram),
 //! * [`linalg`] — the small dense solvers CP-ALS needs in place of CUBLAS:
 //!   Cholesky, symmetric Jacobi eigendecomposition, Moore–Penrose
 //!   pseudo-inverse,

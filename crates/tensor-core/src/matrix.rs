@@ -1,5 +1,5 @@
 //! Row-major dense matrices and the matrix products used by sparse tensor
-//! operations (Kronecker, Khatri-Rao, Hadamard, Gram).
+//! operations (Khatri-Rao, Hadamard, Gram).
 
 use crate::Val;
 use rand::rngs::SmallRng;
@@ -196,22 +196,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Kronecker product `self ⊗ other` (paper Eq. 1).
-    pub fn kronecker(&self, other: &DenseMatrix) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(self.rows * other.rows, self.cols * other.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let a = self.get(i, j);
-                for k in 0..other.rows {
-                    for l in 0..other.cols {
-                        out.set(i * other.rows + k, j * other.cols + l, a * other.get(k, l));
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Khatri-Rao (column-wise Kronecker) product `self ⊙ other` (paper Eq. 2).
     ///
     /// ```
@@ -335,15 +319,6 @@ mod tests {
                 assert_eq!(g.get(i, j), g.get(j, i));
             }
         }
-    }
-
-    #[test]
-    fn kronecker_dimensions_and_values() {
-        let a = DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = DenseMatrix::from_vec(1, 2, vec![5.0, 6.0]);
-        let k = a.kronecker(&b);
-        assert_eq!((k.rows(), k.cols()), (2, 4));
-        assert_eq!(k.data(), &[5.0, 6.0, 10.0, 12.0, 15.0, 18.0, 20.0, 24.0]);
     }
 
     #[test]

@@ -943,7 +943,8 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         Workload::parse(&workload_text).map_err(|e| err(format!("generated workload: {e}")))?;
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, nnz, 7);
     // The engine's own transient sizing: the factors the request uploads
-    // (no mode-0 factor for a mode-0 SpMTTKRP) plus its output buffer.
+    // (no mode-0 factor for a mode-0 SpMTTKRP) plus its output buffer, one
+    // row per segment (per distinct mode-0 coordinate).
     let touched: Vec<Vec<u32>> = (0..tensor.order())
         .map(|m| crate::fcoo::touched_rows(tensor.mode_indices(m)))
         .collect();
@@ -953,7 +954,7 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         &touched,
         rank,
     )
-    .transient_bytes(tensor.shape()[0] * rank * 4);
+    .transient_bytes(touched[0].len() * rank * 4);
     let min_format_bytes = crate::serve::plan::SERVE_THREADLENS
         .iter()
         .map(|&tl| {

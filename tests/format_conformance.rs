@@ -1,6 +1,7 @@
 //! Cross-format conformance suite: BF-COO must be *bit-exact* with F-COO
-//! on every unified kernel, for arbitrary power-law tensors, modes, ranks
-//! and threadlens — in-core and on the chunked/carry-row path.
+//! on every unified kernel, for arbitrary power-law, hypersparse and
+//! order-4 tensors, modes, ranks and threadlens — in-core and on the
+//! chunked/carry-row path.
 //!
 //! The bucketed schedule only permutes gathers within a thread; it never
 //! reorders the segmented fold, so the two formats must agree to the last
@@ -9,7 +10,7 @@
 //! tolerance. See docs/FORMATS.md for the trait contract.
 
 use proptest::prelude::*;
-use unified_tensors::fcoo::chunk;
+use unified_tensors::fcoo::{chunk, scatter_rows};
 use unified_tensors::ooc::run_chunked;
 use unified_tensors::prelude::*;
 
@@ -217,5 +218,73 @@ proptest! {
         prop_assert_eq!((strided.rows, strided.cols), (bucketed.rows, bucketed.cols));
         prop_assert_eq!(bits(&strided.values), bits(&bucketed.values));
         prop_assert_eq!(strided.chunks.len(), bucketed.chunks.len());
+    }
+
+    /// Hypersparse (nell1, delicious) and order-4 tensors, whose segments
+    /// are a small fraction of the operating mode's rows: SpMTTKRP's and
+    /// SpTTMc's segment rows, placed at their coordinates, agree bit for bit
+    /// across both formats in-core and on the chunked path with the F-COO
+    /// one-shot result.
+    #[test]
+    fn prop_hypersparse_and_order4_bit_exact_in_core_and_chunked(
+        seed in 0u64..1000,
+        kind_pick in 0usize..3,
+        mode in 0usize..4,
+        op_pick in 0usize..2,
+        rank in 1usize..5,
+        threadlen in 1usize..12,
+        budget in 1_500usize..6_000,
+    ) {
+        let tensor = match kind_pick {
+            0 => datasets::generate(DatasetKind::Nell1, 1500, seed).0,
+            1 => datasets::generate(DatasetKind::Delicious, 1500, seed).0,
+            _ => datasets::generate_norder(&[12, 9, 14, 7], 1500, 0.5, seed),
+        };
+        let (shape, order) = (tensor.shape().to_vec(), tensor.order());
+        let mode = mode % order;
+        let mttkrp = op_pick == 0;
+        let op = if mttkrp {
+            TensorOp::SpMttkrp { mode }
+        } else {
+            TensorOp::SpTtmc { mode }
+        };
+        let hosts: Vec<DenseMatrix> = op
+            .factor_modes(order)
+            .into_iter()
+            .map(|m| DenseMatrix::random(shape[m], rank, seed ^ (m as u64 + 7)))
+            .collect();
+        let cfg = LaunchConfig::default();
+        let in_core: Vec<DenseMatrix> = both_formats(&tensor, op, threadlen)
+            .into_iter()
+            .map(|(device, format)| {
+                let factors: Vec<DeviceMatrix> = hosts
+                    .iter()
+                    .map(|h| DeviceMatrix::upload(device.memory(), h).unwrap())
+                    .collect();
+                let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+                let result = if mttkrp {
+                    format.spmttkrp(&device, &refs, &cfg)
+                } else {
+                    format.spttmc_norder(&device, &refs, &cfg)
+                };
+                result.unwrap().0
+            })
+            .collect();
+        prop_assert_eq!(bits(in_core[0].data()), bits(in_core[1].data()));
+        let fcoo = Fcoo::from_coo(&tensor, op, threadlen);
+        let plan = chunk::split(&fcoo, budget);
+        for kind in FormatKind::ALL {
+            let run = run_chunked(&GpuDevice::titan_x(), kind, &fcoo, &plan, &hosts, &cfg).unwrap();
+            prop_assert_eq!(run.rows, fcoo.segments());
+            let rows = DenseMatrix::from_vec(run.rows, run.cols, run.values);
+            let placed = scatter_rows(&rows, &fcoo.segment_coords[0], shape[mode]);
+            prop_assert_eq!(
+                bits(placed.data()),
+                bits(in_core[0].data()),
+                "{} chunked ({} chunks) diverged from the one-shot result",
+                kind,
+                plan.len()
+            );
+        }
     }
 }
