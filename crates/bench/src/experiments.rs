@@ -872,8 +872,22 @@ mod tests {
     #[test]
     fn table2_shows_fcoo_savings() {
         let rendered = table2_rows(TEST_NNZ).render();
-        assert!(rendered.contains("SpTTM"));
-        assert!(rendered.contains('%'));
+        let rows: Vec<Vec<&str>> = rendered
+            .lines()
+            .skip(2)
+            .map(|line| line.split_whitespace().collect())
+            .collect();
+        assert_eq!(rows.len(), 8, "{rendered}");
+        for row in &rows {
+            let bytes = |column: usize| row[column].parse::<usize>().expect("a byte count");
+            let (coo, model, total) = (bytes(2), bytes(3), bytes(4));
+            assert!(total < coo, "F-COO is not smaller than COO: {row:?}");
+            // The device format adds only the partition pointers to the
+            // paper's model: one u32 per 8-non-zero partition of a 3-order
+            // tensor's `coo / 16` non-zeros.
+            assert_eq!(total - model, (coo / 16).div_ceil(8) * 4, "{row:?}");
+            assert!(!row[6].starts_with('-'), "{row:?}");
+        }
     }
 
     #[test]

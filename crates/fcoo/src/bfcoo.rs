@@ -361,11 +361,7 @@ mod tests {
         let before = device.memory().live_bytes();
         let uploaded = BfCooDevice::upload(device.memory(), &bf).unwrap();
         let used = device.memory().live_bytes() - before;
-        assert!(
-            (used as i64 - bf.total_bytes() as i64).abs() <= 8,
-            "device {used} vs total {}",
-            bf.total_bytes()
-        );
+        assert_eq!(used, bf.total_bytes());
         drop(uploaded);
         assert_eq!(device.memory().live_bytes(), before);
     }

@@ -24,6 +24,7 @@
 //! bit for bit (see `crates/ooc`).
 
 use crate::format::{BitFlags, Fcoo};
+use std::sync::Arc;
 
 /// One chunk of a partition-aligned split: where it sits in the parent
 /// format and how its headers rebase.
@@ -91,31 +92,24 @@ impl ChunkPlan {
 
 /// Estimated device bytes of a chunk-local format, mirroring
 /// [`crate::format::StorageBreakdown`] term by term (plus the same 64-byte
-/// allocator slack the serve layer's plan accounting uses).
-fn chunk_format_bytes(
-    product_modes: usize,
-    index_modes: usize,
-    nnz: usize,
-    partitions: usize,
-    segments: usize,
-) -> usize {
+/// allocator slack the serve layer's plan accounting uses). The segment
+/// coordinates stay on the host, so the chunk's segment count costs no
+/// device bytes.
+fn chunk_format_bytes(product_modes: usize, nnz: usize, partitions: usize) -> usize {
     product_modes * nnz * 4
         + nnz * 4
         + nnz.div_ceil(8)
-        + partitions.div_ceil(8).div_ceil(4) * 4
-        + index_modes * segments * 4
+        + partitions.div_ceil(8)
         + partitions * 4
         + 64
 }
 
-/// Heads (segment starts) inside parent partition `p`.
-fn heads_in_partition(fcoo: &Fcoo, p: usize) -> usize {
-    let next = if p + 1 < fcoo.partitions() {
-        fcoo.partition_first_segment[p + 1] as usize
-    } else {
-        fcoo.segments()
-    };
-    next - fcoo.partition_first_segment[p] as usize
+/// Parent segment ordinal of the first head at or after partition `p`
+/// (the segment count past the last partition).
+fn first_segment_from(fcoo: &Fcoo, p: usize) -> usize {
+    fcoo.partition_first_segment
+        .get(p)
+        .map_or(fcoo.segments(), |&s| s as usize)
 }
 
 /// Splits `fcoo` into partition-aligned chunks whose estimated format
@@ -136,7 +130,6 @@ pub fn split(fcoo: &Fcoo, budget_bytes: usize) -> ChunkPlan {
     let threadlen = fcoo.threadlen;
     let total_partitions = fcoo.partitions();
     let product_modes = fcoo.product_indices.len();
-    let index_modes = fcoo.segment_coords.len();
     let mut chunks = Vec::new();
     let mut p = 0usize;
     while p < total_partitions {
@@ -145,28 +138,19 @@ pub fn split(fcoo: &Fcoo, budget_bytes: usize) -> ChunkPlan {
         let seg_base = fcoo.partition_first_segment[p] as usize - usize::from(carry_in);
         let mut count = 0usize;
         let mut chunk_nnz = 0usize;
-        let mut heads = 0usize;
         let mut bytes = 0usize;
         while p + count < total_partitions {
             let q = p + count;
-            let q_nnz = ((q + 1) * threadlen).min(nnz) - q * threadlen;
-            let next_nnz = chunk_nnz + q_nnz;
-            let next_heads = heads + heads_in_partition(fcoo, q);
-            let next_bytes = chunk_format_bytes(
-                product_modes,
-                index_modes,
-                next_nnz,
-                count + 1,
-                next_heads + usize::from(carry_in),
-            );
+            let next_nnz = chunk_nnz + ((q + 1) * threadlen).min(nnz) - q * threadlen;
+            let next_bytes = chunk_format_bytes(product_modes, next_nnz, count + 1);
             if count > 0 && next_bytes > budget_bytes {
                 break;
             }
             count += 1;
             chunk_nnz = next_nnz;
-            heads = next_heads;
             bytes = next_bytes;
         }
+        let heads = first_segment_from(fcoo, p + count) - first_segment_from(fcoo, p);
         let end_nnz = start_nnz + chunk_nnz;
         let carry_out = end_nnz < nnz && !fcoo.bf.get(end_nnz);
         chunks.push(ChunkDescriptor {
@@ -232,7 +216,7 @@ pub fn extract(fcoo: &Fcoo, desc: &ChunkDescriptor) -> Fcoo {
             .segment_coords
             .iter()
             .map(|m| m[desc.seg_base..desc.seg_base + desc.segments].to_vec())
-            .collect(),
+            .collect::<Arc<[_]>>(),
         partition_first_segment,
     }
 }

@@ -10,6 +10,7 @@ use crate::format::Fcoo;
 use crate::modes::{ModeClassification, TensorOp};
 use gpu_sim::memory::{DeviceBuffer, DeviceMemory};
 use gpu_sim::OutOfMemory;
+use std::sync::Arc;
 use tensor_core::{DenseMatrix, Idx};
 
 /// A dense matrix resident in simulated device memory (row-major).
@@ -72,8 +73,8 @@ impl DeviceMatrix {
     }
 }
 
-/// F-COO uploaded to the device, plus the host-side metadata the launchers
-/// need to assemble outputs.
+/// F-COO uploaded to the device — exactly the arrays the kernels read —
+/// plus the host-side metadata the launchers need to assemble outputs.
 #[derive(Debug)]
 pub struct FcooDevice {
     /// Operation the format was preprocessed for.
@@ -86,6 +87,8 @@ pub struct FcooDevice {
     pub threadlen: usize,
     /// Non-zero count.
     pub nnz: usize,
+    /// Segment count: the kernels' output rows.
+    segments: usize,
     /// Product-mode coordinate buffers, one per product mode.
     pub product_indices: Vec<DeviceBuffer<u32>>,
     /// Non-zero values in segment order.
@@ -96,23 +99,19 @@ pub struct FcooDevice {
     pub sf: DeviceBuffer<u8>,
     /// Global segment ordinal at each partition start.
     pub partition_first_segment: DeviceBuffer<u32>,
-    /// Per-segment index-mode coordinates (device copy, read when scan
-    /// results are scattered to the output).
-    pub segment_coords: Vec<DeviceBuffer<u32>>,
-    /// Host mirror of `segment_coords`, used to assemble sCOO outputs.
-    pub segment_coords_host: Vec<Vec<Idx>>,
+    /// The host format's per-segment index-mode coordinates, shared with it
+    /// and never uploaded: the wrappers place each segment's output row with
+    /// them.
+    pub segment_coords_host: Arc<[Vec<Idx>]>,
 }
 
 impl FcooDevice {
-    /// Transfers a host F-COO instance to device memory.
+    /// Transfers a host F-COO instance to device memory: the product-mode
+    /// indices, values, `bf`, `sf` and partition pointers, whose bytes are
+    /// exactly [`Fcoo::storage`]'s total.
     pub fn upload(memory: &DeviceMemory, fcoo: &Fcoo) -> Result<Self, OutOfMemory> {
         let product_indices = fcoo
             .product_indices
-            .iter()
-            .map(|column| memory.alloc_from_slice(column))
-            .collect::<Result<Vec<_>, _>>()?;
-        let segment_coords = fcoo
-            .segment_coords
             .iter()
             .map(|column| memory.alloc_from_slice(column))
             .collect::<Result<Vec<_>, _>>()?;
@@ -122,21 +121,19 @@ impl FcooDevice {
             shape: fcoo.shape.clone(),
             threadlen: fcoo.threadlen,
             nnz: fcoo.nnz(),
+            segments: fcoo.segments(),
             product_indices,
             values: memory.alloc_from_slice(&fcoo.values)?,
             bf: memory.alloc_from_slice(fcoo.bf.bytes())?,
             sf: memory.alloc_from_slice(fcoo.sf.bytes())?,
             partition_first_segment: memory.alloc_from_slice(&fcoo.partition_first_segment)?,
-            segment_coords,
-            segment_coords_host: fcoo.segment_coords.clone(),
+            segment_coords_host: Arc::clone(&fcoo.segment_coords),
         })
     }
 
     /// Number of segments (output fibers/slices).
     pub fn segments(&self) -> usize {
-        self.segment_coords_host
-            .first()
-            .map_or(usize::from(self.nnz > 0), Vec::len)
+        self.segments
     }
 
     /// Number of thread partitions.
@@ -183,23 +180,32 @@ mod tests {
         let breakdown = fcoo.storage();
         let uploaded = FcooDevice::upload(device.memory(), &fcoo).unwrap();
         let used = device.memory().live_bytes() - before;
-        // Device usage matches the measured storage breakdown (sf words may
-        // round differently).
-        assert!(
-            (used as i64 - breakdown.total_bytes() as i64).abs() <= 8,
-            "device {used} vs breakdown {}",
-            breakdown.total_bytes()
-        );
+        assert_eq!(used, breakdown.total_bytes());
+        // The coordinates are shared with the host format, not copied.
+        assert!(Arc::ptr_eq(
+            &uploaded.segment_coords_host,
+            &fcoo.segment_coords
+        ));
         drop(uploaded);
         assert_eq!(device.memory().live_bytes(), before);
     }
 
     #[test]
     fn upload_fails_gracefully_on_tiny_device() {
-        let device = GpuDevice::new(gpu_sim::DeviceConfig::titan_x_scaled_memory(1e-8));
         let (tensor, _) = datasets::generate(DatasetKind::Nell2, 5000, 3);
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 0 }, 8);
-        assert!(FcooDevice::upload(device.memory(), &fcoo).is_err());
+        // A device one byte short of the format refuses it; one that holds
+        // exactly the format takes it.
+        let bytes = fcoo.storage().total_bytes();
+        let with_capacity = |capacity| {
+            let mut config = gpu_sim::DeviceConfig::titan_x();
+            config.memory_capacity = capacity;
+            GpuDevice::new(config)
+        };
+        let tiny = with_capacity(bytes - 1);
+        assert!(FcooDevice::upload(tiny.memory(), &fcoo).is_err());
+        let exact = with_capacity(bytes);
+        assert!(FcooDevice::upload(exact.memory(), &fcoo).is_ok());
     }
 
     #[test]

@@ -9,20 +9,23 @@
 //!
 //! Two auxiliary arrays complete the executable format:
 //!
-//! * `segment_coords` — the index-mode coordinates of each segment, stored
-//!   once per *segment* (not per non-zero). This is the coordinate part of
-//!   the sCOO output the paper's one-shot kernels write into; without it the
-//!   scan results could not land at "the correct location using the indices
-//!   from the index mode" (§IV-C).
 //! * `partition_first_segment` — the global segment ordinal at each thread
 //!   partition's start, the prefix-count companion of `sf` that lets threads
-//!   address their output rows without a device-wide scan over `bf`.
+//!   address their output rows without a device-wide scan over `bf`. It is
+//!   uploaded with the paper's arrays.
+//! * `segment_coords` — the index-mode coordinates of each segment, stored
+//!   once per *segment* (not per non-zero). The kernels write one output row
+//!   per segment and never read them, so they stay on the host: the typed
+//!   wrappers use them to place each row at "the correct location using the
+//!   indices from the index mode" (§IV-C). They are shared, not copied, by
+//!   every device handle made from this format.
 //!
 //! [`StorageBreakdown`] reports both the paper's Table II model (product
-//! indices + values + `bf` + `sf`) and the measured total including the
-//! auxiliary arrays, so the storage claims stay honest.
+//! indices + values + `bf` + `sf`) and the device total, which adds only the
+//! partition pointers, so the storage claims stay honest.
 
 use crate::modes::{ModeClassification, TensorOp};
+use std::sync::Arc;
 use tensor_core::{Idx, SparseTensorCoo, Val};
 
 /// Bit-flag semantics: bit `nz` is **set** when non-zero `nz` starts a new
@@ -99,10 +102,8 @@ pub struct StorageBreakdown {
     pub value_bytes: usize,
     /// Bit-flag bytes (`nnz / 8`).
     pub bf_bytes: usize,
-    /// Start-flag bytes (`partitions / 8`, packed in `u32` words).
+    /// Start-flag bytes (`⌈partitions / 8⌉`, as uploaded).
     pub sf_bytes: usize,
-    /// Per-segment index-mode coordinate bytes (output sCOO coordinates).
-    pub segment_coord_bytes: usize,
     /// Per-partition segment-ordinal bytes.
     pub partition_ptr_bytes: usize,
 }
@@ -114,9 +115,11 @@ impl StorageBreakdown {
         self.product_index_bytes + self.value_bytes + self.bf_bytes + self.sf_bytes
     }
 
-    /// All bytes of the executable format.
+    /// All bytes of the device-resident format: exactly what
+    /// [`crate::FcooDevice::upload`] allocates. The segment coordinates stay
+    /// on the host and are not counted.
     pub fn total_bytes(&self) -> usize {
-        self.paper_model_bytes() + self.segment_coord_bytes + self.partition_ptr_bytes
+        self.paper_model_bytes() + self.partition_ptr_bytes
     }
 }
 
@@ -153,8 +156,8 @@ pub struct Fcoo {
     /// non-zero begins a new segment.
     pub sf: BitFlags,
     /// `segment_coords[m][seg]`: coordinate along the `m`-th index mode of
-    /// each segment (the output sCOO coordinates).
-    pub segment_coords: Vec<Vec<Idx>>,
+    /// each segment (the output sCOO coordinates). Host only.
+    pub segment_coords: Arc<[Vec<Idx>]>,
     /// Global segment ordinal at the start of each partition.
     pub partition_first_segment: Vec<u32>,
 }
@@ -182,7 +185,7 @@ pub struct SortedFcoo {
     pub bf: BitFlags,
     /// `segment_coords[m][seg]`: coordinate along the `m`-th index mode of
     /// each segment.
-    pub segment_coords: Vec<Vec<Idx>>,
+    pub segment_coords: Arc<[Vec<Idx>]>,
 }
 
 /// The partition-size-dependent arrays of an F-COO instance.
@@ -242,7 +245,7 @@ impl SortedFcoo {
                 .collect(),
             values: perm.iter().map(|&i| values[i]).collect(),
             bf,
-            segment_coords,
+            segment_coords: segment_coords.into(),
             classification,
         }
     }
@@ -350,8 +353,7 @@ impl Fcoo {
             product_index_bytes: self.product_indices.len() * self.nnz() * 4,
             value_bytes: self.nnz() * 4,
             bf_bytes: self.bf.bytes().len(),
-            sf_bytes: self.sf.bytes().len().div_ceil(4) * 4,
-            segment_coord_bytes: self.segment_coords.len() * self.segments() * 4,
+            sf_bytes: self.sf.bytes().len(),
             partition_ptr_bytes: self.partitions() * 4,
         }
     }
@@ -430,7 +432,7 @@ mod tests {
         assert_eq!(heads, vec![0, 5]);
         assert_eq!(f.product_indices.len(), 2);
         // Segment coordinates are the slice indices.
-        assert_eq!(f.segment_coords, vec![vec![0, 1]]);
+        assert_eq!(*f.segment_coords, [vec![0, 1]]);
         // sf: partition 0 starts slice 0; partitions 1 and 2 continue.
         assert!(f.sf.get(0));
         assert!(!f.sf.get(1));

@@ -376,6 +376,42 @@ mod tests {
     }
 
     #[test]
+    fn upload_holds_the_paper_model_plus_partition_pointers() {
+        // No index-mode coordinate reaches the device: an upload allocates
+        // the paper's Table II arrays, the partition pointers and, for
+        // BF-COO, the buckets, and nothing else. nell1 is hypersparse, so
+        // a stray coordinate column would nearly double SpTTM's bytes.
+        let (tensor, _) = datasets::generate(DatasetKind::Nell1, 3000, 22);
+        let device = GpuDevice::titan_x();
+        for mode in 0..tensor.order() {
+            for op in [
+                TensorOp::SpTtm { mode },
+                TensorOp::SpMttkrp { mode },
+                TensorOp::SpTtmc { mode },
+            ] {
+                for kind in FormatKind::ALL {
+                    let format = AnyFormat::build(kind, &tensor, op, 8);
+                    let storage = format.base().storage();
+                    let metadata = match &format {
+                        AnyFormat::Fcoo(_) => 0,
+                        AnyFormat::BfCoo(b) => b.bucket_bytes(),
+                    };
+                    let before = device.memory().live_bytes();
+                    let uploaded = format.upload(device.memory()).unwrap();
+                    let used = device.memory().live_bytes() - before;
+                    assert_eq!(
+                        used,
+                        storage.paper_model_bytes() + storage.partition_ptr_bytes + metadata,
+                        "{kind} {op:?}"
+                    );
+                    assert_eq!(used, format.storage_bytes(), "{kind} {op:?}");
+                    drop(uploaded);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn metadata_bytes_agrees_with_built_bucket_metadata() {
         let (tensor, _) = datasets::generate(DatasetKind::Nell2, 1777, 5);
         for op in [

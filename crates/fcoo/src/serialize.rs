@@ -131,7 +131,7 @@ pub fn write_fcoo(fcoo: &Fcoo, mut w: impl Write) -> io::Result<()> {
     write_u64(&mut w, fcoo.sf.len() as u64)?;
     w.write_all(fcoo.sf.bytes())?;
     write_u64(&mut w, fcoo.segment_coords.len() as u64)?;
-    for column in &fcoo.segment_coords {
+    for column in fcoo.segment_coords.iter() {
         write_u32_slice(&mut w, column)?;
     }
     write_u32_slice(&mut w, &fcoo.partition_first_segment)?;
@@ -225,7 +225,7 @@ pub fn read_fcoo(mut r: impl Read) -> Result<Fcoo, DecodeError> {
         values,
         bf,
         sf,
-        segment_coords,
+        segment_coords: segment_coords.into(),
         partition_first_segment,
     })
 }

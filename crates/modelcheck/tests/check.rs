@@ -61,19 +61,20 @@ fn exhausted_chunk_order(max_retries: usize) -> Vec<String> {
 /// request (3000 nnz, rank 8) but never its whole format, so the request
 /// streams out of core, injecting `faults`.
 fn ooc_engine(faults: gpu_sim::FaultConfig) -> serve::ServeEngine {
-    use fcoo::TensorOp;
+    use fcoo::{AnyFormat, FormatKind, TensorOp};
     use tensor_core::datasets::{self, DatasetKind};
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, 3000, 7);
-    let transients: usize =
-        tensor.shape().iter().map(|&s| s * 8 * 4).sum::<usize>() + tensor.shape()[0] * 8 * 4 + 1024;
+    let op = TensorOp::SpMttkrp { mode: 0 };
+    let touched: Vec<Vec<u32>> = (0..tensor.order())
+        .map(|m| fcoo::touched_rows(tensor.mode_indices(m)))
+        .collect();
+    let transients =
+        serve::upload::FactorPlan::new(op, tensor.shape(), &touched, 8).transient_bytes(
+            serve::upload::output_bytes(&fcoo::Fcoo::from_coo(&tensor, op, 8), 8),
+        );
     let min_format = serve::plan::SERVE_THREADLENS
         .iter()
-        .map(|&tl| {
-            fcoo::Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, tl)
-                .storage()
-                .total_bytes()
-                + 64
-        })
+        .map(|&tl| serve::plan::format_bytes(&AnyFormat::build(FormatKind::Fcoo, &tensor, op, tl)))
         .min()
         .expect("non-empty grid");
     let mut device_config = gpu_sim::DeviceConfig::titan_x();

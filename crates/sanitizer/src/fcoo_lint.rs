@@ -192,7 +192,7 @@ pub fn check_fcoo(fcoo: &Fcoo) -> Report {
     }
 
     // 7. Coordinates inside the shape.
-    let columns = [
+    let columns: [(_, &[Vec<u32>], _); 2] = [
         ("segment coordinate", &fcoo.segment_coords, index_modes),
         ("product index", &fcoo.product_indices, product_modes),
     ];

@@ -13,7 +13,7 @@
 
 use crate::events::ProtocolEvent;
 use crate::metrics::{ExecTier, LatencySummary, RequestProfile};
-use crate::plan::{Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource};
+use crate::plan::{self, Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource};
 use crate::pool::{AdmitError, Admitted, DevicePool, PoolStats, ReservationId};
 use crate::profile::ServeProfile;
 use crate::protocol::{self, Flight, Health, Ladder, Rung};
@@ -22,7 +22,7 @@ use crate::upload::{self, DeviceFactors, FactorPlan};
 use crate::workload::{Request, ServeOp, Workload};
 use decomp::cp::{cp_als, CpOptions, CpRun, DenseStage, MttkrpEngine, MttkrpError};
 use decomp::engines::{self, ModePlan, UnifiedGpuEngine};
-use fcoo::{AnyFormatDevice, ColumnTiling, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
+use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{DeviceConfig, FaultConfig, FaultEvent, GpuDevice, LaunchTrace};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -1191,7 +1191,7 @@ impl ServeEngine {
                 .get_or_build(key, &registered.tensor, &registered.touched, &self.scratch);
         let mut lc = Lifecycle::new(index, request, device, key, plan, plan_source);
         self.pools[device].retire(lc.flight.ready_us);
-        let out_bytes = output_bytes(lc.plan.fcoo(), request.rank);
+        let out_bytes = upload::output_bytes(lc.plan.fcoo(), request.rank);
         if let Some(cached) = self.results.get(&(key, request.factor_seed)) {
             let tier = cached.tier;
             return self.replay(lc, scheduler, out_bytes, tier);
@@ -1229,7 +1229,7 @@ impl ServeEngine {
             attempts.accepted.expect("the host tier always accepts");
         let h2d_bytes = factor_bytes
             + if admitted.uploaded {
-                plan.format_bytes()
+                plan.format.storage_bytes()
             } else {
                 0
             };
@@ -1568,7 +1568,7 @@ impl ServeEngine {
                 .admit_format(&mut lc, keys[mode], plan, transient(mode))
                 .map_err(|too_large| self.admission_rejected(&lc, too_large))?;
             if admitted.uploaded {
-                uploaded_bytes += plan.format_bytes();
+                uploaded_bytes += plan.format.storage_bytes();
             }
             formats.push(admitted.format);
         }
@@ -1704,9 +1704,10 @@ impl ServeEngine {
         plan: &Plan,
         transient_bytes: usize,
     ) -> Result<Admitted, TooLarge> {
+        let format_bytes = plan::format_bytes(&plan.format);
         loop {
             let admitted = self.defer_admission(lc, |pool| {
-                pool.admit(key, &plan.format, plan.format_bytes(), transient_bytes)
+                pool.admit(key, &plan.format, format_bytes, transient_bytes)
             });
             match admitted {
                 Ok(admitted) => {
@@ -2168,13 +2169,6 @@ impl ServeEngine {
 /// (µs), the factor bytes it moved host→device and the result bytes it
 /// moved device→host.
 type Attempt = (JobOutput, f64, usize, usize);
-
-/// Bytes of the unified kernel's output over `fcoo` at `rank`: one row per
-/// segment for every operation. The request's device buffer (see
-/// [`FactorPlan::transient_bytes`]) and what a replay copies back.
-fn output_bytes(fcoo: &Fcoo, rank: usize) -> usize {
-    fcoo.segments() * ColumnTiling::at_rank(fcoo, rank).columns * 4
-}
 
 /// The factor model of a finished CP-ALS run and its makespan in
 /// microseconds (the engine's two-stream timeline).

@@ -210,14 +210,13 @@ impl Plan {
     pub fn threadlen(&self) -> usize {
         self.format.threadlen()
     }
+}
 
-    /// Estimated device bytes of the uploaded format, including any
-    /// schedule metadata (BF-COO's buckets).
-    pub fn format_bytes(&self) -> usize {
-        // Upload byte count matches the storage breakdown to within flag
-        // word rounding; pad so admission never under-estimates.
-        self.format.storage_bytes() + 64
-    }
+/// Device bytes admission budgets for uploading `format`: its storage,
+/// schedule metadata (BF-COO's buckets) included, plus 64 bytes of
+/// allocator slack. PCIe moves only the storage bytes.
+pub fn format_bytes(format: &AnyFormat) -> usize {
+    format.storage_bytes() + 64
 }
 
 /// How a plan lookup was satisfied.

@@ -196,7 +196,7 @@ mod tests {
     }
 
     fn bytes_of(format: &AnyFormat) -> usize {
-        format.storage_bytes() + 64
+        crate::plan::format_bytes(format)
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! the request's device bytes and the shed rule's transfer term before
 //! admission, and the crate-private `upload` carries it out.
 
-use fcoo::{DeviceMatrix, TensorOp};
+use fcoo::{ColumnTiling, DeviceMatrix, Fcoo, TensorOp};
 use gpu_sim::{GpuDevice, OutOfMemory};
 use tensor_core::DenseMatrix;
 
@@ -99,6 +99,13 @@ impl FactorPlan {
     pub fn transient_bytes(&self, output_bytes: usize) -> usize {
         self.device_bytes() + output_bytes + 1024
     }
+}
+
+/// Bytes of the unified kernel's output over `fcoo` at `rank`: one row per
+/// segment for every operation. The request's device buffer (see
+/// [`FactorPlan::transient_bytes`]) and what a replay copies back.
+pub fn output_bytes(fcoo: &Fcoo, rank: usize) -> usize {
+    fcoo.segments() * ColumnTiling::at_rank(fcoo, rank).columns * 4
 }
 
 /// A request's compact factors resident on the device.

@@ -183,7 +183,7 @@ fn hypersparse_requests_move_less_than_full_factors_and_verify() {
         let format = AnyFormat::build(p.format, tensor, op, p.threadlen);
         assert_eq!(
             p.h2d_bytes,
-            format.storage_bytes() + 64 + plan.h2d_bytes(),
+            format.storage_bytes() + plan.h2d_bytes(),
             "request {}",
             p.index
         );

@@ -14,15 +14,18 @@
 //! scratch directory (`CARGO_TARGET_TMPDIR/lifecycle.actual.txt`) so it can
 //! be diffed against the fixture.
 
-use fcoo::{Fcoo, TensorOp};
+use fcoo::{AnyFormat, Fcoo, FormatKind, TensorOp};
 use gpu_sim::DeviceConfig;
-use serve::plan::SERVE_THREADLENS;
-use serve::upload::FactorPlan;
+use serve::plan::{format_bytes, SERVE_THREADLENS};
+use serve::upload::{output_bytes, FactorPlan};
 use serve::{ServeConfig, ServeEngine, Workload};
 use std::fmt::Write as _;
 use tensor_core::datasets::{self, DatasetKind};
 
 const FIXTURE: &str = include_str!("fixtures/lifecycle.txt");
+
+/// The operation whose formats and transients size the scenarios' devices.
+const OP: TensorOp = TensorOp::SpMttkrp { mode: 0 };
 
 /// The F-COO footprints the tuner can pick for SpMTTKRP mode 0 of a
 /// `nell2` tensor, smallest and largest.
@@ -30,12 +33,7 @@ fn format_bytes_range(nnz: usize, seed: u64) -> (usize, usize) {
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, nnz, seed);
     let sizes: Vec<usize> = SERVE_THREADLENS
         .iter()
-        .map(|&tl| {
-            Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, tl)
-                .storage()
-                .total_bytes()
-                + 64
-        })
+        .map(|&tl| format_bytes(&AnyFormat::build(FormatKind::Fcoo, &tensor, OP, tl)))
         .collect();
     let min = *sizes.iter().min().expect("non-empty grid");
     let max = *sizes.iter().max().expect("non-empty grid");
@@ -43,15 +41,14 @@ fn format_bytes_range(nnz: usize, seed: u64) -> (usize, usize) {
 }
 
 /// Device bytes a rank-8 SpMTTKRP mode-0 request on a `nell2` tensor holds
-/// beyond its format, sized the way the engine sizes them: its output holds
-/// one row per segment, one per distinct mode-0 coordinate.
+/// beyond its format, sized by the engine's own rule.
 fn transient_bytes(nnz: usize, seed: u64) -> usize {
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, nnz, seed);
     let touched: Vec<Vec<u32>> = (0..tensor.order())
         .map(|m| fcoo::touched_rows(tensor.mode_indices(m)))
         .collect();
-    FactorPlan::new(TensorOp::SpMttkrp { mode: 0 }, tensor.shape(), &touched, 8)
-        .transient_bytes(touched[0].len() * 8 * 4)
+    FactorPlan::new(OP, tensor.shape(), &touched, 8)
+        .transient_bytes(output_bytes(&Fcoo::from_coo(&tensor, OP, 8), 8))
 }
 
 fn with_capacity(capacity: usize) -> DeviceConfig {

@@ -3,16 +3,17 @@
 //! zero admission rejections, drained pool accounting, and a pipeline
 //! makespan that actually beats running the chunks back to back.
 
-use fcoo::{Fcoo, TensorOp};
+use fcoo::{AnyFormat, Fcoo, FormatKind, TensorOp};
 use gpu_sim::{DeviceConfig, FaultConfig};
-use serve::plan::SERVE_THREADLENS;
-use serve::upload::FactorPlan;
+use serve::plan::{format_bytes, SERVE_THREADLENS};
+use serve::upload::{output_bytes, FactorPlan};
 use serve::{ExecTier, ProtocolEvent, ServeConfig, ServeEngine, Workload};
 use tensor_core::datasets::{self, DatasetKind};
 
 const NNZ: usize = 3000;
 const TENSOR_SEED: u64 = 7;
 const RANK: usize = 8;
+const OP: TensorOp = TensorOp::SpMttkrp { mode: 0 };
 
 fn ooc_workload() -> Workload {
     let text = "\
@@ -24,22 +25,16 @@ request big mttkrp 0 8 10.0 13
     Workload::parse(text).expect("valid workload")
 }
 
-/// Device bytes one request needs beyond its format: the factors it
-/// uploads, its output (one row per segment: SpMTTKRP's segments are the
-/// mode's distinct coordinates), allocator slack — the engine's transient
-/// sizing.
+/// Device bytes one request needs beyond its format — the factors it
+/// uploads, its one-row-per-segment output, allocator slack — sized by the
+/// engine's own rule.
 fn transient_bytes() -> usize {
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, NNZ, TENSOR_SEED);
     let touched: Vec<Vec<u32>> = (0..tensor.order())
         .map(|m| fcoo::touched_rows(tensor.mode_indices(m)))
         .collect();
-    FactorPlan::new(
-        TensorOp::SpMttkrp { mode: 0 },
-        tensor.shape(),
-        &touched,
-        RANK,
-    )
-    .transient_bytes(touched[0].len() * RANK * 4)
+    FactorPlan::new(OP, tensor.shape(), &touched, RANK)
+        .transient_bytes(output_bytes(&Fcoo::from_coo(&tensor, OP, 8), RANK))
 }
 
 /// Smallest F-COO footprint the tuner could possibly pick, so a capacity
@@ -49,12 +44,7 @@ fn min_format_bytes() -> usize {
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, NNZ, TENSOR_SEED);
     SERVE_THREADLENS
         .iter()
-        .map(|&tl| {
-            Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, tl)
-                .storage()
-                .total_bytes()
-                + 64
-        })
+        .map(|&tl| format_bytes(&AnyFormat::build(FormatKind::Fcoo, &tensor, OP, tl)))
         .min()
         .expect("non-empty grid")
 }

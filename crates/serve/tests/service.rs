@@ -2,9 +2,10 @@
 //! restarts from a persisted plan directory, schedule determinism, and a
 //! sanitizer replay proving plan reuse keeps kernel narration coverage.
 
-use fcoo::{Fcoo, TensorOp};
+use fcoo::{AnyFormat, Fcoo, FormatKind, TensorOp};
 use gpu_sim::DeviceConfig;
-use serve::plan::SERVE_THREADLENS;
+use serve::plan::{format_bytes, SERVE_THREADLENS};
+use serve::upload::{output_bytes, FactorPlan};
 use serve::{ServeConfig, ServeEngine, Workload};
 use tensor_core::datasets::{self, DatasetKind};
 
@@ -22,23 +23,24 @@ request b mttkrp 0 8 0.0 16
     Workload::parse(text).expect("valid workload")
 }
 
-/// Upper bound on one request's device working set: the largest format the
-/// tuner could pick plus factors, output and allocator slack.
+/// One SpMTTKRP mode-0 request's largest device working set, sized by the
+/// engine's own rules: the largest format the tuner could pick plus the
+/// request's compact factors, one-row-per-segment output and allocator
+/// slack.
 fn max_working_set(nnz: usize, seed: u64, rank: usize) -> usize {
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, nnz, seed);
+    let op = TensorOp::SpMttkrp { mode: 0 };
     let format = SERVE_THREADLENS
         .iter()
-        .map(|&tl| {
-            Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, tl)
-                .storage()
-                .total_bytes()
-                + 64
-        })
+        .map(|&tl| format_bytes(&AnyFormat::build(FormatKind::Fcoo, &tensor, op, tl)))
         .max()
         .expect("non-empty grid");
-    let factors: usize = tensor.shape().iter().map(|&s| s * rank * 4).sum();
-    let output = tensor.shape()[0] * rank * 4;
-    format + factors + output + 1024
+    let touched: Vec<Vec<u32>> = (0..tensor.order())
+        .map(|m| fcoo::touched_rows(tensor.mode_indices(m)))
+        .collect();
+    let transient = FactorPlan::new(op, tensor.shape(), &touched, rank)
+        .transient_bytes(output_bytes(&Fcoo::from_coo(&tensor, op, 8), rank));
+    format + transient
 }
 
 #[test]

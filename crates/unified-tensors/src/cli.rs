@@ -942,26 +942,21 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
     let workload =
         Workload::parse(&workload_text).map_err(|e| err(format!("generated workload: {e}")))?;
     let (tensor, _) = datasets::generate(DatasetKind::Nell2, nnz, 7);
-    // The engine's own transient sizing: the factors the request uploads
-    // (no mode-0 factor for a mode-0 SpMTTKRP) plus its output buffer, one
-    // row per segment (per distinct mode-0 coordinate).
+    // The engine's own sizing rules: the request's transients (the factors
+    // it uploads — no mode-0 factor for a mode-0 SpMTTKRP — plus its
+    // one-row-per-segment output) and the formats the tuner could pick.
+    let op = TensorOp::SpMttkrp { mode: 0 };
     let touched: Vec<Vec<u32>> = (0..tensor.order())
         .map(|m| crate::fcoo::touched_rows(tensor.mode_indices(m)))
         .collect();
-    let transient_bytes = crate::serve::upload::FactorPlan::new(
-        TensorOp::SpMttkrp { mode: 0 },
-        tensor.shape(),
-        &touched,
-        rank,
-    )
-    .transient_bytes(touched[0].len() * rank * 4);
+    let transient_bytes =
+        crate::serve::upload::FactorPlan::new(op, tensor.shape(), &touched, rank).transient_bytes(
+            crate::serve::upload::output_bytes(&Fcoo::from_coo(&tensor, op, 8), rank),
+        );
     let min_format_bytes = crate::serve::plan::SERVE_THREADLENS
         .iter()
         .map(|&tl| {
-            Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, tl)
-                .storage()
-                .total_bytes()
-                + 64
+            crate::serve::plan::format_bytes(&AnyFormat::build(FormatKind::Fcoo, &tensor, op, tl))
         })
         .min()
         .expect("non-empty threadlen grid");

@@ -184,7 +184,7 @@ proptest! {
         op_pick in 0usize..3,
         rank in 1usize..6,
         threadlen in 1usize..12,
-        budget in 1_500usize..6_000,
+        budget_share in 0.1f64..0.9,
     ) {
         let tensor = power_law_tensor(seed, alpha);
         let op = match op_pick {
@@ -210,6 +210,8 @@ proptest! {
                 .map(|&m| DenseMatrix::random(tensor.shape()[m], rank, seed ^ m as u64))
                 .collect(),
         };
+        // A budget below the whole format's bytes always splits it.
+        let budget = (fcoo.storage().total_bytes() as f64 * budget_share) as usize;
         let plan = chunk::split(&fcoo, budget);
         prop_assert!(plan.len() >= 2, "budget {} left {} chunk(s)", budget, plan.len());
         let cfg = LaunchConfig::default();
