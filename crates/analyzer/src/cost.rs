@@ -1148,6 +1148,19 @@ fn fold_launch(
     env
 }
 
+/// Certified envelopes of the two-step SpMTTKRP baseline, as
+/// [`certify_two_step`] returns them.
+#[derive(Debug, Clone)]
+pub struct TwoStepEnvelope {
+    /// Both launches, summed as a traced two-step run merges them.
+    pub total: CounterEnvelope,
+    /// The step-2 fiber reduction alone. Every counter is exact, so its
+    /// `transactions` over `ideal_transactions` measures exactly how far
+    /// the launch, dominated by its strided intermediate gather, is from
+    /// coalesced (paper Fig. 3a).
+    pub step2: CounterEnvelope,
+}
+
 /// Certified envelope of the two-step SpMTTKRP baseline
 /// (`fcoo::spmttkrp_two_step_unified`): the step-1 unified SpTTM envelope
 /// plus an **exact** mirror of the step-2 fiber reduction, whose whole
@@ -1160,7 +1173,7 @@ pub fn certify_two_step(
     rank: usize,
     threadlen: usize,
     cfg: &LaunchConfig,
-) -> Option<CounterEnvelope> {
+) -> Option<TwoStepEnvelope> {
     if tensor.order() != 3 {
         return None;
     }
@@ -1173,7 +1186,7 @@ pub fn certify_two_step(
         },
         threadlen,
     );
-    let mut envelope = certify(config, &fcoo, rank, cfg);
+    let mut total = certify(config, &fcoo, rank, cfg);
 
     // Step-2 host bookkeeping, reproduced from the header: the intermediate
     // fibers are the step-1 segments, their coordinates the segment
@@ -1208,8 +1221,8 @@ pub fn certify_two_step(
     let step2 = certify_fiber_reduction(
         config, nfibs, &out_rows, &b_rows, rank, b_ws, threadlen, cfg,
     );
-    envelope.accumulate(&step2);
-    Some(envelope)
+    total.accumulate(&step2);
+    Some(TwoStepEnvelope { total, step2 })
 }
 
 /// Exact envelope of the step-2 fiber reduction launch (every address is
@@ -1400,85 +1413,6 @@ pub fn certify_chunked(
     envelope
 }
 
-/// Launch-wide bounds on the factor-gather traffic of one configuration —
-/// the statically-decidable summary behind the coalescing verdict: per
-/// gather call a warp issues between one and `live` wide loads per factor,
-/// each touching the lines its column tile spans (one per factor unless
-/// SpTTMc's tile straddles a line) — the in-call line dedup of the
-/// read-only path and the 256-byte buffer alignment bound both ends — so
-/// every access stays within a factor `transaction_bytes / 4` of the
-/// coalesced ideal.
-#[derive(Debug, Clone, Copy)]
-pub struct GatherBounds {
-    /// Total gather calls across the launch.
-    pub calls: u64,
-    /// Launch-wide transaction envelope of the gather traffic.
-    pub transactions: Interval,
-    /// Worst single call's transaction bound.
-    pub worst_call: u64,
-    /// The static bound on actual/ideal transactions per call.
-    pub bound_factor: u64,
-}
-
-/// Computes [`GatherBounds`] for a unified-kernel configuration in
-/// `O(partitions)` time (no full interpretation).
-pub fn gather_bounds(
-    config: &DeviceConfig,
-    fcoo: &Fcoo,
-    rank: usize,
-    block_size: usize,
-) -> GatherBounds {
-    let pm = &fcoo.classification.product_modes;
-    let shape = KernelShape::for_op(fcoo.op, pm, &fcoo.shape, rank);
-    let threadlen = fcoo.threadlen;
-    let nnz = fcoo.nnz();
-    let partitions = fcoo.partitions();
-    let grid_x = partitions.div_ceil(block_size.max(1));
-    let warp = 32usize;
-    let mut calls = 0u64;
-    let mut lanes = 0u64;
-    let mut worst_live = 0u64;
-    for bx in 0..grid_x {
-        for w in 0..block_size / warp {
-            let wft = bx * block_size + w * warp;
-            if wft * threadlen >= nnz {
-                break;
-            }
-            for i in 0..threadlen {
-                let live = (0..warp)
-                    .take_while(|&lane| (wft + lane) * threadlen + i < nnz)
-                    .count() as u64;
-                if live == 0 {
-                    break;
-                }
-                calls += 1;
-                lanes += live;
-                worst_live = worst_live.max(live);
-            }
-        }
-    }
-    // Summed over the column tiles: each call issues between the tile's
-    // all-same-row and its per-lane line counts.
-    let (mut lines_lo, mut lines_hi, mut tile_hi) = (0u64, 0u64, 0u64);
-    for ty in 0..shape.tiling.grid_y() {
-        let (mut lo, mut hi) = (0, 0);
-        for p in 0..shape.n_factors {
-            let l = shape.tile_lines(p, ty, config.readonly_line_bytes);
-            lo += l.0;
-            hi += l.1;
-        }
-        lines_lo += lo;
-        lines_hi += hi;
-        tile_hi = tile_hi.max(hi);
-    }
-    GatherBounds {
-        calls: calls * shape.tiling.grid_y() as u64,
-        transactions: Interval::new(calls * lines_lo, lanes * lines_hi),
-        worst_call: worst_live * tile_hi,
-        bound_factor: (config.transaction_bytes as u64 / 4).max(1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1578,8 +1512,9 @@ mod tests {
         let (tensor, _) = datasets::generate(DatasetKind::Nell2, 1500, 2017);
         let config = DeviceConfig::titan_x();
         let cfg = LaunchConfig::with_block_size(64);
-        let envelope =
-            certify_two_step(&config, &tensor, 0, RANK, 8, &cfg).expect("3-order tensor");
+        let envelope = certify_two_step(&config, &tensor, 0, RANK, 8, &cfg)
+            .expect("3-order tensor")
+            .total;
         let device = GpuDevice::titan_x();
         let hosts: Vec<DenseMatrix> = tensor
             .shape()
@@ -1775,20 +1710,6 @@ mod tests {
             bf_hi < fc_hi,
             "bucketed hi {bf_hi} must undercut strided hi {fc_hi} on skew"
         );
-    }
-
-    #[test]
-    fn gather_bounds_match_full_interpretation() {
-        let (tensor, _) = datasets::generate(DatasetKind::Delicious, 1200, 2017);
-        let config = DeviceConfig::titan_x();
-        let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 16);
-        let bounds = gather_bounds(&config, &fcoo, RANK, 128);
-        let envelope = certify(&config, &fcoo, RANK, &LaunchConfig::with_block_size(128));
-        // The gather interval must agree with the full envelope's cache-miss
-        // bound (misses = gather transactions in the read-only path).
-        assert_eq!(bounds.transactions.hi, envelope.cache_misses.hi);
-        assert!(bounds.calls > 0);
-        assert_eq!(bounds.bound_factor, 8);
     }
 
     #[test]

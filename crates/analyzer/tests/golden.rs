@@ -1,16 +1,16 @@
-//! Golden agreement tests: every verdict the symbolic analyzer issues must
-//! agree with what a *recorded* execution of the same configuration shows.
+//! Golden agreement tests: what the analyzer certifies from headers alone
+//! must agree with what a *recorded* execution of the same configuration
+//! shows.
 //!
-//! - statically **proved** properties hold in dynamic sanitizer traces on the
-//!   seed tensors (no disagreement in either direction);
-//! - statically **refuted** configurations reproduce their counterexample
-//!   under replay — the dead warps are absent from the record, the strided
-//!   gather costs exactly the predicted transactions;
-//! - analyzer-pruned tuning selects the same winner as the exhaustive sweep
-//!   while simulating strictly fewer launches.
+//! - the certified envelope's exact counters reproduce under replay — the
+//!   frontier atomics, the dead warp slots absent from the record, the
+//!   two-step baseline's step-2 gather transactions;
+//! - the plan-load gate accepts a clean format that replays clean, and
+//!   refuses a corrupted one the dynamic lint also rejects;
+//! - structurally pruned tuning selects the same winner as the exhaustive
+//!   sweep while simulating strictly fewer launches.
 
-use analyzer::model::LaunchGeometry;
-use analyzer::{analyze_tensor, KernelKind, Property, Verdict};
+use analyzer::cost;
 use fcoo::{AnyFormat, BitFlags, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
 use gpu_sim::record::AccessKind;
 use gpu_sim::{coalesce, AccessLog, GpuDevice};
@@ -55,18 +55,21 @@ fn recorded_atomics_stay_within_the_static_bound() {
     let cfg = LaunchConfig::default();
     let log = record_spmttkrp(&device, &tensor, threadlen, rank, &cfg);
     let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, threadlen);
-    let bound = LaunchGeometry::new(cfg.block_size, threadlen, fcoo.nnz(), rank, 0).atomic_bound();
-    let atomics: usize = log
+    let atomics = log
         .launches
         .iter()
         .flat_map(|l| &l.blocks)
         .flat_map(|b| &b.events)
         .filter(|e| e.kind == AccessKind::FunctionalAtomic)
-        .count();
+        .count() as u64;
     assert!(atomics > 0, "the kernel must issue frontier atomics");
+    // Interior segments resolve with exclusive writes; each thread
+    // finalizes at most two frontier segments (its first closed and its
+    // last open one) per output column.
+    let bound = 2 * (fcoo.partitions() * rank) as u64;
     assert!(
         atomics <= bound,
-        "recorded {atomics} functional atomics exceed the proved bound {bound}"
+        "recorded {atomics} functional atomics exceed the static bound {bound}"
     );
 }
 
@@ -75,53 +78,38 @@ fn refuted_dead_warps_are_absent_from_the_record() {
     let device = GpuDevice::titan_x();
     let tensor = sample(4_000);
     let (threadlen, rank) = (64, 8);
-    let analysis = analyze_tensor(
-        device.config(),
-        &tensor,
-        KernelKind::SpMttkrp,
-        0,
-        rank,
-        &[64, 1024],
-        &[threadlen],
-    )
-    .expect("unified kernels analyze on any order");
-    let config = analysis
-        .configs
-        .iter()
-        .find(|c| c.block_size == 1024)
-        .expect("grid point");
-    let warps = config
-        .properties
-        .iter()
-        .find(|p| p.property == Property::EffectiveWarps)
-        .expect("effective-warps verdict");
-    assert_eq!(
-        warps.verdict,
-        Verdict::Refuted,
-        "block 1024 is dominated by 64 on this tensor: {}",
-        warps.detail
-    );
-    let cx = warps.counterexample.as_ref().expect("counterexample");
-
-    // Replay the refuted configuration: the warps the analyzer declared dead
-    // must never appear in the recorded trace, and every live warp must.
-    let cfg = LaunchConfig {
-        block_size: 1024,
-        ..LaunchConfig::default()
-    };
-    let log = record_spmttkrp(&device, &tensor, threadlen, rank, &cfg);
-    let block = &log.launches[0].blocks[cx.block];
-    let seen: std::collections::BTreeSet<u32> = block.events.iter().map(|e| e.warp).collect();
-    assert_eq!(
-        seen.len(),
-        cx.warp,
-        "live warp count must equal the first dead warp index {}: saw {seen:?}",
-        cx.warp
+    // 63 partitions in one 1024-thread block: 2 of its 32 warp slots live.
+    let cfg = LaunchConfig::with_block_size(1024);
+    let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, threadlen);
+    let envelope = cost::certify(device.config(), &fcoo, rank, &cfg);
+    assert!(
+        envelope.launched_warps > envelope.active_warps,
+        "block 1024 launches dead warp slots on this tensor"
     );
     assert!(
-        seen.iter().all(|&w| (w as usize) < cx.warp),
-        "a statically dead warp left events in the record: {seen:?}"
+        analyzer::model::LaunchGeometry::new(1024, threadlen, fcoo.nnz())
+            .dominated_by(&fcoo::BLOCK_SIZES)
+            .is_some(),
+        "and a smaller block size dominates it, so the tuner prunes it"
     );
+
+    // Replay: exactly the certified active warps leave events in the
+    // record, each block's lowest-numbered ones; the dead slots none.
+    let log = record_spmttkrp(&device, &tensor, threadlen, rank, &cfg);
+    let blocks = &log.launches[0].blocks;
+    assert_eq!(blocks.len() as u64, envelope.blocks);
+    let live_per_block = (envelope.active_warps / envelope.blocks) as u32;
+    let mut active = 0;
+    for block in blocks {
+        let seen: std::collections::BTreeSet<u32> = block.events.iter().map(|e| e.warp).collect();
+        assert_eq!(
+            seen,
+            (0..live_per_block).collect(),
+            "a statically dead warp left events in the record"
+        );
+        active += seen.len() as u64;
+    }
+    assert_eq!(active, envelope.active_warps, "recorded vs certified warps");
 }
 
 #[test]
@@ -129,32 +117,18 @@ fn proved_segment_flags_replay_clean_and_refuted_flags_reproduce() {
     let device = GpuDevice::titan_x();
     let tensor = sample(2_000);
     let (threadlen, rank) = (16, 8);
-    let analysis = analyze_tensor(
-        device.config(),
-        &tensor,
-        KernelKind::SpMttkrp,
-        0,
-        rank,
-        &[128],
-        &[threadlen],
-    )
-    .expect("analysis");
-    let flags = analysis.configs[0]
-        .properties
-        .iter()
-        .find(|p| p.property == Property::SegmentFlags)
-        .expect("segment-flags verdict");
-    assert_eq!(flags.verdict, Verdict::Proved, "{}", flags.detail);
-    // The proof must hold dynamically: a full sanitizer replay of the same
-    // configuration reports nothing.
+    let mut fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, threadlen);
+    let format = AnyFormat::Fcoo(std::sync::Arc::new(fcoo.clone()));
+    assert!(analyzer::plan_safe(device.config(), &format, 128));
+    // The gate's acceptance must hold dynamically: a full sanitizer replay
+    // of the same configuration reports nothing.
     let log = record_spmttkrp(&device, &tensor, threadlen, rank, &LaunchConfig::default());
     let dynamic = sanitizer::analyze(&log);
     assert_eq!(dynamic.error_count(), 0, "{dynamic}");
 
-    // And a refutation must reproduce: corrupt a padding bit of the packed
+    // And a refusal must reproduce: corrupt a padding bit of the packed
     // start-flags (a ghost segment head in the padded final partition) and
-    // the same plan the analyzer refutes is the one the dynamic lint rejects.
-    let mut fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, threadlen);
+    // the plan the gate refuses is the one the dynamic lint rejects.
     let partitions = fcoo.partitions();
     assert!(
         !partitions.is_multiple_of(8),
@@ -169,7 +143,7 @@ fn proved_segment_flags_replay_clean_and_refuted_flags_reproduce() {
     let lint = sanitizer::check_fcoo(&fcoo);
     assert!(
         lint.findings.iter().any(|f| f.message.contains("padding")),
-        "dynamic lint must reproduce the refutation: {lint}"
+        "dynamic lint must reproduce the refusal: {lint}"
     );
 }
 
@@ -179,29 +153,11 @@ fn two_step_gather_counterexample_reproduces_under_replay() {
     let tensor = sample(2_000);
     let (threadlen, rank) = (8, 8);
     let cfg = LaunchConfig::default();
-    let analysis = analyze_tensor(
-        device.config(),
-        &tensor,
-        KernelKind::TwoStep,
-        0,
-        rank,
-        &[cfg.block_size],
-        &[threadlen],
-    )
-    .expect("3-order tensor");
-    let gather = analysis.configs[0]
-        .properties
-        .iter()
-        .find(|p| p.property == Property::Coalescing)
-        .expect("coalescing verdict");
-    assert_eq!(gather.verdict, Verdict::Refuted, "{}", gather.detail);
-    let cx = gather.counterexample.as_ref().expect("counterexample");
-    assert_eq!(cx.lane_offsets.len(), 32);
-
-    // Replay: record both launches of the two-step method. In the step-2
-    // record of block (0, col 0), the first 32 lane-granular narrated reads
-    // are warp 0's iteration-0 intermediate gather — the exact access the
-    // counterexample symbolizes.
+    let step2 = cost::certify_two_step(device.config(), &tensor, 0, rank, threadlen, &cfg)
+        .expect("3-order tensor")
+        .step2;
+    assert_eq!(step2.transactions.lo, step2.transactions.hi, "exact");
+    assert_eq!(step2.ideal_transactions.lo, step2.ideal_transactions.hi);
     let hosts: Vec<DenseMatrix> = tensor
         .shape()
         .iter()
@@ -209,36 +165,38 @@ fn two_step_gather_counterexample_reproduces_under_replay() {
         .map(|(m, &n)| DenseMatrix::random(n, rank, 1 + m as u64))
         .collect();
     let refs: Vec<&DenseMatrix> = hosts.iter().collect();
+
+    // Replay, traced: the step-2 launch costs exactly the certified
+    // transactions, far above its ideal.
+    device.start_tracing();
+    fcoo::spmttkrp_two_step_unified(&device, &tensor, 0, &refs, threadlen, &cfg).expect("launch");
+    let traced = device.stop_tracing();
+    assert_eq!(traced.launches.len(), 2, "one launch per step");
+    let measured = traced.launches[1].counters();
+    assert_eq!(step2.violations(&measured), Vec::<String>::new());
+    assert_eq!(measured.transactions, step2.transactions.lo);
+    assert!(measured.transactions > 2 * measured.ideal_transactions);
+
+    // Replay, recorded: warp 0's iteration-0 intermediate gather in block
+    // (0, col 0) — the first 32 lane-granular narrated reads — strides
+    // threadlen · rank elements per lane, one transaction each.
     device.start_recording();
     fcoo::spmttkrp_two_step_unified(&device, &tensor, 0, &refs, threadlen, &cfg).expect("launch");
-    let log = device.stop_recording();
-    assert_eq!(log.launches.len(), 2, "one launch per step");
-    let step2 = &log.launches[1].blocks[cx.block];
-    let addrs: Vec<u64> = step2
+    let log: AccessLog = device.stop_recording();
+    let addrs: Vec<u64> = log.launches[1].blocks[0]
         .events
         .iter()
-        .filter(|e| e.kind == AccessKind::NarratedRead && e.bytes == 1 && e.warp == cx.warp as u32)
+        .filter(|e| e.kind == AccessKind::NarratedRead && e.bytes == 1 && e.warp == 0)
         .take(32)
         .map(|e| e.addr)
         .collect();
     assert_eq!(addrs.len(), 32, "warp 0 must gather with all 32 lanes");
-
-    // Identical stride pattern...
     let stride = (threadlen * rank * 4) as u64;
     for pair in addrs.windows(2) {
         assert_eq!(pair[1] - pair[0], stride, "recorded gather stride");
     }
-    for pair in cx.lane_offsets.windows(2) {
-        assert_eq!(pair[1] - pair[0], stride, "symbolic gather stride");
-    }
-    // ...and the replayed access costs what the refutation claims: far off
-    // the ideal, within the symbolic worst case.
     let seg = device.config().transaction_bytes;
-    let replayed = coalesce::transactions(&addrs, seg);
-    let symbolic_worst = coalesce::transactions(&cx.lane_offsets, seg);
-    assert_eq!(replayed, 32, "each lane pays its own transaction");
-    assert!(replayed <= symbolic_worst);
-    assert!(replayed > gpu_sim::RangeAccess::new(32 * 4, 4).ideal_transactions(seg));
+    assert_eq!(coalesce::transactions(&addrs, seg), 32, "one per lane");
 }
 
 #[test]

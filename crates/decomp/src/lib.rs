@@ -4,14 +4,10 @@
 //!   Algorithm 1), with the MTTKRP pluggable through [`MttkrpEngine`]:
 //!   the paper's [`UnifiedGpuEngine`] (per-mode [`ModePlan`]s on the
 //!   simulated GPU, first GPU CP implementation per §V-E), [`SplattEngine`]
-//!   (CSF on the CPU pool), or the sequential [`ReferenceEngine`];
-//! * [`tucker_hooi`] — the Tucker/HOOI extension the paper sketches,
-//!   implemented on the unified SpTTMc kernel.
+//!   (CSF on the CPU pool), or the sequential [`ReferenceEngine`].
 
 pub mod cp;
 pub mod engines;
-pub mod tucker;
 
 pub use cp::{cp_als, CpError, CpModel, CpOptions, CpRun, DenseStage, MttkrpEngine, MttkrpError};
 pub use engines::{ModePlan, ReferenceEngine, SplattEngine, UnifiedGpuEngine};
-pub use tucker::{tucker_hooi, TuckerModel, TuckerOptions};

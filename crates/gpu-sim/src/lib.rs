@@ -45,7 +45,6 @@ pub mod record;
 pub mod scan;
 pub mod stats;
 pub mod streams;
-pub mod symbolic;
 pub mod trace;
 
 pub use config::DeviceConfig;
@@ -55,7 +54,6 @@ pub use memory::{DeviceBuffer, DeviceMemory, OutOfMemory};
 pub use record::{AccessKind, AccessLog, BlockRecord, Event, LaunchRecord};
 pub use stats::{BlockStats, KernelStats};
 pub use streams::Timeline;
-pub use symbolic::{AffineLaneAccess, RangeAccess};
 pub use trace::{
     BlockTrace, ChromeEvent, ChromeTrace, KernelCounters, LaunchTrace, MemoryEvent,
     MemoryEventKind, Phase, TraceLog, WaveTrace,

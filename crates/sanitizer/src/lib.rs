@@ -61,8 +61,8 @@ pub enum Pass {
     NarrationAudit,
     /// F-COO structural invariant violation ([`fcoo_lint`]).
     FcooLint,
-    /// Statically refuted or unprovable launch property (emitted by the
-    /// `analyzer` crate's symbolic interpreter; shares this report type so
+    /// Statically refuted launch property or format invariant (emitted by
+    /// the `analyzer` crate's plan-load gate; shares this report type so
     /// static and dynamic findings merge into one stream).
     Symbolic,
 }

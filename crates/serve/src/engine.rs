@@ -512,6 +512,8 @@ impl ServeReport {
 struct Registered {
     tensor: SparseTensorCoo,
     fingerprint: u64,
+    /// Every value is finite; admission refuses the tensor otherwise.
+    finite: bool,
     /// Per mode, the sorted distinct coordinates: the factor rows any
     /// kernel over this tensor can read, and what plans compact over.
     touched: Vec<Vec<u32>>,
@@ -860,6 +862,7 @@ impl ServeEngine {
     /// Registers a tensor under `id`; re-registering replaces it.
     pub fn register_tensor(&mut self, id: &str, tensor: SparseTensorCoo) {
         let fingerprint = crate::fingerprint::tensor_fingerprint(&tensor);
+        let finite = tensor.values().iter().all(|v| v.is_finite());
         let touched = (0..tensor.order())
             .map(|mode| fcoo::touched_rows(tensor.mode_indices(mode)))
             .collect();
@@ -868,6 +871,7 @@ impl ServeEngine {
             Registered {
                 tensor,
                 fingerprint,
+                finite,
                 touched,
             },
         );
@@ -903,7 +907,10 @@ impl ServeEngine {
         let mut requests = Vec::new();
         let mut rejections = Vec::new();
         for (index, request) in workload.requests.iter().enumerate() {
-            let tensor = self.tensors.get(&request.tensor_id).map(|r| &r.tensor);
+            let tensor = self
+                .tensors
+                .get(&request.tensor_id)
+                .map(|r| (&r.tensor, r.finite));
             let served = protocol::check_request(request, tensor).and_then(|()| match request.op {
                 ServeOp::Tensor(op) => self.serve_tensor_op(index, request, op, &mut scheduler),
                 ServeOp::CpAls { iterations } => {
@@ -940,8 +947,9 @@ impl ServeEngine {
                     }
                 })
                 .collect();
-            ServeProfile::assemble(self.config.device_config.clone(), traced, |id| {
-                self.tensors.get(id).map(|r| &r.tensor)
+            ServeProfile::assemble(self.config.device_config.clone(), traced, |id, op, rank| {
+                let fingerprint = self.tensors.get(id)?.fingerprint;
+                self.plans.peek(PlanKey::new(fingerprint, op, rank))
             })
         });
         let overload = OverloadStats {
@@ -2458,6 +2466,9 @@ mod tests {
         }
         let report = profile.counter_report();
         assert!(report.contains("kernel counters"), "{report}");
+        // Every in-core unified row runs inside its plan's certificate.
+        assert!(report.contains("] in\n"), "{report}");
+        assert!(!report.contains("OUT"), "{report}");
         let trace = profile.chrome_trace();
         assert!(trace.validate().is_empty(), "{:?}", trace.validate());
         assert!(trace.to_json().contains("\"traceEvents\""));
@@ -2560,12 +2571,16 @@ mod tests {
             "vector",
             SparseTensorCoo::from_entries(vec![7], &[(vec![2], 1.0), (vec![5], 2.0)]),
         );
+        let mut nan_valued = datasets::generate(datasets::DatasetKind::Nell2, 900, 4).0;
+        nan_valued.values_mut()[17] = f32::NAN;
+        engine.register_tensor("nan", nan_valued);
         // (tensor, arrival, deadline) → the rejection's reason.
         let nan = f64::NAN;
         let inf = f64::INFINITY;
         let cases = [
             ("empty", 0.0, None, "has no non-zeros"),
             ("vector", 0.0, None, "need at least 2"),
+            ("nan", 0.0, None, "holds a NaN or infinite value"),
             ("t", nan, None, "arrival must be"),
             ("t", -1.0, None, "arrival must be"),
             ("t", inf, None, "arrival must be"),

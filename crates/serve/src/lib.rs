@@ -57,6 +57,6 @@ pub use ledger::PoolLedger;
 pub use metrics::{ExecTier, LatencySummary, RequestProfile};
 pub use plan::{Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource};
 pub use pool::{AdmitError, DevicePool, PoolStats, ReservationId};
-pub use profile::{KernelProfile, KernelStatics, ServeProfile};
+pub use profile::{KernelProfile, ServeProfile};
 pub use scheduler::{Placement, Scheduler};
 pub use workload::{open_loop, synthetic, Request, ServeOp, TensorSpec, Workload, WorkloadError};

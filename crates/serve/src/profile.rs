@@ -15,30 +15,16 @@
 //! derives the quantities the paper's evaluation argues about (achieved vs.
 //! peak bandwidth, coalescing efficiency, read-only cache hit rate,
 //! atomic-conflict serialization, effective-warp occupancy), with the
-//! analyzer's statically-decided verdicts shown side-by-side where the
-//! kernel has a symbolic model.
+//! plan's certified kernel-time envelope beside each in-core unified row.
 
 use crate::metrics::{ExecTier, RequestProfile};
+use crate::plan::{Plan, PlanCertificate};
 use crate::workload::ServeOp;
-use analyzer::model::LaunchGeometry;
-use analyzer::{analyze_tensor, KernelKind, Property, Verdict};
-use fcoo::{Fcoo, FormatKind};
+use fcoo::{FormatKind, TensorOp};
 use gpu_sim::{ChromeTrace, DeviceConfig, KernelCounters, LaunchTrace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use tensor_core::SparseTensorCoo;
-
-/// The analyzer's statically-decided verdicts for one kernel row, shown
-/// side-by-side with the dynamic counters.
-#[derive(Debug, Clone)]
-pub struct KernelStatics {
-    /// Coalescing verdict (`proved` / `refuted` / `unknown`).
-    pub coalescing: &'static str,
-    /// Effective-warps verdict (`proved` / `refuted` / `unknown`).
-    pub effective_warps: &'static str,
-    /// Proved upper bound on functional atomic events across the launch.
-    pub atomic_bound: u64,
-}
+use std::sync::Arc;
 
 /// Dynamic counters for one `(tensor, op, tier, config)` group of requests,
 /// merged over every non-batched request in the group.
@@ -62,10 +48,12 @@ pub struct KernelProfile {
     pub requests: usize,
     /// Aggregated dynamic counters.
     pub counters: KernelCounters,
-    /// Analyzer verdicts, when the kernel has a symbolic model (single
-    /// tensor operations on device tiers; CP-ALS and host-tier rows have
-    /// none).
-    pub statics: Option<KernelStatics>,
+    /// The plan's certified `[lo, hi]` envelope on each member's kernel
+    /// time, for rows of in-core unified launches (two-step, host-tier,
+    /// chunked and CP-ALS rows have none).
+    pub certificate: Option<PlanCertificate>,
+    /// Members whose `kernel_us` lies outside `certificate`.
+    pub certificate_escapes: usize,
 }
 
 /// A profiled serving run: the request records with their launch traces,
@@ -81,86 +69,14 @@ pub struct ServeProfile {
     pub kernels: Vec<KernelProfile>,
 }
 
-/// The kernel the analyzer models for a `(op, tier)` pair, if any.
-fn kernel_kind(op: &ServeOp, tier: ExecTier) -> Option<(KernelKind, usize)> {
-    let ServeOp::Tensor(op) = op else { return None };
-    let kind = match (tier, op) {
-        (ExecTier::Unified, fcoo::TensorOp::SpTtm { .. }) => KernelKind::SpTtm,
-        (ExecTier::Unified, fcoo::TensorOp::SpMttkrp { .. }) => KernelKind::SpMttkrp,
-        (ExecTier::Unified, fcoo::TensorOp::SpTtmc { .. }) => KernelKind::SpTtmc,
-        (ExecTier::TwoStep, fcoo::TensorOp::SpMttkrp { .. }) => KernelKind::TwoStep,
-        _ => return None,
-    };
-    Some((kind, op.mode()))
-}
-
-fn verdict_label(v: Verdict) -> &'static str {
-    match v {
-        Verdict::Proved => "proved",
-        Verdict::Refuted => "refuted",
-        Verdict::Unknown => "unknown",
-    }
-}
-
-/// Decides the analyzer verdicts for one group, or `None` when the kernel
-/// has no symbolic model (CP-ALS, host tier) or the tensor is gone.
-fn statics_for(
-    device: &DeviceConfig,
-    tensor: Option<&SparseTensorCoo>,
-    op: &ServeOp,
-    tier: ExecTier,
-    rank: usize,
-    block_size: usize,
-    threadlen: usize,
-) -> Option<KernelStatics> {
-    let (kind, mode) = kernel_kind(op, tier)?;
-    let tensor = tensor?;
-    let analysis = analyze_tensor(
-        device,
-        tensor,
-        kind,
-        mode,
-        rank,
-        &[block_size],
-        &[threadlen],
-    )?;
-    let config = analysis.configs.first()?;
-    let verdict = |p: Property| {
-        config
-            .properties
-            .iter()
-            .find(|v| v.property == p)
-            .map_or("unknown", |v| verdict_label(v.verdict))
-    };
-    // Recompute the proved atomic bound exactly as `atomic_verdict` does:
-    // 2 atomics per partition per column, plus the step-2 frontier for the
-    // two-step baseline.
-    let fcoo = Fcoo::from_coo(tensor, kind.op(mode, tensor.order()), threadlen);
-    let columns = if kind == KernelKind::SpTtmc {
-        rank * rank
-    } else {
-        rank
-    };
-    let geometry = LaunchGeometry::new(block_size, threadlen, fcoo.nnz(), columns, 0);
-    let mut atomic_bound = geometry.atomic_bound() as u64;
-    if kind == KernelKind::TwoStep {
-        let partitions2 = fcoo.segments().div_ceil(threadlen.max(1));
-        atomic_bound += (2 * partitions2 * rank) as u64;
-    }
-    Some(KernelStatics {
-        coalescing: verdict(Property::Coalescing),
-        effective_warps: verdict(Property::EffectiveWarps),
-        atomic_bound,
-    })
-}
-
 impl ServeProfile {
     /// Assembles a profile from the traced request records, grouping
-    /// counter rows and attaching analyzer verdicts via `tensor` lookup.
-    pub(crate) fn assemble<'a>(
+    /// counter rows and attaching each in-core unified row's certificate
+    /// from `plan(tensor, op, rank)`, the plan cache's entry.
+    pub(crate) fn assemble(
         device_config: DeviceConfig,
         requests: Vec<RequestProfile>,
-        tensor: impl Fn(&str) -> Option<&'a SparseTensorCoo>,
+        plan: impl Fn(&str, TensorOp, usize) -> Option<Arc<Plan>>,
     ) -> ServeProfile {
         // Group key: (tensor, op label, tier order, rank, block, threadlen,
         // format tag).
@@ -195,15 +111,23 @@ impl ServeProfile {
                     }
                     let tier = members[0].tier;
                     let format = members[0].format;
-                    let statics = statics_for(
-                        &device_config,
-                        tensor(&tensor_id),
-                        &members[0].op,
-                        tier,
-                        rank,
-                        block_size,
-                        threadlen,
-                    );
+                    let in_core_unified =
+                        tier == ExecTier::Unified && members.iter().all(|m| m.chunks.is_empty());
+                    let certificate = match members[0].op {
+                        ServeOp::Tensor(op) if in_core_unified => plan(&tensor_id, op, rank)
+                            .filter(|p| {
+                                (p.block_size, p.threadlen(), p.kind())
+                                    == (block_size, threadlen, format)
+                            })
+                            .map(|p| p.certificate),
+                        _ => None,
+                    };
+                    let certificate_escapes = certificate.map_or(0, |c| {
+                        members
+                            .iter()
+                            .filter(|m| !(c.time_lo_us..=c.time_hi_us).contains(&m.kernel_us))
+                            .count()
+                    });
                     KernelProfile {
                         tensor_id,
                         op,
@@ -214,7 +138,8 @@ impl ServeProfile {
                         format,
                         requests: members.len(),
                         counters,
-                        statics,
+                        certificate,
+                        certificate_escapes,
                     }
                 },
             )
@@ -472,8 +397,10 @@ impl ServeProfile {
     }
 
     /// The per-kernel counter report: one row per `(tensor, op, tier,
-    /// config)` group with the dynamic ratios, the analyzer verdicts beside
-    /// them, and the device's peak bandwidth for context.
+    /// config)` group with the dynamic ratios, the plan's certified
+    /// kernel-time envelope beside them (`in` when every member's kernel
+    /// time lies inside it, `OUT` otherwise), and the device's peak
+    /// bandwidth for context.
     pub fn counter_report(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -484,23 +411,22 @@ impl ServeProfile {
         );
         let _ = writeln!(
             out,
-            "  {:<10} {:<18} {:<8} {:>15} {:>5} {:>10} {:>7} {:>6} {:>6} {:>6} {:>8} {:>6}  static coal/warps/atomic",
+            "  {:<10} {:<18} {:<8} {:>15} {:>5} {:>10} {:>7} {:>6} {:>6} {:>6} {:>8} {:>6}  certified µs",
             "tensor", "op", "tier", "config", "reqs", "time(µs)", "GB/s", "bw%", "coal%",
             "cache%", "atom-ser", "occup"
         );
         for row in &self.kernels {
             let c = &row.counters;
-            let statics = match &row.statics {
-                Some(s) => format!(
-                    "{}/{}/{}{}",
-                    s.coalescing,
-                    s.effective_warps,
-                    if c.atomics <= s.atomic_bound {
-                        "≤"
+            let certified = match row.certificate {
+                Some(cert) => format!(
+                    "[{:.3}, {:.3}] {}",
+                    cert.time_lo_us,
+                    cert.time_hi_us,
+                    if row.certificate_escapes == 0 {
+                        "in"
                     } else {
-                        ">"
-                    },
-                    s.atomic_bound
+                        "OUT"
+                    }
                 ),
                 None => "-".to_string(),
             };
@@ -519,7 +445,7 @@ impl ServeProfile {
                 100.0 * c.cache_hit_rate(),
                 c.atomic_serialization(),
                 c.occupancy(),
-                statics
+                certified
             );
         }
         out

@@ -72,8 +72,13 @@ pub fn check_rank(rank: usize) -> Result<(), String> {
 /// rank rule; an arrival and a deadline that are finite, non-negative times
 /// (a NaN or infinite deadline is not "no deadline"); and a registered
 /// tensor, when `tensor` is found, with at least one non-zero and two
-/// modes — what every F-COO format needs.
-pub fn check_request(request: &Request, tensor: Option<&SparseTensorCoo>) -> Result<(), String> {
+/// modes — what every F-COO format needs — and only finite values. The
+/// flag beside the tensor says whether every value is finite; registration
+/// computes it once.
+pub fn check_request(
+    request: &Request,
+    tensor: Option<(&SparseTensorCoo, bool)>,
+) -> Result<(), String> {
     check_rank(request.rank)?;
     let times = [
         ("arrival", Some(request.arrival_us)),
@@ -87,12 +92,18 @@ pub fn check_request(request: &Request, tensor: Option<&SparseTensorCoo>) -> Res
         }
     }
     match tensor {
-        Some(t) if t.order() < 2 => Err(format!(
+        Some((t, _)) if t.order() < 2 => Err(format!(
             "tensor `{}` has {} mode(s); tensor operations need at least 2",
             request.tensor_id,
             t.order()
         )),
-        Some(t) if t.nnz() == 0 => Err(format!("tensor `{}` has no non-zeros", request.tensor_id)),
+        Some((t, _)) if t.nnz() == 0 => {
+            Err(format!("tensor `{}` has no non-zeros", request.tensor_id))
+        }
+        Some((_, false)) => Err(format!(
+            "tensor `{}` holds a NaN or infinite value",
+            request.tensor_id
+        )),
         _ => Ok(()),
     }
 }

@@ -39,7 +39,7 @@ fn run(args: &[String]) -> Result<String, String> {
             let nnz = parse_usize(nnz, "nnz")?;
             cli::generate(kind, nnz, Path::new(out)).map_err(|e| e.to_string())
         }
-        "spttm" | "mttkrp" | "bench" | "analyze" | "tune" | "certify" => {
+        "spttm" | "mttkrp" | "bench" | "certify" => {
             let (path, mode, rank, out) = match args {
                 [_, path, mode, rank] => (path, mode, rank, None),
                 [_, path, mode, rank, out] if command == "certify" => {
@@ -55,8 +55,6 @@ fn run(args: &[String]) -> Result<String, String> {
             let result = match command {
                 "spttm" => cli::spttm(&tensor, mode, rank),
                 "mttkrp" => cli::mttkrp(&tensor, mode, rank),
-                "analyze" => cli::analyze(&tensor, mode, rank),
-                "tune" => cli::tune(&tensor, mode, rank),
                 "certify" => cli::certify(&tensor, mode, rank, out),
                 _ => cli::bench(&tensor, mode, rank),
             };

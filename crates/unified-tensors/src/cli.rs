@@ -356,122 +356,6 @@ pub fn sanitize(
     Ok(out)
 }
 
-/// `tensortool analyze <file.tns> <mode> <rank>` — symbolic verdict matrix:
-/// prove or refute launch properties of every kernel across the full tuning
-/// grid without running a single launch, then cross-check that every refuted
-/// configuration is pruned before the tuner or plan cache would accept it.
-pub fn analyze(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<String, CliError> {
-    check_mode(tensor, mode)?;
-    let device = GpuDevice::titan_x();
-    let config = device.config();
-    let analyses = crate::analyzer::analyze_all(
-        config,
-        tensor,
-        mode,
-        rank,
-        &crate::fcoo::BLOCK_SIZES,
-        &crate::fcoo::THREADLENS,
-    );
-    let mut out = String::new();
-    let mut violations = Vec::new();
-    for analysis in &analyses {
-        out.push_str(&analysis.render());
-        out.push('\n');
-        violations.extend(crate::analyzer::gate_violations(config, tensor, analysis));
-    }
-    // Two-format gate: the cross-format certified selection for the
-    // kernels the planner serves, with every candidate's payload re-linted
-    // by its own format invariants (BF-COO bucket arithmetic included). A
-    // format whose certified best configuration fails its structural lint
-    // would unsound the plan cache, so it fails the command.
-    for (label, op) in [
-        ("SpTTM", TensorOp::SpTtm { mode }),
-        ("SpMTTKRP", TensorOp::SpMttkrp { mode }),
-    ] {
-        let choice = crate::analyzer::tune_select(config, tensor, op, rank, None, None);
-        let _ = writeln!(out, "{label} format selection:");
-        for line in choice.render().lines() {
-            let _ = writeln!(out, "  {line}");
-        }
-        for candidate in &choice.candidates {
-            let format =
-                crate::fcoo::AnyFormat::build(candidate.kind, tensor, op, candidate.threadlen);
-            let report = crate::analyzer::plan_report(config, &format, candidate.block_size);
-            if report.error_count() > 0 {
-                violations.push(format!(
-                    "{label}: {} payload at B{} T{} fails its structural lint",
-                    candidate.kind.label(),
-                    candidate.block_size,
-                    candidate.threadlen
-                ));
-            }
-        }
-    }
-    // Residual uncertainty next to the prune count: grid points no static
-    // property could decide fall through to the dynamic sanitizer.
-    let unknown: usize = analyses.iter().map(|a| a.tally().2).sum();
-    if violations.is_empty() {
-        let _ = writeln!(
-            out,
-            "gate: every refuted configuration is pruned before launch \
-             ({unknown} grid points stay unknown -> dynamic sanitizer)"
-        );
-        let _ = writeln!(
-            out,
-            "format gate: every format's certified best configuration \
-             passes its own structural lint"
-        );
-        Ok(out)
-    } else {
-        for violation in &violations {
-            let _ = writeln!(out, "gate violation: {violation}");
-        }
-        Err(err(out))
-    }
-}
-
-/// `tensortool tune <file.tns> <mode> <rank>` — certified cross-format
-/// tuning: for every serving format, derive each grid configuration's
-/// provable time envelope from the headers alone and select the
-/// *(format, BLOCK_SIZE, threadlen)* triple with the minimal certified
-/// upper bound — the exact verdict matrix the serving planner acts on,
-/// printed with zero launches.
-pub fn tune(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<String, CliError> {
-    check_mode(tensor, mode)?;
-    let config = DeviceConfig::titan_x();
-    let mut out = String::new();
-    for (label, op) in [
-        ("SpTTM", TensorOp::SpTtm { mode }),
-        ("SpMTTKRP", TensorOp::SpMttkrp { mode }),
-        ("SpTTMc", TensorOp::SpTtmc { mode }),
-    ] {
-        let choice = crate::analyzer::tune_select(&config, tensor, op, rank, None, None);
-        let _ = writeln!(
-            out,
-            "{label} (mode {}, rank {rank}) format selection:",
-            mode + 1
-        );
-        for line in choice.render().lines() {
-            let _ = writeln!(out, "  {line}");
-        }
-        let verdict = if choice.strictly_dominates() {
-            format!(
-                "{} wins — its certified upper bound undercuts every bound \
-                 the competing format can prove",
-                choice.kind().label()
-            )
-        } else {
-            format!(
-                "{} retained — no format proves a strictly lower upper bound \
-                 (tie-break keeps the paper's baseline)",
-                choice.kind().label()
-            )
-        };
-        let _ = writeln!(out, "  selection: {verdict}");
-    }
-    Ok(out)
-}
-
 /// `tensortool certify <file.tns> <mode> <rank> [out.json]` — certified
 /// cost-bound tuning: derive a provable `[lo, hi]` envelope on
 /// `KernelStats::time_us` for every grid configuration of the unified
@@ -480,13 +364,16 @@ pub fn tune(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<String
 /// configuration whose certified lower bound exceeds another's upper bound
 /// as dominated, and print the envelope matrix plus the trial launches a
 /// sweep over the survivors avoids (none at all when a single
-/// configuration survives). Two gates then cross-check the certificates
-/// against the exhaustive launched sweep ([`crate::fcoo::tune()`]) — every
-/// measured trial time must lie within its envelope, and the sweep's winner
-/// must be neither pruned nor dominated (and equal the sole survivor when
-/// there is one) — and the command exits non-zero if either fails. With an
-/// output path, writes the deterministic `BENCH_certify.json` trajectory
-/// point (trial launches avoided per grid).
+/// configuration survives). Beside each matrix it prints the serving
+/// planner's cross-format selection ([`crate::analyzer::tune_select`]), and
+/// for a 3-order tensor the two-step baseline's exactly certified step-2
+/// transactions over ideal (paper Fig. 3a). Three gates decide the exit
+/// code: every measured trial time of the exhaustive launched sweep
+/// ([`crate::fcoo::tune()`]) lies within its envelope; the sweep's winner
+/// is neither pruned nor dominated; and every format's certified best
+/// payload passes the plan-load gate ([`crate::analyzer::plan_report`]).
+/// With an output path, writes the deterministic `BENCH_certify.json`
+/// trajectory point (trial launches avoided per grid).
 pub fn certify(
     tensor: &SparseTensorCoo,
     mode: usize,
@@ -616,14 +503,27 @@ pub fn certify(
                 exhaustive.best.time_us,
             );
         }
-        // Per-format verdict matrix: the cross-format planner's certified
-        // selection printed beside the single-format grid above, so the
-        // output shows both which grid point wins within F-COO and which
-        // format wins overall.
+        // The cross-format planner's certified selection beside the
+        // single-format grid above: which grid point wins within F-COO and
+        // which format wins overall. Each format's best payload must pass
+        // the gate a persisted plan meets at load (its launch shape and its
+        // own format invariants, BF-COO's bucket arithmetic included).
         let choice = crate::analyzer::tune_select(&config, tensor, op, rank, None, None);
         let _ = writeln!(out, "  formats:");
         for line in choice.render().lines() {
             let _ = writeln!(out, "    {line}");
+        }
+        for c in &choice.candidates {
+            let format = AnyFormat::build(c.kind, tensor, op, c.threadlen);
+            let report = crate::analyzer::plan_report(&config, &format, c.block_size);
+            if report.error_count() > 0 {
+                violations.push(format!(
+                    "{label}: the {} payload at B{} T{} fails the plan gate: {report}",
+                    c.kind.label(),
+                    c.block_size,
+                    c.threadlen
+                ));
+            }
         }
         let _ = writeln!(
             out,
@@ -654,6 +554,24 @@ pub fn certify(
             winner.time_us.hi,
         );
     }
+    // Fig. 3a's finding as one exact number: the two-step baseline's step-2
+    // reduction gathers the materialized intermediate at a per-lane stride
+    // of threadlen · rank elements.
+    let cfg = LaunchConfig::default();
+    if let Some(two_step) =
+        crate::analyzer::cost::certify_two_step(&config, tensor, mode, rank, 8, &cfg)
+    {
+        let step2 = &two_step.step2;
+        let _ = writeln!(
+            out,
+            "two-step step 2 (B{} T8): {} transactions where {} are ideal ({:.2}x), \
+             certified exactly: its strided intermediate gather is uncoalesced (paper Fig. 3a)",
+            cfg.block_size,
+            step2.transactions.hi,
+            step2.ideal_transactions.hi,
+            step2.transactions.hi as f64 / step2.ideal_transactions.hi as f64
+        );
+    }
     if !violations.is_empty() {
         for violation in &violations {
             let _ = writeln!(out, "certify violation: {violation}");
@@ -664,6 +582,10 @@ pub fn certify(
         out,
         "gate: every measured trial lies within its certified envelope and \
          the exhaustive sweep's winner survives certification"
+    );
+    let _ = writeln!(
+        out,
+        "format gate: every format's certified best payload passes the plan-load gate"
     );
     if let Some(path) = out_path {
         let json = format!(
@@ -746,8 +668,8 @@ pub fn serve(spec: &str, plan_dir: Option<&Path>, verify: bool) -> Result<String
 /// replay a workload with the tracing layer on every serving device, write
 /// a Chrome-trace/Perfetto JSON document, and print the per-kernel counter
 /// report (achieved vs. peak bandwidth, coalescing efficiency, cache hit
-/// rate, atomic serialization, occupancy) with the symbolic analyzer's
-/// verdicts side-by-side. Tracing only observes: the served results and
+/// rate, atomic serialization, occupancy) with each plan's certified
+/// kernel-time envelope beside it. Tracing only observes: the served results and
 /// every latency are bit-identical to an unprofiled run.
 pub fn profile(spec: &str, trace_path: Option<&Path>) -> Result<String, CliError> {
     let workload = parse_workload_spec(spec)?;
@@ -1349,8 +1271,6 @@ USAGE:
   tensortool preprocess <file.tns> <spttm|mttkrp|ttmc> <mode> <out.fcoo>
   tensortool run <file.fcoo> <rank>
   tensortool sanitize <file.tns> <spttm|mttkrp|ttmc> <mode> <rank>
-  tensortool analyze <file.tns> <mode> <rank>
-  tensortool tune <file.tns> <mode> <rank>
   tensortool certify <file.tns> <mode> <rank> [out.json]
   tensortool workload <requests> <seed> <out.txt>
   tensortool serve <workload.txt|synthetic:N:SEED> [plan-dir] [--verify]
@@ -1364,21 +1284,17 @@ USAGE:
 Modes are 1-based, matching the paper's notation. `sanitize` lints the
 F-COO invariants and replays the kernel under the memory sanitizer
 (racecheck, out-of-bounds, narration audit); it exits non-zero on findings.
-`analyze` runs the symbolic analyzer instead: a proved/refuted/unknown
-verdict matrix per kernel over the whole tuning grid, with no launches, and
-exits non-zero if any refuted configuration would still reach the tuner or
-plan cache; it also runs the two-format gate (docs/FORMATS.md) — certified
-cross-format selection per kernel with each candidate payload re-linted by
-its own format invariants. `tune` prints the per-format verdict matrix the
-serving planner acts on: every format's best certified (BLOCK_SIZE,
-threadlen) envelope and the winning format, chosen on the certified upper
-bound with zero launches. `certify` goes further (docs/ANALYZER.md): it derives a provable
-[lo, hi] envelope on every configuration's simulated kernel time from the
-F-COO headers alone, eliminates envelope-dominated configurations with zero
-trial launches, prints the envelope matrix and launches-avoided count, and
-exits non-zero if any exhaustively measured time escapes its envelope or
-the certified winner disagrees with the launched sweep; with an out.json it
-writes the BENCH_certify.json trajectory point.
+`certify` is the static analyzer's front end (docs/ANALYZER.md): per
+kernel it derives a provable [lo, hi] envelope on every configuration's
+simulated kernel time from the F-COO headers alone, eliminates
+envelope-dominated configurations with zero trial launches, and prints the
+envelope matrix, the launches-avoided count and the planner's cross-format
+selection (docs/FORMATS.md); for a 3-order tensor it also prints the
+two-step baseline's exactly certified step-2 transactions over ideal. It
+exits non-zero if any exhaustively measured time escapes its envelope, the
+launched sweep's winner was pruned or dominated, or a format's certified
+best payload fails the plan-load gate; with an out.json it writes the
+BENCH_certify.json trajectory point.
 `serve` replays a request workload (see docs/SERVING.md for the file
 format) through the multi-tenant engine — plan cache, device memory pool,
 multi-stream scheduler — and prints latency/throughput/cache-hit stats;
@@ -1391,7 +1307,8 @@ see docs/FAULTS.md for the fault model and recovery ladder.
 `profile` replays a workload with the tracing layer enabled, writes a
 Chrome-trace/Perfetto JSON timeline (request lifecycle spans, per-stream
 occupancy, per-launch wave spans) and prints the per-kernel counter report
-with the symbolic analyzer's verdicts side-by-side — see docs/PROFILING.md.
+with each plan's certified kernel-time envelope beside it — see
+docs/PROFILING.md.
 `golden` runs the golden-counter regression suite against the blessed
 snapshot in crates/unified-tensors/golden/ (`--bless` re-snapshots after an
 intentional cost-model change).
@@ -1609,67 +1526,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_prints_the_verdict_matrix_for_every_kernel() {
-        let tensor = sample();
-        let text = analyze(&tensor, 0, 8).unwrap();
-        for label in ["SpTTM", "SpMTTKRP", "SpTTMc", "two-step"] {
-            assert!(text.contains(label), "missing {label} in {text}");
-        }
-        // Every unified kernel has dominated (refuted) grid points on this
-        // tensor, and the gate confirms the tuner prunes all of them.
-        assert!(text.contains("refuted"), "{text}");
-        assert!(
-            text.contains("gate: every refuted configuration is pruned"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn analyze_runs_the_two_format_gate() {
-        let text = analyze(&sample(), 0, 8).unwrap();
-        assert!(text.contains("SpMTTKRP format selection:"), "{text}");
-        assert!(text.contains("fcoo"), "{text}");
-        assert!(text.contains("bfcoo"), "{text}");
-        assert!(
-            text.contains("format gate: every format's certified best configuration"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn tune_prints_per_format_verdicts_and_selects_by_certified_bound() {
-        // High skew: BF-COO must win with a strictly lower certified upper
-        // bound on every kernel's selection.
-        let text = tune(&skew_tensor(), 0, 8).unwrap();
-        assert!(
-            text.contains("SpMTTKRP (mode 1, rank 8) format selection:"),
-            "{text}"
-        );
-        assert!(text.contains("-> bfcoo"), "{text}");
-        assert!(text.contains("bfcoo wins"), "{text}");
-        // Saturating uniform: every aligned bucket run touches 32 distinct
-        // rows, so the bucket stream is pure overhead and F-COO's certified
-        // upper bound undercuts BF-COO's.
-        let text = tune(&uniform_tensor(), 0, 8).unwrap();
-        assert!(text.contains("-> fcoo"), "{text}");
-        assert!(text.contains("fcoo wins"), "{text}");
-    }
-
-    #[test]
-    fn analyze_checks_mode_bounds() {
-        assert!(analyze(&sample(), 9, 8).is_err());
-    }
-
-    #[test]
-    fn analyze_reports_residual_unknowns_in_the_gate_summary() {
-        let text = analyze(&sample(), 0, 8).unwrap();
-        assert!(
-            text.contains("grid points stay unknown -> dynamic sanitizer"),
-            "{text}"
-        );
-    }
-
-    #[test]
     fn certify_prints_envelopes_and_passes_both_gates() {
         let path = std::env::temp_dir().join("tensortool_test_certify.json");
         let text = certify(&sample(), 0, 8, Some(&path)).unwrap();
@@ -1680,9 +1536,26 @@ mod tests {
             "trial launches avoided",
             "winner: B=",
             "gate: every measured trial lies within its certified envelope",
+            // Every op's cross-format selection, both formats listed, and
+            // each format's best payload through the plan-load gate.
+            "  formats:",
+            "    -> ",
+            "fcoo ",
+            "bfcoo",
+            "format gate: every format's certified best payload passes the plan-load gate",
+            // Fig. 3a: the two-step baseline's step 2 is uncoalesced.
+            "two-step step 2 (B128 T8): ",
         ] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
+        assert_eq!(text.matches("  formats:").count(), 3, "{text}");
+        let ratio: f64 = text
+            .split("are ideal (")
+            .nth(1)
+            .and_then(|rest| rest.split("x)").next())
+            .and_then(|r| r.parse().ok())
+            .expect("step-2 ratio");
+        assert!(ratio > 2.0, "step 2 must be far from coalesced: {ratio}");
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"bench\": \"certify\""), "{json}");
         assert!(json.contains("\"launches_avoided\""), "{json}");
@@ -1691,6 +1564,27 @@ mod tests {
         certify(&sample(), 0, 8, Some(&path)).unwrap();
         assert_eq!(json, std::fs::read_to_string(&path).unwrap());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn certify_selects_the_format_by_certified_bound() {
+        // High skew: BF-COO wins every op with a strictly lower certified
+        // upper bound.
+        let text = certify(&skew_tensor(), 0, 8, None).unwrap();
+        assert_eq!(
+            text.matches("selected bfcoo (strictly dominates").count(),
+            3,
+            "{text}"
+        );
+        // Saturating uniform: every aligned bucket run touches 32 distinct
+        // rows, so the bucket stream is pure overhead and F-COO's certified
+        // upper bound undercuts BF-COO's.
+        let text = certify(&uniform_tensor(), 0, 8, None).unwrap();
+        assert_eq!(
+            text.matches("selected fcoo (strictly dominates").count(),
+            3,
+            "{text}"
+        );
     }
 
     #[test]

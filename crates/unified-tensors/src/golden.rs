@@ -287,7 +287,8 @@ fn run_two_step(config: &DeviceConfig, tensor: &SparseTensorCoo) -> GoldenRun {
         ..LaunchConfig::default()
     };
     let envelope = analyzer::cost::certify_two_step(config, tensor, MODE, RANK, threadlen, &cfg)
-        .expect("two-step runs only on 3-order tensors");
+        .expect("two-step runs only on 3-order tensors")
+        .total;
     let hosts = factors(tensor);
     let refs: Vec<&DenseMatrix> = hosts.iter().collect();
     device.start_tracing();

@@ -9,10 +9,10 @@
 //! | Layer | Crate | Contents |
 //! |---|---|---|
 //! | contribution | [`fcoo`] | F-COO format, unified SpTTM/SpMTTKRP/SpTTMc kernels, tuner |
-//! | algorithms | [`decomp`] | CP-ALS (unified GPU / SPLATT / reference engines), Tucker-HOOI |
+//! | algorithms | [`decomp`] | CP-ALS (unified GPU / SPLATT / reference engines) |
 //! | baselines | [`baselines`] | ParTI-GPU, ParTI-OMP, SPLATT-CSF |
 //! | serving | [`serve`] | multi-tenant request engine: plan cache, memory pool, multi-stream scheduler |
-//! | static analysis | [`analyzer`] | symbolic per-warp analyzer: proves/refutes launch properties across the tuning grid without running a launch |
+//! | static analysis | [`analyzer`] | certified counter envelopes from F-COO headers, the tuning filter and format selection, the plan-load gate — no launch needed |
 //! | substrates | [`tensor_core`], [`gpu_sim`], [`cpu_par`] | tensors & dense LA, simulated GPU, CPU pool |
 //!
 //! ## Quickstart
@@ -70,10 +70,7 @@ pub mod prelude {
     pub use baselines::{
         mttkrp_csf, spmttkrp_omp, spmttkrp_two_step_gpu, spttm_fiber_gpu, spttm_omp, Csf, SortedCoo,
     };
-    pub use decomp::{
-        cp_als, tucker_hooi, CpOptions, CpRun, ReferenceEngine, SplattEngine, TuckerOptions,
-        UnifiedGpuEngine,
-    };
+    pub use decomp::{cp_als, CpOptions, CpRun, ReferenceEngine, SplattEngine, UnifiedGpuEngine};
     pub use fcoo::{
         spmttkrp, spttm, spttmc_norder, AnyFormat, AnyFormatDevice, BfCoo, DeviceMatrix, Fcoo,
         FcooDevice, FormatKind, LaunchConfig, TensorOp,

@@ -1,4 +1,4 @@
-//! End-to-end CP-ALS and Tucker-HOOI integration across engines.
+//! End-to-end CP-ALS integration across engines.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -117,30 +117,6 @@ fn cp_brainq_rank8_converges_and_balances_modes() {
     // modeled kernel-launch overheads in `other` are comparable, so we only
     // require the MTTKRP side to be a substantial share.
     assert!(run.mode_us.iter().sum::<f64>() > 0.2 * run.other_us);
-}
-
-#[test]
-fn tucker_hooi_runs_on_sparse_data() {
-    let tensor = planted_low_rank([25, 20, 15], 2, 0.4, 303);
-    let device = GpuDevice::titan_x();
-    let model = tucker_hooi(
-        &device,
-        &tensor,
-        &TuckerOptions {
-            ranks: vec![3, 3, 3],
-            max_iters: 4,
-            seed: 8,
-        },
-    )
-    .expect("fits on device");
-    assert!(model.fit() > 0.8, "Tucker fit {} too low", model.fit());
-    for (factor, (&size, &rank)) in model
-        .factors
-        .iter()
-        .zip(tensor.shape().iter().zip(&[3usize, 3, 3]))
-    {
-        assert_eq!((factor.rows(), factor.cols()), (size, rank));
-    }
 }
 
 #[test]
