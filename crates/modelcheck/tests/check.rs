@@ -416,7 +416,7 @@ fn model_narrates_the_exhausted_chunk_as_the_engine() {
 }
 
 /// The replay automata themselves catch tampered logs: deleting a commit
-/// (leak) or a scrub (taint) from a real log must be flagged.
+/// (leak) or an attempt's scrub (taint) from a real log must be flagged.
 #[test]
 fn replay_flags_tampered_logs() {
     let workload = serve::workload::synthetic(40, 7);
@@ -442,10 +442,16 @@ fn replay_flags_tampered_logs() {
         "dropped commit not flagged"
     );
 
+    // The first scrub that closes an attempt: the factor upload's scrubs
+    // come unannounced, with no attempt for them to clean up after.
     let scrub_at = log
-        .iter()
-        .position(|e| matches!(e, ProtocolEvent::Scrub { .. }))
-        .expect("log has a scrub");
+        .windows(2)
+        .position(|pair| {
+            matches!(pair[0], ProtocolEvent::AttemptStart { .. })
+                && matches!(pair[1], ProtocolEvent::Scrub { .. })
+        })
+        .expect("log has an attempt's scrub")
+        + 1;
     let mut dropped_scrub = log.clone();
     dropped_scrub.remove(scrub_at);
     assert!(

@@ -50,16 +50,6 @@ impl Accumulator {
         self.rows
     }
 
-    /// Output columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Current accumulator contents (row-major).
-    pub fn values(&self) -> &[f32] {
-        &self.values
-    }
-
     /// Consumes the accumulator into the final row-major output.
     pub fn into_values(self) -> Vec<f32> {
         self.values
@@ -102,24 +92,40 @@ pub fn output_cols(fcoo: &Fcoo, factors: &[DenseMatrix]) -> usize {
     }
 }
 
-/// Uploads one chunk-local payload as a `kind` format, runs its unified
-/// kernel into a buffer pre-loaded with `seed`, and reads the buffer back.
+/// Where a chunk's format comes from when it launches.
+pub enum ChunkFormat<'a> {
+    /// A format already on the device: the whole format as one chunk, with
+    /// nothing carried in or out.
+    Resident(&'a AnyFormatDevice),
+    /// A chunk-local payload, uploaded as a `kind` format for each launch
+    /// and freed after it. The format's schedule metadata (BF-COO's
+    /// buckets, a pure function of the chunk-local coordinate stream) is
+    /// derived from the chunk on upload.
+    Upload(FormatKind, &'a Fcoo),
+}
+
+/// Runs one chunk's unified kernel into a buffer pre-loaded with `seed`
+/// and reads the buffer back.
 ///
-/// The format's schedule metadata (BF-COO's buckets, a pure function of
-/// the chunk-local coordinate stream) is derived from the chunk on upload.
 /// `factors` are listed as [`TensorOp::factor_modes`] says: `[U]` for
 /// SpTTM, one matrix per tensor mode for SpMTTKRP, one per product mode
-/// (ascending) for SpTTMc. The chunk's device allocations are freed on
-/// return — only the factors persist across chunks.
+/// (ascending) for SpTTMc. The output buffer and an uploaded chunk's
+/// format are freed on return — only the factors persist across chunks.
 pub fn run_chunk(
     device: &GpuDevice,
-    kind: FormatKind,
-    chunk: &Fcoo,
+    format: &ChunkFormat<'_>,
     factors: &[&fcoo::DeviceMatrix],
     cfg: &LaunchConfig,
     seed: &[f32],
 ) -> Result<(Vec<f32>, KernelStats), OutOfMemory> {
-    let format = AnyFormatDevice::upload_as(device.memory(), kind, chunk)?;
+    let uploaded;
+    let format = match format {
+        ChunkFormat::Resident(format) => *format,
+        ChunkFormat::Upload(kind, chunk) => {
+            uploaded = AnyFormatDevice::upload_as(device.memory(), *kind, chunk)?;
+            &uploaded
+        }
+    };
     let out = device.memory().alloc_from_slice(seed)?;
     let stats = format.launch_into(device, factors, cfg, &out);
     Ok((out.into_vec(), stats))
@@ -198,7 +204,8 @@ pub fn run_chunked(
     for desc in &plan.chunks {
         let chunk = chunk::extract(fcoo, desc);
         let seed = acc.seed_image(desc);
-        let (out, chunk_stats) = run_chunk(device, kind, &chunk, &refs, cfg, &seed)?;
+        let format = ChunkFormat::Upload(kind, &chunk);
+        let (out, chunk_stats) = run_chunk(device, &format, &refs, cfg, &seed)?;
         acc.absorb(desc, &out);
         reports.push(ChunkReport {
             index: desc.index,
@@ -425,17 +432,17 @@ mod tests {
             let mut acc = Accumulator::for_op(&f, cols);
             for desc in &plan.chunks {
                 let chunk_fcoo = chunk::extract(&f, desc);
+                let format = ChunkFormat::Upload(kind, &chunk_fcoo);
                 let seed = acc.seed_image(desc);
                 // First attempt: discarded without absorbing (a faulted chunk).
-                let (_discarded, _) =
-                    run_chunk(&device, kind, &chunk_fcoo, &refs, &cfg, &seed).unwrap();
+                let (_discarded, _) = run_chunk(&device, &format, &refs, &cfg, &seed).unwrap();
                 // Retry from the same seed; only this one is absorbed.
-                let (out, _) = run_chunk(&device, kind, &chunk_fcoo, &refs, &cfg, &seed).unwrap();
+                let (out, _) = run_chunk(&device, &format, &refs, &cfg, &seed).unwrap();
                 acc.absorb(desc, &out);
             }
             let clean =
                 run_chunked(&GpuDevice::titan_x(), kind, &f, &plan, &factors, &cfg).unwrap();
-            let a: Vec<u32> = acc.values().iter().map(|v| v.to_bits()).collect();
+            let a: Vec<u32> = acc.into_values().iter().map(|v| v.to_bits()).collect();
             let b: Vec<u32> = clean.values.iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "{kind}: per-chunk retry must be idempotent");
         }

@@ -27,6 +27,7 @@ pub mod executor;
 
 pub use bound::check_run;
 pub use executor::{
-    output_cols, run_chunk, run_chunked, Accumulator, ChunkReport, ChunkSchedule, ChunkedRun,
+    output_cols, run_chunk, run_chunked, Accumulator, ChunkFormat, ChunkReport, ChunkSchedule,
+    ChunkedRun,
 };
 pub use fcoo::chunk::{extract, split, ChunkDescriptor, ChunkPlan};

@@ -17,11 +17,12 @@ use crate::plan::{self, Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource};
 use crate::pool::{AdmitError, Admitted, DevicePool, PoolStats, ReservationId};
 use crate::profile::ServeProfile;
 use crate::protocol::{self, Flight, Health, Ladder, Rung};
-use crate::scheduler::{Placement, Scheduler};
-use crate::upload::{self, DeviceFactors, FactorPlan};
+use crate::scheduler::{Placement, Scheduler, PIPELINE_STREAMS, STREAMS_PER_DEVICE};
+use crate::upload::{self, FactorPlan};
 use crate::workload::{Request, ServeOp, Workload};
 use decomp::cp::{cp_als, CpOptions, CpRun, DenseStage, MttkrpEngine, MttkrpError};
 use decomp::engines::{self, ModePlan, UnifiedGpuEngine};
+use fcoo::chunk::ChunkPlan;
 use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{DeviceConfig, FaultConfig, FaultEvent, GpuDevice, LaunchTrace};
 use std::collections::BTreeMap;
@@ -37,8 +38,6 @@ pub use crate::upload::factor_seed_for_mode;
 pub struct ServeConfig {
     /// Number of simulated devices.
     pub devices: usize,
-    /// Streams per device.
-    pub streams_per_device: usize,
     /// Hardware model each device simulates.
     pub device_config: DeviceConfig,
     /// Plan persistence directory (warm restarts) — `None` disables.
@@ -61,11 +60,6 @@ pub struct ServeConfig {
     /// simulated timings and the rest of the report are bit-exact with an
     /// unprofiled run.
     pub profile: bool,
-    /// Device-byte budget for one out-of-core chunk. `None` derives a
-    /// budget from the pool headroom left after the request's transient
-    /// working set (a quarter of it, so pipelined chunks plus allocator
-    /// slack stay resident together).
-    pub ooc_chunk_budget: Option<usize>,
 }
 
 /// Most same-plan same-factor results kept for replay; past it the
@@ -87,14 +81,12 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             devices: 1,
-            streams_per_device: 2,
             device_config: DeviceConfig::titan_x(),
             plan_dir: None,
             verify: false,
             fault_injection: None,
             fault_tolerance: FaultTolerance::default(),
             profile: false,
-            ooc_chunk_budget: None,
         }
     }
 }
@@ -657,16 +649,45 @@ enum Keep {
     Cp(CpExecution),
 }
 
-/// One in-core attempt: its result and the accepted attempt's launches.
-type InCoreRun = (Attempt, Vec<LaunchTrace>);
+/// A tensor op's format on its way to the kernel, decided once at
+/// admission: the pool's resident format as one chunk, or a chunk plan's
+/// chunks streamed through the pipeline.
+struct Run {
+    /// The chunks, in stream order.
+    chunks: Arc<ChunkPlan>,
+    /// Per chunk, the bytes its H2D stage moves besides the factors: a
+    /// streamed chunk's format, which it also reserves; the resident
+    /// format's storage when this admission uploaded it.
+    bytes: Vec<usize>,
+    /// The pool's resident format; `None` when the format streams.
+    resident: Option<Arc<AnyFormatDevice>>,
+}
+
+/// What an accepted chunk attempt produced.
+#[derive(PartialEq)]
+enum Produced {
+    /// The unified kernel's rows for the chunk's segments.
+    Rows(Vec<f32>),
+    /// A degraded tier's whole result.
+    Whole(JobOutput),
+}
+
+/// One chunk attempt: its output, the kernel's simulated time (µs), the
+/// bytes it copies device→host, and its launches.
+struct Launched {
+    produced: Produced,
+    kernel_us: f64,
+    d2h_bytes: usize,
+    launches: Vec<LaunchTrace>,
+}
 
 /// Projects an accepted attempt to the output sampled redundancy compares
 /// and the kernel time it charges.
-type Sampled<T> = fn(&T) -> (&JobOutput, f64);
+type Sampled<T> = fn(&T) -> (&Produced, f64);
 
-/// What sampled redundancy compares and charges of an in-core attempt.
-fn in_core_output(run: &InCoreRun) -> (&JobOutput, f64) {
-    (&run.0 .0, run.0 .1)
+/// What sampled redundancy compares and charges of a chunk attempt.
+fn launched_output(run: &Launched) -> (&Produced, f64) {
+    (&run.produced, run.kernel_us)
 }
 
 /// The multi-tenant serving engine.
@@ -710,10 +731,6 @@ pub struct ServeEngine {
     protocol_enabled: bool,
 }
 
-fn product_modes(order: usize, mode: usize) -> Vec<usize> {
-    (0..order).filter(|&m| m != mode).collect()
-}
-
 /// Analytic host-execution model for the CPU fallback tier: `2·nnz·R·(N−1)`
 /// flops at 2 GFLOP/s. An analytic model (not the wall clock) keeps reports
 /// deterministic across runs and machines.
@@ -730,38 +747,20 @@ fn host_reference_output(
     factor_seed: u64,
 ) -> JobOutput {
     let shape = tensor.shape();
+    let hosts: Vec<DenseMatrix> = op
+        .factor_modes(shape.len())
+        .into_iter()
+        .map(|m| DenseMatrix::random(shape[m], rank, factor_seed_for_mode(factor_seed, m)))
+        .collect();
+    let refs: Vec<&DenseMatrix> = hosts.iter().collect();
     match op {
-        TensorOp::SpTtm { mode } => {
-            let u = DenseMatrix::random(shape[mode], rank, factor_seed_for_mode(factor_seed, mode));
-            JobOutput::Semi(tensor_core::ops::spttm(tensor, mode, &u))
-        }
+        TensorOp::SpTtm { mode } => JobOutput::Semi(tensor_core::ops::spttm(tensor, mode, refs[0])),
         TensorOp::SpMttkrp { mode } => {
-            let hosts: Vec<DenseMatrix> = (0..shape.len())
-                .map(|m| DenseMatrix::random(shape[m], rank, factor_seed_for_mode(factor_seed, m)))
-                .collect();
-            let refs: Vec<&DenseMatrix> = hosts.iter().collect();
             JobOutput::Dense(tensor_core::ops::spmttkrp(tensor, mode, &refs))
         }
         TensorOp::SpTtmc { mode } => {
-            let hosts: Vec<DenseMatrix> = product_modes(shape.len(), mode)
-                .iter()
-                .map(|&m| DenseMatrix::random(shape[m], rank, factor_seed_for_mode(factor_seed, m)))
-                .collect();
-            let refs: Vec<&DenseMatrix> = hosts.iter().collect();
             JobOutput::Dense(tensor_core::ops::spttmc_norder(tensor, mode, &refs))
         }
-    }
-}
-
-/// Merges per-mode plan sources into one label for the request: any build
-/// dominates, then any disk hit, then pure memory.
-fn worst_source(sources: &[PlanSource]) -> PlanSource {
-    if sources.contains(&PlanSource::Built) {
-        PlanSource::Built
-    } else if sources.contains(&PlanSource::Disk) {
-        PlanSource::Disk
-    } else {
-        PlanSource::Memory
     }
 }
 
@@ -877,23 +876,6 @@ impl ServeEngine {
         );
     }
 
-    /// How a tensor-op request's factors will cross PCIe (their touched
-    /// rows, sized before admission; see [`crate::upload`]).
-    fn factor_plan(
-        &self,
-        tensor_id: &str,
-        op: TensorOp,
-        rank: usize,
-    ) -> Result<FactorPlan, String> {
-        let registered = self.registered(tensor_id)?;
-        Ok(FactorPlan::new(
-            op,
-            registered.tensor.shape(),
-            &registered.touched,
-            rank,
-        ))
-    }
-
     /// Runs a workload: registers its tensors, then serves its requests in
     /// arrival order.
     pub fn run(&mut self, workload: &Workload) -> ServeReport {
@@ -901,7 +883,7 @@ impl ServeEngine {
             let (tensor, _) = datasets::generate(spec.kind, spec.nnz, spec.seed);
             self.register_tensor(&spec.id, tensor);
         }
-        let mut scheduler = Scheduler::new(self.config.devices, self.config.streams_per_device);
+        let mut scheduler = Scheduler::new(self.config.devices, STREAMS_PER_DEVICE);
         self.sheds.clear();
         self.overload = OverloadStats::default();
         let mut requests = Vec::new();
@@ -1170,9 +1152,15 @@ impl ServeEngine {
     }
 
     /// Serves one tensor-op request through the lifecycle: route → plan →
-    /// replay → admit/defer → reserve → shed check → attempt ladder →
-    /// complete. A format that can never fit the pool streams out of core
-    /// instead ([`Self::serve_chunked`]).
+    /// replay → admit/defer → reserve → shed check → factor upload → chunk
+    /// ladders → complete.
+    ///
+    /// Residency is decided once: the pool's resident format runs as one
+    /// chunk, and a format that never fits streams as partition-aligned
+    /// chunks ([`Self::admit_streamed`]), each with its own reservation, so
+    /// a faulted chunk retries alone. Both upload the factors once and
+    /// accumulate rows **bit-exact** with the one-shot kernel; a ladder out
+    /// of retries sends the request to the host rung.
     fn serve_tensor_op(
         &mut self,
         index: usize,
@@ -1205,15 +1193,24 @@ impl ServeEngine {
             return self.replay(lc, scheduler, out_bytes, tier);
         }
 
-        let factor_plan = self.factor_plan(&request.tensor_id, op, request.rank)?;
+        let registered = &self.tensors[&request.tensor_id];
+        let (shape, touched) = (registered.tensor.shape(), &registered.touched);
+        let factor_plan = FactorPlan::new(op, shape, touched, request.rank);
         let plan = Arc::clone(&lc.plan);
         let transient_bytes = factor_plan.transient_bytes(out_bytes);
-        let Ok(admitted) = self.admit_format(&mut lc, key, &plan, transient_bytes) else {
-            return self.serve_chunked(lc, op, scheduler, &factor_plan, transient_bytes);
+        let run = match self.admit_format(&mut lc, key, &plan, transient_bytes) {
+            Ok(admitted) => Run {
+                // The whole format as one chunk: nothing carries in or out.
+                chunks: Arc::new(fcoo::chunk::split(plan.fcoo(), usize::MAX)),
+                bytes: vec![usize::from(admitted.uploaded) * plan.format.storage_bytes()],
+                resident: Some(admitted.format),
+            },
+            Err(_) => self.admit_streamed(&mut lc, transient_bytes)?,
         };
         self.reserve(&mut lc, key, transient_bytes);
         // The bus moves the compact factor bytes, and the kernel runs at
-        // least the plan certificate's floor.
+        // least the plan certificate's whole-format floor (a chunk plan's
+        // summed envelope dominates it; see `analyzer::cost`).
         let floor = [
             upload::transfer_us(factor_plan.h2d_bytes()),
             plan.certificate.time_lo_us,
@@ -1222,37 +1219,198 @@ impl ServeEngine {
             return Ok(None);
         }
 
-        let attempts = self.attempt_ladder(
+        // The factors go up once; every chunk and tier reads them. The
+        // upload retries like an attempt but is not announced as one.
+        let upload = self.attempt_ladder(
             &mut lc,
-            protocol::tensor_tiers(op, order),
-            true,
-            |engine, tier| {
-                let run = engine.execute_tier(device, tier, &admitted.format, request, op, &plan);
-                let launches = engine.drain_launches(device);
-                run.map(|attempt| (attempt, launches))
+            protocol::CHUNK_TIERS,
+            false,
+            |engine, _| {
+                let gpu = &engine.devices[device];
+                let touched = &engine.tensors[&request.tensor_id].touched;
+                upload::upload(gpu, &factor_plan, touched, request.factor_seed)
+                    .map_err(|e| format!("transient allocation failed: {e}"))
             },
-            Some(in_core_output),
+            None,
         )?;
-        let (((output, kernel_us, factor_bytes, d2h_bytes), launches), tier) =
-            attempts.accepted.expect("the host tier always accepts");
-        let h2d_bytes = factor_bytes
-            + if admitted.uploaded {
-                plan.format.storage_bytes()
-            } else {
-                0
+        let cfg = LaunchConfig::with_block_size(plan.block_size);
+        let cols = fcoo::ColumnTiling::at_rank(plan.fcoo(), request.rank).columns;
+        let mut acc = ooc::Accumulator::for_op(plan.fcoo(), cols);
+        // A streamed run starts once every pipeline stream is free.
+        let pipeline_ready = PIPELINE_STREAMS.iter().fold(lc.flight.ready_us, |t, &s| {
+            t.max(scheduler.stream_available_us(device, s))
+        });
+        // A resident chunk climbs the op's tier ladder under sampled
+        // redundancy; a streamed chunk retries on its one tier.
+        let (tiers, sampled) = match run.resident {
+            Some(_) => (
+                protocol::tensor_tiers(op, order),
+                Some(launched_output as Sampled<_>),
+            ),
+            None => (protocol::CHUNK_TIERS, None),
+        };
+        // The run's summed H2D, kernel and D2H time, bytes moved each way,
+        // launches and placed pipeline chunks; dead time charged to stalls.
+        let (mut stages_sum, mut moved) = ([0.0f64; 3], [0usize; 2]);
+        let (mut launches, mut chunks, mut stalled_us) = (Vec::new(), Vec::new(), 0.0f64);
+        let (mut tier, mut whole) = (ExecTier::Unified, None);
+        let exhausted = 'chunks: {
+            let Some((factors, _)) = upload.accepted else {
+                self.log_event(lc.flight.degrade(ExecTier::Unified, ExecTier::Cpu));
+                break 'chunks true;
             };
-        let d2h_us = upload::transfer_us(d2h_bytes);
-        let h2d_us = upload::transfer_us(h2d_bytes);
-        let exec_us = h2d_us + kernel_us + d2h_us;
-        let placement = lc.flight.place(scheduler, lc.flight.recovery_us, exec_us);
+            let refs = factors.refs();
+            for (desc, &bytes) in run.chunks.chunks.iter().zip(&run.bytes) {
+                let chunk;
+                let format = match &run.resident {
+                    Some(format) => ooc::ChunkFormat::Resident(format),
+                    None => {
+                        self.reserve(&mut lc, key, bytes);
+                        chunk = fcoo::extract(plan.fcoo(), desc);
+                        ooc::ChunkFormat::Upload(plan.kind(), &chunk)
+                    }
+                };
+                let (seed, rows_bytes) = (acc.seed_image(desc), acc.d2h_bytes(desc));
+                let attempt = |engine: &mut Self, tier| {
+                    let (produced, kernel_us, d2h_bytes) = match tier {
+                        ExecTier::Unified => {
+                            let device_ref = &engine.devices[device];
+                            let (rows, stats) = ooc::run_chunk(
+                                device_ref, &format, &refs, &cfg, &seed,
+                            )
+                            .map_err(|e| format!("chunk {} allocation failed: {e}", desc.index))?;
+                            (Produced::Rows(rows), stats.time_us, rows_bytes)
+                        }
+                        ExecTier::TwoStep => {
+                            let (out, us) =
+                                engine.execute_two_step(device, request, op, &plan, &refs)?;
+                            let d2h_bytes = out.bytes();
+                            (Produced::Whole(out), us, d2h_bytes)
+                        }
+                        ExecTier::Cpu => {
+                            let (out, us) = engine.execute_cpu(request, op)?;
+                            (Produced::Whole(out), us, 0)
+                        }
+                    };
+                    let launches = engine.drain_launches(device);
+                    Ok(Launched {
+                        produced,
+                        kernel_us,
+                        d2h_bytes,
+                        launches,
+                    })
+                };
+                let attempts = self.attempt_ladder(&mut lc, tiers, true, attempt, sampled)?;
+                let Some((launched, accepted)) = attempts.accepted else {
+                    // Only a streamed chunk's one-tier ladder runs out (the
+                    // op's ladder ends on the host tier): the chunk hands
+                    // back its reservation, and done chunks stay committed.
+                    let (held, degrade) =
+                        lc.flight.end_chunk(self.pools[device].ledger_mut(), None);
+                    self.release(&lc, held);
+                    self.log_event(degrade);
+                    break 'chunks true;
+                };
+                tier = accepted;
+                match launched.produced {
+                    Produced::Rows(rows) => acc.absorb(desc, &rows),
+                    Produced::Whole(output) => whole = Some(output),
+                }
+                // The first chunk's upload carries the factors.
+                let h2d_bytes = bytes + if desc.index == 0 { factors.bytes() } else { 0 };
+                let stages_us = [
+                    upload::transfer_us(h2d_bytes),
+                    launched.kernel_us,
+                    upload::transfer_us(launched.d2h_bytes),
+                ];
+                if run.resident.is_none() {
+                    // Dead time from failed attempts and short stalls
+                    // occupies the kernel stream before the chunk's work.
+                    if attempts.dead_us > 0.0 {
+                        let (stream, dead_us) = (PIPELINE_STREAMS[1], attempts.dead_us);
+                        scheduler.stall_stream(device, stream, pipeline_ready, dead_us);
+                        stalled_us += dead_us;
+                    }
+                    let span = scheduler.place_chunk(
+                        device,
+                        PIPELINE_STREAMS,
+                        pipeline_ready,
+                        desc.index,
+                        stages_us,
+                    );
+                    // Chunk-granular commit: this chunk's format bytes
+                    // release at its D2H end whether or not a later chunk
+                    // faults.
+                    let ledger = self.pools[device].ledger_mut();
+                    let (_, commit) = lc.flight.end_chunk(ledger, Some(span.d2h.1));
+                    self.log_event(commit);
+                    chunks.push(span);
+                }
+                for (sum, us) in stages_sum.iter_mut().zip(stages_us) {
+                    *sum += us;
+                }
+                moved = [moved[0] + h2d_bytes, moved[1] + launched.d2h_bytes];
+                launches.extend(launched.launches);
+            }
+            false
+        };
+        if exhausted {
+            // The host rung: the whole request runs on the host. Accepted
+            // chunks' reservations are already committed; the job
+            // reservation commits at the host result's finish.
+            self.fault_stats.cpu_fallbacks += 1;
+            let host = self.attempt_ladder(
+                &mut lc,
+                protocol::HOST_TIERS,
+                false,
+                |engine, _| engine.execute_cpu(request, op),
+                None,
+            )?;
+            let ((output, kernel_us), accepted) =
+                host.accepted.expect("the host tier always accepts");
+            (tier, whole, stages_sum, moved) =
+                (accepted, Some(output), [0.0, kernel_us, 0.0], [0, 0]);
+            (launches, chunks) = (Vec::new(), Vec::new());
+        }
+        let output = whole.unwrap_or_else(|| {
+            let rows = DenseMatrix::from_vec(acc.rows(), cols, acc.into_values());
+            let shape = self.tensors[&request.tensor_id].tensor.shape().to_vec();
+            JobOutput::from_rows(op, shape, &plan.fcoo().segment_coords, rows)
+        });
+        let [h2d_us, kernel_us, d2h_us] = stages_sum;
+        let (placement, exec_us, chunk_streams) = match chunks.last() {
+            // A streamed run spans its pipeline.
+            Some(last) => {
+                let finish_us = last.d2h.1;
+                let stream = PIPELINE_STREAMS[1];
+                let placement = Placement {
+                    device,
+                    stream,
+                    start_us: pipeline_ready,
+                    finish_us,
+                };
+                (placement, finish_us - pipeline_ready, PIPELINE_STREAMS)
+            }
+            // One chunk (or the host rung) has nothing to pipeline: one span
+            // on the earliest free stream, behind the dead time no stall
+            // charged.
+            None => {
+                let exec_us = h2d_us + kernel_us + d2h_us;
+                let dead_us = lc.flight.recovery_us - stalled_us;
+                let placement = lc.flight.place(scheduler, dead_us, exec_us);
+                (placement, exec_us, [0; 3])
+            }
+        };
         let record = RequestProfile {
             exec_us,
             h2d_us,
             kernel_us,
             d2h_us,
-            h2d_bytes,
-            d2h_bytes,
+            h2d_bytes: moved[0],
+            d2h_bytes: moved[1],
             launches,
+            chunks,
+            chunk_streams,
             ..lc.record(&placement, tier)
         };
         Ok(Some(self.complete(lc, record, Keep::Result(output))))
@@ -1284,29 +1442,18 @@ impl ServeEngine {
         Ok(Some(self.complete(lc, record, Keep::Cached)))
     }
 
-    /// Serves a tensor-op request whose working set genuinely exceeds the
-    /// device pool: split the plan's format into partition-aligned chunks
-    /// sized to a byte budget, stream them through the 3-stage out-of-core
-    /// pipeline (H2D / kernel / D2H on real device streams), and accumulate
-    /// the per-chunk outputs into a result **bit-exact** with the in-core
-    /// path.
-    ///
-    /// Pool accounting is chunk-granular: the job's transient working set
-    /// (factors + output buffer) holds one pending reservation for the whole
-    /// pipeline, while each chunk's format bytes take their own reservation
-    /// committed at that chunk's D2H end — a fault that kills one chunk
-    /// retries (or falls to the host rung) without re-streaming or leaking
-    /// any other chunk's bytes.
-    fn serve_chunked(
+    /// Out-of-core admission for a format that never fits the pool: chunks
+    /// budgeted at a quarter of the headroom the transients leave, admitted
+    /// through the in-core defer/evict loop, and rejected only if the
+    /// transients plus the two chunks the pipeline holds at once (the
+    /// kernel's and the next upload) cannot fit. A chunk's device bytes
+    /// include its format's schedule metadata (BF-COO buckets).
+    fn admit_streamed(
         &mut self,
-        mut lc: Lifecycle<'_>,
-        op: TensorOp,
-        scheduler: &mut Scheduler,
-        factor_plan: &FactorPlan,
+        lc: &mut Lifecycle<'_>,
         transient_bytes: usize,
-    ) -> Served {
-        let (key, device, request) = (lc.key, lc.flight.device, lc.request);
-        let plan = Arc::clone(&lc.plan);
+    ) -> Result<Run, String> {
+        let (key, plan) = (lc.key, Arc::clone(&lc.plan));
         let capacity = self.config.device_config.memory_capacity;
         let headroom = capacity.saturating_sub(transient_bytes);
         if headroom == 0 {
@@ -1316,204 +1463,27 @@ impl ServeEngine {
                     "transient working set of {transient_bytes} B leaves no out-of-core headroom on a {capacity} B device"
                 ),
             };
-            return Err(self.admission_rejected(&lc, too_large));
+            return Err(self.admission_rejected(lc, too_large));
         }
-        let budget = self
-            .config
-            .ooc_chunk_budget
-            .unwrap_or(headroom / 4)
-            .clamp(1, headroom);
-        let chunk_plan = self.plans.chunk_plan(key, plan.fcoo(), budget);
-        // Chunks reuse the in-core defer/evict machinery: wait out pinned
-        // reservations, evict other plans' cached formats, and reject only
-        // if the transients plus the two chunk formats the pipeline holds
-        // at once — the kernel's chunk and the next chunk's upload — cannot
-        // fit. Chunks are rehydrated into the plan's format at upload time,
-        // so each chunk's device bytes — computed once, for this room check
-        // and for its own reservation below — charge the format's schedule
-        // metadata (BF-COO buckets) too.
+        let chunks = self
+            .plans
+            .chunk_plan(key, plan.fcoo(), (headroom / 4).max(1));
         let gather_modes = plan.fcoo().product_indices.len();
-        let chunk_bytes: Vec<usize> = chunk_plan
+        let bytes: Vec<usize> = chunks
             .chunks
             .iter()
             .map(|c| c.format_bytes + plan.kind().metadata_bytes(c.nnz, gather_modes))
             .collect();
-        let max_chunk_bytes = chunk_bytes.iter().copied().max().unwrap_or(0);
-        let need = transient_bytes + 2 * max_chunk_bytes + 64;
-        if let Err(too_large) = self.defer_admission(&mut lc, |pool| pool.make_room(key, need)) {
-            return Err(self.admission_rejected(&lc, too_large));
+        let need = transient_bytes + 2 * bytes.iter().copied().max().unwrap_or(0) + 64;
+        if let Err(too_large) = self.defer_admission(lc, |pool| pool.make_room(key, need)) {
+            return Err(self.admission_rejected(lc, too_large));
         }
         self.log_event(lc.flight.admitted(true));
-        self.reserve(&mut lc, key, transient_bytes);
-        // The pipeline still pays the factor upload and at least the
-        // certificate's whole-format kernel floor (the summed chunk envelope
-        // dominates it — see `analyzer::cost`'s out-of-core bounds), so the
-        // in-core floor stays a sound lower bound here.
-        let floor = [
-            upload::transfer_us(factor_plan.h2d_bytes()),
-            plan.certificate.time_lo_us,
-        ];
-        if self.shed_if_late(&mut lc, scheduler, &floor) {
-            return Ok(None);
-        }
-
-        // Upload the factors once; they persist across every chunk. The
-        // upload retries like an attempt but is not announced as one.
-        let upload = self.attempt_ladder(
-            &mut lc,
-            protocol::CHUNK_TIERS,
-            false,
-            |engine, _| engine.upload_factors(device, request, op),
-            None,
-        )?;
-        // Dead time not yet charged to a stream stall (the host rung charges
-        // it through a delayed placement instead).
-        let mut unstalled_dead = upload.dead_us;
-        let Some((uploaded, _)) = upload.accepted else {
-            self.log_event(lc.flight.degrade(ExecTier::Unified, ExecTier::Cpu));
-            return self.host_rung(lc, op, scheduler, unstalled_dead);
-        };
-
-        let cfg = LaunchConfig::with_block_size(plan.block_size);
-        let cols = uploaded.output_cols();
-        let mut acc = ooc::Accumulator::for_op(plan.fcoo(), cols);
-        let streams = scheduler.streams(device).max(1);
-        // Stage→stream mapping: with two streams H2D keeps its own stream
-        // and kernel + D2H share one — the next chunk's upload still hides
-        // behind the current kernel. (Sharing the *copy* stream instead
-        // chains D2H before the next H2D and serializes the pipeline.)
-        let stage_streams: [usize; 3] = match streams {
-            1 => [0, 0, 0],
-            2 => [0, 1, 1],
-            _ => [0, 1, 2],
-        };
-        // The pipeline starts once every stream it uses is free.
-        let pipeline_ready = stage_streams.iter().fold(lc.flight.ready_us, |t, &s| {
-            t.max(scheduler.stream_available_us(device, s))
-        });
-        let mut chunk_schedules: Vec<ooc::ChunkSchedule> = Vec::with_capacity(chunk_plan.len());
-        let mut launches_all = Vec::new();
-        let mut h2d_us_total = 0.0f64;
-        let mut kernel_us_total = 0.0f64;
-        let mut d2h_us_total = 0.0f64;
-        let (mut h2d_bytes_total, mut d2h_bytes_total) = (0usize, 0usize);
-        let refs = uploaded.refs();
-        for (desc, &bytes) in chunk_plan.chunks.iter().zip(&chunk_bytes) {
-            let chunk = fcoo::extract(plan.fcoo(), desc);
-            self.reserve(&mut lc, key, bytes);
-            let seed = acc.seed_image(desc);
-            let run = self.attempt_ladder(
-                &mut lc,
-                protocol::CHUNK_TIERS,
-                true,
-                |engine, _| {
-                    let device_ref = &engine.devices[device];
-                    let run = ooc::run_chunk(device_ref, plan.kind(), &chunk, &refs, &cfg, &seed);
-                    let launches = engine.drain_launches(device);
-                    run.map(|(out, stats)| (out, stats, launches))
-                        .map_err(|e| format!("chunk {} allocation failed: {e}", desc.index))
-                },
-                None,
-            )?;
-            let chunk_dead = run.dead_us;
-            let Some(((out, stats, attempt_launches), _)) = run.accepted else {
-                // Out of retries: this chunk hands back its reservation (done
-                // chunks stay committed) and the request takes the host rung.
-                let (held, degrade) = lc.flight.end_chunk(self.pools[device].ledger_mut(), None);
-                self.release(&lc, held);
-                self.log_event(degrade);
-                unstalled_dead += chunk_dead;
-                return self.host_rung(lc, op, scheduler, unstalled_dead);
-            };
-            acc.absorb(desc, &out);
-            launches_all.extend(attempt_launches);
-            // Dead time from failed attempts and short stalls occupies the
-            // kernel stream before the chunk's work.
-            if chunk_dead > 0.0 {
-                scheduler.stall_stream(device, stage_streams[1], pipeline_ready, chunk_dead);
-            }
-            // The first chunk's upload carries the factors.
-            let factor_bytes = if desc.index == 0 { uploaded.bytes() } else { 0 };
-            let h2d_us = upload::transfer_us(bytes + factor_bytes);
-            h2d_bytes_total += bytes + factor_bytes;
-            let d2h_us = upload::transfer_us(acc.d2h_bytes(desc));
-            let span = scheduler.place_chunk(
-                device,
-                stage_streams,
-                pipeline_ready,
-                desc.index,
-                [h2d_us, stats.time_us, d2h_us],
-            );
-            h2d_us_total += h2d_us;
-            kernel_us_total += stats.time_us;
-            d2h_us_total += d2h_us;
-            d2h_bytes_total += acc.d2h_bytes(desc);
-            // Chunk-granular commit: this chunk's format bytes release at
-            // its D2H end whether or not a later chunk faults.
-            let ledger = self.pools[device].ledger_mut();
-            let (_, commit) = lc.flight.end_chunk(ledger, Some(span.d2h.1));
-            self.log_event(commit);
-            chunk_schedules.push(span);
-        }
-        drop(refs);
-        let placement = Placement {
-            device,
-            stream: stage_streams[1],
-            start_us: pipeline_ready,
-            finish_us: chunk_schedules.last().map_or(pipeline_ready, |c| c.d2h.1),
-        };
-        let output = JobOutput::from_rows(
-            op,
-            self.registered(&request.tensor_id)?.tensor.shape().to_vec(),
-            &plan.fcoo().segment_coords,
-            DenseMatrix::from_vec(acc.rows(), cols, acc.into_values()),
-        );
-        let record = RequestProfile {
-            exec_us: placement.finish_us - placement.start_us,
-            h2d_us: h2d_us_total,
-            kernel_us: kernel_us_total,
-            d2h_us: d2h_us_total,
-            h2d_bytes: h2d_bytes_total,
-            d2h_bytes: d2h_bytes_total,
-            launches: launches_all,
-            chunks: chunk_schedules,
-            chunk_streams: stage_streams,
-            ..lc.record(&placement, ExecTier::Unified)
-        };
-        Ok(Some(self.complete(lc, record, Keep::Result(output))))
-    }
-
-    /// The out-of-core ladder's host rung: a chunk (or the factor upload)
-    /// ran out of retries and the caller logged the `Degrade`, so the whole
-    /// request runs on the host. Completed chunks' reservations are already
-    /// committed; the job reservation commits at the host result's finish,
-    /// so the pool still drains to zero. `dead_us` is the dead time no
-    /// stream stall has charged yet.
-    fn host_rung(
-        &mut self,
-        mut lc: Lifecycle<'_>,
-        op: TensorOp,
-        scheduler: &mut Scheduler,
-        dead_us: f64,
-    ) -> Served {
-        self.fault_stats.cpu_fallbacks += 1;
-        let request = lc.request;
-        let host = self.attempt_ladder(
-            &mut lc,
-            protocol::HOST_TIERS,
-            false,
-            |engine, _| engine.execute_cpu(request, op),
-            None,
-        )?;
-        let ((output, kernel_us, _, _), tier) =
-            host.accepted.expect("the host tier always accepts");
-        let placement = lc.flight.place(scheduler, dead_us, kernel_us);
-        let record = RequestProfile {
-            exec_us: kernel_us,
-            kernel_us,
-            ..lc.record(&placement, tier)
-        };
-        Ok(Some(self.complete(lc, record, Keep::Result(output))))
+        Ok(Run {
+            chunks,
+            bytes,
+            resident: None,
+        })
     }
 
     /// Serves a CP-ALS request: one SpMTTKRP plan per mode through the plan
@@ -1559,7 +1529,8 @@ impl ServeEngine {
             device,
             keys[0],
             plan,
-            worst_source(&sources),
+            // Any build dominates, then any disk hit, then pure memory.
+            sources.into_iter().max().unwrap_or(PlanSource::Memory),
         );
         self.pools[device].retire(lc.flight.ready_us);
         // An upper bound on the device bytes of the decomposition: all
@@ -1992,67 +1963,6 @@ impl ServeEngine {
         record
     }
 
-    /// Uploads a tensor-op request's compact factors to `device`: the one
-    /// factor-upload path of the unified and two-step tiers and of the
-    /// out-of-core pipeline.
-    fn upload_factors(
-        &self,
-        device: usize,
-        request: &Request,
-        op: TensorOp,
-    ) -> Result<DeviceFactors, String> {
-        let plan = self.factor_plan(&request.tensor_id, op, request.rank)?;
-        let touched = &self.registered(&request.tensor_id)?.touched;
-        upload::upload(&self.devices[device], &plan, touched, request.factor_seed)
-            .map_err(|e| format!("transient allocation failed: {e}"))
-    }
-
-    /// Runs one attempt of a tensor-op request on the requested
-    /// degradation-ladder tier.
-    fn execute_tier(
-        &self,
-        device: usize,
-        tier: ExecTier,
-        format: &Arc<AnyFormatDevice>,
-        request: &Request,
-        op: TensorOp,
-        plan: &Plan,
-    ) -> Result<Attempt, String> {
-        match tier {
-            ExecTier::Unified => self.execute(device, format, request, op, plan.block_size),
-            ExecTier::TwoStep => self.execute_two_step(device, request, op, plan),
-            ExecTier::Cpu => self.execute_cpu(request, op),
-        }
-    }
-
-    /// Runs the planned kernel functionally on `device`.
-    fn execute(
-        &self,
-        device: usize,
-        format: &Arc<AnyFormatDevice>,
-        request: &Request,
-        op: TensorOp,
-        block_size: usize,
-    ) -> Result<Attempt, String> {
-        let factors = self.upload_factors(device, request, op)?;
-        let refs = factors.refs();
-        let cfg = LaunchConfig::with_block_size(block_size);
-        let (rows, stats) = format
-            .launch(&self.devices[device], &refs, &cfg)
-            .map_err(|e| format!("transient allocation failed: {e}"))?;
-        // The device holds one row per segment, and that is what comes
-        // back; the compact format's product modes span the touched rows,
-        // and the result reports the registered tensor's shape.
-        let d2h_bytes = rows.data().len() * 4;
-        let output = JobOutput::from_rows(
-            op,
-            self.registered(&request.tensor_id)?.tensor.shape().to_vec(),
-            &format.base().segment_coords_host,
-            rows,
-        );
-        Ok((output, stats.time_us, factors.bytes(), d2h_bytes))
-    }
-
     /// The two-step fallback (Fig. 3a): SpTTM then a second unified launch,
     /// on the same (faulted) device — still covered by the integrity barrier.
     /// It runs over the plan's compact coordinates, so it reads the same
@@ -2063,40 +1973,36 @@ impl ServeEngine {
         request: &Request,
         op: TensorOp,
         plan: &Plan,
-    ) -> Result<Attempt, String> {
-        let TensorOp::SpMttkrp { mode } = op else {
-            return Err("two-step fallback only covers SpMTTKRP".to_string());
-        };
+        factors: &[&DeviceMatrix],
+    ) -> Result<(JobOutput, f64), String> {
         let registered = self.registered(&request.tensor_id)?;
-        if registered.tensor.order() != 3 {
-            return Err("two-step fallback is 3-order only".to_string());
-        }
+        let (TensorOp::SpMttkrp { mode }, 3) = (op, registered.tensor.order()) else {
+            return Err("two-step fallback covers 3-order SpMTTKRP only".to_string());
+        };
         let compact = fcoo::compact_tensor(&registered.tensor, op, &registered.touched);
-        let factors = self.upload_factors(device, request, op)?;
         let cfg = LaunchConfig::with_block_size(plan.block_size);
         let outcome = fcoo::spmttkrp_two_step_device(
             &self.devices[device],
             &compact,
             mode,
-            &factors.refs(),
+            factors,
             plan.threadlen(),
             &cfg,
         )
         .map_err(|e| format!("two-step allocation failed: {e}"))?;
         // The two-step kernel writes the dense `shape[mode]` rows.
-        let output = JobOutput::Dense(outcome.result);
-        let d2h_bytes = output.bytes();
-        Ok((output, outcome.stats.time_us, factors.bytes(), d2h_bytes))
+        Ok((JobOutput::Dense(outcome.result), outcome.stats.time_us))
     }
 
     /// The last rung: sequential host reference with analytic timing. Never
     /// touches a device, so it cannot fault — the ladder always terminates.
-    fn execute_cpu(&self, request: &Request, op: TensorOp) -> Result<Attempt, String> {
+    fn execute_cpu(&self, request: &Request, op: TensorOp) -> Result<(JobOutput, f64), String> {
         let tensor = &self.registered(&request.tensor_id)?.tensor;
         let output = host_reference_output(tensor, op, request.rank, request.factor_seed);
-        let kernel_us = cpu_reference_us(tensor.nnz(), request.rank, tensor.order());
-        // The host tier computes off-device: nothing crosses the bus.
-        Ok((output, kernel_us, 0, 0))
+        Ok((
+            output,
+            cpu_reference_us(tensor.nnz(), request.rank, tensor.order()),
+        ))
     }
 
     /// Re-runs every cached unique result (single ops and CP-ALS jobs)
@@ -2172,11 +2078,6 @@ impl ServeEngine {
         (checked, failures)
     }
 }
-
-/// One attempt's result: the output, the planned kernel's simulated time
-/// (µs), the factor bytes it moved host→device and the result bytes it
-/// moved device→host.
-type Attempt = (JobOutput, f64, usize, usize);
 
 /// The factor model of a finished CP-ALS run and its makespan in
 /// microseconds (the engine's two-stream timeline).
@@ -2472,6 +2373,68 @@ mod tests {
         let trace = profile.chrome_trace();
         assert!(trace.validate().is_empty(), "{:?}", trace.validate());
         assert!(trace.to_json().contains("\"traceEvents\""));
+    }
+
+    /// The counter report's per-request time of every in-core unified row
+    /// marked `in` lies inside the plan's per-launch certified envelope.
+    #[test]
+    fn per_request_time_lies_in_the_certified_envelope() {
+        let report = ServeEngine::new(ServeConfig {
+            profile: true,
+            ..ServeConfig::default()
+        })
+        .run(&workload::synthetic(60, 2017));
+        let counters = report.profile.expect("profile requested").counter_report();
+        assert!(counters.contains("µs/req"), "{counters}");
+        let mut rows = 0;
+        for line in counters.lines().filter(|l| l.ends_with("] in")) {
+            let (columns, envelope) = line.split_once("  [").expect("an envelope column");
+            let per_request: f64 = columns.split_whitespace().last().unwrap().parse().unwrap();
+            let (lo, hi) = envelope.trim_end_matches("] in").split_once(", ").unwrap();
+            let (lo, hi): (f64, f64) = (lo.parse().unwrap(), hi.parse().unwrap());
+            assert!((lo..=hi).contains(&per_request), "{line}");
+            rows += 1;
+        }
+        assert!(rows > 0, "no certified in-core row: {counters}");
+    }
+
+    /// A one-chunk run is placed as one span, exactly as the scheduler
+    /// places any job: `h2d + kernel + d2h` on the earliest free stream
+    /// behind the request's dead time. Start, finish, stream, busy time and
+    /// makespan match `place_on_device` bit for bit, with and without dead
+    /// time.
+    #[test]
+    fn one_chunk_run_places_as_one_span() {
+        let w = Workload::parse("tensor t nell2 800 3\nrequest t mttkrp 1 8 5.0 1\n").unwrap();
+        let check = |report: &ServeReport| {
+            let r = &report.requests[0];
+            assert!(r.chunks.is_empty() && !r.deferred);
+            let mut scheduler = Scheduler::new(1, STREAMS_PER_DEVICE);
+            let span = r.h2d_us + r.kernel_us + r.d2h_us;
+            let p = scheduler.place_on_device(0, r.arrival_us, r.recovery_us, span);
+            assert_eq!((p.device, p.stream), (r.device, r.stream));
+            assert_eq!(p.start_us.to_bits(), r.start_us.to_bits());
+            assert_eq!(p.finish_us.to_bits(), r.finish_us.to_bits());
+            assert_eq!(scheduler.utilizations(), report.utilizations);
+            assert_eq!(
+                scheduler.makespan_us().to_bits(),
+                report.makespan_us.to_bits()
+            );
+        };
+        let clean = ServeEngine::new(ServeConfig::default()).run(&w);
+        assert_eq!(clean.requests[0].recovery_us, 0.0);
+        check(&clean);
+        let faulted = (0..200)
+            .map(|seed| {
+                ServeEngine::new(ServeConfig {
+                    fault_injection: Some(FaultConfig::chaos(seed, 0.2)),
+                    ..ServeConfig::default()
+                })
+                .run(&w)
+            })
+            .find(|report| report.requests.first().is_some_and(|r| r.recovery_us > 0.0))
+            .expect("some seed charges dead time");
+        check(&faulted);
     }
 
     #[test]

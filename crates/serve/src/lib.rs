@@ -58,5 +58,5 @@ pub use metrics::{ExecTier, LatencySummary, RequestProfile};
 pub use plan::{Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource};
 pub use pool::{AdmitError, DevicePool, PoolStats, ReservationId};
 pub use profile::{KernelProfile, ServeProfile};
-pub use scheduler::{Placement, Scheduler};
+pub use scheduler::{Placement, Scheduler, PIPELINE_STREAMS, STREAMS_PER_DEVICE};
 pub use workload::{open_loop, synthetic, Request, ServeOp, TensorSpec, Workload, WorkloadError};

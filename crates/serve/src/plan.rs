@@ -219,8 +219,8 @@ pub fn format_bytes(format: &AnyFormat) -> usize {
     format.storage_bytes() + 64
 }
 
-/// How a plan lookup was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a plan lookup was satisfied, ordered by cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PlanSource {
     /// Found in memory — free.
     Memory,

@@ -397,10 +397,11 @@ impl ServeProfile {
     }
 
     /// The per-kernel counter report: one row per `(tensor, op, tier,
-    /// config)` group with the dynamic ratios, the plan's certified
-    /// kernel-time envelope beside them (`in` when every member's kernel
-    /// time lies inside it, `OUT` otherwise), and the device's peak
-    /// bandwidth for context.
+    /// config)` group with the dynamic ratios, the row's kernel time per
+    /// request (`µs/req`) and the plan's certified per-launch kernel-time
+    /// envelope beside it (`in` when every member's kernel time lies
+    /// inside it, `OUT` otherwise), and the device's peak bandwidth for
+    /// context.
     pub fn counter_report(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -411,9 +412,9 @@ impl ServeProfile {
         );
         let _ = writeln!(
             out,
-            "  {:<10} {:<18} {:<8} {:>15} {:>5} {:>10} {:>7} {:>6} {:>6} {:>6} {:>8} {:>6}  certified µs",
+            "  {:<10} {:<18} {:<8} {:>15} {:>5} {:>10} {:>7} {:>6} {:>6} {:>6} {:>8} {:>6} {:>9}  certified µs",
             "tensor", "op", "tier", "config", "reqs", "time(µs)", "GB/s", "bw%", "coal%",
-            "cache%", "atom-ser", "occup"
+            "cache%", "atom-ser", "occup", "µs/req"
         );
         for row in &self.kernels {
             let c = &row.counters;
@@ -432,7 +433,7 @@ impl ServeProfile {
             };
             let _ = writeln!(
                 out,
-                "  {:<10} {:<18} {:<8} {:>15} {:>5} {:>10.3} {:>7.1} {:>6.1} {:>6.1} {:>6.1} {:>8.2} {:>6.3}  {}",
+                "  {:<10} {:<18} {:<8} {:>15} {:>5} {:>10.3} {:>7.1} {:>6.1} {:>6.1} {:>6.1} {:>8.2} {:>6.3} {:>9.3}  {}",
                 row.tensor_id,
                 row.op,
                 row.tier.label(),
@@ -445,6 +446,7 @@ impl ServeProfile {
                 100.0 * c.cache_hit_rate(),
                 c.atomic_serialization(),
                 c.occupancy(),
+                c.time_us / row.requests as f64,
                 certified
             );
         }

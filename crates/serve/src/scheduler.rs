@@ -11,6 +11,17 @@
 
 use gpu_sim::Timeline;
 
+/// Streams each serving device runs.
+pub const STREAMS_PER_DEVICE: usize = 2;
+
+/// Stage→stream mapping of a streamed run's chunks: H2D keeps stream 0 and
+/// the kernel and D2H share stream 1, so the next chunk's upload hides
+/// behind the current kernel. (Sharing the *copy* stream instead chains
+/// D2H before the next H2D and serializes the pipeline.) A one-chunk run
+/// has nothing to pipeline and takes one span on the earliest free stream
+/// ([`Scheduler::place_on_device`]).
+pub const PIPELINE_STREAMS: [usize; 3] = [0, 1, 1];
+
 /// Where and when a job was scheduled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Placement {
@@ -45,11 +56,6 @@ impl Scheduler {
                 .map(|_| Timeline::new(streams_per_device))
                 .collect(),
         }
-    }
-
-    /// Number of streams on `device` (zero when out of range).
-    pub fn streams(&self, device: usize) -> usize {
-        self.timelines.get(device).map_or(0, Timeline::streams)
     }
 
     /// Places a job on the earliest-free stream of `device` (clamped to the

@@ -128,14 +128,6 @@ impl DeviceFactors {
         }
     }
 
-    /// Output columns the request's kernel produces.
-    pub(crate) fn output_cols(&self) -> usize {
-        match self.op {
-            TensorOp::SpTtmc { .. } => self.matrices.iter().map(DeviceMatrix::cols).product(),
-            TensorOp::SpTtm { .. } | TensorOp::SpMttkrp { .. } => self.matrices[0].cols(),
-        }
-    }
-
     /// Bytes the upload moved host→device.
     pub(crate) fn bytes(&self) -> usize {
         self.matrices.iter().map(|m| m.rows() * m.cols() * 4).sum()

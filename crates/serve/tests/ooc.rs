@@ -121,12 +121,13 @@ fn oversized_tensor_serves_bit_exact_out_of_core() {
 fn chunked_pipeline_beats_serial_chunks() {
     let mut device_config = DeviceConfig::titan_x();
     device_config.memory_capacity = ooc_capacity();
-    // A tight explicit budget forces a deep chunk plan (>= 4 chunks) so
-    // the overlap claim is about a real pipeline, not a 2-chunk accident.
+    // The chunk budget is a quarter of the headroom the transients leave,
+    // here an eighth of the smallest format: a deep chunk plan (>= 4
+    // chunks), so the overlap claim is about a real pipeline, not a
+    // 2-chunk accident.
     let mut engine = ServeEngine::new(ServeConfig {
         device_config,
         profile: true,
-        ooc_chunk_budget: Some(min_format_bytes() / 8),
         ..ServeConfig::default()
     });
     let report = engine.run(&ooc_workload());

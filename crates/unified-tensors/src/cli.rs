@@ -6,6 +6,7 @@
 
 use crate::gpu_sim::OutOfMemory;
 use crate::prelude::*;
+use crate::serve::plan::{SERVE_BLOCK_SIZES, SERVE_THREADLENS};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -311,11 +312,14 @@ pub fn sanitize(
         other => return Err(err(format!("unknown op `{other}` (spttm|mttkrp|ttmc)"))),
     };
     // The replay exercises the format the planner would actually serve —
-    // certified cross-format selection, not a hardcoded F-COO build — so a
-    // BF-COO-winning tensor is linted and replayed with its bucketed
-    // schedule.
+    // certified cross-format selection over the serving grid, not a
+    // hardcoded F-COO build — so a BF-COO-winning tensor is linted and
+    // replayed with its bucketed schedule, and a threadlen-4 plan replays
+    // at threadlen 4.
     let config = DeviceConfig::titan_x();
-    let choice = crate::analyzer::tune_select(&config, tensor, op, rank, None, None);
+    let (blocks, threadlens) = (&SERVE_BLOCK_SIZES[..], &SERVE_THREADLENS[..]);
+    let choice =
+        crate::analyzer::tune_select(&config, tensor, op, rank, Some(blocks), Some(threadlens));
     let format = AnyFormat::build(choice.kind(), tensor, op, choice.chosen.threadlen);
     let cfg = LaunchConfig::with_block_size(choice.chosen.block_size);
     let mut out = String::new();
@@ -1059,7 +1063,7 @@ pub fn saturate(out_path: Option<&Path>) -> Result<String, CliError> {
     let seed = 42u64;
     let requests_per_load = 160usize;
     let devices = 2usize;
-    let streams = ServeConfig::default().streams_per_device;
+    let streams = crate::serve::STREAMS_PER_DEVICE;
 
     let run = |workload: &Workload,
                fault: Option<(crate::gpu_sim::FaultConfig, u64)>|
@@ -1509,6 +1513,26 @@ mod tests {
         // A saturating uniform tensor keeps the baseline.
         let text = sanitize(&uniform_tensor(), "mttkrp", 0, 8).unwrap();
         assert!(text.starts_with("fcoo lint"), "{text}");
+    }
+
+    #[test]
+    fn sanitize_replays_the_serving_grid_pick() {
+        // The serving grid reaches threadlen 4, which the paper grid lacks:
+        // sanitize must replay the plan serving picks, T4 here.
+        let tensor = sample();
+        let op = TensorOp::SpMttkrp { mode: 0 };
+        let (blocks, threadlens) = (&SERVE_BLOCK_SIZES[..], &SERVE_THREADLENS[..]);
+        let config = DeviceConfig::titan_x();
+        let choice =
+            crate::analyzer::tune_select(&config, &tensor, op, 8, Some(blocks), Some(threadlens));
+        assert_eq!(choice.chosen.threadlen, 4, "the serving pick is T4");
+        let text = sanitize(&tensor, "mttkrp", 0, 8).unwrap();
+        let partitions = tensor.nnz().div_ceil(4);
+        assert!(
+            text.contains(&format!(", {partitions} partitions)")),
+            "{text}"
+        );
+        assert!(text.contains("no issues found"), "{text}");
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! run each of the four kernels — and a full serving workload — with
 //! tracing on and off and compare at the bit level.
 
-use unified_tensors::fcoo::{spmttkrp_two_step_unified, spttmc_norder};
+use unified_tensors::fcoo::{spmttkrp_two_step_unified, spttmc_norder, AnyFormat, FormatKind};
 use unified_tensors::prelude::*;
+use unified_tensors::serve::plan::{format_bytes, SERVE_THREADLENS};
+use unified_tensors::serve::upload::{output_bytes, FactorPlan};
 
 fn tensor() -> SparseTensorCoo {
     datasets::generate(DatasetKind::Nell2, 1_200, 99).0
@@ -165,18 +167,20 @@ fn profiling_a_chunked_workload_is_bit_exact_and_shows_overlap() {
          request big mttkrp 0 8 5.0 12\n",
     )
     .expect("valid workload");
-    // Capacity below the smallest tunable format forces chunked streaming.
+    // Capacity below the smallest tunable format forces chunked streaming,
+    // sized by the engine's own rules: the request's transients plus half
+    // the smallest format leave a chunk budget (a quarter of the headroom)
+    // of an eighth of it, a deep pipeline.
+    let op = TensorOp::SpMttkrp { mode: 0 };
     let (big, _) = datasets::generate(DatasetKind::Nell2, 3000, 7);
-    let transients: usize =
-        big.shape().iter().map(|&s| s * 8 * 4).sum::<usize>() + big.shape()[0] * 8 * 4 + 1024;
-    let min_format = unified_tensors::serve::plan::SERVE_THREADLENS
+    let touched: Vec<Vec<u32>> = (0..big.order())
+        .map(|m| unified_tensors::fcoo::touched_rows(big.mode_indices(m)))
+        .collect();
+    let transients = FactorPlan::new(op, big.shape(), &touched, 8)
+        .transient_bytes(output_bytes(&Fcoo::from_coo(&big, op, 8), 8));
+    let min_format = SERVE_THREADLENS
         .iter()
-        .map(|&tl| {
-            Fcoo::from_coo(&big, TensorOp::SpMttkrp { mode: 0 }, tl)
-                .storage()
-                .total_bytes()
-                + 64
-        })
+        .map(|&tl| format_bytes(&AnyFormat::build(FormatKind::Fcoo, &big, op, tl)))
         .min()
         .expect("non-empty grid");
     let mut device_config = DeviceConfig::titan_x();
@@ -185,7 +189,6 @@ fn profiling_a_chunked_workload_is_bit_exact_and_shows_overlap() {
         let mut engine = ServeEngine::new(ServeConfig {
             device_config: device_config.clone(),
             profile,
-            ooc_chunk_budget: Some(min_format / 8),
             ..ServeConfig::default()
         });
         engine.run(&workload)
