@@ -1388,15 +1388,34 @@ fn certify_fiber_reduction(
     fold_launch(&blocks, concurrent, bt, grid_x * rank, config)
 }
 
+/// Certified launch envelope of each chunk of an out-of-core chunked run
+/// in format `kind`, in stream order: each chunk certified on its
+/// self-contained extracted format. The chunk boundaries live in the
+/// shared F-COO payload; per-chunk bucket metadata is re-derived from each
+/// extracted chunk (exactly what the out-of-core executor uploads), so the
+/// per-chunk envelopes match the traced launches.
+pub fn certify_chunks(
+    config: &DeviceConfig,
+    kind: FormatKind,
+    fcoo: &Fcoo,
+    plan: &ChunkPlan,
+    rank: usize,
+    cfg: &LaunchConfig,
+) -> Vec<CounterEnvelope> {
+    plan.chunks
+        .iter()
+        .map(|desc| {
+            let chunk = AnyFormat::from_fcoo(kind, Arc::new(fcoo::chunk::extract(fcoo, desc)));
+            certify_format(config, &chunk, rank, cfg)
+        })
+        .collect()
+}
+
 /// Certified whole-pipeline envelope of an out-of-core chunked run in
-/// format `kind` (`ooc::run_chunked`): the sum of per-chunk launch
-/// envelopes over the plan, each chunk certified on its self-contained
-/// extracted format. The measured [`KernelCounters`] of a traced chunked
-/// run satisfy the summed bounds because chunk launches execute back to
-/// back and [`KernelCounters::merge`] is a field-wise sum. The chunk
-/// boundaries live in the shared F-COO payload; per-chunk bucket metadata
-/// is re-derived from each extracted chunk (exactly what the out-of-core
-/// executor uploads), so the per-chunk envelopes match the traced launches.
+/// format `kind` (`ooc::run_chunked`): the sum of the [`certify_chunks`]
+/// envelopes. The measured [`KernelCounters`] of a traced chunked run
+/// satisfy the summed bounds because chunk launches execute back to back
+/// and [`KernelCounters::merge`] is a field-wise sum.
 pub fn certify_chunked(
     config: &DeviceConfig,
     kind: FormatKind,
@@ -1406,9 +1425,8 @@ pub fn certify_chunked(
     cfg: &LaunchConfig,
 ) -> CounterEnvelope {
     let mut envelope = CounterEnvelope::empty();
-    for desc in &plan.chunks {
-        let chunk = AnyFormat::from_fcoo(kind, Arc::new(fcoo::chunk::extract(fcoo, desc)));
-        envelope.accumulate(&certify_format(config, &chunk, rank, cfg));
+    for chunk in certify_chunks(config, kind, fcoo, plan, rank, cfg) {
+        envelope.accumulate(&chunk);
     }
     envelope
 }

@@ -8,7 +8,9 @@
 //!   §V-E) along the update's dependency chain: MTTKRP(n) → solve(n) →
 //!   MTTKRP(n+1), with the Gram of the factor just solved hidden under the
 //!   next MTTKRP. [`UnifiedGpuEngine::new`] is the F-COO, all-rows case; the
-//!   serving engine passes the formats its pool admitted;
+//!   serving engine passes the formats its pool admitted and, through
+//!   [`UnifiedGpuEngine::after_uploads`], when its copy stream lands the
+//!   factors and each (re)uploaded format;
 //! * [`SplattEngine`] — SPLATT's CSF trees, one per mode, MTTKRP on the CPU
 //!   pool (the Fig. 10 competitor);
 //! * [`ReferenceEngine`] — the sequential oracle from `tensor_core::ops`.
@@ -140,6 +142,10 @@ pub struct UnifiedGpuEngine<'d> {
     spans: Vec<StreamSpan>,
     last_mttkrp_end: f64,
     last_solve_end: f64,
+    /// When the initial factors' upload ends: no launch starts before it.
+    factors_ready_us: f64,
+    /// Per mode, when its format's upload ends (empty: all resident).
+    formats_ready_us: Vec<f64>,
 }
 
 impl<'d> UnifiedGpuEngine<'d> {
@@ -152,7 +158,20 @@ impl<'d> UnifiedGpuEngine<'d> {
             spans: Vec::new(),
             last_mttkrp_end: 0.0,
             last_solve_end: 0.0,
+            factors_ready_us: 0.0,
+            formats_ready_us: Vec::new(),
         }
+    }
+
+    /// Gates the timeline behind a copy stream that starts with it: the
+    /// initial factors land at `factors_us`, and mode `m`'s format at
+    /// `formats_us[m]` (the factors' landing for a resident format). Every
+    /// launch waits for the factors, and mode `m`'s MTTKRP for its format,
+    /// so a format upload hides under the sweep's earlier modes.
+    pub fn after_uploads(mut self, factors_us: f64, formats_us: Vec<f64>) -> Self {
+        self.factors_ready_us = factors_us;
+        self.formats_ready_us = formats_us;
+        self
     }
 
     /// Preprocesses and uploads F-COO over full coordinates for every mode,
@@ -232,8 +251,12 @@ impl MttkrpEngine for UnifiedGpuEngine<'_> {
             .format
             .spmttkrp(self.device, &refs, &cfg)
             .map_err(oom)?;
-        self.last_mttkrp_end =
-            self.launch(SpanKind::Mttkrp(mode), self.last_solve_end, stats.time_us);
+        let format_ready = self.formats_ready_us.get(mode).copied().unwrap_or(0.0);
+        let earliest = self
+            .last_solve_end
+            .max(self.factors_ready_us)
+            .max(format_ready);
+        self.last_mttkrp_end = self.launch(SpanKind::Mttkrp(mode), earliest, stats.time_us);
         Ok((result, stats.time_us))
     }
 
@@ -245,7 +268,7 @@ impl MttkrpEngine for UnifiedGpuEngine<'_> {
             // the solve that produced that factor.
             DenseStage::Gram { rows, .. } => {
                 let us = gram_us(config, rows, rank);
-                self.launch(kind, 0.0, us);
+                self.launch(kind, self.factors_ready_us, us);
                 Some(us)
             }
             DenseStage::Solve { .. } => {
@@ -637,6 +660,38 @@ mod tests {
         check_schedule(&order3, &opts);
         let order4 = datasets::generate_norder(&[15, 12, 10, 8], 2_000, 0.6, 80);
         check_schedule(&order4, &opts);
+    }
+
+    #[test]
+    fn uploads_gate_the_launches_that_read_them() {
+        let (tensor, _) = datasets::generate(DatasetKind::Nell2, 3000, 79);
+        let opts = options();
+        let run = |uploads: Option<(f64, Vec<f64>)>| {
+            let device = GpuDevice::titan_x();
+            let mut engine = UnifiedGpuEngine::new(&device, &tensor, 8, 128).unwrap();
+            if let Some((factors_us, formats_us)) = uploads {
+                engine = engine.after_uploads(factors_us, formats_us);
+            }
+            let run = cp_als(&tensor, &mut engine, &opts).expect("engine computes every MTTKRP");
+            (run, engine.spans().to_vec())
+        };
+        let (plain, plain_spans) = run(None);
+        // Landing at zero changes nothing.
+        let (zero, zero_spans) = run(Some((0.0, vec![0.0; 3])));
+        assert_eq!(zero_spans, plain_spans);
+        assert_eq!(zero.overlapped_total_us, plain.overlapped_total_us);
+        // Late uploads: nothing starts before the factors, no MTTKRP before
+        // its format, and the results are the same bits.
+        let ready = vec![2.0, 30.0, 60.0];
+        let (late, late_spans) = run(Some((2.0, ready.clone())));
+        assert_eq!(late.model.lambda, plain.model.lambda);
+        assert!(late_spans.iter().all(|s| s.start_us >= 2.0));
+        for span in &late_spans {
+            if let SpanKind::Mttkrp(mode) = span.kind {
+                assert!(span.start_us >= ready[mode], "{span:?}");
+            }
+        }
+        assert!(late.overlapped_total_us > plain.overlapped_total_us);
     }
 
     #[test]

@@ -342,8 +342,8 @@ impl ModelState {
                 // Out of core, admission only makes room (transients, two
                 // chunks); the model's upload is instantaneous and never fails.
                 let admitted = if spec.chunks > 0 {
-                    let need = tb + 2 * spec.chunk_bytes;
-                    protocol::make_room(&mut pools[d], key, need, live).map(|_| true)
+                    protocol::make_room(&mut pools[d], key, tb, spec.chunk_bytes, live)
+                        .map(|_| true)
                 } else {
                     protocol::admit(&mut pools[d], key, fb, tb, live).map(|a| !a.resident)
                 };

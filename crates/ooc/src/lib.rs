@@ -9,7 +9,7 @@
 //! layer's scheduler places each chunk's H2D, kernel and D2H stages on the
 //! device's streams (H2D of chunk `k+1` under the kernel of chunk `k` under
 //! the D2H of chunk `k−1`) and records them as [`ChunkSchedule`]s, whose
-//! makespan and overlap efficiency `tensortool oocbench` reports.
+//! makespan `tensortool oocbench` reports against its certified floor.
 //!
 //! The execution path deliberately depends only on
 //! `fcoo`/`gpu-sim`/`tensor-core`: the serve engine composes these pieces

@@ -13,7 +13,7 @@
 
 use crate::events::ProtocolEvent;
 use crate::metrics::{ExecTier, LatencySummary, RequestProfile};
-use crate::plan::{self, Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource};
+use crate::plan::{self, Plan, PlanCache, PlanCacheStats, PlanKey, PlanSource, StreamSizing};
 use crate::pool::{AdmitError, Admitted, DevicePool, PoolStats, ReservationId};
 use crate::profile::ServeProfile;
 use crate::protocol::{self, Flight, Health, Ladder, Rung};
@@ -853,6 +853,11 @@ impl ServeEngine {
         &self.pools[index]
     }
 
+    /// The in-memory plan for `key`, if one was built or loaded.
+    pub fn plan(&self, key: PlanKey) -> Option<Arc<Plan>> {
+        self.plans.peek(key)
+    }
+
     /// Fault and recovery tallies accumulated so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_stats
@@ -1205,7 +1210,7 @@ impl ServeEngine {
                 bytes: vec![usize::from(admitted.uploaded) * plan.format.storage_bytes()],
                 resident: Some(admitted.format),
             },
-            Err(_) => self.admit_streamed(&mut lc, transient_bytes)?,
+            Err(_) => self.admit_streamed(&mut lc, transient_bytes, factor_plan.h2d_bytes())?,
         };
         self.reserve(&mut lc, key, transient_bytes);
         // The bus moves the compact factor bytes, and the kernel runs at
@@ -1240,6 +1245,7 @@ impl ServeEngine {
         let pipeline_ready = PIPELINE_STREAMS.iter().fold(lc.flight.ready_us, |t, &s| {
             t.max(scheduler.stream_available_us(device, s))
         });
+        let mut pipeline_start = pipeline_ready;
         // A resident chunk climbs the op's tier ladder under sampled
         // redundancy; a streamed chunk retries on its one tier.
         let (tiers, sampled) = match run.resident {
@@ -1260,6 +1266,14 @@ impl ServeEngine {
                 break 'chunks true;
             };
             let refs = factors.refs();
+            if run.resident.is_none() && upload.dead_us > 0.0 {
+                // The factor upload's failed attempts and backoff hold the
+                // pipeline's start: its first chunk carries the factors.
+                let (stream, dead_us) = (PIPELINE_STREAMS[1], upload.dead_us);
+                scheduler.stall_stream(device, stream, pipeline_ready, dead_us);
+                stalled_us += dead_us;
+                pipeline_start += dead_us;
+            }
             for (desc, &bytes) in run.chunks.chunks.iter().zip(&run.bytes) {
                 let chunk;
                 let format = match &run.resident {
@@ -1328,13 +1342,13 @@ impl ServeEngine {
                     // occupies the kernel stream before the chunk's work.
                     if attempts.dead_us > 0.0 {
                         let (stream, dead_us) = (PIPELINE_STREAMS[1], attempts.dead_us);
-                        scheduler.stall_stream(device, stream, pipeline_ready, dead_us);
+                        scheduler.stall_stream(device, stream, pipeline_start, dead_us);
                         stalled_us += dead_us;
                     }
                     let span = scheduler.place_chunk(
                         device,
                         PIPELINE_STREAMS,
-                        pipeline_ready,
+                        pipeline_start,
                         desc.index,
                         stages_us,
                     );
@@ -1379,7 +1393,8 @@ impl ServeEngine {
         });
         let [h2d_us, kernel_us, d2h_us] = stages_sum;
         let (placement, exec_us, chunk_streams) = match chunks.last() {
-            // A streamed run spans its pipeline.
+            // A streamed run spans its pipeline, behind the factor upload's
+            // dead time.
             Some(last) => {
                 let finish_us = last.d2h.1;
                 let stream = PIPELINE_STREAMS[1];
@@ -1389,7 +1404,7 @@ impl ServeEngine {
                     start_us: pipeline_ready,
                     finish_us,
                 };
-                (placement, finish_us - pipeline_ready, PIPELINE_STREAMS)
+                (placement, finish_us - pipeline_start, PIPELINE_STREAMS)
             }
             // One chunk (or the host rung) has nothing to pipeline: one span
             // on the earliest free stream, behind the dead time no stall
@@ -1442,21 +1457,29 @@ impl ServeEngine {
         Ok(Some(self.complete(lc, record, Keep::Cached)))
     }
 
-    /// Out-of-core admission for a format that never fits the pool: chunks
-    /// budgeted at a quarter of the headroom the transients leave, admitted
-    /// through the in-core defer/evict loop, and rejected only if the
-    /// transients plus the two chunks the pipeline holds at once (the
-    /// kernel's and the next upload) cannot fit. A chunk's device bytes
-    /// include its format's schedule metadata (BF-COO buckets).
+    /// Out-of-core admission for a format that never fits the pool: the
+    /// chunk budget is the candidate fraction of the headroom the
+    /// transients leave whose chunks fit with the smallest certified
+    /// pipeline bound ([`PlanCache::stream_plan`]), admitted through the
+    /// in-core defer/evict loop, and rejected only if the transients plus
+    /// the two chunks the pipeline holds at once (the kernel's and the next
+    /// upload) cannot fit ([`protocol::streamed_need`]). A chunk's device
+    /// bytes include its format's schedule metadata (BF-COO buckets);
+    /// `factor_bytes` ride on the first chunk's upload.
     fn admit_streamed(
         &mut self,
         lc: &mut Lifecycle<'_>,
         transient_bytes: usize,
+        factor_bytes: usize,
     ) -> Result<Run, String> {
         let (key, plan) = (lc.key, Arc::clone(&lc.plan));
         let capacity = self.config.device_config.memory_capacity;
-        let headroom = capacity.saturating_sub(transient_bytes);
-        if headroom == 0 {
+        let sizing = StreamSizing {
+            capacity,
+            transient_bytes,
+            factor_bytes,
+        };
+        if sizing.headroom() == 0 {
             let too_large = TooLarge {
                 working_set: transient_bytes,
                 message: format!(
@@ -1465,30 +1488,28 @@ impl ServeEngine {
             };
             return Err(self.admission_rejected(lc, too_large));
         }
-        let chunks = self
+        let stream = self
             .plans
-            .chunk_plan(key, plan.fcoo(), (headroom / 4).max(1));
-        let gather_modes = plan.fcoo().product_indices.len();
-        let bytes: Vec<usize> = chunks
-            .chunks
-            .iter()
-            .map(|c| c.format_bytes + plan.kind().metadata_bytes(c.nnz, gather_modes))
-            .collect();
-        let need = transient_bytes + 2 * bytes.iter().copied().max().unwrap_or(0) + 64;
-        if let Err(too_large) = self.defer_admission(lc, |pool| pool.make_room(key, need)) {
+            .stream_plan(&self.config.device_config, &plan, &sizing);
+        let max_chunk = stream.max_chunk_bytes();
+        let admitted =
+            self.defer_admission(lc, |pool| pool.make_room(key, transient_bytes, max_chunk));
+        if let Err(too_large) = admitted {
             return Err(self.admission_rejected(lc, too_large));
         }
         self.log_event(lc.flight.admitted(true));
         Ok(Run {
-            chunks,
-            bytes,
+            chunks: Arc::clone(&stream.chunks),
+            bytes: stream.bytes.clone(),
             resident: None,
         })
     }
 
     /// Serves a CP-ALS request: one SpMTTKRP plan per mode through the plan
     /// cache, all formats admitted to the pool, the ALS loop run on the
-    /// affinity device with a two-stream timeline (§V-E overlap).
+    /// affinity device with a two-stream timeline (§V-E overlap) behind a
+    /// copy stream of the initial factors and every format this admission
+    /// uploaded.
     fn serve_cp(
         &mut self,
         index: usize,
@@ -1540,14 +1561,23 @@ impl ServeEngine {
         let transient_bytes =
             2 * shape.iter().map(|&s| s * rank * 4).sum::<usize>() + 1024 * shape.len();
         let transient = |mode: usize| if mode == 0 { transient_bytes } else { 0 };
-        let mut uploaded_bytes = 0usize;
+        // The copy stream: the initial factors, then each format this
+        // admission uploads, in mode order. Mode `m`'s MTTKRP waits for its
+        // format to land; a resident format is there with the factors.
+        let factors_us = upload::transfer_us(factor_bytes);
+        let (mut uploaded_bytes, mut copy_end_us) = (0usize, factors_us);
         let mut formats = Vec::with_capacity(plans.len());
+        let mut formats_ready_us = Vec::with_capacity(plans.len());
         for (mode, plan) in plans.iter().enumerate() {
             let admitted = self
                 .admit_format(&mut lc, keys[mode], plan, transient(mode))
                 .map_err(|too_large| self.admission_rejected(&lc, too_large))?;
             if admitted.uploaded {
                 uploaded_bytes += plan.format.storage_bytes();
+                copy_end_us += upload::transfer_us(plan.format.storage_bytes());
+                formats_ready_us.push(copy_end_us);
+            } else {
+                formats_ready_us.push(factors_us);
             }
             formats.push(admitted.format);
         }
@@ -1598,7 +1628,8 @@ impl ServeEngine {
                         let mut gpu = UnifiedGpuEngine::from_plans(
                             &engine.devices[device],
                             mode_plans.clone(),
-                        );
+                        )
+                        .after_uploads(factors_us, formats_ready_us.clone());
                         cp_als(tensor, &mut gpu, &opts)
                             .map(cp_output)
                             .map_err(|e| e.to_string())
@@ -1609,7 +1640,7 @@ impl ServeEngine {
             },
             None,
         )?;
-        let (((output, gpu_us), launches), tier) =
+        let (((output, run_us), launches), tier) =
             attempts.accepted.expect("the host tier always accepts");
         // Transfers: formats uploaded this admission, the initial factors
         // up, the final factors down (the host tier moves no factors).
@@ -1620,12 +1651,19 @@ impl ServeEngine {
         };
         let h2d_us = upload::transfer_us(h2d_bytes);
         let d2h_us = upload::transfer_us(d2h_bytes);
-        let exec_us = h2d_us + gpu_us + d2h_us;
+        // The device timeline spans the copy stream too: its kernels run
+        // from the factors' landing, and the format uploads hide under
+        // them. The host tier runs after its copies.
+        let (kernel_us, exec_us) = if tier == ExecTier::Cpu {
+            (run_us, h2d_us + run_us + d2h_us)
+        } else {
+            (run_us - factors_us, run_us + d2h_us)
+        };
         let placement = lc.flight.place(scheduler, lc.flight.recovery_us, exec_us);
         let record = RequestProfile {
             exec_us,
             h2d_us,
-            kernel_us: gpu_us,
+            kernel_us,
             d2h_us,
             h2d_bytes,
             d2h_bytes,
@@ -2458,6 +2496,32 @@ mod tests {
         let zero = Workload::parse("tensor t nell2 900 3\nrequest t cp 0 4 0.0 1\n").unwrap();
         let report = engine.run(&zero);
         assert_eq!(report.rejections.len(), 1);
+    }
+
+    #[test]
+    fn re_uploaded_cp_formats_hide_under_the_sweep() {
+        let tensor = "tensor t nell2 3000 7\n";
+        let cp = Workload::parse(&format!("{tensor}request t cp 3 8 0.0 21\n")).unwrap();
+        let mode0 = Workload::parse(&format!("{tensor}request t mttkrp 0 8 0.0 22\n")).unwrap();
+        let mut engine = ServeEngine::new(ServeConfig {
+            verify: true,
+            ..ServeConfig::default()
+        });
+        // Cold: every format goes up, and the first MTTKRP waits for its own.
+        let cold = engine.run(&cp).requests[0].clone();
+        let resident = engine.run(&cp).requests[0].clone();
+        assert!(cold.exec_us > resident.exec_us);
+        // Only the mode-0 format back on the device: the mode 1..n uploads
+        // ride the copy stream under the sweep's earlier modes.
+        engine.pools[0].clear();
+        engine.run(&mode0);
+        let report = engine.run(&cp);
+        assert_eq!(report.verify_failures, 0);
+        let evicted = &report.requests[0];
+        assert!(evicted.h2d_bytes > resident.h2d_bytes);
+        assert!(evicted.h2d_us > resident.h2d_us);
+        assert_eq!(evicted.exec_us, resident.exec_us);
+        assert_eq!(evicted.finish_us, resident.finish_us);
     }
 
     #[test]

@@ -36,6 +36,9 @@
 //! cost-model upgrade since the file was written) is refused and rebuilt.
 
 use crate::fingerprint::Fnv1a;
+use crate::protocol;
+use crate::scheduler::{Scheduler, PIPELINE_STREAMS, STREAMS_PER_DEVICE};
+use crate::upload;
 use analyzer::FormatChoice;
 use fcoo::{AnyFormat, ChunkPlan, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{DeviceConfig, GpuDevice};
@@ -219,6 +222,99 @@ pub fn format_bytes(format: &AnyFormat) -> usize {
     format.storage_bytes() + 64
 }
 
+/// Candidate out-of-core chunk budgets, as `(numerator, denominator)`
+/// fractions of the headroom a request's transients leave: from half (the
+/// most two chunks held at once can take) down to a quarter, which leaves
+/// the double buffer room for schedule metadata and allocator slack.
+pub const CHUNK_BUDGET_FRACTIONS: [(usize, usize); 5] = [(1, 2), (4, 9), (2, 5), (1, 3), (1, 4)];
+
+/// What sizes a streamed run beyond its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamSizing {
+    /// Device capacity of the pool the run streams through.
+    pub capacity: usize,
+    /// Device bytes the request holds beside its chunks: factors, output
+    /// buffer and slack ([`crate::upload::FactorPlan::transient_bytes`]).
+    pub transient_bytes: usize,
+    /// Factor bytes the first chunk's upload carries.
+    pub factor_bytes: usize,
+}
+
+impl StreamSizing {
+    /// The headroom the transients leave for chunks.
+    pub fn headroom(&self) -> usize {
+        self.capacity.saturating_sub(self.transient_bytes)
+    }
+}
+
+/// How a format streams: its chunk plan at one budget, each chunk's device
+/// bytes, and the run's certified pipeline bound.
+#[derive(Debug)]
+pub struct StreamPlan {
+    /// The chunks, in stream order, and the budget they were split at.
+    pub chunks: Arc<ChunkPlan>,
+    /// Per chunk, the device bytes its upload moves and reserves: its
+    /// format plus the format's schedule metadata (BF-COO buckets).
+    pub bytes: Vec<usize>,
+    /// Certified upper bound (µs) on the fault-free pipeline span from
+    /// idle streams; `INFINITY` when the chunks do not fit.
+    pub bound_us: f64,
+}
+
+impl StreamPlan {
+    /// The largest chunk's device bytes.
+    pub fn max_chunk_bytes(&self) -> usize {
+        self.bytes.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// Device bytes of each chunk of `plan`'s format: the chunk's format plus
+/// its schedule metadata.
+fn chunk_bytes(plan: &Plan, chunks: &ChunkPlan) -> Vec<usize> {
+    let gather_modes = plan.fcoo().product_indices.len();
+    chunks
+        .chunks
+        .iter()
+        .map(|c| c.format_bytes + plan.kind().metadata_bytes(c.nnz, gather_modes))
+        .collect()
+}
+
+/// Certified upper bound (µs) on streaming `plan`'s format as `chunks`,
+/// with zero launches: each chunk's H2D (its `bytes`, plus `factor_bytes`
+/// on the first) and D2H (its output rows) over the PCIe model, and its
+/// kernel at its certified `hi` ([`analyzer::cost::certify_chunks`]),
+/// placed by the scheduler's 3-stream recurrence from idle streams exactly
+/// as the engine places a streamed run. The recurrence is monotone in every
+/// stage, so the real span is at most this.
+pub fn pipeline_bound_us(
+    config: &DeviceConfig,
+    plan: &Plan,
+    chunks: &ChunkPlan,
+    bytes: &[usize],
+    factor_bytes: usize,
+) -> f64 {
+    let rank = plan.key.rank as usize;
+    let cfg = LaunchConfig::with_block_size(plan.block_size);
+    let cols = fcoo::ColumnTiling::at_rank(plan.fcoo(), rank).columns;
+    let envelopes =
+        analyzer::cost::certify_chunks(config, plan.kind(), plan.fcoo(), chunks, rank, &cfg);
+    let mut scheduler = Scheduler::new(1, STREAMS_PER_DEVICE);
+    let mut end_us = 0.0;
+    for ((desc, &chunk_bytes), envelope) in chunks.chunks.iter().zip(bytes).zip(&envelopes) {
+        let h2d_bytes = chunk_bytes + if desc.index == 0 { factor_bytes } else { 0 };
+        let stages_us = [
+            upload::transfer_us(h2d_bytes),
+            envelope.stats_time_us().hi,
+            upload::transfer_us(desc.segments * cols * 4),
+        ];
+        end_us = scheduler
+            .place_chunk(0, PIPELINE_STREAMS, 0.0, desc.index, stages_us)
+            .d2h
+            .1;
+    }
+    end_us
+}
+
 /// How a plan lookup was satisfied, ordered by cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PlanSource {
@@ -284,6 +380,8 @@ impl PlanCacheStats {
 pub struct PlanCache {
     plans: BTreeMap<PlanKey, Arc<Plan>>,
     chunk_plans: BTreeMap<(PlanKey, usize), Arc<ChunkPlan>>,
+    /// The chosen streaming of each plan, per headroom.
+    stream_plans: BTreeMap<(PlanKey, usize), Arc<StreamPlan>>,
     dir: Option<PathBuf>,
     block_sizes: Vec<usize>,
     threadlens: Vec<usize>,
@@ -298,6 +396,7 @@ impl PlanCache {
         PlanCache {
             plans: BTreeMap::new(),
             chunk_plans: BTreeMap::new(),
+            stream_plans: BTreeMap::new(),
             dir,
             block_sizes: SERVE_BLOCK_SIZES.to_vec(),
             threadlens: SERVE_THREADLENS.to_vec(),
@@ -341,6 +440,7 @@ impl PlanCache {
     pub fn invalidate(&mut self, key: PlanKey) -> bool {
         let removed = self.plans.remove(&key).is_some();
         self.chunk_plans.retain(|(k, _), _| *k != key);
+        self.stream_plans.retain(|(k, _), _| *k != key);
         if let Some(dir) = &self.dir {
             std::fs::remove_file(dir.join(key.file_name())).ok();
         }
@@ -363,6 +463,65 @@ impl PlanCache {
         self.chunk_plans
             .insert((key, budget_bytes), Arc::clone(&plan));
         plan
+    }
+
+    /// How `plan`'s format streams under `sizing`, chosen the way a plan
+    /// build chooses its launch shape: among the
+    /// [`CHUNK_BUDGET_FRACTIONS`] of the headroom whose chunks fit the
+    /// streamed-admission rule ([`protocol::streamed_need`] within the
+    /// capacity), the one with the smallest certified
+    /// [`pipeline_bound_us`] (ties to the larger budget). When none fits,
+    /// the smallest budget's plan, with an infinite bound, for admission
+    /// to reject. Cached per `(plan, headroom)` and dropped with
+    /// [`PlanCache::invalidate`].
+    pub fn stream_plan(
+        &mut self,
+        config: &DeviceConfig,
+        plan: &Plan,
+        sizing: &StreamSizing,
+    ) -> Arc<StreamPlan> {
+        let headroom = sizing.headroom();
+        if let Some(chosen) = self.stream_plans.get(&(plan.key, headroom)) {
+            return Arc::clone(chosen);
+        }
+        let mut best: Option<StreamPlan> = None;
+        let mut seen: Vec<Arc<ChunkPlan>> = Vec::new();
+        for (num, den) in CHUNK_BUDGET_FRACTIONS {
+            let budget_bytes = ((headroom as u128 * num as u128 / den as u128) as usize).max(1);
+            let chunks = self.chunk_plan(plan.key, plan.fcoo(), budget_bytes);
+            // Two budgets can split alike; the larger one already spoke.
+            if seen.iter().any(|s| s.chunks == chunks.chunks) {
+                continue;
+            }
+            seen.push(Arc::clone(&chunks));
+            let bytes = chunk_bytes(plan, &chunks);
+            let mut candidate = StreamPlan {
+                chunks,
+                bytes,
+                bound_us: f64::INFINITY,
+            };
+            let need = protocol::streamed_need(sizing.transient_bytes, candidate.max_chunk_bytes());
+            if need <= sizing.capacity {
+                candidate.bound_us = pipeline_bound_us(
+                    config,
+                    plan,
+                    &candidate.chunks,
+                    &candidate.bytes,
+                    sizing.factor_bytes,
+                );
+            }
+            // An unfit best gives way to any later, smaller budget.
+            if best
+                .as_ref()
+                .is_none_or(|b| candidate.bound_us < b.bound_us || b.bound_us.is_infinite())
+            {
+                best = Some(candidate);
+            }
+        }
+        let chosen = Arc::new(best.expect("at least one candidate budget"));
+        self.stream_plans
+            .insert((plan.key, headroom), Arc::clone(&chosen));
+        chosen
     }
 
     /// Returns the plan for `key`, preprocessing `tensor` on `device` only
@@ -839,6 +998,100 @@ mod tests {
         cache.invalidate(key);
         cache.chunk_plan(key, plan.fcoo(), 2048);
         assert_eq!(cache.stats().chunk_builds, 3);
+    }
+
+    /// A `kind` plan for SpMTTKRP mode 0 of `tensor` at rank 8, block 128,
+    /// with the sizing of its streamed runs under each headroom.
+    fn streamed_case(
+        tensor: &SparseTensorCoo,
+        kind: FormatKind,
+    ) -> (Plan, impl Fn(usize) -> StreamSizing) {
+        let op = TensorOp::SpMttkrp { mode: 0 };
+        let touched = touched(tensor);
+        let format = AnyFormat::build(kind, &fcoo::compact_tensor(tensor, op, &touched), op, 8);
+        let config = DeviceConfig::titan_x();
+        let certificate = PlanCertificate::derive(&config, &format, 8, 128);
+        let factors = upload::FactorPlan::new(op, tensor.shape(), &touched, 8);
+        let transient_bytes = factors.transient_bytes(upload::output_bytes(format.base(), 8));
+        let factor_bytes = factors.h2d_bytes();
+        let plan = Plan {
+            key: key_for(tensor),
+            format,
+            block_size: 128,
+            certificate,
+        };
+        let sizing = move |headroom: usize| StreamSizing {
+            capacity: transient_bytes + headroom,
+            transient_bytes,
+            factor_bytes,
+        };
+        (plan, sizing)
+    }
+
+    #[test]
+    fn the_chosen_chunk_budget_fits_with_its_schedule_metadata() {
+        let config = DeviceConfig::titan_x();
+        let tensor = datasets::generate(DatasetKind::Nell2, 3000, 7).0;
+        let mut metadata_refused_half = false;
+        for kind in [FormatKind::Fcoo, FormatKind::BfCoo] {
+            let (plan, sizing) = streamed_case(&tensor, kind);
+            let format_bytes = plan.format.storage_bytes();
+            let mut cache = PlanCache::new(None);
+            for step in 0..40 {
+                let sizing = sizing(format_bytes / 8 + step * format_bytes / 80);
+                let chosen = cache.stream_plan(&config, &plan, &sizing);
+                let need =
+                    protocol::streamed_need(sizing.transient_bytes, chosen.max_chunk_bytes());
+                assert!(
+                    chosen.bound_us.is_finite(),
+                    "{kind:?} step {step}: nothing fits"
+                );
+                assert!(need <= sizing.capacity, "{kind:?} step {step}: {need} B");
+                // The half budget's chunks fit by their formats alone but
+                // not with their bucket metadata: it must not be chosen.
+                let half = fcoo::split(plan.fcoo(), sizing.headroom() / 2);
+                let bare = half.chunks.iter().map(|c| c.format_bytes).max().unwrap();
+                let full = chunk_bytes(&plan, &half).into_iter().max().unwrap();
+                let fits = |bytes| {
+                    protocol::streamed_need(sizing.transient_bytes, bytes) <= sizing.capacity
+                };
+                if fits(bare) && !fits(full) {
+                    metadata_refused_half = true;
+                    assert_ne!(chosen.chunks.budget_bytes, sizing.headroom() / 2);
+                }
+            }
+        }
+        assert!(
+            metadata_refused_half,
+            "no headroom exercised the metadata case"
+        );
+    }
+
+    #[test]
+    fn the_chosen_bound_is_never_worse_than_the_quarter_budget() {
+        let config = DeviceConfig::titan_x();
+        let tensor = datasets::generate(DatasetKind::Nell2, 3000, 7).0;
+        for kind in [FormatKind::Fcoo, FormatKind::BfCoo] {
+            let (plan, sizing) = streamed_case(&tensor, kind);
+            let format_bytes = plan.format.storage_bytes();
+            let mut cache = PlanCache::new(None);
+            let mut better = 0;
+            for step in 0..20 {
+                let sizing = sizing(format_bytes / 8 + step * format_bytes / 40);
+                let chosen = cache.stream_plan(&config, &plan, &sizing);
+                let quarter = fcoo::split(plan.fcoo(), sizing.headroom() / 4);
+                let bytes = chunk_bytes(&plan, &quarter);
+                let quarter_us =
+                    pipeline_bound_us(&config, &plan, &quarter, &bytes, sizing.factor_bytes);
+                assert!(
+                    chosen.bound_us <= quarter_us,
+                    "{kind:?} step {step}: chose {} µs over the quarter's {quarter_us} µs",
+                    chosen.bound_us
+                );
+                better += usize::from(chosen.bound_us < quarter_us);
+            }
+            assert!(better > 0, "{kind:?}: the quarter always won");
+        }
     }
 
     #[test]

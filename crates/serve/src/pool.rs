@@ -154,12 +154,24 @@ impl DevicePool {
         })
     }
 
-    /// Out-of-core admission ([`protocol::make_room`]): frees `need` bytes
-    /// of headroom next to the live allocations but uploads nothing. Same
-    /// error contract as [`DevicePool::admit`].
-    pub fn make_room(&mut self, requesting: PlanKey, need: usize) -> Result<(), AdmitError> {
+    /// Out-of-core admission ([`protocol::make_room`]): frees room for
+    /// `transient_bytes` and two chunks of up to `max_chunk_bytes` next to
+    /// the live allocations but uploads nothing. Same error contract as
+    /// [`DevicePool::admit`].
+    pub fn make_room(
+        &mut self,
+        requesting: PlanKey,
+        transient_bytes: usize,
+        max_chunk_bytes: usize,
+    ) -> Result<(), AdmitError> {
         let live_bytes = self.memory.live_bytes();
-        for k in protocol::make_room(&mut self.ledger, requesting, need, live_bytes)? {
+        for k in protocol::make_room(
+            &mut self.ledger,
+            requesting,
+            transient_bytes,
+            max_chunk_bytes,
+            live_bytes,
+        )? {
             self.formats.remove(&k);
         }
         Ok(())

@@ -230,7 +230,16 @@ impl ServeProfile {
                     );
                     cursor += request.recovery_us;
                 }
-                let exec_us = request.h2d_us + request.kernel_us + request.d2h_us;
+                let exec_us = request.exec_us;
+                // A CP-ALS job's format uploads hide under its sweep, so
+                // its stages sum past its span: its kernels end where its
+                // D2H starts, at the span's end.
+                let kernel_start = if request.h2d_us + request.kernel_us + request.d2h_us > exec_us
+                {
+                    cursor + exec_us - request.d2h_us - request.kernel_us
+                } else {
+                    cursor + request.h2d_us
+                };
                 let exec_label = if request.batched {
                     "exec (batched reuse)"
                 } else {
@@ -252,7 +261,7 @@ impl ServeProfile {
                     trace.complete(
                         "kernel",
                         "kernel",
-                        cursor + request.h2d_us,
+                        kernel_start,
                         request.kernel_us,
                         0,
                         tid,
@@ -263,7 +272,7 @@ impl ServeProfile {
                     trace.complete(
                         "d2h",
                         "transfer",
-                        cursor + request.h2d_us + request.kernel_us,
+                        kernel_start + request.kernel_us,
                         request.d2h_us,
                         0,
                         tid,

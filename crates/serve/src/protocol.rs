@@ -1,8 +1,8 @@
 //! The serving protocol's rules, each written once: the rank rule
 //! ([`check_rank`]) and the request rule ([`check_request`]), admission
-//! ([`admit`],
-//! [`make_room`]) and the defer step, the reservation lifecycle, the retry
-//! ladder ([`Ladder`], [`Flight::retry`]) and chunk rule
+//! ([`admit`], [`make_room`] over [`streamed_need`]) and the defer step,
+//! the reservation lifecycle, the retry ladder ([`Ladder`],
+//! [`Flight::retry`]) and chunk rule
 //! ([`Flight::end_chunk`]), quarantine and affinity ([`Health`]), the shed
 //! step ([`shed_bound`], [`Flight::shed`]) and placement with dead time
 //! ([`Flight::place`]).
@@ -139,22 +139,33 @@ pub fn admit(
     }
     let resident = ledger.is_resident(key);
     let need = transient_bytes + if resident { 0 } else { format_bytes };
-    let evicted = make_room(ledger, key, need, live_bytes)?;
+    let evicted = ledger.plan_admission(key, need, live_bytes)?;
     if resident {
         ledger.record_hit(key);
     }
     Ok(Admission { resident, evicted })
 }
 
-/// Out-of-core admission: `need` bytes of headroom, evicting as [`admit`]
-/// does (never `requesting`'s format) but uploading nothing, since chunk
-/// formats never enter the cache. Returns the evicted formats.
+/// The streamed-admission rule's working set: a streamed run holds its
+/// `transient_bytes` and the two chunks the pipeline has on the device at
+/// once (the kernel's and the next upload), each at most
+/// `max_chunk_bytes` of format and schedule metadata, plus 64 bytes of
+/// allocator slack.
+pub fn streamed_need(transient_bytes: usize, max_chunk_bytes: usize) -> usize {
+    transient_bytes + 2 * max_chunk_bytes + 64
+}
+
+/// Out-of-core admission: room for [`streamed_need`], evicting as
+/// [`admit`] does (never `requesting`'s format) but uploading nothing,
+/// since chunk formats never enter the cache. Returns the evicted formats.
 pub fn make_room(
     ledger: &mut PoolLedger,
     requesting: PlanKey,
-    need: usize,
+    transient_bytes: usize,
+    max_chunk_bytes: usize,
     live_bytes: usize,
 ) -> Result<Vec<PlanKey>, AdmitError> {
+    let need = streamed_need(transient_bytes, max_chunk_bytes);
     if need > ledger.capacity() {
         return Err(AdmitError::TooLarge {
             working_set: need,

@@ -22,7 +22,7 @@ const PCIE_GBS: f64 = 12.0;
 
 /// Microseconds a host↔device copy of `bytes` takes over PCIe
 /// (1 GB/s = 10³ bytes/µs).
-pub(crate) fn transfer_us(bytes: usize) -> f64 {
+pub fn transfer_us(bytes: usize) -> f64 {
     bytes as f64 / (PCIE_GBS * 1e3)
 }
 

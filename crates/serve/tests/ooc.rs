@@ -121,10 +121,11 @@ fn oversized_tensor_serves_bit_exact_out_of_core() {
 fn chunked_pipeline_beats_serial_chunks() {
     let mut device_config = DeviceConfig::titan_x();
     device_config.memory_capacity = ooc_capacity();
-    // The chunk budget is a quarter of the headroom the transients leave,
-    // here an eighth of the smallest format: a deep chunk plan (>= 4
-    // chunks), so the overlap claim is about a real pipeline, not a
-    // 2-chunk accident.
+    // The headroom the transients leave is half the smallest format, and
+    // the chosen chunk budget is at most half of that headroom (two chunks
+    // are on the device at once), so at most a quarter of the format: a
+    // deep chunk plan (>= 4 chunks), so the overlap claim is about a real
+    // pipeline, not a 2-chunk accident.
     let mut engine = ServeEngine::new(ServeConfig {
         device_config,
         profile: true,
@@ -234,4 +235,61 @@ fn transients_without_headroom_reject() {
         .count();
     assert_eq!(rejects, 1);
     assert_eq!(engine.pool(0).reserved_bytes(), 0);
+}
+
+#[test]
+fn a_retried_factor_upload_holds_the_pipeline_start() {
+    // The factor upload's failed attempts and backoff are dead time before
+    // the first chunk, which carries the factors: a streamed record's span
+    // covers them, then every chunk's stalls, kernels and D2H on the
+    // kernel stream.
+    let mut device_config = DeviceConfig::titan_x();
+    device_config.memory_capacity = ooc_capacity();
+    let workload = Workload::parse("tensor big nell2 3000 7\nrequest big mttkrp 0 8 0.0 11\n")
+        .expect("valid workload");
+    let mut held = 0;
+    for seed in 0..300 {
+        let mut engine = ServeEngine::new(ServeConfig {
+            device_config: device_config.clone(),
+            fault_injection: Some(FaultConfig::chaos(seed, 0.05)),
+            ..ServeConfig::default()
+        });
+        let report = engine.run(&workload);
+        assert_eq!(report.requests.len(), 1, "seed {seed} lost its request");
+        assert_eq!(engine.pool(0).reserved_bytes(), 0, "seed {seed} leaked");
+        let r = &report.requests[0];
+        let Some(first) = r.chunks.first() else {
+            continue; // the host rung: one span, no pipeline
+        };
+        let pipeline_start = first.h2d.0;
+        assert_eq!(r.exec_us, r.finish_us - pipeline_start, "seed {seed}");
+        let span = r.finish_us - r.start_us;
+        let floor = r.recovery_us + r.kernel_us + r.d2h_us;
+        assert!(
+            span >= floor * (1.0 - 1e-12),
+            "seed {seed}: span {span} < recovery {} + kernel {} + d2h {}",
+            r.recovery_us,
+            r.kernel_us,
+            r.d2h_us
+        );
+        if pipeline_start > r.start_us {
+            held += 1;
+        }
+        if seed == 86 {
+            // Two upload retries, then five clean chunks: the span is the
+            // upload's dead time plus the pipeline.
+            assert!(
+                pipeline_start - r.start_us >= r.recovery_us,
+                "seed 86 was not held"
+            );
+            assert_eq!(
+                r.finish_us - r.start_us,
+                pipeline_start - r.start_us + r.exec_us
+            );
+        }
+    }
+    assert!(
+        held > 0,
+        "no seed retried a streamed request's factor upload"
+    );
 }

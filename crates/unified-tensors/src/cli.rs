@@ -842,15 +842,22 @@ pub fn chaos(spec: &str, schedule: &str, seed: u64) -> Result<String, CliError> 
 /// `tensortool oocbench [out.json] [nnz]` — measure the out-of-core chunked
 /// pipeline against the in-core path and write the `BENCH_out_of_core.json`
 /// trajectory point: chunked vs in-core throughput (nnz/s), mean chunk
-/// count, and overlap efficiency (`kernel_us / makespan_us` of each chunk
-/// pipeline) at three device-memory budgets that all reject the full
-/// format. Every run verifies bit-exactly against the one-shot reference;
-/// the command exits non-zero on any rejection or verification mismatch.
+/// count, and the makespan over its certified floor at three device-memory
+/// budgets that all reject the full format. The floor does not depend on
+/// the chunking, so launch overhead from needless chunks reads as distance
+/// from it: each request's copy stream moves at least its format's storage
+/// and its factors, and its compute stream runs the whole format's work,
+/// floored by one whole-format launch's certified `lo`, and reads back its
+/// output rows; the floor is the larger stream's sum over the requests.
+/// Every run verifies bit-exactly against the one-shot reference; the
+/// command exits non-zero on any rejection, verification mismatch or
+/// makespan below the floor.
 ///
 /// The emitted JSON is deterministic (simulated time, seeded datasets), so
 /// successive trajectory points diff cleanly in version control.
 pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError> {
-    use crate::serve::{ServeConfig, ServeEngine, Workload};
+    use crate::serve::upload::{output_bytes, transfer_us, FactorPlan};
+    use crate::serve::{PlanKey, ServeConfig, ServeEngine, Workload};
     if nnz == 0 {
         return Err(err("nnz must be positive"));
     }
@@ -875,10 +882,10 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
     let touched: Vec<Vec<u32>> = (0..tensor.order())
         .map(|m| crate::fcoo::touched_rows(tensor.mode_indices(m)))
         .collect();
+    let factor_plan = FactorPlan::new(op, tensor.shape(), &touched, rank);
     let transient_bytes =
-        crate::serve::upload::FactorPlan::new(op, tensor.shape(), &touched, rank).transient_bytes(
-            crate::serve::upload::output_bytes(&Fcoo::from_coo(&tensor, op, 8), rank),
-        );
+        factor_plan.transient_bytes(output_bytes(&Fcoo::from_coo(&tensor, op, 8), rank));
+    let key = PlanKey::new(crate::serve::tensor_fingerprint(&tensor), op, rank);
     let min_format_bytes = crate::serve::plan::SERVE_THREADLENS
         .iter()
         .map(|&tl| {
@@ -916,11 +923,20 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         if leaked > 0 {
             return Err(err(format!("oocbench leaked {leaked} B of reservations")));
         }
-        Ok(report)
+        let plan = engine
+            .plan(key)
+            .ok_or_else(|| err("oocbench: the engine built no plan for its requests"))?;
+        Ok((report, plan))
     };
 
-    let in_core = run_at(None)?;
+    let (in_core, plan) = run_at(None)?;
     let in_core_nnz_s = total_nnz / (in_core.makespan_us * 1e-6);
+    // The plan is the same at every capacity: plan builds tune on an
+    // unbounded scratch device.
+    let copy_floor_us = transfer_us(plan.format.storage_bytes() + factor_plan.h2d_bytes());
+    let compute_floor_us =
+        plan.certificate.time_lo_us + transfer_us(output_bytes(plan.fcoo(), rank));
+    let floor_us = request_count as f64 * copy_floor_us.max(compute_floor_us);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -932,10 +948,15 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         "  in-core    : makespan {:>10.1} us, {:>12.0} nnz/s",
         in_core.makespan_us, in_core_nnz_s
     );
+    let _ = writeln!(
+        out,
+        "  floor      : {floor_us:.1} us at any chunking ({request_count} x max of \
+         copy {copy_floor_us:.1} us, compute {compute_floor_us:.1} us)"
+    );
     let mut budget_rows = String::new();
     for (label, divisor) in [("1/2", 2usize), ("1/4", 4), ("1/8", 8)] {
         let capacity = transient_bytes + min_format_bytes / divisor;
-        let report = run_at(Some(capacity))?;
+        let (report, _) = run_at(Some(capacity))?;
         let chunked: Vec<_> = report
             .requests
             .iter()
@@ -948,20 +969,22 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         }
         let mean_chunks =
             chunked.iter().map(|r| r.chunks.len() as f64).sum::<f64>() / chunked.len() as f64;
-        let overlap = chunked
-            .iter()
-            .map(|r| r.kernel_us / (r.finish_us - r.start_us))
-            .sum::<f64>()
-            / chunked.len() as f64;
+        let over_floor = report.makespan_us / floor_us;
+        if over_floor < 1.0 {
+            return Err(err(format!(
+                "budget {label}: makespan {:.3} us below its certified floor {floor_us:.3} us",
+                report.makespan_us
+            )));
+        }
         let nnz_s = total_nnz / (report.makespan_us * 1e-6);
         let _ = writeln!(
             out,
             "  budget {label}: makespan {:>10.1} us, {:>12.0} nnz/s, \
-             {:.1} chunks/request, overlap {:.3}, {:.2}x in-core",
+             {:.1} chunks/request, {:.2}x the certified floor, {:.2}x in-core",
             report.makespan_us,
             nnz_s,
             mean_chunks,
-            overlap,
+            over_floor,
             nnz_s / in_core_nnz_s
         );
         if !budget_rows.is_empty() {
@@ -971,13 +994,13 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
             budget_rows,
             "    {{\"budget\": \"{label}\", \"capacity_bytes\": {capacity}, \
              \"makespan_us\": {:.3}, \"nnz_per_s\": {:.1}, \
-             \"mean_chunks_per_request\": {:.3}, \"overlap_efficiency\": {:.4}, \
+             \"mean_chunks_per_request\": {:.3}, \"makespan_over_floor\": {:.4}, \
              \"throughput_vs_in_core\": {:.4}, \"verified\": {}, \
              \"verify_failures\": 0}}",
             report.makespan_us,
             nnz_s,
             mean_chunks,
-            overlap,
+            over_floor,
             nnz_s / in_core_nnz_s,
             report.verified
         );
@@ -1034,6 +1057,7 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
          \"transient_bytes\": {transient_bytes},\n  \
          \"min_format_bytes\": {min_format_bytes},\n  \
          \"in_core\": {{\"makespan_us\": {:.3}, \"nnz_per_s\": {:.1}}},\n  \
+         \"certified_floor_us\": {floor_us:.3},\n  \
          \"budgets\": [\n{budget_rows}\n  ]\n}}\n",
         in_core.makespan_us, in_core_nnz_s
     );
@@ -1320,7 +1344,8 @@ intentional cost-model change).
 the in-core path at three device-memory budgets too small for the full
 F-COO format, verifies every result bit-exactly, and writes the
 `BENCH_out_of_core.json` perf-trajectory point (throughput, chunk counts,
-overlap efficiency); it exits non-zero on any rejection or mismatch.
+makespan over the certified floor); it exits non-zero on any rejection or
+mismatch.
 `saturate` sweeps a seeded open-loop (Poisson-ish) arrival process across
 offered loads from half capacity to 4x capacity with per-request deadlines
 (docs/SERVING.md, overload policy): past saturation the engine sheds the
@@ -1405,11 +1430,12 @@ mod tests {
         let text = oocbench(Some(&path), 6_000).unwrap();
         assert!(text.contains("in-core"));
         assert!(text.contains("budget 1/8"));
-        assert!(text.contains("overlap"));
+        assert!(text.contains("the certified floor"));
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"bench\": \"out_of_core\""));
         assert!(json.contains("\"budgets\": ["));
-        assert!(json.contains("\"overlap_efficiency\""));
+        assert!(json.contains("\"certified_floor_us\""));
+        assert!(json.contains("\"makespan_over_floor\""));
         assert!(json.contains("\"verify_failures\": 0"));
         // Deterministic: a second run writes byte-identical JSON.
         oocbench(Some(&path), 6_000).unwrap();

@@ -169,8 +169,8 @@ fn profiling_a_chunked_workload_is_bit_exact_and_shows_overlap() {
     .expect("valid workload");
     // Capacity below the smallest tunable format forces chunked streaming,
     // sized by the engine's own rules: the request's transients plus half
-    // the smallest format leave a chunk budget (a quarter of the headroom)
-    // of an eighth of it, a deep pipeline.
+    // the smallest format leave a chunk budget (at most half the headroom)
+    // of at most a quarter of it, a deep pipeline.
     let op = TensorOp::SpMttkrp { mode: 0 };
     let (big, _) = datasets::generate(DatasetKind::Nell2, 3000, 7);
     let touched: Vec<Vec<u32>> = (0..big.order())
