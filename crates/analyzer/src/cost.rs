@@ -41,7 +41,6 @@ use fcoo::{
     BUCKET_RUN, BUCKET_SHUFFLE_OPS,
 };
 use gpu_sim::{scan, BlockStats, DeviceConfig, KernelCounters, KernelStats};
-use std::sync::Arc;
 use tensor_core::SparseTensorCoo;
 
 /// A closed integer interval `[lo, hi]` certifying a counter.
@@ -1402,11 +1401,33 @@ pub fn certify_chunks(
     rank: usize,
     cfg: &LaunchConfig,
 ) -> Vec<CounterEnvelope> {
+    certify_chunks_at(config, kind, fcoo, plan, rank, cfg, &[cfg.block_size])
+        .into_iter()
+        .map(|mut per_block| per_block.pop().expect("one envelope per block size"))
+        .collect()
+}
+
+/// [`certify_chunks`] at every block size in `block_sizes` (the rest of
+/// `cfg` applies to all): per chunk, in stream order, one envelope per
+/// block size, in that order. Each chunk is extracted and its warps
+/// charged once for all the block sizes, and every envelope is
+/// bit-identical to certifying that block size alone.
+pub fn certify_chunks_at(
+    config: &DeviceConfig,
+    kind: FormatKind,
+    fcoo: &Fcoo,
+    plan: &ChunkPlan,
+    rank: usize,
+    cfg: &LaunchConfig,
+    block_sizes: &[usize],
+) -> Vec<Vec<CounterEnvelope>> {
     plan.chunks
         .iter()
         .map(|desc| {
-            let chunk = AnyFormat::from_fcoo(kind, Arc::new(fcoo::chunk::extract(fcoo, desc)));
-            certify_format(config, &chunk, rank, cfg)
+            let chunk = fcoo::chunk::extract(fcoo, desc);
+            let buckets = (kind == FormatKind::BfCoo).then(|| fcoo::bucket_counts(&chunk));
+            let header = Header::of(&chunk, buckets.as_deref());
+            certify_block_sizes(config, &header, rank, cfg, block_sizes)
         })
         .collect()
 }
@@ -1436,6 +1457,7 @@ mod tests {
     use super::*;
     use fcoo::{AnyFormatDevice, BfCoo, DeviceMatrix, FcooDevice};
     use gpu_sim::GpuDevice;
+    use std::sync::Arc;
     use tensor_core::datasets::{self, DatasetKind};
     use tensor_core::DenseMatrix;
 
@@ -1677,6 +1699,36 @@ mod tests {
             let envelope = certify_format(&config, &format, RANK, &cfg);
             assert!(envelope.time_us.hi >= envelope.time_us.lo);
             assert!(envelope.blocks > 0);
+        }
+    }
+
+    #[test]
+    fn chunk_envelopes_at_several_block_sizes_equal_each_chunk_certified_alone() {
+        let (tensor, _) = datasets::generate(DatasetKind::Nell2, 1500, 2017);
+        let config = DeviceConfig::titan_x();
+        let cfg = LaunchConfig::default();
+        let blocks = [64, 128, 256];
+        for threadlen in [4, 8] {
+            let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, threadlen);
+            let plan = fcoo::chunk::split(&fcoo, (fcoo.storage().total_bytes() / 3).max(1));
+            for kind in FormatKind::ALL {
+                let at = certify_chunks_at(&config, kind, &fcoo, &plan, RANK, &cfg, &blocks);
+                assert_eq!(at.len(), plan.len());
+                for (desc, per_block) in plan.chunks.iter().zip(&at) {
+                    let chunk =
+                        AnyFormat::from_fcoo(kind, Arc::new(fcoo::chunk::extract(&fcoo, desc)));
+                    for (&block_size, envelope) in blocks.iter().zip(per_block) {
+                        let cfg = LaunchConfig::with_block_size(block_size);
+                        let alone = certify_format(&config, &chunk, RANK, &cfg);
+                        assert_eq!(
+                            format!("{envelope:?}"),
+                            format!("{alone:?}"),
+                            "{kind} T{threadlen} B{block_size} chunk {}",
+                            desc.index
+                        );
+                    }
+                }
+            }
         }
     }
 

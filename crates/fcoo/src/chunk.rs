@@ -90,18 +90,13 @@ impl ChunkPlan {
     }
 }
 
-/// Estimated device bytes of a chunk-local format, mirroring
-/// [`crate::format::StorageBreakdown`] term by term (plus the same 64-byte
-/// allocator slack the serve layer's plan accounting uses). The segment
-/// coordinates stay on the host, so the chunk's segment count costs no
-/// device bytes.
+/// Estimated device bytes of a chunk-local format: its
+/// [`StorageBreakdown`](crate::format::StorageBreakdown) plus the same
+/// 64-byte allocator slack the serve layer's plan accounting uses. The
+/// segment coordinates stay on the host, so the chunk's segment count
+/// costs no device bytes.
 fn chunk_format_bytes(product_modes: usize, nnz: usize, partitions: usize) -> usize {
-    product_modes * nnz * 4
-        + nnz * 4
-        + nnz.div_ceil(8)
-        + partitions.div_ceil(8)
-        + partitions * 4
-        + 64
+    crate::format::StorageBreakdown::of(product_modes, nnz, partitions).total_bytes() + 64
 }
 
 /// Parent segment ordinal of the first head at or after partition `p`

@@ -109,6 +109,20 @@ pub struct StorageBreakdown {
 }
 
 impl StorageBreakdown {
+    /// The breakdown of an F-COO payload with `nnz` non-zeros over
+    /// `product_modes` gather columns in `partitions` thread partitions,
+    /// from the sizes alone: what [`Fcoo::storage`] reports for such a
+    /// format, before it is built.
+    pub(crate) fn of(product_modes: usize, nnz: usize, partitions: usize) -> Self {
+        StorageBreakdown {
+            product_index_bytes: product_modes * nnz * 4,
+            value_bytes: nnz * 4,
+            bf_bytes: nnz.div_ceil(8),
+            sf_bytes: partitions.div_ceil(8),
+            partition_ptr_bytes: partitions * 4,
+        }
+    }
+
     /// The bytes the paper's Table II formula counts:
     /// `(4·|product| + 4 + 1/8 + 1/(8·threadlen)) × nnz`.
     pub fn paper_model_bytes(&self) -> usize {
@@ -253,6 +267,14 @@ impl SortedFcoo {
     /// Number of non-zeros.
     pub fn nnz(&self) -> usize {
         self.values.len()
+    }
+
+    /// Number of segments (output fibers/slices): the same at every
+    /// threadlen.
+    pub fn segments(&self) -> usize {
+        self.segment_coords
+            .first()
+            .map_or(usize::from(self.nnz() > 0), Vec::len)
     }
 
     /// The start flags and partition pointers of `threadlen`-non-zero

@@ -88,6 +88,16 @@ impl FormatKind {
             FormatKind::BfCoo => product_modes * nnz.div_ceil(crate::bfcoo::RUN) * 4,
         }
     }
+
+    /// Device bytes of this format over `nnz` non-zeros with
+    /// `product_modes` gather columns at `threadlen`, from the sizes alone:
+    /// exactly [`AnyFormat::storage_bytes`] of the format built there, so
+    /// admission can size a format it has not built.
+    pub fn storage_bytes(self, nnz: usize, product_modes: usize, threadlen: usize) -> usize {
+        let partitions = nnz.div_ceil(threadlen);
+        crate::format::StorageBreakdown::of(product_modes, nnz, partitions).total_bytes()
+            + self.metadata_bytes(nnz, product_modes)
+    }
 }
 
 impl fmt::Display for FormatKind {
@@ -373,6 +383,24 @@ mod tests {
         assert_eq!(FormatKind::from_tag(0xff), None);
         assert_eq!(FormatKind::Fcoo.label(), "fcoo");
         assert_eq!(FormatKind::BfCoo.label(), "bfcoo");
+    }
+
+    #[test]
+    fn storage_bytes_from_sizes_equal_the_built_format() {
+        let (tensor, _) = datasets::generate(DatasetKind::Nell2, 1000, 5);
+        for op in [TensorOp::SpTtm { mode: 1 }, TensorOp::SpMttkrp { mode: 0 }] {
+            for threadlen in [1, 3, 4, 8, 32, 33] {
+                for kind in FormatKind::ALL {
+                    let format = AnyFormat::build(kind, &tensor, op, threadlen);
+                    let modes = format.base().product_indices.len();
+                    assert_eq!(
+                        kind.storage_bytes(tensor.nnz(), modes, threadlen),
+                        format.storage_bytes(),
+                        "{kind} {op:?} T{threadlen}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

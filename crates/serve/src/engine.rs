@@ -774,7 +774,8 @@ impl ServeEngine {
             .iter()
             .map(|d| DevicePool::new(d.memory().clone()))
             .collect();
-        let plans = PlanCache::new(config.plan_dir.clone());
+        let plans = PlanCache::new(config.plan_dir.clone())
+            .with_device_capacity(config.device_config.memory_capacity);
         // The plan-build scratch device models timing only, never results;
         // give it unbounded memory so tuning an out-of-core plan can hold a
         // format the serving pools cannot (simulated addresses don't feed
@@ -1460,7 +1461,8 @@ impl ServeEngine {
     /// Out-of-core admission for a format that never fits the pool: the
     /// chunk budget is the candidate fraction of the headroom the
     /// transients leave whose chunks fit with the smallest certified
-    /// pipeline bound ([`PlanCache::stream_plan`]), admitted through the
+    /// pipeline bound ([`PlanCache::stream_plan`]; a plan built for
+    /// streaming chose it with its launch shape), admitted through the
     /// in-core defer/evict loop, and rejected only if the transients plus
     /// the two chunks the pipeline holds at once (the kernel's and the next
     /// upload) cannot fit ([`protocol::streamed_need`]). A chunk's device

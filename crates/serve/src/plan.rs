@@ -12,18 +12,22 @@
 //!
 //! The cache persists plans through [`fcoo::write_fcoo`] under a small
 //! versioned header carrying the tuned block size, the chosen
-//! [`FormatKind`] tag and a digest of the tuning grids, so a restarted
-//! server warms itself from disk instead of re-preprocessing ("warm
-//! restart"). Only the shared F-COO payload is serialized; schedule
-//! metadata (BF-COO's buckets) is re-derived on load. A plan tuned over
-//! other grids is a miss: a rebuild under this cache's grids could choose a
-//! different triple, and a warm cache must serve what a cold one would.
+//! [`FormatKind`] tag, a digest of the tuning grids and the [`Objective`]
+//! the shape was chosen for, so a restarted server warms itself from disk
+//! instead of re-preprocessing ("warm restart"). Only the shared F-COO
+//! payload is serialized; schedule metadata (BF-COO's buckets) is
+//! re-derived on load. A plan tuned over other grids, or for another
+//! objective than this cache's device gives it, is a miss: a rebuild here
+//! could choose a different triple, and a warm cache must serve what a
+//! cold one would.
 //!
 //! Three static-analyzer hooks guard the cache. Plan builds select with
-//! [`analyzer::tune_select`], which certifies every structurally-surviving
-//! grid point of every format and keeps the triple with the minimal
-//! certified upper bound — zero trial launches. Disk loads pass the decoded
-//! plan through [`analyzer::plan_report`]: a persisted plan whose
+//! zero trial launches: [`analyzer::tune_select`] certifies every
+//! structurally-surviving grid point of every format and keeps the triple
+//! with the minimal certified upper bound, and a format that can never be
+//! resident is instead tuned on the chunks it streams, by the minimal
+//! certified pipeline bound ([`pipeline_bound_us`]). Disk loads pass the
+//! decoded plan through [`analyzer::plan_report`]: a persisted plan whose
 //! tuned configuration is *refuted* — launch shape outside the device
 //! limits, inconsistent segment flags, inexact bucket metadata — is
 //! rejected and rebuilt instead of replayed into a panic or a wrong answer.
@@ -39,8 +43,7 @@ use crate::fingerprint::Fnv1a;
 use crate::protocol;
 use crate::scheduler::{Scheduler, PIPELINE_STREAMS, STREAMS_PER_DEVICE};
 use crate::upload;
-use analyzer::FormatChoice;
-use fcoo::{AnyFormat, ChunkPlan, Fcoo, FormatKind, LaunchConfig, TensorOp};
+use fcoo::{AnyFormat, ChunkPlan, Fcoo, FormatKind, LaunchConfig, SortedFcoo, TensorOp};
 use gpu_sim::{DeviceConfig, GpuDevice};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -51,10 +54,12 @@ use tensor_core::SparseTensorCoo;
 /// Magic bytes of a persisted plan file (header before the F-COO stream).
 const PLAN_MAGIC: &[u8; 4] = b"SPLN";
 /// Version 4 appended the 64-bit digest of the tuning grids
-/// ([`grid_digest`]) after the one-byte [`FormatKind`] tag. Earlier
-/// versions do not say which grids chose their triple, so they are refused
-/// and rebuilt like a plan tuned over other grids.
-const PLAN_VERSION: u32 = 4;
+/// ([`grid_digest`]) after the one-byte [`FormatKind`] tag; version 5
+/// appended the [`Objective`] (a tag byte and the streamed headroom).
+/// Earlier versions do not say which grids and objective chose their
+/// shape, so they are refused and rebuilt like a plan tuned over other
+/// grids.
+const PLAN_VERSION: u32 = 5;
 
 /// The default `(BLOCK_SIZE)` grid a serving plan build sweeps — a subset of
 /// the paper's Fig. 5 grid, chosen to keep tail latency of cold requests
@@ -184,6 +189,51 @@ impl PlanCertificate {
     }
 }
 
+/// What a plan's launch shape was chosen to minimize. Decided from sizes
+/// alone, before anything is certified: whether any serving-grid format
+/// fits the device beside a request's transients, the rule in-core
+/// admission applies ([`protocol::admit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Objective {
+    /// One whole-format launch's certified upper bound
+    /// ([`analyzer::tune_select`]): some serving-grid format can be
+    /// resident.
+    InCore,
+    /// The certified pipeline bound of streaming the format in chunks
+    /// ([`pipeline_bound_us`]): even the smallest serving-grid format plus
+    /// a request's transients exceeds the device, so the format only ever
+    /// launches as chunks.
+    Streamed {
+        /// The device bytes a request's transients leave for chunks.
+        headroom: usize,
+    },
+}
+
+impl Objective {
+    /// The persisted form: a tag byte and the streamed headroom.
+    fn encode(self) -> [u8; 9] {
+        let (tag, headroom) = match self {
+            Objective::InCore => (0u8, 0u64),
+            Objective::Streamed { headroom } => (1, headroom as u64),
+        };
+        let mut bytes = [tag; 9];
+        bytes[1..].copy_from_slice(&headroom.to_le_bytes());
+        bytes
+    }
+
+    /// Inverse of [`Objective::encode`]; `None` on an unknown tag.
+    fn decode(bytes: [u8; 9]) -> Option<Objective> {
+        let mut headroom = [0u8; 8];
+        headroom.copy_from_slice(&bytes[1..]);
+        let headroom = u64::from_le_bytes(headroom) as usize;
+        match bytes[0] {
+            0 => Some(Objective::InCore),
+            1 => Some(Objective::Streamed { headroom }),
+            _ => None,
+        }
+    }
+}
+
 /// A reusable execution plan: preprocessed format plus tuned launch shape.
 #[derive(Debug)]
 pub struct Plan {
@@ -195,9 +245,30 @@ pub struct Plan {
     pub block_size: usize,
     /// The certified cost envelope of the tuned configuration.
     pub certificate: PlanCertificate,
+    /// What selected the shape.
+    pub objective: Objective,
 }
 
 impl Plan {
+    /// The plan for `key` running `format` at `block_size`, certified on
+    /// the device model `config`.
+    fn certified(
+        config: &DeviceConfig,
+        key: PlanKey,
+        format: AnyFormat,
+        block_size: usize,
+        objective: Objective,
+    ) -> Plan {
+        let certificate = PlanCertificate::derive(config, &format, key.rank as usize, block_size);
+        Plan {
+            key,
+            format,
+            block_size,
+            certificate,
+            objective,
+        }
+    }
+
     /// The format the planner certified as the winner.
     pub fn kind(&self) -> FormatKind {
         self.format.kind()
@@ -212,6 +283,14 @@ impl Plan {
     /// Tuned non-zeros per thread.
     pub fn threadlen(&self) -> usize {
         self.format.threadlen()
+    }
+
+    fn shape(&self) -> Shape<'_> {
+        Shape {
+            format: &self.format,
+            block_size: self.block_size,
+            rank: self.key.rank as usize,
+        }
     }
 }
 
@@ -268,15 +347,25 @@ impl StreamPlan {
     }
 }
 
-/// Device bytes of each chunk of `plan`'s format: the chunk's format plus
-/// its schedule metadata.
-fn chunk_bytes(plan: &Plan, chunks: &ChunkPlan) -> Vec<usize> {
-    let gather_modes = plan.fcoo().product_indices.len();
+/// Device bytes of each chunk of a `kind` format split as `chunks`: the
+/// chunk's format plus its schedule metadata.
+fn chunk_bytes(kind: FormatKind, fcoo: &Fcoo, chunks: &ChunkPlan) -> Vec<usize> {
+    let gather_modes = fcoo.product_indices.len();
     chunks
         .chunks
         .iter()
-        .map(|c| c.format_bytes + plan.kind().metadata_bytes(c.nnz, gather_modes))
+        .map(|c| c.format_bytes + kind.metadata_bytes(c.nnz, gather_modes))
         .collect()
+}
+
+/// `chunks` of a `kind` format with each chunk's device bytes, unbounded
+/// until certified.
+fn uncertified(kind: FormatKind, fcoo: &Fcoo, chunks: Arc<ChunkPlan>) -> StreamPlan {
+    StreamPlan {
+        bytes: chunk_bytes(kind, fcoo, &chunks),
+        chunks,
+        bound_us: f64::INFINITY,
+    }
 }
 
 /// Certified upper bound (µs) on streaming `plan`'s format as `chunks`,
@@ -293,18 +382,52 @@ pub fn pipeline_bound_us(
     bytes: &[usize],
     factor_bytes: usize,
 ) -> f64 {
-    let rank = plan.key.rank as usize;
-    let cfg = LaunchConfig::with_block_size(plan.block_size);
-    let cols = fcoo::ColumnTiling::at_rank(plan.fcoo(), rank).columns;
-    let envelopes =
-        analyzer::cost::certify_chunks(config, plan.kind(), plan.fcoo(), chunks, rank, &cfg);
+    plan.shape().bound_us(config, chunks, bytes, factor_bytes)
+}
+
+/// A launch shape a format streams at: the format (its kind and
+/// threadlen), the block size and the rank.
+#[derive(Clone, Copy)]
+struct Shape<'a> {
+    format: &'a AnyFormat,
+    block_size: usize,
+    rank: usize,
+}
+
+impl Shape<'_> {
+    /// [`pipeline_bound_us`] at this shape.
+    fn bound_us(
+        &self,
+        config: &DeviceConfig,
+        chunks: &ChunkPlan,
+        bytes: &[usize],
+        factor_bytes: usize,
+    ) -> f64 {
+        let (kind, fcoo) = (self.format.kind(), self.format.base());
+        let cfg = LaunchConfig::with_block_size(self.block_size);
+        let envelopes = analyzer::cost::certify_chunks(config, kind, fcoo, chunks, self.rank, &cfg);
+        let kernel_hi_us: Vec<f64> = envelopes.iter().map(|e| e.stats_time_us().hi).collect();
+        pipeline_span_us(fcoo, self.rank, chunks, bytes, &kernel_hi_us, factor_bytes)
+    }
+}
+
+/// [`pipeline_bound_us`] given each chunk's certified kernel `hi`.
+fn pipeline_span_us(
+    fcoo: &Fcoo,
+    rank: usize,
+    chunks: &ChunkPlan,
+    bytes: &[usize],
+    kernel_hi_us: &[f64],
+    factor_bytes: usize,
+) -> f64 {
+    let cols = fcoo::ColumnTiling::at_rank(fcoo, rank).columns;
     let mut scheduler = Scheduler::new(1, STREAMS_PER_DEVICE);
     let mut end_us = 0.0;
-    for ((desc, &chunk_bytes), envelope) in chunks.chunks.iter().zip(bytes).zip(&envelopes) {
+    for ((desc, &chunk_bytes), &kernel_us) in chunks.chunks.iter().zip(bytes).zip(kernel_hi_us) {
         let h2d_bytes = chunk_bytes + if desc.index == 0 { factor_bytes } else { 0 };
         let stages_us = [
             upload::transfer_us(h2d_bytes),
-            envelope.stats_time_us().hi,
+            kernel_us,
             upload::transfer_us(desc.segments * cols * 4),
         ];
         end_us = scheduler
@@ -313,6 +436,84 @@ pub fn pipeline_bound_us(
             .1;
     }
     end_us
+}
+
+/// Whether `stream`'s two largest-chunk slots fit beside the transients
+/// ([`protocol::streamed_need`] within the capacity).
+fn fits(stream: &StreamPlan, sizing: &StreamSizing) -> bool {
+    protocol::streamed_need(sizing.transient_bytes, stream.max_chunk_bytes()) <= sizing.capacity
+}
+
+/// The per-chunk budget of `fraction` of `headroom` bytes.
+fn budget_bytes(headroom: usize, (num, den): (usize, usize)) -> usize {
+    ((headroom as u128 * num as u128 / den as u128) as usize).max(1)
+}
+
+/// The budget rule at `shape`: among the [`CHUNK_BUDGET_FRACTIONS`]
+/// of the headroom whose chunks fit, the one with the smallest certified
+/// [`pipeline_bound_us`] (ties to the larger budget); when none fits, the
+/// smallest budget's plan, unbounded, for admission to reject. `split`
+/// chunks the format at a budget. `known` holds streamings of this shape
+/// already certified, whose bounds are reused rather than certified again;
+/// every bound certified here is appended to `certified`.
+fn choose_budget(
+    config: &DeviceConfig,
+    shape: Shape,
+    sizing: &StreamSizing,
+    mut split: impl FnMut(usize) -> Arc<ChunkPlan>,
+    known: &[&StreamPlan],
+    certified: &mut Vec<f64>,
+) -> StreamPlan {
+    let mut best: Option<StreamPlan> = None;
+    let mut seen: Vec<Arc<ChunkPlan>> = Vec::new();
+    for fraction in CHUNK_BUDGET_FRACTIONS {
+        let chunks = split(budget_bytes(sizing.headroom(), fraction));
+        // Two budgets can split alike; the larger one already spoke.
+        if seen.iter().any(|s| s.chunks == chunks.chunks) {
+            continue;
+        }
+        seen.push(Arc::clone(&chunks));
+        let candidate = match known.iter().find(|k| k.chunks.chunks == chunks.chunks) {
+            Some(known) => StreamPlan {
+                chunks,
+                bytes: known.bytes.clone(),
+                bound_us: known.bound_us,
+            },
+            None => {
+                let (kind, fcoo) = (shape.format.kind(), shape.format.base());
+                let mut candidate = uncertified(kind, fcoo, chunks);
+                if fits(&candidate, sizing) {
+                    candidate.bound_us = shape.bound_us(
+                        config,
+                        &candidate.chunks,
+                        &candidate.bytes,
+                        sizing.factor_bytes,
+                    );
+                    certified.push(candidate.bound_us);
+                }
+                candidate
+            }
+        };
+        // An unfit best gives way to any later, smaller budget.
+        if best
+            .as_ref()
+            .is_none_or(|b| candidate.bound_us < b.bound_us || b.bound_us.is_infinite())
+        {
+            best = Some(candidate);
+        }
+    }
+    best.expect("at least one candidate budget")
+}
+
+/// The largest of the [`CHUNK_BUDGET_FRACTIONS`] of the headroom at which
+/// a `kind` format's chunks fit, with its schedule metadata, uncertified;
+/// `None` when none fits.
+fn first_fit(kind: FormatKind, fcoo: &Fcoo, sizing: &StreamSizing) -> Option<StreamPlan> {
+    CHUNK_BUDGET_FRACTIONS.iter().find_map(|&fraction| {
+        let chunks = fcoo::split(fcoo, budget_bytes(sizing.headroom(), fraction));
+        let stream = uncertified(kind, fcoo, Arc::new(chunks));
+        fits(&stream, sizing).then_some(stream)
+    })
 }
 
 /// How a plan lookup was satisfied, ordered by cost.
@@ -350,9 +551,10 @@ pub struct PlanCacheStats {
     /// (each such lookup rebuilds).
     pub certificate_mismatches: u64,
     /// Persisted plans refused at load time because they were tuned over
-    /// other grids than this cache's, or were written before plan files
-    /// recorded their grids (each such lookup rebuilds).
-    pub stale_grid_loads: u64,
+    /// other grids than this cache's, for another [`Objective`] than this
+    /// cache's device gives them, or were written before plan files
+    /// recorded both (each such lookup rebuilds).
+    pub stale_loads: u64,
     /// Out-of-core chunk plans split from scratch (one per new
     /// `(plan, budget)` pair the engine asked for).
     pub chunk_builds: u64,
@@ -385,6 +587,8 @@ pub struct PlanCache {
     dir: Option<PathBuf>,
     block_sizes: Vec<usize>,
     threadlens: Vec<usize>,
+    /// Device bytes of the pool plans are served from.
+    capacity: usize,
     stats: PlanCacheStats,
 }
 
@@ -400,8 +604,17 @@ impl PlanCache {
             dir,
             block_sizes: SERVE_BLOCK_SIZES.to_vec(),
             threadlens: SERVE_THREADLENS.to_vec(),
+            capacity: usize::MAX,
             stats: PlanCacheStats::default(),
         }
+    }
+
+    /// Tunes plans for a device of `capacity` bytes (unbounded by
+    /// default): a plan none of whose serving-grid formats ever fits it is
+    /// tuned for streaming ([`Objective::Streamed`]).
+    pub fn with_device_capacity(mut self, capacity: usize) -> Self {
+        self.capacity = capacity;
+        self
     }
 
     /// Overrides the tuning grids used for plan builds.
@@ -473,7 +686,8 @@ impl PlanCache {
     /// [`pipeline_bound_us`] (ties to the larger budget). When none fits,
     /// the smallest budget's plan, with an infinite bound, for admission
     /// to reject. Cached per `(plan, headroom)` and dropped with
-    /// [`PlanCache::invalidate`].
+    /// [`PlanCache::invalidate`]; a plan built for streaming finds the
+    /// streaming its build chose here.
     pub fn stream_plan(
         &mut self,
         config: &DeviceConfig,
@@ -484,41 +698,15 @@ impl PlanCache {
         if let Some(chosen) = self.stream_plans.get(&(plan.key, headroom)) {
             return Arc::clone(chosen);
         }
-        let mut best: Option<StreamPlan> = None;
-        let mut seen: Vec<Arc<ChunkPlan>> = Vec::new();
-        for (num, den) in CHUNK_BUDGET_FRACTIONS {
-            let budget_bytes = ((headroom as u128 * num as u128 / den as u128) as usize).max(1);
-            let chunks = self.chunk_plan(plan.key, plan.fcoo(), budget_bytes);
-            // Two budgets can split alike; the larger one already spoke.
-            if seen.iter().any(|s| s.chunks == chunks.chunks) {
-                continue;
-            }
-            seen.push(Arc::clone(&chunks));
-            let bytes = chunk_bytes(plan, &chunks);
-            let mut candidate = StreamPlan {
-                chunks,
-                bytes,
-                bound_us: f64::INFINITY,
-            };
-            let need = protocol::streamed_need(sizing.transient_bytes, candidate.max_chunk_bytes());
-            if need <= sizing.capacity {
-                candidate.bound_us = pipeline_bound_us(
-                    config,
-                    plan,
-                    &candidate.chunks,
-                    &candidate.bytes,
-                    sizing.factor_bytes,
-                );
-            }
-            // An unfit best gives way to any later, smaller budget.
-            if best
-                .as_ref()
-                .is_none_or(|b| candidate.bound_us < b.bound_us || b.bound_us.is_infinite())
-            {
-                best = Some(candidate);
-            }
-        }
-        let chosen = Arc::new(best.expect("at least one candidate budget"));
+        let split = |budget| self.chunk_plan(plan.key, plan.fcoo(), budget);
+        let chosen = Arc::new(choose_budget(
+            config,
+            plan.shape(),
+            sizing,
+            split,
+            &[],
+            &mut Vec::new(),
+        ));
         self.stream_plans
             .insert((plan.key, headroom), Arc::clone(&chosen));
         chosen
@@ -528,11 +716,16 @@ impl PlanCache {
     /// when neither memory nor disk has it. `touched[m]` holds mode `m`'s
     /// sorted distinct coordinates.
     ///
-    /// A build selects the `(format, BLOCK_SIZE, threadlen)` triple on
-    /// `tensor` itself, then builds the chosen format over compact
-    /// product-mode coordinates ([`fcoo::compact_tensor`]): its factors
-    /// hold only their touched rows. The certificate is derived from the
-    /// compact format, the one that launches.
+    /// A build sorts the format over *compact* product-mode coordinates
+    /// ([`fcoo::compact_tensor`]) once, so its factors hold only their
+    /// touched rows, and sizes it against this cache's device to pick the
+    /// [`Objective`]. In core, the `(format, BLOCK_SIZE, threadlen)` triple
+    /// is selected on `tensor` itself ([`analyzer::tune_select`]); a
+    /// format that can never be resident is tuned on the chunks it streams
+    /// instead, by the smallest certified [`pipeline_bound_us`], and its
+    /// chosen streaming is what [`PlanCache::stream_plan`] then answers
+    /// with. The certificate is derived from the compact format at the
+    /// chosen shape, the one that launches.
     pub fn get_or_build(
         &mut self,
         key: PlanKey,
@@ -544,54 +737,229 @@ impl PlanCache {
             self.stats.memory_hits += 1;
             return (Arc::clone(plan), PlanSource::Memory);
         }
-        if let Some(plan) = self.load(key, touched, device) {
+        if let Some(plan) = self.load(key, tensor.shape(), touched, device) {
             self.stats.disk_hits += 1;
             let plan = Arc::new(plan);
             self.plans.insert(key, Arc::clone(&plan));
             return (plan, PlanSource::Disk);
         }
-        let choice = self.select(key, tensor, device);
-        let chosen = &choice.chosen;
-        let compact = fcoo::compact_tensor(tensor, key.op(), touched);
-        let format = AnyFormat::build(chosen.kind, &compact, key.op(), chosen.threadlen);
-        let certificate = PlanCertificate::derive(
-            device.config(),
-            &format,
-            key.rank as usize,
-            chosen.block_size,
-        );
-        let plan = Arc::new(Plan {
+        let sorted = SortedFcoo::new(&fcoo::compact_tensor(tensor, key.op(), touched), key.op());
+        let product_modes = sorted.product_indices.len();
+        let (objective, sizing) = self.objective(
             key,
-            format,
-            block_size: chosen.block_size,
-            certificate,
-        });
+            tensor.shape(),
+            touched,
+            (sorted.nnz(), product_modes, sorted.segments()),
+        );
+        let (plan, certified) = match objective {
+            Objective::InCore => {
+                let choice = self.select(key, tensor, device);
+                let chosen = &choice.chosen;
+                let format =
+                    AnyFormat::from_fcoo(chosen.kind, Arc::new(sorted.into_fcoo(chosen.threadlen)));
+                let plan =
+                    Plan::certified(device.config(), key, format, chosen.block_size, objective);
+                (
+                    plan,
+                    choice.candidates.iter().map(|c| c.time_us.hi).collect(),
+                )
+            }
+            Objective::Streamed { headroom } => {
+                let (plan, stream, certified) =
+                    self.select_streamed(device.config(), key, sorted, &sizing);
+                self.stream_plans.insert((key, headroom), Arc::new(stream));
+                (plan, certified)
+            }
+        };
+        let plan = Arc::new(plan);
         self.stats.builds += 1;
-        self.stats.build_ms += Self::modeled_build_ms(tensor.nnz(), &choice);
+        self.stats.build_ms += Self::modeled_build_ms(tensor.nnz(), &certified);
         self.persist(&plan);
         self.plans.insert(key, Arc::clone(&plan));
         (plan, PlanSource::Built)
     }
 
+    /// The [`Objective`] a plan for `key` is tuned for on this cache's
+    /// device, and how its requests size against it. `(nnz, product
+    /// modes, segments)` are the format's, the same at every kind and
+    /// threadlen: a request holds its compact factors and one output row
+    /// per segment ([`upload::FactorPlan::transient_bytes`]), and the plan
+    /// streams when even the smallest serving-grid format does not fit
+    /// beside them ([`protocol::admit`]'s rule, on [`format_bytes`]).
+    fn objective(
+        &self,
+        key: PlanKey,
+        shape: &[usize],
+        touched: &[Vec<u32>],
+        (nnz, product_modes, segments): (usize, usize, usize),
+    ) -> (Objective, StreamSizing) {
+        let rank = key.rank as usize;
+        let factors = upload::FactorPlan::new(key.op(), shape, touched, rank);
+        let rows_bytes = upload::rows_bytes(key.op(), product_modes, segments, rank);
+        let sizing = StreamSizing {
+            capacity: self.capacity,
+            transient_bytes: factors.transient_bytes(rows_bytes),
+            factor_bytes: factors.h2d_bytes(),
+        };
+        let smallest_format = FormatKind::ALL
+            .into_iter()
+            .flat_map(|kind| {
+                self.threadlens
+                    .iter()
+                    .map(move |&t| kind.storage_bytes(nnz, product_modes, t) + 64)
+            })
+            .min()
+            .expect("non-empty threadlen grid");
+        let objective = if smallest_format.saturating_add(sizing.transient_bytes) > self.capacity {
+            Objective::Streamed {
+                headroom: sizing.headroom(),
+            }
+        } else {
+            Objective::InCore
+        };
+        (objective, sizing)
+    }
+
+    /// The streamed objective's search: the `(format, threadlen,
+    /// BLOCK_SIZE)` shape and the chunk budget with the smallest certified
+    /// [`pipeline_bound_us`], zero launches. Each format at each threadlen
+    /// is split at its largest fitting budget fraction ([`first_fit`]) and
+    /// certified there once for all its block sizes; each format's best
+    /// shape then tries every fraction by [`PlanCache::stream_plan`]'s
+    /// rule, so a plan loaded from disk streams as its build chose. The
+    /// smaller of the two formats' bounds wins. Ties keep the earlier
+    /// candidate (F-COO, then threadlen, then block size, then the larger
+    /// budget). Returns the plan, its streaming and the bound of every
+    /// candidate certified.
+    fn select_streamed(
+        &self,
+        config: &DeviceConfig,
+        key: PlanKey,
+        sorted: SortedFcoo,
+        sizing: &StreamSizing,
+    ) -> (Plan, StreamPlan, Vec<f64>) {
+        let rank = key.rank as usize;
+        let keep = analyzer::tune_filter(config, &self.block_sizes);
+        let cfg = LaunchConfig::default();
+        let mut certified = Vec::new();
+        // Per format, its best shape at its largest fitting budget:
+        // threadlen, block size and streaming.
+        let mut leaders: Vec<Option<(usize, usize, StreamPlan)>> =
+            FormatKind::ALL.iter().map(|_| None).collect();
+        for &threadlen in &self.threadlens {
+            let fcoo = sorted.fcoo(threadlen);
+            let blocks: Vec<usize> = self
+                .block_sizes
+                .iter()
+                .copied()
+                .filter(|&b| keep(&fcoo, b))
+                .collect();
+            for (kind, leader) in FormatKind::ALL.into_iter().zip(&mut leaders) {
+                let Some(stream) = first_fit(kind, &fcoo, sizing) else {
+                    continue;
+                };
+                let envelopes = analyzer::cost::certify_chunks_at(
+                    config,
+                    kind,
+                    &fcoo,
+                    &stream.chunks,
+                    rank,
+                    &cfg,
+                    &blocks,
+                );
+                for (i, &block_size) in blocks.iter().enumerate() {
+                    let kernel_hi_us: Vec<f64> =
+                        envelopes.iter().map(|e| e[i].stats_time_us().hi).collect();
+                    let bound_us = pipeline_span_us(
+                        &fcoo,
+                        rank,
+                        &stream.chunks,
+                        &stream.bytes,
+                        &kernel_hi_us,
+                        sizing.factor_bytes,
+                    );
+                    certified.push(bound_us);
+                    if leader.as_ref().is_none_or(|l| bound_us < l.2.bound_us) {
+                        let stream = StreamPlan {
+                            chunks: Arc::clone(&stream.chunks),
+                            bytes: stream.bytes.clone(),
+                            bound_us,
+                        };
+                        *leader = Some((threadlen, block_size, stream));
+                    }
+                }
+            }
+        }
+        // Each format's leader searches its budget; the smaller bound wins.
+        // With no leader nothing fits at any shape, and admission rejects
+        // whatever streams.
+        let mut best: Option<(AnyFormat, usize, StreamPlan)> = None;
+        for (kind, leader) in FormatKind::ALL.into_iter().zip(leaders) {
+            let Some((threadlen, block_size, first)) = leader else {
+                continue;
+            };
+            let format = AnyFormat::from_fcoo(kind, Arc::new(sorted.fcoo(threadlen)));
+            let stream = choose_budget(
+                config,
+                Shape {
+                    format: &format,
+                    block_size,
+                    rank,
+                },
+                sizing,
+                |budget| Arc::new(fcoo::split(format.base(), budget)),
+                &[&first],
+                &mut certified,
+            );
+            if best.as_ref().is_none_or(|b| stream.bound_us < b.2.bound_us) {
+                best = Some((format, block_size, stream));
+            }
+        }
+        let (format, block_size, stream) = best.unwrap_or_else(|| {
+            let format =
+                AnyFormat::from_fcoo(FormatKind::Fcoo, Arc::new(sorted.fcoo(self.threadlens[0])));
+            let block_size = self.block_sizes[0];
+            let shape = Shape {
+                format: &format,
+                block_size,
+                rank,
+            };
+            let split = |budget| Arc::new(fcoo::split(format.base(), budget));
+            let stream = choose_budget(config, shape, sizing, split, &[], &mut certified);
+            (format, block_size, stream)
+        });
+        let objective = Objective::Streamed {
+            headroom: sizing.headroom(),
+        };
+        let plan = Plan::certified(config, key, format, block_size, objective);
+        (plan, stream, certified)
+    }
+
     /// Deterministic analytic model of the host cost of one plan build: an
     /// `O(n log n)` comparison sort of the nonzeros plus the certified
-    /// upper bound of every format's best grid point (the sweep is now
-    /// zero-launch, so its modeled cost is what the certifier proves the
-    /// candidates would cost). Replaces a wall-clock `Instant::now()`
-    /// measurement (banned repo-wide via clippy `disallowed-methods`) so
-    /// `PlanCacheStats::build_ms` — and therefore the serve report — is
-    /// bit-identical across runs and hosts.
-    fn modeled_build_ms(nnz: usize, choice: &FormatChoice) -> f64 {
+    /// upper bound of every candidate the selection certified (the sweep
+    /// is zero-launch, so its modeled cost is what the certifier proves
+    /// the candidates would cost: each format's best grid point in core,
+    /// every pipeline bound when streamed). Replaces a wall-clock
+    /// `Instant::now()` measurement (banned repo-wide via clippy
+    /// `disallowed-methods`) so `PlanCacheStats::build_ms` — and therefore
+    /// the serve report — is bit-identical across runs and hosts.
+    fn modeled_build_ms(nnz: usize, certified_us: &[f64]) -> f64 {
         // ~12 ns per comparison is a conventional host sort throughput; the
         // exact constant only scales the report, determinism is the point.
         const SORT_NS_PER_CMP: f64 = 12.0;
         let n = nnz.max(2) as f64;
         let sort_ms = n * n.log2() * SORT_NS_PER_CMP * 1e-6;
-        let sweep_ms = choice.candidates.iter().map(|c| c.time_us.hi).sum::<f64>() * 1e-3;
+        let sweep_ms = certified_us.iter().sum::<f64>() * 1e-3;
         sort_ms + sweep_ms
     }
 
-    fn select(&self, key: PlanKey, tensor: &SparseTensorCoo, device: &GpuDevice) -> FormatChoice {
+    fn select(
+        &self,
+        key: PlanKey,
+        tensor: &SparseTensorCoo,
+        device: &GpuDevice,
+    ) -> analyzer::FormatChoice {
         analyzer::tune_select(
             device.config(),
             tensor,
@@ -624,7 +992,8 @@ impl PlanCache {
             .and_then(|_| w.write_all(&[plan.kind().tag()]))
             .and_then(|_| {
                 w.write_all(&grid_digest(&self.block_sizes, &self.threadlens).to_le_bytes())
-            });
+            })
+            .and_then(|_| w.write_all(&plan.objective.encode()));
         if header_ok.is_err() || fcoo::write_fcoo(plan.fcoo(), &mut w).is_err() {
             drop(w);
             std::fs::remove_file(&path).ok();
@@ -651,10 +1020,20 @@ impl PlanCache {
     /// touched mode is the same either way, so such plans still load.
     ///
     /// A plan tuned over other grids than this cache's, or written by an
-    /// older version that did not record its grids, is refused (counted in
-    /// [`PlanCacheStats::stale_grid_loads`]) before its payload is decoded.
-    /// An unknown tag byte is corruption and falls back to a rebuild.
-    fn load(&mut self, key: PlanKey, touched: &[Vec<u32>], device: &GpuDevice) -> Option<Plan> {
+    /// older version that did not record its grids and objective, is
+    /// refused (counted in [`PlanCacheStats::stale_loads`]) before its
+    /// payload is decoded; so is, once decoded, a plan whose recorded
+    /// [`Objective`] is not the one this cache's device gives it (a plan
+    /// tuned for streaming loaded where its format fits whole, or for
+    /// another headroom). An unknown tag byte is corruption and falls back
+    /// to a rebuild.
+    fn load(
+        &mut self,
+        key: PlanKey,
+        shape: &[usize],
+        touched: &[Vec<u32>],
+        device: &GpuDevice,
+    ) -> Option<Plan> {
         let dir = self.dir.as_ref()?;
         let file = std::fs::File::open(dir.join(key.file_name())).ok()?;
         let mut r = std::io::BufReader::new(file);
@@ -668,7 +1047,7 @@ impl PlanCache {
         let version = u32::from_le_bytes(word);
         if version != PLAN_VERSION {
             if version < PLAN_VERSION {
-                self.stats.stale_grid_loads += 1;
+                self.stats.stale_loads += 1;
             }
             return None;
         }
@@ -690,9 +1069,12 @@ impl PlanCache {
         let kind = FormatKind::from_tag(tag[0])?;
         r.read_exact(&mut wide).ok()?;
         if u64::from_le_bytes(wide) != grid_digest(&self.block_sizes, &self.threadlens) {
-            self.stats.stale_grid_loads += 1;
+            self.stats.stale_loads += 1;
             return None;
         }
+        let mut objective = [0u8; 9];
+        r.read_exact(&mut objective).ok()?;
+        let objective = Objective::decode(objective)?;
         let fcoo = fcoo::read_fcoo(&mut r).ok()?;
         if rank != key.rank || fcoo.op != key.op() {
             return None;
@@ -704,6 +1086,11 @@ impl PlanCache {
         });
         if uncompacted {
             self.stats.refuted_loads += 1;
+            return None;
+        }
+        let sizes = (fcoo.nnz(), fcoo.product_indices.len(), fcoo.segments());
+        if self.objective(key, shape, touched, sizes).0 != objective {
+            self.stats.stale_loads += 1;
             return None;
         }
         let format = AnyFormat::from_fcoo(kind, Arc::new(fcoo));
@@ -721,6 +1108,7 @@ impl PlanCache {
             format,
             block_size,
             certificate: derived,
+            objective,
         })
     }
 }
@@ -891,6 +1279,7 @@ mod tests {
             format,
             block_size: chosen.block_size,
             certificate,
+            objective: Objective::InCore,
         });
         let mut engine = crate::ServeEngine::new(crate::ServeConfig {
             plan_dir: Some(dir.clone()),
@@ -1019,6 +1408,7 @@ mod tests {
             format,
             block_size: 128,
             certificate,
+            objective: Objective::InCore,
         };
         let sizing = move |headroom: usize| StreamSizing {
             capacity: transient_bytes + headroom,
@@ -1051,7 +1441,10 @@ mod tests {
                 // not with their bucket metadata: it must not be chosen.
                 let half = fcoo::split(plan.fcoo(), sizing.headroom() / 2);
                 let bare = half.chunks.iter().map(|c| c.format_bytes).max().unwrap();
-                let full = chunk_bytes(&plan, &half).into_iter().max().unwrap();
+                let full = chunk_bytes(kind, plan.fcoo(), &half)
+                    .into_iter()
+                    .max()
+                    .unwrap();
                 let fits = |bytes| {
                     protocol::streamed_need(sizing.transient_bytes, bytes) <= sizing.capacity
                 };
@@ -1080,7 +1473,7 @@ mod tests {
                 let sizing = sizing(format_bytes / 8 + step * format_bytes / 40);
                 let chosen = cache.stream_plan(&config, &plan, &sizing);
                 let quarter = fcoo::split(plan.fcoo(), sizing.headroom() / 4);
-                let bytes = chunk_bytes(&plan, &quarter);
+                let bytes = chunk_bytes(kind, plan.fcoo(), &quarter);
                 let quarter_us =
                     pipeline_bound_us(&config, &plan, &quarter, &bytes, sizing.factor_bytes);
                 assert!(
@@ -1126,7 +1519,7 @@ mod tests {
         assert_eq!(source, PlanSource::Disk);
         assert_eq!(loaded.kind(), FormatKind::BfCoo);
         assert!(loaded.certificate.matches(&built.certificate));
-        assert_eq!(warm.stats().stale_grid_loads, 0);
+        assert_eq!(warm.stats().stale_loads, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1147,23 +1540,28 @@ mod tests {
         let tensor = uniform_tensor();
         let key = key_for(&tensor);
         let dir = std::env::temp_dir().join("serve_plan_test_unrecorded_grid");
-        for version in [2u32, 3] {
+        for version in [2u32, 3, 4] {
             std::fs::remove_dir_all(&dir).ok();
             let mut cold = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[16]);
             cold.get_or_build(key, &tensor, &touched(&tensor), &device);
             // Rewrite the file into its older shape: that version word and
-            // no grid digest (the eight bytes after the tag at offset 32);
-            // version 2 had no tag either.
+            // no objective (the nine bytes at offset 41, after the grid
+            // digest); version 3 had no grid digest (the eight bytes after
+            // the tag at offset 32) and version 2 no tag either.
             let path = dir.join(key.file_name());
             let mut bytes = std::fs::read(&path).unwrap();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
-            let first_dropped = if version == 2 { 32 } else { 33 };
-            bytes.drain(first_dropped..41);
+            let first_dropped = match version {
+                2 => 32,
+                3 => 33,
+                _ => 41,
+            };
+            bytes.drain(first_dropped..50);
             std::fs::write(&path, bytes).unwrap();
             let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64], &[16]);
             let (_, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
             assert_eq!(source, PlanSource::Built, "version {version}");
-            assert_eq!(warm.stats().stale_grid_loads, 1, "version {version}");
+            assert_eq!(warm.stats().stale_loads, 1, "version {version}");
             assert_eq!(warm.stats().disk_hits, 0, "version {version}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1184,7 +1582,7 @@ mod tests {
         let mut warm = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[4, 8, 16]);
         let (rebuilt, source) = warm.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Built);
-        assert_eq!(warm.stats().stale_grid_loads, 1);
+        assert_eq!(warm.stats().stale_loads, 1);
         assert_eq!(warm.stats().disk_hits, 0);
         let mut cold = PlanCache::new(None).with_grids(&[64, 128], &[4, 8, 16]);
         let (fresh, _) = cold.get_or_build(key, &tensor, &touched(&tensor), &device);
@@ -1207,7 +1605,7 @@ mod tests {
         let mut again = PlanCache::new(Some(dir.clone())).with_grids(&[64, 128], &[4, 8, 16]);
         let (_, source) = again.get_or_build(key, &tensor, &touched(&tensor), &device);
         assert_eq!(source, PlanSource::Disk);
-        assert_eq!(again.stats().stale_grid_loads, 0);
+        assert_eq!(again.stats().stale_loads, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

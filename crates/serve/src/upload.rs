@@ -105,7 +105,20 @@ impl FactorPlan {
 /// segment for every operation. The request's device buffer (see
 /// [`FactorPlan::transient_bytes`]) and what a replay copies back.
 pub fn output_bytes(fcoo: &Fcoo, rank: usize) -> usize {
-    fcoo.segments() * ColumnTiling::at_rank(fcoo, rank).columns * 4
+    let product_modes = fcoo.classification.product_modes.len();
+    rows_bytes(fcoo.op, product_modes, fcoo.segments(), rank)
+}
+
+/// Bytes of `segments` output rows of `op` at `rank` with `product_modes`
+/// gather modes: [`output_bytes`] of every format with that many segments,
+/// whatever its kind or threadlen.
+pub(crate) fn rows_bytes(
+    op: TensorOp,
+    product_modes: usize,
+    segments: usize,
+    rank: usize,
+) -> usize {
+    segments * ColumnTiling::for_op(op, &vec![rank; product_modes]).columns * 4
 }
 
 /// A request's compact factors resident on the device.

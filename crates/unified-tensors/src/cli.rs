@@ -507,12 +507,15 @@ pub fn certify(
                 exhaustive.best.time_us,
             );
         }
-        // The cross-format planner's certified selection beside the
-        // single-format grid above: which grid point wins within F-COO and
-        // which format wins overall. Each format's best payload must pass
-        // the gate a persisted plan meets at load (its launch shape and its
-        // own format invariants, BF-COO's bucket arithmetic included).
-        let choice = crate::analyzer::tune_select(&config, tensor, op, rank, None, None);
+        // The serving planner's certified selection beside the paper-grid
+        // sweep above: the cross-format pick over the serving grids, the
+        // one a served plan launches when its format can be resident. Each
+        // format's best payload must pass the gate a persisted plan meets
+        // at load (its launch shape and its own format invariants, BF-COO's
+        // bucket arithmetic included).
+        let (blocks, threadlens) = (&SERVE_BLOCK_SIZES[..], &SERVE_THREADLENS[..]);
+        let choice =
+            crate::analyzer::tune_select(&config, tensor, op, rank, Some(blocks), Some(threadlens));
         let _ = writeln!(out, "  formats:");
         for line in choice.render().lines() {
             let _ = writeln!(out, "    {line}");
@@ -843,12 +846,13 @@ pub fn chaos(spec: &str, schedule: &str, seed: u64) -> Result<String, CliError> 
 /// pipeline against the in-core path and write the `BENCH_out_of_core.json`
 /// trajectory point: chunked vs in-core throughput (nnz/s), mean chunk
 /// count, and the makespan over its certified floor at three device-memory
-/// budgets that all reject the full format. The floor does not depend on
-/// the chunking, so launch overhead from needless chunks reads as distance
-/// from it: each request's copy stream moves at least its format's storage
-/// and its factors, and its compute stream runs the whole format's work,
-/// floored by one whole-format launch's certified `lo`, and reads back its
-/// output rows; the floor is the larger stream's sum over the requests.
+/// budgets that all reject the full format. Each budget's plan is tuned
+/// for streaming there, and its floor does not depend on the chunking, so
+/// launch overhead from needless chunks reads as distance from it: each
+/// request's copy stream moves at least its format's storage and its
+/// factors, and its compute stream runs the whole format's work, floored
+/// by one whole-format launch's certified `lo`, and reads back its output
+/// rows; the floor is the larger stream's sum over the requests.
 /// Every run verifies bit-exactly against the one-shot reference; the
 /// command exits non-zero on any rejection, verification mismatch or
 /// makespan below the floor.
@@ -929,14 +933,8 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         Ok((report, plan))
     };
 
-    let (in_core, plan) = run_at(None)?;
+    let (in_core, _) = run_at(None)?;
     let in_core_nnz_s = total_nnz / (in_core.makespan_us * 1e-6);
-    // The plan is the same at every capacity: plan builds tune on an
-    // unbounded scratch device.
-    let copy_floor_us = transfer_us(plan.format.storage_bytes() + factor_plan.h2d_bytes());
-    let compute_floor_us =
-        plan.certificate.time_lo_us + transfer_us(output_bytes(plan.fcoo(), rank));
-    let floor_us = request_count as f64 * copy_floor_us.max(compute_floor_us);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -948,15 +946,26 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         "  in-core    : makespan {:>10.1} us, {:>12.0} nnz/s",
         in_core.makespan_us, in_core_nnz_s
     );
-    let _ = writeln!(
-        out,
-        "  floor      : {floor_us:.1} us at any chunking ({request_count} x max of \
-         copy {copy_floor_us:.1} us, compute {compute_floor_us:.1} us)"
-    );
     let mut budget_rows = String::new();
     for (label, divisor) in [("1/2", 2usize), ("1/4", 4), ("1/8", 8)] {
         let capacity = transient_bytes + min_format_bytes / divisor;
-        let (report, _) = run_at(Some(capacity))?;
+        let (report, plan) = run_at(Some(capacity))?;
+        // The floor of the plan tuned for streaming at this capacity.
+        let copy_floor_us = transfer_us(plan.format.storage_bytes() + factor_plan.h2d_bytes());
+        let compute_floor_us =
+            plan.certificate.time_lo_us + transfer_us(output_bytes(plan.fcoo(), rank));
+        let floor_us = request_count as f64 * copy_floor_us.max(compute_floor_us);
+        let shape = format!(
+            "{} T{} B{}",
+            plan.kind().label(),
+            plan.threadlen(),
+            plan.block_size
+        );
+        let _ = writeln!(
+            out,
+            "  floor {label}: {floor_us:.1} us at any chunking of {shape} ({request_count} x \
+             max of copy {copy_floor_us:.1} us, compute {compute_floor_us:.1} us)"
+        );
         let chunked: Vec<_> = report
             .requests
             .iter()
@@ -993,8 +1002,9 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
         let _ = write!(
             budget_rows,
             "    {{\"budget\": \"{label}\", \"capacity_bytes\": {capacity}, \
-             \"makespan_us\": {:.3}, \"nnz_per_s\": {:.1}, \
-             \"mean_chunks_per_request\": {:.3}, \"makespan_over_floor\": {:.4}, \
+             \"plan\": \"{shape}\", \"makespan_us\": {:.3}, \"nnz_per_s\": {:.1}, \
+             \"mean_chunks_per_request\": {:.3}, \"certified_floor_us\": {floor_us:.3}, \
+             \"makespan_over_floor\": {:.4}, \
              \"throughput_vs_in_core\": {:.4}, \"verified\": {}, \
              \"verify_failures\": 0}}",
             report.makespan_us,
@@ -1057,7 +1067,6 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
          \"transient_bytes\": {transient_bytes},\n  \
          \"min_format_bytes\": {min_format_bytes},\n  \
          \"in_core\": {{\"makespan_us\": {:.3}, \"nnz_per_s\": {:.1}}},\n  \
-         \"certified_floor_us\": {floor_us:.3},\n  \
          \"budgets\": [\n{budget_rows}\n  ]\n}}\n",
         in_core.makespan_us, in_core_nnz_s
     );
@@ -1599,6 +1608,27 @@ mod tests {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
         assert_eq!(text.matches("  formats:").count(), 3, "{text}");
+        // The formats block is the serving planner's pick: the serving
+        // grids, threadlen 4 included, not the paper grid above it.
+        let config = DeviceConfig::titan_x();
+        let (blocks, threadlens) = (&SERVE_BLOCK_SIZES[..], &SERVE_THREADLENS[..]);
+        for op in [
+            TensorOp::SpTtm { mode: 0 },
+            TensorOp::SpMttkrp { mode: 0 },
+            TensorOp::SpTtmc { mode: 0 },
+        ] {
+            let choice = crate::analyzer::tune_select(
+                &config,
+                &sample(),
+                op,
+                8,
+                Some(blocks),
+                Some(threadlens),
+            );
+            for line in choice.render().lines() {
+                assert!(text.contains(&format!("    {line}\n")), "{op:?}: {line}");
+            }
+        }
         let ratio: f64 = text
             .split("are ideal (")
             .nth(1)
